@@ -73,6 +73,7 @@ Exits nonzero on the first violated bound, so CI can gate on it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -105,47 +106,22 @@ def measure_e27(artifacts_dir: str) -> dict:
     return payload
 
 
-def measure_e28(artifacts_dir: str) -> dict:
-    import io
+#: Suites whose bench module exposes ``report(file, smoke, artifacts_dir)``
+#: returning the payload (E27 predates that shape and keeps its own
+#: measure function above).
+REPORT_MODULES = {
+    "e28": "bench_lifecycle",
+    "e29": "bench_elasticity",
+    "e30": "bench_geo",
+    "e31": "bench_semantic",
+}
 
-    bench_lifecycle = _import_bench("bench_lifecycle")
-    payload = bench_lifecycle.report(
+
+def measure_report(suite: str, artifacts_dir: str) -> dict:
+    payload = _import_bench(REPORT_MODULES[suite]).report(
         file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
     )
-    _write_current(payload, artifacts_dir, "BENCH_e28_current.json")
-    return payload
-
-
-def measure_e29(artifacts_dir: str) -> dict:
-    import io
-
-    bench_elasticity = _import_bench("bench_elasticity")
-    payload = bench_elasticity.report(
-        file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
-    )
-    _write_current(payload, artifacts_dir, "BENCH_e29_current.json")
-    return payload
-
-
-def measure_e30(artifacts_dir: str) -> dict:
-    import io
-
-    bench_geo = _import_bench("bench_geo")
-    payload = bench_geo.report(
-        file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
-    )
-    _write_current(payload, artifacts_dir, "BENCH_e30_current.json")
-    return payload
-
-
-def measure_e31(artifacts_dir: str) -> dict:
-    import io
-
-    bench_semantic = _import_bench("bench_semantic")
-    payload = bench_semantic.report(
-        file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
-    )
-    _write_current(payload, artifacts_dir, "BENCH_e31_current.json")
+    _write_current(payload, artifacts_dir, f"BENCH_{suite}_current.json")
     return payload
 
 
@@ -317,11 +293,11 @@ def check_e31(baseline: dict, current: dict, tolerance: float) -> list[str]:
 
 
 SUITES = {
-    "e27": ("BENCH_e27.json", measure_e27, check_e27),
-    "e28": ("BENCH_e28.json", measure_e28, check_e28),
-    "e29": ("BENCH_e29.json", measure_e29, check_e29),
-    "e30": ("BENCH_e30.json", measure_e30, check_e30),
-    "e31": ("BENCH_e31.json", measure_e31, check_e31),
+    "e27": ("BENCH_e27.json", check_e27),
+    "e28": ("BENCH_e28.json", check_e28),
+    "e29": ("BENCH_e29.json", check_e29),
+    "e30": ("BENCH_e30.json", check_e30),
+    "e31": ("BENCH_e31.json", check_e31),
 }
 
 
@@ -345,13 +321,15 @@ def main() -> None:
 
     failures: list[str] = []
     for suite in selected:
-        default_baseline, measure, check = SUITES[suite]
+        default_baseline, check = SUITES[suite]
         baseline_path = args.baseline or str(REPO_ROOT / default_baseline)
         baseline = json.loads(Path(baseline_path).read_text())
         if args.current is not None:
             current = json.loads(Path(args.current).read_text())
+        elif suite in REPORT_MODULES:
+            current = measure_report(suite, args.artifacts_dir)
         else:
-            current = measure(args.artifacts_dir)
+            current = measure_e27(args.artifacts_dir)
         print(f"== {suite}: vs {baseline_path} ==")
         suite_failures = check(baseline, current, args.tolerance)
         failures += [f"[{suite}] {failure}" for failure in suite_failures]

@@ -11,10 +11,13 @@ query return type; :mod:`repro.cluster` re-exports it for compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+
+from ..core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.columns import RecordBatch
+    from ..core.metrics import MetricsRegistry
     from ..core.records import DataRecord
     from ..platform.platform import PurchaseOutcome
     from ..query.plane import QueryRequest
@@ -49,6 +52,43 @@ class ContinuousQuery:
     request: "QueryRequest | None" = field(default=None)
 
 
+class ContinuousQueries:
+    """The standing queries of one data plane, keyed by query id.
+
+    Both planes own one and differ only in what they pass to
+    :meth:`refresh`: their own ``query`` (single-shard or scatter-gather)
+    and the name of their own evaluations counter.
+    """
+
+    def __init__(self) -> None:
+        self._queries: dict[str, ContinuousQuery] = {}
+
+    def register(self, query_id: str, request: "QueryRequest") -> None:
+        if query_id in self._queries:
+            raise ConfigurationError(f"duplicate continuous query {query_id!r}")
+        self._queries[query_id] = ContinuousQuery(
+            query_id, str(request.params.get("prefix", "")), request=request
+        )
+
+    def results(self, query_id: str) -> GatherResult | None:
+        return self._queries[query_id].results
+
+    def refresh(
+        self,
+        run_query: "Callable[[QueryRequest], GatherResult]",
+        metrics: "MetricsRegistry",
+        evaluations: str,
+    ) -> dict[str, GatherResult]:
+        """Re-evaluate every standing query, counting each evaluation
+        under ``evaluations``; returns the fresh results."""
+        results: dict[str, GatherResult] = {}
+        for query in self._queries.values():
+            query.results = run_query(query.request)
+            metrics.counter(evaluations).inc()
+            results[query.query_id] = query.results
+        return results
+
+
 @runtime_checkable
 class DataPlane(Protocol):
     """What a metaverse data plane does, independent of deployment shape.
@@ -60,6 +100,13 @@ class DataPlane(Protocol):
     * :meth:`ingest`/:meth:`ingest_many`/:meth:`ingest_batch` buffer;
       nothing is visible to queries until :meth:`flush` (or :meth:`tick`);
     * :meth:`flush` returns the number of records written;
+    * buffered units (a record, or a columnar batch) land in arrival
+      order, whichever ingest call queued them: the later of two
+      buffered writes to one key is the one a read returns;
+    * a failed flush keeps unwritten units queued: when a write raises,
+      the unit it was writing and everything behind it stay buffered
+      (``pending_count`` counts them) and a later :meth:`flush` lands
+      them;
     * :meth:`query` runs any registered query-plane modality
       (:mod:`repro.query.plane`) and returns a :class:`GatherResult`;
       :meth:`scan_prefix`/:meth:`query_spatial` are thin wrappers over

@@ -46,10 +46,10 @@ exercises the cluster path end to end.
 
 from __future__ import annotations
 
-import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 
-from ..api.dataplane import ContinuousQuery, GatherResult
+from ..api.dataplane import ContinuousQueries, GatherResult
 from ..core.clock import SimulationClock
 from ..core.columns import RecordBatch
 from ..core.errors import (
@@ -66,6 +66,7 @@ from ..platform.platform import (
     PurchaseOutcome,
     purchase_sort_key,
     stored_record_value,
+    unit_len,
 )
 from ..query.plane import (
     QueryExecutor,
@@ -116,26 +117,7 @@ class PlatformCluster:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            # Back-compat shim: the old constructor took every shape knob
-            # as a loose keyword argument.  Fold them into a ClusterConfig
-            # (unknown names fail inside the dataclass constructor).
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either config= or legacy keyword arguments, not both"
-                )
-            warnings.warn(
-                "constructing PlatformCluster from loose keyword arguments "
-                "is deprecated; pass config=ClusterConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            try:
-                config = ClusterConfig(**legacy)
-            except TypeError as exc:
-                raise ConfigurationError(str(exc)) from None
         config = (config if config is not None else ClusterConfig()).validate()
         self.config = config
         n_shards = config.n_shards
@@ -196,9 +178,10 @@ class PlatformCluster:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self._pending: dict[str, list[DataRecord]] = {}
-        self._pending_batches: dict[str, list[RecordBatch]] = {}
-        self._continuous: dict[str, ContinuousQuery] = {}
+        # Per shard, one arrival-ordered queue of write units: per-record
+        # and columnar ingest interleave exactly as the caller issued them.
+        self._pending: dict[str, deque[DataRecord | RecordBatch]] = {}
+        self._continuous = ContinuousQueries()
         # Query-plane executor: resolves requests to (modality, plan);
         # the cluster contributes only the scatter-gather dispatch.
         self.query_executor = QueryExecutor()
@@ -320,7 +303,7 @@ class PlatformCluster:
         owner = self.router.owner_of(record.key)
         if not self._admit(owner, record.space):
             return
-        self._pending.setdefault(owner, []).append(record)
+        self._pending.setdefault(owner, deque()).append(record)
         self.metrics.counter("cluster.buffered_records").inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
@@ -365,7 +348,7 @@ class PlatformCluster:
         if self.failover is not None:
             records = batch.to_records()
             for name, rows in owners.items():
-                self._pending.setdefault(name, []).extend(
+                self._pending.setdefault(name, deque()).extend(
                     records[i] for i in rows
                 )
         else:
@@ -373,22 +356,16 @@ class PlatformCluster:
                 shard_batch = (
                     batch if len(rows) == len(batch) else batch.take(rows)
                 )
-                self._pending_batches.setdefault(name, []).append(shard_batch)
+                self._pending.setdefault(name, deque()).append(shard_batch)
         self.metrics.counter("cluster.buffered_records").inc(len(batch))
 
     @property
     def pending_count(self) -> int:
-        return sum(len(batch) for batch in self._pending.values()) + sum(
-            len(batch)
-            for batches in self._pending_batches.values()
-            for batch in batches
-        )
+        return sum(self.shard_queue_depth(name) for name in self._pending)
 
     def shard_queue_depth(self, name: str) -> int:
         """Records currently queued for ``name`` (bounded-drain mode)."""
-        return len(self._pending.get(name, [])) + sum(
-            len(batch) for batch in self._pending_batches.get(name, [])
-        )
+        return sum(unit_len(unit) for unit in self._pending.get(name, ()))
 
     def _admit(self, owner: str, space: Space) -> bool:
         if self.elasticity is None or self.elasticity.admission is None:
@@ -429,63 +406,46 @@ class PlatformCluster:
 
     def _flush_shard(self, name: str, budget: int | None) -> int:
         """Write up to ``budget`` queued records to ``name`` (None =
-        unbounded); leftovers stay queued in arrival order."""
+        unbounded) in arrival order; leftovers stay queued.  A unit
+        leaves the queue only once its write returned, so a write that
+        raises keeps it and everything behind it queued."""
+        queue = self._pending.get(name)
+        if not queue:
+            return 0
         shard = self.shards[name]
+        observe = self.metrics.histogram("cluster.router.batch_size").observe
         written = 0
-        batch = self._pending.get(name)
-        if batch:
-            take = len(batch) if budget is None else min(budget, len(batch))
-            if take:
-                self.metrics.histogram("cluster.router.batch_size").observe(
-                    take
-                )
-                for record in batch[:take]:
-                    shard.write_record(record)
-                    if self.failover is not None:
-                        self.failover.log_entity(
-                            name, record.key, stored_record_value(record)
-                        )
-                written += take
-                if take == len(batch):
-                    del self._pending[name]
+        run = 0  # consecutive records written since the last observation
+        while queue and (budget is None or written < budget):
+            unit = queue[0]
+            if isinstance(unit, RecordBatch):
+                if run:
+                    observe(run)
+                    run = 0
+                # One bulk write per buffered batch: the shard's engine
+                # coalesces it into one RPC per storage node.  A batch
+                # larger than what is left of the budget splits there:
+                # the head flushes now, the columnar tail stays queued.
+                room = len(unit) if budget is None else budget - written
+                head = unit if len(unit) <= room else unit.take(range(room))
+                observe(len(head))
+                shard.write_record_batch(head)
+                if head is unit:
+                    queue.popleft()
                 else:
-                    self._pending[name] = batch[take:]
-        columnar = self._pending_batches.get(name)
-        if columnar:
-            remaining = None if budget is None else budget - written
-            drained = 0
-            for i, shard_batch in enumerate(columnar):
-                if remaining is not None and remaining <= 0:
-                    break
-                if remaining is not None and len(shard_batch) > remaining:
-                    # Split the batch at the budget: the head flushes
-                    # now, the columnar tail stays queued.
-                    head = shard_batch.take(list(range(remaining)))
-                    tail = shard_batch.take(
-                        list(range(remaining, len(shard_batch)))
+                    queue[0] = unit.take(range(room, len(unit)))
+                written += len(head)
+            else:
+                shard.write_record(unit)
+                if self.failover is not None:
+                    self.failover.log_entity(
+                        name, unit.key, stored_record_value(unit)
                     )
-                    self.metrics.histogram(
-                        "cluster.router.batch_size"
-                    ).observe(len(head))
-                    shard.write_record_batch(head)
-                    written += len(head)
-                    columnar[i] = tail
-                    remaining = 0
-                    break
-                # One bulk write per buffered batch: the shard's
-                # engine coalesces it into one RPC per storage node.
-                self.metrics.histogram("cluster.router.batch_size").observe(
-                    len(shard_batch)
-                )
-                shard.write_record_batch(shard_batch)
-                written += len(shard_batch)
-                drained += 1
-                if remaining is not None:
-                    remaining -= len(shard_batch)
-            if drained == len(columnar):
-                del self._pending_batches[name]
-            elif drained:
-                self._pending_batches[name] = columnar[drained:]
+                queue.popleft()
+                written += 1
+                run += 1
+        if run:
+            observe(run)
         return written
 
     def tick(self, dt: float) -> dict[str, GatherResult]:
@@ -517,17 +477,9 @@ class PlatformCluster:
         if self.failover is not None:
             self.failover.tick()
         self.maintain_storage()
-        results: dict[str, GatherResult] = {}
-        for query in self._continuous.values():
-            request = (
-                query.request
-                if query.request is not None
-                else prefix_query(query.prefix)
-            )
-            query.results = self.query(request)
-            self.metrics.counter("cluster.continuous.evaluations").inc()
-            results[query.query_id] = query.results
-        return results
+        return self._continuous.refresh(
+            self.query, self.metrics, "cluster.continuous.evaluations"
+        )
 
     def _observe_ingest_waits(self, rate: float) -> None:
         """Record each live shard's post-flush queue state: depth gauge
@@ -624,7 +576,7 @@ class PlatformCluster:
         if self._is_down(owner):
             # The owner is crashed: defer like batched ingest does rather
             # than write into dead state; the flush after promotion lands it.
-            self._pending.setdefault(owner, []).append(record)
+            self._pending.setdefault(owner, deque()).append(record)
             self.metrics.counter("cluster.failover.deferred_writes").inc()
             return
         self.shards[owner].write_record(record)
@@ -758,14 +710,10 @@ class PlatformCluster:
         self, query_id: str, request: QueryRequest
     ) -> None:
         """Register a standing query of *any* modality, refreshed per tick."""
-        if query_id in self._continuous:
-            raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._continuous[query_id] = ContinuousQuery(
-            query_id, str(request.params.get("prefix", "")), request=request
-        )
+        self._continuous.register(query_id, request)
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
-        return self._continuous[query_id].results
+        return self._continuous.results(query_id)
 
     # -- marketplace --------------------------------------------------------
 

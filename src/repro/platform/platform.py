@@ -20,11 +20,11 @@ and point reads through the buffer pool.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..api.dataplane import ContinuousQuery, GatherResult
+from ..api.dataplane import ContinuousQueries, GatherResult
 from ..core.clock import SimulationClock
 from ..core.columns import RecordBatch
 from ..core.errors import (
@@ -78,6 +78,11 @@ def stored_record_value(record: DataRecord) -> dict:
         "space": record.space.value,
         "timestamp": record.timestamp,
     }
+
+
+def unit_len(unit: DataRecord | RecordBatch) -> int:
+    """Records in one queued write unit: a record is 1, a batch its rows."""
+    return len(unit) if isinstance(unit, RecordBatch) else 1
 
 
 def purchase_sort_key(request: PurchaseRequest, physical_priority: bool):
@@ -189,9 +194,10 @@ class MetaversePlatform:
         # queries, mirroring the cluster facade so workloads written
         # against the protocol run unchanged on either shape.
         self.clock = faults.clock if faults is not None else SimulationClock()
-        self._pending: list[DataRecord] = []
-        self._pending_batches: list[RecordBatch] = []
-        self._continuous: dict[str, ContinuousQuery] = {}
+        # One arrival-ordered queue of write units: per-record and
+        # columnar ingest interleave exactly as the caller issued them.
+        self._pending: deque[DataRecord | RecordBatch] = deque()
+        self._continuous = ContinuousQueries()
         # key → (x, y) memo over this engine's entities, so spatial
         # queries filter a dict instead of scanning the whole keyspace.
         # Only sound on the private local engine (it starts empty and
@@ -261,14 +267,18 @@ class MetaversePlatform:
 
     def write_record(self, record: DataRecord) -> None:
         """Persist a record to the storage engine, invalidating its page."""
-        value = stored_record_value(record)
-        self._with_retry(lambda: self.engine.put(record.key, value))
-        self.pool.invalidate(record.key)
-        self._remember(record.key, value)
+        self.import_entity(record.key, stored_record_value(record))
+
+    def _after_write(self, key: str, value: object, payload: dict) -> None:
+        """Bring every compute-side view of ``key`` in line with a value
+        the engine just accepted: page, stale-read fallback, position
+        memo, semantic index."""
+        self.pool.invalidate(key)
+        self._remember(key, value)
         if self._positions is not None:
-            self._index_position(record.key, record.payload)
+            self._index_position(key, payload)
         if self.semantic is not None:
-            self.semantic.index_record(record.key, record.payload)
+            self.semantic.index_record(key, payload)
 
     def write_record_batch(self, batch: RecordBatch) -> None:
         """Persist a columnar batch: one bulk engine call for N records.
@@ -289,34 +299,8 @@ class MetaversePlatform:
             )
         ]
         self._with_retry(lambda: self.engine.mput(items))
-        invalidate = self.pool.invalidate
-        stale = self._stale
-        for key, value in items:
-            invalidate(key)
-            stale[key] = value
-            stale.move_to_end(key)
-        while len(stale) > self._stale_capacity:
-            stale.popitem(last=False)
-        if self._positions is not None:
-            # Columns are numeric by construction, so either every row has
-            # a position (x and y columns present) or none does — the same
-            # membership rule _index_position applies per record.
-            if "x" in batch.columns and "y" in batch.columns:
-                self._positions.update(
-                    zip(
-                        batch.keys,
-                        zip(
-                            batch.columns["x"].tolist(),
-                            batch.columns["y"].tolist(),
-                        ),
-                    )
-                )
-            else:
-                for key in batch.keys:
-                    self._positions.pop(key, None)
-        if self.semantic is not None:
-            for key, payload in zip(batch.keys, payloads):
-                self.semantic.index_record(key, payload)
+        for (key, value), payload in zip(items, payloads):
+            self._after_write(key, value, payload)
 
     def _index_position(self, key: str, payload: dict) -> None:
         """Track (or forget) the entity's payload position.
@@ -374,41 +358,12 @@ class MetaversePlatform:
         self.metrics.counter("platform.uplink_bytes").inc(total_bytes)
         return total_records, total_bytes
 
-    def flush_gateways_batch(self) -> tuple[int, int]:
-        """Columnar twin of :meth:`flush_gateways`.
-
-        Stored state is byte-identical to the per-record path over the
-        same rows; the difference is on the event side, where one digest
-        publication per gateway batch replaces the per-record stream
-        (events are lossy by contract, unlike storage writes).
-        """
-        total_records = 0
-        total_bytes = 0
-        with self.tracer.span("platform.flush_gateways"):
-            for gateway in self.gateways.values():
-                batch, uplink = gateway.flush_batch()
-                total_bytes += uplink
-                if batch is None:
-                    continue
-                self.write_record_batch(batch)
-                self.publish(
-                    Publication(
-                        topic=f"ingest.{batch.source}",
-                        payload={"records": len(batch), "batch": True},
-                        timestamp=float(batch.timestamps.max()),
-                        size_bytes=uplink,
-                    )
-                )
-                total_records += len(batch)
-        self.metrics.counter("platform.ingested_records").inc(total_records)
-        self.metrics.counter("platform.uplink_bytes").inc(total_bytes)
-        return total_records, total_bytes
-
     # -- DataPlane: buffered ingest and tick --------------------------------
     #
-    # The single-node half of the repro.api.DataPlane protocol: records
-    # buffer (per-record or columnar) and become visible to queries at the
-    # next flush()/tick(), exactly the contract the cluster facade keeps.
+    # The single-node half of the repro.api.DataPlane protocol: write
+    # units (a record or a columnar batch) queue in arrival order and
+    # become visible to queries at the next flush()/tick(), exactly the
+    # contract the cluster facade keeps.
 
     def ingest(self, record: DataRecord) -> None:
         """Buffer one observation until the next :meth:`flush`."""
@@ -422,27 +377,28 @@ class MetaversePlatform:
 
     def ingest_batch(self, batch: RecordBatch) -> None:
         """Buffer one columnar batch until the next :meth:`flush`."""
-        self._pending_batches.append(batch)
+        self._pending.append(batch)
         self.metrics.counter("platform.buffered_records").inc(len(batch))
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending) + sum(
-            len(batch) for batch in self._pending_batches
-        )
+        return sum(unit_len(unit) for unit in self._pending)
 
     def flush(self) -> int:
-        """Write everything buffered; return the number of records."""
+        """Write everything buffered, in arrival order; return the number
+        of records.  A unit leaves the queue only once its write returned,
+        so a write that raises keeps it and everything behind it queued."""
         total = 0
+        pending = self._pending
         with self.tracer.span("platform.flush", pending=self.pending_count):
-            records, self._pending = self._pending, []
-            for record in records:
-                self.write_record(record)
-            total += len(records)
-            batches, self._pending_batches = self._pending_batches, []
-            for batch in batches:
-                self.write_record_batch(batch)
-                total += len(batch)
+            while pending:
+                unit = pending[0]
+                if isinstance(unit, RecordBatch):
+                    self.write_record_batch(unit)
+                else:
+                    self.write_record(unit)
+                pending.popleft()
+                total += unit_len(unit)
         self.metrics.counter("platform.ingested_records").inc(total)
         return total
 
@@ -451,17 +407,9 @@ class MetaversePlatform:
         refresh every registered continuous query.  Returns fresh results."""
         self.clock.advance(dt)
         self.flush()
-        results: dict[str, GatherResult] = {}
-        for query in self._continuous.values():
-            request = (
-                query.request
-                if query.request is not None
-                else prefix_query(query.prefix)
-            )
-            query.results = self.query(request)
-            self.metrics.counter("platform.continuous.evaluations").inc()
-            results[query.query_id] = query.results
-        return results
+        return self._continuous.refresh(
+            self.query, self.metrics, "platform.continuous.evaluations"
+        )
 
     # -- DataPlane: queries --------------------------------------------------
 
@@ -538,14 +486,10 @@ class MetaversePlatform:
         self, query_id: str, request: QueryRequest
     ) -> None:
         """Register a standing query of *any* modality, refreshed per tick."""
-        if query_id in self._continuous:
-            raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._continuous[query_id] = ContinuousQuery(
-            query_id, str(request.params.get("prefix", "")), request=request
-        )
+        self._continuous.register(query_id, request)
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
-        return self._continuous[query_id].results
+        return self._continuous.results(query_id)
 
     # -- pub/sub --------------------------------------------------------------
 
@@ -802,13 +746,8 @@ class MetaversePlatform:
     def import_entity(self, key: str, value: object) -> None:
         """Adopt a migrated entity value, keeping caches coherent."""
         self._with_retry(lambda: self.engine.put(key, value))
-        self.pool.invalidate(key)
-        self._remember(key, value)
         payload = value.get("payload", {}) if isinstance(value, dict) else {}
-        if self._positions is not None:
-            self._index_position(key, payload)
-        if self.semantic is not None:
-            self.semantic.index_record(key, payload)
+        self._after_write(key, value, payload)
 
     def drop_entity(self, key: str) -> None:
         """Forget an entity handed off to another shard."""

@@ -13,30 +13,44 @@ cluster, and a two-region geo deployment read through a
 identical items from all three.
 """
 
-import warnings
-
 import pytest
 
 from repro.api import DataPlane, GatherResult
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.core import ConfigurationError, DataKind, DataRecord, RecordBatch, Space
+from repro.core import (
+    ConfigurationError,
+    DataKind,
+    DataRecord,
+    FaultInjectedError,
+    RecordBatch,
+    Space,
+)
 from repro.geo import EVENTUAL, GeoConfig, GeoDeployment, GeoSession
 from repro.platform import MetaversePlatform
 from repro.query.plane import prefix_query, spatial_query
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.semantic import semantic_query
 from repro.spatial.geometry import BBox
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 SHAPES = ["platform", "cluster", "cluster-disagg"]
+#: Replica failover folds columnar batches into per-record units, so the
+#: write-queue rules are checked on that shape too.
+WRITE_SHAPES = SHAPES + ["cluster-replicated"]
+
+CLUSTER_SHAPES = {
+    "cluster": {},
+    "cluster-disagg": {"n_storage_nodes": 2},
+    "cluster-replicated": {"n_replicas": 2},
+}
 
 
-def make_plane(shape):
+def make_plane(shape, faults=None, n_shards=3, **config):
     if shape == "platform":
-        return MetaversePlatform()
-    if shape == "cluster":
-        return PlatformCluster(config=ClusterConfig(n_shards=3))
+        return MetaversePlatform(faults=faults)
     return PlatformCluster(
-        config=ClusterConfig(n_shards=3, n_storage_nodes=2)
+        ClusterConfig(n_shards=n_shards, **CLUSTER_SHAPES[shape], **config),
+        faults=faults,
     )
 
 
@@ -160,6 +174,71 @@ class TestProtocolConformance:
         assert spatial["cluster-disagg"] == spatial["platform"]
 
 
+@pytest.mark.parametrize("shape", WRITE_SHAPES)
+class TestWriteQueue:
+    """Buffered writes are one arrival-ordered queue per node: the kind
+    of ingest call (per-record or columnar) never reorders them, and a
+    flush that fails loses nothing."""
+
+    @pytest.mark.parametrize("batch_first", [True, False])
+    def test_later_buffered_write_wins(self, shape, batch_first):
+        plane = make_plane(shape)
+        older = record("ent/k", {"v": 1.0}, 1.0)
+        newer = record("ent/k", {"v": 2.0}, 2.0)
+        if batch_first:
+            plane.ingest_batch(RecordBatch.from_records([older]))
+            plane.ingest(newer)
+        else:
+            plane.ingest(older)
+            plane.ingest_batch(RecordBatch.from_records([newer]))
+        assert plane.flush() == 2
+        stored = plane.read("ent/k")
+        assert (stored["timestamp"], stored["payload"]) == (2.0, {"v": 2.0})
+
+    def test_failed_flush_keeps_every_unwritten_unit_queued(self, shape):
+        # The write site a compute node's engine faults at: its own KV
+        # store, or the RPC to the shared storage tier.
+        site = "storage.rpc" if shape == "cluster-disagg" else "kv.put"
+        plan = FaultPlan(
+            rules=(FaultRule(site=site, kind="crash", rate=1.0, end=1.0),)
+        )
+        plane = make_plane(shape, faults=FaultInjector(plan))
+        plane.ingest_many(seed_records(3))
+        plane.ingest_batch(RecordBatch.from_records(seed_records(5)[3:]))
+        assert plane.pending_count == 5
+        with pytest.raises(FaultInjectedError):
+            plane.flush()
+        assert plane.pending_count == 5
+        plane.clock.advance(2.0)  # past the fault window
+        assert plane.flush() == 5
+        assert plane.pending_count == 0
+        assert len(plane.scan_prefix("ent/").items) == 5
+
+
+@pytest.mark.parametrize("shape", ["cluster", "cluster-disagg"])
+def test_drain_budget_splits_a_batch_queued_behind_records(shape):
+    """A budget that ends inside a batch writes the batch's head, keeps
+    its columnar tail at the front of the queue, and the next tick lands
+    the tail before anything queued after it."""
+    plane = make_plane(shape, n_shards=1, shard_drain_rate=4.0)
+    plane.ingest(record("ent/a", {"v": 0.0}, 0.0))
+    plane.ingest(record("ent/b", {"v": 0.0}, 0.0))
+    plane.ingest_batch(RecordBatch.from_records([
+        record(f"ent/{k}", {"v": 1.0}, 1.0) for k in ("a", "c", "d", "e")
+    ]))
+    plane.tick(1.0)  # budget 4: two records, then the batch's first two rows
+    assert plane.pending_count == 2
+    assert plane.read("ent/a")["timestamp"] == 1.0
+    assert [k for k, _ in plane.scan_prefix("ent/").items] == [
+        "ent/a", "ent/b", "ent/c"
+    ]
+    plane.ingest(record("ent/e", {"v": 2.0}, 2.0))  # behind the tail
+    plane.tick(1.0)
+    assert plane.pending_count == 0
+    assert plane.read("ent/d")["timestamp"] == 1.0
+    assert plane.read("ent/e")["timestamp"] == 2.0
+
+
 class TestDeprecatedSurface:
     def test_spatial_range_alias_is_gone(self):
         """The ``deprecated_alias`` shims were dropped: ``query_spatial``
@@ -175,23 +254,6 @@ class TestDeprecatedSurface:
         assert cluster.query_spatial(region).items == cluster.query(
             spatial_query(region)
         ).items
-
-    def test_legacy_kwargs_warn_and_build_equivalent_config(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            legacy = PlatformCluster(n_shards=2, n_storage_nodes=3)
-        assert legacy.config == ClusterConfig(n_shards=2, n_storage_nodes=3)
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                PlatformCluster(config=ClusterConfig(), n_shards=2)
-
-    def test_unknown_legacy_kwarg_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                PlatformCluster(no_such_knob=1)
 
 
 # -- query-plane conformance across deployment layers -----------------------

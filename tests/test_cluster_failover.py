@@ -11,7 +11,12 @@ a single purchase (the exactly-once bar experiment E25 measures).
 
 import pytest
 
-from repro.cluster import PlatformCluster, ShardReplicator, ShardRouter
+from repro.cluster import (
+    ClusterConfig,
+    PlatformCluster,
+    ShardReplicator,
+    ShardRouter,
+)
 from repro.cluster.failover import DOWN, RECOVERING, UP, FailureDetector
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -32,8 +37,11 @@ def record(key, payload, timestamp=0.0):
 def failover_cluster(n_shards=4, phi_threshold=4.0, faults=None, **kwargs):
     """A cluster with failover on and a detection delay of ~10 ticks."""
     return PlatformCluster(
-        n_shards=n_shards, n_replicas=2, phi_threshold=phi_threshold,
-        faults=faults, **kwargs,
+        ClusterConfig(
+            n_shards=n_shards, n_replicas=2, phi_threshold=phi_threshold,
+            **kwargs,
+        ),
+        faults=faults,
     )
 
 
@@ -205,11 +213,11 @@ class TestKillAndPromotion:
 
     def test_kill_requires_failover_enabled(self):
         with pytest.raises(ConfigurationError):
-            PlatformCluster(n_shards=2).kill_shard("shard-0")
+            PlatformCluster(ClusterConfig(n_shards=2)).kill_shard("shard-0")
 
     def test_replica_count_bounded_by_shards(self):
         with pytest.raises(ConfigurationError):
-            PlatformCluster(n_shards=2, n_replicas=3)
+            PlatformCluster(ClusterConfig(n_shards=2, n_replicas=3))
 
     def test_kill_is_not_reentrant(self):
         cluster = self.seeded()

@@ -18,7 +18,7 @@ Two families:
 
 import pytest
 
-from repro.cluster import PlatformCluster
+from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import DataKind, DataRecord, Space
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultRule
@@ -35,7 +35,7 @@ def record(key, payload, timestamp=0.0):
 
 
 def seeded_cluster(n_shards=4, n_entities=60):
-    cluster = PlatformCluster(n_shards=n_shards)
+    cluster = PlatformCluster(ClusterConfig(n_shards=n_shards))
     for i in range(n_entities):
         cluster.ingest(record(f"entity/{i:03d}", {"v": i}))
     cluster.flush()
@@ -91,7 +91,7 @@ class TestEntityConservation:
         workload = MarketplaceWorkload(
             FlashSaleConfig(n_products=20, initial_stock=10), seed=1
         )
-        cluster = PlatformCluster(n_shards=4)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         pids = [workload.product_id(i) for i in range(20)]
         cluster.add_shard("joiner")
@@ -127,7 +127,7 @@ class TestFlashSaleChaosOnCluster:
         )
         workload = MarketplaceWorkload(config, seed=1)
         injector = FaultInjector(FaultPlan.uniform(0.05, seed=fault_seed))
-        cluster = PlatformCluster(n_shards=4, faults=injector)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4), faults=injector)
         cluster.load_catalog(workload.catalog_records())
         outcomes = cluster.process_purchases(workload.requests_between(0.0, 5.0))
         # Post-sale audit sweep: ingest stock snapshots and scan them back,
@@ -163,7 +163,7 @@ class TestFlashSaleChaosOnCluster:
         """Membership changes while the 5% plan fires: retries absorb the
         injected storage faults and no entity is lost or duplicated."""
         injector = FaultInjector(FaultPlan.uniform(0.05, seed=fault_seed))
-        cluster = PlatformCluster(n_shards=4, faults=injector)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4), faults=injector)
         keys = [f"entity/{i:03d}" for i in range(60)]
         for i, key in enumerate(keys):
             cluster.ingest(record(key, {"v": i}))
@@ -208,7 +208,7 @@ class TestFlashSaleChaosDisaggregated:
         )
         injector = FaultInjector(plan)
         cluster = PlatformCluster(
-            n_shards=4, n_storage_nodes=2, faults=injector
+            ClusterConfig(n_shards=4, n_storage_nodes=2), faults=injector
         )
         cluster.load_catalog(workload.catalog_records())
         requests = workload.requests_between(0.0, 5.0)

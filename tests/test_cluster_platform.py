@@ -8,7 +8,7 @@ facade threads through ``repro.obs``.
 
 import pytest
 
-from repro.cluster import PlatformCluster
+from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.platform import MetaversePlatform
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -36,7 +36,7 @@ def make_workload(seed=1):
 
 class TestBatchedIngest:
     def test_ingest_buffers_until_flush(self):
-        cluster = PlatformCluster(n_shards=3)
+        cluster = PlatformCluster(ClusterConfig(n_shards=3))
         for i in range(30):
             cluster.ingest(record(f"e/{i}", {"v": i}))
         assert cluster.pending_count == 30
@@ -49,7 +49,7 @@ class TestBatchedIngest:
         assert batches.count == 3 and batches.total == 30  # one batch per shard
 
     def test_tick_advances_clock_and_flushes(self):
-        cluster = PlatformCluster(n_shards=2)
+        cluster = PlatformCluster(ClusterConfig(n_shards=2))
         cluster.ingest_many([record(f"e/{i}", {"v": i}) for i in range(10)])
         t0 = cluster.clock.now
         cluster.tick(0.5)
@@ -60,7 +60,9 @@ class TestBatchedIngest:
         plan = FaultPlan(
             rules=[FaultRule(site="cluster.ingest", kind="drop", rate=0.5)], seed=3
         )
-        cluster = PlatformCluster(n_shards=2, faults=FaultInjector(plan))
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=2), faults=FaultInjector(plan)
+        )
         for i in range(100):
             cluster.ingest(record(f"e/{i}", {"v": i}))
         dropped = cluster.metrics.counter("cluster.dropped_records").value
@@ -70,7 +72,7 @@ class TestBatchedIngest:
 
 class TestScatterGather:
     def seeded(self, n_shards=4):
-        cluster = PlatformCluster(n_shards=n_shards)
+        cluster = PlatformCluster(ClusterConfig(n_shards=n_shards))
         for i in range(40):
             cluster.ingest(record(f"avatar/{i:02d}", {"x": float(i), "y": 0.0}))
         for i in range(10):
@@ -109,7 +111,9 @@ class TestScatterGather:
             FaultRule(site="cluster.query", kind="crash", rate=1.0,
                       target="shard-1"),
         ])
-        cluster = PlatformCluster(n_shards=4, faults=FaultInjector(plan))
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=4), faults=FaultInjector(plan)
+        )
         for i in range(40):
             cluster.ingest(record(f"e/{i:02d}", {"v": i}))
         cluster.flush()
@@ -137,7 +141,9 @@ class TestScatterGather:
             FaultRule(site="cluster.query", kind="crash", rate=1.0,
                       target="shard-0"),
         ])
-        cluster = PlatformCluster(n_shards=3, faults=FaultInjector(plan))
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3), faults=FaultInjector(plan)
+        )
         for i in range(12):
             cluster.ingest(record(f"e/{i:02d}", {"x": float(i), "y": 0.0}))
         cluster.flush()
@@ -149,7 +155,7 @@ class TestScatterGather:
         assert scanned.failed_shards == spatial.failed_shards == ("shard-0",)
 
     def test_clean_gather_does_not_count_as_partial(self):
-        cluster = PlatformCluster(n_shards=3)
+        cluster = PlatformCluster(ClusterConfig(n_shards=3))
         for i in range(12):
             cluster.ingest(record(f"e/{i:02d}", {"v": i}))
         cluster.flush()
@@ -166,7 +172,8 @@ class TestScatterGather:
                       delay_s=0.5, target="shard-2"),
         ])
         cluster = PlatformCluster(
-            n_shards=4, query_deadline_s=0.1, faults=FaultInjector(plan)
+            ClusterConfig(n_shards=4, query_deadline_s=0.1),
+            faults=FaultInjector(plan),
         )
         for i in range(40):
             cluster.ingest(record(f"e/{i:02d}", {"v": i}))
@@ -189,7 +196,8 @@ class TestScatterGather:
             FaultRule(site="cluster.query", kind="delay", rate=1.0, delay_s=0.5),
         ])
         cluster = PlatformCluster(
-            n_shards=3, query_deadline_s=0.1, faults=FaultInjector(plan)
+            ClusterConfig(n_shards=3, query_deadline_s=0.1),
+            faults=FaultInjector(plan),
         )
         for i in range(12):
             cluster.ingest(record(f"e/{i}", {"v": i}))
@@ -213,7 +221,7 @@ class TestPurchaseRouting:
             for o in single.process_purchases(requests)
         ]
 
-        cluster = PlatformCluster(n_shards=4)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         actual = [
             (o.request.shopper_id, o.request.product_id, o.success, o.reason)
@@ -226,7 +234,7 @@ class TestPurchaseRouting:
 
     def test_stock_is_conserved_across_shards(self):
         workload = make_workload()
-        cluster = PlatformCluster(n_shards=4)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         outcomes = cluster.process_purchases(workload.requests_between(0.0, 5.0))
         sold = {}
@@ -241,7 +249,7 @@ class TestPurchaseRouting:
 
     def test_throughput_metrics_and_gauges(self):
         workload = make_workload()
-        cluster = PlatformCluster(n_shards=4)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         cluster.process_purchases(workload.requests_between(0.0, 5.0))
         assert cluster.compute_makespan() > 0.0
@@ -257,7 +265,7 @@ class TestPurchaseRouting:
 class TestBaskets:
     def seeded(self):
         workload = make_workload()
-        cluster = PlatformCluster(n_shards=4)
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         pids = [workload.product_id(i) for i in range(20)]
         owners = {pid: cluster.router.owner_of(pid) for pid in pids}
