@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from ..api.dataplane import ContinuousQueries, GatherResult
 from ..core.clock import SimulationClock
@@ -76,6 +78,7 @@ from ..query.plane import (
     prefix_query,
     spatial_query,
 )
+from ..replication import entity_op, product_op, stock_op
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
 from ..storage.engine import StorageTier
@@ -158,6 +161,11 @@ class PlatformCluster:
         self.storage: StorageTier | None = None
         self._storage_rpc_timeout_s = storage_rpc_timeout_s
         self._down_compute: set[str] = set()
+        # Failover is opt-in: with n_replicas == 1 (the default) nothing is
+        # replicated, no heartbeats flow, and every path below behaves
+        # exactly as before.
+        self.failover: FailoverManager | None = None
+        self._stock_sinks: list[Callable[[str, str, int], None]] = []
         if n_storage_nodes is not None:
             self.storage = StorageTier(
                 n_nodes=n_storage_nodes,
@@ -202,10 +210,6 @@ class PlatformCluster:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        # Failover is opt-in: with n_replicas == 1 (the default) nothing is
-        # replicated, no heartbeats flow, and every path below behaves
-        # exactly as before.
-        self.failover: FailoverManager | None = None
         if n_replicas >= 2:
             self.failover = FailoverManager(
                 self,
@@ -217,10 +221,13 @@ class PlatformCluster:
                     config.replica_log_compact_threshold
                 ),
             )
-            for name, shard in self.shards.items():
-                self._hook_purchase_log(name, shard)
+            self.add_stock_sink(
+                lambda shard, product_id, stock: self.failover.replicator.log_op(
+                    shard, stock_op(product_id, stock)
+                )
+            )
 
-    def _make_shard(self, name: str | None = None) -> MetaversePlatform:
+    def _make_shard(self, name: str) -> MetaversePlatform:
         engine = None
         if self.storage is not None:
             # Stateless compute: the shard's engine is a fresh mount of
@@ -229,11 +236,11 @@ class PlatformCluster:
             # Storage RPCs inherit the platform's own retry policy via
             # _with_retry, so the engine itself carries none.
             engine = self.storage.mount(
-                client=name or "shard",
+                client=name,
                 faults=self.faults,
                 rpc_timeout_s=self._storage_rpc_timeout_s,
             )
-        return MetaversePlatform(
+        shard = MetaversePlatform(
             n_executors=self.n_executors_per_shard,
             buffer_pool_pages=self.buffer_pool_pages,
             physical_priority=self.physical_priority,
@@ -244,18 +251,26 @@ class PlatformCluster:
             engine=engine,
             semantic_index=self.config.semantic_index,
         )
+        if self._stock_sinks:
+            shard.purchase_log = partial(self._on_stock_commit, name)
+        return shard
 
     def shard_of(self, key: str) -> MetaversePlatform:
         """The shard platform currently owning ``key``."""
         return self.shards[self.router.owner_of(key)]
 
-    def _hook_purchase_log(self, name: str, shard: MetaversePlatform) -> None:
-        """Route the shard's committed stock levels into the failover log."""
-        shard.purchase_log = (
-            lambda product_id, stock, owner=name: self.failover.log_stock(
-                owner, product_id, stock
-            )
-        )
+    def add_stock_sink(self, sink: Callable[[str, str, int], None]) -> None:
+        """Register ``sink(shard, product_id, stock)`` to see every stock
+        level this cluster commits.  Every platform :meth:`_make_shard`
+        returns (joined, promoted, re-mounted) is armed too; with no sink
+        the shards' hook stays unset and the commit path pays nothing."""
+        self._stock_sinks.append(sink)
+        for name, shard in self.shards.items():
+            shard.purchase_log = partial(self._on_stock_commit, name)
+
+    def _on_stock_commit(self, shard: str, product_id: str, stock: int) -> None:
+        for sink in self._stock_sinks:
+            sink(shard, product_id, stock)
 
     def _is_down(self, name: str) -> bool:
         if name in self._down_compute:
@@ -266,22 +281,17 @@ class PlatformCluster:
         """Swap in a promoted replica under an existing shard name.
 
         Called by the failover manager: the router ring is untouched (the
-        name — and therefore key ownership — survives the crash), the 2PC
-        participant re-binds to the new platform, and the stock-level
-        replication hook is re-armed.
+        name — and therefore key ownership — survives the crash) and the
+        2PC participant re-binds to the new platform.
         """
         if name not in self.shards:
             raise ConfigurationError(f"unknown shard {name!r}")
         self.shards[name] = platform
         self.coordinator.attach_shard(name, platform)
-        if self.failover is not None:
-            self._hook_purchase_log(name, platform)
 
     def _remount_shard(self, name: str) -> None:
         """Bring a crashed compute node back by mounting the tier afresh."""
-        shard = self._make_shard(name)
-        self.shards[name] = shard
-        self.coordinator.attach_shard(name, shard)
+        self.install_shard(name, self._make_shard(name))
         self.metrics.counter("cluster.disagg.remounts").inc()
         self.tracer.log("info", "compute node re-mounted storage tier",
                         shard=name)
@@ -438,8 +448,8 @@ class PlatformCluster:
             else:
                 shard.write_record(unit)
                 if self.failover is not None:
-                    self.failover.log_entity(
-                        name, unit.key, stored_record_value(unit)
+                    self.failover.replicator.log_op(
+                        name, entity_op(unit.key, stored_record_value(unit))
                     )
                 queue.popleft()
                 written += 1
@@ -449,9 +459,15 @@ class PlatformCluster:
         return written
 
     def tick(self, dt: float) -> dict[str, GatherResult]:
-        """One simulated-clock tick: advance time, flush batches, refresh
-        every registered continuous query.  Returns the fresh results."""
+        """One simulated-clock tick: advance time, then :meth:`step`."""
         self.clock.advance(dt)
+        return self.step(dt)
+
+    def step(self, dt: float) -> dict[str, GatherResult]:
+        """Everything a tick does once the clock has moved ``dt``: flush
+        batches, run the upkeep loops, refresh every registered continuous
+        query (returning the fresh results).  The geo deployment advances
+        one shared clock, then steps each region's cluster."""
         if self._down_compute:
             # Disaggregated recovery: a crashed compute node holds no
             # state, so recovery is a re-mount of the surviving storage
@@ -581,8 +597,8 @@ class PlatformCluster:
             return
         self.shards[owner].write_record(record)
         if self.failover is not None:
-            self.failover.log_entity(
-                owner, record.key, stored_record_value(record)
+            self.failover.replicator.log_op(
+                owner, entity_op(record.key, stored_record_value(record))
             )
 
     def query(self, request: QueryRequest) -> GatherResult:
@@ -725,8 +741,8 @@ class PlatformCluster:
             self.shards[name].load_catalog(batch)
             if self.failover is not None:
                 for record in batch:
-                    self.failover.log_product(
-                        name, record.key, dict(record.payload)
+                    self.failover.replicator.log_op(
+                        name, product_op(record.key, record.payload)
                     )
 
     def process_purchases(
@@ -861,9 +877,8 @@ class PlatformCluster:
         shard.txn.commit(txn)
         for product_id in new_stocks:
             shard.persist_committed(product_id)
-        if self.failover is not None:
-            for product_id, stock in new_stocks.items():
-                self.failover.log_stock(shard_name, product_id, stock)
+        for product_id, stock in new_stocks.items():
+            self._on_stock_commit(shard_name, product_id, stock)
         return True, ""
 
     def get_stock(self, product_id: str) -> int:
@@ -969,11 +984,7 @@ class PlatformCluster:
             if owner in self._down_compute
             else self.shards[owner]
         )
-        txn = shard.txn.begin()
-        value = txn.read_or(key)
-        if value is None:
-            value = shard._hydrate_product(key)
-        return dict(value) if value is not None else None
+        return shard.committed_product(key)
 
     def _route_purchase(
         self, request: PurchaseRequest, reserved: dict[str, int]
@@ -1064,7 +1075,6 @@ class PlatformCluster:
             return self._remap_compute()
         moved = self._rebalance()
         if self.failover is not None:
-            self._hook_purchase_log(name, shard)
             self.failover.resync()
         return moved
 

@@ -12,32 +12,26 @@ substrate:
   clock, so injected ``net.link`` partition/drop rules starve heartbeats
   and drive detection exactly as a real partition would;
 * :class:`ShardReplicator` — every shard-state mutation is logged to a
-  per-shard :class:`~repro.storage.wal.WriteAheadLog` and copied,
-  LSN-for-LSN (:meth:`WriteAheadLog.append_at`), to the R-1 ring-successor
-  shards (the ``replicas_of`` walk :mod:`repro.storage.sharded` uses),
-  with hinted handoff while a holder is down;
+  per-shard :class:`~repro.replication.ReplicatedLog` copied synchronously
+  to the R-1 ring-successor shards, with hinted handoff for a down holder;
 * **promotion** — when the detector suspects a shard, the
-  :class:`FailoverManager` replays the LSN-union of the surviving log
-  copies (tolerant of torn tails from ``corrupt_tail`` and of holes from
-  dropped replication messages) into a fresh platform and installs it
-  under the dead shard's name — the ring never changes, so routing is
-  untouched;
-* **anti-entropy** — after promotion, copies reconverge by comparing
-  RFC-6962 Merkle roots (:mod:`repro.ledger.merkle`) over ``(lsn,
-  payload)`` leaves and rebuilding any copy whose root disagrees; reads
-  against a recovering shard additionally read-repair through
-  :meth:`PlatformCluster.read`.
+  :class:`FailoverManager` folds the LSN-union of the surviving copies
+  (tolerant of torn tails and of holes from dropped replication messages)
+  onto a fresh platform and installs it under the dead shard's name — the
+  ring never changes, so routing is untouched;
+* **anti-entropy** — after promotion, copies whose Merkle root disagrees
+  with the union's are rebuilt from it; reads against a recovering shard
+  additionally read-repair through :meth:`PlatformCluster.read`.
 
-Replayed operations are *absolute post-states* (entity values, product
-records, stock levels after a committed purchase), never the requests
-themselves — replay is therefore idempotent and a promoted replica can
-never re-execute a purchase, which is what keeps the flash sale
-exactly-once across a mid-sale kill (experiment E25).
+The op format, its fold and the log belong to :mod:`repro.replication`
+(shared with geo): ops are absolute post-states, so a promoted replica can
+never re-execute a purchase — what keeps the flash sale exactly-once across
+a mid-sale kill (E25) — and the fold is LSN-ordered however entries reached
+a copy, so hints cannot reorder state.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import TYPE_CHECKING
@@ -45,14 +39,12 @@ from typing import TYPE_CHECKING
 from ..core.clock import EventScheduler
 from ..core.errors import ConfigurationError, NetworkError, PartitionedError
 from ..core.metrics import MetricsRegistry
-from ..ledger.merkle import MerkleTree
 from ..net.simnet import SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
+from ..replication import ReplicatedLog, apply, entity_op, fold, product_op
 from ..resilience.faults import FaultInjector
-from ..storage.wal import WalEntry, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..platform.platform import MetaversePlatform
     from .cluster import PlatformCluster
     from .router import ShardRouter
 
@@ -131,77 +123,17 @@ class FailureDetector:
         self._intervals[shard] = deque(maxlen=self.window)
 
 
-def _merkle_root(entries: list[WalEntry]) -> bytes:
-    tree = MerkleTree()
-    for entry in entries:
-        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
-    return tree.root()
-
-
-def compact_entries(entries: list[WalEntry]) -> list[WalEntry]:
-    """Collapse superseded absolute post-states, preserving replay
-    semantics.
-
-    Every logged op is an absolute post-state keyed by ``k``.  An op is
-    dropped only when a *later op in this same copy* provably supersedes
-    it under the replay fold, for any interleaving with other copies'
-    entries in the LSN-union:
-
-    * entity family (``entity``/``drop_entity``): later ops replace
-      wholesale, so only the last op per key survives;
-    * product family (``product``/``drop_product``): same wholesale rule
-      — keep the last, which also supersedes any *earlier* ``stock`` op;
-    * ``stock``: sets only the stock field, so the last stock op survives
-      alongside (not folded into) the last product op when it is newer.
-
-    Survivors are kept *verbatim at their original LSNs* — no ops are
-    synthesized, because a synthesized full record could claim non-stock
-    fields at an LSN newer than another copy's genuine ``product`` op
-    that this copy missed (a replication hole), corrupting the union.
-    Unknown op kinds are kept verbatim (future-proofing over dropping
-    data).
-    """
-    # Hinted handoff can append old LSNs after newer ones, so buffer
-    # order is not LSN order; sort first so "last seen" == "highest LSN".
-    entries = sorted(entries, key=lambda entry: entry.lsn)
-    entity_last: dict[str, WalEntry] = {}
-    product_last: dict[str, WalEntry] = {}
-    stock_last: dict[str, WalEntry] = {}
-    passthrough: list[WalEntry] = []
-    for entry in entries:
-        op = json.loads(entry.payload.decode("utf-8"))
-        kind = op.get("op")
-        key = op.get("k")
-        if kind in ("entity", "drop_entity"):
-            entity_last[key] = entry
-        elif kind in ("product", "drop_product"):
-            product_last[key] = entry
-            stock_last.pop(key, None)  # older stock level: superseded
-        elif kind == "stock":
-            stock_last[key] = entry
-        else:
-            passthrough.append(entry)
-    compacted = (
-        passthrough
-        + list(entity_last.values())
-        + list(product_last.values())
-        + list(stock_last.values())
-    )
-    compacted.sort(key=lambda entry: entry.lsn)
-    return compacted
-
-
 class ShardReplicator:
-    """Per-shard replicated operation logs with hinted handoff.
+    """Ring-successor policy over :class:`~repro.replication.ReplicatedLog`.
 
-    For each shard (the *owner*) there is one log copy per replica holder
-    — the owner itself plus its R-1 distinct ring successors
-    (:meth:`ShardRouter.replica_holders`).  The owner's copy assigns LSNs;
-    holder copies adopt them verbatim, so a copy that missed a replication
-    message (injected ``cluster.replicate`` drop) carries a visible LSN
-    hole rather than silently renumbering, and the union across copies is
-    well defined.  Ops destined for a *down* holder are buffered as hints
-    and delivered when the holder returns.
+    Each shard's (the *owner*'s) log is copied to its R-1 distinct ring
+    successors (:meth:`ShardRouter.replica_holders`, the
+    :meth:`~repro.net.overlay.ChordRing.successors` walk).  Shipping is
+    synchronous: a live holder adopts an op inside :meth:`log_op` (an
+    injected ``cluster.replicate`` drop leaves an LSN hole), a *down*
+    holder gets a hint delivered when it returns.  No log is authoritative
+    on repair — the primary can be the torn one — so anti-entropy rebuilds
+    from the LSN-union of all copies.
     """
 
     def __init__(
@@ -217,14 +149,8 @@ class ShardReplicator:
         self.n_replicas = n_replicas
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
-        # owner -> holder -> that holder's copy of the owner's op log.
-        self._logs: dict[str, dict[str, WriteAheadLog]] = {}
-        # holder -> ops buffered while the holder was down.
-        self._hints: dict[str, list[tuple[str, int, bytes]]] = {}
+        self._logs: dict[str, ReplicatedLog] = {}
         self._down: set[str] = set()
-        # owner -> primary-copy entry count right after its last compaction
-        # (the 2x-growth trigger that keeps compaction amortized O(n)).
-        self._last_compacted: dict[str, int] = {}
 
     def holders(self, owner: str) -> list[str]:
         """Replica holders of ``owner``'s log, owner first."""
@@ -234,31 +160,27 @@ class ShardReplicator:
             names.remove(owner)
         return [owner, *names][:n]
 
-    def _copies(self, owner: str) -> dict[str, WriteAheadLog]:
-        copies = self._logs.get(owner)
-        if copies is None:
-            copies = {holder: WriteAheadLog() for holder in self.holders(owner)}
-            self._logs[owner] = copies
-        return copies
+    def log(self, owner: str) -> ReplicatedLog:
+        """``owner``'s replicated log (created on first use)."""
+        log = self._logs.get(owner)
+        if log is None:
+            log = ReplicatedLog(owner, self.holders(owner)[1:])
+            self._logs[owner] = log
+        return log
 
     def reset(self) -> None:
         """Drop all logs and hints (membership-change resync)."""
         self._logs.clear()
-        self._hints.clear()
-        self._last_compacted.clear()
 
     # -- the write path -----------------------------------------------------
 
     def log_op(self, owner: str, op: dict) -> int:
         """Log one absolute-state op for ``owner`` and replicate it."""
-        payload = json.dumps(op, sort_keys=True).encode("utf-8")
-        copies = self._copies(owner)
-        lsn = copies[owner].append(payload)
-        for holder, copy in copies.items():
-            if holder == owner:
-                continue
+        log = self.log(owner)
+        lsn, payload = log.append(op)
+        for holder in log.holders:
             if holder in self._down:
-                self._hints.setdefault(holder, []).append((owner, lsn, payload))
+                log.buffer_hint(holder, lsn, payload)
                 self.metrics.counter("cluster.failover.hints_buffered").inc()
                 continue
             if self.faults is not None:
@@ -272,7 +194,7 @@ class ShardReplicator:
                         "cluster.failover.replication_dropped"
                     ).inc()
                     continue
-            copy.append_at(lsn, payload)
+            log.adopt(holder, lsn, payload)
         self.metrics.counter("cluster.failover.replicated_ops").inc()
         return lsn
 
@@ -284,51 +206,22 @@ class ShardReplicator:
     def mark_up(self, holder: str) -> None:
         """Holder is back: deliver every hint buffered for it."""
         self._down.discard(holder)
-        for owner, lsn, payload in self._hints.pop(holder, []):
-            copy = self._logs.get(owner, {}).get(holder)
-            if copy is not None:
-                copy.append_at(lsn, payload)
+        for log in self._logs.values():
+            if holder not in log.holders:
+                continue
+            for lsn, payload in log.take_hints(holder):
+                log.adopt(holder, lsn, payload)
                 self.metrics.counter("cluster.failover.hints_delivered").inc()
-
-    def torn_tail(self, owner: str, nbytes: int) -> None:
-        """Tear the owner's primary copy (crash mid-write)."""
-        self._copies(owner)[owner].corrupt_tail(nbytes)
 
     # -- recovery primitives ------------------------------------------------
 
-    def union(self, owner: str) -> list[WalEntry]:
-        """LSN-union of every copy's valid prefix, sorted by LSN.
-
-        Tolerates torn tails (each copy contributes only its valid prefix)
-        and per-copy holes (another copy fills them); an LSN no copy holds
-        is genuinely lost and simply absent.
-        """
-        merged: dict[int, WalEntry] = {}
-        for copy in self._copies(owner).values():
-            for entry in copy.replay():
-                merged.setdefault(entry.lsn, entry)
-        return [merged[lsn] for lsn in sorted(merged)]
-
-    def last_valid_lsn(self, owner: str, holder: str) -> int:
-        return self._copies(owner)[holder].last_valid_lsn
-
     def sync_owner(self, owner: str) -> bool:
-        """One anti-entropy round for ``owner``'s copies.
-
-        Compares each copy's Merkle root against the root of the LSN-union;
-        any disagreement rebuilds every copy from the union.  Returns True
-        when a repair was performed (i.e. the copies had diverged).
-        """
-        entries = self.union(owner)
-        target = _merkle_root(entries)
-        copies = self._copies(owner)
-        diverged = any(
-            _merkle_root(copy.recover_prefix()[0]) != target
-            for copy in copies.values()
-        )
+        """One anti-entropy round: rebuild every copy of ``owner``'s log
+        whose Merkle root differs from the LSN-union's.  True when a
+        repair was performed (i.e. the copies had diverged)."""
+        log = self.log(owner)
+        diverged = bool(log.repair(log.union(), [owner, *log.holders]))
         if diverged:
-            for copy in copies.values():
-                copy.rebuild(entries)
             self.metrics.counter("cluster.failover.antientropy_repairs").inc()
         return diverged
 
@@ -336,69 +229,23 @@ class ShardReplicator:
 
     def entry_count(self, owner: str) -> int:
         """Intact entries in ``owner``'s primary log copy."""
-        return self._copies(owner)[owner].entry_count
+        return self.log(owner).primary_count
 
-    def should_compact(self, owner: str, threshold: int) -> bool:
-        """True when the primary copy has outgrown both the configured
-        threshold and twice its post-compaction size — the latter keeps a
-        shard whose *live* key set exceeds the threshold from rewriting
-        its whole log every tick for no reduction."""
-        floor = max(threshold, 2 * self._last_compacted.get(owner, 0))
-        return self.entry_count(owner) > floor
-
-    def compact(self, owner: str) -> int:
-        """Compact every *up* holder's copy of ``owner``'s log in place.
-
-        Down holders are skipped — their copies (and any torn tails from a
-        crash) are untouched, so the union a later promotion replays still
-        sees exactly what PR 4's semantics promise; they reconverge via
-        anti-entropy when they return.  Returns total entries removed
-        across copies.
-        """
-        removed = 0
-        for holder, copy in self._copies(owner).items():
-            if holder in self._down:
-                continue
-            entries, _ = copy.recover_prefix()
-            compacted = compact_entries(entries)
-            if len(compacted) < len(entries):
-                copy.rebuild(compacted)
-                removed += len(entries) - len(compacted)
-        self._last_compacted[owner] = self.entry_count(owner)
+    def compact_if_due(self, owner: str, threshold: int | None) -> None:
+        """Compact every *up* holder's copy of ``owner``'s log once the
+        primary is due (:meth:`ReplicatedLog.compact_due`).  Down holders
+        are skipped — their copies (and any torn tail from a crash) stay
+        as a later promotion must see them, and reconverge via
+        anti-entropy on return."""
+        log = self.log(owner)
+        if not log.compact_due(threshold):
+            return
+        removed = sum(log.compact(skip=self._down).values())
         if removed:
             self.metrics.counter("cluster.failover.log_compactions").inc()
             self.metrics.counter(
                 "cluster.failover.compacted_entries"
             ).inc(removed)
-        return removed
-
-    # -- replica-side reads -------------------------------------------------
-
-    def latest_value(self, owner: str, key: str):
-        """Last logged entity value for ``key`` (None if absent/dropped)."""
-        for entry in reversed(self.union(owner)):
-            op = json.loads(entry.payload.decode("utf-8"))
-            if op.get("k") != key:
-                continue
-            if op["op"] == "entity":
-                return op["v"]
-            if op["op"] == "drop_entity":
-                return None
-        return None
-
-    def latest_stock(self, owner: str, product_id: str) -> int | None:
-        """Last logged stock level for ``product_id`` (None if unknown)."""
-        for entry in reversed(self.union(owner)):
-            op = json.loads(entry.payload.decode("utf-8"))
-            if op.get("k") != product_id:
-                continue
-            if op["op"] == "stock":
-                return int(op["stock"])
-            if op["op"] == "product":
-                return int(op["v"].get("stock", 0))
-            if op["op"] == "drop_product":
-                return None
-        return None
 
 
 class FailoverManager:
@@ -439,7 +286,6 @@ class FailoverManager:
         self.tracer = tracer if tracer is not None else (
             cluster.tracer if cluster.tracer is not None else NoopTracer()
         )
-        self.n_replicas = n_replicas
         self.detector = FailureDetector(
             heartbeat_interval_s=heartbeat_interval_s,
             phi_threshold=phi_threshold,
@@ -498,40 +344,26 @@ class FailoverManager:
                 self._state.pop(name, None)
                 self._downed_at.pop(name, None)
                 self.detector.forget(name)
+        log_op = self.replicator.log_op
         for name, shard in self.cluster.shards.items():
             self._watch(name, now)
             for key in shard.entity_keys():
-                self.log_entity(name, key, shard.export_entity(key))
+                log_op(name, entity_op(key, shard.export_entity(key)))
             for product_id, value in shard.catalog_snapshot().items():
-                self.log_product(name, product_id, value)
-
-    # -- the write-path hooks (called by PlatformCluster) --------------------
-
-    def log_entity(self, owner: str, key: str, value) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "entity", "k": key, "v": value}
-        )
-
-    def log_drop_entity(self, owner: str, key: str) -> int:
-        return self.replicator.log_op(owner, {"op": "drop_entity", "k": key})
-
-    def log_product(self, owner: str, product_id: str, value: dict) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "product", "k": product_id, "v": dict(value)}
-        )
-
-    def log_stock(self, owner: str, product_id: str, stock: int) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "stock", "k": product_id, "stock": int(stock)}
-        )
+                log_op(name, product_op(product_id, value))
 
     # -- replica-side serving ----------------------------------------------
 
+    def _replica_state(self, owner: str, key: str):
+        return fold(self.replicator.log(owner).union(), keys=(key,))
+
     def replica_value(self, owner: str, key: str):
-        return self.replicator.latest_value(owner, key)
+        """Last logged entity value for ``key`` (None if absent/dropped)."""
+        return self._replica_state(owner, key).entity(key)
 
     def replica_stock(self, owner: str, product_id: str) -> int | None:
-        return self.replicator.latest_stock(owner, product_id)
+        """Last logged stock level for ``product_id`` (None if unknown)."""
+        return self._replica_state(owner, product_id).stock_of(product_id)
 
     # -- crash entry point ---------------------------------------------------
 
@@ -550,7 +382,7 @@ class FailoverManager:
         self._downed_at[name] = self.clock.now
         self.replicator.mark_down(name)
         if torn_tail_bytes > 0:
-            self.replicator.torn_tail(name, torn_tail_bytes)
+            self.replicator.log(name).tear(torn_tail_bytes)
         self.metrics.counter("cluster.failover.kills").inc()
         self.tracer.log("warn", "shard killed", shard=name)
 
@@ -604,12 +436,14 @@ class FailoverManager:
         """Replay the freshest surviving log state into a fresh platform
         and install it under the dead shard's name (ring unchanged)."""
         with self.tracer.span("cluster.failover.promote", shard=name):
-            entries = self.replicator.union(name)
-            platform = self.cluster._make_shard()
-            self._replay(platform, entries)
+            log = self.replicator.log(name)
+            entries = log.union()
+            platform = self.cluster._make_shard(name)
+            # A fresh platform has applied nothing, so every key lands.
+            apply(fold(entries), {}, lambda key: platform)
             # Continue the primary copy from the union so new LSNs extend
             # (never collide with) what the replicas already hold.
-            self.replicator._copies(name)[name].rebuild(entries)
+            log.rebuild(name, entries)
             self.cluster.install_shard(name, platform)
         self._state[name] = RECOVERING
         self.replicator.mark_up(name)  # node is back: deliver its hints
@@ -627,39 +461,10 @@ class FailoverManager:
             "info", "replica promoted", shard=name, ops=len(entries)
         )
 
-    @staticmethod
-    def _replay(platform: "MetaversePlatform", entries: list[WalEntry]) -> None:
-        """Apply the logged post-states to a fresh shard platform.
-
-        Products fold in memory first (stock ops are absolute levels, and
-        one MVCC commit per product beats one per op), entities import
-        directly.
-        """
-        products: dict[str, dict] = {}
-        for entry in entries:
-            op = json.loads(entry.payload.decode("utf-8"))
-            kind = op["op"]
-            if kind == "entity":
-                platform.import_entity(op["k"], op["v"])
-            elif kind == "drop_entity":
-                platform.drop_entity(op["k"])
-            elif kind == "product":
-                products[op["k"]] = dict(op["v"])
-            elif kind == "drop_product":
-                products.pop(op["k"], None)
-            elif kind == "stock":
-                products.setdefault(op["k"], {})["stock"] = int(op["stock"])
-        for product_id, value in products.items():
-            platform.import_product(product_id, value)
-
     def _compact_logs(self) -> None:
-        if self.compact_threshold is None:
-            return
         for name in self.cluster.router.shards:
-            if self.state(name) != UP:
-                continue
-            if self.replicator.should_compact(name, self.compact_threshold):
-                self.replicator.compact(name)
+            if self.state(name) == UP:
+                self.replicator.compact_if_due(name, self.compact_threshold)
 
     def _advance_recoveries(self, now: float) -> None:
         for name in list(self._state):

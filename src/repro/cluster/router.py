@@ -121,7 +121,7 @@ class ShardRouter:
     def replica_holders(self, name: str, n: int) -> list[str]:
         """The ``n`` distinct shards holding copies of ``name``'s op log:
         the shard itself plus its clockwise successors on the bare-name
-        ring (the ``replicas_of`` walk from :mod:`repro.storage.sharded`)."""
+        ring (:meth:`~repro.net.overlay.ChordRing.successors`)."""
         if name not in self._shards:
             raise ConfigurationError(f"unknown shard {name!r}")
         return self.replica_ring.successors(name, n)

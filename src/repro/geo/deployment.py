@@ -36,7 +36,6 @@ anti-entropy until every copy reconverges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..api.dataplane import GatherResult
@@ -69,6 +68,7 @@ from ..query.plane import (
     QueryRequest,
     prefix_query,
 )
+from ..replication import PostState, apply, entity_op, product_op, stock_op
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.policies import CircuitBreaker, RetryPolicy, Timeout
 from ..workloads.marketplace import PurchaseRequest
@@ -160,9 +160,8 @@ class GeoConfig:
         if self.cluster is not None:
             self.cluster.validate()
             if self.cluster.elasticity is not None:
-                # The controller adds/removes shards behind the geo layer's
-                # back, which would bypass the purchase-log chaining that
-                # feeds cross-region replication.
+                # The controller salts hot products into per-region bucket
+                # keys, which cross-region replication does not follow.
                 raise ConfigurationError(
                     "per-region elasticity is not supported under a geo deployment"
                 )
@@ -246,8 +245,12 @@ class GeoDeployment:
                 tracer=self.tracer,
             )
             self._clusters[name] = cluster
-            for shard in cluster.shards.values():
-                self._chain_purchase_log(name, shard)
+            # Committed stock levels feed this region's replication log.
+            cluster.add_stock_sink(
+                lambda shard, product_id, stock, home=name: self._replicate(
+                    home, stock_op(product_id, stock)
+                )
+            )
         self.replicator = GeoReplicator(
             self.config.regions,
             metrics=self.metrics,
@@ -257,12 +260,8 @@ class GeoDeployment:
         self._down: set[str] = set()
         self._deferred: dict[str, list[DataRecord]] = {}
         self._last_antientropy = self.clock.now
-        # Highest home-log LSN applied to each replica's state, per key.
-        # Absolute post-states are only safe to apply in LSN order; WAN
-        # serialization delays can reorder same-instant ships (a smaller
-        # payload overtakes a larger one), so an entry older than what a
-        # replica already applied is adopted into the copy log but must
-        # not overwrite the newer state.
+        # (home, replica region) -> key -> highest home-log LSN landed on
+        # that replica's state; the guard :meth:`_land` applies behind.
         self._applied_lsn: dict[tuple[str, str], dict[str, int]] = {}
         self._read_retry = RetryPolicy(
             max_attempts=self.config.read_max_attempts,
@@ -316,18 +315,6 @@ class GeoDeployment:
         if name in self._down:
             raise NetworkError(f"client region {name!r} is down")
         return name
-
-    def _chain_purchase_log(self, region: str, shard) -> None:
-        """Tap committed stock levels into this region's replication log
-        without displacing an intra-region failover hook."""
-        inner = shard.purchase_log
-
-        def hook(product_id, stock, _region=region, _inner=inner):
-            if _inner is not None:
-                _inner(product_id, stock)
-            self._on_stock_commit(_region, product_id, stock)
-
-        shard.purchase_log = hook
 
     # -- WAN primitives ----------------------------------------------------
 
@@ -442,155 +429,67 @@ class GeoDeployment:
             # processed, so park it for handoff at restart.
             self.replicator.buffer_hint(home, dst, lsn, data)
             return
-        op = self.replicator.deliver(home, dst, lsn, data)
-        if op is None:
-            return
-        applied = self._applied_lsn.setdefault((home, dst), {})
-        key = op.get("k")
-        if lsn <= applied.get(key, -1):
-            # An entry that arrived behind a newer post-state for the same
-            # key: keep it in the copy log (no hole) but do not let it
-            # regress the replica's state.
-            self.metrics.counter("geo.repl.out_of_order").inc()
-            return
-        applied[key] = lsn
-        self._apply_op(dst, home, op)
+        state = self.replicator.deliver(home, dst, lsn, data)
+        if state is not None and self._land(home, dst, state):
+            self.metrics.counter("geo.repl.applied").inc()
 
-    def _apply_op(self, region: str, home: str, op: dict) -> None:
-        """Fold one home-log op into ``region``'s replica state."""
-        key = op.get("k")
-        if self.home_of(key) != home:
-            # The key re-homed after this op was logged; the new home's
-            # log is authoritative and will overwrite.
-            self.metrics.counter("geo.repl.stale_ignored").inc()
-            return
+    def _land(self, home: str, region: str, state: PostState) -> int:
+        """Land ``home``-log post-states on ``region``'s replica state;
+        return how many keys landed.  Two guards sit in front: the per-key
+        applied-LSN guard of :func:`repro.replication.apply` (a smaller WAN
+        payload can overtake a larger same-instant one, and the late entry
+        must not regress the state), and the home guard (a key re-homed
+        since the op was logged belongs to the new home's log)."""
         cluster = self._clusters[region]
-        shard = cluster.shards[cluster.router.owner_of(key)]
-        kind = op.get("op")
-        if kind == "entity":
-            shard.import_entity(key, op["v"])
-        elif kind == "drop_entity":
-            try:
-                shard.drop_entity(key)
-            except KeyNotFoundError:
-                pass
-        elif kind == "product":
-            shard.import_product(key, dict(op["v"]))
-        elif kind == "drop_product":
-            try:
-                shard.drop_product(key)
-            except KeyNotFoundError:
-                pass
-        elif kind == "stock":
-            value = cluster._committed_product(key)
-            value = dict(value) if value is not None else {}
-            value["stock"] = int(op["stock"])
-            shard.import_product(key, value)
-        self.metrics.counter("geo.repl.applied").inc()
-
-    def _on_stock_commit(self, region: str, product_id: str, stock: int) -> None:
-        self._replicate(region, {"op": "stock", "k": product_id, "stock": int(stock)})
+        landed = len(apply(
+            state,
+            self._applied_lsn.setdefault((home, region), {}),
+            lambda key: cluster.shard_of(key) if self.home_of(key) == home else None,
+        ))
+        if landed < len(state.lsn):  # rare: tell the two guards apart
+            stale = sum(1 for key in state.lsn if self.home_of(key) != home)
+            late = len(state.lsn) - landed - stale
+            self.metrics.counter("geo.repl.stale_ignored").inc(stale)
+            self.metrics.counter("geo.repl.out_of_order").inc(late)
+        return landed
 
     # -- hinted handoff / anti-entropy -------------------------------------
 
-    def _deliver_hints(self) -> None:
+    def _open_pairs(self, wanted):
+        """Ordered ``(home, dst)`` pairs that are ``wanted``, reachable
+        and not under an injected WAN partition right now."""
         for home in self.config.regions:
             for dst in self.config.regions:
-                if dst == home or not self.replicator.has_hints(home, dst):
-                    continue
-                if not self._wan_reachable(home, dst):
-                    continue
-                decision = self.faults.decide(
-                    "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
-                )
-                if decision.kind == "partition":
-                    continue
-                delivered = 0
-                for lsn, payload in self.replicator.take_hints(home, dst):
-                    if self._ship_now(home, dst, lsn, payload):
-                        delivered += 1
-                if delivered:
-                    self.metrics.counter("geo.repl.hints_delivered").inc(delivered)
+                if (
+                    dst != home
+                    and wanted(home, dst)
+                    and self._wan_reachable(home, dst)
+                    and self.faults.decide(
+                        "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
+                    ).kind != "partition"
+                ):
+                    yield home, dst
+
+    def _deliver_hints(self) -> None:
+        for home, dst in self._open_pairs(self.replicator.has_hints):
+            delivered = sum(
+                self._ship_now(home, dst, lsn, payload)
+                for lsn, payload in self.replicator.take_hints(home, dst)
+            )
+            if delivered:
+                self.metrics.counter("geo.repl.hints_delivered").inc(delivered)
 
     def _antientropy_round(self) -> None:
         """Reconverge every reachable (home, destination) pair.
 
-        The replicator rebuilds a diverged copy from the primary; the
-        entries the destination had never adopted are *folded* — replayed
-        in LSN order over the whole copy for just the affected keys — so
-        repairing an old hole can never regress a newer applied state.
+        The replicator rebuilds a diverged copy from the primary and
+        hands back the re-folded post-state of the keys the destination
+        had been missing entries for.
         """
-        for home in self.config.regions:
-            if home in self._down:
-                continue
-            for dst in self.config.regions:
-                if dst == home or dst in self._down:
-                    continue
-                if not self._wan_reachable(home, dst):
-                    continue
-                decision = self.faults.decide(
-                    "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
-                )
-                if decision.kind == "partition":
-                    continue
-                missing = self.replicator.antientropy(home, dst)
-                if missing:
-                    self._apply_folded(dst, home, missing)
-
-    def _apply_folded(self, region: str, home: str, missing: list) -> None:
-        affected = {
-            json.loads(payload.decode("utf-8")).get("k") for _, payload in missing
-        }
-        entity_final: dict[str, tuple] = {}
-        product_final: dict[str, dict | None] = {}
-        applied = self._applied_lsn.setdefault((home, region), {})
-        for entry in self.replicator.copy_entries(home, region):
-            op = json.loads(entry.payload.decode("utf-8"))
-            key = op.get("k")
-            if key not in affected:
-                continue
-            applied[key] = max(applied.get(key, -1), entry.lsn)
-            kind = op.get("op")
-            if kind == "entity":
-                entity_final[key] = ("set", op["v"])
-            elif kind == "drop_entity":
-                entity_final[key] = ("drop", None)
-            elif kind == "product":
-                product_final[key] = dict(op["v"])
-            elif kind == "drop_product":
-                product_final[key] = None
-            elif kind == "stock":
-                base = product_final.get(key)
-                base = dict(base) if base else {}
-                base["stock"] = int(op["stock"])
-                product_final[key] = base
-        cluster = self._clusters[region]
-        for key in sorted(entity_final):
-            if self.home_of(key) != home:
-                self.metrics.counter("geo.repl.stale_ignored").inc()
-                continue
-            action, value = entity_final[key]
-            shard = cluster.shards[cluster.router.owner_of(key)]
-            if action == "set":
-                shard.import_entity(key, value)
-            else:
-                try:
-                    shard.drop_entity(key)
-                except KeyNotFoundError:
-                    pass
-        for key in sorted(product_final):
-            if self.home_of(key) != home:
-                self.metrics.counter("geo.repl.stale_ignored").inc()
-                continue
-            value = product_final[key]
-            shard = cluster.shards[cluster.router.owner_of(key)]
-            if value is None:
-                try:
-                    shard.drop_product(key)
-                except KeyNotFoundError:
-                    pass
-            else:
-                shard.import_product(key, dict(value))
+        for home, dst in self._open_pairs(lambda home, dst: True):
+            state = self.replicator.antientropy(home, dst)
+            if state is not None:
+                self._land(home, dst, state)
 
     # -- writes ------------------------------------------------------------
 
@@ -616,7 +515,7 @@ class GeoDeployment:
                 self.metrics.counter("geo.writes.forwarded").inc()
         self._clusters[home].write_record(record)
         lsn = self._replicate(
-            home, {"op": "entity", "k": record.key, "v": stored_record_value(record)}
+            home, entity_op(record.key, stored_record_value(record))
         )
         if session is not None:
             session.observe(home, lsn)
@@ -649,9 +548,7 @@ class GeoDeployment:
             batch = by_home[home]
             self._clusters[home].load_catalog(batch)
             for record in batch:
-                self._replicate(
-                    home, {"op": "product", "k": record.key, "v": dict(record.payload)}
-                )
+                self._replicate(home, product_op(record.key, record.payload))
 
     def process_purchases(
         self, requests: list[PurchaseRequest], max_retries: int = 2
@@ -823,12 +720,12 @@ class GeoDeployment:
                 raise KeyNotFoundError(key)
             dst.shards[dst.router.owner_of(key)].import_product(key, dict(value))
             self._home_override[key] = to_region
-            self._replicate(to_region, {"op": "product", "k": key, "v": dict(value)})
+            self._replicate(to_region, product_op(key, value))
         else:
             value = src.shards[src.router.owner_of(key)].export_entity(key)
             dst.shards[dst.router.owner_of(key)].import_entity(key, value)
             self._home_override[key] = to_region
-            self._replicate(to_region, {"op": "entity", "k": key, "v": value})
+            self._replicate(to_region, entity_op(key, value))
         # The old home keeps its copy as a plain replica; ops still in its
         # log for this key are ignored at apply time (home guard), and the
         # new home's full-state op overwrites every copy.
@@ -872,13 +769,9 @@ class GeoDeployment:
     # -- time --------------------------------------------------------------
 
     def tick(self, dt: float) -> None:
-        """Advance the shared clock once and run every region's sub-steps.
-
-        Region clusters share one clock (via the shared injector), so this
-        must not call ``cluster.tick`` — that would advance time once per
-        region.  Instead each live region's flush/failover/storage steps
-        run against the single advance made here.
-        """
+        """Advance the shared clock once, then step every live region
+        (``cluster.tick`` would advance the one clock the regions share,
+        via the shared injector, once per region)."""
         if dt < 0:
             raise ConfigurationError(f"dt must be >= 0, got {dt}")
         self.clock.advance(dt)
@@ -887,35 +780,24 @@ class GeoDeployment:
         for name in self.config.regions:
             if name in self._down:
                 continue
-            cluster = self._clusters[name]
-            cluster.flush()
-            if cluster.failover is not None:
-                cluster.failover.tick()
-            cluster.maintain_storage()
+            self._clusters[name].step(dt)
         self._deliver_hints()
         if now - self._last_antientropy >= self.config.antientropy_interval_s:
             self._last_antientropy = now
             self._antientropy_round()
         for home in self.config.regions:
-            if self.replicator.should_compact(home):
-                self.replicator.compact(home)
+            self.replicator.compact_if_due(home)
         self._refresh_gauges()
 
     def _refresh_gauges(self) -> None:
         now = self.clock.now
         max_lag, max_stale = 0, 0.0
-        for home in self.config.regions:
-            for dst in self.config.regions:
-                if dst == home:
-                    continue
-                lag = self.replicator.lag(home, dst)
-                stale = self.replicator.staleness_s(home, dst, now)
-                self.metrics.gauge(f"geo.replication.lag.{home}.{dst}").set(float(lag))
-                self.metrics.gauge(
-                    f"geo.replication.staleness_s.{home}.{dst}"
-                ).set(stale)
-                max_lag = max(max_lag, lag)
-                max_stale = max(max_stale, stale)
+        for (home, dst), lag in self.replication_lag().items():
+            stale = self.replicator.staleness_s(home, dst, now)
+            self.metrics.gauge(f"geo.replication.lag.{home}.{dst}").set(float(lag))
+            self.metrics.gauge(f"geo.replication.staleness_s.{home}.{dst}").set(stale)
+            max_lag = max(max_lag, lag)
+            max_stale = max(max_stale, stale)
         self.metrics.gauge("geo.replication.lag_max").set(float(max_lag))
         self.metrics.gauge("geo.replication.staleness_s_max").set(max_stale)
 

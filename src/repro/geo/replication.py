@@ -1,34 +1,38 @@
 """Cross-region replication logs: async shipping of absolute post-states.
 
 Each region is the *home* (primary) for the keys it owns on the region
-ring.  The home region appends every mutation to its primary
-:class:`~repro.storage.wal.WriteAheadLog` as the same absolute
-post-state op dicts :class:`~repro.cluster.failover.ShardReplicator`
-uses (``entity``/``drop_entity``/``product``/``drop_product``/``stock``,
-JSON-encoded with sorted keys); every other region holds a copy that
-adopts the primary's LSNs verbatim via ``append_at``, so a replication
-message lost on the WAN stays visible as an LSN hole instead of being
-silently renumbered.
+ring; every mutation goes to the home's
+:class:`~repro.replication.ReplicatedLog` — the op format, fold and log
+:class:`~repro.cluster.failover.ShardReplicator` uses too.
 
-:class:`GeoReplicator` owns only the *logs and their bookkeeping* —
-contiguous-prefix watermarks per (home, destination) pair, outstanding
-entry counts (replication lag), log-time stamps (staleness in simulated
-seconds), hinted handoff buffers for unreachable destinations, Merkle
-anti-entropy diffs, and :func:`~repro.cluster.failover.compact_entries`
-compaction.  Shipping entries over the simulated WAN and applying ops to
-region clusters is the deployment's job (:mod:`repro.geo.deployment`),
-which keeps this class deterministic and network-free.
+:class:`GeoReplicator` is the wide-area policy over that core: copies sit
+in *all* other regions; the home's primary is authoritative on repair (a
+home that accepted the write defines the truth under the outage model);
+and because shipping is asynchronous it keeps what the synchronous
+cluster path has no use for — contiguous-prefix watermarks per (home,
+destination) pair, replication lag, and staleness in simulated seconds.
+Shipping over the simulated WAN and landing post-states on region
+clusters is the deployment's job (:mod:`repro.geo.deployment`), which
+keeps this class deterministic and network-free.
 """
 
 from __future__ import annotations
 
-import json
-
-from ..cluster.failover import _merkle_root, compact_entries
 from ..core.metrics import MetricsRegistry
-from ..storage.wal import WriteAheadLog
+from ..replication import PostState, ReplicatedLog, fold
+from ..storage.wal import WalEntry
 
 __all__ = ["GeoReplicator"]
+
+
+class _Progress:
+    """One destination's progress through one home's primary log."""
+
+    def __init__(self) -> None:
+        self.received: set[int] = set()  # LSNs adopted from the primary
+        self.index = 0      # primary entries [0, index) are all adopted
+        self.watermark = 0  # LSN of entry index-1 (0 before the first)
+        self.lag = 0        # primary entries not yet adopted
 
 
 class GeoReplicator:
@@ -43,210 +47,147 @@ class GeoReplicator:
         self.regions = tuple(regions)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.compact_threshold = compact_threshold
-        self._primary = {home: WriteAheadLog() for home in self.regions}
-        self._copies = {
-            home: {dst: WriteAheadLog() for dst in self.regions if dst != home}
+        self._logs = {
+            home: ReplicatedLog(home, [r for r in self.regions if r != home])
             for home in self.regions
         }
-        #: LSNs each destination has adopted from each home's primary.
-        self._received: dict[str, dict[str, set[int]]] = {
-            home: {dst: set() for dst in self.regions if dst != home}
-            for home in self.regions
+        self._progress = {
+            home: {dst: _Progress() for dst in log.holders}
+            for home, log in self._logs.items()
         }
-        # Primary LSNs in append order (rebuilt on compaction) plus a set
-        # twin for O(1) membership — watermark/lag bookkeeping walks these
-        # instead of rescanning the log buffer.
+        # Per home: primary LSNs in append order (rebuilt on compaction)
+        # and the simulated time each was logged — watermark, lag and
+        # staleness-in-seconds walk these instead of rescanning the log.
         self._primary_lsns: dict[str, list[int]] = {h: [] for h in self.regions}
-        self._primary_set: dict[str, set[int]] = {h: set() for h in self.regions}
-        self._wm: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        self._wm_idx: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        #: Primary entries not yet adopted by the destination (the lag).
-        self._outstanding: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        #: Hinted handoff: entries bound for an unreachable destination,
-        #: buffered in ship order as ``(lsn, payload)``.
-        self._hints: dict[str, dict[str, list[tuple[int, bytes]]]] = {
-            home: {dst: [] for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        #: Simulated log time per primary LSN, for staleness-in-seconds.
         self._logged_at: dict[str, dict[int, float]] = {h: {} for h in self.regions}
+
+    def log(self, home: str) -> ReplicatedLog:
+        """``home``'s replicated log (tests, audits)."""
+        return self._logs[home]
 
     # -- primary side ------------------------------------------------------
 
     def log_op(self, home: str, op: dict, now: float) -> tuple[int, bytes]:
         """Append ``op`` to ``home``'s primary log; return (lsn, payload)."""
-        payload = json.dumps(op, sort_keys=True).encode("utf-8")
-        lsn = self._primary[home].append(payload)
+        lsn, payload = self._logs[home].append(op)
         self._primary_lsns[home].append(lsn)
-        self._primary_set[home].add(lsn)
         self._logged_at[home][lsn] = now
-        for dst in self._outstanding[home]:
-            self._outstanding[home][dst] += 1
+        for progress in self._progress[home].values():
+            progress.lag += 1
         self.metrics.counter("geo.repl.logged").inc()
         return lsn, payload
 
     # -- destination side --------------------------------------------------
 
-    def deliver(self, home: str, dst: str, lsn: int, payload: bytes) -> dict | None:
-        """Adopt one shipped entry into ``dst``'s copy of ``home``'s log.
+    def deliver(
+        self, home: str, dst: str, lsn: int, payload: bytes
+    ) -> PostState | None:
+        """Adopt one shipped entry into ``dst``'s copy of ``home``'s log;
+        return its post-state for the caller to land on ``dst``'s cluster.
 
         Idempotent: hints and anti-entropy can re-ship an entry that is
-        also in flight, so a duplicate LSN is skipped (returns ``None``)
-        rather than applied twice.  Returns the decoded op for the caller
-        to apply to the destination's cluster state.
+        also in flight, so a duplicate LSN is skipped (returns ``None``).
         """
-        received = self._received[home][dst]
-        if lsn in received:
+        progress = self._progress[home][dst]
+        if lsn in progress.received:
             self.metrics.counter("geo.repl.duplicates").inc()
             return None
-        self._copies[home][dst].append_at(lsn, payload)
-        received.add(lsn)
-        if lsn in self._primary_set[home]:
-            self._outstanding[home][dst] -= 1
-        self._advance_watermark(home, dst)
+        self._logs[home].adopt(dst, lsn, payload)
+        progress.received.add(lsn)
+        if lsn in self._logged_at[home]:  # still in the primary
+            progress.lag -= 1
+        self._advance_watermark(home, progress)
         self.metrics.counter("geo.repl.delivered").inc()
-        return json.loads(payload.decode("utf-8"))
+        return fold([WalEntry(lsn, payload)])
 
-    def _advance_watermark(self, home: str, dst: str) -> None:
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        idx = self._wm_idx[home][dst]
-        while idx < len(lsns) and lsns[idx] in received:
-            self._wm[home][dst] = lsns[idx]
-            idx += 1
-        self._wm_idx[home][dst] = idx
+    def _advance_watermark(self, home: str, progress: _Progress) -> None:
+        lsns, received, index = self._primary_lsns[home], progress.received, progress.index
+        while index < len(lsns) and lsns[index] in received:
+            index += 1
+        if index != progress.index:
+            progress.index, progress.watermark = index, lsns[index - 1]
 
     # -- lag / staleness ---------------------------------------------------
 
     def watermark(self, home: str, dst: str) -> int:
         """Highest LSN below which ``dst`` has every primary entry."""
-        return self._wm[home][dst]
-
-    def high_water(self, home: str) -> int:
-        """The primary's last assigned LSN (0 when nothing logged)."""
-        return self._primary[home].next_lsn - 1
+        return self._progress[home][dst].watermark
 
     def lag(self, home: str, dst: str) -> int:
         """Primary entries not yet adopted by ``dst`` (0 = converged)."""
-        return self._outstanding[home][dst]
+        return self._progress[home][dst].lag
 
     def staleness_s(self, home: str, dst: str, now: float) -> float:
         """Age (simulated seconds) of the oldest entry ``dst`` is missing."""
-        if self._outstanding[home][dst] == 0:
+        lsns, index = self._primary_lsns[home], self._progress[home][dst].index
+        if index >= len(lsns):
             return 0.0
-        idx = self._wm_idx[home][dst]
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        while idx < len(lsns) and lsns[idx] in received:
-            idx += 1
-        if idx >= len(lsns):
-            return 0.0
-        return max(0.0, now - self._logged_at[home].get(lsns[idx], now))
+        return max(0.0, now - self._logged_at[home][lsns[index]])
 
     # -- hinted handoff ----------------------------------------------------
 
     def buffer_hint(self, home: str, dst: str, lsn: int, payload: bytes) -> None:
         """Park an entry bound for an unreachable ``dst`` (ship order)."""
-        self._hints[home][dst].append((lsn, payload))
+        self._logs[home].buffer_hint(dst, lsn, payload)
         self.metrics.counter("geo.repl.hints_buffered").inc()
 
     def has_hints(self, home: str, dst: str) -> bool:
-        return bool(self._hints[home][dst])
+        return self._logs[home].has_hints(dst)
 
     def take_hints(self, home: str, dst: str) -> list[tuple[int, bytes]]:
         """Drain the hint buffer for re-shipping (caller re-buffers on
         failure, preserving order)."""
-        hints = self._hints[home][dst]
-        self._hints[home][dst] = []
-        return hints
+        return self._logs[home].take_hints(dst)
 
     # -- anti-entropy ------------------------------------------------------
 
-    def antientropy(self, home: str, dst: str) -> list[tuple[int, bytes]]:
+    def antientropy(self, home: str, dst: str) -> PostState | None:
         """Reconverge ``dst``'s copy with ``home``'s primary log.
 
-        Compares Merkle roots of the two valid prefixes; on divergence the
-        copy is rebuilt from the primary (the primary is authoritative
-        under the outage model — a home that accepted the write defines
-        the truth) and the entries ``dst`` had never adopted are returned
-        for the caller to apply to the destination cluster.  Pending hints
-        for the pair are dropped: the rebuild already covers them.
+        On divergence the copy is rebuilt from the primary and the keys of
+        the entries ``dst`` had lacked are *re-folded* over the whole
+        primary, so landing the result cannot regress a newer state.
+        Returns that post-state (``None`` when the copy already agreed).
+        Pending hints for the pair are dropped: the rebuild covers them.
         """
-        primary_entries, _ = self._primary[home].recover_prefix()
-        copy_entries, _ = self._copies[home][dst].recover_prefix()
-        if _merkle_root(primary_entries) == _merkle_root(copy_entries):
-            return []
-        received = self._received[home][dst]
-        missing = [e for e in primary_entries if e.lsn not in received]
-        self._copies[home][dst].rebuild(primary_entries)
-        self._received[home][dst] = {e.lsn for e in primary_entries}
-        self._hints[home][dst] = []
-        self._recompute(home, dst)
+        log = self._logs[home]
+        authority = log.entries(home)
+        missing = log.repair(authority, [dst]).get(dst)
+        if missing is None:
+            return None
+        log.take_hints(dst)
+        self._recompute(home, dst, {e.lsn for e in authority})
         self.metrics.counter("geo.antientropy.rounds").inc()
         self.metrics.counter("geo.antientropy.repaired_entries").inc(len(missing))
-        return [(e.lsn, e.payload) for e in missing]
+        affected = fold(missing).lsn
+        return fold(authority, affected) if affected else PostState()
 
-    def _recompute(self, home: str, dst: str) -> None:
-        """Rebuild watermark/lag bookkeeping after a rebuild/compaction."""
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        wm, idx = 0, 0
-        while idx < len(lsns) and lsns[idx] in received:
-            wm = lsns[idx]
-            idx += 1
-        self._wm[home][dst] = wm
-        self._wm_idx[home][dst] = idx
-        self._outstanding[home][dst] = sum(
-            1 for lsn in lsns if lsn not in received
+    def _recompute(self, home: str, dst: str, received: set[int]) -> None:
+        """Restart ``dst``'s bookkeeping from ``received`` after its copy
+        was rebuilt or the primary compacted."""
+        progress = self._progress[home][dst] = _Progress()
+        progress.received = received
+        progress.lag = sum(
+            1 for lsn in self._primary_lsns[home] if lsn not in received
         )
+        self._advance_watermark(home, progress)
 
     # -- compaction --------------------------------------------------------
 
-    def should_compact(self, home: str) -> bool:
-        if self.compact_threshold is None:
-            return False
-        return len(self._primary_lsns[home]) >= self.compact_threshold
-
-    def compact(self, home: str) -> int:
+    def compact_if_due(self, home: str) -> None:
         """Collapse superseded post-states in ``home``'s primary and every
-        copy (each compacted independently — a copy with holes may keep an
-        op the primary dropped; the next anti-entropy round reconciles).
-        Returns the number of primary entries removed."""
-        entries, _ = self._primary[home].recover_prefix()
-        kept = compact_entries(entries)
-        removed = len(entries) - len(kept)
-        self._primary[home].rebuild(kept)
-        self._primary_lsns[home] = [e.lsn for e in kept]
-        self._primary_set[home] = set(self._primary_lsns[home])
-        kept_times = {
-            lsn: t
-            for lsn, t in self._logged_at[home].items()
-            if lsn in self._primary_set[home]
+        copy once the primary is due
+        (:meth:`~repro.replication.ReplicatedLog.compact_due`)."""
+        log = self._logs[home]
+        if not log.compact_due(self.compact_threshold):
+            return
+        removed = log.compact()[home]
+        logged_at = self._logged_at[home]
+        self._primary_lsns[home] = [e.lsn for e in log.entries(home)]
+        self._logged_at[home] = {
+            lsn: logged_at[lsn] for lsn in self._primary_lsns[home]
         }
-        self._logged_at[home] = kept_times
-        for dst, copy in self._copies[home].items():
-            copy_entries, _ = copy.recover_prefix()
-            copy.rebuild(compact_entries(copy_entries))
-            self._recompute(home, dst)
+        for dst, progress in self._progress[home].items():
+            self._recompute(home, dst, progress.received)
         self.metrics.counter("geo.repl.compactions").inc()
         self.metrics.counter("geo.repl.compacted_entries").inc(removed)
-        return removed
-
-    # -- introspection -----------------------------------------------------
-
-    def primary_entries(self, home: str):
-        """Valid entries of ``home``'s primary log (tests, audits)."""
-        return self._primary[home].recover_prefix()[0]
-
-    def copy_entries(self, home: str, dst: str):
-        """Valid entries of ``dst``'s copy of ``home``'s log."""
-        return self._copies[home][dst].recover_prefix()[0]

@@ -573,6 +573,14 @@ class MetaversePlatform:
         self.metrics.counter("platform.products_hydrated").inc()
         return value
 
+    def committed_product(self, product_id: str) -> dict | None:
+        """Committed product record from the MVCC cache, falling back to
+        storage hydration (stateless compute after a remap)."""
+        value = self.txn.begin().read_or(product_id)
+        if value is None:
+            value = self._hydrate_product(product_id)
+        return dict(value) if value is not None else None
+
     def _install_product(self, product_id: str, value: dict) -> None:
         """Commit ``value`` into the MVCC cache without writing it back."""
         txn = self.txn.begin()

@@ -1,0 +1,348 @@
+"""Replication core: the post-state op format, its fold, the replicated log.
+
+Shard failover (:mod:`repro.cluster.failover`) and cross-region
+replication (:mod:`repro.geo.replication`) run one log-shipping protocol;
+this module is the single owner of its three decisions:
+
+* **the op format** — every logged mutation is an *absolute post-state*
+  (entity value, product record, stock level after a committed purchase),
+  never the request, so replay is idempotent and cannot re-execute a
+  purchase (:func:`entity_op` … :func:`stock_op`, :func:`encode`);
+* **the fold** — :func:`fold` reduces entries *in LSN order*, whatever
+  order they were delivered in, to each key's post-state and highest LSN;
+  :func:`apply` lands that on shards behind a per-key applied-LSN guard;
+  :func:`compact_entries` drops what the fold would never look at;
+* **the replicated log** — :class:`ReplicatedLog`: one owner's primary
+  WAL, copies adopting its LSNs verbatim, hint buffers, Merkle
+  compare-and-rebuild, one compaction trigger.
+
+Who holds the copies, how entries travel and which log is authoritative
+on repair are policies and stay with the two replicators.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, Iterable
+
+from .core.errors import KeyNotFoundError
+from .ledger.merkle import MerkleTree
+from .storage.wal import WalEntry, WriteAheadLog
+
+# -- the op format -------------------------------------------------------------
+
+
+def entity_op(key: str, value) -> dict:
+    """``key`` now holds the stored entity ``value``."""
+    return {"op": "entity", "k": key, "v": value}
+
+
+def drop_entity_op(key: str) -> dict:
+    """``key`` no longer holds an entity."""
+    return {"op": "drop_entity", "k": key}
+
+
+def product_op(key: str, value: dict) -> dict:
+    """``key`` now holds the full product record ``value``."""
+    return {"op": "product", "k": key, "v": value}
+
+
+def drop_product_op(key: str) -> dict:
+    """``key`` no longer holds a product."""
+    return {"op": "drop_product", "k": key}
+
+
+def stock_op(key: str, stock: int) -> dict:
+    """Product ``key``'s stock field is now ``stock`` (other fields kept)."""
+    return {"op": "stock", "k": key, "stock": int(stock)}
+
+
+def encode(op: dict) -> bytes:
+    """Canonical payload: equal ops, equal bytes, equal Merkle leaves."""
+    return json.dumps(op, sort_keys=True).encode("utf-8")
+
+
+def decode(payload: bytes) -> dict:
+    return json.loads(payload.decode("utf-8"))
+
+
+# -- the fold ------------------------------------------------------------------
+
+#: Post-state of an entity whose last logged op dropped it.
+DROPPED = object()
+
+
+class PostState:
+    """What a set of log entries says each key holds now.
+
+    ``entities[key]``: the stored value or :data:`DROPPED`;
+    ``products[key]``: the record with any newer stock level set on it
+    (``None`` = dropped); ``partial``: product keys with only a stock level
+    in sight (a hole hides the record); ``lsn[key]``: the highest LSN that
+    spoke about the key, which :func:`apply` guards on.
+    """
+
+    def __init__(self) -> None:
+        self.entities: dict[str, object] = {}
+        self.products: dict[str, dict | None] = {}
+        self.partial: set[str] = set()
+        self.lsn: dict[str, int] = {}
+
+    def entity(self, key: str):
+        """Entity value of ``key`` (``None`` if absent or dropped)."""
+        value = self.entities.get(key)
+        return None if value is DROPPED else value
+
+    def stock_of(self, key: str) -> int | None:
+        """Stock level of product ``key`` (``None`` if unknown/dropped)."""
+        record = self.products.get(key)
+        return None if record is None else int(record.get("stock", 0))
+
+
+def _walk(entries: Iterable[WalEntry], keys=None):
+    """Walk ``entries`` in LSN order — the one place that knows what each
+    op kind means and which op supersedes which:
+
+    * entity family (``entity``/``drop_entity``): later ops replace
+      wholesale, so only the last op per key counts;
+    * product family (``product``/``drop_product``): same, and the last
+      one also supersedes any *earlier* ``stock`` op;
+    * ``stock``: sets only the stock field, so the last stock op counts
+      alongside (not folded into) the last product op when it is newer.
+
+    Hinted handoff can append old LSNs after newer ones, hence the sort.
+    Returns the :class:`PostState` and the entries it rests on: each key's
+    last per family as three ``key -> entry`` maps, then the entries of
+    unknown kinds.
+    """
+    state = PostState()
+    entities, products, partial = state.entities, state.products, state.partial
+    entity: dict[str, WalEntry] = {}
+    product: dict[str, WalEntry] = {}
+    stock: dict[str, WalEntry] = {}
+    unknown: list[WalEntry] = []
+    for entry in sorted(entries, key=lambda entry: entry.lsn):
+        op = decode(entry.payload)
+        key = op.get("k")
+        if keys is not None and key not in keys:
+            continue
+        kind = op.get("op")
+        if kind in ("entity", "drop_entity"):
+            entities[key] = op["v"] if kind == "entity" else DROPPED
+            entity[key] = entry
+        elif kind in ("product", "drop_product"):
+            products[key] = op["v"] if kind == "product" else None
+            partial.discard(key)
+            product[key] = entry
+            stock.pop(key, None)  # older stock level: superseded
+        elif kind == "stock":
+            record = products.get(key)
+            if record is None:
+                record = products[key] = {}
+                if key not in product:
+                    partial.add(key)
+            record["stock"] = int(op["stock"])
+            stock[key] = entry
+        else:
+            unknown.append(entry)
+            continue
+        state.lsn[key] = entry.lsn  # ascending walk: the last is the highest
+    return state, entity, product, stock, unknown
+
+
+def fold(entries: Iterable[WalEntry], keys=None) -> PostState:
+    """Per-key post-state of ``entries`` (restricted to ``keys`` if given);
+    the same for any permutation, duplication or late (hinted) delivery of
+    one owner's entries, because the walk is in LSN order."""
+    return _walk(entries, keys)[0]
+
+
+def compact_entries(entries: Iterable[WalEntry]) -> list[WalEntry]:
+    """Drop the entries :func:`fold` does not rest on.
+
+    An op goes only when a *later op in this same copy* supersedes it, so
+    the fold of the LSN-union is unchanged for any interleaving with other
+    copies' entries.  Survivors stay *verbatim at their original LSNs* —
+    a synthesized full record could claim non-stock fields at an LSN newer
+    than another copy's genuine ``product`` op that this copy missed (a
+    replication hole), corrupting the union.  Unknown kinds are kept.
+    """
+    _, entity, product, stock, unknown = _walk(entries)
+    kept = [*unknown, *entity.values(), *product.values(), *stock.values()]
+    kept.sort(key=lambda entry: entry.lsn)
+    return kept
+
+
+def apply(
+    state: PostState, applied: dict[str, int], shard_of: Callable
+) -> list[str]:
+    """Land ``state`` on the shards ``shard_of(key)`` names; return the
+    keys landed.
+
+    ``applied`` (key -> highest LSN already landed on this replica state)
+    is updated in place.  A key whose folded LSN is *older* is skipped:
+    post-states are only safe to land in LSN order, and transport can
+    reorder.  An *equal* LSN lands again on purpose — re-folding a
+    repaired log reaches the same LSN with fields a hole had hidden.  A
+    key whose ``shard_of`` is ``None`` is recorded but not landed.  Each
+    key costs one import (one MVCC commit per product, not per stock op).
+    """
+    landed: list[str] = []
+    for key, lsn in state.lsn.items():
+        if lsn < applied.get(key, 0):
+            continue
+        applied[key] = lsn
+        shard = shard_of(key)
+        if shard is None:
+            continue
+        if key in state.entities:
+            value = state.entities[key]
+            if value is DROPPED:
+                _drop(shard.drop_entity, key)
+            else:
+                shard.import_entity(key, value)
+        if key in state.products:
+            record = state.products[key]
+            if record is None:
+                _drop(shard.drop_product, key)
+            elif key in state.partial:  # keep the shard's other fields
+                base = shard.committed_product(key) or {}
+                shard.import_product(key, {**base, **record})
+            else:
+                shard.import_product(key, record)
+        landed.append(key)
+    return landed
+
+
+def _drop(drop: Callable, key: str) -> None:
+    try:
+        drop(key)
+    except KeyNotFoundError:
+        pass  # the shard never held it
+
+
+# -- the replicated log --------------------------------------------------------
+
+
+def merkle_root(entries: Iterable[WalEntry]) -> bytes:
+    """RFC-6962 root over ``(lsn, payload)`` leaves."""
+    tree = MerkleTree()
+    for entry in entries:
+        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
+    return tree.root()
+
+
+class ReplicatedLog:
+    """One owner's primary log and its named, LSN-adopting copies.
+
+    The primary assigns LSNs; a copy adopts them verbatim, so a copy that
+    missed a message carries a visible LSN hole rather than silently
+    renumbering, and the union across copies is well defined.  Entries
+    bound for a holder that cannot take them now wait, in ship order, in
+    its hint buffer.
+    """
+
+    def __init__(self, owner: str, holders: Iterable[str]) -> None:
+        self.owner = owner
+        #: Names of the copies (the owner's primary excluded).
+        self.holders = tuple(holders)
+        self._logs = {name: WriteAheadLog() for name in (owner, *self.holders)}
+        self._hints: dict[str, list[tuple[int, bytes]]] = {
+            name: [] for name in self.holders
+        }
+        #: Intact primary entries, kept in step with every primary
+        #: mutation so the compaction trigger never scans the log.
+        self.primary_count = 0
+        self._compacted_count = 0  # primary_count after the last compaction
+
+    def append(self, op: dict) -> tuple[int, bytes]:
+        """Log ``op`` on the primary; return ``(lsn, payload)`` to ship."""
+        payload = encode(op)
+        lsn = self._logs[self.owner].append(payload)
+        self.primary_count += 1
+        return lsn, payload
+
+    def adopt(self, holder: str, lsn: int, payload: bytes) -> None:
+        """``holder``'s copy takes one shipped entry at the primary's LSN."""
+        self._logs[holder].append_at(lsn, payload)
+
+    def buffer_hint(self, holder: str, lsn: int, payload: bytes) -> None:
+        self._hints[holder].append((lsn, payload))
+
+    def has_hints(self, holder: str) -> bool:
+        return bool(self._hints[holder])
+
+    def take_hints(self, holder: str) -> list[tuple[int, bytes]]:
+        """Drain ``holder``'s hint buffer, in ship order."""
+        hints = self._hints[holder]
+        self._hints[holder] = []
+        return hints
+
+    def entries(self, name: str) -> list[WalEntry]:
+        """Valid prefix of ``name``'s log (the owner names the primary)."""
+        return self._logs[name].recover_prefix()[0]
+
+    def union(self) -> list[WalEntry]:
+        """LSN-union of every log's valid prefix, sorted by LSN: tolerates
+        torn tails and per-copy holes (another copy fills them); an LSN no
+        log holds is genuinely lost and simply absent."""
+        merged: dict[int, WalEntry] = {}
+        for log in self._logs.values():
+            for entry in log.replay():
+                merged.setdefault(entry.lsn, entry)
+        return [merged[lsn] for lsn in sorted(merged)]
+
+    def tear(self, nbytes: int) -> None:
+        """Tear the primary's tail (crash mid-write)."""
+        primary = self._logs[self.owner]
+        primary.corrupt_tail(nbytes)
+        self.primary_count = primary.entry_count
+
+    def rebuild(self, name: str, entries: list[WalEntry]) -> None:
+        """Replace ``name``'s log body with ``entries``."""
+        self._logs[name].rebuild(entries)
+        if name == self.owner:
+            self.primary_count = len(entries)
+
+    def repair(
+        self, authority: list[WalEntry], names: Iterable[str]
+    ) -> dict[str, list[WalEntry]]:
+        """One anti-entropy round: rebuild from ``authority`` each named
+        log whose Merkle root disagrees; return, per rebuilt log, the
+        authority entries it had lacked."""
+        target = merkle_root(authority)
+        lacked: dict[str, list[WalEntry]] = {}
+        for name in names:
+            entries = self.entries(name)
+            if merkle_root(entries) == target:
+                continue
+            held = {entry.lsn for entry in entries}
+            lacked[name] = [e for e in authority if e.lsn not in held]
+            self.rebuild(name, authority)
+        return lacked
+
+    def compact_due(self, threshold: int | None) -> bool:
+        """True when the primary has outgrown both ``threshold`` and twice
+        its post-compaction size — the latter keeps an owner whose *live*
+        key set exceeds the threshold from rewriting its whole log every
+        tick for no reduction (and compaction amortized O(n))."""
+        if threshold is None:
+            return False
+        return self.primary_count > max(threshold, 2 * self._compacted_count)
+
+    def compact(self, skip: Iterable[str] = ()) -> dict[str, int]:
+        """Compact every log not in ``skip`` in place; return the entries
+        removed per log.  Each is compacted independently — a copy with
+        holes may keep an op the primary dropped; the union fold is
+        unchanged and the next anti-entropy round reconciles."""
+        removed: dict[str, int] = {}
+        for name in self._logs:
+            if name in skip:
+                continue
+            entries = self.entries(name)
+            kept = compact_entries(entries)
+            removed[name] = len(entries) - len(kept)
+            if removed[name]:
+                self.rebuild(name, kept)
+        self._compacted_count = self.primary_count
+        return removed

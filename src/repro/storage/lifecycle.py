@@ -22,8 +22,8 @@ than with *live state*.  Two mechanisms bound that growth:
   gauges, and histograms expose every movement via :mod:`repro.obs`.
 
 The third lifecycle mechanism — replica-log compaction — lives with its
-data in :class:`repro.cluster.failover.ShardReplicator`; this module is
-the single-store half of the story.
+data in :class:`repro.replication.ReplicatedLog`; this module is the
+single-store half of the story.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ replaying) recovers exactly the committed prefix.  Entries are serialized to
 bytes with a checksum so torn/corrupt tails are detected and truncated on
 replay — the standard WAL recovery contract.
 
-The cluster failover layer (:mod:`repro.cluster.failover`) additionally uses
-the log as its replication unit: the primary assigns LSNs and replicas adopt
-them verbatim via :meth:`append_at`, so a replica copy with holes (dropped
-replication messages) is distinguishable from a shorter-but-contiguous one,
-and Merkle anti-entropy can rebuild a damaged copy with :meth:`rebuild`.
+:class:`repro.replication.ReplicatedLog` additionally uses the log as its
+replication unit: the primary assigns LSNs and copies adopt them verbatim
+via :meth:`append_at`, so a copy with holes (dropped replication messages)
+is distinguishable from a shorter-but-contiguous one, and Merkle
+anti-entropy can rebuild a damaged copy with :meth:`rebuild`.
 """
 
 from __future__ import annotations

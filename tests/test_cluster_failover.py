@@ -19,6 +19,7 @@ from repro.cluster import (
 )
 from repro.cluster.failover import DOWN, RECOVERING, UP, FailureDetector
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
+from repro.replication import drop_entity_op, entity_op, product_op, stock_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
@@ -122,31 +123,31 @@ class TestReplication:
         rep = self.three_shard_replicator()
         owner, holder = rep.holders("a")
         for i in range(5):
-            rep.log_op(owner, {"op": "entity", "k": f"k{i}", "v": i})
-        assert rep.last_valid_lsn(owner, owner) == 5
-        assert rep.last_valid_lsn(owner, holder) == 5
-        assert [e.lsn for e in rep.union(owner)] == [1, 2, 3, 4, 5]
+            rep.log_op(owner, entity_op(f"k{i}", i))
+        log = rep.log(owner)
+        assert [e.lsn for e in log.entries(owner)] == [1, 2, 3, 4, 5]
+        assert log.entries(holder) == log.entries(owner) == log.union()
 
     def test_dropped_replication_leaves_hole_antientropy_repairs(self):
         """An injected ``cluster.replicate`` drop leaves a visible LSN hole
         in the holder's copy; one anti-entropy round refills it."""
         rep = self.three_shard_replicator()
         owner, holder = rep.holders("a")
-        rep.log_op(owner, {"op": "entity", "k": "k1", "v": 1})
+        rep.log_op(owner, entity_op("k1", 1))
         rep.faults = FaultInjector(FaultPlan(rules=[
             FaultRule(site="cluster.replicate", kind="drop", rate=1.0,
                       target=f"{owner}->{holder}"),
         ]))
-        rep.log_op(owner, {"op": "entity", "k": "k2", "v": 2})  # dropped
+        rep.log_op(owner, entity_op("k2", 2))  # dropped
         rep.faults = None
-        rep.log_op(owner, {"op": "entity", "k": "k3", "v": 3})
-        copy = rep._logs[owner][holder]
-        assert [e.lsn for e in copy.replay()] == [1, 3]  # the hole shows
+        rep.log_op(owner, entity_op("k3", 3))
+        log = rep.log(owner)
+        assert [e.lsn for e in log.entries(holder)] == [1, 3]  # the hole shows
         assert rep.metrics.counter(
             "cluster.failover.replication_dropped"
         ).value == 1
         assert rep.sync_owner(owner) is True  # diverged -> repaired
-        assert [e.lsn for e in copy.replay()] == [1, 2, 3]
+        assert [e.lsn for e in log.entries(holder)] == [1, 2, 3]
         assert rep.sync_owner(owner) is False  # now converged
 
     def test_union_merges_torn_primary_with_fresh_replica(self):
@@ -155,22 +156,26 @@ class TestReplication:
         rep = self.three_shard_replicator()
         owner, _ = rep.holders("a")
         for i in range(4):
-            rep.log_op(owner, {"op": "entity", "k": f"k{i}", "v": i})
-        rep.torn_tail(owner, 3)  # primary drops its last entry
-        assert rep.last_valid_lsn(owner, owner) == 3
-        assert [e.lsn for e in rep.union(owner)] == [1, 2, 3, 4]
+            rep.log_op(owner, entity_op(f"k{i}", i))
+        log = rep.log(owner)
+        log.tear(3)  # primary drops its last entry
+        assert [e.lsn for e in log.entries(owner)] == [1, 2, 3]
+        assert rep.entry_count(owner) == 3
+        assert [e.lsn for e in log.union()] == [1, 2, 3, 4]
 
     def test_replica_read_sees_latest_value_and_stock(self):
-        rep = self.three_shard_replicator()
-        owner, _ = rep.holders("a")
-        rep.log_op(owner, {"op": "entity", "k": "e1", "v": {"x": 1}})
-        rep.log_op(owner, {"op": "entity", "k": "e1", "v": {"x": 2}})
-        rep.log_op(owner, {"op": "product", "k": "p1", "v": {"stock": 9}})
-        rep.log_op(owner, {"op": "stock", "k": "p1", "stock": 7})
-        assert rep.latest_value(owner, "e1") == {"x": 2}
-        assert rep.latest_stock(owner, "p1") == 7
-        rep.log_op(owner, {"op": "drop_entity", "k": "e1"})
-        assert rep.latest_value(owner, "e1") is None
+        cluster = failover_cluster()
+        manager, owner = cluster.failover, "shard-0"
+        log_op = manager.replicator.log_op
+        log_op(owner, entity_op("e1", {"x": 1}))
+        log_op(owner, entity_op("e1", {"x": 2}))
+        log_op(owner, product_op("p1", {"stock": 9}))
+        log_op(owner, stock_op("p1", 7))
+        assert manager.replica_value(owner, "e1") == {"x": 2}
+        assert manager.replica_stock(owner, "p1") == 7
+        assert manager.replica_stock(owner, "p2") is None
+        log_op(owner, drop_entity_op("e1"))
+        assert manager.replica_value(owner, "e1") is None
 
 
 class TestHintedHandoff:
@@ -191,16 +196,13 @@ class TestHintedHandoff:
             "cluster.failover.hints_buffered"
         ).value
         assert buffered >= len(owned)
-        assert rep.last_valid_lsn(owner, victim) < rep.last_valid_lsn(
-            owner, owner
-        )
+        log = rep.log(owner)
+        assert len(log.entries(victim)) < len(log.entries(owner))
         tick_until_up(cluster, victim)
         assert cluster.metrics.counter(
             "cluster.failover.hints_delivered"
         ).value == buffered
-        assert rep.last_valid_lsn(owner, victim) == rep.last_valid_lsn(
-            owner, owner
-        )
+        assert log.entries(victim) == log.entries(owner)
 
 
 class TestKillAndPromotion:

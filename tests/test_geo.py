@@ -26,6 +26,7 @@ from repro.geo import (
 )
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
+from repro.workloads.marketplace import PurchaseRequest
 
 pytestmark = pytest.mark.geo
 
@@ -174,11 +175,67 @@ class TestReplication:
             geo.tick(0.1)
         home = geo.home_of("player-0001")
         assert geo.metrics.counter("geo.repl.compactions").value > 0
-        entries = geo.replicator.primary_entries(home)
+        entries = geo.replicator.log(home).entries(home)
         assert len(entries) < 12  # superseded absolute states dropped
         for remote in others(geo, home):
             value = geo.read("player-0001", EVENTUAL, region=remote)
             assert value["payload"]["x"] == 11.0
+
+
+    def test_live_key_set_at_threshold_does_not_thrash_compaction(self):
+        """A home whose *live* keys reach the threshold has nothing to
+        collapse; it compacts once, then waits to double."""
+        geo = make_geo(compact_threshold=8)
+        for i in range(30):
+            geo.write_record(record(f"player-{i:04d}", {"x": float(i), "y": 0.0}))
+        for _ in range(10):
+            geo.tick(0.5)
+        assert geo.max_replication_lag() == 0
+        assert geo.metrics.counter("geo.repl.compactions").value <= len(REGIONS)
+        assert geo.metrics.counter("geo.repl.compacted_entries").value == 0
+
+
+class TestRegionClusters:
+    """The region template's own machinery keeps working under geo."""
+
+    def buy(self, geo, pid, quantity):
+        (outcome,) = geo.process_purchases([PurchaseRequest(
+            shopper_id="s", product_id=pid, space=Space.VIRTUAL,
+            timestamp=geo.clock.now, quantity=quantity,
+        )])
+        assert outcome.success
+
+    def test_stock_keeps_replicating_after_a_shard_promotion(self):
+        """The promoted platform must feed the cross-region log like the
+        one it replaced."""
+        geo = make_geo(cluster=ClusterConfig(n_shards=2, n_replicas=2))
+        pid = "product-0000"
+        geo.load_catalog([record(pid, {"name": "x", "stock": 100})])
+        home = geo.home_of(pid)
+        remote = others(geo, home)[0]
+        self.buy(geo, pid, 5)
+        cluster = geo.region(home)
+        victim = cluster.router.owner_of(pid)
+        cluster.kill_shard(victim)
+        for _ in range(400):
+            geo.tick(0.05)
+            if cluster.failover.state(victim) == "up":
+                break
+        assert cluster.failover.state(victim) == "up"
+        self.buy(geo, pid, 7)
+        geo.tick(0.5)
+        assert geo.max_replication_lag() == 0
+        assert geo.get_stock(pid, LINEARIZABLE) == 88
+        assert geo.get_stock(pid, EVENTUAL, region=remote) == 88
+
+    def test_killed_disaggregated_shard_is_back_after_a_geo_tick(self):
+        geo = make_geo(cluster=ClusterConfig(n_shards=2, n_storage_nodes=2))
+        cluster = geo.region(REGIONS[0])
+        cluster.kill_shard("shard-0")
+        assert cluster._is_down("shard-0")
+        geo.tick(0.1)
+        assert not cluster._is_down("shard-0")
+        assert geo.metrics.counter("cluster.disagg.remounts").value == 1
 
 
 class TestConsistencyModes:

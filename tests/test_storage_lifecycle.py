@@ -1,16 +1,14 @@
 """Data-lifecycle invariants: checkpointing, compaction, tiering (PR: E28).
 
-Three property suites guard the lifecycle machinery's one non-negotiable
+Property suites guard the lifecycle machinery's one non-negotiable
 contract — managing data volume must never change what recovery or reads
 observe:
 
 * **checkpoint + truncate + recover ≡ full replay** — a KV store restored
   from snapshot + WAL suffix is byte-identical (JSON-canonical) to one
   that replayed the whole history;
-* **replica-log compaction preserves the LSN-union fold** — for any op
-  stream, any per-copy hole pattern, and any torn tail, replaying the
-  union with compacted copies yields exactly the state of the uncompacted
-  union;
+* **replica-log compaction preserves the LSN-union fold** — lives with
+  the other replication properties in ``tests/test_replication.py``;
 * **tier demotion/promotion round-trips bitwise** — a value demoted to
   the cold object tier and promoted back compares equal, and its
   canonical encoding is byte-identical.
@@ -33,10 +31,8 @@ from repro.storage import (
     LifecyclePolicy,
     ObjectStore,
     TieredStorageEngine,
-    WalEntry,
     WriteAheadLog,
 )
-from repro.cluster.failover import compact_entries
 
 pytestmark = [pytest.mark.lifecycle]
 
@@ -160,127 +156,6 @@ class TestCheckpointRecovery:
             kv.put("k", i)
             ckpt.checkpoint()
         assert len(objects.versions(ckpt.name)) == 2
-
-
-# -- property: compaction preserves the LSN-union fold ------------------------
-
-
-def _encode(op: dict) -> bytes:
-    return json.dumps(op, sort_keys=True).encode("utf-8")
-
-
-def _fold(entries):
-    """Reference replay fold — mirrors FailoverManager._replay exactly."""
-    entities: dict[str, object] = {}
-    products: dict[str, dict] = {}
-    for entry in sorted(entries, key=lambda e: e.lsn):
-        op = json.loads(entry.payload.decode("utf-8"))
-        kind = op["op"]
-        if kind == "entity":
-            entities[op["k"]] = op["v"]
-        elif kind == "drop_entity":
-            entities.pop(op["k"], None)
-        elif kind == "product":
-            products[op["k"]] = dict(op["v"])
-        elif kind == "drop_product":
-            products.pop(op["k"], None)
-        elif kind == "stock":
-            products.setdefault(op["k"], {})["stock"] = int(op["stock"])
-    return json.dumps({"e": entities, "p": products}, sort_keys=True)
-
-
-def _union(copies):
-    merged = {}
-    for copy in copies:
-        for entry in copy:
-            merged.setdefault(entry.lsn, entry)
-    return [merged[lsn] for lsn in sorted(merged)]
-
-
-replica_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("entity"), keys, values),
-        st.tuples(st.just("drop_entity"), keys, st.none()),
-        st.tuples(
-            st.just("product"),
-            keys,
-            st.fixed_dictionaries(
-                {"name": st.text(max_size=6), "stock": st.integers(0, 99)}
-            ),
-        ),
-        st.tuples(st.just("stock"), keys, st.integers(0, 99)),
-    ),
-    min_size=1,
-    max_size=50,
-)
-
-
-def _materialize(ops):
-    """Primary log entries (LSNs 1..n) for the generated op stream."""
-    entries = []
-    for lsn, (kind, key, value) in enumerate(ops, start=1):
-        if kind in ("entity", "product"):
-            op = {"op": kind, "k": key, "v": value}
-        elif kind == "stock":
-            op = {"op": "stock", "k": key, "stock": value}
-        else:
-            op = {"op": kind, "k": key}
-        entries.append(WalEntry(lsn=lsn, payload=_encode(op)))
-    return entries
-
-
-class TestCompactionPreservesUnion:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        ops=replica_ops,
-        hole_seed=st.lists(st.booleans(), max_size=50),
-        torn=st.integers(0, 10),
-        data=st.data(),
-    )
-    def test_union_fold_identical(self, ops, hole_seed, torn, data):
-        """Compacting any subset of copies never changes the union fold."""
-        primary = _materialize(ops)
-        # Replica copy: primary minus a hole pattern (dropped replication).
-        holes = (hole_seed + [False] * len(primary))[: len(primary)]
-        replica = [e for e, drop in zip(primary, holes) if not drop]
-        # Torn tail on the primary: only its valid prefix survives.
-        primary_prefix = primary[: max(0, len(primary) - torn)]
-        copies = [primary_prefix, replica]
-        baseline = _fold(_union(copies))
-        # Compact every subset of copies; the fold must never move.
-        for mask in range(1, 4):
-            compacted = [
-                compact_entries(copy) if (mask >> i) & 1 else copy
-                for i, copy in enumerate(copies)
-            ]
-            assert _fold(_union(compacted)) == baseline
-        # Compaction is idempotent and only ever shrinks.
-        once = compact_entries(primary_prefix)
-        assert compact_entries(once) == once
-        assert len(once) <= len(primary_prefix)
-
-    def test_superseded_stock_collapses(self):
-        entries = _materialize(
-            [("product", "p", {"name": "x", "stock": 9})]
-            + [("stock", "p", i) for i in range(20)]
-        )
-        compacted = compact_entries(entries)
-        # Last product op + last stock op survive, nothing else.
-        assert len(compacted) == 2
-        assert compacted[0].lsn == 1 and compacted[1].lsn == 21
-        assert _fold(compacted) == _fold(entries)
-
-    def test_product_newer_than_stock_stands_alone(self):
-        entries = _materialize(
-            [("stock", "p", 5), ("product", "p", {"name": "x", "stock": 3})]
-        )
-        compacted = compact_entries(entries)
-        assert [e.lsn for e in compacted] == [2]
-
-    def test_unknown_ops_kept_verbatim(self):
-        alien = WalEntry(lsn=7, payload=_encode({"op": "future", "k": "z"}))
-        entries = _materialize([("entity", "a", 1)]) + [alien]
-        assert alien in compact_entries(entries)
 
 
 # -- property: tier round trips are bitwise -----------------------------------
