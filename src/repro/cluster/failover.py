@@ -220,7 +220,7 @@ class ShardReplicator:
         whose Merkle root differs from the LSN-union's.  True when a
         repair was performed (i.e. the copies had diverged)."""
         log = self.log(owner)
-        diverged = bool(log.repair(log.union(), [owner, *log.holders]))
+        diverged = bool(log.repair([owner, *log.holders]))
         if diverged:
             self.metrics.counter("cluster.failover.antientropy_repairs").inc()
         return diverged

@@ -484,12 +484,24 @@ class GeoDeployment:
 
         The replicator rebuilds a diverged copy from the primary and
         hands back the re-folded post-state of the keys the destination
-        had been missing entries for.
+        had been missing entries for.  The round's span counts pairs
+        compared, copies rebuilt and entries those copies had lacked (a
+        rebuilt copy that lacked none held them in another append order).
         """
-        for home, dst in self._open_pairs(lambda home, dst: True):
-            state = self.replicator.antientropy(home, dst)
-            if state is not None:
-                self._land(home, dst, state)
+        lacked = self.metrics.counter("geo.antientropy.repaired_entries")
+        lacked_before = lacked.value
+        pairs = rebuilt = 0
+        with self.tracer.span("geo.antientropy") as span:
+            for home, dst in self._open_pairs(lambda home, dst: True):
+                pairs += 1
+                state = self.replicator.antientropy(home, dst)
+                if state is not None:
+                    rebuilt += 1
+                    self._land(home, dst, state)
+            if span is not None:
+                span.set_attribute("pairs", pairs)
+                span.set_attribute("rebuilt", rebuilt)
+                span.set_attribute("lacked", int(lacked.value - lacked_before))
 
     # -- writes ------------------------------------------------------------
 

@@ -147,16 +147,19 @@ class GeoReplicator:
         On divergence the copy is rebuilt from the primary and the keys of
         the entries ``dst`` had lacked are *re-folded* over the whole
         primary, so landing the result cannot regress a newer state.
-        Returns that post-state (``None`` when the copy already agreed).
+        Returns that post-state (``None`` when the copy already agreed —
+        which costs two cached Merkle roots, no entry of either log).
         Pending hints for the pair are dropped: the rebuild covers them.
         """
         log = self._logs[home]
-        authority = log.entries(home)
-        missing = log.repair(authority, [dst]).get(dst)
+        missing = log.repair([dst], authority=home).get(dst)
         if missing is None:
             return None
+        authority = log.entries(home)
         log.take_hints(dst)
         self._recompute(home, dst, {e.lsn for e in authority})
+        # Despite its name this counts pair-rounds that *rebuilt a copy*,
+        # not rounds run: a pair whose roots agree returned above.
         self.metrics.counter("geo.antientropy.rounds").inc()
         self.metrics.counter("geo.antientropy.repaired_entries").inc(len(missing))
         affected = fold(missing).lsn

@@ -5,7 +5,8 @@ authenticated data structures such as the Merkle Tree, and transparency
 logs."  This is an RFC-6962-style (Certificate Transparency) Merkle tree
 over an append-only leaf sequence:
 
-* :meth:`MerkleTree.root` — the tree head over the current leaves;
+* :meth:`MerkleTree.root` — the tree head over the current leaves, read
+  off an append-maintained frontier in O(log n);
 * :meth:`MerkleTree.inclusion_proof` / :func:`verify_inclusion` — prove one
   leaf is covered by a head with an O(log n) audit path;
 * :meth:`MerkleTree.consistency_proof` / :func:`verify_consistency` — prove
@@ -72,19 +73,40 @@ class ConsistencyProof:
 
 
 class MerkleTree:
-    """Append-only Merkle tree over byte-string leaves."""
+    """Append-only Merkle tree over byte-string leaves.
+
+    Besides the leaf hashes (proofs and historical heads need them) it
+    keeps its *frontier*: the roots of the perfect subtrees the size
+    splits into, largest first.  An append merges equal-sized neighbours
+    (amortised one node hash) and the RFC-6962 head is the frontier's
+    right-to-left fold, so the current head never re-hashes the interior.
+    """
 
     def __init__(self) -> None:
         self._leaf_hashes: list[bytes] = []
+        self._frontier: list[bytes] = []
 
     def __len__(self) -> int:
         return len(self._leaf_hashes)
+
+    def clone(self) -> "MerkleTree":
+        """An independent tree over the same leaves (no re-hashing)."""
+        twin = MerkleTree()
+        twin._leaf_hashes = self._leaf_hashes.copy()
+        twin._frontier = self._frontier.copy()
+        return twin
 
     def append(self, data: bytes) -> int:
         """Append a leaf; returns its index."""
         if not isinstance(data, (bytes, bytearray)):
             raise LedgerError("leaf must be bytes")
-        self._leaf_hashes.append(_leaf_hash(bytes(data)))
+        node = _leaf_hash(bytes(data))
+        self._leaf_hashes.append(node)
+        size = len(self._leaf_hashes)
+        while size % 2 == 0:  # one merge per trailing zero bit of the size
+            node = _node_hash(self._frontier.pop(), node)
+            size //= 2
+        self._frontier.append(node)
         return len(self._leaf_hashes) - 1
 
     def root(self, tree_size: int | None = None) -> bytes:
@@ -92,7 +114,12 @@ class MerkleTree:
         size = len(self._leaf_hashes) if tree_size is None else tree_size
         if not 0 <= size <= len(self._leaf_hashes):
             raise LedgerError(f"invalid tree_size {size}")
-        return _root_of(self._leaf_hashes[:size])
+        if size != len(self._leaf_hashes) or not size:
+            return _root_of(self._leaf_hashes[:size])
+        *lefts, node = self._frontier
+        for left in reversed(lefts):
+            node = _node_hash(left, node)
+        return node
 
     # -- inclusion ------------------------------------------------------------
 

@@ -224,12 +224,17 @@ def _drop(drop: Callable, key: str) -> None:
 # -- the replicated log --------------------------------------------------------
 
 
-def merkle_root(entries: Iterable[WalEntry]) -> bytes:
-    """RFC-6962 root over ``(lsn, payload)`` leaves."""
-    tree = MerkleTree()
+def _grow(tree: MerkleTree, entries: Iterable[WalEntry]) -> MerkleTree:
+    """Append one ``(lsn, payload)`` leaf per entry, in the given order."""
     for entry in entries:
         tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
-    return tree.root()
+    return tree
+
+
+def merkle_root(entries: Iterable[WalEntry]) -> bytes:
+    """RFC-6962 root over ``(lsn, payload)`` leaves — the definition;
+    :meth:`ReplicatedLog.root` is its incremental form."""
+    return _grow(MerkleTree(), entries).root()
 
 
 class ReplicatedLog:
@@ -240,6 +245,10 @@ class ReplicatedLog:
     renumbering, and the union across copies is well defined.  Entries
     bound for a holder that cannot take them now wait, in ship order, in
     its hint buffer.
+
+    Each log has one Merkle tree, caught up with its verified prefix only
+    when a root is asked for — never per append — and started afresh when
+    the log's body is replaced (:meth:`tear`, :meth:`rebuild`).
     """
 
     def __init__(self, owner: str, holders: Iterable[str]) -> None:
@@ -247,11 +256,14 @@ class ReplicatedLog:
         #: Names of the copies (the owner's primary excluded).
         self.holders = tuple(holders)
         self._logs = {name: WriteAheadLog() for name in (owner, *self.holders)}
+        self._trees = {name: MerkleTree() for name in self._logs}
         self._hints: dict[str, list[tuple[int, bytes]]] = {
             name: [] for name in self.holders
         }
         #: Intact primary entries, kept in step with every primary
-        #: mutation so the compaction trigger never scans the log.
+        #: mutation so the compaction trigger never scans the log.  The
+        #: WAL's incremental ``entry_count`` would still checksum each new
+        #: entry on every tick: measured +1.1 % ``wall_s`` on ``flash_sale``.
         self.primary_count = 0
         self._compacted_count = 0  # primary_count after the last compaction
 
@@ -280,15 +292,25 @@ class ReplicatedLog:
 
     def entries(self, name: str) -> list[WalEntry]:
         """Valid prefix of ``name``'s log (the owner names the primary)."""
-        return self._logs[name].recover_prefix()[0]
+        return self._logs[name].entries_from(0)
+
+    def _tree(self, name: str) -> MerkleTree:
+        """``name``'s tree, grown by the entries its log has gained."""
+        tree = self._trees[name]
+        return _grow(tree, self._logs[name].entries_from(len(tree)))
+
+    def root(self, name: str) -> bytes:
+        """:func:`merkle_root` of ``name``'s valid prefix, hashing only
+        what the log has gained since the last call."""
+        return self._tree(name).root()
 
     def union(self) -> list[WalEntry]:
         """LSN-union of every log's valid prefix, sorted by LSN: tolerates
         torn tails and per-copy holes (another copy fills them); an LSN no
         log holds is genuinely lost and simply absent."""
         merged: dict[int, WalEntry] = {}
-        for log in self._logs.values():
-            for entry in log.replay():
+        for name in self._logs:
+            for entry in self.entries(name):
                 merged.setdefault(entry.lsn, entry)
         return [merged[lsn] for lsn in sorted(merged)]
 
@@ -297,28 +319,43 @@ class ReplicatedLog:
         primary = self._logs[self.owner]
         primary.corrupt_tail(nbytes)
         self.primary_count = primary.entry_count
+        self._trees[self.owner] = MerkleTree()
 
     def rebuild(self, name: str, entries: list[WalEntry]) -> None:
         """Replace ``name``'s log body with ``entries``."""
         self._logs[name].rebuild(entries)
+        self._trees[name] = MerkleTree()
         if name == self.owner:
             self.primary_count = len(entries)
 
     def repair(
-        self, authority: list[WalEntry], names: Iterable[str]
+        self, names: Iterable[str], authority: str | None = None
     ) -> dict[str, list[WalEntry]]:
-        """One anti-entropy round: rebuild from ``authority`` each named
-        log whose Merkle root disagrees; return, per rebuilt log, the
-        authority entries it had lacked."""
-        target = merkle_root(authority)
+        """One anti-entropy round: rebuild each named log whose Merkle
+        root disagrees with the authority's; return, per rebuilt log, the
+        authority entries it had lacked.
+
+        ``authority`` names the log that is the truth (``None``: none is,
+        the LSN-union stands in).  A log that agrees costs a comparison
+        of cached roots; entries are materialised only for one that does not.
+        """
+        if authority is None:
+            truth = self.union()
+            tree = _grow(MerkleTree(), truth)
+        else:
+            truth = None
+            tree = self._tree(authority)
+        target = tree.root()
         lacked: dict[str, list[WalEntry]] = {}
         for name in names:
-            entries = self.entries(name)
-            if merkle_root(entries) == target:
+            if self.root(name) == target:
                 continue
-            held = {entry.lsn for entry in entries}
-            lacked[name] = [e for e in authority if e.lsn not in held]
-            self.rebuild(name, authority)
+            if truth is None:
+                truth = self.entries(authority)
+            held = {entry.lsn for entry in self.entries(name)}
+            lacked[name] = [e for e in truth if e.lsn not in held]
+            self.rebuild(name, truth)
+            self._trees[name] = tree.clone()  # same leaves: no re-hashing
         return lacked
 
     def compact_due(self, threshold: int | None) -> bool:

@@ -136,9 +136,7 @@ class CheckpointManager:
         state = self.kv.snapshot_state()
         payload = _encode_value({"lsn": lsn, "state": state})
         self.objects.put(self.name, payload, metadata={"lsn": str(lsn)})
-        before = self.kv.wal.entry_count
-        self.kv.wal.truncate_before(lsn + 1)
-        truncated = before - self.kv.wal.entry_count
+        truncated = self.kv.wal.truncate_before(lsn + 1)
         self.objects.prune_versions(self.name, keep=self.keep)
         self.checkpoints_taken += 1
         self.metrics.counter("storage.ckpt.checkpoints").inc()

@@ -47,6 +47,15 @@ class WriteAheadLog:
     record.  An entry damaged *in place* (the injected ``corrupt`` fault's
     flipped byte, modelling latent sector corruption) is different: it stays
     in the log and recovery still applies only the prefix before it.
+
+    Scans are incremental: the log remembers its *verified prefix* (bytes,
+    entry count and last LSN of the entries whose CRC has been checked)
+    and a scan resumes there, so each entry is checksummed once, by the
+    first scan that reaches it.  A torn or damaged record stops the prefix
+    just before it; ``rebuild``, ``truncate_before`` and a
+    ``corrupt_tail`` that cuts into it drop it.  Parsed entries are kept
+    only once a caller asks for entries, never for ``entry_count`` or
+    ``last_valid_lsn`` alone.
     """
 
     def __init__(self, faults: "FaultInjector | None" = None) -> None:
@@ -59,6 +68,13 @@ class WriteAheadLog:
         # on disk, so LSN accounting must never report the log as starting
         # at LSN 0 again after a checkpoint truncated its prefix.
         self._truncated_lsn = 0
+        self._drop_verified()
+
+    def _drop_verified(self) -> None:
+        self._verified_end = 0   # bytes [0, _verified_end) are CRC-checked
+        self._verified_count = 0
+        self._verified_lsn = 0   # LSN of the last verified entry
+        self._parsed: list[WalEntry] | None = None  # those entries, on demand
 
     @property
     def next_lsn(self) -> int:
@@ -72,7 +88,8 @@ class WriteAheadLog:
     @property
     def entry_count(self) -> int:
         """Number of intact entries currently in the log body."""
-        return len(self._scan()[0])
+        self._scan()
+        return self._verified_count
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -121,8 +138,8 @@ class WriteAheadLog:
             # starts on a valid record boundary instead of landing
             # unreachable behind torn bytes (the pre-fix behaviour silently
             # lost every append made after a torn tail).
-            _, _, valid_end = self._scan()
-            del self._buf[valid_end:]
+            self._scan()
+            del self._buf[self._verified_end:]
             self._torn = False
         crc = zlib.crc32(payload)
         self._buf += _HEADER.pack(crc, len(payload), lsn)
@@ -130,26 +147,36 @@ class WriteAheadLog:
         if corrupt:
             self._buf[-1] ^= 0xFF
 
-    def _scan(self) -> tuple[list[WalEntry], int, int]:
-        """Walk the buffer; return (valid entries, last valid LSN, offset
-        just past the last valid entry)."""
-        entries: list[WalEntry] = []
-        last_lsn = 0
-        offset = 0
-        buf = self._buf
-        while offset + _HEADER.size <= len(buf):
-            crc, length, lsn = _HEADER.unpack_from(buf, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > len(buf):
-                break  # torn tail
-            payload = bytes(buf[start:end])
-            if zlib.crc32(payload) != crc:
-                break  # corrupt record: stop replay here
-            entries.append(WalEntry(lsn=lsn, payload=payload))
-            last_lsn = lsn
-            offset = end
-        return entries, last_lsn, offset
+    def _scan(self, parse: bool = False) -> None:
+        """Extend the verified prefix over what the buffer has gained;
+        with ``parse`` also keep the entries (from byte 0 the first time)."""
+        if parse and self._parsed is None:
+            self._drop_verified()
+            self._parsed = []
+        parsed = self._parsed
+        offset, count, last_lsn = self._verified_end, self._verified_count, self._verified_lsn
+        size, header = len(self._buf), _HEADER.size
+        with memoryview(self._buf) as buf:
+            while offset + header <= size:
+                crc, length, lsn = _HEADER.unpack_from(buf, offset)
+                end = offset + header + length
+                if end > size:
+                    break  # torn tail
+                payload = buf[offset + header : end]
+                if zlib.crc32(payload) != crc:
+                    break  # corrupt record: stop replay here
+                if parsed is not None:
+                    parsed.append(WalEntry(lsn=lsn, payload=bytes(payload)))
+                count += 1
+                last_lsn = lsn
+                offset = end
+        self._verified_end, self._verified_count, self._verified_lsn = offset, count, last_lsn
+
+    def entries_from(self, index: int) -> list[WalEntry]:
+        """The committed prefix from its ``index``-th entry on — what a
+        reader that already holds the first ``index`` entries lacks."""
+        self._scan(parse=True)
+        return self._parsed[index:]
 
     def replay(self) -> Iterator[WalEntry]:
         """Yield entries in order, stopping cleanly at the first torn or
@@ -158,9 +185,9 @@ class WriteAheadLog:
         that was never checkpoint-truncated.  After ``truncate_before``
         the reported LSN never falls below the truncated prefix: those
         entries are durable in the checkpoint snapshot, not lost."""
-        entries, last_lsn, _ = self._scan()
+        entries, last_lsn = self.recover_prefix()
         yield from entries
-        return max(last_lsn, self._truncated_lsn)
+        return last_lsn
 
     def recover_prefix(self) -> tuple[list[WalEntry], int]:
         """The committed prefix as a list, plus the last valid LSN.
@@ -169,14 +196,14 @@ class WriteAheadLog:
         the LSN high-water mark (replica freshness comparison, catch-up
         after a torn tail) rather than an iterator.
         """
-        entries, last_lsn, _ = self._scan()
-        return entries, max(last_lsn, self._truncated_lsn)
+        return self.entries_from(0), self.last_valid_lsn
 
     @property
     def last_valid_lsn(self) -> int:
         """LSN of the last intact entry — floored at the checkpoint
         truncation point (0 only for a log that never held anything)."""
-        return max(self._scan()[1], self._truncated_lsn)
+        self._scan()
+        return max(self._verified_lsn, self._truncated_lsn)
 
     def rebuild(self, entries: Iterable[WalEntry]) -> None:
         """Replace the log body with ``entries`` (anti-entropy repair)."""
@@ -190,31 +217,42 @@ class WriteAheadLog:
         self._buf = buf
         self._torn = False
         self._next_lsn = next_lsn
+        self._drop_verified()
 
-    def truncate_before(self, lsn: int) -> None:
-        """Drop entries with LSN < ``lsn`` (checkpointing).
+    def truncate_before(self, lsn: int) -> int:
+        """Drop entries with LSN < ``lsn`` (checkpointing); return how
+        many were dropped.
 
         The highest dropped LSN is remembered so :attr:`last_valid_lsn`
         and :meth:`recover_prefix` keep reporting the true durability
         high-water mark even when the remaining body is empty or its tail
         is later torn — the prefix lives on in the checkpoint snapshot.
         """
+        self._scan()
+        buf = self._buf
         kept = bytearray()
-        dropped_max = 0
-        for entry in self._scan()[0]:
-            if entry.lsn >= lsn:
-                crc = zlib.crc32(entry.payload)
-                kept += _HEADER.pack(crc, len(entry.payload), entry.lsn)
-                kept += entry.payload
-            elif entry.lsn > dropped_max:
-                dropped_max = entry.lsn
+        dropped = dropped_max = 0
+        offset = 0
+        while offset < self._verified_end:  # headers only: CRCs are checked
+            _, length, entry_lsn = _HEADER.unpack_from(buf, offset)
+            end = offset + _HEADER.size + length
+            if entry_lsn >= lsn:
+                kept += buf[offset:end]
+            else:
+                dropped += 1
+                dropped_max = max(dropped_max, entry_lsn)
+            offset = end
         self._buf = kept
         self._torn = False
         self._truncated_lsn = max(self._truncated_lsn, dropped_max)
+        self._drop_verified()
+        return dropped
 
     def corrupt_tail(self, nbytes: int) -> None:
         """Chop ``nbytes`` off the end to simulate a torn write (tests)."""
         if nbytes < 0:
             raise StorageError("nbytes must be >= 0")
-        self._buf = self._buf[: max(0, len(self._buf) - nbytes)]
+        del self._buf[max(0, len(self._buf) - nbytes):]
         self._torn = True
+        if len(self._buf) < self._verified_end:
+            self._drop_verified()

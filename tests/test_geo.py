@@ -24,6 +24,7 @@ from repro.geo import (
     GeoDeployment,
     GeoSession,
 )
+from repro.obs.tracing import Tracer
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
@@ -167,6 +168,29 @@ class TestReplication:
         value = geo.read("player-0001", EVENTUAL, region=remote)
         assert value["payload"]["x"] == 7.0
         assert geo.metrics.counter("geo.antientropy.repaired_entries").value > 0
+
+    def test_antientropy_round_span_says_what_it_did(self):
+        """One ``geo.antientropy`` span per round: pairs compared, copies
+        rebuilt, entries those copies had lacked."""
+        plan = FaultPlan(rules=[
+            FaultRule(site="geo.wan", kind="drop", rate=1.0, end=0.2),
+        ], seed=3)
+        tracer = Tracer()
+        config = GeoConfig(regions=REGIONS, wan_latencies_s=dict(WAN_LATENCIES))
+        geo = GeoDeployment(config, faults=FaultInjector(plan), tracer=tracer)
+        geo.write_record(record("player-0001", {"x": 7.0, "y": 7.0}))
+        for _ in range(4):
+            geo.tick(0.3)
+        rounds = [s.attributes for s in tracer.spans_named("geo.antientropy")]
+        n_pairs = len(REGIONS) * (len(REGIONS) - 1)
+        # Both copies of the one home log missed the entry; the round
+        # after the repair compares the same pairs and rebuilds nothing.
+        assert rounds[0] == {"pairs": n_pairs, "rebuilt": 2, "lacked": 2}
+        assert rounds[-1] == {"pairs": n_pairs, "rebuilt": 0, "lacked": 0}
+        # The counter named "rounds" counts the rebuilt pair-rounds.
+        assert geo.metrics.counter("geo.antientropy.rounds").value == sum(
+            r["rebuilt"] for r in rounds
+        )
 
     def test_compaction_collapses_superseded_states(self):
         geo = make_geo(compact_threshold=8)

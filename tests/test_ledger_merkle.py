@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import LedgerError
 from repro.ledger import MerkleTree, verify_consistency, verify_inclusion
+from repro.ledger.merkle import _leaf_hash, _root_of
 
 
 def build(n):
@@ -137,3 +138,55 @@ class TestConsistency:
             build(5).consistency_proof(0)
         with pytest.raises(LedgerError):
             build(5).consistency_proof(9)
+
+
+class TestIncrementalRoot:
+    """``root()`` is read off an append-maintained frontier; the
+    recursive ``_root_of`` over all leaf hashes is the definition."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        alphabet=st.lists(st.binary(max_size=12), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    def test_every_size_matches_the_recursive_root(self, alphabet, data):
+        tree, leaves, hashes = MerkleTree(), [], []
+        for size in range(301):
+            assert len(tree) == size
+            assert tree.root() == _root_of(hashes)
+            leaf = alphabet[(size * size + size // 7) % len(alphabet)]
+            tree.append(leaf)
+            leaves.append(leaf)
+            hashes.append(_leaf_hash(leaf))
+        # Prefix heads still answer, and proofs verify against the
+        # incremental head.
+        k = data.draw(st.integers(0, len(leaves)))
+        assert tree.root(tree_size=k) == _root_of(hashes[:k])
+        index = data.draw(st.integers(0, len(leaves) - 1))
+        assert verify_inclusion(
+            leaves[index], tree.inclusion_proof(index), tree.root()
+        )
+        old = data.draw(st.integers(1, len(leaves)))
+        assert verify_consistency(
+            tree.root(old), tree.root(), tree.consistency_proof(old), tree
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shared=st.lists(st.binary(max_size=8), max_size=70),
+        ours=st.lists(st.binary(max_size=8), max_size=20),
+        theirs=st.lists(st.binary(max_size=8), max_size=20),
+    )
+    def test_clone_diverges_independently(self, shared, ours, theirs):
+        tree = MerkleTree()
+        for leaf in shared:
+            tree.append(leaf)
+        twin = tree.clone()
+        assert twin.root() == tree.root() and len(twin) == len(tree)
+        for leaf in ours:
+            tree.append(leaf)
+        for leaf in theirs:
+            twin.append(leaf)
+        assert tree.root() == _root_of([_leaf_hash(x) for x in shared + ours])
+        assert twin.root() == _root_of([_leaf_hash(x) for x in shared + theirs])
+        assert twin.root(len(shared)) == tree.root(len(shared))

@@ -13,12 +13,19 @@ against both through one small harness, rather than being written twice:
 * **compaction preserves the union fold** — for any hole pattern, torn
   primary tail and any subset of copies compacted;
 * **one anti-entropy round converges** — every copy's Merkle root equals
-  the authority's afterwards.
+  the authority's afterwards;
+* **the cached root is the cold root** — at every point of the three
+  sequences above, each log's incrementally kept root equals
+  ``merkle_root`` over its entries.
+
+``TestSteadyRoundCost`` pins what the cached roots buy: a round over
+converged logs hashes and parses the same, however long the logs are.
 
 ``_fold`` below is an independent reference the production
 ``fold``/``apply`` pair is checked against.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -43,7 +50,7 @@ from repro.replication import (
     product_op,
     stock_op,
 )
-from repro.storage import WalEntry
+from repro.storage import WalEntry, wal
 
 pytestmark = [pytest.mark.lifecycle]
 
@@ -318,6 +325,14 @@ class GeoHarness:
             self.rep.antientropy(self.owner, dst)
 
 
+def assert_cached_roots(h):
+    """Every log's cached root is ``merkle_root`` of its entries.  Also
+    warms the per-log trees, so whatever the test does next has a cache
+    to invalidate."""
+    for name in (h.owner, *h.log.holders):
+        assert h.log.root(name) == merkle_root(h.log.entries(name)), name
+
+
 # Parametrised with the harness *class*: Hypothesis re-runs the test body
 # per example and each example needs fresh logs.
 @pytest.mark.parametrize(
@@ -338,7 +353,9 @@ class TestBothReplicators:
                 min_size=len(order), max_size=len(order),
             )
         )
-        for (lsn, payload), flag in zip(order, flags):
+        for i, ((lsn, payload), flag) in enumerate(zip(order, flags)):
+            if i == len(order) // 2:
+                assert_cached_roots(h)
             if flag == "late":
                 h.hint(lsn, payload)
                 continue
@@ -346,6 +363,7 @@ class TestBothReplicators:
             if flag == "twice":
                 h.deliver(lsn, payload)
         h.flush_hints()
+        assert_cached_roots(h)
         primary = h.log.entries(h.owner)
         copy = h.log.entries(h.holder)
         assert {e.lsn for e in copy} == {e.lsn for e in primary}
@@ -365,10 +383,13 @@ class TestBothReplicators:
         for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
             if not hole:
                 h.deliver(lsn, payload)
+        assert_cached_roots(h)
         h.log.tear(torn)
+        assert_cached_roots(h)
         baseline = _fold(h.log.union())
         names = [h.owner, h.holder]
         h.log.compact(skip=[n for i, n in enumerate(names) if (skip_mask >> i) & 1])
+        assert_cached_roots(h)
         assert folded(h.log.union()) == baseline
         for i, name in enumerate(names):
             if not (skip_mask >> i) & 1:  # a compacted log is a fixpoint
@@ -388,12 +409,79 @@ class TestBothReplicators:
         for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
             if not hole:
                 h.deliver(lsn, payload)
+        assert_cached_roots(h)
         if compact_first:
             h.log.compact()
+            assert_cached_roots(h)
         before = _fold(h.log.union())
         h.antientropy()
         authority = h.authority()
         root = merkle_root(authority)
         for name in (h.owner, *h.log.holders):
             assert merkle_root(h.log.entries(name)) == root
+        assert_cached_roots(h)
         assert folded(authority) == before
+        # A repaired copy keeps converging as the primary grows.
+        for lsn, payload in [h.write(op) for op in ops[:5]]:
+            h.deliver(lsn, payload)
+        assert_cached_roots(h)
+        assert h.log.root(h.holder) == h.log.root(h.owner)
+
+
+class TestSteadyRoundCost:
+    """Anti-entropy over converged logs costs O(log n), not O(n)."""
+
+    def converged(self, n):
+        rep = GeoReplicator(("a", "b", "c"), compact_threshold=None)
+        for i in range(n):
+            lsn, payload = rep.log_op("a", entity_op(f"k{i}", i), 0.0)
+            for dst in ("b", "c"):
+                rep.deliver("a", dst, lsn, payload)
+        return rep
+
+    def steady_round_work(self, n, monkeypatch):
+        """(SHA-256 calls, WAL entries parsed) by one round after a first
+        round has found every copy converged."""
+        rep = self.converged(n)
+        for dst in ("b", "c"):
+            assert rep.antientropy("a", dst) is None
+        work = {"sha256": 0, "parsed": 0}
+
+        def counting(fn, name):
+            def counted(*args, **kwargs):
+                work[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        with monkeypatch.context() as patch:
+            # merkle.py calls ``hashlib.sha256`` through the module.
+            patch.setattr(hashlib, "sha256", counting(hashlib.sha256, "sha256"))
+            patch.setattr(wal, "WalEntry", counting(WalEntry, "parsed"))
+            for dst in ("b", "c"):
+                assert rep.antientropy("a", dst) is None
+        return work
+
+    def test_steady_round_does_not_grow_with_the_log(self, monkeypatch):
+        # 500 and 4 000 have the same number of set bits, hence the same
+        # frontier length: the counts are equal, not merely both small.
+        small = self.steady_round_work(500, monkeypatch)
+        large = self.steady_round_work(4000, monkeypatch)
+        assert small == large
+        assert small["parsed"] == 0 and 0 < small["sha256"] < 64
+
+    def test_agreeing_log_is_never_materialised(self, monkeypatch):
+        rep = self.converged(40)
+        log = rep.log("a")
+        lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
+        rep.deliver("a", "b", lsn, payload)  # c misses it
+        asked = []
+        entries = log.entries
+        monkeypatch.setattr(
+            log, "entries", lambda name: asked.append(name) or entries(name)
+        )
+        lacked = log.repair(["b", "c"], authority="a")
+        assert [e.lsn for e in lacked["c"]] == [lsn] and "b" not in lacked
+        assert "b" not in asked
+        asked.clear()
+        assert log.repair(["b", "c"], authority="a") == {}
+        assert asked == []
