@@ -49,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from ..api.dataplane import ContinuousQueries, GatherResult
@@ -78,6 +79,7 @@ from ..query.plane import (
     prefix_query,
     spatial_query,
 )
+from ..placement import route_by_owner
 from ..replication import entity_op, product_op, stock_op
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
@@ -123,20 +125,6 @@ class PlatformCluster:
     ) -> None:
         config = (config if config is not None else ClusterConfig()).validate()
         self.config = config
-        n_shards = config.n_shards
-        n_executors_per_shard = config.n_executors_per_shard
-        vnodes = config.vnodes
-        query_deadline_s = config.query_deadline_s
-        twopc_timeout_s = config.twopc_timeout_s
-        buffer_pool_pages = config.buffer_pool_pages
-        physical_priority = config.physical_priority
-        txn_cost_s = config.txn_cost_s
-        n_replicas = config.n_replicas
-        heartbeat_interval_s = config.heartbeat_interval_s
-        phi_threshold = config.phi_threshold
-        n_storage_nodes = config.n_storage_nodes
-        storage_vnodes = config.storage_vnodes
-        storage_rpc_timeout_s = config.storage_rpc_timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
@@ -149,40 +137,34 @@ class PlatformCluster:
             faults.tracer = self.tracer
             faults.tracer_injected = True
         self.clock = faults.clock if faults is not None else SimulationClock()
-        self.n_executors_per_shard = n_executors_per_shard
-        self.buffer_pool_pages = buffer_pool_pages
-        self.physical_priority = physical_priority
-        self.txn_cost_s = txn_cost_s
-        self.query_deadline = Timeout(query_deadline_s)
-        self.router = ShardRouter(vnodes=vnodes, metrics=self.metrics)
+        self.query_deadline = Timeout(config.query_deadline_s)
+        self.router = ShardRouter(metrics=self.metrics)
         # Disaggregated mode: one shared storage tier, mounted by every
         # compute shard.  The tier shares the cluster clock so RPC latency
         # advances the same simulated time the rest of the system runs on.
         self.storage: StorageTier | None = None
-        self._storage_rpc_timeout_s = storage_rpc_timeout_s
         self._down_compute: set[str] = set()
         # Failover is opt-in: with n_replicas == 1 (the default) nothing is
         # replicated, no heartbeats flow, and every path below behaves
         # exactly as before.
         self.failover: FailoverManager | None = None
         self._stock_sinks: list[Callable[[str, str, int], None]] = []
-        if n_storage_nodes is not None:
+        if config.n_storage_nodes is not None:
             self.storage = StorageTier(
-                n_nodes=n_storage_nodes,
-                vnodes=storage_vnodes,
+                n_nodes=config.n_storage_nodes,
                 clock=self.clock,
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
         self.shards: dict[str, MetaversePlatform] = {}
-        for i in range(n_shards):
+        for i in range(config.n_shards):
             name = f"shard-{i}"
             self.router.add_shard(name)
             self.shards[name] = self._make_shard(name)
         self.coordinator = CrossShardCoordinator(
             self.shards,
             clock=self.clock,
-            timeout_s=twopc_timeout_s,
+            timeout_s=config.twopc_timeout_s,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -210,12 +192,12 @@ class PlatformCluster:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        if n_replicas >= 2:
+        if config.n_replicas >= 2:
             self.failover = FailoverManager(
                 self,
-                n_replicas=n_replicas,
-                heartbeat_interval_s=heartbeat_interval_s,
-                phi_threshold=phi_threshold,
+                n_replicas=config.n_replicas,
+                heartbeat_interval_s=config.heartbeat_interval_s,
+                phi_threshold=config.phi_threshold,
                 tracer=self.tracer,
                 replica_log_compact_threshold=(
                     config.replica_log_compact_threshold
@@ -238,13 +220,13 @@ class PlatformCluster:
             engine = self.storage.mount(
                 client=name,
                 faults=self.faults,
-                rpc_timeout_s=self._storage_rpc_timeout_s,
+                rpc_timeout_s=self.config.storage_rpc_timeout_s,
             )
         shard = MetaversePlatform(
-            n_executors=self.n_executors_per_shard,
-            buffer_pool_pages=self.buffer_pool_pages,
-            physical_priority=self.physical_priority,
-            txn_cost_s=self.txn_cost_s,
+            n_executors=self.config.n_executors_per_shard,
+            buffer_pool_pages=self.config.buffer_pool_pages,
+            physical_priority=self.config.physical_priority,
+            txn_cost_s=self.config.txn_cost_s,
             metrics=self.metrics,
             tracer=self.tracer,
             faults=self.faults,
@@ -352,9 +334,7 @@ class PlatformCluster:
                 if not admitted:
                     return
                 batch = batch.take(admitted)
-        owners: dict[str, list[int]] = {}
-        for i, key in enumerate(batch.keys):
-            owners.setdefault(self.router.owner_of(key), []).append(i)
+        owners = self.router.group(range(len(batch)), batch.keys.__getitem__)
         if self.failover is not None:
             records = batch.to_records()
             for name, rows in owners.items():
@@ -734,10 +714,7 @@ class PlatformCluster:
     # -- marketplace --------------------------------------------------------
 
     def load_catalog(self, records: list[DataRecord]) -> None:
-        by_shard: dict[str, list[DataRecord]] = {}
-        for record in records:
-            by_shard.setdefault(self.router.owner_of(record.key), []).append(record)
-        for name, batch in by_shard.items():
+        for name, batch in self.router.group(records, attrgetter("key")).items():
             self.shards[name].load_catalog(batch)
             if self.failover is not None:
                 for record in batch:
@@ -755,8 +732,9 @@ class PlatformCluster:
         per-product decision (who gets the last unit) is identical to the
         single-node run — asserted by experiment E24.
         """
+        physical_priority = self.config.physical_priority
         ordered = sorted(
-            requests, key=lambda r: purchase_sort_key(r, self.physical_priority)
+            requests, key=lambda r: purchase_sort_key(r, physical_priority)
         )
         # Salt-bucket routing: each request maps to the request that
         # actually executes (identity unless its product is salted).  The
@@ -772,46 +750,37 @@ class PlatformCluster:
                 self._route_purchase(request, reserved)
                 for request in ordered
             ]
-        by_shard: dict[str, list[PurchaseRequest]] = {}
-        for request in routed:
-            owner = self.router.owner_of(request.product_id)
-            by_shard.setdefault(owner, []).append(request)
-        outcome_streams: dict[str, list[PurchaseOutcome]] = {}
+
+        def run(name: str, batch: list[PurchaseRequest]) -> list[PurchaseOutcome]:
+            if self._is_down(name):
+                # Fail fast, never queue: a purchase against a crashed
+                # shard is rejected (and retriable by the shopper) —
+                # queuing it would risk double-execution at promotion.
+                self.metrics.counter(
+                    "cluster.failover.rejected_purchases"
+                ).inc(len(batch))
+                return [
+                    PurchaseOutcome(request, False, "shard down")
+                    for request in batch
+                ]
+            # presorted: each shard batch is an order-preserved
+            # subsequence of the globally sorted stream.
+            return self.shards[name].process_purchases(
+                batch, max_retries=max_retries, presorted=True
+            )
+
         with self.tracer.span("cluster.process_purchases", n=len(requests)):
-            for name, batch in by_shard.items():
-                if self._is_down(name):
-                    # Fail fast, never queue: a purchase against a crashed
-                    # shard is rejected (and retriable by the shopper) —
-                    # queuing it would risk double-execution at promotion.
-                    outcome_streams[name] = [
-                        PurchaseOutcome(request, False, "shard down")
-                        for request in batch
-                    ]
-                    self.metrics.counter(
-                        "cluster.failover.rejected_purchases"
-                    ).inc(len(batch))
-                    continue
-                # presorted: each shard batch is an order-preserved
-                # subsequence of the globally sorted stream.
-                outcome_streams[name] = self.shards[name].process_purchases(
-                    batch, max_retries=max_retries, presorted=True
-                )
-        # Re-interleave shard outcomes back into global order: each shard
-        # returns its subsequence in the same sort order, so a positional
-        # merge is exact.  Outcomes of salted requests are re-labelled
-        # with the shopper's original request — callers never see bucket
-        # keys.
-        cursor = {name: 0 for name in outcome_streams}
-        merged: list[PurchaseOutcome] = []
-        for original, request in zip(ordered, routed):
-            name = self.router.owner_of(request.product_id)
-            outcome = outcome_streams[name][cursor[name]]
-            cursor[name] += 1
-            if request is not original:
-                outcome = PurchaseOutcome(
-                    original, outcome.success, outcome.reason
-                )
-            merged.append(outcome)
+            merged = route_by_owner(
+                self.router.owner_of, routed, attrgetter("product_id"), run
+            )
+        if routed is not ordered:
+            # Outcomes of salted requests are re-labelled with the
+            # shopper's original request — callers never see bucket keys.
+            merged = [
+                outcome if request is original
+                else PurchaseOutcome(original, outcome.success, outcome.reason)
+                for original, request, outcome in zip(ordered, routed, merged)
+            ]
         self.metrics.counter("cluster.purchases_routed").inc(len(requests))
         self._refresh_purchase_gauges()
         return merged
@@ -942,9 +911,7 @@ class PlatformCluster:
             for i, bucket in enumerate(buckets):
                 bucket_value = dict(value)
                 bucket_value["stock"] = share + (1 if i < extra else 0)
-                self.shards[self.router.owner_of(bucket)].import_product(
-                    bucket, bucket_value
-                )
+                self.shard_of(bucket).import_product(bucket, bucket_value)
         self.metrics.counter("cluster.elasticity.salt_splits").inc()
         return buckets
 
@@ -964,14 +931,12 @@ class PlatformCluster:
                     if merged is None:
                         merged = dict(value)
             for bucket in buckets[1:]:
-                self.shards[self.router.owner_of(bucket)].drop_product(bucket)
+                self.shard_of(bucket).drop_product(bucket)
             self.router.unsalt_key(product_id)
             if merged is None:
                 merged = {}
             merged["stock"] = total
-            self.shards[self.router.owner_of(product_id)].import_product(
-                product_id, merged
-            )
+            self.shard_of(product_id).import_product(product_id, merged)
         self.metrics.counter("cluster.elasticity.salt_merges").inc()
         return total
 
@@ -1166,14 +1131,10 @@ class PlatformCluster:
         moved = 0
         with self.tracer.span("cluster.rebalance", draining=True):
             for key in departing.entity_keys():
-                self.shards[self.router.owner_of(key)].import_entity(
-                    key, departing.export_entity(key)
-                )
+                self.shard_of(key).import_entity(key, departing.export_entity(key))
                 moved += 1
             for product_id, value in departing.catalog_snapshot().items():
-                self.shards[self.router.owner_of(product_id)].import_product(
-                    product_id, value
-                )
+                self.shard_of(product_id).import_product(product_id, value)
                 moved += 1
         return moved
 
@@ -1210,11 +1171,7 @@ class PlatformCluster:
         if self.storage is not None:
             # One tier sweep instead of a per-shard keys() fan-out: count
             # how many tier keys each compute node currently owns.
-            owned_counts = {name: 0 for name in self.shards}
-            for key in self.storage.keys():
-                owner = self.router.owner_of(key)
-                if owner in owned_counts:
-                    owned_counts[owner] += 1
+            owned_counts = self.router.load_of(self.storage.keys())
             self.storage.refresh_gauges()
         for name, shard in self.shards.items():
             self.metrics.gauge(f"cluster.shard.{name}.entities").set(

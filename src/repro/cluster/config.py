@@ -1,14 +1,11 @@
 """Declarative cluster construction config.
 
-:class:`PlatformCluster` grew one keyword argument per feature (vnodes,
-replica failover, the disaggregated storage tier, ...) until call sites
-carried a dozen loose knobs.  :class:`ClusterConfig` folds the shape of
-the cluster — shard count, ring geometry, deadlines, failover and
-disaggregation settings — into one validated dataclass, leaving only the
-runtime collaborators (metrics registry, tracer, fault injector) as
-constructor arguments.  Cross-field rules live in :meth:`validate`
-instead of the constructor body, so a config can be checked (and its
-error surfaced) before any shard is built.
+:class:`ClusterConfig` folds the shape of a :class:`PlatformCluster` —
+shard count, deadlines, failover and disaggregation settings — into one
+validated dataclass, leaving only the runtime collaborators (metrics
+registry, tracer, fault injector) as constructor arguments.  Cross-field
+rules live in :meth:`validate` instead of the constructor body, so a
+config can be checked (and its error surfaced) before any shard is built.
 """
 
 from __future__ import annotations
@@ -109,16 +106,11 @@ class ElasticityConfig:
 
 @dataclass
 class ClusterConfig:
-    """Everything that decides a :class:`PlatformCluster`'s shape.
-
-    Field defaults are exactly the legacy keyword defaults, so
-    ``ClusterConfig()`` builds the same cluster as a bare
-    ``PlatformCluster()`` always did.
-    """
+    """Everything that decides a :class:`PlatformCluster`'s shape
+    (``PlatformCluster()`` builds ``ClusterConfig()``)."""
 
     n_shards: int = 4
     n_executors_per_shard: int = 4
-    vnodes: int = 64
     query_deadline_s: float = 0.25
     twopc_timeout_s: float = 5.0
     buffer_pool_pages: int = 256
@@ -128,14 +120,13 @@ class ClusterConfig:
     heartbeat_interval_s: float = 0.05
     phi_threshold: float = 8.0
     n_storage_nodes: int | None = None
-    storage_vnodes: int = 32
     storage_rpc_timeout_s: float = 0.05
     #: Compact replica op logs once a shard's primary copy exceeds this
     #: many entries (None disables compaction entirely).
     replica_log_compact_threshold: int | None = 4096
     #: Records per second each shard drains from its ingest queue per
-    #: tick (None = unbounded, the legacy behaviour: every buffered
-    #: record flushes immediately).  Setting it turns the per-shard
+    #: tick (None = unbounded: every buffered record flushes
+    #: immediately).  Setting it turns the per-shard
     #: buffers into real queues whose depth/wait the elasticity loop
     #: reads as its load signal.
     shard_drain_rate: float | None = None

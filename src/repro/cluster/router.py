@@ -1,37 +1,28 @@
-"""Consistent-hash routing of entities onto platform shards (paper Sec. IV).
+"""Routing of entities onto platform shards (paper Sec. IV).
 
 The paper's scale-out argument — "database sharding, workload
 partitioning" — needs a stable key → shard mapping that (a) spreads load
 evenly and (b) moves as few keys as possible when the shard set changes.
-:class:`ShardRouter` provides both by reusing the :class:`ChordRing` from
-the P2P overlay (the same ring :class:`~repro.storage.sharded.ShardedKVCluster`
-shards over), with each shard joining under ``vnodes`` virtual points so
-ownership arcs stay balanced even for small clusters.
-
-Properties the test tier holds the router to (``tests/test_cluster_ring.py``):
-
-* **balance** — over random key sets, the most loaded shard stays within a
-  small constant factor of the ideal ``keys / shards``;
-* **minimal movement** — when a shard joins, the only keys that change
-  owner are those the new shard now owns; when a shard leaves, the only
-  keys that change owner are those the departed shard used to own.
+:class:`ShardRouter` is the cluster's :class:`~repro.placement.Placement`
+(the vnode ring, its lookup memo and the replica walk all live there, as
+do the balance and minimal-movement properties
+``tests/test_cluster_ring.py`` holds every placement to); this module
+adds only what is router-specific: the ``cluster.router.*`` metrics and
+the hot-key salt map.
 """
 
 from __future__ import annotations
 
 from ..core.errors import ConfigurationError
 from ..core.metrics import MetricsRegistry
-from ..net.overlay import ChordRing
-
-#: Separator between a shard name and its virtual-node index on the ring.
-_VNODE_SEP = "#"
+from ..placement import Placement
 
 #: Separator between a salted key's base and its salt-bucket index.
 _SALT_SEP = "~s"
 
 
-class ShardRouter:
-    """Maps entity/region keys onto named shards via a vnode hash ring."""
+class ShardRouter(Placement):
+    """The :class:`Placement` of entity/region keys onto named shards."""
 
     def __init__(
         self,
@@ -39,24 +30,8 @@ class ShardRouter:
         vnodes: int = 64,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
-        self.vnodes = vnodes
+        super().__init__(vnodes=vnodes)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ring = ChordRing()
-        # A second, bare-name ring (no vnodes) fixes the replica-placement
-        # walk: each shard joins at exactly one point, so its ring
-        # successors are n-1 *other* shards — the holder set the failover
-        # layer replicates each shard's op log to.
-        self.replica_ring = ChordRing()
-        self._shards: list[str] = []
-        # key → owner memo.  A ring lookup is a sha256 + bisect per call
-        # and the hot paths (batch routing, purchase routing, owned-slice
-        # filters) ask about the same keys every tick; the memo makes the
-        # steady state a dict hit.  Any membership change invalidates it
-        # wholesale — correctness over cleverness.
-        self._owner_cache: dict[str, str] = {}
-        self._owner_cache_cap = 1 << 20
         # Hot-key salting (elasticity layer): base key → bucket count.
         # The router only keeps the map — splitting stock into buckets
         # and merging it back is the cluster's job (it owns the data
@@ -66,72 +41,30 @@ class ShardRouter:
         for name in shard_names or []:
             self.add_shard(name)
 
-    # -- membership ---------------------------------------------------------
+    # -- membership and routing, counted ------------------------------------
 
     def add_shard(self, name: str) -> None:
-        if _VNODE_SEP in name:
-            raise ConfigurationError(
-                f"shard name {name!r} may not contain {_VNODE_SEP!r}"
-            )
-        if name in self._shards:
-            raise ConfigurationError(f"duplicate shard {name!r}")
-        for i in range(self.vnodes):
-            self.ring.join(f"{name}{_VNODE_SEP}{i}")
-        self.replica_ring.join(name)
-        self._shards.append(name)
-        self._owner_cache.clear()
-        self.metrics.gauge("cluster.router.shards").set(len(self._shards))
+        self.add(name)
+        self.metrics.gauge("cluster.router.shards").set(len(self))
 
     def remove_shard(self, name: str) -> None:
-        if name not in self._shards:
-            raise ConfigurationError(f"unknown shard {name!r}")
-        for i in range(self.vnodes):
-            self.ring.leave(f"{name}{_VNODE_SEP}{i}")
-        self.replica_ring.leave(name)
-        self._shards.remove(name)
-        self._owner_cache.clear()
-        self.metrics.gauge("cluster.router.shards").set(len(self._shards))
+        self.remove(name)
+        self.metrics.gauge("cluster.router.shards").set(len(self))
 
     @property
     def shards(self) -> list[str]:
         """Shard names in registration order."""
-        return list(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._shards
-
-    # -- routing ------------------------------------------------------------
+        return self.names
 
     def owner_of(self, key: str) -> str:
-        """The shard owning ``key`` (the vnode arc it hashes into)."""
-        if not self._shards:
-            raise ConfigurationError("router has no shards")
+        """The shard owning ``key``; every answered lookup is counted."""
+        owner = Placement.owner_of(self, key)
         self.metrics.counter("cluster.router.lookups").inc()
-        owner = self._owner_cache.get(key)
-        if owner is None:
-            if len(self._owner_cache) >= self._owner_cache_cap:
-                self._owner_cache.clear()
-            owner = self.ring.owner_of(key).split(_VNODE_SEP, 1)[0]
-            self._owner_cache[key] = owner
         return owner
-
-    def replica_holders(self, name: str, n: int) -> list[str]:
-        """The ``n`` distinct shards holding copies of ``name``'s op log:
-        the shard itself plus its clockwise successors on the bare-name
-        ring (:meth:`~repro.net.overlay.ChordRing.successors`)."""
-        if name not in self._shards:
-            raise ConfigurationError(f"unknown shard {name!r}")
-        return self.replica_ring.successors(name, n)
 
     def group_by_shard(self, keys: list[str]) -> dict[str, list[str]]:
         """Partition ``keys`` by owning shard (input order preserved)."""
-        out: dict[str, list[str]] = {}
-        for key in keys:
-            out.setdefault(self.owner_of(key), []).append(key)
-        return out
+        return self.group(keys)
 
     # -- hot-key salting ----------------------------------------------------
 
@@ -190,10 +123,3 @@ class ShardRouter:
         if sep and tail.isdigit():
             return base
         return key
-
-    def load_of(self, keys: list[str]) -> dict[str, int]:
-        """Keys per shard for balance introspection (all shards listed)."""
-        counts = {name: 0 for name in self._shards}
-        for key in keys:
-            counts[self.owner_of(key)] += 1
-        return counts

@@ -37,11 +37,11 @@ anti-entropy until every copy reconverges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..api.dataplane import GatherResult
 from ..cluster.cluster import PlatformCluster
 from ..cluster.config import ClusterConfig
-from ..cluster.router import ShardRouter
 from ..core.clock import EventScheduler
 from ..core.errors import (
     CircuitOpenError,
@@ -56,6 +56,7 @@ from ..core.metrics import MetricsRegistry
 from ..core.records import DataRecord
 from ..net.simnet import Link, Message, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
+from ..placement import Placement, group_by_owner, route_by_owner
 from ..platform.platform import (
     PurchaseOutcome,
     purchase_sort_key,
@@ -103,7 +104,6 @@ class GeoConfig:
 
     regions: tuple[str, ...] = ("us-east", "eu-west", "ap-south")
     cluster: ClusterConfig | None = None
-    region_vnodes: int = 32
     default_wan_latency_s: float = 0.04
     wan_latencies_s: dict = field(default_factory=dict)
     wan_bandwidth_bps: float = 2e8
@@ -155,8 +155,6 @@ class GeoConfig:
             raise ConfigurationError("antientropy_interval_s must be positive")
         if self.compact_threshold is not None and self.compact_threshold < 2:
             raise ConfigurationError("compact_threshold must be >= 2 (or None)")
-        if self.region_vnodes < 1:
-            raise ConfigurationError("region_vnodes must be >= 1")
         if self.cluster is not None:
             self.cluster.validate()
             if self.cluster.elasticity is not None:
@@ -229,10 +227,10 @@ class GeoDeployment:
             if self.config.cluster is not None
             else ClusterConfig(n_shards=2, n_executors_per_shard=2)
         )
-        self._ring = ShardRouter(vnodes=self.config.region_vnodes, metrics=self.metrics)
+        # 32 vnodes/region: home assignment, hence every geo artifact, rides on it.
+        self._ring = Placement(self.config.regions, vnodes=32)
         self._clusters: dict[str, PlatformCluster] = {}
         for name in self.config.regions:
-            self._ring.add_shard(name)
             self.wan.add_node(self._node(name)).on("geo.repl", self._on_repl)
             # Every region cluster gets the *geo* registry/tracer: the
             # cluster constructor rebinds faults.metrics to whatever it is
@@ -551,13 +549,10 @@ class GeoDeployment:
         return [self.write_record(r, region=region, session=session) for r in records]
 
     def load_catalog(self, records: list[DataRecord]) -> None:
-        by_home: dict[str, list[DataRecord]] = {}
-        for record in records:
-            by_home.setdefault(self.home_of(record.key), []).append(record)
-        for home in sorted(by_home):
+        by_home = group_by_owner(self.home_of, records, attrgetter("key"))
+        for home, batch in sorted(by_home.items()):
             if home in self._down:
                 raise NetworkError(f"cannot load catalog: region {home!r} is down")
-            batch = by_home[home]
             self._clusters[home].load_catalog(batch)
             for record in batch:
                 self._replicate(home, product_op(record.key, record.payload))
@@ -576,34 +571,26 @@ class GeoDeployment:
         """
         if not requests:
             return []
-        physical_priority = self._clusters[self.config.regions[0]].physical_priority
-        ordered = sorted(
-            requests, key=lambda r: purchase_sort_key(r, physical_priority)
-        )
-        by_home: dict[str, list[PurchaseRequest]] = {}
-        for request in ordered:
-            by_home.setdefault(self.home_of(request.product_id), []).append(request)
-        outcome_streams: dict[str, list[PurchaseOutcome]] = {}
-        for home in sorted(by_home):
-            batch = by_home[home]
+        priority = self._clusters[self.config.regions[0]].config.physical_priority
+        ordered = sorted(requests, key=lambda r: purchase_sort_key(r, priority))
+
+        def run(home: str, batch: list[PurchaseRequest]) -> list[PurchaseOutcome]:
             if home in self._down:
-                outcome_streams[home] = [
-                    PurchaseOutcome(request, False, f"region down: {home}")
-                    for request in batch
-                ]
                 self.metrics.counter("geo.purchases.rejected_region_down").inc(
                     len(batch)
                 )
-                continue
-            outcome_streams[home] = self._clusters[home].process_purchases(
+                return [
+                    PurchaseOutcome(request, False, f"region down: {home}")
+                    for request in batch
+                ]
+            return self._clusters[home].process_purchases(
                 batch, max_retries=max_retries
             )
-        cursor = {home: 0 for home in outcome_streams}
-        merged: list[PurchaseOutcome] = []
-        for request in ordered:
-            home = self.home_of(request.product_id)
-            merged.append(outcome_streams[home][cursor[home]])
-            cursor[home] += 1
+
+        merged = route_by_owner(
+            self.home_of, ordered, attrgetter("product_id"), run,
+            sorted_owners=True,
+        )
         self.metrics.counter("geo.purchases").inc(len(requests))
         return merged
 
@@ -730,12 +717,12 @@ class GeoDeployment:
             value = src._committed_product(key)
             if value is None:
                 raise KeyNotFoundError(key)
-            dst.shards[dst.router.owner_of(key)].import_product(key, dict(value))
+            dst.shard_of(key).import_product(key, dict(value))
             self._home_override[key] = to_region
             self._replicate(to_region, product_op(key, value))
         else:
-            value = src.shards[src.router.owner_of(key)].export_entity(key)
-            dst.shards[dst.router.owner_of(key)].import_entity(key, value)
+            value = src.shard_of(key).export_entity(key)
+            dst.shard_of(key).import_entity(key, value)
             self._home_override[key] = to_region
             self._replicate(to_region, entity_op(key, value))
         # The old home keeps its copy as a plain replica; ops still in its

@@ -93,8 +93,9 @@ class ChordRing:
     def successors(self, key: str, n: int) -> list[str]:
         """The ``n`` distinct peers reached by walking clockwise from the
         owner of ``key`` — the replica-placement walk shared by
-        :class:`~repro.storage.sharded.ShardedKVCluster` and the cluster
-        router's vnode rings.  Raises when the ring holds fewer than ``n``
+        :class:`~repro.storage.sharded.ShardedKVCluster` and
+        :meth:`repro.placement.Placement.replica_holders` (on its
+        bare-name ring).  Raises when the ring holds fewer than ``n``
         distinct peers.
         """
         if n < 1:

@@ -526,10 +526,7 @@ class MetaversePlatform:
 
     def load_catalog(self, records: list[DataRecord]) -> None:
         for record in records:
-            txn = self.txn.begin()
-            txn.write(record.key, dict(record.payload))
-            self.txn.commit(txn)
-            self._persist_product(record.key, dict(record.payload))
+            self.import_product(record.key, record.payload)
 
     # -- product write-through / hydration ----------------------------------
     #
@@ -545,19 +542,7 @@ class MetaversePlatform:
         budget is parked dirty and re-flushed on the next persist."""
         self._dirty_products[product_id] = value
         self._dirty_products.move_to_end(product_id)
-        for pid in list(self._dirty_products):
-            pending = self._dirty_products[pid]
-            try:
-                if pending is None:
-                    self._with_retry(lambda p=pid: self.engine.delete_product(p))
-                else:
-                    self._with_retry(
-                        lambda p=pid, v=pending: self.engine.put_product(p, v)
-                    )
-            except FaultInjectedError:
-                self.metrics.counter("platform.product_persist_deferred").inc()
-                return
-            del self._dirty_products[pid]
+        self.flush_dirty_products()
 
     def _hydrate_product(self, product_id: str) -> dict | None:
         """Pull a product the compute cache has never seen (or dropped)
@@ -601,10 +586,11 @@ class MetaversePlatform:
         """Re-drive deferred product write-throughs; returns how many are
         still dirty afterwards.
 
-        Called before :meth:`reset_caches` on a stateless-compute remap:
-        the MVCC cache about to be dropped may be the only holder of
-        committed stock the storage tier missed (write-through parked on
-        a fault), and the next owner hydrates from the tier.  A write
+        Every :meth:`_persist_product` drains through here, and so does a
+        stateless-compute remap before :meth:`reset_caches`: the MVCC
+        cache about to be dropped may be the only holder of committed
+        stock the storage tier missed (write-through parked on a fault),
+        and the next owner hydrates from the tier.  A write
         still failing past the retry budget leaves its entry parked and
         stops the sweep (the fault has not cleared; later entries would
         fail the same way).

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.clock import EventScheduler, SimulationClock
 from ..core.errors import (
@@ -45,18 +46,15 @@ from ..core.errors import (
     PartitionedError,
 )
 from ..core.metrics import MetricsRegistry
-from ..net.overlay import ChordRing
 from ..net.simnet import Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
+from ..placement import Placement
 from .kv import KVStore
 from .objectstore import ObjectRef, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
     from ..resilience.policies import CircuitBreaker, RetryPolicy
-
-#: Separator between a storage-node name and its vnode index on the ring.
-_VNODE_SEP = "#"
 
 
 def _approx_size(value: object) -> int:
@@ -283,12 +281,13 @@ class StorageTier:
     """M storage nodes behind a consistent-hash ring, mountable by any
     number of compute nodes.
 
-    The ring (vnode-balanced, same construction as the cluster's
-    :class:`~repro.cluster.router.ShardRouter`) maps every entity key,
-    product id, and object name to its owning node *independently of
-    compute membership* — which is precisely what makes compute remaps
-    free.  The tier's :class:`~repro.net.simnet.SimulatedNetwork` models
-    the compute↔storage links: per-op latency, partitions, and
+    A :class:`~repro.placement.Placement` of its own (the construction
+    the cluster's :class:`~repro.cluster.router.ShardRouter` is built on)
+    maps every entity key, product id, and object name to its owning node
+    *independently of compute membership* — which is precisely what makes
+    compute remaps free.  Tier membership is fixed at construction.
+    The tier's :class:`~repro.net.simnet.SimulatedNetwork` models the
+    compute↔storage links: per-op latency, partitions, and
     bandwidth-proportional serialization delay.
     """
 
@@ -308,10 +307,7 @@ class StorageTier:
         ]
         if not names:
             raise ConfigurationError("storage tier needs at least one node")
-        if len(set(names)) != len(names):
-            raise ConfigurationError("duplicate storage node names")
-        if vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
+        self.placement = Placement(names, vnodes=vnodes)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.clock = clock if clock is not None else SimulationClock()
@@ -322,29 +318,14 @@ class StorageTier:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.vnodes = vnodes
-        self.ring = ChordRing()
         self.nodes: dict[str, StorageNode] = {}
         for name in names:
-            if _VNODE_SEP in name:
-                raise ConfigurationError(
-                    f"storage node name {name!r} may not contain {_VNODE_SEP!r}"
-                )
             self.nodes[name] = StorageNode(
                 name, metrics=self.metrics, tracer=self.tracer,
                 engine_factory=engine_factory,
             )
             self.net.add_node(name)
-            for i in range(vnodes):
-                self.ring.join(f"{name}{_VNODE_SEP}{i}")
         self._mounts = 0
-        # Key -> node-name routing cache.  Tier membership is fixed at
-        # construction, so entries never invalidate; the cap only bounds
-        # memory under adversarial key churn.  Saves a sha256 + bisect
-        # per RPC — measurable on the coalesced batch path, dominant on
-        # the per-key one.
-        self._owner_cache: dict[str, str] = {}
-        self._owner_cache_cap = 1 << 20
         self.metrics.gauge("storage.tier.nodes").set(float(len(self.nodes)))
 
     def __len__(self) -> int:
@@ -356,21 +337,18 @@ class StorageTier:
 
     def node_of(self, key: str) -> StorageNode:
         """The storage node owning ``key`` (compute-membership-independent)."""
-        name = self._owner_cache.get(key)
-        if name is None:
-            name = self.ring.owner_of(key).split(_VNODE_SEP, 1)[0]
-            if len(self._owner_cache) >= self._owner_cache_cap:
-                self._owner_cache.clear()
-            self._owner_cache[key] = name
-        return self.nodes[name]
+        return self.nodes[self.placement.owner_of(key)]
 
-    def group_by_node(self, keys: Iterable[str]) -> "dict[StorageNode, list[str]]":
-        """Partition ``keys`` by owning node (input order preserved,
-        nodes in first-appearance order) — the coalescing primitive."""
-        grouped: dict[StorageNode, list[str]] = {}
-        for key in keys:
-            grouped.setdefault(self.node_of(key), []).append(key)
-        return grouped
+    def group_by_node(
+        self, items: Iterable, key: Callable | None = None
+    ) -> "dict[StorageNode, list]":
+        """Partition keys — or ``items`` carrying one under ``key(item)`` —
+        by owning node (input order preserved, nodes in first-appearance
+        order) — the coalescing primitive."""
+        return {
+            self.nodes[name]: part
+            for name, part in self.placement.group(items, key).items()
+        }
 
     def mget(self, keys: Iterable[str]) -> dict[str, object]:
         """Server-side bulk read across nodes (audits and invariants;
@@ -380,14 +358,6 @@ class StorageTier:
         for node, node_keys in self.group_by_node(keys).items():
             merged.update(node.execute("mget", node_keys))
         return merged
-
-    def mput(self, items: "list[tuple[str, object]]") -> None:
-        """Server-side bulk write across nodes (mirror of :meth:`mget`)."""
-        grouped: dict[StorageNode, list[tuple[str, object]]] = {}
-        for key, value in items:
-            grouped.setdefault(self.node_of(key), []).append((key, value))
-        for node, node_items in grouped.items():
-            node.execute("mput", node_items)
 
     def mount(
         self,
@@ -446,7 +416,7 @@ class StorageTier:
     def describe(self) -> dict:
         return {
             "nodes": self.node_names,
-            "vnodes": self.vnodes,
+            "vnodes": self.placement.vnodes,
             "mounts": self._mounts,
             "entities": len(self.keys()),
         }
@@ -562,6 +532,13 @@ class RemoteStorageEngine(StorageEngine):
         )
         return result
 
+    def _rpc_to_owner(self, op: str, key: str, payload_size: int, *args):
+        """One ``op(key, *args)`` RPC to the node owning ``key``; the
+        request carries the key plus ``payload_size`` bytes."""
+        return self._rpc(
+            self.tier.node_of(key), op, len(key) + payload_size, key, *args
+        )
+
     def _fan_out(self, op: str, request_size: int, *args) -> list:
         """Run ``op`` against every node (scans have no single owner)."""
         return [
@@ -572,16 +549,13 @@ class RemoteStorageEngine(StorageEngine):
     # -- entities -----------------------------------------------------------
 
     def get(self, key: str) -> object:
-        return self._rpc(self.tier.node_of(key), "get", len(key), key)
+        return self._rpc_to_owner("get", key, 0)
 
     def put(self, key: str, value: object) -> None:
-        self._rpc(
-            self.tier.node_of(key), "put",
-            len(key) + _approx_size(value), key, value,
-        )
+        self._rpc_to_owner("put", key, _approx_size(value), value)
 
     def delete(self, key: str) -> None:
-        self._rpc(self.tier.node_of(key), "delete", len(key), key)
+        self._rpc_to_owner("delete", key, 0)
 
     def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
         merged: list[tuple[str, object]] = []
@@ -612,9 +586,7 @@ class RemoteStorageEngine(StorageEngine):
         return merged
 
     def mput(self, items: "list[tuple[str, object]]") -> None:
-        grouped: dict[StorageNode, list[tuple[str, object]]] = {}
-        for key, value in items:
-            grouped.setdefault(self.tier.node_of(key), []).append((key, value))
+        grouped = self.tier.group_by_node(items, itemgetter(0))
         for node, node_items in grouped.items():
             request_size = sum(
                 len(key) for key, _ in node_items
@@ -624,22 +596,13 @@ class RemoteStorageEngine(StorageEngine):
     # -- products -----------------------------------------------------------
 
     def put_product(self, product_id: str, value: dict) -> None:
-        self._rpc(
-            self.tier.node_of(product_id), "put_product",
-            len(product_id) + _approx_size(value), product_id, value,
-        )
+        self._rpc_to_owner("put_product", product_id, _approx_size(value), value)
 
     def get_product(self, product_id: str) -> dict | None:
-        return self._rpc(
-            self.tier.node_of(product_id), "get_product",
-            len(product_id), product_id,
-        )
+        return self._rpc_to_owner("get_product", product_id, 0)
 
     def delete_product(self, product_id: str) -> None:
-        self._rpc(
-            self.tier.node_of(product_id), "delete_product",
-            len(product_id), product_id,
-        )
+        self._rpc_to_owner("delete_product", product_id, 0)
 
     def products(self) -> dict[str, dict]:
         merged: dict[str, dict] = {}
@@ -652,15 +615,10 @@ class RemoteStorageEngine(StorageEngine):
     def put_object(
         self, name: str, data: bytes, metadata: dict[str, str] | None = None
     ) -> ObjectRef:
-        return self._rpc(
-            self.tier.node_of(name), "put_object",
-            len(name) + len(data), name, data, metadata,
-        )
+        return self._rpc_to_owner("put_object", name, len(data), data, metadata)
 
     def get_object(self, name: str, version: int | None = None) -> bytes:
-        return self._rpc(
-            self.tier.node_of(name), "get_object", len(name), name, version
-        )
+        return self._rpc_to_owner("get_object", name, 0, version)
 
     # -- introspection ------------------------------------------------------
 

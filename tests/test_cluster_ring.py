@@ -1,7 +1,9 @@
-"""Property tests for the consistent-hash shard router (repro.cluster).
+"""Property tests for consistent-hash placement (repro.placement).
 
 The two properties the scale-out story rests on, checked over
-Hypothesis-generated key populations and shard sets:
+Hypothesis-generated key populations and owner sets, at both vnode
+counts in use (64: the shard router; 32: the storage tier and the geo
+region ring — all three are one :class:`Placement` construction):
 
 * **balance** — the most loaded shard stays within a constant factor of
   the ideal ``keys / shards`` (vnodes smooth the ownership arcs);
@@ -10,6 +12,8 @@ Hypothesis-generated key populations and shard sets:
   shard; on leave, only the departed shard's keys move.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,108 +21,120 @@ from hypothesis import strategies as st
 from repro.core import ConfigurationError
 from repro.net.overlay import ChordRing
 from repro.cluster import ShardRouter
+from repro.placement import Placement
+from repro.storage.engine import StorageTier
 
 pytestmark = pytest.mark.cluster
 
 N_KEYS = 1000
 #: Empirical worst over 200 key populations x {2,4,8} shards is 1.34x the
-#: ideal share at 64 vnodes; 1.75x gives slack without hiding regressions
-#: (a vnode-less ring blows past 2x routinely).
+#: ideal share at 64 vnodes (1.58x over every salt at 32); 1.75x gives
+#: slack without hiding regressions (a vnode-less ring blows past 2x
+#: routinely).
 BALANCE_BOUND = 1.75
 
 salts = st.integers(min_value=0, max_value=10_000)
 shard_counts = st.sampled_from([2, 4, 8])
+vnode_counts = st.sampled_from([64, 32])
 
 
 def make_keys(salt, n=N_KEYS):
     return [f"key-{salt}-{i}" for i in range(n)]
 
 
-def make_router(n_shards, vnodes=64):
-    return ShardRouter([f"s{i}" for i in range(n_shards)], vnodes=vnodes)
+def make_placement(n_owners, vnodes=64):
+    return Placement([f"s{i}" for i in range(n_owners)], vnodes=vnodes)
 
 
 class TestBalance:
     @settings(max_examples=40, deadline=None)
-    @given(salt=salts, n_shards=shard_counts)
-    def test_max_load_within_bound(self, salt, n_shards):
-        router = make_router(n_shards)
-        load = router.load_of(make_keys(salt))
+    @given(salt=salts, n_shards=shard_counts, vnodes=vnode_counts)
+    def test_max_load_within_bound(self, salt, n_shards, vnodes):
+        load = make_placement(n_shards, vnodes).load_of(make_keys(salt))
         assert sum(load.values()) == N_KEYS
         assert max(load.values()) <= BALANCE_BOUND * (N_KEYS / n_shards)
 
     @settings(max_examples=20, deadline=None)
-    @given(salt=salts)
-    def test_every_shard_owns_some_keys(self, salt):
-        load = make_router(4).load_of(make_keys(salt))
+    @given(salt=salts, vnodes=vnode_counts)
+    def test_every_shard_owns_some_keys(self, salt, vnodes):
+        load = make_placement(4, vnodes).load_of(make_keys(salt))
         assert all(count > 0 for count in load.values())
 
     def test_more_vnodes_never_worsen_the_probed_worst_case(self):
         """The bound above was probed at 64 vnodes; 256 stays under it."""
-        load = make_router(4, vnodes=256).load_of(make_keys(0))
+        load = make_placement(4, vnodes=256).load_of(make_keys(0))
         assert max(load.values()) <= BALANCE_BOUND * (N_KEYS / 4)
 
 
 class TestMinimalMovement:
     @settings(max_examples=40, deadline=None)
-    @given(salt=salts, n_shards=shard_counts)
-    def test_join_moves_keys_only_onto_the_new_shard(self, salt, n_shards):
-        router = make_router(n_shards)
+    @given(salt=salts, n_shards=shard_counts, vnodes=vnode_counts)
+    def test_join_moves_keys_only_onto_the_new_shard(self, salt, n_shards, vnodes):
+        placement = make_placement(n_shards, vnodes)
         keys = make_keys(salt)
-        before = {key: router.owner_of(key) for key in keys}
-        router.add_shard("joiner")
+        before = {key: placement.owner_of(key) for key in keys}
+        placement.add("joiner")
         for key in keys:
-            after = router.owner_of(key)
+            after = placement.owner_of(key)
             if after != before[key]:
                 assert after == "joiner"  # nothing reshuffles between old shards
 
     @settings(max_examples=40, deadline=None)
-    @given(salt=salts, n_shards=shard_counts)
-    def test_leave_moves_only_the_departed_shards_keys(self, salt, n_shards):
-        router = make_router(n_shards + 1)
+    @given(salt=salts, n_shards=shard_counts, vnodes=vnode_counts)
+    def test_leave_moves_only_the_departed_shards_keys(self, salt, n_shards, vnodes):
+        placement = make_placement(n_shards + 1, vnodes)
         keys = make_keys(salt)
-        before = {key: router.owner_of(key) for key in keys}
-        departed = router.shards[-1]
-        router.remove_shard(departed)
+        before = {key: placement.owner_of(key) for key in keys}
+        departed = placement.names[-1]
+        placement.remove(departed)
         for key in keys:
             if before[key] == departed:
-                assert router.owner_of(key) != departed
+                assert placement.owner_of(key) != departed
             else:
-                assert router.owner_of(key) == before[key]
+                assert placement.owner_of(key) == before[key]
 
     @settings(max_examples=25, deadline=None)
-    @given(salt=salts)
-    def test_join_movement_fraction_is_near_ideal(self, salt):
+    @given(salt=salts, vnodes=vnode_counts)
+    def test_join_movement_fraction_is_near_ideal(self, salt, vnodes):
         """Joining the 5th shard should move ~1/5 of the keys, never the
         ~4/5 a naive ``hash(key) % n`` remap would."""
-        router = make_router(4)
+        placement = make_placement(4, vnodes)
         keys = make_keys(salt)
-        before = {key: router.owner_of(key) for key in keys}
-        router.add_shard("joiner")
-        moved = sum(1 for key in keys if router.owner_of(key) != before[key])
+        before = {key: placement.owner_of(key) for key in keys}
+        placement.add("joiner")
+        moved = sum(1 for key in keys if placement.owner_of(key) != before[key])
         assert moved <= 2 * (N_KEYS / 5)
 
     @settings(max_examples=25, deadline=None)
-    @given(salt=salts)
-    def test_leave_then_rejoin_restores_the_mapping(self, salt):
-        router = make_router(4)
+    @given(salt=salts, vnodes=vnode_counts)
+    def test_leave_then_rejoin_restores_the_mapping(self, salt, vnodes):
+        placement = make_placement(4, vnodes)
         keys = make_keys(salt)
-        before = {key: router.owner_of(key) for key in keys}
-        router.remove_shard("s3")
-        router.add_shard("s3")
-        assert {key: router.owner_of(key) for key in keys} == before
+        before = {key: placement.owner_of(key) for key in keys}
+        placement.remove("s3")
+        placement.add("s3")
+        assert {key: placement.owner_of(key) for key in keys} == before
 
 
 class TestDeterminismAndMembership:
     @settings(max_examples=20, deadline=None)
-    @given(salt=salts, n_shards=shard_counts)
-    def test_independent_routers_agree(self, salt, n_shards):
-        a, b = make_router(n_shards), make_router(n_shards)
+    @given(salt=salts, n_shards=shard_counts, vnodes=vnode_counts)
+    def test_independent_routers_agree(self, salt, n_shards, vnodes):
+        a, b = make_placement(n_shards, vnodes), make_placement(n_shards, vnodes)
         for key in make_keys(salt, n=100):
             assert a.owner_of(key) == b.owner_of(key)
 
+    @pytest.mark.parametrize("vnodes", [64, 32])
+    def test_router_tier_and_bare_placement_share_one_construction(self, vnodes):
+        names = [f"s{i}" for i in range(4)]
+        bare = Placement(names, vnodes=vnodes)
+        router = ShardRouter(names, vnodes=vnodes)
+        tier = StorageTier(node_names=names, vnodes=vnodes)
+        for key in make_keys(0):
+            assert router.owner_of(key) == tier.node_of(key).name == bare.owner_of(key)
+
     def test_group_by_shard_partitions_and_preserves_order(self):
-        router = make_router(4)
+        router = ShardRouter([f"s{i}" for i in range(4)])
         keys = make_keys(0, n=200)
         groups = router.group_by_shard(keys)
         assert sorted(k for batch in groups.values() for k in batch) == sorted(keys)
@@ -126,26 +142,55 @@ class TestDeterminismAndMembership:
             assert batch == sorted(batch, key=keys.index)
 
     def test_membership_errors(self):
-        router = make_router(2)
+        for vnodes in (64, 32):
+            placement = make_placement(2, vnodes)
+            with pytest.raises(ConfigurationError):
+                placement.add("s0")  # duplicate
+            with pytest.raises(ConfigurationError):
+                placement.add("bad#name")  # vnode separator reserved
+            with pytest.raises(ConfigurationError):
+                placement.remove("nope")
+            assert "s0" in placement and "nope" not in placement
+            assert len(placement) == 2
+        router = ShardRouter(["s0", "s1"])
         with pytest.raises(ConfigurationError):
-            router.add_shard("s0")  # duplicate
-        with pytest.raises(ConfigurationError):
-            router.add_shard("bad#name")  # vnode separator reserved
+            router.add_shard("s0")
         with pytest.raises(ConfigurationError):
             router.remove_shard("nope")
         with pytest.raises(ConfigurationError):
             ShardRouter(vnodes=0)
         with pytest.raises(ConfigurationError):
             ShardRouter().owner_of("key")  # no shards yet
-        assert "s0" in router and "nope" not in router
-        assert len(router) == 2
+        assert router.metrics.gauge("cluster.router.shards").value == 2
 
     def test_lookup_and_shard_count_metrics(self):
-        router = make_router(3)
+        router = ShardRouter([f"s{i}" for i in range(3)])
         for key in make_keys(0, n=10):
             router.owner_of(key)
         assert router.metrics.counter("cluster.router.lookups").value == 10
         assert router.metrics.gauge("cluster.router.shards").value == 3
+
+
+class TestOneConstruction:
+    """No module grows a private vnode ring or owner memo again."""
+
+    #: The two standalone Chord paper exhibits keep their own bare ring.
+    CHORD_EXHIBITS = {"storage/sharded.py", "net/p2p_pubsub.py"}
+
+    def test_only_placement_builds_rings_and_memos(self):
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            text = path.read_text()
+            if name != "placement.py" and (
+                "_VNODE_SEP" in text
+                or "_owner_cache" in text
+                or ("ChordRing(" in text and name not in self.CHORD_EXHIBITS)
+            ):
+                offenders.append(name)
+        assert offenders == []
+        assert "ShardRouter" not in (root / "geo" / "deployment.py").read_text()
 
 
 class TestRingSuccessors:

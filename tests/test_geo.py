@@ -102,6 +102,14 @@ class TestConstruction:
         assert homes_a == [geo_b.home_of(k) for k in keys]
         assert set(homes_a) <= set(REGIONS)
 
+    def test_region_ring_writes_no_shard_router_metrics(self):
+        geo = make_geo()
+        for i in range(100):
+            geo.home_of(f"player-{i:04d}")
+        assert geo.metrics.counter("cluster.router.lookups").value == 0
+        # Set by the region clusters' routers only (2 shards each).
+        assert geo.metrics.gauge("cluster.router.shards").value == 2
+
     def test_unknown_client_region_rejected(self):
         geo = make_geo()
         with pytest.raises(ConfigurationError):
