@@ -421,6 +421,23 @@ def test_e29_is_deterministic():
 # -- reporting ----------------------------------------------------------------
 
 
+#: Regression gates for ``check_regression.py`` (kinds documented there).
+GATES = [
+    # Scaling may never change a purchase outcome, salting may never lose
+    # stock, shedding may never drop a physical-space record.
+    ("flag", "*.identical"),
+    ("flag", "*.conserved"),
+    ("flag", "*_ok"),
+    # Simulated-clock ratios against static provisioning: host-independent,
+    # so gated on the suite's absolute bounds, not a band round the baseline.
+    ("floor", "spike.attainment_ratio", "meta:attainment_min"),
+    ("ceiling", "diurnal.node_hours_ratio", "meta:node_hours_max"),
+    # The controller must still exercise its full range on the spike.
+    ("floor", "spike.elastic_max_shards", "baseline"),
+    ("floor", "purchases.scale_outs", "baseline"),
+]
+
+
 def bench_payload(scaling, purchases, salting, admission, smoke):
     """The BENCH_e29.json document: deterministic gates separated from
     wall-clock readings so the committed baseline diffs cleanly."""

@@ -481,6 +481,21 @@ def test_e30_is_deterministic():
 # -- reporting ----------------------------------------------------------------
 
 
+#: Regression gates for ``check_regression.py`` (kinds documented there).
+GATES = [
+    # A region kill or WAN partition may never lose a committed unit of
+    # stock, leave replicas diverged, or hang a linearizable read.
+    ("flag", "*.conserved"),
+    ("flag", "*_ok"),
+    # Simulated-clock time: gated on the suite's absolute deadline bound.
+    ("ceiling", "partition.failfast_latency_s", "meta:failfast_bound_s"),
+    # The partition must still be load-bearing: lag and staleness peaked.
+    ("positive", "partition.lag_peak"),
+    ("positive", "partition.staleness_peak_s"),
+    ("positive", "kill.rejected_failfast"),
+]
+
+
 def bench_payload(consistency, kill, partition, rehome, smoke):
     """The BENCH_e30.json document: deterministic gates separated from
     wall-clock readings so the committed baseline diffs cleanly."""

@@ -356,6 +356,18 @@ def collect(smoke=False):
     return macro, storage, fusion, query, purchase, rpcs
 
 
+#: Regression gates for ``check_regression.py`` (kinds documented there).
+GATES = [
+    # A fast-but-wrong hot path is a regression, not an optimisation.
+    ("flag", "*.identical"),
+    # O(nodes) round trips is a property, not a measurement.
+    ("ceiling", "storage.rpcs_coalesced", "baseline"),
+    # Columnar-vs-per-record on the same machine and run, so the ratio
+    # transfers across hosts where raw ops/sec would not.
+    ("ratio-vs-baseline", "*.speedup_wall"),
+]
+
+
 def bench_payload(macro, storage, fusion, query, purchase, rpcs, smoke):
     """The BENCH_e27.json document: deterministic gates separated from
     wall-clock readings so the committed baseline diffs cleanly."""

@@ -377,6 +377,23 @@ def test_e28_is_deterministic():
 # -- reporting ----------------------------------------------------------------
 
 
+#: Regression gates for ``check_regression.py`` (kinds documented there).
+GATES = [
+    # Checkpointing, compaction and tiering may never lose a committed
+    # unit or corrupt a value.
+    ("flag", "*.identical"),
+    ("flag", "*.conserved*"),
+    ("flag", "*_ok"),
+    # Replay work is a count of entries (snapshot + suffix, or folded
+    # during promotion): host-independent, and growing it means recovery
+    # cost crept back toward history size.  The recovery wall-clock ratio
+    # is two ~1.5 ms timings; it is printed, not gated.
+    ("ceiling", "recovery.snapshot_entries", "baseline"),
+    ("ceiling", "recovery.wal_entries", "baseline"),
+    ("ceiling", "failover.promotion_replayed_grown", "baseline"),
+]
+
+
 def bench_payload(recovery, failover, tier, smoke):
     """The BENCH_e28.json document: deterministic gates separated from
     wall-clock readings so the committed baseline diffs cleanly."""

@@ -229,6 +229,18 @@ def test_e31_is_deterministic():
 # -- reporting ----------------------------------------------------------------
 
 
+#: Regression gates for ``check_regression.py`` (kinds documented there).
+GATES = [
+    # ``monotone_scaleout_ok``: build makespan still shrinks with shards.
+    ("flag", "*_ok"),
+    # A shard-dependent top-k is a correctness regression.
+    ("flag", "identical_1v*"),
+    # Counts over seeded streams, host-independent: absolute floors.
+    ("floor", "recall_at_10", "meta:recall_floor"),
+    ("floor", "speedup_evals", "meta:speedup_floor"),
+]
+
+
 def bench_payload(out, smoke):
     """The BENCH_e31.json document: deterministic gates separated from
     wall-clock readings so the committed baseline diffs cleanly."""

@@ -5,69 +5,21 @@ Usage:  python benchmarks/check_regression.py [--suite {e27,e28,e29,e30,e31,all}
                                               [--tolerance 0.2]
 
 Re-measures each selected suite (or loads ``--current`` if given, valid
-only with a single ``--suite``) and compares it against the committed
-baseline at the repo root.
+only with a single ``--suite``) and checks it against the committed
+``BENCH_<suite>.json`` with the gates the suite's ``bench_*.py`` exports
+as ``GATES``: ``(kind, name-glob[, bound])`` tuples, each with its reason
+beside it.  Globs match the baseline's ``deterministic`` and ``wall_clock``
+names; a bound is ``"baseline"`` (the committed value of that name) or
+``"meta:<key>"`` (the committed payload's ``meta``).  Kinds:
 
-E27 (``BENCH_e27.json``, hot-path trajectory):
+* ``flag`` — an invariant that is 1 in the baseline is still 1;
+* ``floor`` / ``ceiling`` — current ``>=`` / ``<=`` bound;
+* ``positive`` — current ``> 0`` (the drill still bites);
+* ``ratio-vs-baseline`` — a same-host, same-run ratio stays within
+  ``--tolerance`` below the committed one.
 
-* every ``*.speedup_wall`` ratio must stay within ``tolerance`` (default
-  20%) of the baseline — ratios are columnar-vs-per-record on the *same*
-  machine and run, so they transfer across hosts where raw ops/sec
-  numbers would not;
-* every ``*.identical`` flag must still be 1 (a fast-but-wrong hot path
-  is a regression, not an optimisation);
-* the coalesced RPC count must not exceed the baseline's (O(nodes) is a
-  property, not a measurement).
-
-E28 (``BENCH_e28.json``, data-lifecycle recovery):
-
-* every conservation / identity flag must still be 1 — checkpointing,
-  compaction, and tiering may never lose a committed unit or corrupt a
-  value;
-* recovery replay work (snapshot + WAL suffix entries) and promotion
-  replay entries must not exceed the baseline — recovery cost is a
-  function of live state, so these counts are host-independent;
-* the recovery wall-clock ratio (100x history / 1x history, same host)
-  must stay flat: within the suite's 1.5x bound and within ``tolerance``
-  of the committed ratio.
-
-E29 (``BENCH_e29.json``, closed-loop elasticity):
-
-* every identity / conservation / ``_ok`` flag must still be 1 —
-  scaling may never change a purchase outcome, salting may never lose
-  stock, and shedding may never drop a physical-space record;
-* the elastic cluster's flash-spike SLO attainment must stay at or
-  above the suite's absolute floor (``attainment_min`` in the payload
-  meta) relative to the static 8-shard cluster;
-* its diurnal node-hours must stay at or below the absolute ceiling
-  (``node_hours_max``) relative to static provisioning — both are
-  simulated-clock ratios, so they transfer across hosts exactly.
-
-E30 (``BENCH_e30.json``, geo-distribution):
-
-* every availability / conservation / identity flag must still be 1 —
-  a region kill or WAN partition may never lose a committed unit of
-  stock, leave replicas diverged after reconvergence, or let a
-  linearizable read hang past its deadline;
-* the linearizable fail-fast latency under partition must stay at or
-  below the suite's absolute bound (``failfast_bound_s`` in the
-  payload meta) — it is simulated-clock time, host-independent;
-* replication lag and staleness must still *peak above zero* during
-  the partition: a partition that no longer produces lag means the
-  scenario stopped exercising the WAN.
-
-E31 (``BENCH_e31.json``, sharded semantic retrieval):
-
-* recall@10 against the exact brute-force oracle must stay at or above
-  the suite's absolute floor (``recall_floor`` in the payload meta) and
-  the distance-eval speedup at or above ``speedup_floor`` — both are
-  counts over seeded streams, host-independent;
-* the merged top-k must stay identical across 1-vs-2 and 1-vs-4 shard
-  deployments (a shard-dependent answer is a correctness regression);
-* the per-shard index-build makespan must still shrink monotonically
-  as shards are added.
-
-Exits nonzero on the first violated bound, so CI can gate on it.
+Wall-clock values no gate names are printed, not gated (``macrobench``
+measures those end to end).  Exits nonzero on any violated gate.
 """
 
 from __future__ import annotations
@@ -75,41 +27,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-E28_RECOVERY_RATIO_BOUND = 1.5
-
-
-def _write_current(payload: dict, artifacts_dir: str, basename: str) -> None:
-    out = Path(artifacts_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    current_path = out / basename
-    current_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[current measurement: {current_path}]")
-
-
-def _import_bench(module_name: str):
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    return __import__(module_name)
-
-
-def measure_e27(artifacts_dir: str) -> dict:
-    bench_hotpath = _import_bench("bench_hotpath")
-    payload = bench_hotpath.bench_payload(
-        *bench_hotpath.collect(smoke=False), smoke=False
-    )
-    _write_current(payload, artifacts_dir, "BENCH_e27_current.json")
-    return payload
-
-
-#: Suites whose bench module exposes ``report(file, smoke, artifacts_dir)``
-#: returning the payload (E27 predates that shape and keeps its own
-#: measure function above).
-REPORT_MODULES = {
+SUITES = {
+    "e27": "bench_hotpath",
     "e28": "bench_lifecycle",
     "e29": "bench_elasticity",
     "e30": "bench_geo",
@@ -117,188 +43,65 @@ REPORT_MODULES = {
 }
 
 
-def measure_report(suite: str, artifacts_dir: str) -> dict:
-    payload = _import_bench(REPORT_MODULES[suite]).report(
-        file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
-    )
-    _write_current(payload, artifacts_dir, f"BENCH_{suite}_current.json")
+def measure(suite: str, bench, artifacts_dir: str) -> dict:
+    if suite == "e27":
+        # Its full-run report() rewrites the committed baseline.
+        payload = bench.bench_payload(*bench.collect(smoke=False), smoke=False)
+    else:
+        payload = bench.report(
+            file=io.StringIO(), smoke=False, artifacts_dir=artifacts_dir
+        )
+    current_path = Path(artifacts_dir) / f"BENCH_{suite}_current.json"
+    current_path.parent.mkdir(parents=True, exist_ok=True)
+    current_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"[current measurement: {current_path}]")
     return payload
 
 
-def check_flags(baseline: dict, current: dict) -> list[str]:
-    """Identity/conservation flags that were 1 in the baseline stay 1."""
-    failures = []
-    for name, base in baseline["deterministic"].items():
-        flag = (name.endswith(".identical") or ".conserved" in name
-                or name.endswith("_ok"))
-        if not flag or base != 1:
-            continue
-        value = current["deterministic"].get(name)
-        if value != 1:
-            failures.append(f"{name}: invariant flag lost ({value!r})")
-    return failures
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
-def check_e27(baseline: dict, current: dict, tolerance: float) -> list[str]:
-    failures = check_flags(baseline, current)
+def _bound(kind: str, spec: list, base: float, meta: dict, tolerance: float):
+    """(comparison, bound) of one non-flag gate."""
+    if kind == "ratio-vs-baseline":
+        return ">=", base * (1.0 - tolerance)
+    if kind == "positive":
+        return ">", 0
+    bound = base if spec[0] == "baseline" else meta[spec[0].removeprefix("meta:")]
+    return (">=" if kind == "floor" else "<="), bound
 
-    base_rpcs = baseline["deterministic"]["storage.rpcs_coalesced"]
-    cur_rpcs = current["deterministic"]["storage.rpcs_coalesced"]
-    if cur_rpcs > base_rpcs:
-        failures.append(
-            f"storage.rpcs_coalesced: {cur_rpcs} > baseline {base_rpcs}"
-        )
 
+def check(gates: list, baseline: dict, current: dict, tolerance: float) -> list[str]:
+    """Every violated gate, as one message each."""
+    base_values = {**baseline["deterministic"], **baseline["wall_clock"]}
+    cur_values = {**current["deterministic"], **current["wall_clock"]}
+    failures, gated = [], set()
+    for kind, pattern, *spec in gates:
+        names = [name for name in base_values if fnmatchcase(name, pattern)]
+        if not names:
+            failures.append(f"{pattern}: gate matches nothing in the baseline")
+        gated.update(names)
+        for name in names:
+            base, cur = base_values[name], cur_values.get(name)
+            if kind == "flag":
+                if base == 1 and cur != 1:
+                    failures.append(f"{name}: invariant flag lost ({cur!r})")
+                continue
+            op, bound = _bound(kind, spec, base, baseline["meta"], tolerance)
+            ok = cur is not None and _OPS[op](cur, bound)
+            _row(name, base, cur, f"bound {op} {bound:,.3f}  "
+                                  f"[{'ok' if ok else 'REGRESSED'}]")
+            if not ok:
+                failures.append(f"{name}: {cur!r} violates {kind} {op} {bound}")
     for name, base in baseline["wall_clock"].items():
-        if not name.endswith("speedup_wall"):
-            continue
-        cur = current["wall_clock"].get(name)
-        if cur is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        floor = base * (1.0 - tolerance)
-        status = "ok" if cur >= floor else "REGRESSED"
-        print(f"{name:>40}: baseline {base:6.2f}x  current {cur:6.2f}x  "
-              f"floor {floor:6.2f}x  [{status}]")
-        if cur < floor:
-            failures.append(
-                f"{name}: {cur:.2f}x below floor {floor:.2f}x "
-                f"(baseline {base:.2f}x - {tolerance:.0%})"
-            )
+        if name not in gated:
+            _row(name, base, cur_values.get(name), "[printed, not gated]")
     return failures
 
 
-def check_e28(baseline: dict, current: dict, tolerance: float) -> list[str]:
-    failures = check_flags(baseline, current)
-
-    # Replay work is a pure count of entries (snapshot + suffix, or
-    # entries folded during replica promotion) — host-independent, and
-    # growing it means recovery cost crept back toward history size.
-    ceilinged = (
-        "recovery.snapshot_entries",
-        "recovery.wal_entries",
-        "failover.promotion_replayed_grown",
-    )
-    for name in ceilinged:
-        base = baseline["deterministic"][name]
-        cur = current["deterministic"].get(name)
-        status = "ok" if cur is not None and cur <= base else "REGRESSED"
-        print(f"{name:>40}: baseline {base:9,.0f}  current "
-              f"{cur if cur is not None else float('nan'):9,.0f}  [{status}]")
-        if cur is None or cur > base:
-            failures.append(f"{name}: {cur!r} > baseline {base}")
-
-    base_ratio = baseline["wall_clock"]["recovery.time_ratio"]
-    cur_ratio = current["wall_clock"].get("recovery.time_ratio")
-    bound = min(E28_RECOVERY_RATIO_BOUND, base_ratio * (1.0 + tolerance))
-    status = "ok" if cur_ratio is not None and cur_ratio <= bound else "REGRESSED"
-    print(f"{'recovery.time_ratio':>40}: baseline {base_ratio:6.2f}x  current "
-          f"{cur_ratio if cur_ratio is not None else float('nan'):6.2f}x  "
-          f"bound {bound:6.2f}x  [{status}]")
-    if cur_ratio is None or cur_ratio > bound:
-        failures.append(
-            f"recovery.time_ratio: {cur_ratio!r} above bound {bound:.2f}x "
-            f"(min of {E28_RECOVERY_RATIO_BOUND}x flatness bound and "
-            f"baseline {base_ratio:.2f}x + {tolerance:.0%})"
-        )
-    return failures
-
-
-def check_e29(baseline: dict, current: dict, tolerance: float) -> list[str]:
-    failures = check_flags(baseline, current)
-
-    # Both ratios are computed on the simulated clock, so they are
-    # host-independent: gate against the suite's absolute bounds (from
-    # the baseline's meta), not a tolerance band around the baseline.
-    bounds = (
-        ("spike.attainment_ratio", baseline["meta"]["attainment_min"], ">="),
-        ("diurnal.node_hours_ratio", baseline["meta"]["node_hours_max"], "<="),
-    )
-    for name, bound, op in bounds:
-        base = baseline["deterministic"][name]
-        cur = current["deterministic"].get(name)
-        ok = cur is not None and (cur >= bound if op == ">=" else cur <= bound)
-        status = "ok" if ok else "REGRESSED"
-        print(f"{name:>40}: baseline {base:6.3f}  current "
-              f"{cur if cur is not None else float('nan'):6.3f}  "
-              f"bound {op} {bound:4.2f}  [{status}]")
-        if not ok:
-            failures.append(f"{name}: {cur!r} violates bound {op} {bound}")
-
-    # The controller must still exercise its full range on the spike.
-    for name in ("spike.elastic_max_shards", "purchases.scale_outs"):
-        base = baseline["deterministic"][name]
-        cur = current["deterministic"].get(name)
-        if cur is None or cur < base:
-            failures.append(f"{name}: {cur!r} < baseline {base}")
-    return failures
-
-
-def check_e30(baseline: dict, current: dict, tolerance: float) -> list[str]:
-    failures = check_flags(baseline, current)
-
-    # Fail-fast latency is simulated-clock time: gate against the
-    # suite's absolute deadline bound, not a band around the baseline.
-    bound = baseline["meta"]["failfast_bound_s"]
-    base = baseline["deterministic"]["partition.failfast_latency_s"]
-    cur = current["deterministic"].get("partition.failfast_latency_s")
-    ok = cur is not None and cur <= bound
-    status = "ok" if ok else "REGRESSED"
-    print(f"{'partition.failfast_latency_s':>40}: baseline {base:6.3f}s  "
-          f"current {cur if cur is not None else float('nan'):6.3f}s  "
-          f"bound <= {bound:4.2f}s  [{status}]")
-    if not ok:
-        failures.append(
-            f"partition.failfast_latency_s: {cur!r} above bound {bound}"
-        )
-
-    # The partition must still be load-bearing: lag and staleness peaked.
-    for name in ("partition.lag_peak", "partition.staleness_peak_s",
-                 "kill.rejected_failfast"):
-        cur = current["deterministic"].get(name)
-        if cur is None or cur <= 0:
-            failures.append(f"{name}: {cur!r} — the drill stopped biting")
-    return failures
-
-
-def check_e31(baseline: dict, current: dict, tolerance: float) -> list[str]:
-    failures = check_flags(baseline, current)
-
-    # Recall and eval-speedup are counts over seeded streams — fully
-    # host-independent — so gate against the suite's absolute floors
-    # (from the baseline's meta), not a tolerance band.
-    bounds = (
-        ("recall_at_10", baseline["meta"]["recall_floor"], ">="),
-        ("speedup_evals", baseline["meta"]["speedup_floor"], ">="),
-    )
-    for name, bound, op in bounds:
-        base = baseline["deterministic"][name]
-        cur = current["deterministic"].get(name)
-        ok = cur is not None and cur >= bound
-        status = "ok" if ok else "REGRESSED"
-        print(f"{name:>40}: baseline {base:6.3f}  current "
-              f"{cur if cur is not None else float('nan'):6.3f}  "
-              f"bound {op} {bound:4.2f}  [{status}]")
-        if not ok:
-            failures.append(f"{name}: {cur!r} violates bound {op} {bound}")
-
-    # Shard-invariance is exact: any divergence is a correctness bug.
-    for name in ("identical_1v2", "identical_1v4"):
-        cur = current["deterministic"].get(name)
-        if cur != 1:
-            failures.append(
-                f"{name}: top-k no longer shard-invariant ({cur!r})"
-            )
-    return failures
-
-
-SUITES = {
-    "e27": ("BENCH_e27.json", check_e27),
-    "e28": ("BENCH_e28.json", check_e28),
-    "e29": ("BENCH_e29.json", check_e29),
-    "e30": ("BENCH_e30.json", check_e30),
-    "e31": ("BENCH_e31.json", check_e31),
-}
+def _row(name: str, base: float, cur: "float | None", verdict: str) -> None:
+    cur = float("nan") if cur is None else cur
+    print(f"{name:>40}: baseline {base:12,.3f}  current {cur:12,.3f}  {verdict}")
 
 
 def main() -> None:
@@ -319,19 +122,18 @@ def main() -> None:
     if (args.baseline or args.current) and len(selected) != 1:
         parser.error("--baseline/--current require a single --suite")
 
+    sys.path[:0] = [str(REPO_ROOT / "benchmarks"), str(REPO_ROOT / "src")]
     failures: list[str] = []
     for suite in selected:
-        default_baseline, check = SUITES[suite]
-        baseline_path = args.baseline or str(REPO_ROOT / default_baseline)
+        bench = __import__(SUITES[suite])
+        baseline_path = args.baseline or str(REPO_ROOT / f"BENCH_{suite}.json")
         baseline = json.loads(Path(baseline_path).read_text())
         if args.current is not None:
             current = json.loads(Path(args.current).read_text())
-        elif suite in REPORT_MODULES:
-            current = measure_report(suite, args.artifacts_dir)
         else:
-            current = measure_e27(args.artifacts_dir)
+            current = measure(suite, bench, args.artifacts_dir)
         print(f"== {suite}: vs {baseline_path} ==")
-        suite_failures = check(baseline, current, args.tolerance)
+        suite_failures = check(bench.GATES, baseline, current, args.tolerance)
         failures += [f"[{suite}] {failure}" for failure in suite_failures]
 
     if failures:

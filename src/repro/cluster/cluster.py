@@ -68,7 +68,6 @@ from ..platform.platform import (
     MetaversePlatform,
     PurchaseOutcome,
     purchase_sort_key,
-    stored_record_value,
     unit_len,
 )
 from ..query.plane import (
@@ -307,8 +306,7 @@ class PlatformCluster:
         """Buffer one columnar batch, split by owning shard.
 
         Fault decisions stay per row (same injector RNG sequence as the
-        per-record path); surviving rows stay columnar per shard unless
-        replica failover is on, whose op log is inherently per record.
+        per-record path); surviving rows stay columnar per shard.
         """
         if self.faults is not None:
             keep = [
@@ -335,18 +333,9 @@ class PlatformCluster:
                     return
                 batch = batch.take(admitted)
         owners = self.router.group(range(len(batch)), batch.keys.__getitem__)
-        if self.failover is not None:
-            records = batch.to_records()
-            for name, rows in owners.items():
-                self._pending.setdefault(name, deque()).extend(
-                    records[i] for i in rows
-                )
-        else:
-            for name, rows in owners.items():
-                shard_batch = (
-                    batch if len(rows) == len(batch) else batch.take(rows)
-                )
-                self._pending.setdefault(name, deque()).append(shard_batch)
+        for name, rows in owners.items():
+            shard_batch = batch if len(rows) == len(batch) else batch.take(rows)
+            self._pending.setdefault(name, deque()).append(shard_batch)
         self.metrics.counter("cluster.buffered_records").inc(len(batch))
 
     @property
@@ -402,12 +391,12 @@ class PlatformCluster:
         queue = self._pending.get(name)
         if not queue:
             return 0
-        shard = self.shards[name]
         observe = self.metrics.histogram("cluster.router.batch_size").observe
         written = 0
         run = 0  # consecutive records written since the last observation
         while queue and (budget is None or written < budget):
-            unit = queue[0]
+            unit = head = queue[0]
+            rows = 1
             if isinstance(unit, RecordBatch):
                 if run:
                     observe(run)
@@ -417,26 +406,31 @@ class PlatformCluster:
                 # larger than what is left of the budget splits there:
                 # the head flushes now, the columnar tail stays queued.
                 room = len(unit) if budget is None else budget - written
-                head = unit if len(unit) <= room else unit.take(range(room))
-                observe(len(head))
-                shard.write_record_batch(head)
-                if head is unit:
-                    queue.popleft()
-                else:
-                    queue[0] = unit.take(range(room, len(unit)))
-                written += len(head)
+                if len(unit) > room:
+                    head = unit.take(range(room))
+                rows = len(head)
+                observe(rows)
             else:
-                shard.write_record(unit)
-                if self.failover is not None:
-                    self.failover.replicator.log_op(
-                        name, entity_op(unit.key, stored_record_value(unit))
-                    )
-                queue.popleft()
-                written += 1
                 run += 1
+            self._write_unit(name, head)
+            if head is unit:
+                queue.popleft()
+            else:
+                queue[0] = unit.take(range(room, len(unit)))
+            written += rows
         if run:
             observe(run)
         return written
+
+    def _write_unit(self, name: str, unit: DataRecord | RecordBatch) -> None:
+        """Write one unit to shard ``name`` and, with replica failover on,
+        log the post-state of every item it stored (what a promoted
+        replica replays)."""
+        stored = self.shards[name].write_unit(unit)
+        if self.failover is not None:
+            log_op = self.failover.replicator.log_op
+            for key, value in stored:
+                log_op(name, entity_op(key, value))
 
     def tick(self, dt: float) -> dict[str, GatherResult]:
         """One simulated-clock tick: advance time, then :meth:`step`."""
@@ -575,11 +569,7 @@ class PlatformCluster:
             self._pending.setdefault(owner, deque()).append(record)
             self.metrics.counter("cluster.failover.deferred_writes").inc()
             return
-        self.shards[owner].write_record(record)
-        if self.failover is not None:
-            self.failover.replicator.log_op(
-                owner, entity_op(record.key, stored_record_value(record))
-            )
+        self._write_unit(owner, record)
 
     def query(self, request: QueryRequest) -> GatherResult:
         """Scatter one query-plane request across the ring and merge.

@@ -70,9 +70,9 @@ class ExecutorStats:
 
 def stored_record_value(record: DataRecord) -> dict:
     """The wrapper dict a :class:`DataRecord` is stored under in the KV
-    tier.  Shared with the cluster failover layer, which must log exactly
-    what :meth:`MetaversePlatform.write_record` persists so a promoted
-    replica replays identical state."""
+    tier.  Shared with the geo deployment, which must log exactly what
+    :meth:`MetaversePlatform.write_record` persists so a remote region
+    replays identical state."""
     return {
         "payload": record.payload,
         "space": record.space.value,
@@ -265,9 +265,14 @@ class MetaversePlatform:
         while len(self._stale) > self._stale_capacity:
             self._stale.popitem(last=False)
 
-    def write_record(self, record: DataRecord) -> None:
-        """Persist a record to the storage engine, invalidating its page."""
-        self.import_entity(record.key, stored_record_value(record))
+    def _write_items(self, items: list, payloads: list) -> list:
+        """The entity write: one retried bulk engine call, then
+        :meth:`_after_write` per item.  Returns ``items``, the stored
+        (key, value) pairs."""
+        self._with_retry(lambda: self.engine.mput(items))
+        for (key, value), payload in zip(items, payloads):
+            self._after_write(key, value, payload)
+        return items
 
     def _after_write(self, key: str, value: object, payload: dict) -> None:
         """Bring every compute-side view of ``key`` in line with a value
@@ -280,8 +285,22 @@ class MetaversePlatform:
         if self.semantic is not None:
             self.semantic.index_record(key, payload)
 
-    def write_record_batch(self, batch: RecordBatch) -> None:
-        """Persist a columnar batch: one bulk engine call for N records.
+    def write_unit(self, unit: DataRecord | RecordBatch) -> list:
+        """Persist one queued write unit; returns its stored items."""
+        if isinstance(unit, RecordBatch):
+            return self.write_record_batch(unit)
+        return self.write_record(unit)
+
+    def write_record(self, record: DataRecord) -> list:
+        """Persist a record to the storage engine, invalidating its page;
+        returns the stored (key, value) pair as a one-item list."""
+        return self._write_items(
+            [(record.key, stored_record_value(record))], [record.payload]
+        )
+
+    def write_record_batch(self, batch: RecordBatch) -> list:
+        """Persist a columnar batch: one bulk engine call for N records;
+        returns the stored (key, value) pairs.
 
         Leaves byte-identical engine state, stale-cache contents, and page
         invalidations to ``for r in batch.to_records(): write_record(r)`` —
@@ -298,9 +317,7 @@ class MetaversePlatform:
                 batch.keys, payloads, spaces, times
             )
         ]
-        self._with_retry(lambda: self.engine.mput(items))
-        for (key, value), payload in zip(items, payloads):
-            self._after_write(key, value, payload)
+        return self._write_items(items, payloads)
 
     def _index_position(self, key: str, payload: dict) -> None:
         """Track (or forget) the entity's payload position.
@@ -393,10 +410,7 @@ class MetaversePlatform:
         with self.tracer.span("platform.flush", pending=self.pending_count):
             while pending:
                 unit = pending[0]
-                if isinstance(unit, RecordBatch):
-                    self.write_record_batch(unit)
-                else:
-                    self.write_record(unit)
+                self.write_unit(unit)
                 pending.popleft()
                 total += unit_len(unit)
         self.metrics.counter("platform.ingested_records").inc(total)
@@ -739,9 +753,8 @@ class MetaversePlatform:
 
     def import_entity(self, key: str, value: object) -> None:
         """Adopt a migrated entity value, keeping caches coherent."""
-        self._with_retry(lambda: self.engine.put(key, value))
         payload = value.get("payload", {}) if isinstance(value, dict) else {}
-        self._after_write(key, value, payload)
+        self._write_items([(key, value)], [payload])
 
     def drop_entity(self, key: str) -> None:
         """Forget an entity handed off to another shard."""

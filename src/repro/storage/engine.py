@@ -32,7 +32,6 @@ surviving storage nodes instead of replaying a WAL.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -49,20 +48,12 @@ from ..core.metrics import MetricsRegistry
 from ..net.simnet import Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement
-from .kv import KVStore
+from .kv import KVStore, payload_size
 from .objectstore import ObjectRef, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
     from ..resilience.policies import CircuitBreaker, RetryPolicy
-
-
-def _approx_size(value: object) -> int:
-    """Payload size estimate for RPC serialization-delay accounting."""
-    try:
-        return len(json.dumps(value))
-    except (TypeError, ValueError):
-        return len(repr(value))
 
 
 class StorageEngine(ABC):
@@ -84,8 +75,9 @@ class StorageEngine(ABC):
     @abstractmethod
     def get(self, key: str) -> object: ...
 
-    @abstractmethod
-    def put(self, key: str, value: object) -> None: ...
+    def put(self, key: str, value: object) -> None:
+        """A record is a batch of one."""
+        self.mput([(key, value)])
 
     @abstractmethod
     def delete(self, key: str) -> None: ...
@@ -98,10 +90,10 @@ class StorageEngine(ABC):
 
     # -- bulk entity ops (the tick-coalesced hot path) ----------------------
     #
-    # One tick's worth of gets/puts moves as a single call: in-process
-    # engines loop (free), but a remote engine coalesces every key owned
-    # by the same storage node into ONE round trip, cutting simulated RPC
-    # count from O(keys) to O(nodes) per tick (experiment E27).
+    # One tick's worth of gets/puts moves as a single call: a remote
+    # engine coalesces every key owned by the same storage node into ONE
+    # round trip, cutting simulated RPC count from O(keys) to O(nodes)
+    # per tick (experiment E27).
 
     def mget(self, keys: Iterable[str]) -> dict[str, object]:
         """Values for every *present* key in ``keys`` (absent keys are
@@ -114,11 +106,10 @@ class StorageEngine(ABC):
                 continue
         return out
 
+    @abstractmethod
     def mput(self, items: "list[tuple[str, object]]") -> None:
-        """Store every (key, value) pair; later duplicates win, exactly
-        as the equivalent sequence of :meth:`put` calls would."""
-        for key, value in items:
-            self.put(key, value)
+        """The entity write: store every (key, value) pair in order, later
+        duplicates winning.  :meth:`put` is this with one item."""
 
     # -- committed product records ------------------------------------------
 
@@ -198,12 +189,9 @@ class LocalStorageEngine(StorageEngine):
     def get(self, key: str) -> object:
         return self.kv.get(key)
 
-    def put(self, key: str, value: object) -> None:
-        self.kv.put(key, value)
-
-    def mput(self, items: "Iterable[tuple[str, object]]") -> None:
+    def mput(self, items: "list[tuple[str, object]]") -> None:
         # Group commit: one WAL entry and one memtable merge for the batch.
-        self.kv.mput(list(items))
+        self.kv.mput(items)
 
     def delete(self, key: str) -> None:
         self.kv.delete(key)
@@ -523,7 +511,7 @@ class RemoteStorageEngine(StorageEngine):
         with self.tracer.span("storage.rpc", op=op, node=node.name):
             clock.advance(link.transfer_delay(request_size) + extra_delay)
             result = node.execute(op, *args)
-            clock.advance(link.transfer_delay(max(1, _approx_size(result))))
+            clock.advance(link.transfer_delay(max(1, payload_size(result))))
         self.rpcs += 1
         self.metrics.counter("storage.rpc.calls").inc()
         self.metrics.counter("storage.rpc.bytes").inc(request_size)
@@ -552,7 +540,7 @@ class RemoteStorageEngine(StorageEngine):
         return self._rpc_to_owner("get", key, 0)
 
     def put(self, key: str, value: object) -> None:
-        self._rpc_to_owner("put", key, _approx_size(value), value)
+        self.mput([(key, value)])
 
     def delete(self, key: str) -> None:
         self._rpc_to_owner("delete", key, 0)
@@ -588,15 +576,20 @@ class RemoteStorageEngine(StorageEngine):
     def mput(self, items: "list[tuple[str, object]]") -> None:
         grouped = self.tier.group_by_node(items, itemgetter(0))
         for node, node_items in grouped.items():
-            request_size = sum(
-                len(key) for key, _ in node_items
-            ) + _approx_size([value for _, value in node_items])
+            # Each item travels as len(key) + payload_size(value) bytes.
+            # One serialisation sizes them all: a JSON array of n values
+            # is their sizes plus 2n bytes of brackets and separators.
+            request_size = (
+                sum(len(key) for key, _ in node_items)
+                + payload_size([value for _, value in node_items])
+                - 2 * len(node_items)
+            )
             self._rpc(node, "mput", request_size, node_items)
 
     # -- products -----------------------------------------------------------
 
     def put_product(self, product_id: str, value: dict) -> None:
-        self._rpc_to_owner("put_product", product_id, _approx_size(value), value)
+        self._rpc_to_owner("put_product", product_id, payload_size(value), value)
 
     def get_product(self, product_id: str) -> dict | None:
         return self._rpc_to_owner("get_product", product_id, 0)

@@ -17,7 +17,12 @@ import json
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from ..core.errors import ConfigurationError, FaultInjectedError, KeyNotFoundError
+from ..core.errors import (
+    ConfigurationError,
+    FaultInjectedError,
+    KeyNotFoundError,
+    StorageError,
+)
 from ..core.metrics import MetricsRegistry
 from ..obs.tracing import NoopTracer, Tracer
 from .wal import WriteAheadLog
@@ -49,21 +54,12 @@ class MemTable:
         self._data: dict[str, _Versioned] = {}
         self.approx_bytes = 0
 
-    def put(self, key: str, versioned: _Versioned) -> None:
-        if key not in self._data:
-            insort(self._keys, key)
-            self.approx_bytes += len(key)
-        self._data[key] = versioned
-        if versioned.value is not _TOMBSTONE:
-            self.approx_bytes += _value_size(versioned.value)
-
     def mput(self, entries: list[tuple[str, _Versioned]], value_bytes: int) -> None:
-        """Bulk insert: one sorted merge instead of N ``insort`` calls.
-
-        Observably identical to putting each entry in order (later
-        duplicates win); ``value_bytes`` is the caller's size estimate
-        for the whole batch, standing in for per-value sizing.
-        """
+        """Insert ``entries`` in order (later duplicates win);
+        ``value_bytes`` is the caller's size estimate for the values (0
+        for a tombstone).  Fresh keys join the sorted key list in one
+        merge — or one ``insort`` when there is a single one, which is
+        what a batch of one (a per-record put) brings."""
         fresh: list[str] = []
         for key, versioned in entries:
             if key not in self._data:
@@ -71,8 +67,11 @@ class MemTable:
             self._data[key] = versioned
         if fresh:
             self.approx_bytes += sum(len(key) for key in fresh)
-            fresh.sort()
-            self._keys = sorted(self._keys + fresh) if self._keys else fresh
+            if len(fresh) == 1:
+                insort(self._keys, fresh[0])
+            else:
+                fresh.sort()
+                self._keys = sorted(self._keys + fresh) if self._keys else fresh
         self.approx_bytes += value_bytes
 
     def get(self, key: str) -> _Versioned | None:
@@ -124,7 +123,9 @@ class SSTable:
         yield from zip(self._keys, self._values)
 
 
-def _value_size(value: object) -> int:
+def payload_size(value: object) -> int:
+    """Size estimate of one stored value: memtable accounting here, RPC
+    serialization delay in :mod:`repro.storage.engine`."""
     try:
         return len(json.dumps(value))
     except (TypeError, ValueError):
@@ -181,23 +182,17 @@ class KVStore:
     # -- mutations ----------------------------------------------------------
 
     def put(self, key: str, value: object) -> None:
-        """Insert or overwrite ``key``. Value must be JSON-serializable."""
-        self._maybe_fault("kv.put", key)
-        self._log("put", key, value)
-        self._apply_put(key, value)
+        """Insert or overwrite ``key``: a batch of one."""
+        self.mput([(key, value)])
 
     def mput(self, items: "list[tuple[str, object]]") -> None:
-        """Group-committed bulk insert: one WAL entry, one memtable merge.
+        """The write: store every (key, value) pair, later duplicates
+        winning, as one group commit.  Values must be JSON-serializable.
 
-        Equivalent to ``for k, v in items: put(k, v)`` for every read
-        (get/scan): the same values win under the same ordering and
-        seqnos still increase in item order.  The group amortizes the
-        bookkeeping — one WAL append (group commit) instead of N, one
-        sorted memtable merge instead of N ``insort`` calls, and one
-        flush-threshold check, so run boundaries may differ from the
-        per-record path, which reads cannot observe.  Fault decisions
-        stay per key (site ``kv.put``) so injector streams match the
-        per-record path exactly.
+        Fault decisions are per key (site ``kv.put``) and all happen
+        before any state changes, so an injected crash leaves the store
+        untouched.  Then one WAL entry, one memtable merge (seqnos rise in
+        item order) and one flush-threshold check for the whole batch.
         """
         items = list(items)
         if not items:
@@ -206,38 +201,34 @@ class KVStore:
             for key, _ in items:
                 self._maybe_fault("kv.put", key)
         payload = json.dumps(
-            {"op": "mput", "items": [list(item) for item in items]},
-            separators=(",", ":"),
+            {"op": "mput", "items": items}, separators=(",", ":")
         ).encode("utf-8")
         self.wal.append(payload)
+        self._apply_mput(items, len(payload))
+
+    def _apply_mput(self, items: list, value_bytes: int) -> None:
+        """Land one logged batch in the memtable (live writes and replay);
+        the WAL payload length stands in for per-value sizing."""
         base = self._seqno
         self._seqno += len(items)
         entries = [
             (key, _Versioned(base + offset, value))
             for offset, (key, value) in enumerate(items, start=1)
         ]
-        self._memtable.mput(entries, value_bytes=len(payload))
+        self._memtable.mput(entries, value_bytes)
         self.metrics.counter("kv.puts").inc(len(items))
         self._maybe_flush()
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (idempotent — deleting a missing key is a no-op)."""
-        self._log("del", key, None)
+        self.wal.append(
+            json.dumps({"op": "del", "k": key, "v": None}).encode("utf-8")
+        )
         self._apply_delete(key)
-
-    def _log(self, op: str, key: str, value: object) -> None:
-        payload = json.dumps({"op": op, "k": key, "v": value}).encode("utf-8")
-        self.wal.append(payload)
-
-    def _apply_put(self, key: str, value: object) -> None:
-        self._seqno += 1
-        self._memtable.put(key, _Versioned(self._seqno, value))
-        self.metrics.counter("kv.puts").inc()
-        self._maybe_flush()
 
     def _apply_delete(self, key: str) -> None:
         self._seqno += 1
-        self._memtable.put(key, _Versioned(self._seqno, _TOMBSTONE))
+        self._memtable.mput([(key, _Versioned(self._seqno, _TOMBSTONE))], 0)
         self.metrics.counter("kv.deletes").inc()
         self._maybe_flush()
 
@@ -352,7 +343,7 @@ class KVStore:
         if entries:
             self._memtable.mput(
                 entries,
-                value_bytes=sum(_value_size(v.value) for _, v in entries),
+                value_bytes=sum(payload_size(v.value) for _, v in entries),
             )
             self._maybe_flush()
         self._seqno = max(self._seqno, int(state.get("seqno", 0)))
@@ -370,14 +361,14 @@ class KVStore:
         applied = 0
         for entry in self.wal.replay():
             record = json.loads(entry.payload.decode("utf-8"))
-            if record["op"] == "put":
-                self._apply_put(record["k"], record["v"])
-                applied += 1
-            elif record["op"] == "mput":
-                for key, value in record["items"]:
-                    self._apply_put(key, value)
-                    applied += 1
-            else:
+            if record["op"] == "mput":
+                self._apply_mput(record["items"], len(entry.payload))
+                applied += len(record["items"])
+            elif record["op"] == "del":
                 self._apply_delete(record["k"])
                 applied += 1
+            else:
+                raise StorageError(
+                    f"unknown WAL op {record['op']!r} at LSN {entry.lsn}"
+                )
         return applied

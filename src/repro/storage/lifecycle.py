@@ -316,15 +316,7 @@ class TieredStorageEngine(LocalStorageEngine):
         self._touch(key, value)
         return value
 
-    def put(self, key: str, value: object) -> None:
-        self.kv.put(key, value)
-        if key in self._cold:
-            self.objects.delete(_COLD_PREFIX + key)
-            self._cold.discard(key)
-        self._touch(key, value)
-
-    def mput(self, items) -> None:
-        items = list(items)
+    def mput(self, items: "list[tuple[str, object]]") -> None:
         self.kv.mput(items)
         for key, value in items:
             if key in self._cold:

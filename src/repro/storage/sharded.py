@@ -10,6 +10,9 @@ gives read-your-writes through node failures, the Dynamo-style recipe).
 Versions are (logical timestamp, writer) pairs; reads return the newest
 version among the replicas consulted, and stale replicas found during a
 read are repaired in place (read repair).
+
+Standalone exhibit (E21: quorum reads/writes and read repair, which
+``StorageTier`` does not have); no data-plane path goes through it.
 """
 
 from __future__ import annotations

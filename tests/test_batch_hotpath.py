@@ -8,12 +8,17 @@ drives the comparison, including under injected ``storage.rpc`` faults
 where a dropped coalesced batch must time out and retry as a unit.
 """
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, PlatformCluster
+from repro.cluster.failover import UP
 from repro.core import (
     ConfigurationError,
     DataKind,
@@ -27,7 +32,15 @@ from repro.fusion.sources import Observation
 from repro.platform import DeviceGateway, MetaversePlatform
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultRule
-from repro.storage import StorageTier
+from repro.storage import (
+    KVStore,
+    LocalStorageEngine,
+    RemoteStorageEngine,
+    StorageEngine,
+    StorageTier,
+    TieredStorageEngine,
+)
+from repro.storage.kv import MemTable
 
 keys = st.integers(0, 40).map(lambda i: f"ent/{i:03d}")
 floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -139,6 +152,100 @@ class TestBatchIngestIdentity:
         state_a = sorted(tier_a.mget(tier_a.keys()).items())
         state_b = sorted(tier_b.mget(tier_b.keys()).items())
         assert json.dumps(state_b) == json.dumps(state_a)
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        records=record_lists(min_size=4),
+        drain_rate=st.sampled_from([None, 60.0]),
+    )
+    def test_replicated_cluster_promotes_identical_state(
+        self, records, drain_rate
+    ):
+        """With ``n_replicas=2`` a columnar batch stays columnar in the
+        queue, yet the failover log gets the same per-item post-states:
+        after a kill and a promotion the promoted shard and its replicated
+        log are byte-identical to the per-record run — also when the drain
+        budget (3 records per tick here) splits the batch."""
+
+        def run(ingest):
+            cluster = PlatformCluster(ClusterConfig(
+                n_shards=3, n_replicas=2, shard_drain_rate=drain_rate,
+            ))
+            ingest(cluster)
+            for _ in range(len(records)):
+                cluster.tick(0.05)
+            assert cluster.pending_count == 0
+            victim = cluster.router.owner_of(records[0].key)
+            cluster.kill_shard(victim)
+            for _ in range(300):
+                cluster.tick(0.05)
+                if cluster.failover.state(victim) == UP:
+                    break
+            assert cluster.failover.state(victim) == UP
+            log = cluster.failover.replicator.log(victim)
+            return engine_state(cluster.shards[victim]), [
+                (entry.lsn, entry.payload) for entry in log.union()
+            ]
+
+        per_record = run(lambda c: c.ingest_many(records))
+        batch = RecordBatch.from_records(records)
+        columnar = run(lambda c: c.ingest_batch(batch))
+        assert columnar == per_record
+        assert per_record[1]  # the victim owned, and logged, something
+
+
+class TestOneWritePath:
+    """A record is a batch of one: no layer regrows a per-record write
+    body, a second WAL put format, or a second size function."""
+
+    ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def sources(self, sub=""):
+        return {
+            path.relative_to(self.ROOT).as_posix(): path.read_text()
+            for path in sorted((self.ROOT / sub).rglob("*.py"))
+        }
+
+    def hits(self, pattern, sub=""):
+        """The file of every match of ``pattern`` under ``src/repro/sub``."""
+        return [
+            name for name, text in self.sources(sub).items()
+            for _ in re.findall(pattern, text)
+        ]
+
+    def test_every_put_is_a_one_line_delegation_to_mput(self):
+        # Only the abstract base and the two classes the macro benchmark
+        # spans by name define ``put``; the memtable has none.
+        owners = [StorageEngine, RemoteStorageEngine, KVStore]
+        for cls in (LocalStorageEngine, TieredStorageEngine, MemTable):
+            assert "put" not in vars(cls), cls
+        for cls in owners:
+            assert "put" in vars(cls) and "mput" in vars(cls), cls
+        bodies = [
+            [ast.unparse(stmt) for stmt in node.body
+             if not isinstance(getattr(stmt, "value", None), ast.Constant)]
+            for text in self.sources("storage").values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "put"
+            and [arg.arg for arg in node.args.args] == ["self", "key", "value"]
+        ]
+        assert bodies == [["self.mput([(key, value)])"]] * len(owners)
+
+    def test_one_write_call_site_per_layer(self):
+        assert self.hits(r"engine\.put\(") == []
+        assert self.hits(r"engine\.mput\(") == ["platform/platform.py"]
+        assert self.hits(r"\.write_unit\(") == [
+            "cluster/cluster.py", "platform/platform.py"
+        ]
+        assert self.hits(r"\.to_records\(", "cluster") == []
+
+    def test_one_wal_put_format_and_one_size_function(self):
+        quoted = "[\"']{}[\"']".format
+        assert self.hits(quoted("put"), "storage") == []
+        # written by KVStore.mput, read by the one replay branch
+        assert self.hits(quoted("mput"), "storage").count("storage/kv.py") == 2
+        assert self.hits(r"len\(\s*json\.dumps") == ["storage/kv.py"]
 
 
 class TestGatewayBatchIdentity:

@@ -14,6 +14,8 @@ Three families:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DataKind, DataRecord, SimulationClock, Space
 from repro.core.errors import (
@@ -27,9 +29,11 @@ from repro.platform import MetaversePlatform
 from repro.resilience import CircuitBreaker, FaultInjector, FaultPlan, RetryPolicy
 from repro.resilience.faults import FaultRule
 from repro.storage import (
+    LifecyclePolicy,
     LocalStorageEngine,
     RemoteStorageEngine,
     StorageTier,
+    TieredStorageEngine,
 )
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
@@ -47,6 +51,78 @@ def faulted_engine(rules, seed=1, **mount_kwargs):
         FaultPlan(rules=tuple(rules), seed=seed), clock=tier.clock
     )
     return tier, tier.mount("test", faults=injector, **mount_kwargs)
+
+
+def _kv_put_faults(seed):
+    return FaultInjector(FaultPlan(
+        rules=(FaultRule(site="kv.put", kind="crash", rate=0.2),
+               FaultRule(site="kv.put", kind="delay", rate=0.2, delay_s=0.01)),
+        seed=seed,
+    ))
+
+
+def _local_under_faults(seed):
+    injector = _kv_put_faults(seed)
+    return LocalStorageEngine(faults=injector), injector
+
+
+def _remote_under_faults(seed):
+    tier, engine = faulted_engine(
+        [FaultRule(site="storage.rpc", kind=kind, rate=0.15, delay_s=0.01)
+         for kind in ("crash", "drop", "delay")],
+        seed=seed,
+    )
+    return engine, engine.faults
+
+
+def _tiered_under_faults(seed):
+    injector = _kv_put_faults(seed)
+    return TieredStorageEngine(
+        policy=LifecyclePolicy(hot_capacity=2, hot_ttl_s=1.0, warm_ttl_s=2.0),
+        clock=injector.clock, faults=injector,
+    ), injector
+
+
+def write_one_by_one(build, seed, items, write):
+    """Apply ``write(engine, key, value)`` per item on a fresh faulted
+    engine; return everything a caller or an operator could observe."""
+    engine, injector = build(seed)
+    draws = []
+    decide = injector.decide
+
+    def recording_decide(site, target=None, **kwargs):
+        decision = decide(site, target, **kwargs)
+        draws.append((site, target, decision.kind))
+        return decision
+
+    injector.decide = recording_decide
+    remote = isinstance(engine, RemoteStorageEngine)
+    audit = engine.tier.keys if remote else engine.keys
+    write_site = "storage.rpc" if remote else "kv.put"
+    outcomes = []
+    for position, (key, value) in enumerate(items):
+        if position == len(items) // 2:
+            # Age everything written so far (the tiered engine demotes it
+            # cold), so later writes also land on cold keys.
+            injector.clock.advance(10.0)
+            engine.maintain(injector.clock.now)
+        before, drawn = audit(), len(draws)
+        try:
+            write(engine, key, value)
+            outcomes.append("ok")
+        except FaultInjectedError as exc:
+            outcomes.append(str(exc))
+            assert audit() == before  # decided before any state changed
+        # exactly one fault decision at the write's own site
+        assert [site for site, _, _ in draws[drawn:]].count(write_site) == 1
+    return {
+        "outcomes": outcomes,
+        "draws": draws,
+        "clock": injector.clock.now,
+        "rpcs": engine.metrics.counter("storage.rpc.calls").value,
+        "reads": audit(),
+        "engine": engine.describe(),
+    }
 
 
 def exercise_full_op_mix(engine):
@@ -140,14 +216,42 @@ class TestCoalescedBulkOps:
         assert remote.rpcs - rpcs_before <= len(tier.nodes)
         assert tier.metrics.counter("storage.rpc.calls").value == remote.rpcs
 
-    def test_bulk_ops_match_per_key_state(self):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.sampled_from([f"k{i}" for i in range(8)]),
+                st.integers(0, 99).map(lambda v: {"v": v}),
+            ),
+            min_size=1, max_size=20,
+        ),
+        seed=st.integers(0, 50),
+    )
+    def test_bulk_ops_match_per_key_state(self, items, seed):
+        """A record is a batch of one: ``put(k, v)`` and ``mput([(k, v)])``
+        leave identical reads, RPC count, fault-injector draw sequence
+        and simulated clock on every engine, each write taking exactly
+        one fault decision before any state changes — and one coalesced
+        ``mput`` of all the items reads back like the per-key writes."""
+        for build in (
+            _local_under_faults, _remote_under_faults, _tiered_under_faults
+        ):
+            assert write_one_by_one(
+                build, seed, items, lambda e, k, v: e.put(k, v)
+            ) == write_one_by_one(
+                build, seed, items, lambda e, k, v: e.mput([(k, v)])
+            )
         _, coalesced = remote_engine(n_nodes=2)
         _, per_key = remote_engine(n_nodes=2)
-        items = [(f"k{i}", {"v": i}) for i in range(30)]
         coalesced.mput(items)
         for key, value in items:
             per_key.put(key, value)
-        assert coalesced.scan("", "￿") == per_key.scan("", "￿")
+        # An item is sized the same however many travel with it.
+        assert (
+            coalesced.metrics.counter("storage.rpc.bytes").value
+            == per_key.metrics.counter("storage.rpc.bytes").value
+        )
+        assert coalesced.scan("", "\uffff") == per_key.scan("", "\uffff")
 
     def test_local_engine_bulk_defaults(self):
         engine = LocalStorageEngine()

@@ -1,10 +1,12 @@
 """Tests for the LSM-style KV store, including crash recovery and properties."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KeyNotFoundError
+from repro.core import KeyNotFoundError, StorageError
 from repro.storage import KVStore, WriteAheadLog
 
 
@@ -138,6 +140,17 @@ class TestRecovery:
     def test_recover_empty_wal(self):
         assert KVStore().recover() == 0
 
+    def test_recover_rejects_an_unknown_op(self):
+        wal = WriteAheadLog()
+        KVStore(wal=wal).put("a", 1)
+        lsn = wal.append(json.dumps({"op": "merge", "k": "a"}).encode())
+        with pytest.raises(StorageError, match=f"'merge' at LSN {lsn}"):
+            KVStore(wal=wal).recover()
+
+
+_keys = st.text(alphabet="abcdef", min_size=1, max_size=3)
+_pairs = st.tuples(_keys, st.integers(-1000, 1000))
+
 
 class TestProperties:
     """Hypothesis: the store behaves like a dict under any op sequence."""
@@ -145,25 +158,38 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(
-                st.sampled_from(["put", "delete"]),
-                st.text(alphabet="abcdef", min_size=1, max_size=3),
-                st.integers(-1000, 1000),
+            st.one_of(
+                st.tuples(st.just("put"), _pairs),
+                st.tuples(st.just("delete"), _keys),
+                st.tuples(st.just("mput"), st.lists(_pairs, max_size=5)),
             ),
             max_size=60,
         )
     )
     def test_matches_dict_semantics(self, ops):
-        kv = KVStore(memtable_budget_bytes=64, max_runs=2)
+        """Any interleaving of put / mput / delete equals a dict model,
+        logs exactly one WAL entry per call (a record is a batch of one;
+        an empty batch logs nothing), and replays to the same state."""
+        wal = WriteAheadLog()
+        kv = KVStore(memtable_budget_bytes=64, max_runs=2, wal=wal)
         model: dict[str, int] = {}
-        for op, key, value in ops:
+        logged = 0
+        for op, arg in ops:
             if op == "put":
-                kv.put(key, value)
-                model[key] = value
+                kv.put(*arg)
+                model[arg[0]] = arg[1]
+            elif op == "mput":
+                kv.mput(arg)
+                model.update(arg)
             else:
-                kv.delete(key)
-                model.pop(key, None)
+                kv.delete(arg)
+                model.pop(arg, None)
+            logged += arg != []
+            assert wal.entry_count == logged
         assert dict(kv.scan("", "zzzz")) == model
+        recovered = KVStore(memtable_budget_bytes=64, max_runs=2, wal=wal)
+        recovered.recover()
+        assert dict(recovered.scan("", "zzzz")) == model
 
     @settings(max_examples=30, deadline=None)
     @given(
