@@ -79,7 +79,7 @@ from ..query.plane import (
     spatial_query,
 )
 from ..placement import route_by_owner
-from ..replication import entity_op, product_op, stock_op
+from ..replication import drop_product_op, entity_op, product_op, stock_op
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
 from ..storage.engine import StorageTier
@@ -705,12 +705,22 @@ class PlatformCluster:
 
     def load_catalog(self, records: list[DataRecord]) -> None:
         for name, batch in self.router.group(records, attrgetter("key")).items():
-            self.shards[name].load_catalog(batch)
-            if self.failover is not None:
-                for record in batch:
-                    self.failover.replicator.log_op(
-                        name, product_op(record.key, record.payload)
-                    )
+            for record in batch:
+                self._write_product(name, record.key, record.payload)
+
+    def _write_product(self, owner: str, key: str, value: dict | None) -> None:
+        """Install product record ``value`` on shard ``owner`` (``None``
+        drops it) and, with replica failover on, log it — a product write
+        the owner's log never saw is undone by the next promotion."""
+        shard = self.shards[owner]
+        if value is None:
+            shard.drop_product(key)
+            op = drop_product_op(key)
+        else:
+            shard.import_product(key, value)
+            op = product_op(key, value)
+        if self.failover is not None:
+            self.failover.replicator.log_op(owner, op)
 
     def process_purchases(
         self, requests: list[PurchaseRequest], max_retries: int = 2
@@ -806,39 +816,20 @@ class PlatformCluster:
                 self.metrics.counter("cluster.failover.rejected_baskets").inc()
                 return BasketOutcome(False, f"shard down: {name}", shards)
         if len(shards) == 1:
-            committed, reason = self._local_basket(shards[0], quantities[shards[0]])
+            # One shard: one MVCC transaction, no network rounds.
+            shard = self.shards[shards[0]]
+            txn, why, product_id = shard.stage_basket(quantities[shards[0]])
+            if txn is not None:
+                shard.commit_basket(txn)
+            elif why == "sold out":
+                why = f"sold out: {product_id}"
+            else:
+                why = f"no such product {product_id!r}"
             self.metrics.counter("cluster.basket.local").inc()
-            return BasketOutcome(committed, reason, shards)
+            return BasketOutcome(txn is not None, why, shards)
         outcome = self.coordinator.execute(quantities)
         self.metrics.counter("cluster.basket.distributed").inc()
         return BasketOutcome(outcome.committed, outcome.reason, shards, outcome)
-
-    def _local_basket(
-        self, shard_name: str, quantities: dict[str, int]
-    ) -> tuple[bool, str]:
-        """Single-shard basket: one MVCC transaction, no network rounds."""
-        shard = self.shards[shard_name]
-        txn = shard.txn.begin()
-        new_stocks: dict[str, int] = {}
-        for product_id, quantity in quantities.items():
-            product = txn.read_or(product_id)
-            if product is None:
-                shard.txn.abort(txn)
-                return False, f"no such product {product_id!r}"
-            stock = product.get("stock", 0)
-            if stock < quantity:
-                shard.txn.abort(txn)
-                return False, f"sold out: {product_id}"
-            updated = dict(product)
-            updated["stock"] = stock - quantity
-            txn.write(product_id, updated)
-            new_stocks[product_id] = updated["stock"]
-        shard.txn.commit(txn)
-        for product_id in new_stocks:
-            shard.persist_committed(product_id)
-        for product_id, stock in new_stocks.items():
-            self._on_stock_commit(shard_name, product_id, stock)
-        return True, ""
 
     def get_stock(self, product_id: str) -> int:
         """Stock of ``product_id`` — merge-on-read for salted products:
@@ -901,7 +892,9 @@ class PlatformCluster:
             for i, bucket in enumerate(buckets):
                 bucket_value = dict(value)
                 bucket_value["stock"] = share + (1 if i < extra else 0)
-                self.shard_of(bucket).import_product(bucket, bucket_value)
+                self._write_product(
+                    self.router.owner_of(bucket), bucket, bucket_value
+                )
         self.metrics.counter("cluster.elasticity.salt_splits").inc()
         return buckets
 
@@ -921,12 +914,14 @@ class PlatformCluster:
                     if merged is None:
                         merged = dict(value)
             for bucket in buckets[1:]:
-                self.shard_of(bucket).drop_product(bucket)
+                self._write_product(self.router.owner_of(bucket), bucket, None)
             self.router.unsalt_key(product_id)
             if merged is None:
                 merged = {}
             merged["stock"] = total
-            self.shard_of(product_id).import_product(product_id, merged)
+            self._write_product(
+                self.router.owner_of(product_id), product_id, merged
+            )
         self.metrics.counter("cluster.elasticity.salt_merges").inc()
         return total
 
@@ -1028,7 +1023,9 @@ class PlatformCluster:
         self.coordinator.attach_shard(name, shard)
         if self.storage is not None:
             return self._remap_compute()
-        moved = self._rebalance()
+        moved = self._rebalance(self.shards)
+        self.metrics.counter("cluster.rebalance.moved_keys").inc(moved)
+        self._refresh_shard_gauges()
         if self.failover is not None:
             self.failover.resync()
         return moved
@@ -1059,7 +1056,7 @@ class PlatformCluster:
         self.coordinator.detach_shard(name)
         if self.storage is not None:
             return self._remap_compute()
-        moved = self._drain(departing)
+        moved = self._rebalance({name: departing})
         if self.failover is not None:
             self.failover.resync()
         self.metrics.counter("cluster.rebalance.moved_keys").inc(moved)
@@ -1093,39 +1090,33 @@ class PlatformCluster:
         self._refresh_shard_gauges()
         return 0
 
-    def _rebalance(self) -> int:
-        """Move every key whose ring owner changed; nothing else moves."""
+    def _rebalance(self, sources: dict[str, MetaversePlatform]) -> int:
+        """Export every entity and product a platform in ``sources``
+        ({shard name: platform}) holds to its ring owner; returns how many
+        moved.  A key its source still owns stays put.  A source that is
+        still a member drops what it exported; a departing one is
+        discarded whole, so its copies are not deleted one by one."""
         moved = 0
-        with self.tracer.span("cluster.rebalance"):
-            for name in list(self.shards):
-                shard = self.shards[name]
+        departing = sources.keys() - self.shards.keys()
+        with self.tracer.span("cluster.rebalance", draining=bool(departing)):
+            for name, shard in sources.items():
+                staying = name not in departing
                 for key in shard.entity_keys():
                     target = self.router.owner_of(key)
                     if target != name:
                         self.shards[target].import_entity(
                             key, shard.export_entity(key)
                         )
-                        shard.drop_entity(key)
+                        if staying:
+                            shard.drop_entity(key)
                         moved += 1
                 for product_id, value in shard.catalog_snapshot().items():
                     target = self.router.owner_of(product_id)
                     if target != name:
                         self.shards[target].import_product(product_id, value)
-                        shard.drop_product(product_id)
+                        if staying:
+                            shard.drop_product(product_id)
                         moved += 1
-        self.metrics.counter("cluster.rebalance.moved_keys").inc(moved)
-        self._refresh_shard_gauges()
-        return moved
-
-    def _drain(self, departing: MetaversePlatform) -> int:
-        moved = 0
-        with self.tracer.span("cluster.rebalance", draining=True):
-            for key in departing.entity_keys():
-                self.shard_of(key).import_entity(key, departing.export_entity(key))
-                moved += 1
-            for product_id, value in departing.catalog_snapshot().items():
-                self.shard_of(product_id).import_product(product_id, value)
-                moved += 1
         return moved
 
     # -- introspection ------------------------------------------------------

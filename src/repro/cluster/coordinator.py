@@ -4,10 +4,12 @@ A flash-sale basket can touch products owned by different shards; the
 paper notes such cross-partition transactions are "hard to process at
 scale" — they pay message rounds over the network.  Rather than invent a
 new protocol, the cluster binds the canonical blocking 2PC driver from
-:mod:`repro.txn.twopc` to shard-local MVCC state: a
-:class:`ShardParticipant` overrides the participant's stage/apply/release
-hooks so phase 1 validates stock inside a shard transaction and phase 2
-commits (or aborts) that same transaction.  The protocol machinery —
+:mod:`repro.txn.twopc` to the platform's stock-commit core: a
+:class:`ShardParticipant`'s stage hook is the shard's ``stage_basket``
+(phase 1's vote is whether it staged), its apply hook the shard's
+``commit_basket``, its release hook an abort of the staged transaction.
+All this module adds is the replay of a decided basket whose staged
+snapshot a local purchase overtook.  The protocol machinery —
 prepare/vote/decision/ack rounds, timeouts, partition behaviour over
 :class:`~repro.net.simnet.SimulatedNetwork` — is inherited unchanged, so
 the latency the coordinator observes is the genuine message-round cost.
@@ -16,7 +18,7 @@ the latency the coordinator observes is the genuine message-round cost.
 from __future__ import annotations
 
 from ..core.clock import EventScheduler, SimulationClock
-from ..core.errors import KeyNotFoundError, WriteConflictError
+from ..core.errors import WriteConflictError
 from ..core.metrics import MetricsRegistry
 from ..net.simnet import SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
@@ -27,9 +29,9 @@ from ..txn.twopc import Coordinator, DistributedTxn, Participant, TxnOutcome
 class ShardParticipant(Participant):
     """A 2PC participant whose resource manager is a platform shard.
 
-    The staged resource is a live MVCC transaction holding the decremented
-    stock values; the vote is the outcome of validating the basket against
-    the shard's snapshot.
+    The staged resource is the live MVCC transaction ``stage_basket``
+    opened (holding the decremented stock values) plus the quantities, in
+    case the commit has to be replayed; the vote is whether it staged.
     """
 
     def __init__(
@@ -39,59 +41,29 @@ class ShardParticipant(Participant):
         self.shard = shard
 
     def _stage(self, txn_id: int, writes: dict) -> bool:
-        txn = self.shard.txn.begin()
-        for product_id, quantity in writes.items():
-            try:
-                product = txn.read(product_id)
-            except KeyNotFoundError:
-                self.shard.txn.abort(txn)
-                return False
-            stock = product.get("stock", 0)
-            if stock < quantity:
-                self.shard.txn.abort(txn)
-                return False
-            updated = dict(product)
-            updated["stock"] = stock - quantity
-            txn.write(product_id, updated)
-        self._staged[txn_id] = (txn, dict(writes))
+        txn, _, _ = self.shard.stage_basket(writes)
+        if txn is None:
+            return False
+        self._staged[txn_id] = (txn, writes)
         return True
 
     def _apply(self, txn_id: int, staged) -> None:
         txn, quantities = staged
         try:
-            self.shard.txn.commit(txn)
-            self._persist_stocks(quantities)
-            self._log_stocks(quantities)
-            return
+            self.shard.commit_basket(txn)
         except WriteConflictError:
-            pass
-        # A local purchase slipped in between prepare and commit (only
-        # possible when the caller interleaves shard work with an open 2PC
-        # round).  The global decision is already COMMIT, so re-apply the
-        # decrement against fresh state rather than losing the basket.
-        self.shard.metrics.counter("cluster.twopc.commit_replays").inc()
-        for product_id, quantity in quantities.items():
-            txn = self.shard.txn.begin()
-            product = dict(txn.read_or(product_id, {"stock": 0}))
-            product["stock"] = product.get("stock", 0) - quantity
-            txn.write(product_id, product)
-            self.shard.txn.commit(txn)
-        self._persist_stocks(quantities)
-        self._log_stocks(quantities)
-
-    def _persist_stocks(self, quantities: dict) -> None:
-        """Write the committed post-basket state through to the shard's
-        storage engine (a dict write on the local default; the durability
-        step that keeps compute stateless on a remote engine)."""
-        for product_id in quantities:
-            self.shard.persist_committed(product_id)
-
-    def _log_stocks(self, quantities: dict) -> None:
-        """Replicate post-commit stock levels (failover write path)."""
-        if self.shard.purchase_log is None:
-            return
-        for product_id in quantities:
-            self.shard.purchase_log(product_id, self.shard.get_stock(product_id))
+            # A local purchase slipped in between prepare and commit (only
+            # possible when the caller interleaves shard work with an open
+            # 2PC round).  The global decision is already COMMIT, so
+            # re-apply the decrement against fresh state rather than
+            # losing the basket.
+            self.shard.metrics.counter("cluster.twopc.commit_replays").inc()
+            replay = self.shard.txn.begin()
+            for product_id, quantity in quantities.items():
+                product = dict(replay.read_or(product_id, {"stock": 0}))
+                product["stock"] = product.get("stock", 0) - quantity
+                replay.write(product_id, product)
+            self.shard.commit_basket(replay)
 
     def _release(self, txn_id: int, staged) -> None:
         txn, _ = staged

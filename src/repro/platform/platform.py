@@ -46,7 +46,7 @@ from ..resilience.policies import CircuitBreaker, RetryPolicy
 from ..semantic import SemanticIndex, SemanticIndexConfig
 from ..storage.bufferpool import BufferPool, PageMeta
 from ..storage.engine import LocalStorageEngine, StorageEngine
-from ..txn.mvcc import TransactionManager
+from ..txn.mvcc import Transaction, TransactionManager
 from ..workloads.marketplace import PurchaseRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -550,7 +550,7 @@ class MetaversePlatform:
     # remote engine it is what makes the compute node stateless — any other
     # compute node can hydrate the same product from the shared tier.
 
-    def _persist_product(self, product_id: str, value: dict | None) -> None:
+    def persist_committed(self, product_id: str, value: dict | None) -> None:
         """Write committed product state through to the storage engine
         (``None`` deletes).  A write that stays failing past the retry
         budget is parked dirty and re-flushed on the next persist."""
@@ -572,12 +572,18 @@ class MetaversePlatform:
         self.metrics.counter("platform.products_hydrated").inc()
         return value
 
-    def committed_product(self, product_id: str) -> dict | None:
-        """Committed product record from the MVCC cache, falling back to
-        storage hydration (stateless compute after a remap)."""
+    def _product(self, product_id: str) -> dict | None:
+        """Committed product record as a fresh MVCC snapshot sees it,
+        falling back to storage hydration (stateless compute after a
+        remap); ``None`` when the storage tier has no record either."""
         value = self.txn.begin().read_or(product_id)
         if value is None:
             value = self._hydrate_product(product_id)
+        return value
+
+    def committed_product(self, product_id: str) -> dict | None:
+        """A copy of :meth:`_product`'s record, safe to mutate."""
+        value = self._product(product_id)
         return dict(value) if value is not None else None
 
     def _install_product(self, product_id: str, value: dict) -> None:
@@ -586,21 +592,11 @@ class MetaversePlatform:
         txn.write(product_id, dict(value))
         self.txn.commit(txn)
 
-    def persist_committed(self, product_id: str) -> None:
-        """Write the currently committed state of ``product_id`` through
-        to the storage engine (the 2PC apply path, where the committed
-        value is produced outside :meth:`_purchase_attempts`)."""
-        txn = self.txn.begin()
-        value = txn.read_or(product_id)
-        self._persist_product(
-            product_id, dict(value) if value is not None else None
-        )
-
     def flush_dirty_products(self) -> int:
         """Re-drive deferred product write-throughs; returns how many are
         still dirty afterwards.
 
-        Every :meth:`_persist_product` drains through here, and so does a
+        Every :meth:`persist_committed` drains through here, and so does a
         stateless-compute remap before :meth:`reset_caches`: the MVCC
         cache about to be dropped may be the only holder of committed
         stock the storage tier missed (write-through parked on a fault),
@@ -687,53 +683,89 @@ class MetaversePlatform:
             )
         with self.tracer.span("platform.process_purchases", n=len(requests)):
             for request in requests:
-                outcomes.append(self._purchase_one(request, max_retries))
+                # A sampling boundary: with sample_every=k, one purchase in k
+                # records its sub-trace (commit spans included) — see Tracer.
+                with self.tracer.sampled_span("platform.purchase"):
+                    outcomes.append(
+                        self._purchase_attempts(request, max_retries)
+                    )
         return outcomes
-
-    def _purchase_one(
-        self, request: PurchaseRequest, max_retries: int
-    ) -> PurchaseOutcome:
-        # A sampling boundary: with sample_every=k, one purchase in k
-        # records its sub-trace (commit spans included) — see Tracer.
-        with self.tracer.sampled_span("platform.purchase"):
-            return self._purchase_attempts(request, max_retries)
 
     def _purchase_attempts(
         self, request: PurchaseRequest, max_retries: int
     ) -> PurchaseOutcome:
+        """A purchase is a basket of one, plus what only purchases have:
+        an executor charged per attempt and a retry loop on conflict."""
         executor = self.executors[self._executor_for(request.product_id)]
+        quantities = {request.product_id: request.quantity}
         for _ in range(max_retries + 1):
             executor.busy_time += self.txn_cost_s
-            txn = self.txn.begin()
+            txn, why, _ = self.stage_basket(quantities)
+            if txn is None:
+                if why == "sold out":
+                    self.metrics.counter("platform.soldout").inc()
+                return PurchaseOutcome(request, False, why)
             try:
-                product = txn.read(request.product_id)
-            except KeyNotFoundError:
-                self.txn.abort(txn)
-                # Stateless-compute path: an empty MVCC cache is not "no
-                # such product" until the storage tier agrees.
-                if self._hydrate_product(request.product_id) is not None:
-                    continue
-                return PurchaseOutcome(request, False, "no such product")
-            stock = product.get("stock", 0)
-            if stock < request.quantity:
-                self.txn.abort(txn)
-                self.metrics.counter("platform.soldout").inc()
-                return PurchaseOutcome(request, False, "sold out")
-            updated = dict(product)
-            updated["stock"] = stock - request.quantity
-            txn.write(request.product_id, updated)
-            try:
-                self.txn.commit(txn)
+                self.commit_basket(txn)
             except WriteConflictError:
                 self.metrics.counter("platform.retries").inc()
                 continue
             executor.processed += 1
             self.metrics.counter("platform.purchases").inc()
-            self._persist_product(request.product_id, updated)
-            if self.purchase_log is not None:
-                self.purchase_log(request.product_id, updated["stock"])
             return PurchaseOutcome(request, True)
         return PurchaseOutcome(request, False, "conflict retries exhausted")
+
+    # -- the stock-commit core ----------------------------------------------
+    #
+    # Every committed stock decrement — a purchase, a single-shard basket,
+    # a 2PC participant's prepare/commit — is one stage_basket and one
+    # commit_basket; nothing else checks stock or reports to the sink.
+
+    def stage_basket(
+        self, quantities: dict[str, int]
+    ) -> tuple[Transaction | None, str, str | None]:
+        """Open one MVCC transaction decrementing every product in
+        ``quantities`` ({product_id: quantity}) against one snapshot.
+
+        Returns ``(txn, "", None)`` with the transaction left open for
+        :meth:`commit_basket` (or an abort), or ``(None, why,
+        product_id)`` — ``why`` is ``"no such product"`` or ``"sold
+        out"`` — with nothing left open.
+        """
+        txn = self.txn.begin()
+        for product_id, quantity in quantities.items():
+            try:
+                product = txn.read(product_id)
+            except KeyNotFoundError:
+                self.txn.abort(txn)
+                # Stateless-compute path: an empty MVCC cache is not "no
+                # such product" until the storage tier agrees.
+                if self._product(product_id) is None:
+                    return None, "no such product", product_id
+                # Hydration committed behind this snapshot: start over.
+                return self.stage_basket(quantities)
+            stock = product.get("stock", 0)
+            if stock < quantity:
+                self.txn.abort(txn)
+                return None, "sold out", product_id
+            updated = dict(product)
+            updated["stock"] = stock - quantity
+            txn.write(product_id, updated)
+        return txn, "", None
+
+    def commit_basket(self, txn: Transaction) -> None:
+        """Commit a staged basket (a :class:`WriteConflictError` leaves
+        nothing applied), write each product it wrote through to the
+        storage engine, then report each post-commit stock to
+        :attr:`purchase_log`.  All write-throughs come before all
+        reports: a remote write-through advances the shared clock the
+        geo log stamps entries with."""
+        self.txn.commit(txn)
+        for product_id, value in txn.writes.items():
+            self.persist_committed(product_id, value)
+        if self.purchase_log is not None:
+            for product_id, value in txn.writes.items():
+                self.purchase_log(product_id, value["stock"])
 
     # -- cluster support ----------------------------------------------------
     #
@@ -773,26 +805,20 @@ class MetaversePlatform:
 
     def import_product(self, product_id: str, value: dict) -> None:
         self._install_product(product_id, value)
-        self._persist_product(product_id, dict(value))
+        self.persist_committed(product_id, dict(value))
 
     def drop_product(self, product_id: str) -> None:
         txn = self.txn.begin()
         txn.delete(product_id)
         self.txn.commit(txn)
-        self._persist_product(product_id, None)
+        self.persist_committed(product_id, None)
 
     def get_stock(self, product_id: str) -> int:
         """Current stock of ``product_id`` as seen by a fresh snapshot."""
-        txn = self.txn.begin()
-        try:
-            return int(txn.read(product_id).get("stock", 0))
-        except KeyNotFoundError:
-            self.txn.abort(txn)
-            value = self._hydrate_product(product_id)
-            if value is None:
-                raise
-            txn = self.txn.begin()
-            return int(txn.read(product_id).get("stock", 0))
+        value = self._product(product_id)
+        if value is None:
+            raise KeyNotFoundError(product_id)
+        return int(value.get("stock", 0))
 
     def compute_makespan(self) -> float:
         """Simulated completion time: the busiest executor's busy time."""

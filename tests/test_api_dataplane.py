@@ -13,10 +13,15 @@ cluster, and a two-region geo deployment read through a
 identical items from all three.
 """
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import DataPlane, GatherResult
-from repro.cluster import ClusterConfig, PlatformCluster
+from repro.cluster import ClusterConfig, CrossShardCoordinator, PlatformCluster
 from repro.core import (
     ConfigurationError,
     DataKind,
@@ -32,6 +37,7 @@ from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.semantic import semantic_query
 from repro.spatial.geometry import BBox
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
+from repro.workloads.marketplace import PurchaseRequest
 
 SHAPES = ["platform", "cluster", "cluster-disagg"]
 #: Replica failover folds columnar batches into per-record units, so the
@@ -237,6 +243,201 @@ def test_drain_budget_splits_a_batch_queued_behind_records(shape):
     assert plane.pending_count == 0
     assert plane.read("ent/d")["timestamp"] == 1.0
     assert plane.read("ent/e")["timestamp"] == 2.0
+
+
+def commerce_plane(shape, stocks):
+    """A plane with products ``p0..`` at ``stocks``, its stock-sink calls,
+    and every MVCC transaction it opens from here on."""
+    plane = make_plane(shape, n_shards=2)
+    plane.load_catalog([
+        record(f"p{i}", {"stock": stock, "price": 1})
+        for i, stock in enumerate(stocks)
+    ])
+    if shape == "cluster-disagg":
+        # Stateless compute starts cold: every product hydrates from the
+        # shared tier on first touch, whichever entry point touches it.
+        for node in plane.shards.values():
+            node.reset_caches()
+    sunk, opened = [], []
+    if shape == "platform":
+        plane.purchase_log = lambda *call: sunk.append(call)
+    else:
+        plane.add_stock_sink(lambda shard, *call: sunk.append(call))
+    for node in [plane] if shape == "platform" else plane.shards.values():
+        def begin(begin=node.txn.begin):
+            opened.append(begin())
+            return opened[-1]
+        node.txn.begin = begin
+    return plane, sunk, opened
+
+
+def node_of(plane, product_id):
+    if isinstance(plane, MetaversePlatform):
+        return plane
+    return plane.shards[plane.router.owner_of(product_id)]
+
+
+def buy_as_purchase(plane, request):
+    return plane.process_purchases([request])[0].success
+
+
+def buy_as_basket(plane, request):
+    if isinstance(plane, PlatformCluster):
+        return plane.process_basket([request]).committed
+    txn, _, _ = plane.stage_basket({request.product_id: request.quantity})
+    if txn is not None:
+        plane.commit_basket(txn)
+    return txn is not None
+
+
+def buy_as_twopc_round(plane, request):
+    quantities = {request.product_id: request.quantity}
+    if isinstance(plane, PlatformCluster):
+        owner = plane.router.owner_of(request.product_id)
+        return plane.coordinator.execute({owner: quantities}).committed
+    twopc = CrossShardCoordinator({"node": plane}, clock=plane.clock)
+    return twopc.execute({"node": quantities}).committed
+
+
+def commerce_state(plane, product_ids, sunk):
+    """MVCC product cache (read without hydrating it), engine product
+    records and sink calls so far."""
+    nodes = (
+        plane.shards.values() if isinstance(plane, PlatformCluster)
+        else [plane]
+    )
+    cached = {}
+    for node in nodes:
+        cached.update(node.catalog_snapshot())
+    records = {
+        pid: node_of(plane, pid).engine.get_product(pid)
+        for pid in product_ids
+    }
+    return cached, records, list(sunk)
+
+
+@pytest.mark.parametrize("shape", WRITE_SHAPES)
+class TestPurchaseIsABasketOfOne:
+    """One stock-commit path: a purchase, a single-shard basket of the
+    same request and a one-participant 2PC round on the same quantities
+    are the same stage and the same commit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        stocks=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        stream=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=8
+        ),
+    )
+    def test_three_entry_points_leave_identical_state(
+        self, shape, stocks, stream
+    ):
+        # Product index len(stocks) is a product no catalog holds.
+        pids = [f"p{i}" for i in range(len(stocks) + 1)]
+        requests = [
+            PurchaseRequest(f"s{n}", pids[i % len(pids)], Space.VIRTUAL,
+                            float(n), quantity=quantity)
+            for n, (i, quantity) in enumerate(stream)
+        ]
+        runs = []
+        for buy in (buy_as_purchase, buy_as_basket, buy_as_twopc_round):
+            plane, sunk, opened = commerce_plane(shape, stocks)
+            verdicts = []
+            state = commerce_state(plane, pids, sunk)
+            for request in requests:
+                before = state
+                opened.clear()
+                verdicts.append(buy(plane, request))
+                assert all(
+                    txn.status != "active" for txn in opened if txn.write_set
+                )
+                cached, *durable = state = commerce_state(plane, pids, sunk)
+                # The cache is the tier's committed state, or empty.
+                assert cached.items() <= durable[0].items()
+                if not verdicts[-1]:
+                    # A refused stage changes nothing (it may have
+                    # hydrated what it looked at).
+                    assert before[0].items() <= cached.items()
+                    assert durable == list(before[1:])
+            runs.append((verdicts, *state))
+        assert runs[0] == runs[1] == runs[2]
+        verdicts, _, records, _ = runs[0]
+        sold = dict.fromkeys(pids, 0)
+        for request, success in zip(requests, verdicts):
+            sold[request.product_id] += request.quantity * success
+        assert records == {
+            **{
+                pid: {"stock": stock - sold[pid], "price": 1}
+                for pid, stock in zip(pids, stocks)
+            },
+            pids[-1]: None,
+        }
+
+    def test_refused_multi_product_stage_aborts_what_it_staged(self, shape):
+        plane, sunk, opened = commerce_plane(shape, [5] * 6)
+        node = node_of(plane, "p0")
+        mine = [
+            pid for pid in (f"p{i}" for i in range(6))
+            if node_of(plane, pid) is node
+        ]
+        assert len(mine) >= 2
+        before = commerce_state(plane, mine, sunk)
+        for refusal, why in (({"ghost": 1}, "no such product"),
+                             ({mine[-1]: 6}, "sold out")):
+            opened.clear()
+            refused = node.stage_basket({**dict.fromkeys(mine, 1), **refusal})
+            assert refused == (None, why, next(iter(refusal)))
+            staged = [txn.status for txn in opened if txn.write_set]
+            assert "aborted" in staged and "active" not in staged
+            after = commerce_state(plane, mine, sunk)
+            assert before[0].items() <= after[0].items()
+            assert after[1:] == before[1:]
+
+
+class TestOneStockCommitPath:
+    """The acceptance grep: under ``src/repro`` stock is checked,
+    decremented, committed, written through and reported in one place."""
+
+    ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def hits(self, pattern):
+        """The file of every match of ``pattern`` under ``src/repro``."""
+        return [
+            path.relative_to(self.ROOT).as_posix()
+            for path in sorted(self.ROOT.rglob("*.py"))
+            for _ in re.findall(pattern, path.read_text())
+        ]
+
+    def test_one_check_and_decrement_plus_the_replay(self):
+        assert self.hits(r"stock < (\w+\.)?quantity") == ["platform/platform.py"]
+        assert self.hits(r'\["stock"\] = .* - (\w+\.)?quantity') == [
+            "cluster/coordinator.py", "platform/platform.py"
+        ]
+
+    def test_only_the_platform_writes_through_and_reports(self):
+        assert self.hits(r"\.purchase_log\(") == ["platform/platform.py"]
+        assert set(self.hits(r"\.persist_committed\(")) == {
+            "platform/platform.py"
+        }
+
+    def test_the_cluster_opens_no_shard_transaction(self):
+        in_cluster = [
+            name for name in self.hits(
+                r"\.txn\.(begin|commit|abort)\(|txn\.read"
+            )
+            if name.startswith("cluster/")
+        ]
+        # The participant's release abort and the replay tail's one begin.
+        assert in_cluster == ["cluster/coordinator.py"] * 2
+        coordinator = (self.ROOT / "cluster" / "coordinator.py").read_text()
+        assert coordinator.count(".txn.begin(") == 1
+        assert coordinator.count(".txn.abort(") == 1
+
+    def test_the_duplicate_bodies_stay_deleted(self):
+        assert self.hits(
+            r"_persist_product|_local_basket|_log_stocks|_persist_stocks"
+            r"|_purchase_one"
+        ) == []
 
 
 class TestDeprecatedSurface:

@@ -22,6 +22,7 @@ from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.replication import drop_entity_op, entity_op, product_op, stock_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
+from repro.workloads.marketplace import PurchaseRequest
 
 pytestmark = [pytest.mark.cluster, pytest.mark.failover]
 
@@ -346,8 +347,6 @@ class TestMarketplaceDuringFailure:
         cluster, _, pids = self.catalog_cluster()
         victim = cluster.router.owner_of(pids[0])
         cluster.kill_shard(victim)
-        from repro.workloads.marketplace import PurchaseRequest
-
         basket = [
             PurchaseRequest(
                 shopper_id="s1", product_id=pids[0], space=Space.VIRTUAL,
@@ -392,6 +391,43 @@ class TestMarketplaceDuringFailure:
             stock = cluster.get_stock(pid)
             assert stock >= 0
             assert sold.get(pid, 0) + stock == 10
+
+
+class TestSaltedProductFailover:
+    """Salt buckets are committed product state like any other: the
+    split and the merge reach the owners' failover logs, so promoting
+    any bucket's owner conserves the product's stock."""
+
+    @pytest.mark.parametrize("bucket", [0, 1, 2])
+    def test_stock_conserved_through_promotion_of_each_bucket_owner(
+        self, bucket
+    ):
+        cluster = failover_cluster(n_shards=3)
+        cluster.load_catalog([record("hot", {"stock": 90, "price": 5})])
+        buckets = cluster.salt_product("hot", 3)
+        requests = [
+            PurchaseRequest(f"s{i}", "hot", Space.VIRTUAL, float(i))
+            for i in range(7)
+        ]
+        assert all(o.success for o in cluster.process_purchases(requests))
+        assert cluster.get_stock("hot") == 83
+        victim = cluster.router.owner_of(buckets[bucket])
+        cluster.kill_shard(victim)
+        assert cluster.get_stock("hot") == 83  # served from the replicas
+        tick_until_up(cluster, victim)
+        assert cluster.metrics.counter("cluster.failover.promotions").value == 1
+        assert cluster.get_stock("hot") == 83
+        assert cluster.unsalt_product("hot") == 83
+        assert cluster.get_stock("hot") == 83
+        # The merge is logged too: the dropped buckets stay dropped and
+        # the merged record survives the next promotion.
+        victim = cluster.router.owner_of("hot")
+        cluster.kill_shard(victim)
+        tick_until_up(cluster, victim)
+        assert cluster.get_stock("hot") == 83
+        for dropped in buckets[1:]:
+            owner = cluster.router.owner_of(dropped)
+            assert dropped not in cluster.shards[owner].catalog_snapshot()
 
 
 class TestHeartbeatStarvation:

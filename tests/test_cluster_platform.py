@@ -317,3 +317,93 @@ class TestBaskets:
         assert not missing.committed and "no such product" in missing.reason
         with pytest.raises(ConfigurationError):
             cluster.process_basket([])
+
+    def test_single_shard_reasons_name_the_product(self):
+        cluster, _, local = self.seeded()
+        sold_out = cluster.process_basket(self.basket(local, quantity=11))
+        assert sold_out.reason == f"sold out: {local[0]}"
+        missing = cluster.process_basket(self.basket(["ghost"]))
+        assert missing.reason == "no such product 'ghost'"
+
+    def cold(self, recycle):
+        """A disaggregated cluster whose compute caches ``recycle`` just
+        emptied; returns it with a same-shard and a cross-shard pair."""
+        cluster = PlatformCluster(ClusterConfig(n_shards=2, n_storage_nodes=2))
+        cluster.load_catalog(
+            [record(f"p{i}", {"stock": 10, "price": 1}) for i in range(12)]
+        )
+        recycle(cluster)
+        pids = [f"p{i}" for i in range(12)]
+        owners = {pid: cluster.router.owner_of(pid) for pid in pids}
+        local = next(
+            (a, b) for a in pids for b in pids
+            if a < b and owners[a] == owners[b]
+        )
+        cross = next(
+            (a, b) for a in pids for b in pids
+            if owners[a] != owners[b] and not {a, b} & set(local)
+        )
+        assert all(
+            not shard.catalog_snapshot() for shard in cluster.shards.values()
+        )
+        return cluster, local, cross
+
+    def remap(cluster):
+        cluster.add_shard("shard-x")
+
+    def remount(cluster):
+        for name in list(cluster.shards):
+            cluster.kill_shard(name)
+        cluster.tick(0.05)
+
+    @pytest.mark.disagg
+    @pytest.mark.parametrize("recycle", [remap, remount])
+    def test_baskets_hydrate_products_a_compute_node_never_saw(self, recycle):
+        """Stateless compute: an empty MVCC cache is not "no such
+        product" until the storage tier agrees — for baskets as for
+        purchases, on one shard and through 2PC."""
+        cluster, local, cross = self.cold(recycle)
+        tier = next(iter(cluster.shards.values())).engine
+        one = cluster.process_basket(self.basket(local, quantity=2))
+        assert one.committed and len(one.shards) == 1, one.reason
+        two = cluster.process_basket(self.basket(cross, quantity=3))
+        assert two.committed and len(two.shards) == 2, two.reason
+        for pids, left in ((local, 8), (cross, 7)):
+            for pid in pids:
+                assert cluster.get_stock(pid) == left
+                assert tier.get_product(pid)["stock"] == left
+        ghost = cluster.process_basket(self.basket([local[0], "ghost"]))
+        assert not ghost.committed
+        assert cluster.get_stock(local[0]) == 8
+
+    def test_commit_replays_a_basket_a_local_purchase_overtook(self):
+        """The 2PC conflict-replay tail: a purchase commits between a
+        participant's prepare and the coordinator's COMMIT.  The decision
+        stands, so both decrements land — summed in MVCC, written through,
+        and reported to the stock sink in commit order."""
+        cluster, cross, _ = self.seeded()
+        sunk = []
+        cluster.add_stock_sink(lambda *call: sunk.append(call))
+        hot, other = cross
+        owner = cluster.router.owner_of(hot)
+        twopc = cluster.coordinator
+
+        def deliver(topic, **payload):
+            twopc.coordinator.node.send(owner, topic, {"txn_id": 1, **payload})
+            while twopc.scheduler.next_event_time is not None:
+                twopc.scheduler.run_until(twopc.scheduler.next_event_time)
+
+        deliver("2pc.prepare", writes={hot: 3})
+        assert twopc.participants[owner].staged_count == 1
+        [bought] = cluster.process_purchases(self.basket([hot], quantity=2))
+        assert bought.success
+        deliver("2pc.commit")
+        assert twopc.participants[owner].staged_count == 0
+        assert cluster.metrics.counter("cluster.twopc.commit_replays").value == 1
+        assert cluster.get_stock(hot) == 10 - 2 - 3
+        assert cluster.shards[owner].engine.get_product(hot)["stock"] == 5
+        assert sunk == [(owner, hot, 8), (owner, hot, 5)]
+        # An undisturbed round after it goes straight through.
+        assert cluster.process_basket(self.basket([hot, other])).committed
+        assert cluster.metrics.counter("cluster.twopc.commit_replays").value == 1
+        assert cluster.get_stock(hot) == 4

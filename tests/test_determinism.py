@@ -178,3 +178,40 @@ def test_strip_keeps_simulated_metrics_and_drops_wall_clock():
     assert "e23.clean.throughput_rps" not in stripped["gauges"]
     assert "experiments.bench_sync.runtime_s" not in stripped["gauges"]
     assert stripped["counters"] == {"experiments.regenerated": 23.0}
+
+
+def test_compare_artifacts_names_the_json_path_that_moved(tmp_path):
+    """``compare_artifacts.py`` reports, per diverged artifact, each
+    differing JSON path with both values — after the wall-clock strip."""
+    snapshot = {
+        "counters": {"mvcc.commits": 40.0},
+        "gauges": {"experiments.runtime_s": 0.9},
+        "histograms": {"cluster.twopc.latency_s": {"count": 7, "p95": 0.02}},
+    }
+    moved = json.loads(json.dumps(snapshot))
+    moved["histograms"]["cluster.twopc.latency_s"]["count"] = 8
+    moved["gauges"]["experiments.runtime_s"] = 1.7  # wall-clock: stripped
+    for side, content in (("base", snapshot), ("head", moved)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "same.json").write_text(json.dumps(snapshot))
+        (tmp_path / side / "e24_cluster.json").write_text(json.dumps(content))
+    (tmp_path / "head" / "extra.json").write_text("{}")
+
+    def run(base, head):
+        return subprocess.run(
+            [sys.executable, "benchmarks/compare_artifacts.py",
+             str(tmp_path / base), str(tmp_path / head)],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+        )
+
+    result = run("base", "head")
+    assert result.returncode != 0
+    report = result.stderr.splitlines()[1:]
+    assert report == [
+        "e24_cluster.json: 1 value(s) differ",
+        "  histograms/cluster.twopc.latency_s/count: base=7 head=8",
+        f"extra.json: only under {tmp_path / 'head'}",
+    ]
+    same = run("base", "base")
+    assert same.returncode == 0
+    assert "2 JSON artifacts identical" in same.stdout
