@@ -1,0 +1,72 @@
+"""Cross-tree macrobench counts: which deterministic number did a change move?
+
+Usage:  python benchmarks/compare_macro_counts.py BASE_TREE HEAD_TREE [MACROBENCH_ARGS...]
+
+Runs ``python3 -m macrobench --workload W --seed 11 --scale 0.05
+--seconds 1 --trace 1`` for every workload in each tree (each tree's own
+``macrobench/`` against its own ``src/``), keeps the metrics whose unit
+is ``count`` or ``bytes`` plus ``sim.elapsed_s`` — the numbers that
+repeat exactly — and prints every one that moved with its base and head
+value.  Report-only: a perf PR moves counts on purpose and says why in
+CHANGES.md; this makes "every other count is equal" a diff, not a claim.
+Always exits 0 unless a run itself fails.  Trailing arguments go to
+macrobench after the defaults (``--scale 1 --seconds 6`` for the full
+populations: at 0.05 ``twin_mixed`` has 12 players on 12 distinct
+(shard, storage node) pairs, so nothing there can coalesce).
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from macrobench.catalog import WORKLOADS  # noqa: E402  (read, never edited)
+
+ARGS = ("--seed", "11", "--scale", "0.05", "--seconds", "1", "--trace", "1")
+ABSENT = "<absent>"
+
+
+def deterministic(result: dict) -> dict[str, float]:
+    """The exactly repeating metrics of one macrobench result object."""
+    return {
+        name: entry["value"]
+        for name, entry in result["metrics"].items()
+        if entry["unit"] in ("count", "bytes") or name == "sim.elapsed_s"
+    }
+
+
+def moved(base: dict, head: dict) -> list[str]:
+    """One line per deterministic metric that differs between two result
+    objects (or exists on one side only)."""
+    was, now = deterministic(base), deterministic(head)
+    return [
+        f"  {name}: base={was.get(name, ABSENT)!r} head={now.get(name, ABSENT)!r}"
+        for name in sorted(was.keys() | now.keys())
+        if was.get(name, ABSENT) != now.get(name, ABSENT)
+    ]
+
+
+def measure(tree: Path, workload: str, extra: list[str]) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-m", "macrobench", "--workload", workload, *ARGS, *extra],
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(done.stdout.rstrip().rsplit("\n", 1)[-1])
+
+
+def main() -> None:
+    if len(sys.argv) < 3:
+        sys.exit(__doc__)
+    base, head, extra = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3:]
+    for workload in WORKLOADS:
+        lines = moved(measure(base, workload, extra), measure(head, workload, extra))
+        print(f"{workload}: {len(lines)} deterministic metric(s) moved")
+        print("\n".join(lines), end="\n" if lines else "")
+
+
+if __name__ == "__main__":
+    main()

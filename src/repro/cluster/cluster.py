@@ -49,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice, takewhile
 from operator import attrgetter
 from typing import Callable
 
@@ -385,44 +386,45 @@ class PlatformCluster:
 
     def _flush_shard(self, name: str, budget: int | None) -> int:
         """Write up to ``budget`` queued records to ``name`` (None =
-        unbounded) in arrival order; leftovers stay queued.  A unit
-        leaves the queue only once its write returned, so a write that
-        raises keeps it and everything behind it queued."""
+        unbounded) in arrival order; leftovers stay queued.  A write unit
+        is one :class:`RecordBatch` or the run of consecutive records at
+        the queue's head, either cut at the budget: one bulk write, which
+        the shard's engine coalesces into one RPC per storage node.  A
+        unit leaves the queue only once its write returned, so a write
+        that raises keeps it and everything behind it queued."""
         queue = self._pending.get(name)
         if not queue:
             return 0
         observe = self.metrics.histogram("cluster.router.batch_size").observe
         written = 0
-        run = 0  # consecutive records written since the last observation
         while queue and (budget is None or written < budget):
-            unit = head = queue[0]
-            rows = 1
-            if isinstance(unit, RecordBatch):
-                if run:
-                    observe(run)
-                    run = 0
-                # One bulk write per buffered batch: the shard's engine
-                # coalesces it into one RPC per storage node.  A batch
-                # larger than what is left of the budget splits there:
-                # the head flushes now, the columnar tail stays queued.
-                room = len(unit) if budget is None else budget - written
-                if len(unit) > room:
-                    head = unit.take(range(room))
-                rows = len(head)
-                observe(rows)
+            room = None if budget is None else budget - written
+            head = queue[0]
+            if isinstance(head, DataRecord):
+                unit = list(takewhile(
+                    lambda u: isinstance(u, DataRecord), islice(queue, room)
+                ))
+            elif room is None or len(head) <= room:
+                unit = head
             else:
-                run += 1
-            self._write_unit(name, head)
-            if head is unit:
+                # The batch splits at the budget: its head flushes now,
+                # the columnar tail stays queued.
+                unit = head.take(range(room))
+            self._write_unit(name, unit)
+            if isinstance(unit, list):
+                for _ in unit:
+                    queue.popleft()
+            elif unit is head:
                 queue.popleft()
             else:
-                queue[0] = unit.take(range(room, len(unit)))
-            written += rows
-        if run:
-            observe(run)
+                queue[0] = head.take(range(room, len(head)))
+            observe(len(unit))
+            written += len(unit)
         return written
 
-    def _write_unit(self, name: str, unit: DataRecord | RecordBatch) -> None:
+    def _write_unit(
+        self, name: str, unit: DataRecord | RecordBatch | list[DataRecord]
+    ) -> None:
         """Write one unit to shard ``name`` and, with replica failover on,
         log the post-state of every item it stored (what a promoted
         replica replays)."""
@@ -569,6 +571,12 @@ class PlatformCluster:
             self._pending.setdefault(owner, deque()).append(record)
             self.metrics.counter("cluster.failover.deferred_writes").inc()
             return
+        if self._pending.get(owner):
+            # Arrival order: what the owner has queued is older, so it
+            # drains first and cannot overwrite this write at the next flush.
+            self.metrics.counter("cluster.ingested_records").inc(
+                self._flush_shard(owner, None)
+            )
         self._write_unit(owner, record)
 
     def query(self, request: QueryRequest) -> GatherResult:

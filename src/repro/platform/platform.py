@@ -285,11 +285,12 @@ class MetaversePlatform:
         if self.semantic is not None:
             self.semantic.index_record(key, payload)
 
-    def write_unit(self, unit: DataRecord | RecordBatch) -> list:
-        """Persist one queued write unit; returns its stored items."""
-        if isinstance(unit, RecordBatch):
-            return self.write_record_batch(unit)
-        return self.write_record(unit)
+    def write_unit(self, unit: DataRecord | RecordBatch | list[DataRecord]) -> list:
+        """Persist one write unit — a record, a columnar batch or a run
+        of records; returns its stored items."""
+        if isinstance(unit, DataRecord):
+            return self.write_record(unit)
+        return self.write_record_batch(unit)
 
     def write_record(self, record: DataRecord) -> list:
         """Persist a record to the storage engine, invalidating its page;
@@ -298,9 +299,10 @@ class MetaversePlatform:
             [(record.key, stored_record_value(record))], [record.payload]
         )
 
-    def write_record_batch(self, batch: RecordBatch) -> list:
-        """Persist a columnar batch: one bulk engine call for N records;
-        returns the stored (key, value) pairs.
+    def write_record_batch(self, batch: RecordBatch | list[DataRecord]) -> list:
+        """Persist a columnar batch (or a run of records, which the
+        cluster's flush brings as a list): one bulk engine call for N
+        records; returns the stored (key, value) pairs.
 
         Leaves byte-identical engine state, stale-cache contents, and page
         invalidations to ``for r in batch.to_records(): write_record(r)`` —
@@ -308,6 +310,11 @@ class MetaversePlatform:
         scalar conversion — while paying one (coalesced) storage round
         trip and zero per-record Python object churn.
         """
+        if not isinstance(batch, RecordBatch):
+            return self._write_items(
+                [(record.key, stored_record_value(record)) for record in batch],
+                [record.payload for record in batch],
+            )
         payloads = batch.payloads()
         spaces = batch.space_values()
         times = batch.timestamps.tolist()

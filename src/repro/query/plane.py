@@ -32,6 +32,7 @@ and the conformance suite pins for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from ..api.dataplane import GatherResult
@@ -141,7 +142,7 @@ class QueryModality:
 
 def _sorted_by_key(partials: list[list]) -> list:
     items = [item for partial in partials for item in partial]
-    items.sort(key=lambda kv: kv[0])
+    items.sort(key=itemgetter(0))
     return items
 
 

@@ -257,12 +257,50 @@ class StorageNode:
             else LocalStorageEngine(metrics=self.metrics, tracer=self.tracer)
         )
         self.ops = 0
+        # key -> (last value object served, encoded key size, value size)
+        self._sized: dict[str, tuple[object, int, int]] = {}
 
     def execute(self, op: str, *args):
         """Run one storage operation locally (the RPC server side)."""
         self.ops += 1
         self.metrics.counter(f"storage.node.{self.name}.ops").inc()
+        if op == "delete":
+            self._sized.pop(args[0], None)
         return getattr(self.engine, op)(*args)
+
+    def response_size(self, op: str, args: tuple, result) -> int:
+        """Bytes ``result`` takes on the wire: ``payload_size(result)``
+        exactly, without serialising again what was sized before.
+
+        Entity reads are sized once per value, not once per hop: per key
+        served the node keeps the last value object with its key and
+        value sizes, and reuses them only while the row still holds that
+        same object (values are never mutated once stored).  The memo
+        holds the reference, so the identity cannot be recycled under it;
+        an overwrite, a delete + re-put, a cold-tier decode or a recovery
+        all bring a new object and miss.  Punctuation is arithmetic:
+        ``[[k, v], [k, v]]`` adds 6 per row, ``{k: v, k: v}`` 4, and an
+        empty one is 2.
+        """
+        if op == "get":
+            rows, punctuation = ((args[0], result),), 0
+        elif op == "scan":
+            rows, punctuation = result, 6
+        elif op == "mget":
+            rows, punctuation = result.items(), 4
+        else:
+            return payload_size(result)
+        sized = self._sized
+        total = 0
+        for key, value in rows:
+            memo = sized.get(key)
+            if memo is None or memo[0] is not value:
+                key_size = payload_size(key) if memo is None else memo[1]
+                memo = sized[key] = (value, key_size, payload_size(value))
+            total += memo[1] + memo[2]
+        if op == "get":
+            return memo[2]
+        return total + punctuation * len(result) if result else 2
 
 
 class StorageTier:
@@ -511,7 +549,9 @@ class RemoteStorageEngine(StorageEngine):
         with self.tracer.span("storage.rpc", op=op, node=node.name):
             clock.advance(link.transfer_delay(request_size) + extra_delay)
             result = node.execute(op, *args)
-            clock.advance(link.transfer_delay(max(1, payload_size(result))))
+            clock.advance(link.transfer_delay(
+                max(1, node.response_size(op, args, result))
+            ))
         self.rpcs += 1
         self.metrics.counter("storage.rpc.calls").inc()
         self.metrics.counter("storage.rpc.bytes").inc(request_size)
@@ -549,7 +589,7 @@ class RemoteStorageEngine(StorageEngine):
         merged: list[tuple[str, object]] = []
         for part in self._fan_out("scan", len(lo) + len(hi), lo, hi):
             merged.extend(part)
-        merged.sort(key=lambda kv: kv[0])
+        merged.sort(key=itemgetter(0))  # timsort merges the sorted parts
         return merged
 
     # -- coalesced bulk ops -------------------------------------------------

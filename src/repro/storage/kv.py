@@ -14,7 +14,7 @@ performance profile, which the LSM design provides.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ..core.errors import (
@@ -81,16 +81,11 @@ class MemTable:
         return len(self._data)
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
-        start = bisect_left(self._keys, lo)
-        for idx in range(start, len(self._keys)):
-            key = self._keys[idx]
-            if key > hi:
-                return
-            yield key, self._data[key]
+        keys = self._keys[bisect_left(self._keys, lo):bisect_right(self._keys, hi)]
+        return zip(keys, map(self._data.__getitem__, keys))
 
     def items(self) -> Iterator[tuple[str, _Versioned]]:
-        for key in self._keys:
-            yield key, self._data[key]
+        return zip(self._keys, map(self._data.__getitem__, self._keys))
 
 
 class SSTable:
@@ -114,13 +109,11 @@ class SSTable:
         return None
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
-        idx = bisect_left(self._keys, lo)
-        while idx < len(self._keys) and self._keys[idx] <= hi:
-            yield self._keys[idx], self._values[idx]
-            idx += 1
+        start, stop = bisect_left(self._keys, lo), bisect_right(self._keys, hi)
+        return zip(self._keys[start:stop], self._values[start:stop])
 
     def items(self) -> Iterator[tuple[str, _Versioned]]:
-        yield from zip(self._keys, self._values)
+        return zip(self._keys, self._values)
 
 
 def payload_size(value: object) -> int:
@@ -259,17 +252,19 @@ class KVStore:
         return self.get_or(key, _TOMBSTONE) is not _TOMBSTONE
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
-        """Yield live (key, value) pairs with lo <= key <= hi, ascending."""
+        """Yield live (key, value) pairs with lo <= key <= hi, ascending.
+
+        Sources merge oldest first, so the last writer of a key is its
+        highest seqno without comparing any: runs are newest-first and
+        the memtable is newer than every run."""
         self.metrics.counter("kv.scans").inc()
         best: dict[str, _Versioned] = {}
-        for source in [self._memtable, *self._runs]:
-            for key, versioned in source.scan(lo, hi):
-                current = best.get(key)
-                if current is None or versioned.seqno > current.seqno:
-                    best[key] = versioned
+        for source in [*reversed(self._runs), self._memtable]:
+            best.update(source.scan(lo, hi))
         for key in sorted(best):
-            if best[key].value is not _TOMBSTONE:
-                yield key, best[key].value
+            value = best[key].value
+            if value is not _TOMBSTONE:
+                yield key, value
 
     def keys(self) -> list[str]:
         return [k for k, _ in self.scan("", "￿")]
@@ -302,11 +297,8 @@ class KVStore:
         """Merge all runs into one, discarding shadowed versions/tombstones."""
         with self.tracer.span("kv.compact", runs=len(self._runs)):
             best: dict[str, _Versioned] = {}
-            for run in self._runs:
-                for key, versioned in run.items():
-                    current = best.get(key)
-                    if current is None or versioned.seqno > current.seqno:
-                        best[key] = versioned
+            for run in reversed(self._runs):  # oldest first: newest wins
+                best.update(run.items())
             live = [
                 (key, versioned)
                 for key, versioned in sorted(best.items())

@@ -195,6 +195,157 @@ class TestBatchIngestIdentity:
         assert per_record[1]  # the victim owned, and logged, something
 
 
+def rec(key, v, timestamp=0.0):
+    return DataRecord(
+        key=key, payload={"v": v}, space=Space.VIRTUAL, timestamp=timestamp,
+        kind=DataKind.STRUCTURED, source="run",
+    )
+
+
+class TestRunOfQueuedRecords:
+    """The consecutive records at the head of a shard's queue are one
+    write unit: one bulk write, cut at the drain budget, ended by a
+    :class:`RecordBatch`."""
+
+    def sizes(self, cluster):
+        return cluster.metrics.histogram("cluster.router.batch_size").samples
+
+    def logged(self, cluster, shard="shard-0"):
+        return [
+            (op["k"], op["v"]["payload"]["v"])
+            for op in (
+                json.loads(entry.payload)
+                for entry in cluster.failover.replicator.log(shard).union()
+            )
+        ]
+
+    def test_a_batch_ends_a_run(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=1, n_storage_nodes=2))
+        batch = RecordBatch.from_records([rec(f"b/{i}", i) for i in range(5)])
+        for unit in (rec("a", 1), rec("b", 1), batch, rec("a", 2), rec("c", 2)):
+            if isinstance(unit, RecordBatch):
+                cluster.ingest_batch(unit)
+            else:
+                cluster.ingest(unit)
+        writes = []
+        shard = cluster.shards["shard-0"]
+        write_items = shard._write_items
+        shard._write_items = lambda items, payloads: (
+            writes.append([key for key, _ in items])
+            or write_items(items, payloads)
+        )
+        assert cluster.flush() == 9
+        assert writes == [["a", "b"], [f"b/{i}" for i in range(5)], ["a", "c"]]
+        assert self.sizes(cluster) == [2.0, 5.0, 2.0]
+        assert cluster.read("a")["payload"] == {"v": 2}
+
+    @pytest.mark.parametrize("n_replicas", [1, 2])
+    def test_duplicates_inside_a_run_later_wins(self, n_replicas):
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=n_replicas, n_replicas=n_replicas)
+        )
+        keys = ["k", "other", "k", "k"]
+        owner = cluster.router.owner_of("k")
+        run = [
+            rec(key, v) for v, key in enumerate(keys)
+            if cluster.router.owner_of(key) == owner
+        ]
+        for record in run:
+            cluster.ingest(record)
+        cluster.flush()
+        assert self.sizes(cluster) == [float(len(run))]
+        assert cluster.read("k")["payload"] == {"v": 3}
+        if n_replicas == 2:
+            # every post-state, in arrival order: a promoted replica
+            # replays to the same final value
+            assert self.logged(cluster, owner) == [
+                (r.key, r.payload["v"]) for r in run
+            ]
+            assert cluster.failover.replica_value(owner, "k")["payload"] == {"v": 3}
+
+    def test_drain_budget_cuts_a_run_and_keeps_the_tail_in_order(self):
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=1, shard_drain_rate=3.0)
+        )
+        for i in range(5):
+            cluster.ingest(rec("k", i))
+        cluster.ingest(rec("last", 9))
+        cluster.tick(1.0)  # credit 3: the run's first three records
+        assert self.sizes(cluster) == [3.0]
+        assert cluster.read("k")["payload"] == {"v": 2}
+        assert [r.payload["v"] for r in cluster._pending["shard-0"]] == [3, 4, 9]
+        cluster.tick(1.0)
+        assert self.sizes(cluster) == [3.0, 3.0]
+        assert cluster.pending_count == 0
+        assert cluster.read("k")["payload"] == {"v": 4}
+        assert cluster.read("last")["payload"] == {"v": 9}
+
+    @pytest.mark.parametrize("disaggregated", [False, True])
+    def test_failed_run_stays_queued_and_a_retry_lands_each_key_once(
+        self, disaggregated
+    ):
+        site = "storage.rpc" if disaggregated else "kv.put"
+        injector = FaultInjector(FaultPlan(
+            rules=[FaultRule(site=site, kind="crash", rate=1.0, start=1.0, end=2.0)]
+        ))
+        cluster = PlatformCluster(
+            ClusterConfig(
+                n_shards=1, n_storage_nodes=2 if disaggregated else None
+            ),
+            faults=injector,
+        )
+        cluster.ingest(rec("early", 0))
+        cluster.flush()  # before the fault window
+        run = [rec("a", 1), rec("b", 1), rec("a", 2)]
+        for record in run:
+            cluster.ingest(record)
+        cluster.ingest_batch(RecordBatch.from_records([rec("c", 3)]))
+        cluster.clock.advance(1.5)
+        with pytest.raises(FaultInjectedError):
+            cluster.flush()
+        # The run and everything behind it: nothing left, nothing landed.
+        assert cluster.pending_count == 4
+        assert list(cluster._pending["shard-0"])[:3] == run
+        cluster.clock.advance(1.0)  # past the fault window
+        assert [k for k, _ in cluster.scan_prefix("").items] == ["early"]
+        assert cluster.flush() == 4
+        assert {
+            key: value["payload"]["v"]
+            for key, value in cluster.scan_prefix("").items
+        } == {"a": 2, "b": 1, "c": 3, "early": 0}
+
+    def test_a_tick_of_per_record_ingests_costs_one_mput_per_storage_node(self):
+        """N records queued one by one on a 4 x 4 disaggregated cluster
+        reach the tier in at most 4 ``mput`` round trips per shard (N at
+        the parent), and the tier holds byte-identical state to writing
+        them one round trip each."""
+        records = [rec(f"e/{i % 60:03d}", i, float(i)) for i in range(240)]
+
+        config = ClusterConfig(n_shards=4, n_storage_nodes=4)
+        coalesced = PlatformCluster(config)
+        for record in records:
+            coalesced.ingest(record)
+        before = coalesced.metrics.counter("storage.rpc.calls").value
+        assert coalesced.flush() == len(records)
+        calls = coalesced.metrics.counter("storage.rpc.calls").value - before
+        assert calls <= 4 * 4
+        assert self.sizes(coalesced) == [
+            float(sum(coalesced.router.owner_of(r.key) == name for r in records))
+            for name in coalesced.router.shards
+        ]
+
+        one_by_one = PlatformCluster(config)
+        for record in records:
+            one_by_one.write_record(record)
+        calls = one_by_one.metrics.counter("storage.rpc.calls").value
+        assert calls == len(records)
+        tiers = [
+            json.dumps(sorted(c.storage.mget(c.storage.keys()).items()))
+            for c in (coalesced, one_by_one)
+        ]
+        assert tiers[0] == tiers[1]
+
+
 class TestOneWritePath:
     """A record is a batch of one: no layer regrows a per-record write
     body, a second WAL put format, or a second size function."""

@@ -6,10 +6,18 @@ order-identical purchase routing, and 2PC baskets — plus the metrics the
 facade threads through ``repro.obs``.
 """
 
+import json
+
 import pytest
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.core import ConfigurationError, DataKind, DataRecord, Space
+from repro.core import (
+    ConfigurationError,
+    DataKind,
+    DataRecord,
+    FaultInjectedError,
+    Space,
+)
 from repro.platform import MetaversePlatform
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
@@ -68,6 +76,67 @@ class TestBatchedIngest:
         dropped = cluster.metrics.counter("cluster.dropped_records").value
         assert dropped + cluster.pending_count == 100
         assert 25 <= dropped <= 75  # ~50%, deterministic for seed 3
+
+
+class TestWriteThroughOrdering:
+    """``write_record`` is a write-through, but arrival order still holds
+    against what its owner has queued."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ClusterConfig(n_shards=2),
+            ClusterConfig(n_shards=2, n_storage_nodes=2),
+            ClusterConfig(n_shards=2, n_replicas=2),
+        ],
+        ids=["local", "disaggregated", "replicated"],
+    )
+    def test_older_queued_record_cannot_overwrite_a_write_through(self, config):
+        cluster = PlatformCluster(config)
+        cluster.ingest(record("k", {"v": 1}))
+        cluster.ingest(record("other", {"v": 0}))
+        cluster.write_record(record("k", {"v": 2}))
+        assert cluster.read("k")["payload"] == {"v": 2}
+        cluster.flush()
+        assert cluster.read("k")["payload"] == {"v": 2}  # 1 at the parent
+        assert cluster.read("other")["payload"] == {"v": 0}
+        assert cluster.pending_count == 0
+        # Both ingested records count as ingested, whoever drained them.
+        assert cluster.metrics.counter("cluster.ingested_records").value == 2
+        if cluster.failover is not None:
+            owner = cluster.router.owner_of("k")
+            assert cluster.failover.replica_value(owner, "k")["payload"] == {"v": 2}
+            logged = [
+                json.loads(entry.payload)["v"]["payload"]
+                for entry in cluster.failover.replicator.log(owner).union()
+                if json.loads(entry.payload)["k"] == "k"
+            ]
+            assert logged == [{"v": 1}, {"v": 2}]  # arrival order, newer last
+
+    def test_write_through_with_an_empty_queue_stays_one_direct_write(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=2, n_storage_nodes=2))
+        cluster.write_record(record("k", {"v": 1}))
+        assert cluster.read("k")["payload"] == {"v": 1}
+        assert cluster.metrics.counter("storage.rpc.calls").value == 2  # mput + get
+        assert cluster.metrics.histogram("cluster.router.batch_size").count == 0
+
+    def test_a_failed_drain_leaves_the_write_through_unwritten(self):
+        """The queue ahead of a write-through drains first; if that raises,
+        the write-through itself was never queued (its caller saw the
+        failure), and what was queued stays queued."""
+        plan = FaultPlan(
+            rules=[FaultRule(site="kv.put", kind="crash", rate=1.0, end=1.0)],
+            seed=1,
+        )
+        injector = FaultInjector(plan)
+        cluster = PlatformCluster(ClusterConfig(n_shards=1), faults=injector)
+        cluster.ingest(record("k", {"v": 1}))
+        with pytest.raises(FaultInjectedError):
+            cluster.write_record(record("k", {"v": 2}))
+        assert cluster.pending_count == 1
+        injector.clock.advance(2.0)  # past the fault window
+        cluster.flush()
+        assert cluster.read("k")["payload"] == {"v": 1}
 
 
 class TestScatterGather:

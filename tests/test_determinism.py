@@ -215,3 +215,47 @@ def test_compare_artifacts_names_the_json_path_that_moved(tmp_path):
     same = run("base", "base")
     assert same.returncode == 0
     assert "2 JSON artifacts identical" in same.stdout
+
+
+def test_compare_macro_counts_reports_each_deterministic_metric_that_moved():
+    """``compare_macro_counts.py`` keeps a result object's counts, bytes
+    and ``sim.elapsed_s`` and names each that differs with both values;
+    timings and ratios never show."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        from compare_macro_counts import moved
+    finally:
+        sys.path.pop(0)
+
+    def result(**metrics):
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": {
+            name: {"value": value, "unit": unit}
+            for name, (value, unit) in metrics.items()
+        }}
+
+    base = result(**{
+        "storage.rpc.calls": (19350.0, "count"),
+        "storage.rpc.bytes": (1533065.0, "bytes"),
+        "wal.bytes": (1669365.0, "bytes"),
+        "sim.elapsed_s": (63.95, "s"),
+        "storage.rpc_s": (0.97, "s"),
+        "pool.hit_ratio": (0.5, "ratio"),
+        "kv.compactions": (1.0, "count"),
+    })
+    head = result(**{
+        "storage.rpc.calls": (7650.0, "count"),
+        "storage.rpc.bytes": (1533065.0, "bytes"),
+        "wal.bytes": (1400265.0, "bytes"),
+        "sim.elapsed_s": (40.55, "s"),
+        "storage.rpc_s": (0.21, "s"),
+        "pool.hit_ratio": (0.6, "ratio"),
+        "kv.runs": (21.0, "count"),
+    })
+    assert moved(base, base) == []
+    assert moved(base, head) == [
+        "  kv.compactions: base=1.0 head='<absent>'",
+        "  kv.runs: base='<absent>' head=21.0",
+        "  sim.elapsed_s: base=63.95 head=40.55",
+        "  storage.rpc.calls: base=19350.0 head=7650.0",
+        "  wal.bytes: base=1669365.0 head=1400265.0",
+    ]

@@ -13,9 +13,13 @@ Three families:
   a remote engine stays exactly-once through cache loss (hydration).
 """
 
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import DataKind, DataRecord, SimulationClock, Space
 from repro.core.errors import (
@@ -32,9 +36,11 @@ from repro.storage import (
     LifecyclePolicy,
     LocalStorageEngine,
     RemoteStorageEngine,
+    StorageNode,
     StorageTier,
     TieredStorageEngine,
 )
+from repro.storage.kv import payload_size
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 pytestmark = pytest.mark.disagg
@@ -554,3 +560,178 @@ class TestPlatformOnEngines:
         platform.import_product("q", {"stock": 1})  # re-flushes the backlog
         assert engine.get_product("p") == {"stock": 3}
         assert engine.get_product("q") == {"stock": 1}
+
+
+# -- response sizing: once per value, never a different number -----------------
+
+sizing_keys = st.sampled_from(
+    ["a", "b", 'q"uote', "back\\slash", "é", "日本/1", "tab\there", "z"]
+)
+# 1 == 1.0 == True but they encode to 1, 3 and 4 bytes: an equal value is
+# not the same response, which is why the memo goes by identity.
+sizing_scalars = st.one_of(
+    st.sampled_from([0, 0.0, False, 1, 1.0, True, None, 'say "hi"', "naïve"]),
+    st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.text(max_size=6),
+)
+sizing_values = st.recursive(
+    sizing_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+class ResponseSizingMachine(RuleBasedStateMachine):
+    """Whatever a node served, stored, dropped, demoted or promoted
+    before, the size it reports for a read is ``payload_size(result)``,
+    and it remembers nothing but keys it served and did not delete."""
+
+    tiered = False
+
+    def __init__(self):
+        super().__init__()
+        self.clock = SimulationClock()
+        policy = LifecyclePolicy(hot_capacity=2, hot_ttl_s=1.0, warm_ttl_s=2.0)
+        self.node = StorageNode(
+            "n",
+            engine_factory=(
+                lambda metrics, tracer: TieredStorageEngine(
+                    policy=policy, clock=self.clock,
+                    metrics=metrics, tracer=tracer,
+                )
+            ) if self.tiered else None,
+        )
+        self.served: set[str] = set()
+
+    def read(self, op, *args):
+        result = self.node.execute(op, *args)
+        assert self.node.response_size(op, args, result) == payload_size(result)
+        return result
+
+    @rule(items=st.lists(st.tuples(sizing_keys, sizing_values), max_size=5))
+    def mput(self, items):
+        self.node.execute("mput", items)
+
+    @rule(
+        key=sizing_keys,
+        values=st.sampled_from(
+            [(1, 1.0), (0.0, False), ({"a": 1}, {"a": True}), ([1.0], [1], [1])]
+        ),
+    )
+    def overwrite_with_equal_values_of_other_sizes(self, key, values):
+        """``==`` cannot stand in for ``is``: each of these compares equal
+        to the one before it and encodes to another length (or is a
+        distinct object of the same one)."""
+        for value in values:
+            self.node.execute("mput", [(key, copy.deepcopy(value))])
+            self.read("get", key)
+            self.read("scan", key, key)
+        self.served.add(key)
+
+    @rule(key=sizing_keys)
+    def delete(self, key):
+        self.node.execute("delete", key)
+        self.served.discard(key)
+
+    @rule(dt=st.sampled_from([0.5, 1.5, 3.0]))
+    def age_and_maintain(self, dt):
+        """On the tiered engine: hot eviction, then demotion to cold —
+        a later read decodes (scan) or promotes (get) a fresh object."""
+        self.clock.advance(dt)
+        self.node.engine.maintain(self.clock.now)
+
+    @rule(key=sizing_keys)
+    def get(self, key):
+        try:
+            self.read("get", key)
+        except KeyNotFoundError:
+            return
+        self.served.add(key)
+
+    @rule(keys=st.lists(sizing_keys, max_size=4))
+    def mget(self, keys):
+        self.served.update(self.read("mget", keys))
+
+    @rule(lo=st.sampled_from(["", "a", "b"]), hi=st.sampled_from(["a", "z", "￿"]))
+    def scan(self, lo, hi):
+        self.served.update(key for key, _ in self.read("scan", lo, hi))
+
+    @invariant()
+    def remembers_only_what_it_served_and_still_holds(self):
+        assert set(self.node._sized) <= self.served
+
+
+class TieredResponseSizingMachine(ResponseSizingMachine):
+    tiered = True
+
+
+TestResponseSizing = ResponseSizingMachine.TestCase
+TestTieredResponseSizing = TieredResponseSizingMachine.TestCase
+
+
+class TestResponseSizedOncePerValue:
+    ITEMS = [(f"e/{i:03d}", {"payload": {"x": i * 0.5, "tag": "é" * (i % 3)}})
+             for i in range(60)]
+
+    def count_dumps(self, monkeypatch):
+        calls = []
+        real = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        return calls
+
+    def test_rescan_of_an_unchanged_tier_serialises_nothing(self, monkeypatch):
+        tier, engine = remote_engine(n_nodes=3)
+        engine.mput(self.ITEMS)
+        first = engine.scan("", "￿")
+        calls = self.count_dumps(monkeypatch)
+        before = tier.clock.now
+        assert engine.scan("", "￿") == first
+        assert calls == []  # every row was sized when it was first served
+        assert tier.clock.now > before  # ... and still paid for on the clock
+        # One overwrite brings one new object: that row alone is re-sized.
+        monkeypatch.undo()
+        engine.put("e/007", {"payload": {"x": 1}})
+        calls = self.count_dumps(monkeypatch)
+        engine.scan("", "￿")
+        assert 1 <= len(calls) <= 2  # the value, and at most its key again
+
+    def test_clock_equals_the_payload_size_oracle(self, monkeypatch):
+        def drive(engine):
+            engine.mput(self.ITEMS)
+            engine.scan("", "￿")
+            engine.get("e/003")
+            engine.mget(["e/001", "e/002", "missing", "e/059"])
+            engine.scan("e/01", "e/02")
+            engine.scan("x", "y")  # empty on every node
+            engine.put("e/003", {"payload": {"x": 1.0}})
+            engine.delete("e/004")
+            engine.put("e/004", {"payload": {"x": 1}})
+            engine.get("e/003")
+            engine.mget([])
+            engine.scan("", "￿")
+            engine.put_product("p", {"stock": 3})
+            engine.products()
+
+        tier, engine = remote_engine(n_nodes=3)
+        drive(engine)
+        oracle_tier, oracle_engine = remote_engine(n_nodes=3)
+        monkeypatch.setattr(
+            StorageNode, "response_size",
+            lambda self, op, args, result: payload_size(result),
+        )
+        drive(oracle_engine)
+        assert tier.clock.now == oracle_tier.clock.now
+        latency = "storage.rpc.latency_s"
+        assert (
+            tier.metrics.histogram(latency).total
+            == oracle_tier.metrics.histogram(latency).total
+        )

@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import KeyNotFoundError, StorageError
 from repro.storage import KVStore, WriteAheadLog
+from repro.storage.kv import _TOMBSTONE
 
 
 class TestBasicOps:
@@ -207,3 +209,82 @@ class TestProperties:
         recovered = KVStore(wal=wal)
         recovered.recover()
         assert dict(recovered.scan("", "zzzz")) == entries
+
+
+class ScanMergeMachine(RuleBasedStateMachine):
+    """``scan`` merges its sources oldest first and compares no seqno;
+    that is only right while runs stay newest-first under a memtable
+    newer than all of them.  Whatever order of writes, deletes, flushes,
+    compactions, checkpoint loads and recoveries built the store, a scan
+    must equal the seqno-max model over every version it holds."""
+
+    keys = st.text(alphabet="abc", min_size=1, max_size=2)
+
+    def __init__(self):
+        super().__init__()
+        self.kv = self.fresh(WriteAheadLog())
+        self.base = None  # the checkpoint this store's WAL continues from
+
+    def fresh(self, wal):
+        return KVStore(memtable_budget_bytes=48, max_runs=2, wal=wal)
+
+    @rule(items=st.lists(st.tuples(keys, st.integers()), max_size=6))
+    def mput(self, items):
+        self.kv.mput(items)
+
+    @rule(key=keys)
+    def delete(self, key):
+        self.kv.delete(key)
+
+    @rule()
+    def flush(self):
+        self.kv.flush()
+
+    @rule()
+    def compact(self):
+        self.kv.compact()
+
+    @rule()
+    def load_snapshot(self):
+        self.base = json.loads(json.dumps(self.kv.snapshot_state()))
+        self.kv = self.fresh(WriteAheadLog())
+        self.kv.load_snapshot(self.base)
+
+    @rule()
+    def recover(self):
+        recovered = self.fresh(self.kv.wal)
+        if self.base is not None:
+            recovered.load_snapshot(self.base)
+        recovered.recover()
+        assert list(recovered.scan("", "zzzz")) == list(self.kv.scan("", "zzzz"))
+        self.kv = recovered
+
+    @rule(lo=st.sampled_from(["", "a", "b", "bb"]), hi=st.sampled_from(["a", "bz", "zzzz"]))
+    def scan_equals_the_seqno_max_model(self, lo, hi):
+        best = {}
+        for source in [self.kv._memtable, *self.kv._runs]:
+            for key, versioned in source.items():
+                if key not in best or versioned.seqno > best[key].seqno:
+                    best[key] = versioned
+        model = [
+            (key, best[key].value) for key in sorted(best)
+            if lo <= key <= hi and best[key].value is not _TOMBSTONE
+        ]
+        assert list(self.kv.scan(lo, hi)) == model
+        assert self.kv.keys() == [key for key, _ in self.kv.scan("", "￿")]
+
+    @invariant()
+    def sources_are_ordered_newest_first(self):
+        """The premise itself: every version in a source is newer than
+        every version in the sources behind it."""
+        floor = None
+        for source in [self.kv._memtable, *self.kv._runs]:
+            seqnos = [versioned.seqno for _, versioned in source.items()]
+            if not seqnos:
+                continue
+            if floor is not None:
+                assert max(seqnos) < floor
+            floor = min(seqnos)
+
+
+TestScanMerge = ScanMergeMachine.TestCase
