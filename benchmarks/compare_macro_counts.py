@@ -9,7 +9,9 @@ is ``count`` or ``bytes`` plus ``sim.elapsed_s`` — the numbers that
 repeat exactly — and prints every one that moved with its base and head
 value.  Report-only: a perf PR moves counts on purpose and says why in
 CHANGES.md; this makes "every other count is equal" a diff, not a claim.
-Always exits 0 unless a run itself fails.  Trailing arguments go to
+The exception is ``NEVER_UP``: work metrics that may fall but must not
+rise (ROADMAP item 3) — head above base on any of them exits 1.
+Otherwise exits 0 unless a run itself fails.  Trailing arguments go to
 macrobench after the defaults (``--scale 1 --seconds 6`` for the full
 populations: at 0.05 ``twin_mixed`` has 12 players on 12 distinct
 (shard, storage node) pairs, so nothing there can coalesce).
@@ -28,6 +30,8 @@ from macrobench.catalog import WORKLOADS  # noqa: E402  (read, never edited)
 
 ARGS = ("--seed", "11", "--scale", "0.05", "--seconds", "1", "--trace", "1")
 ABSENT = "<absent>"
+#: Deterministic work counts a change may lower, never silently raise.
+NEVER_UP = ("semantic.distance_evals_build", "semantic.distance_evals_query")
 
 
 def deterministic(result: dict) -> dict[str, float]:
@@ -50,6 +54,15 @@ def moved(base: dict, head: dict) -> list[str]:
     ]
 
 
+def risen(base: dict, head: dict) -> list[str]:
+    """The ``NEVER_UP`` metrics whose head value exceeds the base's."""
+    was, now = deterministic(base), deterministic(head)
+    return [
+        name for name in NEVER_UP
+        if name in was and name in now and now[name] > was[name]
+    ]
+
+
 def measure(tree: Path, workload: str, extra: list[str]) -> dict:
     done = subprocess.run(
         [sys.executable, "-m", "macrobench", "--workload", workload, *ARGS, *extra],
@@ -62,10 +75,15 @@ def main() -> None:
     if len(sys.argv) < 3:
         sys.exit(__doc__)
     base, head, extra = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3:]
+    up = []
     for workload in WORKLOADS:
-        lines = moved(measure(base, workload, extra), measure(head, workload, extra))
+        was, now = measure(base, workload, extra), measure(head, workload, extra)
+        lines = moved(was, now)
         print(f"{workload}: {len(lines)} deterministic metric(s) moved")
         print("\n".join(lines), end="\n" if lines else "")
+        up += [f"{workload}: {name}" for name in risen(was, now)]
+    if up:
+        sys.exit("never-up metric(s) rose: " + ", ".join(up))
 
 
 if __name__ == "__main__":

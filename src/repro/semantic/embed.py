@@ -21,6 +21,7 @@ E27 measures.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,13 +59,20 @@ def payload_tokens(payload: dict) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=4096)
+def _token_hash(token: str) -> int:
+    """A token's feature hash, memoised: vocabularies are a few hundred
+    words used thousands of times (``dim`` is applied after the cache)."""
+    return stable_hash(f"embed:{token}")
+
+
 def embed_tokens(tokens: list[str], dim: int = DEFAULT_DIM) -> np.ndarray | None:
     """L2-normalized signed bucket counts, or ``None`` with no tokens."""
     if not tokens:
         return None
     vector = np.zeros(dim, dtype=np.float64)
     for token in tokens:
-        h = stable_hash(f"embed:{token}")
+        h = _token_hash(token)
         # Low bits pick the bucket, an independent high bit the sign
         # (classic feature hashing keeps collisions unbiased in
         # expectation).

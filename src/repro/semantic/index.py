@@ -133,8 +133,5 @@ class SemanticIndex:
 
     def exact_search(self, vector: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Brute-force oracle over the *live* indexed vectors (recall floor)."""
-        keys = self.hnsw.keys()
-        if not keys:
-            return []
-        matrix = np.stack([self.hnsw.vector_of(key) for key in keys])
+        keys, matrix = self.hnsw.live_rows()
         return brute_force_topk(keys, matrix, normalize(vector), k)

@@ -259,3 +259,46 @@ def test_compare_macro_counts_reports_each_deterministic_metric_that_moved():
         "  storage.rpc.calls: base=19350.0 head=7650.0",
         "  wal.bytes: base=1669365.0 head=1400265.0",
     ]
+
+
+def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatch):
+    """Everything is report-only except ``NEVER_UP``: a semantic
+    distance-eval count above the base's is named and ``main`` exits
+    non-zero on it; lower, equal or absent on either side is not."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        import compare_macro_counts
+        from compare_macro_counts import NEVER_UP, risen
+    finally:
+        sys.path.pop(0)
+
+    def result(build, query=None, calls=5.0):
+        metrics = {"semantic.distance_evals_build": build,
+                   "semantic.distance_evals_query": query,
+                   "storage.rpc.calls": calls}
+        return {"metrics": {
+            name: {"value": value, "unit": "count"}
+            for name, value in metrics.items() if value is not None
+        }}
+
+    assert NEVER_UP == (
+        "semantic.distance_evals_build", "semantic.distance_evals_query"
+    )
+    base = result(626066.0, 282729.0)
+    assert risen(base, base) == []
+    assert risen(base, result(600000.0, 282729.0, calls=9.0)) == []
+    assert risen(base, result(626067.0, 282729.0)) == ["semantic.distance_evals_build"]
+    assert risen(base, result(626067.0, 282730.0)) == list(NEVER_UP)
+    assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
+
+    trees = {"base": base, "down": result(1.0, 1.0), "up": result(626067.0, 1.0)}
+    monkeypatch.setattr(
+        compare_macro_counts, "measure", lambda tree, workload, extra: trees[str(tree)]
+    )
+    monkeypatch.setattr(compare_macro_counts, "WORKLOADS", ("scene_query",))
+    monkeypatch.setattr(sys, "argv", ["compare_macro_counts.py", "base", "down"])
+    compare_macro_counts.main()
+    monkeypatch.setattr(sys, "argv", ["compare_macro_counts.py", "base", "up"])
+    with pytest.raises(SystemExit) as failed:
+        compare_macro_counts.main()
+    assert "scene_query: semantic.distance_evals_build" in str(failed.value)

@@ -8,6 +8,9 @@ recall against the brute-force oracle clears a floor on seeded gaussian
 corpora, and the scatter-gather merge is partition-invariant.
 """
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.platform import MetaversePlatform
 from repro.query.plane import QueryPlan
+from repro.workloads import RetrievalConfig, RetrievalWorkload
 from repro.semantic import (
     HNSWIndex,
     SemanticIndex,
@@ -26,6 +30,7 @@ from repro.semantic import (
     embed_payload,
     embed_text,
     embed_tokens,
+    indexed_vector,
     normalize,
     payload_tokens,
     semantic_query,
@@ -80,6 +85,18 @@ class TestEmbeddings:
     def test_numeric_only_payload_embeds_to_none(self):
         assert embed_payload({"x": 1.0, "y": 2.0, "v": 3}) is None
         assert embed_tokens([]) is None
+
+    def test_token_hash_memo_is_dim_independent(self):
+        """The memo holds the token's hash, not its bucket: one token
+        embedded at two widths lands where the unmemoised rule puts it."""
+        from repro.net.overlay import stable_hash
+
+        for dim in (64, 7):
+            h = stable_hash("embed:lamp")
+            want = np.zeros(dim)
+            want[h % dim] = 1.0 if (h >> 16) & 1 else -1.0
+            assert np.array_equal(embed_tokens(["lamp"], dim), want)
+            assert np.array_equal(embed_tokens(["lamp", "lamp"], dim), want)
 
     def test_similar_phrases_score_higher_than_disjoint_ones(self):
         query = embed_text("red chair")
@@ -236,6 +253,128 @@ class TestHNSW:
         assert merged == sorted(items, key=lambda p: (-p[1], p[0]))[:k]
 
 
+class TextbookHNSW(HNSWIndex):
+    """The reference: one `_distances` call per candidate in selection and
+    per hop in the beam, heap state re-read from the heaps.  The index's
+    batched loops must build the same graph, count the same evaluations
+    and return the same lists as this, bit for bit."""
+
+    def _search_layer(self, query, entries, ef, level):
+        visited = {node for _, node in entries}
+        candidates = list(entries)
+        heapq.heapify(candidates)
+        results = [(-dist, -node) for dist, node in entries]
+        heapq.heapify(results)
+        while candidates:
+            dist, node = heapq.heappop(candidates)
+            if len(results) >= ef and dist > -results[0][0]:
+                break
+            neighbours = [
+                n for n in self._links[node][level] if n not in visited
+            ]
+            if not neighbours:
+                continue
+            visited.update(neighbours)
+            dists = self._distances(neighbours, query)
+            worst = -results[0][0] if results else math.inf
+            for n_dist, n_id in zip(dists.tolist(), neighbours):
+                if len(results) < ef or n_dist < worst:
+                    heapq.heappush(candidates, (n_dist, n_id))
+                    heapq.heappush(results, (-n_dist, -n_id))
+                    if len(results) > ef:
+                        heapq.heappop(results)
+                    worst = -results[0][0]
+        return sorted((-neg, -node) for neg, node in results)
+
+    def _select_neighbours(self, candidates, cap):
+        chosen, pruned = [], []
+        for dist, node in candidates:
+            if len(chosen) >= cap:
+                break
+            if chosen and bool(
+                np.any(self._distances(chosen, self._matrix[node]) < dist)
+            ):
+                pruned.append(node)
+            else:
+                chosen.append(node)
+        chosen.extend(pruned[: cap - len(chosen)])
+        return chosen
+
+
+class TestBatchedLoopsMatchTextbook:
+    """`==` throughout, never `approx`: an ulp that flips one diversity
+    test or one beam eviction shows up here as a different link list."""
+
+    def pair(self, **kwargs):
+        return HNSWIndex(**kwargs), TextbookHNSW(**kwargs)
+
+    def assert_same_graph(self, index, textbook):
+        assert index._links == textbook._links
+        assert index.distance_evals == textbook.distance_evals
+
+    def assert_same_search(self, index, textbook, query, k, ef):
+        assert index.search(query, k, ef=ef) == textbook.search(query, k, ef=ef)
+        assert index.distance_evals == textbook.distance_evals
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 4])
+    def test_seeded_scene_corpus(self, n_parts):
+        scene = RetrievalWorkload(
+            RetrievalConfig(n_objects=320, n_queries=6), seed=31
+        )
+        records = scene.scene_records()
+        queries = [embed_text(text) for text in scene.query_texts()]
+        for part in range(n_parts):
+            index, textbook = self.pair(dim=64)
+            for rec in records[part::n_parts]:
+                vector = indexed_vector(rec.key, rec.payload)
+                index.add(rec.key, vector)
+                textbook.add(rec.key, vector)
+            self.assert_same_graph(index, textbook)
+            for query in queries:
+                for ef in (48, 160):
+                    self.assert_same_search(index, textbook, query, 10, ef)
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_gaussian_corpus(self, seed):
+        rng = np.random.default_rng(seed)
+        index, textbook = self.pair(dim=12, m=4, ef_construction=24)
+        for i in range(160):
+            vector = rng.normal(size=12)
+            index.add(f"k/{i:03d}", vector)
+            textbook.add(f"k/{i:03d}", vector)
+        self.assert_same_graph(index, textbook)
+        for _ in range(8):
+            self.assert_same_search(index, textbook, rng.normal(size=12), 10, 48)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add", "add", "remove"]),
+                st.integers(0, 23),   # key
+                st.integers(0, 5),    # vector: 6 shared by 24 keys
+            ),
+            min_size=1, max_size=80,
+        ),
+        m=st.sampled_from([2, 3, 8]),
+    )
+    def test_duplicate_vectors_and_add_remove_interleavings(self, ops, m):
+        """Exact-duplicate vectors are where every diversity test is a
+        tie up to rounding: the one input on which a row-wise product
+        and a per-candidate gemv could choose different links."""
+        pool = np.random.default_rng(41).normal(size=(6, 8))
+        index, textbook = self.pair(dim=8, m=m, ef_construction=8)
+        for op, key, vec in ops:
+            for graph in (index, textbook):
+                if op == "add":
+                    graph.add(f"k/{key:02d}", pool[vec])
+                else:
+                    graph.discard(f"k/{key:02d}")
+            self.assert_same_graph(index, textbook)
+        for query in pool:
+            self.assert_same_search(index, textbook, query, 5, 16)
+
+
 class TestSemanticIndex:
     def test_index_record_skips_and_evicts_numeric_payloads(self):
         index = SemanticIndex()
@@ -255,6 +394,20 @@ class TestSemanticIndex:
         assert [k for k, _ in got] == [k for k, _ in exact]
         for (_, score), (_, want) in zip(got, exact):
             assert score == pytest.approx(want)
+
+    def test_exact_search_reads_live_rows_in_key_order(self):
+        index = SemanticIndex()
+        for i in (5, 2, 9, 2, 7):  # out of order, one rewritten
+            index.index_record(f"s/{i}", scene_payload(i + 10 * (i == 2)))
+            index.index_record(f"s/{i}", scene_payload(i))
+        index.discard("s/9")
+        keys, matrix = index.hnsw.live_rows()
+        assert keys == ["s/2", "s/5", "s/7"]
+        for key, row in zip(keys, matrix):
+            assert np.array_equal(
+                row, normalize(indexed_vector(key, scene_payload(int(key[2:]))))
+            )
+        assert SemanticIndex().exact_search(embed_text("red chair"), 3) == []
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -319,6 +472,32 @@ class TestDeploymentIntegration:
         assert [k for k, _ in a.items] == [k for k, _ in b.items]
         for (_, sa), (_, sb) in zip(a.items, b.items):
             assert sa == pytest.approx(sb, abs=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_moving_describable_objects_do_not_grow_the_graph(self, batched):
+        """A rewrite that changes only x/y stores the bitwise-same
+        vector: no tombstone, no fresh node, no distance work.  A new
+        description still re-inserts."""
+        platform = self.seed(MetaversePlatform(semantic_index=True), n=12)
+        hnsw = platform.semantic.hnsw
+        nodes, evals = hnsw.node_count, hnsw.distance_evals
+        before = platform.query(semantic_query("red chair", k=12)).items
+        evals_per_query = hnsw.distance_evals - evals
+        for step in range(1, 6):
+            moved = [
+                record(f"s/{i:02d}", {**scene_payload(i), "x": i + step, "y": step})
+                for i in range(12)
+            ]
+            if batched:
+                platform.write_record_batch(moved)
+            else:
+                for rec in moved:
+                    platform.write_record(rec)
+        assert hnsw.node_count == nodes
+        assert hnsw.distance_evals == evals + evals_per_query
+        assert platform.query(semantic_query("red chair", k=12)).items == before
+        platform.write_record(record("s/03", scene_payload(4)))
+        assert hnsw.node_count == nodes + 1 and len(platform.semantic) == 12
 
     def test_semantic_index_config_flows_through_cluster(self):
         cluster = PlatformCluster(
