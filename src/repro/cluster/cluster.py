@@ -79,7 +79,7 @@ from ..query.plane import (
     prefix_query,
     spatial_query,
 )
-from ..placement import route_by_owner
+from ..placement import Placement, route_by_owner
 from ..replication import drop_product_op, entity_op, product_op, stock_op
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
@@ -161,6 +161,9 @@ class PlatformCluster:
             name = f"shard-{i}"
             self.router.add_shard(name)
             self.shards[name] = self._make_shard(name)
+        # Entity gauges cost a sweep of every key, so they are computed
+        # when the registry is read, never on a flush or a tick.
+        self.metrics.add_collector(self._collect_entity_gauges)
         self.coordinator = CrossShardCoordinator(
             self.shards,
             clock=self.clock,
@@ -235,7 +238,17 @@ class PlatformCluster:
         )
         if self._stock_sinks:
             shard.purchase_log = partial(self._on_stock_commit, name)
+        if self.storage is not None:
+            # Every mount sees the whole tier; a shard serves (and keeps
+            # a position index over) the keys the compute ring gives it.
+            shard.owns = partial(self._owns, name)
         return shard
+
+    def _owns(self, name: str, key: str) -> bool:
+        """Whether shard ``name`` owns ``key`` on the compute ring.  An
+        ownership test over a sweep, not a routing decision: it asks the
+        placement directly and leaves ``cluster.router.lookups`` alone."""
+        return Placement.owner_of(self.router, key) == name
 
     def shard_of(self, key: str) -> MetaversePlatform:
         """The shard platform currently owning ``key``."""
@@ -1155,22 +1168,38 @@ class PlatformCluster:
         makespan = self.compute_makespan()
         return n_requests / makespan if makespan > 0 else float("inf")
 
+    def _collect_entity_gauges(self) -> None:
+        """Metrics collector (run when the registry is read): entities
+        per shard, and on a storage tier entities and ops per node.
+
+        On a tier it is one ``keys()`` per storage node, feeding both the
+        node's gauge and the per-owner counts — a key lives on exactly
+        one node, so nothing is merged or sorted.  Ownership is asked of
+        the placement, not the counting router: reading metrics moves no
+        counter."""
+        gauge = self.metrics.gauge
+        if self.storage is None:
+            for name, shard in self.shards.items():
+                gauge(f"cluster.shard.{name}.entities").set(
+                    float(len(shard.entity_keys()))
+                )
+            return
+        owned = dict.fromkeys(self.shards, 0)
+        owner_of = partial(Placement.owner_of, self.router)
+        for name, node in self.storage.nodes.items():
+            keys = node.engine.keys()
+            gauge(f"storage.node.{name}.entities").set(float(len(keys)))
+            gauge(f"storage.node.{name}.ops_total").set(float(node.ops))
+            for key in keys:
+                owned[owner_of(key)] += 1
+        for name, count in owned.items():
+            gauge(f"cluster.shard.{name}.entities").set(float(count))
+
     def _refresh_shard_gauges(self) -> None:
-        owned_counts: dict[str, int] | None = None
-        if self.storage is not None:
-            # One tier sweep instead of a per-shard keys() fan-out: count
-            # how many tier keys each compute node currently owns.
-            owned_counts = self.router.load_of(self.storage.keys())
-            self.storage.refresh_gauges()
+        """Per-shard resilience state, O(shards): the circuit-breaker
+        position (0/1/2 = closed/half-open/open) and the failure
+        detector's view (suspicion level + liveness)."""
         for name, shard in self.shards.items():
-            self.metrics.gauge(f"cluster.shard.{name}.entities").set(
-                float(owned_counts[name]) if owned_counts is not None
-                else float(len(shard.entity_keys()))
-            )
-            # Per-shard resilience state, labeled by shard name: the
-            # circuit-breaker position (0/1/2 = closed/half-open/open,
-            # previously visible only at platform level) and the failure
-            # detector's view (suspicion level + liveness).
             breaker = shard.breaker
             self.metrics.gauge(f"cluster.shard.{name}.breaker_state").set(
                 _BREAKER_STATE_CODES.get(breaker.state, 0.0)

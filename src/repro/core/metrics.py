@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigurationError
 
@@ -203,12 +204,20 @@ class MetricsRegistry:
 
     Accessors create the metric on first use, so instrumented code never has
     to pre-declare; tests read the same names.
+
+    A gauge that costs a sweep to compute (entities per shard) is set by
+    a *collector* — a callable registered with :meth:`add_collector` and
+    run when the registry is read as a whole (:meth:`snapshot`,
+    :meth:`all_gauges`), not on the path that changes the value.  A
+    collector sets gauges and nothing else: reading metrics must not
+    move a counter or a histogram.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = defaultdict(Counter)
         self._gauges: dict[str, Gauge] = defaultdict(Gauge)
         self._histograms: dict[str, Histogram] = defaultdict(Histogram)
+        self._collectors: list[Callable[[], None]] = []
 
     def counter(self, name: str) -> Counter:
         return self._counters[name]
@@ -223,7 +232,17 @@ class MetricsRegistry:
         """Read-only view of every counter, for exporters."""
         return dict(self._counters)
 
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect()`` before every whole-registry read, so the
+        gauges it sets are current when exported."""
+        self._collectors.append(collect)
+
+    def _collect(self) -> None:
+        for collect in self._collectors:
+            collect()
+
     def all_gauges(self) -> dict[str, Gauge]:
+        self._collect()
         return dict(self._gauges)
 
     def all_histograms(self) -> dict[str, Histogram]:
@@ -235,6 +254,7 @@ class MetricsRegistry:
         Empty histograms export only their count: quantiles of no samples
         are undefined (see :meth:`Histogram.quantile`).
         """
+        self._collect()
         out: dict[str, float] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
@@ -248,6 +268,7 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
+        """Drop every metric value; collectors stay registered."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

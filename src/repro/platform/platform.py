@@ -80,6 +80,21 @@ def stored_record_value(record: DataRecord) -> dict:
     }
 
 
+def stored_payload(value: object) -> dict:
+    """The record payload inside a stored entity value (``{}`` for a
+    value that is not a :func:`stored_record_value` wrapper)."""
+    return value.get("payload", {}) if isinstance(value, dict) else {}
+
+
+def payload_position(payload: dict) -> tuple | None:
+    """``(x, y)`` when the payload carries a numeric ``x`` and ``y`` —
+    the one membership rule of spatial queries — else ``None``."""
+    x, y = payload.get("x"), payload.get("y")
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return (x, y)
+    return None
+
+
 def unit_len(unit: DataRecord | RecordBatch) -> int:
     """Records in one queued write unit: a record is 1, a batch its rows."""
     return len(unit) if isinstance(unit, RecordBatch) else 1
@@ -114,7 +129,6 @@ class MetaversePlatform:
         breaker: CircuitBreaker | None = None,
         degradation: DegradationController | None = None,
         engine: StorageEngine | None = None,
-        position_index: bool = True,
         semantic_index: SemanticIndexConfig | bool = False,
     ) -> None:
         if n_executors < 1:
@@ -151,7 +165,8 @@ class MetaversePlatform:
         # (byte-identical to the pre-split platform that newed up its own
         # stores).  ``kv``/``objects`` stay addressable for local engines;
         # a remote engine has no in-process stores to expose.
-        if engine is None:
+        own_engine = engine is None
+        if own_engine:
             engine = LocalStorageEngine(
                 metrics=self.metrics, tracer=self.tracer, faults=faults
             )
@@ -198,16 +213,28 @@ class MetaversePlatform:
         # columnar ingest interleave exactly as the caller issued them.
         self._pending: deque[DataRecord | RecordBatch] = deque()
         self._continuous = ContinuousQueries()
-        # key → (x, y) memo over this engine's entities, so spatial
-        # queries filter a dict instead of scanning the whole keyspace.
-        # Only sound on the private local engine (it starts empty and
-        # every write flows through this platform); a remote engine
-        # shares its keyspace with other compute nodes, so spatial
-        # queries there fall back to the scan-based filter.
-        self._positions: dict[str, tuple] | None = (
-            {} if position_index and isinstance(engine, LocalStorageEngine)
-            else None
-        )
+        # Optional ``owns(key) -> bool`` hook: which of a shared engine's
+        # entities this node serves.  The cluster sets it on every shard
+        # mounted on a storage tier (ring ownership); unset, the node
+        # serves everything its engine holds.
+        self.owns = None
+        # key → (x, y) index over the entities this node serves, so a
+        # spatial query filters a dict instead of scanning the keyspace.
+        # ``None`` while *unknown*, a dict once *hydrated*, ``None``
+        # again after reset_caches().  An engine this platform built is
+        # empty, so its index starts hydrated at ``{}``; an injected one
+        # may already hold entities, so it starts unknown and the first
+        # spatial query hydrates it from one full scan, keeping the keys
+        # ``owns`` accepts.  Once hydrated, _after_write and drop_entity
+        # maintain it; while unknown, writes pay nothing.  That is
+        # complete on a shared tier because the cluster routes every
+        # write of a key to the shard owning it and resets every shard's
+        # caches when ownership moves (a re-mounted shard is a fresh
+        # platform).  A write behind this platform's back (another mount
+        # of the tier) can leave an entry stale, never wrong:
+        # spatial_items re-checks what it fetched, reset_caches()
+        # re-hydrates.
+        self._positions: dict[str, tuple] | None = {} if own_engine else None
         # Opt-in semantic retrieval: an HNSW graph over this node's
         # describable entities, maintained from the same write paths as
         # the position memo (so failover promotion, which replays via
@@ -327,17 +354,29 @@ class MetaversePlatform:
         return self._write_items(items, payloads)
 
     def _index_position(self, key: str, payload: dict) -> None:
-        """Track (or forget) the entity's payload position.
-
-        Same membership rule as the scan-based spatial filter — numeric
-        ``x`` and ``y`` — so the indexed and scanning paths select
-        identical result sets.
-        """
-        x, y = payload.get("x"), payload.get("y")
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            self._positions[key] = (x, y)
+        """Track (or forget) the entity's payload position in the
+        hydrated index."""
+        position = payload_position(payload)
+        if position is not None:
+            self._positions[key] = position
         else:
             self._positions.pop(key, None)
+
+    def _hydrate_positions(self) -> dict[str, tuple]:
+        """Build the position index from one full scan, keeping the keys
+        this node serves.  Assigned only once the scan returned: a scan
+        that stays faulted past the retry budget raises and leaves the
+        index unknown, so the next query hydrates again."""
+        owns = self.owns
+        positions: dict[str, tuple] = {}
+        for key, value in self.scan("", "\uffff"):
+            if owns is not None and not owns(key):
+                continue
+            position = payload_position(stored_payload(value))
+            if position is not None:
+                positions[key] = position
+        self._positions = positions
+        return positions
 
     def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
         """Sorted range scan of the entity tier (retried past transient
@@ -452,39 +491,42 @@ class MetaversePlatform:
         return self.query(spatial_query(region))
 
     def spatial_items(self, region: "BBox") -> list:
-        """Shard-local spatial execution (unsorted; the modality merges).
+        """Shard-local spatial execution (unsorted; the modality merges):
+        every entity this node serves whose stored payload has a numeric
+        ``x``/``y`` inside ``region``.
 
-        With the position index on (local engine), candidate keys come
-        from a dict filter instead of a full keyspace scan; both paths
-        select the same result set.
+        One path on every engine.  An unknown position index is hydrated
+        first (one full scan; see ``_positions``); candidates are then a
+        dict filter, fetched with one bulk read — one round trip per
+        storage node holding a hit on a remote engine — and each fetched
+        value is checked against the box again, so an index entry that
+        went stale behind this platform's back (overwritten or deleted
+        by another mount) is dropped instead of returned.  A hydration
+        scan or fetch that stays faulted past the retry budget raises;
+        the cluster's scatter reports this shard failed.
         """
+        positions = self._positions
+        if positions is None:
+            positions = self._hydrate_positions()
+        x_min, x_max = region.x_min, region.x_max
+        y_min, y_max = region.y_min, region.y_max
+        hits = [
+            key for key, (x, y) in positions.items()
+            if x_min <= x <= x_max and y_min <= y <= y_max
+        ]
+        if not hits:
+            return []
+        fetched = self._with_retry(lambda: self.engine.mget(hits))
         items: list = []
-        if self._positions is not None:
-            for key, (x, y) in self._positions.items():
-                if (
-                    region.x_min <= x <= region.x_max
-                    and region.y_min <= y <= region.y_max
-                ):
-                    try:
-                        value = self._with_retry(
-                            lambda k=key: self.engine.get(k)
-                        )
-                    except KeyNotFoundError:
-                        continue
-                    items.append((key, value))
-        else:
-            for key, value in self.scan("", "￿"):
-                payload = (
-                    value.get("payload", {}) if isinstance(value, dict) else {}
-                )
-                x, y = payload.get("x"), payload.get("y")
-                if (
-                    isinstance(x, (int, float))
-                    and isinstance(y, (int, float))
-                    and region.x_min <= x <= region.x_max
-                    and region.y_min <= y <= region.y_max
-                ):
-                    items.append((key, value))
+        for key in hits:
+            value = fetched.get(key)
+            position = payload_position(stored_payload(value))
+            if (
+                position is not None
+                and x_min <= position[0] <= x_max
+                and y_min <= position[1] <= y_max
+            ):
+                items.append((key, value))
         return items
 
     def semantic_search(
@@ -642,10 +684,11 @@ class MetaversePlatform:
         self.metrics.counter("platform.product_cache_resets").inc()
 
     def reset_caches(self) -> None:
-        """Drop every compute-side cache — product MVCC, buffer pool, and
-        the stale-read fallback — so all subsequent reads re-load from the
-        storage engine.  The full stateless-compute remap: what a compute
-        node does when cluster membership changes under it."""
+        """Drop every compute-side cache — product MVCC, buffer pool, the
+        stale-read fallback and the position index — so all subsequent
+        reads re-load from the storage engine.  The full stateless-compute
+        remap: what a compute node does when cluster membership changes
+        under it."""
         self.reset_products()
         self.pool = BufferPool(
             capacity=self._buffer_pool_pages,
@@ -654,6 +697,7 @@ class MetaversePlatform:
             tracer=self.tracer,
         )
         self._stale.clear()
+        self._positions = None
 
     def maintain_storage(self, now: float | None = None) -> dict:
         """One data-lifecycle sweep of the storage engine (checkpointing,
@@ -792,8 +836,7 @@ class MetaversePlatform:
 
     def import_entity(self, key: str, value: object) -> None:
         """Adopt a migrated entity value, keeping caches coherent."""
-        payload = value.get("payload", {}) if isinstance(value, dict) else {}
-        self._write_items([(key, value)], [payload])
+        self._write_items([(key, value)], [stored_payload(value)])
 
     def drop_entity(self, key: str) -> None:
         """Forget an entity handed off to another shard."""

@@ -430,15 +430,6 @@ class StorageTier:
             name: node.engine.maintain(now) for name, node in self.nodes.items()
         }
 
-    def refresh_gauges(self) -> None:
-        for name, node in self.nodes.items():
-            self.metrics.gauge(f"storage.node.{name}.entities").set(
-                float(len(node.engine.keys()))
-            )
-            self.metrics.gauge(f"storage.node.{name}.ops_total").set(
-                float(node.ops)
-            )
-
     def describe(self) -> dict:
         return {
             "nodes": self.node_names,

@@ -252,22 +252,34 @@ class KVStore:
         return self.get_or(key, _TOMBSTONE) is not _TOMBSTONE
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
-        """Yield live (key, value) pairs with lo <= key <= hi, ascending.
-
-        Sources merge oldest first, so the last writer of a key is its
-        highest seqno without comparing any: runs are newest-first and
-        the memtable is newer than every run."""
+        """Yield live (key, value) pairs with lo <= key <= hi, ascending."""
         self.metrics.counter("kv.scans").inc()
-        best: dict[str, _Versioned] = {}
-        for source in [*reversed(self._runs), self._memtable]:
-            best.update(source.scan(lo, hi))
+        best = self._newest(lo, hi)
         for key in sorted(best):
             value = best[key].value
             if value is not _TOMBSTONE:
                 yield key, value
 
+    def _newest(self, lo: str, hi: str) -> dict[str, _Versioned]:
+        """Each key's newest version (tombstones included) in [lo, hi].
+
+        Sources merge oldest first, so the last writer of a key is its
+        highest seqno without comparing any: runs are newest-first and
+        the memtable is newer than every run."""
+        best: dict[str, _Versioned] = {}
+        for source in [*reversed(self._runs), self._memtable]:
+            best.update(source.scan(lo, hi))
+        return best
+
     def keys(self) -> list[str]:
-        return [k for k, _ in self.scan("", "￿")]
+        """Every live key, ascending.  Introspection (entity gauges,
+        audits, rebalance planning), not a range query a client asked
+        for: ``kv.scans`` does not count it, so computing a gauge when
+        it is read moves no counter."""
+        return sorted(
+            key for key, found in self._newest("", "￿").items()
+            if found.value is not _TOMBSTONE
+        )
 
     def __len__(self) -> int:
         return len(self.keys())

@@ -476,3 +476,102 @@ class TestBaskets:
         assert cluster.process_basket(self.basket([hot, other])).committed
         assert cluster.metrics.counter("cluster.twopc.commit_replays").value == 1
         assert cluster.get_stock(hot) == 4
+
+
+class TestEntityGauges:
+    """``cluster.shard.*.entities`` and ``storage.node.*`` are computed by
+    a registry collector when metrics are read, not on every flush."""
+
+    def loaded(self, **config):
+        cluster = PlatformCluster(ClusterConfig(n_shards=4, **config))
+        cluster.ingest_many(
+            [record(f"e/{i:03d}", {"x": float(i), "y": 0.0}) for i in range(120)]
+        )
+        cluster.flush()
+        return cluster
+
+    @staticmethod
+    def eager(cluster):
+        """What the flush path used to set: keys per ring owner on a
+        storage tier, keys physically held otherwise."""
+        if cluster.storage is not None:
+            return cluster.router.load_of(cluster.storage.keys())
+        return {
+            name: len(shard.entity_keys())
+            for name, shard in cluster.shards.items()
+        }
+
+    @staticmethod
+    def exported(cluster):
+        gauges = cluster.metrics.all_gauges()
+        return {
+            name: int(gauges[f"cluster.shard.{name}.entities"].value)
+            for name in cluster.shards
+        }
+
+    def test_reading_metrics_twice_moves_no_counter_or_histogram(self):
+        cluster = self.loaded(n_storage_nodes=3)
+        hits = cluster.query_spatial(BBox(0.0, -1.0, 50.0, 1.0)).items
+        metrics = cluster.metrics
+
+        def counts():
+            return (
+                {k: c.value for k, c in metrics.all_counters().items()},
+                {k: h.count for k, h in metrics.all_histograms().items()},
+            )
+
+        first = metrics.snapshot()
+        before = counts()
+        second = metrics.snapshot()
+        metrics.all_gauges()
+        assert counts() == before
+        assert first == second
+        # Routing lookups are the records routed plus the owned-slice
+        # check of each query hit; the ownership sweep books none.
+        assert before[0]["cluster.router.lookups"] == 120 + len(hits) == 171
+
+    @pytest.mark.parametrize("n_storage_nodes", [None, 3])
+    def test_entities_equal_the_eager_count_through_membership_changes(
+        self, n_storage_nodes
+    ):
+        config = {} if n_storage_nodes is None else {
+            "n_storage_nodes": n_storage_nodes
+        }
+        cluster = self.loaded(**config)
+
+        def check():
+            expected = self.eager(cluster)
+            assert self.exported(cluster) == expected
+            if cluster.storage is not None:
+                assert sum(expected.values()) == len(cluster.storage.keys())
+                gauges = cluster.metrics.all_gauges()
+                for name, node in cluster.storage.nodes.items():
+                    assert gauges[f"storage.node.{name}.entities"].value == len(
+                        node.engine.keys()
+                    )
+                    assert gauges[f"storage.node.{name}.ops_total"].value == (
+                        node.ops
+                    )
+
+        check()
+        assert sum(self.exported(cluster).values()) == 120
+        # Overwrites change no count; new keys do.
+        cluster.ingest_many(
+            [record(f"e/{i:03d}", {"x": 1.0, "y": 1.0}) for i in range(0, 140, 2)]
+        )
+        cluster.flush()
+        check()
+        assert sum(self.exported(cluster).values()) == 130
+        cluster.add_shard("shard-4")
+        check()
+        cluster.remove_shard("shard-1")
+        check()
+        assert sum(self.exported(cluster).values()) == 130
+        if cluster.storage is not None:
+            cluster.kill_shard("shard-2")
+            # State gauges are still set where the state changes.
+            assert cluster.metrics.gauge("cluster.shard.shard-2.alive").value == 0.0
+            check()
+            cluster.tick(0.5)
+            assert cluster.metrics.gauge("cluster.shard.shard-2.alive").value == 1.0
+            check()

@@ -206,3 +206,29 @@ class TestRegistry:
     def test_same_name_returns_same_metric(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
+
+    def test_collectors_run_on_whole_registry_reads_only(self):
+        """A collector computes its gauges when the registry is read as a
+        whole — ``snapshot()`` and ``all_gauges()``, what the exporters
+        call — and never on a named read or on the paths that change
+        what it measures."""
+        reg = MetricsRegistry()
+        population = []
+        runs = []
+
+        def collect():
+            runs.append(len(population))
+            reg.gauge("population").set(float(len(population)))
+
+        reg.add_collector(collect)
+        population.extend("abc")
+        assert reg.gauge("population").value == 0.0 and runs == []
+        assert reg.snapshot()["population"] == 3.0
+        population.append("d")
+        assert reg.all_gauges()["population"].value == 4.0
+        assert runs == [3, 4]
+        reg.all_counters(), reg.all_histograms()
+        assert runs == [3, 4]
+        # reset() zeroes values; the registration survives it.
+        reg.reset()
+        assert reg.snapshot()["population"] == 4.0

@@ -263,8 +263,9 @@ def test_compare_macro_counts_reports_each_deterministic_metric_that_moved():
 
 def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatch):
     """Everything is report-only except ``NEVER_UP``: a semantic
-    distance-eval count above the base's is named and ``main`` exits
-    non-zero on it; lower, equal or absent on either side is not."""
+    distance-eval count or a scan-work count above the base's is named
+    and ``main`` exits non-zero on it; lower, equal or absent on either
+    side is not."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
         import compare_macro_counts
@@ -272,9 +273,11 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     finally:
         sys.path.pop(0)
 
-    def result(build, query=None, calls=5.0):
+    def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
+                   "storage.scan.rows_examined": rows,
+                   "kv.scans": scans,
                    "storage.rpc.calls": calls}
         return {"metrics": {
             name: {"value": value, "unit": "count"}
@@ -282,13 +285,19 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         }}
 
     assert NEVER_UP == (
-        "semantic.distance_evals_build", "semantic.distance_evals_query"
+        "semantic.distance_evals_build", "semantic.distance_evals_query",
+        "storage.scan.rows_examined", "kv.scans",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
-    assert risen(base, result(600000.0, 282729.0, calls=9.0)) == []
+    assert risen(base, result(600000.0, 282729.0, calls=9.0, rows=0.0, scans=1.0)) == []
     assert risen(base, result(626067.0, 282729.0)) == ["semantic.distance_evals_build"]
-    assert risen(base, result(626067.0, 282730.0)) == list(NEVER_UP)
+    assert risen(base, result(626066.0, 282729.0, rows=16001.0)) == [
+        "storage.scan.rows_examined"
+    ]
+    assert risen(
+        base, result(626067.0, 282730.0, rows=212000.0, scans=6000.0)
+    ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 
     trees = {"base": base, "down": result(1.0, 1.0), "up": result(626067.0, 1.0)}

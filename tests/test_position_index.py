@@ -1,0 +1,314 @@
+"""The position index behind spatial queries: indexed equals scanned.
+
+``MetaversePlatform.spatial_items`` answers from a key → (x, y) index on
+every engine; the scan-and-filter it replaced lives on here as the
+oracle.  The suite holds ``query_spatial(box).items == oracle`` under
+everything that can invalidate the index — positions gained, lost and
+moved, per-record and columnar ingest, rebalance drops, ring ownership
+changes, compute crashes, foreign writers on a shared tier, a hydration
+scan that faults — and guards the two costs the index exists to remove:
+a tick does not scan, and a box query after the first does not either.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterConfig, PlatformCluster
+from repro.core import DataKind, DataRecord, RecordBatch, Space
+from repro.platform import MetaversePlatform
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.spatial.geometry import BBox
+from repro.storage.engine import LocalStorageEngine, StorageTier
+
+pytestmark = [pytest.mark.cluster, pytest.mark.disagg]
+
+
+def record(key, payload, timestamp=0.0):
+    return DataRecord(
+        key=key, payload=payload, space=Space.VIRTUAL,
+        timestamp=timestamp, kind=DataKind.STRUCTURED, source="test",
+    )
+
+
+def stored(payload):
+    return {"payload": payload, "space": "virtual", "timestamp": 0.0}
+
+
+def scan_and_filter(items, box):
+    """The oracle: every stored (key, value) whose payload carries a
+    numeric ``x``/``y`` inside ``box``, sorted by key — the filter
+    ``spatial_items`` ran over a full scan before it had an index."""
+    out = []
+    for key, value in items:
+        payload = value.get("payload", {}) if isinstance(value, dict) else {}
+        x, y = payload.get("x"), payload.get("y")
+        if (
+            isinstance(x, (int, float))
+            and isinstance(y, (int, float))
+            and box.x_min <= x <= box.x_max
+            and box.y_min <= y <= box.y_max
+        ):
+            out.append((key, value))
+    return sorted(out, key=lambda item: item[0])
+
+
+def assert_indexed_equals_scanned(plane, box):
+    result = plane.query_spatial(box)
+    scanned = plane.scan_prefix("")
+    assert result.failed_shards == scanned.failed_shards
+    assert result.items == scan_and_filter(scanned.items, box)
+    return result
+
+
+# -- interleavings on a cluster -------------------------------------------------
+
+N_KEYS = 14
+coords = st.integers(min_value=0, max_value=9)
+positions = st.one_of(st.none(), st.tuples(coords, coords))
+boxes = st.tuples(coords, coords, coords, coords).map(
+    lambda c: BBox(
+        float(min(c[0], c[2])), float(min(c[1], c[3])),
+        float(max(c[0], c[2])), float(max(c[1], c[3])),
+    )
+)
+ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, N_KEYS - 1), positions),
+    st.tuples(
+        st.just("batch"),
+        st.lists(
+            st.tuples(st.integers(0, N_KEYS - 1), st.tuples(coords, coords)),
+            min_size=1, max_size=5,
+        ),
+    ),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("query"), boxes),
+    st.tuples(st.just("add_shard")),
+    st.tuples(st.just("remove_shard"), st.integers(0, 7)),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+)
+
+
+def payload_at(position, serial):
+    if position is None:
+        return {"v": serial}  # a key losing its position leaves the index
+    return {"x": float(position[0]), "y": float(position[1])}
+
+
+def apply(cluster, op, serial):
+    kind = op[0]
+    if kind == "write":
+        cluster.ingest(record(f"k/{op[1]:02d}", payload_at(op[2], serial)))
+    elif kind == "batch":
+        cluster.ingest_batch(RecordBatch.from_records([
+            record(f"k/{index:02d}", payload_at(position, serial))
+            for index, position in op[1]
+        ]))
+    elif kind == "flush":
+        cluster.flush()
+    elif kind == "tick":
+        cluster.tick(0.5)
+    elif kind == "query":
+        assert_indexed_equals_scanned(cluster, op[1])
+    elif kind == "add_shard":
+        if len(cluster.shards) < 6:
+            cluster.add_shard(f"joined-{serial}")
+    elif kind == "remove_shard":
+        names = cluster.router.shards
+        victim = names[op[1] % len(names)]
+        if len(names) > 1 and victim not in cluster._down_compute:
+            cluster.remove_shard(victim)
+    elif kind == "kill" and cluster.storage is not None:
+        names = cluster.router.shards
+        cluster.kill_shard(names[op[1] % len(names)])
+
+
+class TestIndexedEqualsScanned:
+    @pytest.mark.parametrize("n_storage_nodes", [None, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(script=st.lists(ops, min_size=1, max_size=25), final=boxes)
+    def test_under_interleaved_writes_and_membership_changes(
+        self, n_storage_nodes, script, final
+    ):
+        """Local engines: add/remove rebalance through ``import_entity``
+        and ``drop_entity``.  Storage tier: add/remove remap ownership
+        and reset every shard's index, a kill re-mounts a fresh one."""
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3, n_storage_nodes=n_storage_nodes)
+        )
+        cluster.ingest_many([
+            record(f"k/{i:02d}", payload_at((i % 10, (3 * i) % 10), 0))
+            for i in range(0, N_KEYS, 2)
+        ])
+        cluster.flush()
+        assert_indexed_equals_scanned(cluster, final)  # hydrate early
+        for serial, op in enumerate(script, start=1):
+            apply(cluster, op, serial)
+        cluster.tick(0.5)  # re-mounts whatever is down, flushes the rest
+        result = assert_indexed_equals_scanned(cluster, final)
+        assert result.failed_shards == ()
+        whole = assert_indexed_equals_scanned(cluster, BBox(0.0, 0.0, 9.0, 9.0))
+        assert whole.failed_shards == ()
+        if cluster.storage is not None:
+            # The invariant the ownership argument rests on.
+            for name, shard in cluster.shards.items():
+                assert shard._positions is not None
+                assert all(
+                    cluster.router.owner_of(key) == name
+                    for key in shard._positions
+                )
+                assert sorted(shard._positions) == [
+                    key for key, _ in whole.items
+                    if cluster.router.owner_of(key) == name
+                ]
+
+
+# -- a standalone platform on an engine it did not build ------------------------
+
+BOX = BBox(0.0, 0.0, 5.0, 5.0)
+
+
+class TestInjectedEngines:
+    def test_prepopulated_local_engine_is_hydrated_not_assumed_empty(self):
+        engine = LocalStorageEngine()
+        engine.mput([
+            ("a", stored({"x": 1.0, "y": 1.0})),
+            ("b", stored({"x": 9.0, "y": 9.0})),
+            ("c", stored({"label": "no position"})),
+            ("d", "not a wrapper dict"),
+        ])
+        platform = MetaversePlatform(engine=engine)
+        assert platform._positions is None
+        assert [key for key, _ in assert_indexed_equals_scanned(
+            platform, BOX
+        ).items] == ["a"]
+        assert platform._positions == {"a": (1.0, 1.0), "b": (9.0, 9.0)}
+        # Maintained from here on: moves in, moves out, loses its position.
+        platform.write_record(record("b", {"x": 2.0, "y": 2.0}))
+        platform.write_record(record("a", {"x": 7.0, "y": 1.0}))
+        platform.write_record(record("e", {"x": 3, "y": 3}))
+        platform.write_record(record("e", {"gone": True}))
+        assert [key for key, _ in assert_indexed_equals_scanned(
+            platform, BOX
+        ).items] == ["b"]
+        platform.drop_entity("b")
+        assert assert_indexed_equals_scanned(platform, BOX).items == []
+
+    def test_own_engine_starts_hydrated_and_writes_pay_nothing_while_unknown(self):
+        assert MetaversePlatform()._positions == {}
+        platform = MetaversePlatform(engine=LocalStorageEngine())
+        platform.write_record(record("a", {"x": 1.0, "y": 1.0}))
+        assert platform._positions is None  # never asked, never built
+        platform.reset_caches()
+        assert platform._positions is None
+
+    def test_foreign_writes_on_a_shared_tier_never_yield_false_positives(self):
+        tier = StorageTier(n_nodes=3)
+        mine = MetaversePlatform(engine=tier.mount("mine"))
+        other = MetaversePlatform(engine=tier.mount("other"))
+        for i in range(8):
+            mine.write_record(record(f"k/{i}", {"x": float(i % 5), "y": 1.0}))
+        assert len(assert_indexed_equals_scanned(mine, BOX).items) == 8
+        # Behind mine's back: one key leaves the box, one loses its
+        # position, one is deleted, one appears.
+        other.write_record(record("k/0", {"x": 9.0, "y": 9.0}))
+        other.write_record(record("k/1", {"label": "parked"}))
+        other.drop_entity("k/2")
+        other.write_record(record("new", {"x": 2.0, "y": 2.0}))
+        oracle = scan_and_filter(mine.scan("", "￿"), BOX)
+        seen = mine.query_spatial(BOX).items
+        assert [key for key, _ in seen] == [f"k/{i}" for i in range(3, 8)]
+        assert all(item in oracle for item in seen)
+        mine.reset_caches()
+        assert mine._positions is None
+        assert mine.query_spatial(BOX).items == oracle
+        assert "new" in mine._positions and "k/2" not in mine._positions
+
+    def test_hydration_scan_faulted_past_the_retry_budget_leaves_it_unknown(self):
+        plan = FaultPlan(rules=[FaultRule(
+            site="storage.rpc", kind="crash", rate=1.0, start=100.0, end=200.0,
+        )], seed=5)
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3, n_storage_nodes=2),
+            faults=FaultInjector(plan),
+        )
+        cluster.ingest_many(
+            [record(f"k/{i:02d}", {"x": float(i % 8), "y": 2.0}) for i in range(30)]
+        )
+        cluster.flush()
+        cluster.clock.advance(100.0 - cluster.clock.now)
+        outage = cluster.query_spatial(BOX)
+        assert outage.items == []
+        assert outage.failed_shards == tuple(cluster.router.shards)
+        assert all(s._positions is None for s in cluster.shards.values())
+        cluster.clock.advance(200.0)
+        result = assert_indexed_equals_scanned(cluster, BOX)
+        assert result.failed_shards == () and len(result.items) == 24
+        assert all(s._positions is not None for s in cluster.shards.values())
+
+
+# -- what the index exists to remove -------------------------------------------
+
+
+class TestNothingSweepsTheTier:
+    N = 1000
+
+    def loaded(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=4, n_storage_nodes=4))
+        cluster.ingest_batch(RecordBatch.from_records([
+            record(f"e/{i:04d}", {"x": float(i % 40), "y": float(i // 40)})
+            for i in range(self.N)
+        ]))
+        cluster.flush()
+        return cluster
+
+    def test_a_tick_does_not_scan_and_books_only_routing_lookups(self):
+        cluster = self.loaded()
+        counter = cluster.metrics.counter
+        scans = counter("kv.scans").value
+        lookups = counter("cluster.router.lookups").value
+        ticks, per_tick = 5, 60
+        for tick in range(ticks):
+            for i in range(per_tick):
+                cluster.ingest(record(
+                    f"e/{(7 * i + tick) % self.N:04d}",
+                    {"x": float(i % 40), "y": float(tick)},
+                ))
+            cluster.tick(0.5)
+        assert counter("kv.scans").value == scans
+        assert counter("cluster.router.lookups").value == (
+            lookups + ticks * per_tick
+        )
+
+    def test_a_box_query_after_the_first_neither_scans_nor_fans_out(
+        self, monkeypatch
+    ):
+        cluster = self.loaded()
+        examined = []
+        scan = MetaversePlatform.scan
+
+        def counting_scan(self, lo, hi):
+            rows = scan(self, lo, hi)
+            examined.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(MetaversePlatform, "scan", counting_scan)
+        counter = cluster.metrics.counter
+        cluster.query_spatial(BBox(0.0, 0.0, 3.0, 3.0))
+        # Hydration: one full scan per shard, of the whole tier.
+        assert examined == [self.N] * 4
+        n_nodes = len(cluster.storage.nodes)
+        for corner in (0.0, 5.0, 11.0, 17.0):
+            scans = counter("kv.scans").value
+            calls = counter("storage.rpc.calls").value
+            result = cluster.query_spatial(
+                BBox(corner, corner, corner + 4.0, corner + 4.0)
+            )
+            assert len(result.items) == 25 and result.failed_shards == ()
+            shards_hit = {cluster.router.owner_of(key) for key, _ in result.items}
+            assert counter("kv.scans").value == scans
+            assert counter("storage.rpc.calls").value - calls <= (
+                n_nodes * len(shards_hit)
+            )
+        assert examined == [self.N] * 4
