@@ -297,14 +297,19 @@ def run_storage_rpcs(n_records=N_RPC_RECORDS):
 # -- acceptance bounds -------------------------------------------------------
 
 
-def check_hotpath_bounds(macro, storage, fusion, rpcs):
+def check_hotpath_bounds(macro, storage, fusion, rpcs, smoke=False):
+    """The smoke tier is gated on the deterministic flags and counts only:
+    its pipelines run for tens of milliseconds, where a best-of-2 ratio of
+    two wall clocks swings 4.6x-9x on a shared runner.  The wall-clock
+    bounds hold the full-scale run, which writes the committed file."""
     assert macro["identical"], "columnar ingest+query changed engine state"
-    assert macro["speedup"] >= MIN_INGEST_QUERY_SPEEDUP, (
-        f"ingest+query speedup {macro['speedup']:.2f}x below "
-        f"{MIN_INGEST_QUERY_SPEEDUP:.0f}x bound"
-    )
     assert storage["identical"], "columnar storage write changed engine state"
-    assert storage["speedup"] > 1.0, "columnar storage write is not faster"
+    if not smoke:
+        assert macro["speedup"] >= MIN_INGEST_QUERY_SPEEDUP, (
+            f"ingest+query speedup {macro['speedup']:.2f}x below "
+            f"{MIN_INGEST_QUERY_SPEEDUP:.0f}x bound"
+        )
+        assert storage["speedup"] > 1.0, "columnar storage write is not faster"
     assert fusion["identical"], "fuse_batch diverged from fuse"
     assert rpcs["identical"], "coalesced flush changed tier state"
     assert rpcs["rpcs_per_record"] >= rpcs["n_records"], (
@@ -321,7 +326,7 @@ def check_hotpath_bounds(macro, storage, fusion, rpcs):
 
 def test_e27_ingest_query_speedup(benchmark):
     macro = benchmark.pedantic(
-        run_ingest_query, args=(SMOKE_ENTITIES,), rounds=1, iterations=1
+        run_ingest_query, args=(N_ENTITIES,), rounds=1, iterations=1
     )
     assert macro["identical"]
     assert macro["speedup"] >= MIN_INGEST_QUERY_SPEEDUP
@@ -449,9 +454,10 @@ def report(file=sys.stdout, smoke=False, artifacts_dir="benchmarks/artifacts"):
     print(f"purchases: {purchase['n_requests']} requests, "
           f"{purchase['successes']} sold, simulated "
           f"{purchase['throughput_simulated']:,.0f}/s", file=file)
-    check_hotpath_bounds(macro, storage, fusion, rpcs)
+    check_hotpath_bounds(macro, storage, fusion, rpcs, smoke=smoke)
     print(f"\ningest+query columnar speedup {macro['speedup']:.2f}x "
-          f"(bound {MIN_INGEST_QUERY_SPEEDUP:.0f}x), byte-identical state; "
+          f"(bound {MIN_INGEST_QUERY_SPEEDUP:.0f}x"
+          f"{', not gated at smoke scale' if smoke else ''}), byte-identical state; "
           f"RPCs O(keys) -> O(nodes)", file=file)
 
     payload = bench_payload(macro, storage, fusion, query, purchase, rpcs, smoke)

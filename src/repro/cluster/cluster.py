@@ -80,7 +80,13 @@ from ..query.plane import (
     spatial_query,
 )
 from ..placement import Placement, route_by_owner
-from ..replication import drop_product_op, entity_op, product_op, stock_op
+from ..replication import (
+    drop_entity_op,
+    drop_product_op,
+    entity_op,
+    product_op,
+    stock_op,
+)
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
 from ..storage.engine import StorageTier
@@ -148,7 +154,7 @@ class PlatformCluster:
         # replicated, no heartbeats flow, and every path below behaves
         # exactly as before.
         self.failover: FailoverManager | None = None
-        self._stock_sinks: list[Callable[[str, str, int], None]] = []
+        self._op_sinks: list[Callable[[str, dict], object]] = []
         if config.n_storage_nodes is not None:
             self.storage = StorageTier(
                 n_nodes=config.n_storage_nodes,
@@ -206,11 +212,6 @@ class PlatformCluster:
                     config.replica_log_compact_threshold
                 ),
             )
-            self.add_stock_sink(
-                lambda shard, product_id, stock: self.failover.replicator.log_op(
-                    shard, stock_op(product_id, stock)
-                )
-            )
 
     def _make_shard(self, name: str) -> MetaversePlatform:
         engine = None
@@ -236,8 +237,8 @@ class PlatformCluster:
             engine=engine,
             semantic_index=self.config.semantic_index,
         )
-        if self._stock_sinks:
-            shard.purchase_log = partial(self._on_stock_commit, name)
+        if self._op_sinks:
+            shard.purchase_log = partial(self._emit, name, stock_op)
         if self.storage is not None:
             # Every mount sees the whole tier; a shard serves (and keeps
             # a position index over) the keys the compute ring gives it.
@@ -250,22 +251,28 @@ class PlatformCluster:
         placement directly and leaves ``cluster.router.lookups`` alone."""
         return Placement.owner_of(self.router, key) == name
 
-    def shard_of(self, key: str) -> MetaversePlatform:
-        """The shard platform currently owning ``key``."""
-        return self.shards[self.router.owner_of(key)]
-
-    def add_stock_sink(self, sink: Callable[[str, str, int], None]) -> None:
-        """Register ``sink(shard, product_id, stock)`` to see every stock
-        level this cluster commits.  Every platform :meth:`_make_shard`
-        returns (joined, promoted, re-mounted) is armed too; with no sink
-        the shards' hook stays unset and the commit path pays nothing."""
-        self._stock_sinks.append(sink)
+    def add_op_sink(self, sink: Callable[[str, dict], object]) -> None:
+        """Register ``sink(shard, op)`` to see every mutation this cluster
+        commits, as the :mod:`repro.replication` op it is logged as, on
+        the shard that committed it.  The failover manager and the geo
+        deployment are two subscribers.  Only a stock commit originates
+        inside a shard, so every platform :meth:`_make_shard` returns
+        (joined, promoted, re-mounted) has its ``purchase_log`` armed too;
+        with no sink the hook stays unset and no op is ever built."""
+        self._op_sinks.append(sink)
         for name, shard in self.shards.items():
-            shard.purchase_log = partial(self._on_stock_commit, name)
+            shard.purchase_log = partial(self._emit, name, stock_op)
 
-    def _on_stock_commit(self, shard: str, product_id: str, stock: int) -> None:
-        for sink in self._stock_sinks:
-            sink(shard, product_id, stock)
+    def _emit(self, shard: str, op_of: Callable[..., dict], *args) -> None:
+        """THE op tap: ``op_of(*args)`` just committed on ``shard``.
+
+        It sits on the cluster's own write surface, not on the platform's:
+        state *movement* (rebalancing, promotion replay, read repair) goes
+        to the platforms directly and is not a mutation to log."""
+        if self._op_sinks:
+            op = op_of(*args)
+            for sink in self._op_sinks:
+                sink(shard, op)
 
     def _is_down(self, name: str) -> bool:
         if name in self._down_compute:
@@ -438,14 +445,12 @@ class PlatformCluster:
     def _write_unit(
         self, name: str, unit: DataRecord | RecordBatch | list[DataRecord]
     ) -> None:
-        """Write one unit to shard ``name`` and, with replica failover on,
-        log the post-state of every item it stored (what a promoted
-        replica replays)."""
+        """Write one unit to shard ``name`` and emit the post-state of
+        every item it stored (what a promoted replica replays)."""
         stored = self.shards[name].write_unit(unit)
-        if self.failover is not None:
-            log_op = self.failover.replicator.log_op
+        if self._op_sinks:  # no subscriber: skip the walk, not just the op
             for key, value in stored:
-                log_op(name, entity_op(key, value))
+                self._emit(name, entity_op, key, value)
 
     def tick(self, dt: float) -> dict[str, GatherResult]:
         """One simulated-clock tick: advance time, then :meth:`step`."""
@@ -722,26 +727,52 @@ class PlatformCluster:
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous.results(query_id)
 
+    # -- key-routed state surface --------------------------------------------
+    #
+    # The platform's migration surface, routed by key and logged: what
+    # :func:`repro.replication.apply` lands a post-state through, so a
+    # region's replica copies and a re-homed key reach the owner's failover
+    # log like any other write.
+
+    def import_entity(self, key: str, value: object) -> None:
+        """Install stored entity ``value`` under ``key`` on its owner."""
+        owner = self.router.owner_of(key)
+        self.shards[owner].import_entity(key, value)
+        self._emit(owner, entity_op, key, value)
+
+    def drop_entity(self, key: str) -> None:
+        owner = self.router.owner_of(key)
+        self.shards[owner].drop_entity(key)
+        self._emit(owner, drop_entity_op, key)
+
+    def import_product(self, key: str, value: dict) -> None:
+        """Install product record ``value`` on ``key``'s owner — a product
+        write the owner's log never saw is undone by the next promotion."""
+        owner = self.router.owner_of(key)
+        self.shards[owner].import_product(key, value)
+        self._emit(owner, product_op, key, value)
+
+    def drop_product(self, key: str) -> None:
+        owner = self.router.owner_of(key)
+        self.shards[owner].drop_product(key)
+        self._emit(owner, drop_product_op, key)
+
+    def committed_product(self, key: str) -> dict | None:
+        """Committed product state from the owner's MVCC cache, falling
+        back to storage hydration (stateless compute after a remap)."""
+        owner = self.router.owner_of(key)
+        shard = (
+            self._live_shard()
+            if owner in self._down_compute
+            else self.shards[owner]
+        )
+        return shard.committed_product(key)
+
     # -- marketplace --------------------------------------------------------
 
     def load_catalog(self, records: list[DataRecord]) -> None:
-        for name, batch in self.router.group(records, attrgetter("key")).items():
-            for record in batch:
-                self._write_product(name, record.key, record.payload)
-
-    def _write_product(self, owner: str, key: str, value: dict | None) -> None:
-        """Install product record ``value`` on shard ``owner`` (``None``
-        drops it) and, with replica failover on, log it — a product write
-        the owner's log never saw is undone by the next promotion."""
-        shard = self.shards[owner]
-        if value is None:
-            shard.drop_product(key)
-            op = drop_product_op(key)
-        else:
-            shard.import_product(key, value)
-            op = product_op(key, value)
-        if self.failover is not None:
-            self.failover.replicator.log_op(owner, op)
+        for record in records:
+            self.import_product(record.key, record.payload)
 
     def process_purchases(
         self, requests: list[PurchaseRequest], max_retries: int = 2
@@ -902,7 +933,7 @@ class PlatformCluster:
         back exactly.  Returns the bucket key list.
         """
         stock = self.get_stock(product_id)  # raises if unknown
-        value = self._committed_product(product_id)
+        value = self.committed_product(product_id)
         if value is None:
             raise KeyNotFoundError(product_id)
         buckets = self.router.salt_key(product_id, n_buckets)
@@ -913,9 +944,7 @@ class PlatformCluster:
             for i, bucket in enumerate(buckets):
                 bucket_value = dict(value)
                 bucket_value["stock"] = share + (1 if i < extra else 0)
-                self._write_product(
-                    self.router.owner_of(bucket), bucket, bucket_value
-                )
+                self.import_product(bucket, bucket_value)
         self.metrics.counter("cluster.elasticity.salt_splits").inc()
         return buckets
 
@@ -929,33 +958,20 @@ class PlatformCluster:
         merged: dict | None = None
         with self.tracer.span("cluster.unsalt_product", product=product_id):
             for bucket in buckets:
-                value = self._committed_product(bucket)
+                value = self.committed_product(bucket)
                 if value is not None:
                     total += int(value.get("stock", 0))
                     if merged is None:
                         merged = dict(value)
             for bucket in buckets[1:]:
-                self._write_product(self.router.owner_of(bucket), bucket, None)
+                self.drop_product(bucket)
             self.router.unsalt_key(product_id)
             if merged is None:
                 merged = {}
             merged["stock"] = total
-            self._write_product(
-                self.router.owner_of(product_id), product_id, merged
-            )
+            self.import_product(product_id, merged)
         self.metrics.counter("cluster.elasticity.salt_merges").inc()
         return total
-
-    def _committed_product(self, key: str) -> dict | None:
-        """Committed product state from the owner's MVCC cache, falling
-        back to storage hydration (stateless compute after a remap)."""
-        owner = self.router.owner_of(key)
-        shard = (
-            self._live_shard()
-            if owner in self._down_compute
-            else self.shards[owner]
-        )
-        return shard.committed_product(key)
 
     def _route_purchase(
         self, request: PurchaseRequest, reserved: dict[str, int]

@@ -13,7 +13,12 @@ substrate:
   and drive detection exactly as a real partition would;
 * :class:`ShardReplicator` — every shard-state mutation is logged to a
   per-shard :class:`~repro.replication.ReplicatedLog` copied synchronously
-  to the R-1 ring-successor shards, with hinted handoff for a down holder;
+  to the R-1 ring-successor shards, with hinted handoff for a down holder.
+  The cluster decides what a mutation is and emits it, as the op it is
+  logged as, through its one tap (:meth:`PlatformCluster.add_op_sink`);
+  the :class:`FailoverManager` subscribes ``replicator.log_op`` to it, so
+  nothing else ever writes to these logs but :meth:`FailoverManager.resync`
+  seeding them after a membership change;
 * **promotion** — when the detector suspects a shard, the
   :class:`FailoverManager` folds the LSN-union of the surviving copies
   (tolerant of torn tails and of holes from dropped replication messages)
@@ -294,6 +299,9 @@ class FailoverManager:
             cluster.router, n_replicas,
             metrics=self.metrics, faults=cluster.faults,
         )
+        # Subscribe to the cluster's op tap: whatever it commits on a
+        # shard is logged for that shard, in commit order.
+        cluster.add_op_sink(self.replicator.log_op)
         self.scheduler = EventScheduler(self.clock)
         self.net = SimulatedNetwork(
             self.scheduler, metrics=self.metrics,

@@ -10,6 +10,15 @@ follow-the-user overrides via :meth:`GeoDeployment.rehome_entity` /
 and replicate asynchronously by shipping absolute post-state replica-log
 entries (:mod:`repro.geo.replication`) over the WAN.
 
+Who emits and who subscribes: a region's :class:`PlatformCluster` emits
+every mutation it commits through its op tap, and this module registers
+one sink per region (:meth:`GeoDeployment._log_and_ship`) that logs the
+op in the home's log and ships it.  The deployment builds no op and
+touches no shard: remote post-states land *through* the destination
+region's cluster (so its failover log, if it keeps one, carries the
+copies), and the sink skips those landings — a copy is not a mutation of
+that region's to ship.
+
 Reads take a per-call consistency mode:
 
 * ``eventual`` — served by the caller's own region from whatever replica
@@ -37,6 +46,7 @@ anti-entropy until every copy reconverges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 from ..api.dataplane import GatherResult
@@ -57,11 +67,7 @@ from ..core.records import DataRecord
 from ..net.simnet import Link, Message, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement, group_by_owner, route_by_owner
-from ..platform.platform import (
-    PurchaseOutcome,
-    purchase_sort_key,
-    stored_record_value,
-)
+from ..platform.platform import PurchaseOutcome, purchase_sort_key
 from ..query.plane import (
     QueryExecutor,
     QueryModality,
@@ -69,7 +75,7 @@ from ..query.plane import (
     QueryRequest,
     prefix_query,
 )
-from ..replication import PostState, apply, entity_op, product_op, stock_op
+from ..replication import PostState, apply
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.policies import CircuitBreaker, RetryPolicy, Timeout
 from ..workloads.marketplace import PurchaseRequest
@@ -158,10 +164,11 @@ class GeoConfig:
         if self.cluster is not None:
             self.cluster.validate()
             if self.cluster.elasticity is not None:
-                # The controller salts hot products into per-region bucket
-                # keys, which cross-region replication does not follow.
                 raise ConfigurationError(
-                    "per-region elasticity is not supported under a geo deployment"
+                    "per-region elasticity is not supported under a geo "
+                    "deployment: the controller salts hot products into "
+                    "bucket keys, and the salt map is router state the "
+                    "replication log does not carry"
                 )
         return self
 
@@ -243,18 +250,18 @@ class GeoDeployment:
                 tracer=self.tracer,
             )
             self._clusters[name] = cluster
-            # Committed stock levels feed this region's replication log.
-            cluster.add_stock_sink(
-                lambda shard, product_id, stock, home=name: self._replicate(
-                    home, stock_op(product_id, stock)
-                )
-            )
+            # Whatever this region's cluster commits feeds its home log.
+            cluster.add_op_sink(partial(self._log_and_ship, name))
         self.replicator = GeoReplicator(
             self.config.regions,
             metrics=self.metrics,
             compact_threshold=self.config.compact_threshold,
         )
         self._home_override: dict[str, str] = {}
+        # True while :meth:`_land` is writing replica state to a cluster.
+        self._landing = False
+        # LSN of the last op :meth:`_log_and_ship` logged.
+        self._logged_lsn: int | None = None
         self._down: set[str] = set()
         self._deferred: dict[str, list[DataRecord]] = {}
         self._last_antientropy = self.clock.now
@@ -367,12 +374,18 @@ class GeoDeployment:
 
     # -- replication: ship / deliver / apply -------------------------------
 
-    def _replicate(self, home: str, op: dict) -> int:
+    def _log_and_ship(self, home: str, shard: str, op: dict) -> None:
+        """Region ``home``'s op sink: its cluster just committed ``op``, so
+        log it in ``home``'s log and ship it to every other region.  What
+        :meth:`_land` commits is skipped: a landing is a copy of another
+        home's mutation, not one of this region's to ship."""
+        if self._landing:
+            return
         lsn, payload = self.replicator.log_op(home, op, self.clock.now)
+        self._logged_lsn = lsn
         for dst in self.config.regions:
             if dst != home:
                 self._ship(home, dst, lsn, payload)
-        return lsn
 
     def _ship(self, home: str, dst: str, lsn: int, payload: bytes) -> bool:
         # Once a pair has hints queued, everything later must queue behind
@@ -437,13 +450,19 @@ class GeoDeployment:
         applied-LSN guard of :func:`repro.replication.apply` (a smaller WAN
         payload can overtake a larger same-instant one, and the late entry
         must not regress the state), and the home guard (a key re-homed
-        since the op was logged belongs to the new home's log)."""
+        since the op was logged belongs to the new home's log).  The keys
+        land through ``region``'s cluster, so its own failover log (if it
+        keeps one) carries the copies through a shard promotion."""
         cluster = self._clusters[region]
-        landed = len(apply(
-            state,
-            self._applied_lsn.setdefault((home, region), {}),
-            lambda key: cluster.shard_of(key) if self.home_of(key) == home else None,
-        ))
+        self._landing = True
+        try:
+            landed = len(apply(
+                state,
+                self._applied_lsn.setdefault((home, region), {}),
+                lambda key: cluster if self.home_of(key) == home else None,
+            ))
+        finally:
+            self._landing = False
         if landed < len(state.lsn):  # rare: tell the two guards apart
             stale = sum(1 for key in state.lsn if self.home_of(key) != home)
             late = len(state.lsn) - landed - stale
@@ -510,7 +529,9 @@ class GeoDeployment:
         session: GeoSession | None = None,
     ) -> int | None:
         """Write-through at the record's home region; returns the home-log
-        LSN (``None`` when the home is down and the write was deferred)."""
+        LSN — ``None`` when the write was deferred because the home region
+        is down, or queued by the home cluster behind a down shard (it is
+        logged and shipped when it lands)."""
         home = self.home_of(record.key)
         if home in self._down:
             self._deferred.setdefault(home, []).append(record)
@@ -523,10 +544,9 @@ class GeoDeployment:
                 # partition surfaces here, before anything mutates.
                 self._wan_rpc(submitted, home)
                 self.metrics.counter("geo.writes.forwarded").inc()
+        self._logged_lsn = None
         self._clusters[home].write_record(record)
-        lsn = self._replicate(
-            home, entity_op(record.key, stored_record_value(record))
-        )
+        lsn = self._logged_lsn  # the record's own op is the last one out
         if session is not None:
             session.observe(home, lsn)
         self.metrics.counter("geo.writes").inc()
@@ -554,8 +574,6 @@ class GeoDeployment:
             if home in self._down:
                 raise NetworkError(f"cannot load catalog: region {home!r} is down")
             self._clusters[home].load_catalog(batch)
-            for record in batch:
-                self._replicate(home, product_op(record.key, record.payload))
 
     def process_purchases(
         self, requests: list[PurchaseRequest], max_retries: int = 2
@@ -714,17 +732,15 @@ class GeoDeployment:
             raise PartitionedError(f"re-home of {key!r} aborted: {exc}") from exc
         src, dst = self._clusters[old], self._clusters[to_region]
         if product:
-            value = src._committed_product(key)
-            if value is None:
-                raise KeyNotFoundError(key)
-            dst.shard_of(key).import_product(key, dict(value))
-            self._home_override[key] = to_region
-            self._replicate(to_region, product_op(key, value))
+            value, install = src.committed_product(key), dst.import_product
         else:
-            value = src.shard_of(key).export_entity(key)
-            dst.shard_of(key).import_entity(key, value)
-            self._home_override[key] = to_region
-            self._replicate(to_region, entity_op(key, value))
+            value, install = src.read(key, allow_stale=False), dst.import_entity
+        if value is None:
+            raise KeyNotFoundError(key)
+        # One write at the new home: its cluster logs it for failover and
+        # its sink logs and ships it as the new home's first op on ``key``.
+        install(key, value)
+        self._home_override[key] = to_region
         # The old home keeps its copy as a plain replica; ops still in its
         # log for this key are ignored at apply time (home guard), and the
         # new home's full-state op overwrites every copy.

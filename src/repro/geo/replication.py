@@ -13,7 +13,10 @@ cluster path has no use for — contiguous-prefix watermarks per (home,
 destination) pair, replication lag, and staleness in simulated seconds.
 Shipping over the simulated WAN and landing post-states on region
 clusters is the deployment's job (:mod:`repro.geo.deployment`), which
-keeps this class deterministic and network-free.
+keeps this class deterministic and network-free.  So is feeding it: the
+one caller of :meth:`GeoReplicator.log_op` is the op sink the deployment
+registers on each region's cluster — the cluster builds the op when the
+mutation commits, this class only logs it.
 """
 
 from __future__ import annotations

@@ -262,7 +262,9 @@ def commerce_plane(shape, stocks):
     if shape == "platform":
         plane.purchase_log = lambda *call: sunk.append(call)
     else:
-        plane.add_stock_sink(lambda shard, *call: sunk.append(call))
+        plane.add_op_sink(lambda shard, op: op["op"] == "stock" and sunk.append(
+            (op["k"], op["stock"])
+        ))
     for node in [plane] if shape == "platform" else plane.shards.values():
         def begin(begin=node.txn.begin):
             opened.append(begin())
@@ -394,10 +396,7 @@ class TestPurchaseIsABasketOfOne:
             assert after[1:] == before[1:]
 
 
-class TestOneStockCommitPath:
-    """The acceptance grep: under ``src/repro`` stock is checked,
-    decremented, committed, written through and reported in one place."""
-
+class SourceGrep:
     ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
     def hits(self, pattern):
@@ -407,6 +406,11 @@ class TestOneStockCommitPath:
             for path in sorted(self.ROOT.rglob("*.py"))
             for _ in re.findall(pattern, path.read_text())
         ]
+
+
+class TestOneStockCommitPath(SourceGrep):
+    """The acceptance grep: under ``src/repro`` stock is checked,
+    decremented, committed, written through and reported in one place."""
 
     def test_one_check_and_decrement_plus_the_replay(self):
         assert self.hits(r"stock < (\w+\.)?quantity") == ["platform/platform.py"]
@@ -437,6 +441,48 @@ class TestOneStockCommitPath:
         assert self.hits(
             r"_persist_product|_local_basket|_log_stocks|_persist_stocks"
             r"|_purchase_one"
+        ) == []
+
+
+class TestOneOpTap(SourceGrep):
+    """The acceptance grep: a mutation is logged where it commits.  The
+    cluster builds every replication op and emits it through one tap;
+    the replicators subscribe, and geo goes through the cluster facade."""
+
+    OPS = r"\b(entity_op|drop_entity_op|product_op|drop_product_op|stock_op)\b"
+
+    def test_only_the_cluster_and_the_resync_seed_build_an_op(self):
+        assert set(self.hits(self.OPS)) == {
+            "replication.py", "cluster/cluster.py", "cluster/failover.py"
+        }
+        failover = (self.ROOT / "cluster" / "failover.py").read_text()
+        resync = failover[failover.index("def resync"):]
+        resync = resync[:resync.index("\n    def ", 1)]
+        calls = re.findall(self.OPS + r"\(", failover)
+        assert calls and calls == re.findall(self.OPS + r"\(", resync)
+
+    def test_one_emit_feeds_every_sink(self):
+        cluster = (self.ROOT / "cluster" / "cluster.py").read_text()
+        assert cluster.count("in self._op_sinks") == 1
+        assert self.hits(r"\.add_op_sink\(") == [
+            "cluster/failover.py", "geo/deployment.py"
+        ]
+
+    def test_geo_reaches_into_no_shard_and_derives_no_op(self):
+        in_geo = [
+            name for name in self.hits(
+                r"shard_of\(|stored_record_value|_committed_product|\.shards\b"
+            )
+            if name.startswith("geo/")
+        ]
+        assert in_geo == []
+        assert "failover.replicator" not in (
+            self.ROOT / "cluster" / "cluster.py"
+        ).read_text()
+
+    def test_the_old_hooks_stay_deleted(self):
+        assert self.hits(
+            r"add_stock_sink|_stock_sinks|_write_product|def _replicate"
         ) == []
 
 

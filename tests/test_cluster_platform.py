@@ -452,7 +452,9 @@ class TestBaskets:
         and reported to the stock sink in commit order."""
         cluster, cross, _ = self.seeded()
         sunk = []
-        cluster.add_stock_sink(lambda *call: sunk.append(call))
+        cluster.add_op_sink(lambda shard, op: op["op"] == "stock" and sunk.append(
+            (shard, op["k"], op["stock"])
+        ))
         hot, other = cross
         owner = cluster.router.owner_of(hot)
         twopc = cluster.coordinator

@@ -162,6 +162,110 @@ def test_e31_semantic_run_is_byte_identical(tmp_path):
     )
 
 
+# -- golden replicated logs ----------------------------------------------------
+#
+# The constants below were computed on the PR 20 tree, where every caller
+# built and placed its own replication op; the logs the op tap feeds must
+# be those logs — same ops, same LSNs, in every copy.  (``repro`` is
+# imported inside the functions: ``benchmarks/compare_artifacts.py``
+# imports this module for its strip helper without ``src`` on the path.)
+
+GOLDEN_SALE_LOGS = {
+    "shard-0": (22, "0f5702a313ffd49a"),
+    "shard-1": (21, "13d5162a9506270a"),
+    "shard-2": (42, "849b68f09d265ea8"),
+    "shard-3": (41, "e0c0caf7814331a6"),
+}
+GOLDEN_GEO_LOGS = {
+    "us-east": (40, "a7e7c81abc8f1ec8"),
+    "eu-west": (57, "e13f87a4c3fea16c"),
+    "ap-south": (36, "ec1acfdc91d6f1c7"),
+}
+
+
+def scripted_market(seed):
+    from repro.workloads import FlashSaleConfig, MarketplaceWorkload
+
+    return MarketplaceWorkload(
+        FlashSaleConfig(
+            n_products=12, n_shoppers=60, initial_stock=8, burst_rate=90.0,
+            burst_start=0.0, burst_end=4.0, zipf_skew=1.0,
+        ),
+        seed=seed,
+    )
+
+
+def location(key, x, t):
+    from repro import DataKind, DataRecord, Space
+
+    return DataRecord(
+        key=key, payload={"x": x, "y": t}, space=Space.VIRTUAL, timestamp=t,
+        kind=DataKind.LOCATION, source="golden",
+    )
+
+
+def assert_golden(logs, golden):
+    """Every copy of every log: entry count and Merkle root prefix."""
+    assert {
+        log.owner: {
+            (len(log.entries(name)), log.root(name).hex()[:16])
+            for name in (log.owner, *log.holders)
+        }
+        for log in logs
+    } == {owner: {pinned} for owner, pinned in golden.items()}
+
+
+@pytest.mark.failover
+def test_a_scripted_sale_leaves_the_golden_failover_logs():
+    from repro.cluster import ClusterConfig, PlatformCluster
+
+    market = scripted_market(seed=5)
+    cluster = PlatformCluster(ClusterConfig(n_shards=4, n_replicas=2))
+    cluster.load_catalog(market.catalog_records())
+    for frame in range(4):
+        t = float(frame)
+        cluster.ingest_many([
+            location(f"shopper/{frame}/{i}", float(i), t) for i in range(5)
+        ])
+        requests = market.requests_between(t, t + 1.0)
+        cluster.process_purchases(requests)
+        cluster.process_basket(requests[:3])
+        cluster.tick(1.0)
+    replicator = cluster.failover.replicator
+    assert_golden(
+        [replicator.log(owner) for owner in cluster.router.shards],
+        GOLDEN_SALE_LOGS,
+    )
+
+
+@pytest.mark.geo
+def test_a_scripted_three_region_run_leaves_the_golden_geo_logs():
+    from repro.geo import GeoConfig, GeoDeployment
+
+    market = scripted_market(seed=9)
+    geo = GeoDeployment(GeoConfig(regions=tuple(GOLDEN_GEO_LOGS)))
+
+    def elsewhere(key):
+        return [r for r in geo.config.regions if r != geo.home_of(key)][0]
+
+    geo.load_catalog(market.catalog_records())
+    for frame in range(4):
+        t = float(frame)
+        for i in range(6):
+            geo.write_record(location(f"player-{i:04d}", float(i), t))
+        geo.process_purchases(market.requests_between(t, t + 1.0))
+        geo.tick(0.5)
+        if frame == 1:
+            pid = market.product_id(0)
+            geo.rehome_product(pid, elsewhere(pid))
+            geo.rehome_entity("player-0000", elsewhere("player-0000"))
+        geo.tick(0.5)
+    assert_golden(
+        [geo.replicator.log(home) for home in geo.config.regions],
+        GOLDEN_GEO_LOGS,
+    )
+
+
 def test_strip_keeps_simulated_metrics_and_drops_wall_clock():
     snapshot = {
         "gauges": {

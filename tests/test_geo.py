@@ -25,6 +25,7 @@ from repro.geo import (
     GeoSession,
 )
 from repro.obs.tracing import Tracer
+from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
@@ -237,6 +238,18 @@ class TestRegionClusters:
         )])
         assert outcome.success
 
+    def until_up(self, geo, cluster, victim):
+        """Tick until ``victim``'s promoted replica is up."""
+        for _ in range(400):
+            geo.tick(0.05)
+            if cluster.failover.state(victim) == "up":
+                break
+        assert cluster.failover.state(victim) == "up"
+
+    def promote(self, geo, cluster, victim):
+        cluster.kill_shard(victim)
+        self.until_up(geo, cluster, victim)
+
     def test_stock_keeps_replicating_after_a_shard_promotion(self):
         """The promoted platform must feed the cross-region log like the
         one it replaced."""
@@ -248,17 +261,100 @@ class TestRegionClusters:
         self.buy(geo, pid, 5)
         cluster = geo.region(home)
         victim = cluster.router.owner_of(pid)
-        cluster.kill_shard(victim)
-        for _ in range(400):
-            geo.tick(0.05)
-            if cluster.failover.state(victim) == "up":
-                break
-        assert cluster.failover.state(victim) == "up"
+        self.promote(geo, cluster, victim)
         self.buy(geo, pid, 7)
         geo.tick(0.5)
         assert geo.max_replication_lag() == 0
         assert geo.get_stock(pid, LINEARIZABLE) == 88
         assert geo.get_stock(pid, EVENTUAL, region=remote) == 88
+
+    def test_a_rehomed_key_survives_a_promotion_in_its_new_home(self):
+        """Re-homing is one logged write at the new home: the region's
+        failover log carries it, so a promotion there replays it."""
+        geo = make_geo(cluster=ClusterConfig(n_shards=2, n_replicas=2))
+        pid, key = "product-0000", "player-0001"
+        geo.load_catalog([record(pid, {"name": "x", "stock": 10})])
+        geo.write_record(record(key, {"x": 1.0, "y": 2.0}))
+        geo.tick(0.5)
+        stored = geo.read(key, LINEARIZABLE)
+        for moved, rehome in ((pid, geo.rehome_product), (key, geo.rehome_entity)):
+            new_home = others(geo, geo.home_of(moved))[0]
+            rehome(moved, new_home)
+            cluster = geo.region(new_home)
+            self.promote(geo, cluster, cluster.router.owner_of(moved))
+        geo.tick(0.5)
+        assert geo.get_stock(pid, LINEARIZABLE) == 10
+        assert geo.read(key, LINEARIZABLE) == stored
+        third = others(geo, geo.home_of(pid))[-1]
+        assert geo.get_stock(pid, EVENTUAL, region=third) == 10
+        third = others(geo, geo.home_of(key))[-1]
+        assert geo.read(key, EVENTUAL, region=third) == stored
+
+    def test_replica_copies_survive_a_promotion_in_their_region(self):
+        """A landing goes through the region's cluster, so the region's
+        failover log holds its replica copies — and is not re-shipped."""
+        geo = make_geo(cluster=ClusterConfig(n_shards=2, n_replicas=2))
+        home, replica = REGIONS[0], REGIONS[1]
+        pids = [f"product-{i:04d}" for i in range(40)]
+        pids = [pid for pid in pids if geo.home_of(pid) == home][:4]
+        keys = [f"player-{i:04d}" for i in range(40)]
+        keys = [key for key in keys if geo.home_of(key) == home][:4]
+        logged = geo.metrics.counter("geo.repl.logged")
+        geo.load_catalog([record(pid, {"name": pid, "stock": 10}) for pid in pids])
+        for i, key in enumerate(keys):
+            geo.write_record(record(key, {"x": float(i), "y": 0.0}))
+        self.buy(geo, pids[0], 3)
+        shipped = logged.value
+        geo.tick(0.5)
+        geo.tick(0.5)
+        assert geo.max_replication_lag() == 0
+        assert logged.value == shipped  # landing logged nothing anywhere
+        cluster = geo.region(replica)
+        victim = cluster.router.owner_of(pids[0])
+        held = [k for k in pids + keys if cluster.router.owner_of(k) == victim]
+        state = fold(cluster.failover.replicator.log(victim).union())
+        assert set(held) <= set(state.lsn)
+        self.promote(geo, cluster, victim)
+        for _ in range(4):
+            geo.tick(0.5)
+            assert geo.max_replication_lag() == 0
+            for pid in pids:
+                assert geo.get_stock(pid, EVENTUAL, region=replica) == (
+                    geo.get_stock(pid, LINEARIZABLE)
+                ) == (7 if pid == pids[0] else 10)
+            for key in keys:
+                value = geo.read(key, EVENTUAL, region=replica)
+                assert value is not None
+                assert value == geo.read(key, LINEARIZABLE)
+        assert logged.value == shipped
+
+    def test_a_queued_write_reaches_the_geo_log_when_it_lands(self):
+        """The home cluster queues a write behind a down shard; replicas
+        must not serve it before the home can."""
+        geo = make_geo(cluster=ClusterConfig(n_shards=2, n_replicas=2))
+        key = "player-0001"
+        session = GeoSession()
+        geo.write_record(record(key, {"v": 0}), session=session)
+        geo.tick(0.5)
+        home = geo.home_of(key)
+        cluster = geo.region(home)
+        victim = cluster.router.owner_of(key)
+        logged = geo.metrics.counter("geo.repl.logged")
+        before = logged.value
+        cluster.kill_shard(victim)
+        lsn = geo.write_record(record(key, {"v": 1}, 1.0), session=session)
+        assert lsn is None and session.vector == {home: 1}
+        assert logged.value == before
+        geo.tick(0.2)  # long enough to ship, too short to detect the kill
+        assert cluster.failover.is_down(victim)
+        for region in others(geo, home):
+            assert geo.read(key, EVENTUAL, region=region)["payload"] == {"v": 0}
+        self.until_up(geo, cluster, victim)
+        geo.tick(0.5)
+        assert logged.value == before + 1
+        assert geo.read(key, LINEARIZABLE)["payload"] == {"v": 1}
+        for region in others(geo, home):
+            assert geo.read(key, EVENTUAL, region=region)["payload"] == {"v": 1}
 
     def test_killed_disaggregated_shard_is_back_after_a_geo_tick(self):
         geo = make_geo(cluster=ClusterConfig(n_shards=2, n_storage_nodes=2))
