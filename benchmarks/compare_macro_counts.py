@@ -36,6 +36,8 @@ NEVER_UP = (
     "semantic.distance_evals_query",
     "storage.scan.rows_examined",
     "kv.scans",
+    "geo.antientropy.rounds",
+    "failover.replicated_ops",
 )
 
 

@@ -13,7 +13,7 @@ MetaversePlatform` instances into one horizontally scaled system:
 * :class:`FailoverManager` / :class:`FailureDetector` /
   :class:`ShardReplicator` — shard crash survival: heartbeat-driven
   phi-accrual detection, ring-successor log replication with hinted
-  handoff, replica promotion with WAL replay, and Merkle anti-entropy
+  handoff, replica promotion with WAL replay, and set-digest anti-entropy
   (enable with ``ClusterConfig(n_replicas=2)``).
 
 Disaggregated mode (``ClusterConfig(n_storage_nodes=M)``) mounts every

@@ -24,8 +24,9 @@ substrate:
   (tolerant of torn tails and of holes from dropped replication messages)
   onto a fresh platform and installs it under the dead shard's name — the
   ring never changes, so routing is untouched;
-* **anti-entropy** — after promotion, copies whose Merkle root disagrees
-  with the union's are rebuilt from it; reads against a recovering shard
+* **anti-entropy** — after promotion, copies whose set digest
+  (:func:`repro.replication.set_digest`: same entries, any order)
+  disagrees with the union's are rebuilt from it; reads against a recovering shard
   additionally read-repair through :meth:`PlatformCluster.read`.
 
 The op format, its fold and the log belong to :mod:`repro.replication`
@@ -222,7 +223,7 @@ class ShardReplicator:
 
     def sync_owner(self, owner: str) -> bool:
         """One anti-entropy round: rebuild every copy of ``owner``'s log
-        whose Merkle root differs from the LSN-union's.  True when a
+        whose set digest differs from the LSN-union's.  True when a
         repair was performed (i.e. the copies had diverged)."""
         log = self.log(owner)
         diverged = bool(log.repair([owner, *log.holders]))

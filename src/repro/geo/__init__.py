@@ -2,7 +2,7 @@
 
 Multiple :class:`~repro.cluster.PlatformCluster`\\ s as named regions over
 a simulated WAN: async cross-region replication with hinted handoff and
-Merkle anti-entropy, per-call consistency modes (eventual /
+set-digest anti-entropy, per-call consistency modes (eventual /
 read-your-writes / linearizable), follow-the-user re-homing, and
 partition-tolerant routing.  See :mod:`repro.geo.deployment`.
 """

@@ -35,7 +35,7 @@ Reads take a per-call consistency mode:
 
 WAN faults are injected under the ``geo.wan`` site (partition / drop /
 delay), independent from single-region ``net.link`` plans.  A dropped
-replication entry leaves a visible LSN hole repaired by Merkle
+replication entry leaves a visible LSN hole repaired by set-digest
 anti-entropy; an unreachable destination gets hinted handoff.  Region
 kills use the outage model: the region's state survives, writes to its
 home keys are deferred (ingest) or fail fast (purchases — never queued,
@@ -503,7 +503,8 @@ class GeoDeployment:
         hands back the re-folded post-state of the keys the destination
         had been missing entries for.  The round's span counts pairs
         compared, copies rebuilt and entries those copies had lacked (a
-        rebuilt copy that lacked none held them in another append order).
+        rebuilt copy that lacked none held an extra one the primary has
+        since compacted away; arrival order alone is not divergence).
         """
         lacked = self.metrics.counter("geo.antientropy.repaired_entries")
         lacked_before = lacked.value

@@ -150,8 +150,9 @@ class GeoReplicator:
         On divergence the copy is rebuilt from the primary and the keys of
         the entries ``dst`` had lacked are *re-folded* over the whole
         primary, so landing the result cannot regress a newer state.
-        Returns that post-state (``None`` when the copy already agreed —
-        which costs two cached Merkle roots, no entry of either log).
+        Returns that post-state (``None`` when the copy already holds
+        the primary's entries, in whatever order they arrived — which
+        costs two cached set digests, no entry of either log).
         Pending hints for the pair are dropped: the rebuild covers them.
         """
         log = self._logs[home]
@@ -161,8 +162,9 @@ class GeoReplicator:
         authority = log.entries(home)
         log.take_hints(dst)
         self._recompute(home, dst, {e.lsn for e in authority})
-        # Despite its name this counts pair-rounds that *rebuilt a copy*,
-        # not rounds run: a pair whose roots agree returned above.
+        # Despite its name this counts pair-rounds that *rebuilt a copy*
+        # — one that lacked, added or damaged an entry — not rounds run:
+        # a pair whose set digests agree returned above.
         self.metrics.counter("geo.antientropy.rounds").inc()
         self.metrics.counter("geo.antientropy.repaired_entries").inc(len(missing))
         affected = fold(missing).lsn

@@ -89,13 +89,6 @@ class MerkleTree:
     def __len__(self) -> int:
         return len(self._leaf_hashes)
 
-    def clone(self) -> "MerkleTree":
-        """An independent tree over the same leaves (no re-hashing)."""
-        twin = MerkleTree()
-        twin._leaf_hashes = self._leaf_hashes.copy()
-        twin._frontier = self._frontier.copy()
-        return twin
-
     def append(self, data: bytes) -> int:
         """Append a leaf; returns its index."""
         if not isinstance(data, (bytes, bytearray)):

@@ -181,6 +181,9 @@ class MetaversePlatform:
         self.broker = Broker(metrics=self.metrics, tracer=self.tracer, faults=faults)
         self.n_executors = n_executors
         self.executors = [ExecutorStats() for _ in range(n_executors)]
+        # product id -> executor index; n_executors never changes, so an
+        # entry never goes stale (capped like Placement's owner memo).
+        self._executor_memo: dict[str, int] = {}
         self.txn_cost_s = txn_cost_s
         self.physical_priority = physical_priority
         self._buffer_pool_pages = buffer_pool_pages
@@ -708,7 +711,13 @@ class MetaversePlatform:
         )
 
     def _executor_for(self, product_id: str) -> int:
-        return stable_hash(product_id) % self.n_executors
+        index = self._executor_memo.get(product_id)
+        if index is None:
+            if len(self._executor_memo) >= 1 << 20:
+                self._executor_memo.clear()
+            index = stable_hash(product_id) % self.n_executors
+            self._executor_memo[product_id] = index
+        return index
 
     def process_purchases(
         self,

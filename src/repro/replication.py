@@ -13,8 +13,8 @@ this module is the single owner of its three decisions:
   :func:`apply` lands that on shards behind a per-key applied-LSN guard;
   :func:`compact_entries` drops what the fold would never look at;
 * **the replicated log** — :class:`ReplicatedLog`: one owner's primary
-  WAL, copies adopting its LSNs verbatim, hint buffers, Merkle
-  compare-and-rebuild, one compaction trigger.
+  WAL, copies adopting its LSNs verbatim, hint buffers, set-digest
+  compare-and-rebuild (:func:`set_digest`), one compaction trigger.
 
 Who holds the copies, how entries travel and which log is authoritative
 on repair are policies and stay with the two replicators.
@@ -22,11 +22,11 @@ on repair are policies and stay with the two replicators.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Callable, Iterable
 
 from .core.errors import KeyNotFoundError
-from .ledger.merkle import MerkleTree
 from .storage.wal import WalEntry, WriteAheadLog
 
 # -- the op format -------------------------------------------------------------
@@ -57,9 +57,15 @@ def stock_op(key: str, stock: int) -> dict:
     return {"op": "stock", "k": key, "stock": int(stock)}
 
 
+# One encoder for every op: ``json.dumps(op, sort_keys=True)`` builds a
+# ``JSONEncoder`` per call, and the log paths call this once per mutation.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode(op: dict) -> bytes:
-    """Canonical payload: equal ops, equal bytes, equal Merkle leaves."""
-    return json.dumps(op, sort_keys=True).encode("utf-8")
+    """Canonical payload: equal ops, equal bytes, equal digest terms —
+    the bytes of ``json.dumps(op, sort_keys=True)``."""
+    return _encode_json(op).encode("utf-8")
 
 
 def decode(payload: bytes) -> dict:
@@ -99,7 +105,7 @@ class PostState:
         return None if record is None else int(record.get("stock", 0))
 
 
-def _walk(entries: Iterable[WalEntry], keys=None):
+def _walk(entries: Iterable[WalEntry], keys=None, ops: dict[int, dict] | None = None):
     """Walk ``entries`` in LSN order — the one place that knows what each
     op kind means and which op supersedes which:
 
@@ -114,6 +120,11 @@ def _walk(entries: Iterable[WalEntry], keys=None):
     Returns the :class:`PostState` and the entries it rests on: each key's
     last per family as three ``key -> entry`` maps, then the entries of
     unknown kinds.
+
+    ``ops`` (LSN -> decoded op) lets walks over copies of *one* log — equal
+    LSN, equal payload — decode each entry once between them.  The state
+    aliases the decoded ops (a stock op writes into its product's record),
+    so only a caller that discards the state may share one.
     """
     state = PostState()
     entities, products, partial = state.entities, state.products, state.partial
@@ -122,7 +133,12 @@ def _walk(entries: Iterable[WalEntry], keys=None):
     stock: dict[str, WalEntry] = {}
     unknown: list[WalEntry] = []
     for entry in sorted(entries, key=lambda entry: entry.lsn):
-        op = decode(entry.payload)
+        if ops is None:
+            op = decode(entry.payload)
+        else:
+            op = ops.get(entry.lsn)
+            if op is None:
+                op = ops[entry.lsn] = decode(entry.payload)
         key = op.get("k")
         if keys is not None and key not in keys:
             continue
@@ -157,7 +173,9 @@ def fold(entries: Iterable[WalEntry], keys=None) -> PostState:
     return _walk(entries, keys)[0]
 
 
-def compact_entries(entries: Iterable[WalEntry]) -> list[WalEntry]:
+def compact_entries(
+    entries: Iterable[WalEntry], ops: dict[int, dict] | None = None
+) -> list[WalEntry]:
     """Drop the entries :func:`fold` does not rest on.
 
     An op goes only when a *later op in this same copy* supersedes it, so
@@ -166,8 +184,10 @@ def compact_entries(entries: Iterable[WalEntry]) -> list[WalEntry]:
     a synthesized full record could claim non-stock fields at an LSN newer
     than another copy's genuine ``product`` op that this copy missed (a
     replication hole), corrupting the union.  Unknown kinds are kept.
+    ``ops`` is :func:`_walk`'s decode memo, for compacting several copies
+    of one log in a row.
     """
-    _, entity, product, stock, unknown = _walk(entries)
+    _, entity, product, stock, unknown = _walk(entries, ops=ops)
     kept = [*unknown, *entity.values(), *product.values(), *stock.values()]
     kept.sort(key=lambda entry: entry.lsn)
     return kept
@@ -224,17 +244,33 @@ def _drop(drop: Callable, key: str) -> None:
 # -- the replicated log --------------------------------------------------------
 
 
-def _grow(tree: MerkleTree, entries: Iterable[WalEntry]) -> MerkleTree:
-    """Append one ``(lsn, payload)`` leaf per entry, in the given order."""
+#: A log's identity: ``(entries, sum of their hashes mod 2**256)``.
+SetDigest = tuple[int, int]
+
+_DIGEST_MOD = 1 << 256
+
+
+def set_digest(entries: Iterable[WalEntry], onto: SetDigest = (0, 0)) -> SetDigest:
+    """Order-insensitive digest of a log: the entry count and the sum,
+    mod 2**256, of ``SHA-256(b"<lsn>:" + payload)`` over ``entries``.
+
+    Two logs holding the same entries in any append order have equal
+    digests; a dropped, extra, duplicated or altered entry moves the count
+    or the sum (addition, not XOR: a duplicate does not cancel itself).
+    ``onto`` continues a digest over the entries a log has gained —
+    ``set_digest(b, set_digest(a)) == set_digest(a + b)``.
+
+    It is an integrity comparison between one operator's replicas, one
+    level above the WAL's per-entry CRC-32 — not an authenticator: anyone
+    who can write a copy can also forge a matching sum.
+    """
+    count, total = onto
+    sha256 = hashlib.sha256
     for entry in entries:
-        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
-    return tree
-
-
-def merkle_root(entries: Iterable[WalEntry]) -> bytes:
-    """RFC-6962 root over ``(lsn, payload)`` leaves — the definition;
-    :meth:`ReplicatedLog.root` is its incremental form."""
-    return _grow(MerkleTree(), entries).root()
+        leaf = sha256(b"%d:" % entry.lsn + entry.payload).digest()
+        total += int.from_bytes(leaf, "big")
+        count += 1
+    return count, total % _DIGEST_MOD
 
 
 class ReplicatedLog:
@@ -246,9 +282,11 @@ class ReplicatedLog:
     bound for a holder that cannot take them now wait, in ship order, in
     its hint buffer.
 
-    Each log has one Merkle tree, caught up with its verified prefix only
-    when a root is asked for — never per append — and started afresh when
-    the log's body is replaced (:meth:`tear`, :meth:`rebuild`).
+    Each log has one cached :func:`set_digest`, caught up with its valid
+    prefix only when :meth:`repair` compares it — never per append — and
+    started afresh when the log's body is replaced (:meth:`tear`,
+    :meth:`rebuild`).  Copies append in arrival order, so *converged* means
+    holding the same entries, not holding them in the same order.
     """
 
     def __init__(self, owner: str, holders: Iterable[str]) -> None:
@@ -256,7 +294,7 @@ class ReplicatedLog:
         #: Names of the copies (the owner's primary excluded).
         self.holders = tuple(holders)
         self._logs = {name: WriteAheadLog() for name in (owner, *self.holders)}
-        self._trees = {name: MerkleTree() for name in self._logs}
+        self._digests: dict[str, SetDigest] = {name: (0, 0) for name in self._logs}
         self._hints: dict[str, list[tuple[int, bytes]]] = {
             name: [] for name in self.holders
         }
@@ -294,15 +332,13 @@ class ReplicatedLog:
         """Valid prefix of ``name``'s log (the owner names the primary)."""
         return self._logs[name].entries_from(0)
 
-    def _tree(self, name: str) -> MerkleTree:
-        """``name``'s tree, grown by the entries its log has gained."""
-        tree = self._trees[name]
-        return _grow(tree, self._logs[name].entries_from(len(tree)))
-
-    def root(self, name: str) -> bytes:
-        """:func:`merkle_root` of ``name``'s valid prefix, hashing only
+    def _digest(self, name: str) -> SetDigest:
+        """:func:`set_digest` of ``name``'s valid prefix, hashing only
         what the log has gained since the last call."""
-        return self._tree(name).root()
+        digest = self._digests[name]
+        gained = self._logs[name].entries_from(digest[0])
+        digest = self._digests[name] = set_digest(gained, digest)
+        return digest
 
     def union(self) -> list[WalEntry]:
         """LSN-union of every log's valid prefix, sorted by LSN: tolerates
@@ -319,43 +355,43 @@ class ReplicatedLog:
         primary = self._logs[self.owner]
         primary.corrupt_tail(nbytes)
         self.primary_count = primary.entry_count
-        self._trees[self.owner] = MerkleTree()
+        self._digests[self.owner] = (0, 0)
 
     def rebuild(self, name: str, entries: list[WalEntry]) -> None:
         """Replace ``name``'s log body with ``entries``."""
         self._logs[name].rebuild(entries)
-        self._trees[name] = MerkleTree()
+        self._digests[name] = (0, 0)
         if name == self.owner:
             self.primary_count = len(entries)
 
     def repair(
         self, names: Iterable[str], authority: str | None = None
     ) -> dict[str, list[WalEntry]]:
-        """One anti-entropy round: rebuild each named log whose Merkle
-        root disagrees with the authority's; return, per rebuilt log, the
-        authority entries it had lacked.
+        """One anti-entropy round: rebuild each named log whose
+        :func:`set_digest` disagrees with the authority's; return, per
+        rebuilt log, the authority entries it had lacked.
 
         ``authority`` names the log that is the truth (``None``: none is,
-        the LSN-union stands in).  A log that agrees costs a comparison
-        of cached roots; entries are materialised only for one that does not.
+        the LSN-union stands in).  A log that agrees — in whatever order
+        it holds the entries — costs a comparison of cached digests;
+        entries are materialised only for one that does not.
         """
         if authority is None:
             truth = self.union()
-            tree = _grow(MerkleTree(), truth)
+            target = set_digest(truth)
         else:
             truth = None
-            tree = self._tree(authority)
-        target = tree.root()
+            target = self._digest(authority)
         lacked: dict[str, list[WalEntry]] = {}
         for name in names:
-            if self.root(name) == target:
+            if self._digest(name) == target:
                 continue
             if truth is None:
                 truth = self.entries(authority)
             held = {entry.lsn for entry in self.entries(name)}
             lacked[name] = [e for e in truth if e.lsn not in held]
             self.rebuild(name, truth)
-            self._trees[name] = tree.clone()  # same leaves: no re-hashing
+            self._digests[name] = target  # same entries: no re-hashing
         return lacked
 
     def compact_due(self, threshold: int | None) -> bool:
@@ -373,11 +409,12 @@ class ReplicatedLog:
         holes may keep an op the primary dropped; the union fold is
         unchanged and the next anti-entropy round reconciles."""
         removed: dict[str, int] = {}
+        ops: dict[int, dict] = {}  # the copies hold the same ops: decode once
         for name in self._logs:
             if name in skip:
                 continue
             entries = self.entries(name)
-            kept = compact_entries(entries)
+            kept = compact_entries(entries, ops)
             removed[name] = len(entries) - len(kept)
             if removed[name]:
                 self.rebuild(name, kept)

@@ -9,8 +9,8 @@ replay — the standard WAL recovery contract.
 :class:`repro.replication.ReplicatedLog` additionally uses the log as its
 replication unit: the primary assigns LSNs and copies adopt them verbatim
 via :meth:`append_at`, so a copy with holes (dropped replication messages)
-is distinguishable from a shorter-but-contiguous one, and Merkle
-anti-entropy can rebuild a damaged copy with :meth:`rebuild`.
+is distinguishable from a shorter-but-contiguous one, and anti-entropy
+can rebuild a damaged copy with :meth:`rebuild`.
 """
 
 from __future__ import annotations

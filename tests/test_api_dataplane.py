@@ -486,6 +486,30 @@ class TestOneOpTap(SourceGrep):
         ) == []
 
 
+class TestOneComparisonNoTree(SourceGrep):
+    """The acceptance grep: a replicated log is compared by its set
+    digest and nothing else — the ordered tree did not stay beside it."""
+
+    def test_the_replicated_log_holds_no_tree(self):
+        replication = (self.ROOT / "replication.py").read_text()
+        assert re.findall(
+            r"MerkleTree|ledger|_trees|def root|_grow", replication
+        ) == []
+
+    def test_no_replicator_asks_for_a_root(self):
+        asked = [
+            name for name in self.hits(r"\.root\(")
+            if name.startswith(("geo/", "cluster/")) or name == "replication.py"
+        ]
+        assert asked == []
+
+    def test_one_function_hashes(self):
+        replication = (self.ROOT / "replication.py").read_text()
+        digest = replication[replication.index("def set_digest"):]
+        digest = digest[:digest.index("\n\n\n")]
+        assert replication.count("hashlib.") == digest.count("hashlib.sha256") == 1
+
+
 class TestDeprecatedSurface:
     def test_spatial_range_alias_is_gone(self):
         """The ``deprecated_alias`` shims were dropped: ``query_spatial``

@@ -165,10 +165,12 @@ def test_e31_semantic_run_is_byte_identical(tmp_path):
 # -- golden replicated logs ----------------------------------------------------
 #
 # The constants below were computed on the PR 20 tree, where every caller
-# built and placed its own replication op; the logs the op tap feeds must
-# be those logs — same ops, same LSNs, in every copy.  (``repro`` is
-# imported inside the functions: ``benchmarks/compare_artifacts.py``
-# imports this module for its strip helper without ``src`` on the path.)
+# built and placed its own replication op and anti-entropy rewrote every
+# copy into LSN order each tick; the logs the op tap feeds, compared by
+# set digest, must be those logs — same ops, same LSNs, in every copy.
+# (``repro`` is imported inside the functions:
+# ``benchmarks/compare_artifacts.py`` imports this module for its strip
+# helper without ``src`` on the path.)
 
 GOLDEN_SALE_LOGS = {
     "shard-0": (22, "0f5702a313ffd49a"),
@@ -205,12 +207,19 @@ def location(key, x, t):
 
 
 def assert_golden(logs, golden):
-    """Every copy of every log: entry count and Merkle root prefix."""
+    """Every copy of every log: entry count and RFC-6962 root prefix —
+    the primary as it stands, a copy over its entries sorted by LSN (it
+    appends in arrival order, and holding the same set is converged)."""
+    from tests.test_replication import merkle_root
+
+    def pinned(log, name):
+        entries = log.entries(name)
+        if name != log.owner:
+            entries = sorted(entries, key=lambda entry: entry.lsn)
+        return len(entries), merkle_root(entries).hex()[:16]
+
     assert {
-        log.owner: {
-            (len(log.entries(name)), log.root(name).hex()[:16])
-            for name in (log.owner, *log.holders)
-        }
+        log.owner: {pinned(log, name) for name in (log.owner, *log.holders)}
         for log in logs
     } == {owner: {pinned} for owner, pinned in golden.items()}
 
@@ -367,9 +376,10 @@ def test_compare_macro_counts_reports_each_deterministic_metric_that_moved():
 
 def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatch):
     """Everything is report-only except ``NEVER_UP``: a semantic
-    distance-eval count or a scan-work count above the base's is named
-    and ``main`` exits non-zero on it; lower, equal or absent on either
-    side is not."""
+    distance-eval count, a scan-work count or a replication-work count
+    (copies rebuilt by anti-entropy, ops shipped to the failover log)
+    above the base's is named and ``main`` exits non-zero on it; lower,
+    equal or absent on either side is not."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
         import compare_macro_counts
@@ -377,11 +387,14 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     finally:
         sys.path.pop(0)
 
-    def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0):
+    def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
+               rounds=0.0, ops=25822.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
                    "kv.scans": scans,
+                   "geo.antientropy.rounds": rounds,
+                   "failover.replicated_ops": ops,
                    "storage.rpc.calls": calls}
         return {"metrics": {
             name: {"value": value, "unit": "count"}
@@ -391,6 +404,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert NEVER_UP == (
         "semantic.distance_evals_build", "semantic.distance_evals_query",
         "storage.scan.rows_examined", "kv.scans",
+        "geo.antientropy.rounds", "failover.replicated_ops",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
@@ -399,8 +413,13 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, rows=16001.0)) == [
         "storage.scan.rows_examined"
     ]
+    assert risen(base, result(626066.0, 282729.0, rounds=1.0, ops=9000.0)) == [
+        "geo.antientropy.rounds"
+    ]
     assert risen(
-        base, result(626067.0, 282730.0, rows=212000.0, scans=6000.0)
+        base,
+        result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
+               ops=25823.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

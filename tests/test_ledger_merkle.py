@@ -171,22 +171,3 @@ class TestIncrementalRoot:
             tree.root(old), tree.root(), tree.consistency_proof(old), tree
         )
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        shared=st.lists(st.binary(max_size=8), max_size=70),
-        ours=st.lists(st.binary(max_size=8), max_size=20),
-        theirs=st.lists(st.binary(max_size=8), max_size=20),
-    )
-    def test_clone_diverges_independently(self, shared, ours, theirs):
-        tree = MerkleTree()
-        for leaf in shared:
-            tree.append(leaf)
-        twin = tree.clone()
-        assert twin.root() == tree.root() and len(twin) == len(tree)
-        for leaf in ours:
-            tree.append(leaf)
-        for leaf in theirs:
-            twin.append(leaf)
-        assert tree.root() == _root_of([_leaf_hash(x) for x in shared + ours])
-        assert twin.root() == _root_of([_leaf_hash(x) for x in shared + theirs])
-        assert twin.root(len(shared)) == tree.root(len(shared))

@@ -40,7 +40,6 @@ PLANE = {
     "core.records",
     "geo.deployment",
     "geo.replication",
-    "ledger.merkle",
     "net.overlay",
     "net.pubsub",
     "net.simnet",

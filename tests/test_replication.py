@@ -12,14 +12,19 @@ against both through one small harness, rather than being written twice:
   by construction of the fold);
 * **compaction preserves the union fold** — for any hole pattern, torn
   primary tail and any subset of copies compacted;
-* **one anti-entropy round converges** — every copy's Merkle root equals
-  the authority's afterwards;
-* **the cached root is the cold root** — at every point of the three
-  sequences above, each log's incrementally kept root equals
-  ``merkle_root`` over its entries.
+* **one anti-entropy round converges** — every copy holds the
+  authority's entries afterwards;
+* **the cached digest is the cold digest** — at every point of the three
+  sequences above, each log's incrementally kept digest equals
+  ``set_digest`` over its entries.
 
-``TestSteadyRoundCost`` pins what the cached roots buy: a round over
-converged logs hashes and parses the same, however long the logs are.
+``TestSetDigest`` holds the digest equal to what it replaced — the
+RFC-6962 root over the LSN-sorted entries (``merkle_root`` below, over
+the :mod:`repro.ledger` exhibit) — and ``TestReorderIsNotDivergence``
+pins what it buys: a copy that holds the primary's entries in another
+order is left alone, one that really differs is rebuilt as before.
+``TestSteadyRoundCost`` pins the price: a round over converged logs
+hashes and parses nothing, however long the logs are.
 
 ``_fold`` below is an independent reference the production
 ``fold``/``apply`` pair is checked against.
@@ -36,6 +41,7 @@ from repro.cluster.failover import ShardReplicator
 from repro.cluster.router import ShardRouter
 from repro.core.errors import KeyNotFoundError
 from repro.geo.replication import GeoReplicator
+from repro.ledger.merkle import MerkleTree
 from repro.replication import (
     PostState,
     apply,
@@ -46,8 +52,8 @@ from repro.replication import (
     encode,
     entity_op,
     fold,
-    merkle_root,
     product_op,
+    set_digest,
     stock_op,
 )
 from repro.storage import WalEntry, wal
@@ -71,23 +77,20 @@ values = st.recursive(
     ),
     max_leaves=6,
 )
-replica_ops = st.lists(
-    st.one_of(
-        st.builds(entity_op, keys, values),
-        st.builds(drop_entity_op, keys),
-        st.builds(
-            product_op,
-            keys,
-            st.fixed_dictionaries(
-                {"name": st.text(max_size=6), "stock": st.integers(0, 99)}
-            ),
+replica_op = st.one_of(
+    st.builds(entity_op, keys, values),
+    st.builds(drop_entity_op, keys),
+    st.builds(
+        product_op,
+        keys,
+        st.fixed_dictionaries(
+            {"name": st.text(max_size=6), "stock": st.integers(0, 99)}
         ),
-        st.builds(drop_product_op, keys),
-        st.builds(stock_op, keys, st.integers(0, 99)),
     ),
-    min_size=1,
-    max_size=50,
+    st.builds(drop_product_op, keys),
+    st.builds(stock_op, keys, st.integers(0, 99)),
 )
+replica_ops = st.lists(replica_op, min_size=1, max_size=50)
 
 
 def _fold(entries):
@@ -162,7 +165,83 @@ def _materialize(ops):
     ]
 
 
+def merkle_root(entries) -> bytes:
+    """RFC-6962 root over ``(lsn, payload)`` leaves in the given order:
+    what a replicated log compared before :func:`set_digest`, kept as its
+    oracle."""
+    tree = MerkleTree()
+    for entry in entries:
+        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
+    return tree.root()
+
+
+def by_lsn(entries):
+    """LSN order, payload breaking a tie so that the order — and the
+    root over it — is a function of the multiset alone."""
+    return sorted(entries, key=lambda e: (e.lsn, e.payload))
+
+
 # -- the pure functions ----------------------------------------------------------
+
+
+class TestOpFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(op=replica_op)
+    def test_encode_is_sorted_key_json(self, op):
+        """The shared encoder writes ``json.dumps``'s bytes for every op
+        constructor: payload sizes and digests rest on them."""
+        assert encode(op) == json.dumps(op, sort_keys=True).encode("utf-8")
+        assert decode(encode(op)) == op
+
+
+class TestSetDigest:
+    FATES = ("keep", "keep", "drop", "dup", "change")
+
+    def draw_copy(self, data, base, extras):
+        fates = data.draw(
+            st.lists(
+                st.sampled_from(self.FATES), min_size=len(base), max_size=len(base)
+            )
+        )
+        copy = []
+        for entry, fate in zip(base, fates):
+            if fate == "change":
+                entry = WalEntry(entry.lsn, entry.payload + b"!")
+            copy += [entry] * {"drop": 0, "dup": 2}.get(fate, 1)
+        copy += data.draw(st.lists(st.sampled_from(extras), max_size=2))
+        return data.draw(st.permutations(copy))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=replica_ops, mirror=st.booleans(), data=st.data())
+    def test_equal_digests_iff_equal_sorted_roots(self, ops, mirror, data):
+        """Two copies sharing, dropping, duplicating, altering and adding
+        entries: their digests agree exactly when the roots the old
+        comparison would have reached over LSN-sorted copies agree."""
+        entries = _materialize(ops)
+        base, extras = entries[: len(entries) // 2 + 1], entries[len(entries) // 2 :]
+        a = self.draw_copy(data, base, extras)
+        b = (
+            data.draw(st.permutations(a)) if mirror
+            else self.draw_copy(data, base, extras)
+        )
+        same_root = (
+            len(a) == len(b)
+            and merkle_root(by_lsn(a)) == merkle_root(by_lsn(b))
+        )
+        assert (set_digest(a) == set_digest(b)) == same_root
+        assert same_root == (by_lsn(a) == by_lsn(b))
+        # The incremental form is the definition.
+        cut = data.draw(st.integers(0, len(a)))
+        assert set_digest(a[cut:], set_digest(a[:cut])) == set_digest(a)
+
+    def test_a_duplicate_does_not_cancel_itself(self):
+        """Why the sum is an addition and carries the count: under XOR a
+        twice-delivered entry would vanish from the digest."""
+        one, other = _materialize([entity_op("a", 1), entity_op("b", 2)])
+        assert set_digest([one, other, other]) != set_digest([one])
+        assert set_digest([one, other, other]) != set_digest([one, other])
+        assert set_digest([one, other, other]) != set_digest([one, one, one])
+        assert set_digest([]) == (0, 0)
 
 
 class TestCompactionPreservesUnion:
@@ -325,12 +404,12 @@ class GeoHarness:
             self.rep.antientropy(self.owner, dst)
 
 
-def assert_cached_roots(h):
-    """Every log's cached root is ``merkle_root`` of its entries.  Also
-    warms the per-log trees, so whatever the test does next has a cache
+def assert_cached_digests(h):
+    """Every log's cached digest is ``set_digest`` of its entries.  Also
+    warms the per-log caches, so whatever the test does next has a cache
     to invalidate."""
     for name in (h.owner, *h.log.holders):
-        assert h.log.root(name) == merkle_root(h.log.entries(name)), name
+        assert h.log._digest(name) == set_digest(h.log.entries(name)), name
 
 
 # Parametrised with the harness *class*: Hypothesis re-runs the test body
@@ -355,7 +434,7 @@ class TestBothReplicators:
         )
         for i, ((lsn, payload), flag) in enumerate(zip(order, flags)):
             if i == len(order) // 2:
-                assert_cached_roots(h)
+                assert_cached_digests(h)
             if flag == "late":
                 h.hint(lsn, payload)
                 continue
@@ -363,7 +442,7 @@ class TestBothReplicators:
             if flag == "twice":
                 h.deliver(lsn, payload)
         h.flush_hints()
-        assert_cached_roots(h)
+        assert_cached_digests(h)
         primary = h.log.entries(h.owner)
         copy = h.log.entries(h.holder)
         assert {e.lsn for e in copy} == {e.lsn for e in primary}
@@ -383,13 +462,13 @@ class TestBothReplicators:
         for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
             if not hole:
                 h.deliver(lsn, payload)
-        assert_cached_roots(h)
+        assert_cached_digests(h)
         h.log.tear(torn)
-        assert_cached_roots(h)
+        assert_cached_digests(h)
         baseline = _fold(h.log.union())
         names = [h.owner, h.holder]
         h.log.compact(skip=[n for i, n in enumerate(names) if (skip_mask >> i) & 1])
-        assert_cached_roots(h)
+        assert_cached_digests(h)
         assert folded(h.log.union()) == baseline
         for i, name in enumerate(names):
             if not (skip_mask >> i) & 1:  # a compacted log is a fixpoint
@@ -409,27 +488,143 @@ class TestBothReplicators:
         for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
             if not hole:
                 h.deliver(lsn, payload)
-        assert_cached_roots(h)
+        assert_cached_digests(h)
         if compact_first:
             h.log.compact()
-            assert_cached_roots(h)
+            assert_cached_digests(h)
         before = _fold(h.log.union())
         h.antientropy()
         authority = h.authority()
-        root = merkle_root(authority)
         for name in (h.owner, *h.log.holders):
-            assert merkle_root(h.log.entries(name)) == root
-        assert_cached_roots(h)
+            assert by_lsn(h.log.entries(name)) == authority
+        assert_cached_digests(h)
         assert folded(authority) == before
         # A repaired copy keeps converging as the primary grows.
         for lsn, payload in [h.write(op) for op in ops[:5]]:
             h.deliver(lsn, payload)
-        assert_cached_roots(h)
-        assert h.log.root(h.holder) == h.log.root(h.owner)
+        assert_cached_digests(h)
+        assert h.log._digest(h.holder) == h.log._digest(h.owner)
+
+
+class TestDigestLifecycle:
+    """Each place a log's body is replaced resets its cached digest
+    (remove either reset and the test named for it fails); the
+    assignment after a repair is held by
+    ``TestSteadyRoundCost.test_round_after_a_repair_hashes_nothing``."""
+
+    def warm(self):
+        h = ClusterHarness()
+        for i in range(6):
+            h.deliver(*h.write(entity_op(f"k{i}", i)))
+        assert_cached_digests(h)
+        return h
+
+    def test_tear_resets_the_primary(self):
+        h = self.warm()
+        h.log.tear(5)
+        assert len(h.log.entries(h.owner)) == 5
+        assert_cached_digests(h)
+
+    def test_rebuild_resets_the_rebuilt_log(self):
+        h = self.warm()
+        h.log.rebuild(h.holder, h.log.entries(h.holder)[:3])
+        assert_cached_digests(h)
+        h.log.compact()  # every op is its key's last: nothing to drop
+        h.deliver(*h.write(entity_op("k0", "newer")))
+        h.log.compact()
+        assert_cached_digests(h)
+
+
+class TestReorderIsNotDivergence:
+    """Converged means the same set.  A copy appends in arrival order
+    and a WAN reorders; only a copy that lacks, adds or damages an entry
+    has diverged.  The shuffled cases fail on an order-sensitive root."""
+
+    N = 12
+
+    def shipped(self, h):
+        return [h.write(entity_op(f"k{i}", i)) for i in range(self.N)]
+
+    def shuffled(self, shipped):
+        order = shipped[::-1]
+        order[3], order[7] = order[7], order[3]
+        return order
+
+    def geo(self, withheld=()):
+        h = GeoHarness()
+        shipped = self.shuffled(self.shipped(h))
+        for dst in ("b", "c"):
+            for lsn, payload in shipped:
+                if dst == "c" or lsn not in withheld:
+                    h.rep.deliver("a", dst, lsn, payload)
+        return h, shipped
+
+    def rounds(self, h):
+        return h.rep.metrics.counter("geo.antientropy.rounds").value
+
+    def test_a_shuffled_geo_copy_is_not_rebuilt(self):
+        h, _ = self.geo()
+        buffers = {dst: h.log._logs[dst]._buf for dst in ("b", "c")}
+        for _ in range(2):
+            for dst in ("b", "c"):
+                assert h.rep.antientropy("a", dst) is None
+        assert self.rounds(h) == 0
+        for dst in ("b", "c"):
+            assert h.log._logs[dst]._buf is buffers[dst]
+            assert h.log.entries(dst) != h.log.entries("a")  # still shuffled
+            assert h.rep.lag("a", dst) == 0
+
+    def repaired(self, h, lacked):
+        """One round rebuilds ``b`` having lacked ``lacked``; the next
+        finds it converged."""
+        state = h.rep.antientropy("a", "b")
+        assert state is not None
+        assert sorted(state.lsn.values()) == lacked
+        counter = h.rep.metrics.counter("geo.antientropy.repaired_entries")
+        assert counter.value == len(lacked)
+        assert h.log.entries("b") == h.log.entries("a")
+        assert h.rep.antientropy("a", "b") is None
+        assert h.rep.antientropy("a", "c") is None  # shuffled, untouched
+        assert self.rounds(h) == 1
+
+    def test_a_geo_copy_lacking_an_entry_is_repaired_in_one_round(self):
+        h, _ = self.geo(withheld={5})
+        self.repaired(h, [5])
+
+    def test_a_geo_copy_holding_an_extra_entry_is_repaired_in_one_round(self):
+        h, _ = self.geo()
+        h.log.adopt("b", 99, encode(entity_op("ghost", 0)))
+        self.repaired(h, [])
+
+    def test_a_geo_copy_with_a_torn_tail_is_repaired_in_one_round(self):
+        h, shipped = self.geo()
+        h.log._logs["b"].corrupt_tail(3)
+        self.repaired(h, [shipped[-1][0]])  # the copy's last append
+
+    def cluster(self, withheld=()):
+        h = ClusterHarness()
+        for lsn, payload in self.shuffled(self.shipped(h)):
+            if lsn not in withheld:
+                h.hint(lsn, payload)
+        h.flush_hints()  # the holder returns: hints land out of LSN order
+        return h
+
+    def test_hints_delivered_out_of_order_leave_nothing_to_sync(self):
+        h = self.cluster()
+        buffer = h.log._logs[h.holder]._buf
+        assert h.rep.sync_owner(h.owner) is False
+        assert h.log._logs[h.holder]._buf is buffer
+        assert h.log.entries(h.holder) != h.log.entries(h.owner)
+
+    def test_a_withheld_hint_is_synced_in_one_round(self):
+        h = self.cluster(withheld={5})
+        assert h.rep.sync_owner(h.owner) is True
+        assert h.log.entries(h.holder) == h.log.entries(h.owner)
+        assert h.rep.sync_owner(h.owner) is False
 
 
 class TestSteadyRoundCost:
-    """Anti-entropy over converged logs costs O(log n), not O(n)."""
+    """Anti-entropy over converged logs costs two tuple comparisons."""
 
     def converged(self, n):
         rep = GeoReplicator(("a", "b", "c"), compact_threshold=None)
@@ -439,12 +634,9 @@ class TestSteadyRoundCost:
                 rep.deliver("a", dst, lsn, payload)
         return rep
 
-    def steady_round_work(self, n, monkeypatch):
-        """(SHA-256 calls, WAL entries parsed) by one round after a first
-        round has found every copy converged."""
-        rep = self.converged(n)
-        for dst in ("b", "c"):
-            assert rep.antientropy("a", dst) is None
+    def round_work(self, rep, monkeypatch):
+        """(SHA-256 calls, WAL entries parsed) by one round that finds
+        every copy converged."""
         work = {"sha256": 0, "parsed": 0}
 
         def counting(fn, name):
@@ -454,7 +646,7 @@ class TestSteadyRoundCost:
             return counted
 
         with monkeypatch.context() as patch:
-            # merkle.py calls ``hashlib.sha256`` through the module.
+            # replication.py calls ``hashlib.sha256`` through the module.
             patch.setattr(hashlib, "sha256", counting(hashlib.sha256, "sha256"))
             patch.setattr(wal, "WalEntry", counting(WalEntry, "parsed"))
             for dst in ("b", "c"):
@@ -462,12 +654,21 @@ class TestSteadyRoundCost:
         return work
 
     def test_steady_round_does_not_grow_with_the_log(self, monkeypatch):
-        # 500 and 4 000 have the same number of set bits, hence the same
-        # frontier length: the counts are equal, not merely both small.
-        small = self.steady_round_work(500, monkeypatch)
-        large = self.steady_round_work(4000, monkeypatch)
-        assert small == large
-        assert small["parsed"] == 0 and 0 < small["sha256"] < 64
+        for n in (500, 4000):
+            rep = self.converged(n)
+            # The first round catches the three digests up: each entry once.
+            first = self.round_work(rep, monkeypatch)
+            assert first == {"sha256": 3 * n, "parsed": 3 * n}
+            assert self.round_work(rep, monkeypatch) == {"sha256": 0, "parsed": 0}
+
+    def test_round_after_a_repair_hashes_nothing(self, monkeypatch):
+        """A rebuilt copy takes the authority's digest: same entries."""
+        rep = self.converged(40)
+        lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
+        rep.deliver("a", "b", lsn, payload)  # c misses it
+        assert rep.antientropy("a", "b") is None
+        assert rep.antientropy("a", "c") is not None
+        assert self.round_work(rep, monkeypatch)["sha256"] == 0
 
     def test_agreeing_log_is_never_materialised(self, monkeypatch):
         rep = self.converged(40)
