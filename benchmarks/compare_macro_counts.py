@@ -38,6 +38,8 @@ NEVER_UP = (
     "kv.scans",
     "geo.antientropy.rounds",
     "failover.replicated_ops",
+    "wal.appends",
+    "geo.repl.shipped",
 )
 
 

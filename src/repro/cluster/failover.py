@@ -13,9 +13,14 @@ substrate:
   and drive detection exactly as a real partition would;
 * :class:`ShardReplicator` — every shard-state mutation is logged to a
   per-shard :class:`~repro.replication.ReplicatedLog` copied synchronously
-  to the R-1 ring-successor shards, with hinted handoff for a down holder.
-  The cluster decides what a mutation is and emits it, as the op it is
-  logged as, through its one tap (:meth:`PlatformCluster.add_op_sink`);
+  to the R-1 ring-successor shards, with hinted handoff for a down holder
+  and a dropped ship offered again to an up one (:data:`SHIP_OFFERS`), so
+  an acknowledged op does not live on the primary alone because one
+  message was lost.  The cluster decides what a mutation is — a purchase
+  call settles as one ``stock`` op per product it touched, not one per
+  decrement (:meth:`MetaversePlatform.commit_basket`) — and emits it, as
+  the op it is logged as, through its one tap
+  (:meth:`PlatformCluster.add_op_sink`);
   the :class:`FailoverManager` subscribes ``replicator.log_op`` to it, so
   nothing else ever writes to these logs but :meth:`FailoverManager.resync`
   seeding them after a membership change;
@@ -58,6 +63,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 UP = "up"                  # serving; heartbeats flowing
 DOWN = "down"              # crashed, not yet detected; replicas answer reads
 RECOVERING = "recovering"  # promoted replica serving; anti-entropy running
+
+#: Offers of one entry to an *up* holder before the ship counts as
+#: dropped.  Shipping is synchronous and a drop is a missing ack, so the
+#: sender knows at once and offers again; an entry offered once lives on
+#: the primary alone, and a torn primary tail then loses an acknowledged
+#: op (15 of 150 kill-drill fault seeds oversold by a unit).  Three keeps
+#: a 10 % drop plan's residue at 0.1 % of entries — still holes for
+#: anti-entropy to find — without an unbounded loop under a total outage.
+SHIP_OFFERS = 3
 
 
 class FailureDetector:
@@ -136,7 +150,8 @@ class ShardReplicator:
     successors (:meth:`ShardRouter.replica_holders`, the
     :meth:`~repro.net.overlay.ChordRing.successors` walk).  Shipping is
     synchronous: a live holder adopts an op inside :meth:`log_op` (an
-    injected ``cluster.replicate`` drop leaves an LSN hole), a *down*
+    injected ``cluster.replicate`` drop is offered again, and only an
+    entry dropped :data:`SHIP_OFFERS` times leaves an LSN hole), a *down*
     holder gets a hint delivered when it returns.  No log is authoritative
     on repair — the primary can be the torn one — so anti-entropy rebuilds
     from the LSN-union of all copies.
@@ -181,7 +196,9 @@ class ShardReplicator:
     # -- the write path -----------------------------------------------------
 
     def log_op(self, owner: str, op: dict) -> int:
-        """Log one absolute-state op for ``owner`` and replicate it."""
+        """Log one absolute-state op for ``owner`` and replicate it.
+        ``cluster.failover.replication_dropped`` counts entries an up
+        holder never took, not offers."""
         log = self.log(owner)
         lsn, payload = log.append(op)
         for holder in log.holders:
@@ -189,17 +206,18 @@ class ShardReplicator:
                 log.buffer_hint(holder, lsn, payload)
                 self.metrics.counter("cluster.failover.hints_buffered").inc()
                 continue
-            if self.faults is not None:
-                decision = self.faults.decide(
+            if self.faults is not None and all(
+                self.faults.decide(
                     "cluster.replicate",
                     target=f"{owner}->{holder}",
                     kinds=("drop",),
-                )
-                if decision.faulted:
-                    self.metrics.counter(
-                        "cluster.failover.replication_dropped"
-                    ).inc()
-                    continue
+                ).faulted
+                for _ in range(SHIP_OFFERS)
+            ):
+                self.metrics.counter(
+                    "cluster.failover.replication_dropped"
+                ).inc()
+                continue
             log.adopt(holder, lsn, payload)
         self.metrics.counter("cluster.failover.replicated_ops").inc()
         return lsn

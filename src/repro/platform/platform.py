@@ -208,6 +208,11 @@ class MetaversePlatform:
         # budget; re-flushed before the next persist so the storage tier
         # converges once the fault clears.
         self._dirty_products: OrderedDict[str, dict | None] = OrderedDict()
+        # The open call scope of the stock-commit core: product id ->
+        # value last committed inside the running process_purchases call,
+        # in last-commit order, settled when the call ends.  ``None``
+        # outside a call: a commit then settles at once (see _settle).
+        self._call_commits: dict[str, dict] | None = None
         # DataPlane surface: tick-driven buffered ingest and continuous
         # queries, mirroring the cluster facade so workloads written
         # against the protocol run unchanged on either shape.
@@ -742,13 +747,22 @@ class MetaversePlatform:
                 key=lambda r: purchase_sort_key(r, self.physical_priority),
             )
         with self.tracer.span("platform.process_purchases", n=len(requests)):
-            for request in requests:
-                # A sampling boundary: with sample_every=k, one purchase in k
-                # records its sub-trace (commit spans included) — see Tracer.
-                with self.tracer.sampled_span("platform.purchase"):
-                    outcomes.append(
-                        self._purchase_attempts(request, max_retries)
-                    )
+            # The call scope: commits below reach MVCC one by one and are
+            # settled once, before any outcome is returned — also when a
+            # request raises, so nothing committed is left unsettled.
+            self._call_commits = {}
+            try:
+                for request in requests:
+                    # A sampling boundary: with sample_every=k, one purchase
+                    # in k records its sub-trace (commit spans included) —
+                    # see Tracer.
+                    with self.tracer.sampled_span("platform.purchase"):
+                        outcomes.append(
+                            self._purchase_attempts(request, max_retries)
+                        )
+            finally:
+                committed, self._call_commits = self._call_commits, None
+                self._settle(committed)
         return outcomes
 
     def _purchase_attempts(
@@ -779,7 +793,9 @@ class MetaversePlatform:
     #
     # Every committed stock decrement — a purchase, a single-shard basket,
     # a 2PC participant's prepare/commit — is one stage_basket and one
-    # commit_basket; nothing else checks stock or reports to the sink.
+    # commit_basket; nothing else checks stock, and nothing but the
+    # _settle behind commit_basket writes stock through or reports it to
+    # the sink.
 
     def stage_basket(
         self, quantities: dict[str, int]
@@ -815,16 +831,35 @@ class MetaversePlatform:
 
     def commit_basket(self, txn: Transaction) -> None:
         """Commit a staged basket (a :class:`WriteConflictError` leaves
-        nothing applied), write each product it wrote through to the
-        storage engine, then report each post-commit stock to
-        :attr:`purchase_log`.  All write-throughs come before all
-        reports: a remote write-through advances the shared clock the
-        geo log stamps entries with."""
+        nothing applied) and settle what it wrote.
+
+        Inside a :meth:`process_purchases` call the commit reaches MVCC
+        and is recorded in the call's scope — per product the last
+        committed value, in last-commit order — and the call settles the
+        scope once when it ends: a logged op is an absolute post-state,
+        so every value but a product's last is dead on arrival.  Any
+        other commit (a single-shard basket, a 2PC participant) is a
+        scope of one and settles here."""
         self.txn.commit(txn)
+        scope = self._call_commits
+        if scope is None:
+            self._settle(txn.writes)
+            return
         for product_id, value in txn.writes.items():
+            scope.pop(product_id, None)  # re-seat: last-commit order
+            scope[product_id] = value
+
+    def _settle(self, committed: dict[str, dict]) -> None:
+        """Write each committed product through to the storage engine
+        once, with its final value (a write that stays faulted parks
+        dirty, see :meth:`persist_committed`), then report each final
+        stock once to :attr:`purchase_log`.  All write-throughs come
+        before all reports: a remote write-through advances the shared
+        clock the geo log stamps entries with."""
+        for product_id, value in committed.items():
             self.persist_committed(product_id, value)
         if self.purchase_log is not None:
-            for product_id, value in txn.writes.items():
+            for product_id, value in committed.items():
                 self.purchase_log(product_id, value["stock"])
 
     # -- cluster support ----------------------------------------------------

@@ -7,7 +7,10 @@ this module is the single owner of its three decisions:
 * **the op format** — every logged mutation is an *absolute post-state*
   (entity value, product record, stock level after a committed purchase),
   never the request, so replay is idempotent and cannot re-execute a
-  purchase (:func:`entity_op` … :func:`stock_op`, :func:`encode`);
+  purchase (:func:`entity_op` … :func:`stock_op`, :func:`encode`) — and
+  so a writer may log what *changed* rather than what *happened*: a
+  purchase call logs one ``stock`` op per product it touched, the last
+  level it committed (:meth:`MetaversePlatform.commit_basket`);
 * **the fold** — :func:`fold` reduces entries *in LSN order*, whatever
   order they were delivered in, to each key's post-state and highest LSN;
   :func:`apply` lands that on shards behind a per-key applied-LSN guard;
@@ -16,8 +19,9 @@ this module is the single owner of its three decisions:
   WAL, copies adopting its LSNs verbatim, hint buffers, set-digest
   compare-and-rebuild (:func:`set_digest`), one compaction trigger.
 
-Who holds the copies, how entries travel and which log is authoritative
-on repair are policies and stay with the two replicators.
+Who holds the copies, how entries travel (inside a cluster an up holder
+is offered a dropped ship again) and which log is authoritative on repair
+are policies and stay with the two replicators.
 """
 
 from __future__ import annotations

@@ -346,9 +346,8 @@ class TestRunOfQueuedRecords:
         assert tiers[0] == tiers[1]
 
 
-class TestOneWritePath:
-    """A record is a batch of one: no layer regrows a per-record write
-    body, a second WAL put format, or a second size function."""
+class SourceGrep:
+    """Helpers of the acceptance greps over ``src/repro``."""
 
     ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -364,6 +363,11 @@ class TestOneWritePath:
             name for name, text in self.sources(sub).items()
             for _ in re.findall(pattern, text)
         ]
+
+
+class TestOneWritePath(SourceGrep):
+    """A record is a batch of one: no layer regrows a per-record write
+    body, a second WAL put format, or a second size function."""
 
     def test_every_put_is_a_one_line_delegation_to_mput(self):
         # Only the abstract base and the two classes the macro benchmark
@@ -397,6 +401,66 @@ class TestOneWritePath:
         # written by KVStore.mput, read by the one replay branch
         assert self.hits(quoted("mput"), "storage").count("storage/kv.py") == 2
         assert self.hits(r"len\(\s*json\.dumps") == ["storage/kv.py"]
+
+
+class TestOneCommitCore(SourceGrep):
+    """A purchase call settles once, in one place: committed stock is
+    written through and reported by ``MetaversePlatform._settle`` alone,
+    and the fold it does is not regrown above it as a buffer, a batch op
+    kind or a second sink signature."""
+
+    def callers(self, file, method):
+        """Names of the functions in ``file`` that call ``.method(...)``."""
+        return sorted(
+            node.name
+            for node in ast.walk(ast.parse(self.sources()[file]))
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == method
+        )
+
+    def test_one_method_reports_and_writes_committed_stock_through(self):
+        platform = "platform/platform.py"
+        assert self.hits(r"\.purchase_log\(") == [platform]
+        assert self.callers(platform, "purchase_log") == ["_settle"]
+        assert self.hits(r"\.persist_committed\(") == [platform] * 3
+        assert self.callers(platform, "persist_committed") == [
+            "_settle", "drop_product", "import_product"
+        ]
+        # the drain behind every persist, and the cluster's remap drain
+        # before a compute node drops the cache that may be the only
+        # holder of a parked write
+        assert self.hits(r"\.flush_dirty_products\(") == [
+            "cluster/cluster.py", platform
+        ]
+        assert self.callers(platform, "flush_dirty_products") == [
+            "persist_committed"
+        ]
+        assert self.callers(platform, "_settle") == [
+            "commit_basket", "process_purchases"
+        ]
+
+    def test_the_tap_and_the_replicators_see_one_op_at_a_time(self):
+        # five op kinds, none a batch
+        assert sorted(
+            re.findall(r'"op": "(\w+)"', self.sources()["replication.py"])
+        ) == ["drop_entity", "drop_product", "entity", "product", "stock"]
+        # one sink signature, and a tap that passes each op straight on
+        emit = next(
+            node for node in ast.walk(ast.parse(self.sources()["cluster/cluster.py"]))
+            if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+        )
+        assert [
+            ast.unparse(stmt) for stmt in emit.body
+            if not isinstance(getattr(stmt, "value", None), ast.Constant)
+        ] == [
+            "if self._op_sinks:\n"
+            "    op = op_of(*args)\n"
+            "    for sink in self._op_sinks:\n"
+            "        sink(shard, op)"
+        ]
 
 
 class TestGatewayBatchIdentity:

@@ -524,57 +524,172 @@ class TestMembershipWithFailover:
             assert cluster.read(f"e/{i:03d}")["payload"] == {"v": i}
 
 
+def mid_sale_kill_drill(fault_seed):
+    """A 20-product flash sale on four shards under a 10 % replication
+    drop plan; the hot product's owner is killed with a torn primary tail
+    before the third batch.  Returns the cluster, the product ids and
+    every outcome, after the victim is back ``UP``."""
+    config = FlashSaleConfig(
+        n_products=20, n_shoppers=100, initial_stock=10,
+        burst_rate=200.0, burst_start=0.0, burst_end=5.0, zipf_skew=1.0,
+    )
+    workload = MarketplaceWorkload(config, seed=1)
+    # Replication drops exercise the anti-entropy path during recovery.
+    injector = FaultInjector(FaultPlan(rules=[
+        FaultRule(site="cluster.replicate", kind="drop", rate=0.1),
+    ], seed=fault_seed))
+    cluster = failover_cluster(faults=injector)
+    cluster.load_catalog(workload.catalog_records())
+    pids = [workload.product_id(i) for i in range(20)]
+    victim = cluster.router.owner_of(pids[0])
+    victim_pids = [p for p in pids if cluster.router.owner_of(p) == victim]
+
+    requests = workload.requests_between(0.0, 5.0)
+    batches = [requests[i:i + 50] for i in range(0, len(requests), 50)]
+    outcomes = []
+    served_while_recovering = False
+    for i, batch in enumerate(batches):
+        if i == 2:
+            cluster.kill_shard(victim, torn_tail_bytes=3)
+        outcomes += cluster.process_purchases(batch)
+        cluster.tick(TICK)
+        if cluster.failover.state(victim) == RECOVERING:
+            # Promoted replica answers for the victim's keys BEFORE
+            # recovery (anti-entropy convergence) completes.
+            for pid in victim_pids:
+                assert cluster.get_stock(pid) >= 0
+            served_while_recovering = True
+    tick_until_up(cluster, victim)
+    assert served_while_recovering
+    return cluster, pids, outcomes
+
+
+def units_sold(outcomes):
+    sold = {}
+    for o in outcomes:
+        if o.success:
+            pid = o.request.product_id
+            sold[pid] = sold.get(pid, 0) + o.request.quantity
+    return sold
+
+
+def not_exactly_once(cluster, pids, sold, initial=10):
+    """The products oversold through the promoted replica (stock below
+    zero) or not conserved (sold + left is not the initial stock)."""
+    stocks = {pid: cluster.get_stock(pid) for pid in pids}
+    return [
+        pid for pid, stock in stocks.items()
+        if stock < 0 or sold.get(pid, 0) + stock != initial
+    ]
+
+
 class TestChaosKillSweep:
     """The acceptance bar: a mid-sale shard kill stays exactly-once, and
     the killed shard's keys are served by the promoted replica *before*
-    its recovery completes."""
+    its recovery completes.
+
+    A sweep, not three seeds: 7, 23 and 101 were the pinned ones and all
+    three were luck — with one ship offer per entry, seeds 0 and 3 (15 of
+    0-149) oversold by a unit, an acknowledged decrement whose ship was
+    dropped and whose primary tail then tore."""
 
     pytestmark = pytest.mark.chaos
 
-    @pytest.mark.parametrize("fault_seed", [7, 23, 101])
+    @pytest.mark.parametrize("fault_seed", [*range(20), 23, 101])
     def test_flash_sale_exactly_once_across_mid_sale_kill(self, fault_seed):
-        config = FlashSaleConfig(
-            n_products=20, n_shoppers=100, initial_stock=10,
-            burst_rate=200.0, burst_start=0.0, burst_end=5.0, zipf_skew=1.0,
-        )
-        workload = MarketplaceWorkload(config, seed=1)
-        # Replication drops exercise the anti-entropy path during recovery.
-        injector = FaultInjector(FaultPlan(rules=[
-            FaultRule(site="cluster.replicate", kind="drop", rate=0.1),
-        ], seed=fault_seed))
-        cluster = failover_cluster(faults=injector)
-        cluster.load_catalog(workload.catalog_records())
-        pids = [workload.product_id(i) for i in range(20)]
-        victim = cluster.router.owner_of(pids[0])
-        victim_pids = [p for p in pids if cluster.router.owner_of(p) == victim]
-
-        requests = workload.requests_between(0.0, 5.0)
-        batches = [requests[i:i + 50] for i in range(0, len(requests), 50)]
-        outcomes = []
-        served_while_recovering = False
-        for i, batch in enumerate(batches):
-            if i == 2:
-                cluster.kill_shard(victim, torn_tail_bytes=3)
-            outcomes += cluster.process_purchases(batch)
-            cluster.tick(TICK)
-            if cluster.failover.state(victim) == RECOVERING:
-                # Promoted replica answers for the victim's keys BEFORE
-                # recovery (anti-entropy convergence) completes.
-                for pid in victim_pids:
-                    assert cluster.get_stock(pid) >= 0
-                served_while_recovering = True
-        tick_until_up(cluster, victim)
-        assert served_while_recovering
-
-        sold = {}
-        for o in outcomes:
-            if o.success:
-                sold[o.request.product_id] = sold.get(o.request.product_id, 0) + 1
-        for pid in pids:
-            stock = cluster.get_stock(pid)
-            assert stock >= 0  # no oversell through the promoted replica
-            assert sold.get(pid, 0) + stock == 10  # exactly-once, conserved
+        cluster, pids, outcomes = mid_sale_kill_drill(fault_seed)
+        assert not_exactly_once(cluster, pids, units_sold(outcomes)) == []
         metrics = cluster.metrics
         assert metrics.counter("cluster.failover.promotions").value >= 1
         assert metrics.counter("cluster.failover.recoveries").value >= 1
         assert metrics.counter("cluster.failover.rejected_purchases").value > 0
+
+    @pytest.mark.slow
+    def test_the_kill_drill_holds_on_fault_seeds_20_to_149(self):
+        failing = []
+        for fault_seed in range(20, 150):
+            cluster, pids, outcomes = mid_sale_kill_drill(fault_seed)
+            if not_exactly_once(cluster, pids, units_sold(outcomes)):
+                failing.append(fault_seed)
+        assert failing == []
+
+
+class TestAcknowledgedMeansSettled:
+    """No fault plan at all: what a call acknowledged is on a replica
+    when the call returns, so a kill at any call boundary loses nothing."""
+
+    @staticmethod
+    def market():
+        return MarketplaceWorkload(
+            FlashSaleConfig(
+                n_products=12, n_shoppers=60, initial_stock=8,
+                burst_rate=90.0, burst_start=0.0, burst_end=4.0, zipf_skew=1.0,
+            ),
+            seed=5,
+        )
+
+    def sale_cluster(self):
+        """A fresh 4-shard cluster holding the catalog, and its products."""
+        market = self.market()
+        cluster = failover_cluster()
+        cluster.load_catalog(market.catalog_records())
+        return cluster, [market.product_id(i) for i in range(12)]
+
+    def sale_calls(self):
+        """The sale as a list of calls: purchase batches with a
+        two-product basket after every second one."""
+        requests = self.market().requests_between(0.0, 4.0)
+        calls = []
+        for i in range(0, len(requests), 30):
+            batch = requests[i:i + 30]
+            calls.append(("process_purchases", batch))
+            if (i // 30) % 2:
+                calls.append(("process_basket", batch[:2]))
+        return calls
+
+    @staticmethod
+    def make(cluster, call, sold):
+        """Run one call; book what it acknowledged into ``sold``."""
+        name, requests = call
+        result = getattr(cluster, name)(requests)
+        if name == "process_purchases":
+            acknowledged = [o.request for o in result if o.success]
+        else:
+            acknowledged = requests if result.committed else []
+        for request in acknowledged:
+            sold[request.product_id] = (
+                sold.get(request.product_id, 0) + request.quantity
+            )
+
+    def test_a_replica_is_never_behind_at_a_call_boundary(self):
+        (cluster, pids), calls = self.sale_cluster(), self.sale_calls()
+        assert {name for name, _ in calls} == {
+            "process_purchases", "process_basket"
+        }
+        sold = {}
+        for call in calls:
+            self.make(cluster, call, sold)
+            for pid in pids:
+                owner = cluster.router.owner_of(pid)
+                assert cluster.failover.replica_stock(
+                    owner, pid
+                ) == cluster.get_stock(pid)
+        assert sum(sold.values()) > 12  # the sale sold, and re-sold products
+
+    def test_kill_and_promote_at_every_call_boundary_conserves_stock(self):
+        calls = self.sale_calls()
+        for boundary in range(len(calls) + 1):  # the last: after the sale
+            cluster, pids = self.sale_cluster()
+            victim = cluster.router.owner_of(pids[0])
+            sold = {}
+            for k, call in enumerate([*calls, None]):
+                if k == boundary:
+                    cluster.kill_shard(victim, torn_tail_bytes=3)
+                if call is not None:
+                    self.make(cluster, call, sold)
+                    cluster.tick(TICK)
+            tick_until_up(cluster, victim)
+            assert cluster.metrics.counter(
+                "cluster.failover.promotions"
+            ).value == 1
+            assert not_exactly_once(cluster, pids, sold, initial=8) == []

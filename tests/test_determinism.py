@@ -168,20 +168,25 @@ def test_e31_semantic_run_is_byte_identical(tmp_path):
 # built and placed its own replication op and anti-entropy rewrote every
 # copy into LSN order each tick; the logs the op tap feeds, compared by
 # set digest, must be those logs — same ops, same LSNs, in every copy.
+# Moved on purpose by PR 23: a ``process_purchases`` call logs one
+# ``stock`` op per product it touched, not one per decrement, so each log
+# holds fewer entries at other LSNs (``us-east`` 40 -> 17); what the logs
+# *fold to* is held equal to the per-decrement logs by
+# ``tests/test_call_settle.py``.
 # (``repro`` is imported inside the functions:
 # ``benchmarks/compare_artifacts.py`` imports this module for its strip
 # helper without ``src`` on the path.)
 
 GOLDEN_SALE_LOGS = {
-    "shard-0": (22, "0f5702a313ffd49a"),
-    "shard-1": (21, "13d5162a9506270a"),
-    "shard-2": (42, "849b68f09d265ea8"),
-    "shard-3": (41, "e0c0caf7814331a6"),
+    "shard-0": (12, "bbf40cada7b8423e"),
+    "shard-1": (12, "6c9b2b2a5dd8b238"),
+    "shard-2": (17, "c5091307abc4b3b0"),
+    "shard-3": (19, "26f858321d415277"),
 }
 GOLDEN_GEO_LOGS = {
-    "us-east": (40, "a7e7c81abc8f1ec8"),
-    "eu-west": (57, "e13f87a4c3fea16c"),
-    "ap-south": (36, "ec1acfdc91d6f1c7"),
+    "us-east": (17, "dcc485247a3dcede"),
+    "eu-west": (27, "5e87e49eb1115aae"),
+    "ap-south": (21, "a2a454f2ee5ba159"),
 }
 
 
@@ -377,8 +382,8 @@ def test_compare_macro_counts_reports_each_deterministic_metric_that_moved():
 def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatch):
     """Everything is report-only except ``NEVER_UP``: a semantic
     distance-eval count, a scan-work count or a replication-work count
-    (copies rebuilt by anti-entropy, ops shipped to the failover log)
-    above the base's is named and ``main`` exits non-zero on it; lower,
+    (copies rebuilt by anti-entropy, ops shipped to the failover log or
+    across the WAN, WAL appends under them) above the base's is named and ``main`` exits non-zero on it; lower,
     equal or absent on either side is not."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
@@ -388,13 +393,15 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         sys.path.pop(0)
 
     def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
-               rounds=0.0, ops=25822.0):
+               rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
                    "kv.scans": scans,
                    "geo.antientropy.rounds": rounds,
                    "failover.replicated_ops": ops,
+                   "wal.appends": appends,
+                   "geo.repl.shipped": shipped,
                    "storage.rpc.calls": calls}
         return {"metrics": {
             name: {"value": value, "unit": "count"}
@@ -405,6 +412,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "semantic.distance_evals_build", "semantic.distance_evals_query",
         "storage.scan.rows_examined", "kv.scans",
         "geo.antientropy.rounds", "failover.replicated_ops",
+        "wal.appends", "geo.repl.shipped",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
@@ -416,10 +424,13 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, rounds=1.0, ops=9000.0)) == [
         "geo.antientropy.rounds"
     ]
+    assert risen(base, result(626066.0, 282729.0, appends=24000.0, shipped=4991.0)) == [
+        "geo.repl.shipped"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
-               ops=25823.0),
+               ops=25822.0, appends=51644.0, shipped=5598.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 
