@@ -30,7 +30,8 @@ from macrobench.catalog import WORKLOADS  # noqa: E402  (read, never edited)
 
 ARGS = ("--seed", "11", "--scale", "0.05", "--seconds", "1", "--trace", "1")
 ABSENT = "<absent>"
-#: Deterministic work counts a change may lower, never silently raise.
+#: Deterministic work counts and byte totals a change may lower, never
+#: silently raise.
 NEVER_UP = (
     "semantic.distance_evals_build",
     "semantic.distance_evals_query",
@@ -40,6 +41,8 @@ NEVER_UP = (
     "failover.replicated_ops",
     "wal.appends",
     "geo.repl.shipped",
+    "wal.bytes",
+    "storage.rpc.bytes",
 )
 
 

@@ -48,7 +48,7 @@ from ..core.metrics import MetricsRegistry
 from ..net.simnet import Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement
-from .kv import KVStore, payload_size
+from .kv import KVStore, encode_mput, payload_size
 from .objectstore import ObjectRef, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,9 +107,14 @@ class StorageEngine(ABC):
         return out
 
     @abstractmethod
-    def mput(self, items: "list[tuple[str, object]]") -> None:
+    def mput(
+        self, items: "list[tuple[str, object]]", record: bytes | None = None
+    ) -> None:
         """The entity write: store every (key, value) pair in order, later
-        duplicates winning.  :meth:`put` is this with one item."""
+        duplicates winning.  :meth:`put` is this with one item.
+        ``record`` is :func:`~repro.storage.kv.encode_mput` of ``items``
+        when the batch arrived already serialised (over the storage RPC);
+        the engine that logs the write logs those bytes."""
 
     # -- committed product records ------------------------------------------
 
@@ -189,9 +194,11 @@ class LocalStorageEngine(StorageEngine):
     def get(self, key: str) -> object:
         return self.kv.get(key)
 
-    def mput(self, items: "list[tuple[str, object]]") -> None:
+    def mput(
+        self, items: "list[tuple[str, object]]", record: bytes | None = None
+    ) -> None:
         # Group commit: one WAL entry and one memtable merge for the batch.
-        self.kv.mput(items)
+        self.kv.mput(items, record)
 
     def delete(self, key: str) -> None:
         self.kv.delete(key)
@@ -604,18 +611,18 @@ class RemoteStorageEngine(StorageEngine):
             )
         return merged
 
-    def mput(self, items: "list[tuple[str, object]]") -> None:
+    def mput(
+        self, items: "list[tuple[str, object]]", record: bytes | None = None
+    ) -> None:
+        # The request on the wire is the record in the node's log: each
+        # node group is serialised here, once, before the first attempt —
+        # a value JSON cannot carry fails with no round trip begun, and a
+        # retry resends the same bytes.  A ``record`` handed in covers all
+        # of ``items``, not one node's group, so it is not what is sent.
         grouped = self.tier.group_by_node(items, itemgetter(0))
         for node, node_items in grouped.items():
-            # Each item travels as len(key) + payload_size(value) bytes.
-            # One serialisation sizes them all: a JSON array of n values
-            # is their sizes plus 2n bytes of brackets and separators.
-            request_size = (
-                sum(len(key) for key, _ in node_items)
-                + payload_size([value for _, value in node_items])
-                - 2 * len(node_items)
-            )
-            self._rpc(node, "mput", request_size, node_items)
+            request = encode_mput(node_items)
+            self._rpc(node, "mput", len(request), node_items, request)
 
     # -- products -----------------------------------------------------------
 

@@ -117,12 +117,24 @@ class SSTable:
 
 
 def payload_size(value: object) -> int:
-    """Size estimate of one stored value: memtable accounting here, RPC
-    serialization delay in :mod:`repro.storage.engine`."""
+    """Size estimate of a value that is not a write batch: a snapshot's
+    memtable accounting here; RPC responses and product records in
+    :mod:`repro.storage.engine`.  A write batch is sized by the record
+    :func:`encode_mput` builds for it."""
     try:
         return len(json.dumps(value))
     except (TypeError, ValueError):
         return len(repr(value))
+
+
+def encode_mput(items: "list[tuple[str, object]]") -> bytes:
+    """The WAL record of one write batch — and, for a remote engine, the
+    request on the wire: whoever receives the batch first serialises it,
+    once, and :meth:`KVStore.mput` logs those bytes.  Raises ``TypeError``
+    for a value JSON cannot carry and ``ValueError`` for a cyclic one."""
+    return json.dumps(
+        {"op": "mput", "items": items}, separators=(",", ":")
+    ).encode("utf-8")
 
 
 class KVStore:
@@ -178,9 +190,14 @@ class KVStore:
         """Insert or overwrite ``key``: a batch of one."""
         self.mput([(key, value)])
 
-    def mput(self, items: "list[tuple[str, object]]") -> None:
+    def mput(
+        self, items: "list[tuple[str, object]]", record: bytes | None = None
+    ) -> None:
         """The write: store every (key, value) pair, later duplicates
         winning, as one group commit.  Values must be JSON-serializable.
+        ``record`` is ``encode_mput(items)`` when the caller has already
+        serialised the batch (a remote engine did, to send it); the store
+        encodes only when nobody has.
 
         Fault decisions are per key (site ``kv.put``) and all happen
         before any state changes, so an injected crash leaves the store
@@ -193,11 +210,10 @@ class KVStore:
         if self.faults is not None:
             for key, _ in items:
                 self._maybe_fault("kv.put", key)
-        payload = json.dumps(
-            {"op": "mput", "items": items}, separators=(",", ":")
-        ).encode("utf-8")
-        self.wal.append(payload)
-        self._apply_mput(items, len(payload))
+        if record is None:
+            record = encode_mput(items)
+        self.wal.append(record)
+        self._apply_mput(items, len(record))
 
     def _apply_mput(self, items: list, value_bytes: int) -> None:
         """Land one logged batch in the memtable (live writes and replay);
@@ -335,7 +351,8 @@ class KVStore:
 
     def load_snapshot(self, state: dict) -> int:
         """Install a checkpoint snapshot without WAL logging; returns the
-        number of entries loaded.
+        number of entries loaded.  With no record to take a length from,
+        the memtable is charged :func:`payload_size` per value.
 
         Recovery path: call on a fresh store *before* replaying the WAL
         suffix, so reads land byte-identical to a full-history replay.

@@ -316,8 +316,10 @@ class TieredStorageEngine(LocalStorageEngine):
         self._touch(key, value)
         return value
 
-    def mput(self, items: "list[tuple[str, object]]") -> None:
-        self.kv.mput(items)
+    def mput(
+        self, items: "list[tuple[str, object]]", record: bytes | None = None
+    ) -> None:
+        self.kv.mput(items, record)
         for key, value in items:
             if key in self._cold:
                 self.objects.delete(_COLD_PREFIX + key)

@@ -9,6 +9,7 @@ where a dropped coalesced batch must time out and retry as a unit.
 """
 
 import ast
+import inspect
 import json
 import re
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.core import (
 from repro.fusion import ObservationBatch, TruthFusion
 from repro.fusion.sources import Observation
 from repro.platform import DeviceGateway, MetaversePlatform
+from repro.platform.gateway import batch_uplink_bytes
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultRule
 from repro.storage import (
@@ -402,6 +404,14 @@ class TestOneWritePath(SourceGrep):
         assert self.hits(quoted("mput"), "storage").count("storage/kv.py") == 2
         assert self.hits(r"len\(\s*json\.dumps") == ["storage/kv.py"]
 
+    def test_a_write_batch_is_encoded_in_one_place_and_sized_by_its_record(self):
+        # one encoder; the remote client and the store each call it once
+        assert self.hits(r"def encode_mput\(") == ["storage/kv.py"]
+        assert self.hits(r"= encode_mput\(") == [
+            "storage/engine.py", "storage/kv.py"
+        ]
+        assert "payload_size" not in inspect.getsource(RemoteStorageEngine.mput)
+
 
 class TestOneCommitCore(SourceGrep):
     """A purchase call settles once, in one place: committed stock is
@@ -504,6 +514,46 @@ class TestGatewayBatchIdentity:
         assert [r.payload for r in out_batch.to_records()] == [
             r.payload for r in out_records
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        columns=st.dictionaries(
+            st.sampled_from(["x", "v", "it's", "size_bytes", "a\\b"]),
+            st.sampled_from([
+                floats,
+                ints,
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(-5, 5),
+            ]),
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_uplink_bytes_from_columns_equal_summed_record_sizes(
+        self, n, columns, data
+    ):
+        """Int and float columns, none at all, field names whose repr
+        needs escaping or other quotes, and a ``size_bytes`` column (some
+        rows negative, so stated and estimated sizes mix)."""
+        # a stated size is finite (``int(inf)`` raises on both paths)
+        stated = data.draw(
+            st.sampled_from([st.integers(-5, 5), st.floats(-5.0, 500.0)])
+        )
+        batch = RecordBatch(
+            keys=[f"e/{i}" for i in range(n)],
+            columns={
+                name: data.draw(st.lists(
+                    stated if name == "size_bytes" else values,
+                    min_size=n, max_size=n,
+                ))
+                for name, values in columns.items()
+            },
+            timestamps=[0.0] * n,
+        )
+        assert batch_uplink_bytes(batch) == sum(
+            record.size_bytes() for record in batch.to_records()
+        )
 
     def test_empty_flush_batch(self):
         gateway = DeviceGateway(aggregate=False)

@@ -383,8 +383,9 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     """Everything is report-only except ``NEVER_UP``: a semantic
     distance-eval count, a scan-work count or a replication-work count
     (copies rebuilt by anti-entropy, ops shipped to the failover log or
-    across the WAN, WAL appends under them) above the base's is named and ``main`` exits non-zero on it; lower,
-    equal or absent on either side is not."""
+    across the WAN, WAL appends under them) or a byte count of the write
+    path (logged, sent to storage) above the base's is named and ``main``
+    exits non-zero on it; lower, equal or absent on either side is not."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
         import compare_macro_counts
@@ -393,7 +394,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         sys.path.pop(0)
 
     def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
-               rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0):
+               rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0,
+               logged=4132069.0, sent=4132069.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
@@ -402,9 +404,12 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                    "failover.replicated_ops": ops,
                    "wal.appends": appends,
                    "geo.repl.shipped": shipped,
+                   "wal.bytes": logged,
+                   "storage.rpc.bytes": sent,
                    "storage.rpc.calls": calls}
         return {"metrics": {
-            name: {"value": value, "unit": "count"}
+            name: {"value": value,
+                   "unit": "bytes" if name.endswith(".bytes") else "count"}
             for name, value in metrics.items() if value is not None
         }}
 
@@ -413,6 +418,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "storage.scan.rows_examined", "kv.scans",
         "geo.antientropy.rounds", "failover.replicated_ops",
         "wal.appends", "geo.repl.shipped",
+        "wal.bytes", "storage.rpc.bytes",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
@@ -427,10 +433,14 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, appends=24000.0, shipped=4991.0)) == [
         "geo.repl.shipped"
     ]
+    assert risen(base, result(626066.0, 282729.0, logged=4132068.0, sent=4179269.0)) == [
+        "storage.rpc.bytes"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
-               ops=25822.0, appends=51644.0, shipped=5598.0),
+               ops=25822.0, appends=51644.0, shipped=5598.0,
+               logged=4132070.0, sent=4132070.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

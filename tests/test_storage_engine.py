@@ -238,7 +238,8 @@ class TestCoalescedBulkOps:
         leave identical reads, RPC count, fault-injector draw sequence
         and simulated clock on every engine, each write taking exactly
         one fault decision before any state changes — and one coalesced
-        ``mput`` of all the items reads back like the per-key writes."""
+        ``mput`` of all the items reads back like the per-key writes,
+        each request sized as the WAL record it leaves."""
         for build in (
             _local_under_faults, _remote_under_faults, _tiered_under_faults
         ):
@@ -252,11 +253,20 @@ class TestCoalescedBulkOps:
         coalesced.mput(items)
         for key, value in items:
             per_key.put(key, value)
-        # An item is sized the same however many travel with it.
-        assert (
-            coalesced.metrics.counter("storage.rpc.bytes").value
-            == per_key.metrics.counter("storage.rpc.bytes").value
-        )
+        # The request on the wire is the record in the log ...
+        sent = {}
+        for name, engine in (("coalesced", coalesced), ("per_key", per_key)):
+            sent[name] = engine.metrics.counter("storage.rpc.bytes").value
+            assert sent[name] == sum(
+                len(entry.payload)
+                for node in engine.tier.nodes.values()
+                for entry in node.engine.kv.wal.replay()
+            )
+        # ... so an item that shares a record trades that record's 24
+        # bytes of framing for one comma.
+        groups = len(coalesced.tier.group_by_node(key for key, _ in items))
+        assert coalesced.rpcs == groups and per_key.rpcs == len(items)
+        assert sent["per_key"] - sent["coalesced"] == 23 * (len(items) - groups)
         assert coalesced.scan("", "\uffff") == per_key.scan("", "\uffff")
 
     def test_local_engine_bulk_defaults(self):
