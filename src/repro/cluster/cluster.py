@@ -103,6 +103,11 @@ from .router import ShardRouter
 #: ``resilience.breaker.<name>.state`` gauge: closed/half-open/open).
 _BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
+#: A cluster orders purchases physical-space first, the paper's policy
+#: and every shard platform's default; only a single platform turns it
+#: off (E4 compares the policy with arrival order).
+PHYSICAL_PRIORITY = True
+
 
 @dataclass
 class BasketOutcome:
@@ -173,7 +178,6 @@ class PlatformCluster:
         self.coordinator = CrossShardCoordinator(
             self.shards,
             clock=self.clock,
-            timeout_s=config.twopc_timeout_s,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -202,16 +206,7 @@ class PlatformCluster:
                 tracer=self.tracer,
             )
         if config.n_replicas >= 2:
-            self.failover = FailoverManager(
-                self,
-                n_replicas=config.n_replicas,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                phi_threshold=config.phi_threshold,
-                tracer=self.tracer,
-                replica_log_compact_threshold=(
-                    config.replica_log_compact_threshold
-                ),
-            )
+            self.failover = FailoverManager(self)
 
     def _make_shard(self, name: str) -> MetaversePlatform:
         engine = None
@@ -221,16 +216,9 @@ class PlatformCluster:
             # re-mounted shard rejoins like a restarted process would).
             # Storage RPCs inherit the platform's own retry policy via
             # _with_retry, so the engine itself carries none.
-            engine = self.storage.mount(
-                client=name,
-                faults=self.faults,
-                rpc_timeout_s=self.config.storage_rpc_timeout_s,
-            )
+            engine = self.storage.mount(client=name, faults=self.faults)
         shard = MetaversePlatform(
             n_executors=self.config.n_executors_per_shard,
-            buffer_pool_pages=self.config.buffer_pool_pages,
-            physical_priority=self.config.physical_priority,
-            txn_cost_s=self.config.txn_cost_s,
             metrics=self.metrics,
             tracer=self.tracer,
             faults=self.faults,
@@ -411,14 +399,17 @@ class PlatformCluster:
         the queue's head, either cut at the budget: one bulk write, which
         the shard's engine coalesces into one RPC per storage node.  A
         unit leaves the queue only once its write returned, so a write
-        that raises keeps it and everything behind it queued."""
+        that raises keeps it and everything behind it queued; a record no
+        write can carry is dead-lettered
+        (:meth:`MetaversePlatform.write_queued`), counted in
+        ``cluster.write.rejected``.  Returns the records stored."""
         queue = self._pending.get(name)
         if not queue:
             return 0
         observe = self.metrics.histogram("cluster.router.batch_size").observe
-        written = 0
-        while queue and (budget is None or written < budget):
-            room = None if budget is None else budget - written
+        taken = written = 0
+        while queue and (budget is None or taken < budget):
+            room = None if budget is None else budget - taken
             head = queue[0]
             if isinstance(head, DataRecord):
                 unit = list(takewhile(
@@ -430,7 +421,15 @@ class PlatformCluster:
                 # The batch splits at the budget: its head flushes now,
                 # the columnar tail stays queued.
                 unit = head.take(range(room))
-            self._write_unit(name, unit)
+            stored, rejected = self.shards[name].write_queued(unit)
+            self._emit_stored(name, stored)
+            if rejected:
+                self.metrics.counter("cluster.write.rejected").inc(
+                    len(rejected)
+                )
+                self.tracer.log(
+                    "warn", "records rejected", shard=name, keys=rejected
+                )
             if isinstance(unit, list):
                 for _ in unit:
                     queue.popleft()
@@ -439,15 +438,13 @@ class PlatformCluster:
             else:
                 queue[0] = head.take(range(room, len(head)))
             observe(len(unit))
-            written += len(unit)
+            taken += len(unit)
+            written += len(stored)
         return written
 
-    def _write_unit(
-        self, name: str, unit: DataRecord | RecordBatch | list[DataRecord]
-    ) -> None:
-        """Write one unit to shard ``name`` and emit the post-state of
-        every item it stored (what a promoted replica replays)."""
-        stored = self.shards[name].write_unit(unit)
+    def _emit_stored(self, name: str, stored: list) -> None:
+        """Emit the post-state of every item shard ``name`` just stored
+        (what a promoted replica replays)."""
         if self._op_sinks:  # no subscriber: skip the walk, not just the op
             for key, value in stored:
                 self._emit(name, entity_op, key, value)
@@ -595,7 +592,7 @@ class PlatformCluster:
             self.metrics.counter("cluster.ingested_records").inc(
                 self._flush_shard(owner, None)
             )
-        self._write_unit(owner, record)
+        self._emit_stored(owner, self.shards[owner].write_unit(record))
 
     def query(self, request: QueryRequest) -> GatherResult:
         """Scatter one query-plane request across the ring and merge.
@@ -784,9 +781,8 @@ class PlatformCluster:
         per-product decision (who gets the last unit) is identical to the
         single-node run — asserted by experiment E24.
         """
-        physical_priority = self.config.physical_priority
         ordered = sorted(
-            requests, key=lambda r: purchase_sort_key(r, physical_priority)
+            requests, key=lambda r: purchase_sort_key(r, PHYSICAL_PRIORITY)
         )
         # Salt-bucket routing: each request maps to the request that
         # actually executes (identity unless its product is salted).  The

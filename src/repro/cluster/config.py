@@ -107,20 +107,16 @@ class ElasticityConfig:
 @dataclass
 class ClusterConfig:
     """Everything that decides a :class:`PlatformCluster`'s shape
-    (``PlatformCluster()`` builds ``ClusterConfig()``)."""
+    (``PlatformCluster()`` builds ``ClusterConfig()``).  Every field is
+    one some caller sets to a second value; ``tests/test_config_surface.py``
+    pins the list and DESIGN.md's "Options" names the callers."""
 
     n_shards: int = 4
     n_executors_per_shard: int = 4
     query_deadline_s: float = 0.25
-    twopc_timeout_s: float = 5.0
-    buffer_pool_pages: int = 256
-    physical_priority: bool = True
-    txn_cost_s: float = 1e-4
     n_replicas: int = 1
-    heartbeat_interval_s: float = 0.05
     phi_threshold: float = 8.0
     n_storage_nodes: int | None = None
-    storage_rpc_timeout_s: float = 0.05
     #: Compact replica op logs once a shard's primary copy exceeds this
     #: many entries (None disables compaction entirely).
     replica_log_compact_threshold: int | None = 4096

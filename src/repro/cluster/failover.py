@@ -51,7 +51,6 @@ from ..core.clock import EventScheduler
 from ..core.errors import ConfigurationError, NetworkError, PartitionedError
 from ..core.metrics import MetricsRegistry
 from ..net.simnet import SimulatedNetwork
-from ..obs.tracing import NoopTracer, Tracer
 from ..replication import ReplicatedLog, apply, entity_op, fold, product_op
 from ..resilience.faults import FaultInjector
 
@@ -73,6 +72,11 @@ RECOVERING = "recovering"  # promoted replica serving; anti-entropy running
 #: anti-entropy to find — without an unbounded loop under a total outage.
 SHIP_OFFERS = 3
 
+#: Seconds between a shard's heartbeats.  A shard silent for
+#: ``phi_threshold * ln 10`` intervals is suspected: 0.46 s at E25's
+#: threshold of 4, well inside its 2 s recovery bound.
+HEARTBEAT_INTERVAL_S = 0.05
+
 
 class FailureDetector:
     """Phi-accrual-style failure detection over heartbeat arrivals.
@@ -89,7 +93,7 @@ class FailureDetector:
 
     def __init__(
         self,
-        heartbeat_interval_s: float = 0.05,
+        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         phi_threshold: float = 8.0,
         window: int = 32,
     ) -> None:
@@ -285,37 +289,18 @@ class FailoverManager:
     serves for at least one full tick before its recovery completes.
     """
 
-    def __init__(
-        self,
-        cluster: "PlatformCluster",
-        n_replicas: int = 2,
-        heartbeat_interval_s: float = 0.05,
-        phi_threshold: float = 8.0,
-        tracer: Tracer | None = None,
-        replica_log_compact_threshold: int | None = 4096,
-    ) -> None:
-        if n_replicas < 2:
-            raise ConfigurationError("failover needs n_replicas >= 2")
-        if (
-            replica_log_compact_threshold is not None
-            and replica_log_compact_threshold < 1
-        ):
-            raise ConfigurationError(
-                "replica_log_compact_threshold must be >= 1 (or None)"
-            )
-        self.compact_threshold = replica_log_compact_threshold
+    def __init__(self, cluster: "PlatformCluster") -> None:
+        # Replica count, phi threshold and compaction threshold come from
+        # the cluster's config, validated before any shard was built.
+        config = cluster.config
+        self.compact_threshold = config.replica_log_compact_threshold
         self.cluster = cluster
         self.clock = cluster.clock
         self.metrics = cluster.metrics
-        self.tracer = tracer if tracer is not None else (
-            cluster.tracer if cluster.tracer is not None else NoopTracer()
-        )
-        self.detector = FailureDetector(
-            heartbeat_interval_s=heartbeat_interval_s,
-            phi_threshold=phi_threshold,
-        )
+        self.tracer = cluster.tracer
+        self.detector = FailureDetector(phi_threshold=config.phi_threshold)
         self.replicator = ShardReplicator(
-            cluster.router, n_replicas,
+            cluster.router, config.n_replicas,
             metrics=self.metrics, faults=cluster.faults,
         )
         # Subscribe to the cluster's op tap: whatever it commits on a

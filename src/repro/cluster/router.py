@@ -62,10 +62,6 @@ class ShardRouter(Placement):
         self.metrics.counter("cluster.router.lookups").inc()
         return owner
 
-    def group_by_shard(self, keys: list[str]) -> dict[str, list[str]]:
-        """Partition ``keys`` by owning shard (input order preserved)."""
-        return self.group(keys)
-
     # -- hot-key salting ----------------------------------------------------
 
     def salt_key(self, key: str, n_buckets: int) -> list[str]:
@@ -114,12 +110,3 @@ class ShardRouter(Placement):
         if n is None:
             return [key]
         return [key] + [f"{key}{_SALT_SEP}{i}" for i in range(1, n)]
-
-    @staticmethod
-    def base_key(key: str) -> str:
-        """Strip a salt-bucket suffix: ``product~s2`` → ``product``.
-        Keys without a well-formed suffix pass through unchanged."""
-        base, sep, tail = key.rpartition(_SALT_SEP)
-        if sep and tail.isdigit():
-            return base
-        return key

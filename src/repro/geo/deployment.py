@@ -50,7 +50,7 @@ from functools import partial
 from operator import attrgetter
 
 from ..api.dataplane import GatherResult
-from ..cluster.cluster import PlatformCluster
+from ..cluster.cluster import PHYSICAL_PRIORITY, PlatformCluster
 from ..cluster.config import ClusterConfig
 from ..core.clock import EventScheduler
 from ..core.errors import (
@@ -96,6 +96,37 @@ READ_YOUR_WRITES = "read_your_writes"
 LINEARIZABLE = "linearizable"
 CONSISTENCY_MODES = (EVENTUAL, READ_YOUR_WRITES, LINEARIZABLE)
 
+# The WAN and the read path.  A deployment chooses its regions, their
+# pair latencies and its log compaction threshold (GeoConfig); the rest is
+# the one calibration the E30 artifacts were measured with, so changing a
+# value here moves a committed baseline.
+
+#: One-way latency of a region pair without a ``wan_latencies_s`` entry:
+#: 40 ms, a continental inter-data-center hop.
+DEFAULT_WAN_LATENCY_S = 0.04
+#: WAN link bandwidth (200 Mbit/s); sets serialisation delay.
+WAN_BANDWIDTH_BPS = 2e8
+#: Bytes each way of a cross-region round trip (forward, read, handoff).
+RPC_BYTES = 512
+#: What a round trip to a down or partitioned region burns before it
+#: fails, so a deadline expires on simulated time rather than hanging.
+RPC_TIMEOUT_S = 0.06
+#: Deadline of one linearizable read across its retries — the cluster's
+#: default query deadline.
+LINEARIZABLE_TIMEOUT_S = 0.25
+#: Attempts (the first included) and base backoff of a linearizable read;
+#: three 60 ms timeouts plus backoff stay inside its deadline.
+READ_MAX_ATTEMPTS = 3
+READ_RETRY_BASE_S = 0.02
+#: Failed linearizable reads of one home before its breaker opens, and
+#: how long it stays open: a partitioned home stops costing its callers
+#: a deadline after four failures.
+BREAKER_FAILURE_THRESHOLD = 4
+BREAKER_COOLDOWN_S = 1.0
+#: Simulated seconds between anti-entropy rounds: one per tick at the
+#: 0.5 s ticks E30 and ``geo_commerce`` run.
+ANTIENTROPY_INTERVAL_S = 0.5
+
 
 @dataclass
 class GeoConfig:
@@ -103,24 +134,14 @@ class GeoConfig:
 
     ``wan_latencies_s`` maps unordered region pairs ``(a, b)`` to one-way
     propagation latency in seconds; pairs without an entry use
-    ``default_wan_latency_s``.  ``cluster`` is the per-region template
+    :data:`DEFAULT_WAN_LATENCY_S`.  ``cluster`` is the per-region template
     (every region runs an identical cluster); it defaults to a small
     2-shard cluster.
     """
 
     regions: tuple[str, ...] = ("us-east", "eu-west", "ap-south")
     cluster: ClusterConfig | None = None
-    default_wan_latency_s: float = 0.04
     wan_latencies_s: dict = field(default_factory=dict)
-    wan_bandwidth_bps: float = 2e8
-    rpc_bytes: int = 512
-    rpc_timeout_s: float = 0.06
-    linearizable_timeout_s: float = 0.25
-    read_max_attempts: int = 3
-    read_retry_base_s: float = 0.02
-    breaker_failure_threshold: int = 4
-    breaker_cooldown_s: float = 1.0
-    antientropy_interval_s: float = 0.5
     compact_threshold: int | None = 4096
     seed: int = 0
 
@@ -141,24 +162,6 @@ class GeoConfig:
                     raise ConfigurationError(f"WAN latency names unknown region {name!r}")
             if latency <= 0:
                 raise ConfigurationError(f"WAN latency must be positive: {pair!r}")
-        if self.default_wan_latency_s <= 0:
-            raise ConfigurationError("default_wan_latency_s must be positive")
-        if self.wan_bandwidth_bps <= 0:
-            raise ConfigurationError("wan_bandwidth_bps must be positive")
-        if self.rpc_bytes < 1:
-            raise ConfigurationError("rpc_bytes must be >= 1")
-        if self.rpc_timeout_s <= 0 or self.linearizable_timeout_s <= 0:
-            raise ConfigurationError("RPC and linearizable timeouts must be positive")
-        if self.read_max_attempts < 1:
-            raise ConfigurationError("read_max_attempts must be >= 1")
-        if self.read_retry_base_s < 0:
-            raise ConfigurationError("read_retry_base_s must be >= 0")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ConfigurationError("breaker_cooldown_s must be positive")
-        if self.antientropy_interval_s <= 0:
-            raise ConfigurationError("antientropy_interval_s must be positive")
         if self.compact_threshold is not None and self.compact_threshold < 2:
             raise ConfigurationError("compact_threshold must be >= 2 (or None)")
         if self.cluster is not None:
@@ -215,8 +218,8 @@ class GeoDeployment:
         self.wan = SimulatedNetwork(
             self.scheduler,
             default_link=Link(
-                latency_s=self.config.default_wan_latency_s,
-                bandwidth_bps=self.config.wan_bandwidth_bps,
+                latency_s=DEFAULT_WAN_LATENCY_S,
+                bandwidth_bps=WAN_BANDWIDTH_BPS,
             ),
             metrics=self.metrics,
             tracer=self.tracer,
@@ -226,7 +229,7 @@ class GeoDeployment:
             self.wan.set_link(
                 self._node(a),
                 self._node(b),
-                Link(latency_s=latency, bandwidth_bps=self.config.wan_bandwidth_bps),
+                Link(latency_s=latency, bandwidth_bps=WAN_BANDWIDTH_BPS),
                 symmetric=True,
             )
         template = (
@@ -269,9 +272,9 @@ class GeoDeployment:
         # that replica's state; the guard :meth:`_land` applies behind.
         self._applied_lsn: dict[tuple[str, str], dict[str, int]] = {}
         self._read_retry = RetryPolicy(
-            max_attempts=self.config.read_max_attempts,
-            base_delay_s=self.config.read_retry_base_s,
-            max_delay_s=4 * self.config.read_retry_base_s,
+            max_attempts=READ_MAX_ATTEMPTS,
+            base_delay_s=READ_RETRY_BASE_S,
+            max_delay_s=4 * READ_RETRY_BASE_S,
             seed=self.config.seed,
             clock=self.clock,
             metrics=self.metrics,
@@ -279,8 +282,8 @@ class GeoDeployment:
         )
         self._breakers = {
             name: CircuitBreaker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                cooldown_s=BREAKER_COOLDOWN_S,
                 clock=self.clock,
                 name=f"geo.{name}",
                 metrics=self.metrics,
@@ -303,10 +306,6 @@ class GeoDeployment:
             return self._clusters[name]
         except KeyError:
             raise ConfigurationError(f"unknown region {name!r}") from None
-
-    @property
-    def down_regions(self) -> tuple[str, ...]:
-        return tuple(sorted(self._down))
 
     def home_of(self, key: str) -> str:
         """The region authoritative for ``key`` (override, else ring)."""
@@ -332,13 +331,13 @@ class GeoDeployment:
         """One synchronous round trip ``src -> dst -> src``.
 
         Advances the shared clock by the RTT on success and by
-        ``rpc_timeout_s`` on failure, so deadlines expire deterministically
+        :data:`RPC_TIMEOUT_S` on failure, so deadlines expire deterministically
         while a destination stays unreachable.
         """
         if src == dst:
             return 0.0
         if src in self._down or dst in self._down:
-            self.clock.advance(self.config.rpc_timeout_s)
+            self.clock.advance(RPC_TIMEOUT_S)
             self.metrics.counter("geo.rpc.timeouts").inc()
             down = dst if dst in self._down else src
             raise PartitionedError(f"region {down!r} is down")
@@ -347,24 +346,24 @@ class GeoDeployment:
             "geo.wan", target=f"{src}->{dst}", kinds=("partition", "drop", "delay")
         )
         if decision.kind == "partition":
-            self.clock.advance(self.config.rpc_timeout_s)
+            self.clock.advance(RPC_TIMEOUT_S)
             self.metrics.counter("geo.rpc.timeouts").inc()
             raise PartitionedError(f"injected WAN partition {src} -> {dst}")
         if decision.kind == "drop":
-            self.clock.advance(self.config.rpc_timeout_s)
+            self.clock.advance(RPC_TIMEOUT_S)
             self.metrics.counter("geo.rpc.timeouts").inc()
             raise FaultInjectedError(f"injected WAN drop {src} -> {dst}")
         if decision.kind == "delay":
             extra = decision.delay_s
         if self.wan.is_partitioned(self._node(src), self._node(dst)):
-            self.clock.advance(self.config.rpc_timeout_s)
+            self.clock.advance(RPC_TIMEOUT_S)
             self.metrics.counter("geo.rpc.timeouts").inc()
             raise PartitionedError(f"{src} -> {dst} is partitioned")
         there = self.wan.link_for(self._node(src), self._node(dst))
         back = self.wan.link_for(self._node(dst), self._node(src))
         rtt = (
-            there.transfer_delay(self.config.rpc_bytes)
-            + back.transfer_delay(self.config.rpc_bytes)
+            there.transfer_delay(RPC_BYTES)
+            + back.transfer_delay(RPC_BYTES)
             + extra
         )
         self.clock.advance(rtt)
@@ -590,8 +589,9 @@ class GeoDeployment:
         """
         if not requests:
             return []
-        priority = self._clusters[self.config.regions[0]].config.physical_priority
-        ordered = sorted(requests, key=lambda r: purchase_sort_key(r, priority))
+        ordered = sorted(
+            requests, key=lambda r: purchase_sort_key(r, PHYSICAL_PRIORITY)
+        )
 
         def run(home: str, batch: list[PurchaseRequest]) -> list[PurchaseOutcome]:
             if home in self._down:
@@ -677,7 +677,7 @@ class GeoDeployment:
         return self._read_linearizable(via, home, local)
 
     def _read_linearizable(self, via, home, local):
-        guard = Timeout(self.config.linearizable_timeout_s).guard(
+        guard = Timeout(LINEARIZABLE_TIMEOUT_S).guard(
             self.clock, label=f"geo.read.{home}"
         )
         breaker = self._breakers[home]
@@ -798,7 +798,7 @@ class GeoDeployment:
                 continue
             self._clusters[name].step(dt)
         self._deliver_hints()
-        if now - self._last_antientropy >= self.config.antientropy_interval_s:
+        if now - self._last_antientropy >= ANTIENTROPY_INTERVAL_S:
             self._last_antientropy = now
             self._antientropy_round()
         for home in self.config.regions:

@@ -40,7 +40,6 @@ from ..net.pubsub import Broker, Publication, Subscription
 from ..obs.tracing import NoopTracer, Tracer
 from ..platform.gateway import DeviceGateway
 from ..query.plane import QueryExecutor, QueryRequest, prefix_query, spatial_query
-from ..resilience.degrade import DegradationController
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import CircuitBreaker, RetryPolicy
 from ..semantic import SemanticIndex, SemanticIndexConfig
@@ -113,21 +112,27 @@ def purchase_sort_key(request: PurchaseRequest, physical_priority: bool):
     return (priority, request.timestamp)
 
 
+#: Point-read pages a platform (one cluster shard) caches: every committed
+#: artifact and macrobench's ``pool.*`` counts were measured at 256.  The
+#: stale-read fallback remembers four times as many last-served values.
+BUFFER_POOL_PAGES = 256
+STALE_CAPACITY = 4 * BUFFER_POOL_PAGES
+
+#: Simulated executor time one purchase attempt costs: 0.1 ms, so an
+#: executor's makespan reads as 10,000 attempts per second.
+TXN_COST_S = 1e-4
+
+
 class MetaversePlatform:
     """The end-to-end platform facade."""
 
     def __init__(
         self,
         n_executors: int = 4,
-        buffer_pool_pages: int = 256,
         physical_priority: bool = True,
-        txn_cost_s: float = 1e-4,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        degradation: DegradationController | None = None,
         engine: StorageEngine | None = None,
         semantic_index: SemanticIndexConfig | bool = False,
     ) -> None:
@@ -135,12 +140,14 @@ class MetaversePlatform:
             raise ConfigurationError("need at least one executor")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
-        # Resilience.  A platform built with a fault injector survives by
-        # default: storage and broker calls retry with backoff, a breaker
-        # sheds publishes while the broker is failing, and reads fall back
-        # to the last value served (see read()).  All defaults share the
+        # Resilience.  A platform built with a fault injector survives it:
+        # storage and broker calls retry with backoff, a breaker sheds
+        # publishes while the broker is failing, and reads fall back to
+        # the last value served (see read()).  Both policies share the
         # injector's simulated clock so recovery timing is deterministic.
         self.faults = faults
+        self.retry: RetryPolicy | None = None
+        self.breaker: CircuitBreaker | None = None
         if faults is not None:
             # Adopt an injector that kept its defaults, so fault counters
             # and fault spans land in the platform's registry and trace.
@@ -148,19 +155,14 @@ class MetaversePlatform:
                 faults.metrics = self.metrics
             if not faults.tracer_injected:
                 faults.tracer = self.tracer
-        if retry is None and faults is not None:
-            retry = RetryPolicy(
+            self.retry = RetryPolicy(
                 max_attempts=4, base_delay_s=0.002, seed=faults.plan.seed,
                 clock=faults.clock, metrics=self.metrics, tracer=self.tracer,
             )
-        self.retry = retry
-        if breaker is None and faults is not None:
-            breaker = CircuitBreaker(
+            self.breaker = CircuitBreaker(
                 failure_threshold=8, cooldown_s=0.25, clock=faults.clock,
                 name="broker", metrics=self.metrics, tracer=self.tracer,
             )
-        self.breaker = breaker
-        self.degradation = degradation
         # Storage tier: an injected engine, or the in-process default
         # (byte-identical to the pre-split platform that newed up its own
         # stores).  ``kv``/``objects`` stay addressable for local engines;
@@ -184,11 +186,9 @@ class MetaversePlatform:
         # product id -> executor index; n_executors never changes, so an
         # entry never goes stale (capped like Placement's owner memo).
         self._executor_memo: dict[str, int] = {}
-        self.txn_cost_s = txn_cost_s
         self.physical_priority = physical_priority
-        self._buffer_pool_pages = buffer_pool_pages
         self.pool = BufferPool(
-            capacity=buffer_pool_pages,
+            capacity=BUFFER_POOL_PAGES,
             loader=self._load_page,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -196,7 +196,6 @@ class MetaversePlatform:
         self.storage_reads = 0
         # Bounded last-known-value cache backing stale-read fallback.
         self._stale: OrderedDict[str, object] = OrderedDict()
-        self._stale_capacity = 4 * buffer_pool_pages
         # Device tier (gateways registered per source population).
         self.gateways: dict[str, DeviceGateway] = {}
         # Optional (product_id, post_commit_stock) hook fired after every
@@ -297,7 +296,7 @@ class MetaversePlatform:
     def _remember(self, key: str, value: object) -> None:
         self._stale[key] = value
         self._stale.move_to_end(key)
-        while len(self._stale) > self._stale_capacity:
+        while len(self._stale) > STALE_CAPACITY:
             self._stale.popitem(last=False)
 
     def _write_items(self, items: list, payloads: list) -> list:
@@ -326,6 +325,30 @@ class MetaversePlatform:
         if isinstance(unit, DataRecord):
             return self.write_record(unit)
         return self.write_record_batch(unit)
+
+    def write_queued(
+        self, unit: DataRecord | RecordBatch | list[DataRecord]
+    ) -> tuple[list, list[str]]:
+        """:meth:`write_unit` for a unit taken off an ingest queue, which
+        must not wedge the queue behind it: a record or run of records
+        whose write raises ``TypeError`` or ``ValueError`` (a payload
+        JSON cannot carry) is written again record by record, and the
+        records that still raise are dead-lettered.  Returns the stored
+        items and the rejected keys.  Any other error — a retryable fault
+        — propagates, and the caller keeps the unit queued."""
+        try:
+            return self.write_unit(unit), []
+        except (TypeError, ValueError):
+            if isinstance(unit, RecordBatch):
+                raise  # numeric columns always encode: a bug, not poison
+        stored: list = []
+        rejected: list[str] = []
+        for record in [unit] if isinstance(unit, DataRecord) else unit:
+            try:
+                stored += self.write_record(record)
+            except (TypeError, ValueError):
+                rejected.append(record.key)
+        return stored, rejected
 
     def write_record(self, record: DataRecord) -> list:
         """Persist a record to the storage engine, invalidating its page;
@@ -457,16 +480,22 @@ class MetaversePlatform:
 
     def flush(self) -> int:
         """Write everything buffered, in arrival order; return the number
-        of records.  A unit leaves the queue only once its write returned,
-        so a write that raises keeps it and everything behind it queued."""
+        of records stored.  A unit leaves the queue only once its write
+        returned, so a write that raises keeps it and everything behind
+        it queued; a record no write can carry is dead-lettered
+        (:meth:`write_queued`), counted in ``platform.write.rejected``."""
         total = 0
         pending = self._pending
         with self.tracer.span("platform.flush", pending=self.pending_count):
             while pending:
-                unit = pending[0]
-                self.write_unit(unit)
+                stored, rejected = self.write_queued(pending[0])
                 pending.popleft()
-                total += unit_len(unit)
+                if rejected:
+                    self.metrics.counter("platform.write.rejected").inc(
+                        len(rejected)
+                    )
+                    self.tracer.log("warn", "records rejected", keys=rejected)
+                total += len(stored)
         self.metrics.counter("platform.ingested_records").inc(total)
         return total
 
@@ -572,8 +601,7 @@ class MetaversePlatform:
         hammering a failing broker; a publish that stays failing past the
         retry budget is dropped and counted (``platform.publish_failed``)
         rather than aborting the caller's pipeline — events are lossy by
-        contract, unlike storage writes.  Outcomes feed the degradation
-        controller when one is attached.
+        contract, unlike storage writes.
         """
         if self.breaker is not None and not self.breaker.allow():
             self.metrics.counter("platform.publish_shed").inc()
@@ -583,14 +611,10 @@ class MetaversePlatform:
         except FaultInjectedError:
             if self.breaker is not None:
                 self.breaker.record_failure()
-            if self.degradation is not None:
-                self.degradation.observe(False)
             self.metrics.counter("platform.publish_failed").inc()
             return []
         if self.breaker is not None:
             self.breaker.record_success()
-        if self.degradation is not None:
-            self.degradation.observe(True)
         return matched
 
     # -- marketplace transactions --------------------------------------------------
@@ -699,7 +723,7 @@ class MetaversePlatform:
         under it."""
         self.reset_products()
         self.pool = BufferPool(
-            capacity=self._buffer_pool_pages,
+            capacity=BUFFER_POOL_PAGES,
             loader=self._load_page,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -773,7 +797,7 @@ class MetaversePlatform:
         executor = self.executors[self._executor_for(request.product_id)]
         quantities = {request.product_id: request.quantity}
         for _ in range(max_retries + 1):
-            executor.busy_time += self.txn_cost_s
+            executor.busy_time += TXN_COST_S
             txn, why, _ = self.stage_basket(quantities)
             if txn is None:
                 if why == "sold out":

@@ -172,7 +172,6 @@ class LocalStorageEngine(StorageEngine):
 
     def __init__(
         self,
-        memtable_budget_bytes: int = 64 * 1024,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         faults: "FaultInjector | None" = None,
@@ -181,7 +180,6 @@ class LocalStorageEngine(StorageEngine):
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
         self.kv = KVStore(
-            memtable_budget_bytes=memtable_budget_bytes,
             metrics=self.metrics,
             tracer=self.tracer,
             faults=faults,
@@ -330,7 +328,6 @@ class StorageTier:
         node_names: Iterable[str] | None = None,
         vnodes: int = 32,
         clock: SimulationClock | None = None,
-        link: Link | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         engine_factory=None,
@@ -345,9 +342,11 @@ class StorageTier:
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.clock = clock if clock is not None else SimulationClock()
         self.scheduler = EventScheduler(self.clock)
+        # Every compute↔storage pair is one intra-data-center link: 1 ms
+        # and 1 Gbit/s (simnet's default), what E26–E28 were measured on.
         self.net = SimulatedNetwork(
             self.scheduler,
-            default_link=link if link is not None else Link(),
+            default_link=Link(),
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -614,14 +613,17 @@ class RemoteStorageEngine(StorageEngine):
     def mput(
         self, items: "list[tuple[str, object]]", record: bytes | None = None
     ) -> None:
-        # The request on the wire is the record in the node's log: each
-        # node group is serialised here, once, before the first attempt —
-        # a value JSON cannot carry fails with no round trip begun, and a
+        # The request on the wire is the record in the node's log: every
+        # node group is serialised here, once, before the first round trip
+        # — a value JSON cannot carry fails with no node written, and a
         # retry resends the same bytes.  A ``record`` handed in covers all
         # of ``items``, not one node's group, so it is not what is sent.
+        requests = []
         grouped = self.tier.group_by_node(items, itemgetter(0))
         for node, node_items in grouped.items():
             request = encode_mput(node_items)
+            requests.append((node, node_items, request))
+        for node, node_items, request in requests:
             self._rpc(node, "mput", len(request), node_items, request)
 
     # -- products -----------------------------------------------------------

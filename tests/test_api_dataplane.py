@@ -201,6 +201,28 @@ class TestWriteQueue:
         stored = plane.read("ent/k")
         assert (stored["timestamp"], stored["payload"]) == (2.0, {"v": 2.0})
 
+    def test_a_record_no_write_can_carry_is_dead_lettered(self, shape):
+        """A payload JSON cannot carry fails every write of its run; the
+        run is written again record by record, that record alone is
+        dropped and counted, and nothing queued behind it is wedged."""
+        plane = make_plane(shape, n_shards=2)
+        plane.ingest(record("ent/a", {"v": 1.0}))
+        plane.ingest(record("ent/poison", {"x": object()}))
+        plane.ingest(record("ent/b", {"v": 2.0}))
+        plane.ingest_batch(RecordBatch.from_records([
+            record("ent/c", {"v": 3.0})
+        ]))
+        plane.tick(1.0)
+        assert plane.pending_count == 0
+        assert [k for k, _ in plane.scan_prefix("ent/").items] == [
+            "ent/a", "ent/b", "ent/c"
+        ]
+        layer = "platform" if shape == "platform" else "cluster"
+        assert plane.metrics.counter(f"{layer}.write.rejected").value == 1
+        plane.ingest(record("ent/d", {"v": 4.0}))
+        plane.tick(1.0)  # the queue flows on
+        assert plane.read("ent/d")["payload"] == {"v": 4.0}
+
     def test_failed_flush_keeps_every_unwritten_unit_queued(self, shape):
         # The write site a compute node's engine faults at: its own KV
         # store, or the RPC to the shared storage tier.

@@ -136,7 +136,7 @@ class TestDeterminismAndMembership:
     def test_group_by_shard_partitions_and_preserves_order(self):
         router = ShardRouter([f"s{i}" for i in range(4)])
         keys = make_keys(0, n=200)
-        groups = router.group_by_shard(keys)
+        groups = router.group(keys)
         assert sorted(k for batch in groups.values() for k in batch) == sorted(keys)
         for batch in groups.values():
             assert batch == sorted(batch, key=keys.index)

@@ -24,6 +24,7 @@ from repro.geo import (
     GeoDeployment,
     GeoSession,
 )
+from repro.geo.deployment import BREAKER_FAILURE_THRESHOLD, LINEARIZABLE_TIMEOUT_S
 from repro.obs.tracing import Tracer
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -462,7 +463,7 @@ class TestPartitionRouting:
         with pytest.raises(DeadlineExceededError):
             geo.read("player-0001", LINEARIZABLE, region=remote)
         # Fail fast: bounded by the linearizable deadline, not hung.
-        assert geo.clock.now - before <= geo.config.linearizable_timeout_s + 1e-9
+        assert geo.clock.now - before <= LINEARIZABLE_TIMEOUT_S + 1e-9
 
     def test_breaker_trips_after_repeated_failures(self):
         geo = make_geo()
@@ -472,7 +473,7 @@ class TestPartitionRouting:
         remote = others(geo, home)[0]
         self.split(geo, home)
         durations = []
-        for _ in range(geo.config.breaker_failure_threshold + 2):
+        for _ in range(BREAKER_FAILURE_THRESHOLD + 2):
             before = geo.clock.now
             with pytest.raises(DeadlineExceededError):
                 geo.read("player-0001", LINEARIZABLE, region=remote)
