@@ -47,6 +47,7 @@ exercises the cluster path end to end.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, takewhile
@@ -79,7 +80,7 @@ from ..query.plane import (
     prefix_query,
     spatial_query,
 )
-from ..placement import Placement, route_by_owner
+from ..placement import Placement, group_by_owner, route_by_owner
 from ..replication import (
     drop_entity_op,
     drop_product_op,
@@ -642,10 +643,19 @@ class PlatformCluster:
         interactive queries.  Partiality is observable exactly once per
         fan-out via the ``cluster.gather.partial`` counter, and
         ``failed_shards`` names exactly which shards were unreachable.
+
+        On a storage tier the fan-out runs inside the tier's read scope
+        (:meth:`StorageTier.read_scope`): each range is read from the
+        storage nodes once, by the first shard that asks, and every other
+        shard slices its owned rows out of the same read.
         """
         partials: list[list] = []
         failed: list[str] = []
-        with self.tracer.span("cluster.gather", shards=len(self.shards)):
+        scope = (
+            self.storage.read_scope() if self.storage is not None
+            else nullcontext()
+        )
+        with self.tracer.span("cluster.gather", shards=len(self.shards)), scope:
             for name in self.router.shards:
                 if self._is_down(name):
                     self.metrics.counter("cluster.query.shard_down").inc()
@@ -1054,14 +1064,7 @@ class PlatformCluster:
         self.router.add_shard(name)
         self.shards[name] = shard
         self.coordinator.attach_shard(name, shard)
-        if self.storage is not None:
-            return self._remap_compute()
-        moved = self._rebalance(self.shards)
-        self.metrics.counter("cluster.rebalance.moved_keys").inc(moved)
-        self._refresh_shard_gauges()
-        if self.failover is not None:
-            self.failover.resync()
-        return moved
+        return self._ownership_changed(self.shards)
 
     def remove_shard(self, name: str) -> int:
         """Drain and drop a shard; its keys migrate to their new owners.
@@ -1087,41 +1090,74 @@ class PlatformCluster:
         self.router.remove_shard(name)
         departing = self.shards.pop(name)
         self.coordinator.detach_shard(name)
+        return self._ownership_changed({name: departing})
+
+    def _ownership_changed(self, sources: dict[str, MetaversePlatform]) -> int:
+        """THE ownership-change step: every membership change runs it once
+        the ring has moved, and it is the only code that follows key
+        ownership to a new shard.  Returns the keys that moved.
+
+        First, every queued write unit is re-keyed to its key's owner on
+        the new ring (:meth:`_requeue_pending`), so no shard later writes
+        a key it no longer owns.  Then the state follows:
+
+        * on a storage tier zero keys move.  Deferred product
+          write-throughs (parked on storage faults) are force-flushed
+          *before* every compute node drops its caches: the new owner
+          hydrates from the tier, and a stale tier record would resurrect
+          sold stock.  A write still failing is surfaced as a counter — the
+          oversell hazard is then real and observable, not silent;
+        * on local engines the keys of ``sources`` ({shard name:
+          platform}) migrate (:meth:`_rebalance`), and replica failover
+          re-seeds its logs from the new placement.
+        """
+        self._requeue_pending()
+        moved = 0
         if self.storage is not None:
-            return self._remap_compute()
-        moved = self._rebalance({name: departing})
-        if self.failover is not None:
-            self.failover.resync()
+            for name, shard in self.shards.items():
+                remaining = shard.flush_dirty_products()
+                if remaining:
+                    self.metrics.counter("cluster.disagg.dirty_remaps").inc()
+                    self.tracer.log(
+                        "warn",
+                        "remap with unflushed product write-throughs",
+                        shard=name,
+                        dirty=remaining,
+                    )
+                shard.reset_caches()
+            self.metrics.counter("cluster.disagg.remaps").inc()
+        else:
+            moved = self._rebalance(sources)
+            if self.failover is not None:
+                self.failover.resync()
         self.metrics.counter("cluster.rebalance.moved_keys").inc(moved)
         self._refresh_shard_gauges()
         return moved
 
-    def _remap_compute(self) -> int:
-        """Disaggregated membership change: zero keys move; every compute
-        node drops its caches so the next access hydrates fresh state
-        from the tier under the new ownership map.
-
-        Deferred product write-throughs (parked on storage faults) are
-        force-flushed *before* the caches drop: the new owner hydrates
-        from the tier, and a stale tier record would resurrect sold
-        stock.  A write still failing is surfaced as a counter — the
-        oversell hazard is then real and observable, not silent.
-        """
-        for name, shard in self.shards.items():
-            remaining = shard.flush_dirty_products()
-            if remaining:
-                self.metrics.counter("cluster.disagg.dirty_remaps").inc()
-                self.tracer.log(
-                    "warn",
-                    "remap with unflushed product write-throughs",
-                    shard=name,
-                    dirty=remaining,
+    def _requeue_pending(self) -> None:
+        """Queue every pending write unit under its key's owner on the
+        current ring, batches split per owner.  A key's units all sit in
+        one queue (its owner's when they were queued), so each key keeps
+        its arrival order.  A unit whose new owner is down stays queued
+        under that owner.  Asks the placement, not the counting router: a
+        re-key is not a routing decision."""
+        if not any(self._pending.values()):
+            return
+        owner_of = partial(Placement.owner_of, self.router)
+        requeued: dict[str, deque[DataRecord | RecordBatch]] = {}
+        for queue in self._pending.values():
+            for unit in queue:
+                if isinstance(unit, DataRecord):
+                    requeued.setdefault(owner_of(unit.key), deque()).append(unit)
+                    continue
+                groups = group_by_owner(
+                    owner_of, range(len(unit)), unit.keys.__getitem__
                 )
-            shard.reset_caches()
-        self.metrics.counter("cluster.disagg.remaps").inc()
-        self.metrics.counter("cluster.rebalance.moved_keys").inc(0)
-        self._refresh_shard_gauges()
-        return 0
+                for name, rows in groups.items():
+                    requeued.setdefault(name, deque()).append(
+                        unit if len(rows) == len(unit) else unit.take(rows)
+                    )
+        self._pending = requeued
 
     def _rebalance(self, sources: dict[str, MetaversePlatform]) -> int:
         """Export every entity and product a platform in ``sources``

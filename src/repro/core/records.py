@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -102,6 +103,23 @@ class Schema:
 _record_ids = itertools.count(1)
 
 
+def payload_wire_size(payload: Mapping[str, Any]) -> int:
+    """Approximate wire size of one record's payload.
+
+    Media records carry an explicit ``size_bytes`` entry, used as stated
+    when it is a finite, non-negative number.  Any other payload — one
+    without the entry, or whose entry is negative, infinite, NaN or not
+    a number — is estimated from its repr length plus a fixed header.
+    """
+    explicit = payload.get("size_bytes")
+    if (
+        isinstance(explicit, int)
+        or (isinstance(explicit, float) and math.isfinite(explicit))
+    ) and explicit >= 0:
+        return int(explicit)
+    return 48 + len(repr(payload))
+
+
 @dataclass(slots=True)
 class DataRecord:
     """The unit of data flowing through the platform.
@@ -150,16 +168,9 @@ class DataRecord:
         )
 
     def size_bytes(self) -> int:
-        """Approximate wire size, used by the simulated network.
-
-        Media records carry an explicit ``size_bytes`` payload entry; other
-        records are estimated from their payload repr length plus a fixed
-        header.
-        """
-        explicit = self.payload.get("size_bytes")
-        if isinstance(explicit, (int, float)) and explicit >= 0:
-            return int(explicit)
-        return 48 + len(repr(self.payload))
+        """Approximate wire size, used by the simulated network
+        (:func:`payload_wire_size` of the payload)."""
+        return payload_wire_size(self.payload)
 
     def age(self, now: float) -> float:
         """Seconds since this record's event time."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.columns import RecordBatch
 from ..core.errors import ConfigurationError
-from ..core.records import DataKind, DataRecord
+from ..core.records import DataKind, DataRecord, payload_wire_size
 from ..core.metrics import MetricsRegistry
 from ..obs.tracing import NoopTracer, Tracer
 
@@ -33,18 +33,11 @@ def batch_uplink_bytes(batch: RecordBatch) -> int:
     ``'name': `` and the ``, `` between fields — so only the values are
     measured per row, a column at a time, and no payload dict is built.
     A ``size_bytes`` column states each row's size itself; those rows
-    are sized one by one.
+    are sized one by one, by the same rule (:func:`payload_wire_size`).
     """
     columns = batch.columns
     if "size_bytes" in columns:
-        total = 0
-        for payload in batch.payloads():
-            explicit = payload["size_bytes"]
-            if isinstance(explicit, (int, float)) and explicit >= 0:
-                total += int(explicit)
-            else:
-                total += 48 + len(repr(payload))
-        return total
+        return sum(map(payload_wire_size, batch.payloads()))
     skeleton = (
         48 + 2
         + sum(len(repr(name)) + 2 for name in columns)

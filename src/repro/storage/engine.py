@@ -33,6 +33,7 @@ surviving storage nodes instead of replaying a WAL.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -54,6 +55,12 @@ from .objectstore import ObjectRef, ObjectStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
     from ..resilience.policies import CircuitBreaker, RetryPolicy
+
+#: The storage RPCs that change what a node holds: each one drops the
+#: rows the tier's open read scope recorded (:meth:`StorageTier.read_scope`).
+WRITE_OPS = frozenset(
+    {"mput", "delete", "put_product", "delete_product", "put_object"}
+)
 
 
 class StorageEngine(ABC):
@@ -358,6 +365,9 @@ class StorageTier:
             )
             self.net.add_node(name)
         self._mounts = 0
+        # (lo, hi) -> the rows a mount read for that range inside the open
+        # read scope; ``None`` while no scope is open.
+        self._scans: dict[tuple[str, str], list] | None = None
         self.metrics.gauge("storage.tier.nodes").set(float(len(self.nodes)))
 
     def __len__(self) -> int:
@@ -415,6 +425,27 @@ class StorageTier:
             breaker=breaker,
             rpc_timeout_s=rpc_timeout_s,
         )
+
+    @contextmanager
+    def read_scope(self):
+        """Read each range once for the length of one fan-out.
+
+        Inside the scope, a mount's :meth:`RemoteStorageEngine.scan` of
+        ``(lo, hi)`` returns the rows another mount of this tier already
+        read for that range, and records the rows of a read it makes
+        itself once that read returned.  Any write through the tier
+        (:data:`WRITE_OPS`) drops every recorded range, and the rows go
+        when the scope closes, so nothing is served past the fan-out that
+        read it.  A nested scope is part of the one already open.
+        """
+        if self._scans is not None:
+            yield
+            return
+        self._scans = {}
+        try:
+            yield
+        finally:
+            self._scans = None
 
     def keys(self) -> list[str]:
         """Every entity key held anywhere in the tier (introspection —
@@ -490,6 +521,9 @@ class RemoteStorageEngine(StorageEngine):
     # -- the RPC core -------------------------------------------------------
 
     def _rpc(self, node: StorageNode, op: str, request_size: int, *args):
+        scans = self.tier._scans
+        if scans and op in WRITE_OPS:
+            scans.clear()
         if self.retry is not None:
             return self.retry.call(lambda: self._rpc_once(node, op, request_size, *args))
         return self._rpc_once(node, op, request_size, *args)
@@ -509,14 +543,19 @@ class RemoteStorageEngine(StorageEngine):
             self.breaker.record_success()
         return result
 
-    def _transact(self, node: StorageNode, op: str, request_size: int, *args):
-        clock = self.tier.clock
-        net = self.tier.net
-        if net.is_partitioned(self.client, node.name):
+    def _reach(self, node: StorageNode) -> None:
+        """Raise :class:`PartitionedError` if ``node`` is cut off from
+        this mount."""
+        if self.tier.net.is_partitioned(self.client, node.name):
             self.metrics.counter("storage.rpc.partitioned").inc()
             raise PartitionedError(
                 f"{self.client} -> {node.name} is partitioned"
             )
+
+    def _transact(self, node: StorageNode, op: str, request_size: int, *args):
+        clock = self.tier.clock
+        net = self.tier.net
+        self._reach(node)
         extra_delay = 0.0
         if self.faults is not None:
             decision = self.faults.decide(
@@ -583,10 +622,23 @@ class RemoteStorageEngine(StorageEngine):
         self._rpc_to_owner("delete", key, 0)
 
     def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
+        """Every (key, value) in ``[lo, hi]``, sorted: one RPC per node,
+        unless another mount read this range inside the tier's open read
+        scope (:meth:`StorageTier.read_scope`).  Those rows are served
+        here after the same partition check this mount's own RPCs make."""
+        scans = self.tier._scans
+        rows = None if scans is None else scans.get((lo, hi))
+        if rows is not None:
+            for node in self.tier.nodes.values():
+                self._reach(node)
+            return list(rows)
         merged: list[tuple[str, object]] = []
         for part in self._fan_out("scan", len(lo) + len(hi), lo, hi):
             merged.extend(part)
         merged.sort(key=itemgetter(0))  # timsort merges the sorted parts
+        if scans is not None:
+            scans[(lo, hi)] = merged
+            return list(merged)
         return merged
 
     # -- coalesced bulk ops -------------------------------------------------

@@ -131,20 +131,25 @@ class Coordinator:
         self.node = network.add_node(name)
         self.timeout = Timeout(timeout_s)
         self.timeout_s = timeout_s
+        # Per-transaction state lives only while execute() waits for it:
+        # votes until the decision, acks until the decision round ends.
+        # A vote or ack arriving after that is for a forgotten
+        # transaction and is ignored.
         self._votes: dict[int, dict[str, bool]] = {}
         self._acks: dict[int, set[str]] = {}
         self.node.on("2pc.vote", self._on_vote)
         self.node.on("2pc.ack", self._on_ack)
-        self.outcomes: dict[int, TxnOutcome] = {}
 
     def _on_vote(self, message: Message) -> None:
         payload = message.payload
-        self._votes.setdefault(payload["txn_id"], {})[payload["participant"]] = payload[
-            "vote"
-        ]
+        votes = self._votes.get(payload["txn_id"])
+        if votes is not None:
+            votes[payload["participant"]] = payload["vote"]
 
     def _on_ack(self, message: Message) -> None:
-        self._acks.setdefault(message.payload["txn_id"], set()).add(message.src)
+        acks = self._acks.get(message.payload["txn_id"])
+        if acks is not None:
+            acks.add(message.src)
 
     def execute(self, txn: DistributedTxn) -> TxnOutcome:
         """Run the full protocol to completion on the shared scheduler.
@@ -187,7 +192,7 @@ class Coordinator:
             self.network.metrics.counter("twopc.prepare_timeouts").inc()
         prepare_latency = scheduler.clock.now - start
 
-        votes = self._votes[txn.txn_id]
+        votes = self._votes.pop(txn.txn_id)
         all_yes = (
             not unreachable
             and len(votes) == len(participants)
@@ -210,6 +215,7 @@ class Coordinator:
             scheduler.run_until(min(guard.at, scheduler.next_event_time))
         if guard.expired and len(self._acks[txn.txn_id]) < len(participants):
             self.network.metrics.counter("twopc.decision_timeouts").inc()
+        del self._acks[txn.txn_id]
 
         reason = ""
         if not all_yes:
@@ -220,12 +226,10 @@ class Coordinator:
             else:
                 noes = sorted(p for p, v in votes.items() if not v)
                 reason = f"voted no: {noes}"
-        outcome = TxnOutcome(
+        return TxnOutcome(
             txn_id=txn.txn_id,
             committed=all_yes,
             reason=reason,
             prepare_latency=prepare_latency,
             total_latency=scheduler.clock.now - start,
         )
-        self.outcomes[txn.txn_id] = outcome
-        return outcome

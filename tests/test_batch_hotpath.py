@@ -11,6 +11,7 @@ where a dropped coalesced batch must time out and retry as a unit.
 import ast
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -535,11 +536,12 @@ class TestGatewayBatchIdentity:
     ):
         """Int and float columns, none at all, field names whose repr
         needs escaping or other quotes, and a ``size_bytes`` column (some
-        rows negative, so stated and estimated sizes mix)."""
-        # a stated size is finite (``int(inf)`` raises on both paths)
-        stated = data.draw(
-            st.sampled_from([st.integers(-5, 5), st.floats(-5.0, 500.0)])
-        )
+        rows negative or not finite, so stated and estimated sizes mix)."""
+        stated = data.draw(st.sampled_from([
+            st.integers(-5, 5),
+            st.floats(-5.0, 500.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ]))
         batch = RecordBatch(
             keys=[f"e/{i}" for i in range(n)],
             columns={
@@ -553,6 +555,28 @@ class TestGatewayBatchIdentity:
         )
         assert batch_uplink_bytes(batch) == sum(
             record.size_bytes() for record in batch.to_records()
+        )
+
+    @pytest.mark.parametrize("stated", [math.inf, -math.inf, math.nan])
+    def test_a_size_that_is_not_finite_is_estimated(self, stated):
+        """A stated size that is not a finite number is treated like a
+        negative one: estimated, on the per-record and columnar uplinks
+        alike, and nothing raises."""
+        records = [
+            DataRecord(key=f"m/{i}", payload={"size_bytes": stated, "v": i})
+            for i in range(3)
+        ]
+        estimates = [48 + len(repr(r.payload)) for r in records]
+        assert [r.size_bytes() for r in records] == estimates
+        assert batch_uplink_bytes(RecordBatch.from_records(records)) == sum(
+            estimates
+        )
+        per_record = DeviceGateway(aggregate=False)
+        per_record.ingest_many(records)
+        columnar = DeviceGateway(aggregate=False)
+        columnar.ingest_batch(RecordBatch.from_records(records))
+        assert per_record.flush()[1] == columnar.flush_batch()[1] == sum(
+            estimates
         )
 
     def test_empty_flush_batch(self):

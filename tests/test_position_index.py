@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, PlatformCluster
+from repro.cluster import ClusterConfig, PlatformCluster, ShardRouter
 from repro.core import DataKind, DataRecord, RecordBatch, Space
 from repro.platform import MetaversePlatform
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -117,51 +117,157 @@ def apply(cluster, op, serial):
     elif kind == "remove_shard":
         names = cluster.router.shards
         victim = names[op[1] % len(names)]
-        if len(names) > 1 and victim not in cluster._down_compute:
+        if len(names) > 1 and is_up(cluster, victim):
             cluster.remove_shard(victim)
-    elif kind == "kill" and cluster.storage is not None:
-        names = cluster.router.shards
-        cluster.kill_shard(names[op[1] % len(names)])
+    elif kind == "kill" and (
+        cluster.storage is not None or cluster.failover is not None
+    ):
+        victim = cluster.router.shards[op[1] % len(cluster.router.shards)]
+        if is_up(cluster, victim):
+            cluster.kill_shard(victim)
+
+
+def is_up(cluster, name):
+    """Neither crashed nor still failing over (what kill and remove need)."""
+    if cluster.failover is not None:
+        return cluster.failover.state(name) == "up"
+    return name not in cluster._down_compute
+
+
+def settle(cluster):
+    """Tick until every shard serves: a tier re-mounts at the next tick;
+    replica failover promotes once the detector suspects the shard,
+    which at one heartbeat per 0.5 s tick takes about 20 ticks."""
+    cluster.tick(0.5)
+    for _ in range(60):
+        if all(is_up(cluster, name) for name in cluster.shards):
+            return
+        cluster.tick(0.5)
+    raise AssertionError("a shard never came back")
+
+
+#: The cluster shapes of the interleaving property.  The ids keep the
+#: storage-node count the first two shapes were keyed by.
+SHAPES = [
+    pytest.param({}, id="None"),
+    pytest.param({"n_storage_nodes": 3}, id="3"),
+    pytest.param({"n_replicas": 2}, id="replicas-2"),
+]
+
+
+def run_script(shape, script, final):
+    """Play ``script`` on a seeded 3-shard cluster of ``shape`` and hold
+    every invariant at the end: indexed equals scanned, nothing partial,
+    last buffered write wins with each key served once, and on a tier
+    each shard's index holds exactly the keys it owns."""
+    cluster = PlatformCluster(ClusterConfig(n_shards=3, **shape))
+    seeded = [
+        record(f"k/{i:02d}", payload_at((i % 10, (3 * i) % 10), 0))
+        for i in range(0, N_KEYS, 2)
+    ]
+    model = {r.key: r.payload for r in seeded}
+    cluster.ingest_many(seeded)
+    cluster.flush()
+    assert_indexed_equals_scanned(cluster, final)  # hydrate early
+    for serial, op in enumerate(script, start=1):
+        apply(cluster, op, serial)
+        if op[0] == "write":
+            model[f"k/{op[1]:02d}"] = payload_at(op[2], serial)
+        elif op[0] == "batch":
+            for index, position in op[1]:
+                model[f"k/{index:02d}"] = payload_at(position, serial)
+    settle(cluster)  # re-mounts or promotes whatever is down, flushes the rest
+    result = assert_indexed_equals_scanned(cluster, final)
+    assert result.failed_shards == ()
+    whole = assert_indexed_equals_scanned(cluster, BBox(0.0, 0.0, 9.0, 9.0))
+    assert whole.failed_shards == ()
+    served = cluster.scan_prefix("k/").items
+    assert {key: value["payload"] for key, value in served} == model
+    assert len(served) == len(model)
+    if cluster.storage is not None:
+        # The invariant the ownership argument rests on.
+        for name, shard in cluster.shards.items():
+            assert shard._positions is not None
+            assert all(
+                cluster.router.owner_of(key) == name
+                for key in shard._positions
+            )
+            assert sorted(shard._positions) == [
+                key for key, _ in whole.items
+                if cluster.router.owner_of(key) == name
+            ]
+    return cluster
+
+
+scripts = st.lists(ops, min_size=1, max_size=25)
 
 
 class TestIndexedEqualsScanned:
-    @pytest.mark.parametrize("n_storage_nodes", [None, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
     @settings(max_examples=40, deadline=None)
-    @given(script=st.lists(ops, min_size=1, max_size=25), final=boxes)
+    @given(script=scripts, final=boxes)
     def test_under_interleaved_writes_and_membership_changes(
-        self, n_storage_nodes, script, final
+        self, shape, script, final
     ):
         """Local engines: add/remove rebalance through ``import_entity``
         and ``drop_entity``.  Storage tier: add/remove remap ownership
-        and reset every shard's index, a kill re-mounts a fresh one."""
-        cluster = PlatformCluster(
-            ClusterConfig(n_shards=3, n_storage_nodes=n_storage_nodes)
-        )
-        cluster.ingest_many([
-            record(f"k/{i:02d}", payload_at((i % 10, (3 * i) % 10), 0))
-            for i in range(0, N_KEYS, 2)
-        ])
+        and reset every shard's index, a kill re-mounts a fresh one.
+        Replicated local engines: a kill promotes a replica, and a write
+        queued behind the dead shard lands once it is back."""
+        run_script(shape, script, final)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("shape", SHAPES)
+    @settings(max_examples=1000, deadline=None)
+    @given(script=scripts, final=boxes)
+    def test_sweep_under_interleaved_writes_and_membership_changes(
+        self, request, shape, script, final
+    ):
+        """The property above at 1,000 examples, for the nightly tier."""
+        sweep_only(request)
+        run_script(shape, script, final)
+
+
+def sweep_only(request):
+    """Skip a ``slow`` sweep unless the run selected tests by marker —
+    the nightly tier's ``-m "slow or ..."``; a plain run stays quick."""
+    if not request.config.getoption("markexpr"):
+        pytest.skip("nightly sweep: select it with -m slow")
+
+
+class TestQueuedWritesFollowOwnership:
+    """A write queued behind a down shard is re-keyed when ownership
+    moves, so the shard that owns its key on the new ring writes it."""
+
+    def test_a_remounted_shard_does_not_write_a_key_it_lost(self):
+        # Queued under shard-0, which is killed; the joined shard takes
+        # k/10 and hydrates its index at the query, before the write
+        # lands.  The write must land through the new owner.
+        run_script({"n_storage_nodes": 3}, [
+            ("write", 0, None), ("write", 10, None), ("kill", 0),
+            ("add_shard",), ("query", BOX),
+        ], BOX)
+
+    def test_a_replicated_cluster_loses_no_update_across_a_join(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=3, n_replicas=2))
+        cluster.ingest(record("k/00", {"v": 0}))
         cluster.flush()
-        assert_indexed_equals_scanned(cluster, final)  # hydrate early
-        for serial, op in enumerate(script, start=1):
-            apply(cluster, op, serial)
-        cluster.tick(0.5)  # re-mounts whatever is down, flushes the rest
-        result = assert_indexed_equals_scanned(cluster, final)
-        assert result.failed_shards == ()
-        whole = assert_indexed_equals_scanned(cluster, BBox(0.0, 0.0, 9.0, 9.0))
-        assert whole.failed_shards == ()
-        if cluster.storage is not None:
-            # The invariant the ownership argument rests on.
-            for name, shard in cluster.shards.items():
-                assert shard._positions is not None
-                assert all(
-                    cluster.router.owner_of(key) == name
-                    for key in shard._positions
-                )
-                assert sorted(shard._positions) == [
-                    key for key, _ in whole.items
-                    if cluster.router.owner_of(key) == name
-                ]
+        owner = cluster.router.owner_of("k/00")
+        joiner = next(
+            name for name in (f"joined-{i}" for i in range(100))
+            if ShardRouter([*cluster.router.shards, name]).owner_of("k/00")
+            == name
+        )
+        cluster.kill_shard(owner)
+        cluster.ingest(record("k/00", {"v": 1}))
+        cluster.flush()
+        assert cluster.pending_count == 1  # queued behind the dead owner
+        cluster.add_shard(joiner)
+        settle(cluster)
+        assert cluster.read("k/00")["payload"] == {"v": 1}
+        assert cluster.scan_prefix("k/").items == [
+            ("k/00", cluster.read("k/00"))
+        ]
 
 
 # -- a standalone platform on an engine it did not build ------------------------

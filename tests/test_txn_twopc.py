@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import EventScheduler
+from repro.cluster import ClusterConfig, PlatformCluster
+from repro.core import DataRecord, EventScheduler, Space
 from repro.net import Link, SimulatedNetwork
 from repro.txn import Coordinator, DistributedTxn, Participant
+from repro.workloads.marketplace import PurchaseRequest
 
 
 def build(n_participants=3, latency=0.01):
@@ -91,6 +93,51 @@ class TestAbortPaths:
         outcome = coordinator.execute(DistributedTxn({"dc-1": {"x": 2}}))
         assert outcome.committed
         assert participants["dc-1"].data == {"x": 2}
+
+
+class TestForgetsDecidedTransactions:
+    def test_no_per_transaction_state_outlives_its_decision(self):
+        _, _, coordinator, participants = build()
+        for i in range(60):
+            participants["dc-1"].fail_prepares = i % 3 == 1
+            participants["dc-2"].crashed = i % 5 == 2
+            coordinator.execute(DistributedTxn(
+                {"dc-0": {"k": i}, "dc-1": {"k": i}, "dc-2": {"k": i}}
+            ))
+        assert coordinator._votes == {} and coordinator._acks == {}
+
+    def test_a_late_vote_or_ack_is_ignored(self):
+        scheduler, _, coordinator, participants = build()
+        participants["dc-1"].crashed = True
+        txn = DistributedTxn({"dc-0": {"x": 1}, "dc-1": {"y": 2}})
+        assert not coordinator.execute(txn).committed
+        late = participants["dc-1"].node
+        late.send("coordinator", "2pc.vote",
+                  {"txn_id": txn.txn_id, "participant": "dc-1", "vote": True})
+        late.send("coordinator", "2pc.ack", {"txn_id": txn.txn_id})
+        scheduler.run_until(scheduler.clock.now + 1.0)
+        assert coordinator._votes == {} and coordinator._acks == {}
+
+    def test_a_cluster_coordinator_holds_nothing_after_many_baskets(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=3))
+        products = [f"p{i}" for i in range(12)]
+        cluster.load_catalog([
+            DataRecord(key=pid, payload={"stock": 20, "price": 1})
+            for pid in products
+        ])
+        distributed = 0
+        for i in range(150):
+            basket = [
+                PurchaseRequest(
+                    f"s{i}", products[(i + j * 5) % 12], Space.PHYSICAL, 0.0
+                )
+                for j in range(3)
+            ]
+            distributed += bool(cluster.process_basket(basket).txn)
+        assert distributed > 50
+        twopc = cluster.coordinator.coordinator
+        assert twopc._votes == {} and twopc._acks == {}
+        assert not hasattr(twopc, "outcomes")
 
 
 class TestLatencyScaling:
