@@ -365,11 +365,10 @@ def collect(smoke=False):
 GATES = [
     # A fast-but-wrong hot path is a regression, not an optimisation.
     ("flag", "*.identical"),
-    # O(nodes) round trips is a property, not a measurement.
+    # O(nodes) round trips is a property, not a measurement.  The
+    # ``*.speedup_wall`` ratios are wall-clock and so only printed: they
+    # swing past any fixed bound between runs of one unmodified tree.
     ("ceiling", "storage.rpcs_coalesced", "baseline"),
-    # Columnar-vs-per-record on the same machine and run, so the ratio
-    # transfers across hosts where raw ops/sec would not.
-    ("ratio-vs-baseline", "*.speedup_wall"),
 ]
 
 

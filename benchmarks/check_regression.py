@@ -2,7 +2,6 @@
 
 Usage:  python benchmarks/check_regression.py [--suite {e27,e28,e29,e30,e31,all}]
                                               [--baseline PATH] [--current PATH]
-                                              [--tolerance 0.2]
 
 Re-measures each selected suite (or loads ``--current`` if given, valid
 only with a single ``--suite``) and checks it against the committed
@@ -14,9 +13,7 @@ names; a bound is ``"baseline"`` (the committed value of that name) or
 
 * ``flag`` — an invariant that is 1 in the baseline is still 1;
 * ``floor`` / ``ceiling`` — current ``>=`` / ``<=`` bound;
-* ``positive`` — current ``> 0`` (the drill still bites);
-* ``ratio-vs-baseline`` — a same-host, same-run ratio stays within
-  ``--tolerance`` below the committed one.
+* ``positive`` — current ``> 0`` (the drill still bites).
 
 Wall-clock values no gate names are printed, not gated (``macrobench``
 measures those end to end).  Exits nonzero on any violated gate.
@@ -61,17 +58,15 @@ def measure(suite: str, bench, artifacts_dir: str) -> dict:
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
-def _bound(kind: str, spec: list, base: float, meta: dict, tolerance: float):
+def _bound(kind: str, spec: list, base: float, meta: dict):
     """(comparison, bound) of one non-flag gate."""
-    if kind == "ratio-vs-baseline":
-        return ">=", base * (1.0 - tolerance)
     if kind == "positive":
         return ">", 0
     bound = base if spec[0] == "baseline" else meta[spec[0].removeprefix("meta:")]
     return (">=" if kind == "floor" else "<="), bound
 
 
-def check(gates: list, baseline: dict, current: dict, tolerance: float) -> list[str]:
+def check(gates: list, baseline: dict, current: dict) -> list[str]:
     """Every violated gate, as one message each."""
     base_values = {**baseline["deterministic"], **baseline["wall_clock"]}
     cur_values = {**current["deterministic"], **current["wall_clock"]}
@@ -87,7 +82,7 @@ def check(gates: list, baseline: dict, current: dict, tolerance: float) -> list[
                 if base == 1 and cur != 1:
                     failures.append(f"{name}: invariant flag lost ({cur!r})")
                 continue
-            op, bound = _bound(kind, spec, base, baseline["meta"], tolerance)
+            op, bound = _bound(kind, spec, base, baseline["meta"])
             ok = cur is not None and _OPS[op](cur, bound)
             _row(name, base, cur, f"bound {op} {bound:,.3f}  "
                                   f"[{'ok' if ok else 'REGRESSED'}]")
@@ -113,8 +108,6 @@ def main() -> None:
     parser.add_argument("--current", default=None,
                         help="existing measurement JSON; re-measures if "
                              "omitted (single --suite only)")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional regression (0.2 = 20%%)")
     parser.add_argument("--artifacts-dir", default="benchmarks/artifacts")
     args = parser.parse_args()
 
@@ -133,7 +126,7 @@ def main() -> None:
         else:
             current = measure(suite, bench, args.artifacts_dir)
         print(f"== {suite}: vs {baseline_path} ==")
-        suite_failures = check(bench.GATES, baseline, current, args.tolerance)
+        suite_failures = check(bench.GATES, baseline, current)
         failures += [f"[{suite}] {failure}" for failure in suite_failures]
 
     if failures:

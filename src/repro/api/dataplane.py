@@ -18,11 +18,10 @@ from ..core.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.columns import RecordBatch
     from ..core.metrics import MetricsRegistry
-    from ..core.records import DataRecord
+    from ..core.records import DataRecord, PurchaseRequest
     from ..platform.platform import PurchaseOutcome
     from ..query.plane import QueryRequest
     from ..spatial.geometry import BBox
-    from ..workloads.marketplace import PurchaseRequest
 
 
 @dataclass
@@ -41,15 +40,12 @@ class GatherResult:
 class ContinuousQuery:
     """One standing query, re-evaluated on every :meth:`tick`.
 
-    ``request`` carries the full query-plane request (any modality);
-    ``prefix`` is kept as a plain-data summary for the common
-    prefix-scan case (empty for other modalities).
+    ``request`` carries the full query-plane request (any modality).
     """
 
     query_id: str
-    prefix: str
+    request: "QueryRequest"
     results: GatherResult | None = field(default=None)
-    request: "QueryRequest | None" = field(default=None)
 
 
 class ContinuousQueries:
@@ -66,9 +62,7 @@ class ContinuousQueries:
     def register(self, query_id: str, request: "QueryRequest") -> None:
         if query_id in self._queries:
             raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._queries[query_id] = ContinuousQuery(
-            query_id, str(request.params.get("prefix", "")), request=request
-        )
+        self._queries[query_id] = ContinuousQuery(query_id, request)
 
     def results(self, query_id: str) -> GatherResult | None:
         return self._queries[query_id].results

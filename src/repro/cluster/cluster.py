@@ -63,7 +63,7 @@ from ..core.errors import (
     KeyNotFoundError,
 )
 from ..core.metrics import MetricsRegistry
-from ..core.records import DataRecord, Space
+from ..core.records import DataRecord, PurchaseRequest, Space
 from ..net.overlay import stable_hash
 from ..obs.tracing import NoopTracer, Tracer
 from ..platform.platform import (
@@ -93,7 +93,6 @@ from ..resilience.policies import Timeout
 from ..storage.engine import StorageTier
 from ..spatial.geometry import BBox
 from ..txn.twopc import TxnOutcome
-from ..workloads.marketplace import PurchaseRequest
 from .config import ClusterConfig
 from .coordinator import CrossShardCoordinator
 from .elasticity import ElasticityController

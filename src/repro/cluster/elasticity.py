@@ -30,11 +30,10 @@ those membership changes from the cluster's own metrics:
   cool.
 * :class:`AdmissionController` — a per-shard :class:`TokenBucket` ahead
   of the circuit breaker.  When a shard's bucket runs dry, the lowest
-  priority traffic is shed first: virtual-space LOD records are dropped
-  (and the shared :class:`~repro.resilience.degrade.DegradationController`
-  notified, so attached streamers coarsen), physical-space records are
-  always admitted.  Already-admitted work is never shed — purchases and
-  2PC baskets do not pass through admission at all.
+  priority traffic is shed first: virtual-space LOD records are dropped,
+  physical-space records are always admitted.  Already-admitted work is
+  never shed — purchases and 2PC baskets do not pass through admission
+  at all.
 
 Everything is driven by the simulated clock, so a run is deterministic:
 the same workload and seed produce the same scale actions, the same salt
@@ -51,7 +50,6 @@ from ..core.errors import ConfigurationError
 from ..core.metrics import MetricsRegistry
 from ..core.records import Space
 from ..obs.tracing import NoopTracer, Tracer
-from ..resilience.degrade import DegradationController
 from ..selftune.heat import HeatSketch
 from .config import ElasticityConfig
 
@@ -170,11 +168,7 @@ class AdmissionController:
     * **physical-space records are always admitted** — they describe the
       real world and losing them is unacceptable; an exhausted bucket
       overdraws rather than sheds (counted separately);
-    * **virtual-space (LOD) records are shed** when the bucket is dry,
-      and every shed is reported to the shared
-      :class:`DegradationController`, so attached adaptive streamers cut
-      their frame budgets — the source slows down instead of the
-      platform drowning;
+    * **virtual-space (LOD) records are shed** when the bucket is dry;
     * **already-admitted work is never shed** — purchases and baskets do
       not pass through this gate at all.
     """
@@ -184,12 +178,10 @@ class AdmissionController:
         config: ElasticityConfig,
         clock: SimulationClock,
         metrics: MetricsRegistry | None = None,
-        degradation: DegradationController | None = None,
     ) -> None:
         self.config = config
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.degradation = degradation
         self._buckets: dict[str, TokenBucket] = {}
 
     def _bucket(self, shard: str) -> TokenBucket:
@@ -213,8 +205,6 @@ class AdmissionController:
         """Admit or shed one ingest record bound for ``shard``."""
         if self._bucket(shard).try_take(self.clock.now):
             self.metrics.counter("cluster.elasticity.admitted").inc()
-            if self.degradation is not None:
-                self.degradation.observe(True)
             return True
         if space is Space.PHYSICAL:
             # Physical observations must land; the bucket overdraws.
@@ -223,8 +213,6 @@ class AdmissionController:
             ).inc()
             return True
         self.metrics.counter("cluster.elasticity.shed_records").inc()
-        if self.degradation is not None:
-            self.degradation.observe(False)
         return False
 
 
@@ -252,16 +240,10 @@ class ElasticityController:
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.policy = ScalingPolicy(config)
         self.sketch = HeatSketch()
-        self.degradation = DegradationController(
-            metrics=self.metrics, tracer=self.tracer
-        )
         self.admission: AdmissionController | None = None
         if config.admission_rate is not None:
             self.admission = AdmissionController(
-                config,
-                clock=clock,
-                metrics=self.metrics,
-                degradation=self.degradation,
+                config, clock=clock, metrics=self.metrics
             )
         self._last_eval_at: float | None = None
         self._elastic_seq = 0

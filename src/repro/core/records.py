@@ -175,3 +175,14 @@ class DataRecord:
     def age(self, now: float) -> float:
         """Seconds since this record's event time."""
         return max(0.0, now - self.timestamp)
+
+
+@dataclass(frozen=True)
+class PurchaseRequest:
+    """One shopper attempting to buy ``quantity`` units of one product."""
+
+    shopper_id: str
+    product_id: str
+    space: Space
+    timestamp: float
+    quantity: int = 1

@@ -16,7 +16,6 @@ outliers.  Cleaning runs *before* fusion:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 from .sources import Observation
@@ -33,11 +32,6 @@ def deduplicate(observations: list[Observation]) -> list[Observation]:
         seen.add(key)
         out.append(obs)
     return out
-
-
-@dataclass
-class _PresenceWindow:
-    cycles: deque  # of (cycle_index, zone or None)
 
 
 class SmoothingFilter:
@@ -84,9 +78,6 @@ class SmoothingFilter:
             return None
         best_zone, best_count = max(counts.items(), key=lambda kv: kv[1])
         return best_zone if best_count >= self.min_support else None
-
-    def tracked_entities(self) -> list[str]:
-        return sorted(self._history)
 
 
 class OutlierFilter:

@@ -63,7 +63,7 @@ from ..core.errors import (
     PartitionedError,
 )
 from ..core.metrics import MetricsRegistry
-from ..core.records import DataRecord
+from ..core.records import DataRecord, PurchaseRequest
 from ..net.simnet import Link, Message, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement, group_by_owner, route_by_owner
@@ -78,7 +78,6 @@ from ..query.plane import (
 from ..replication import PostState, apply
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.policies import CircuitBreaker, RetryPolicy, Timeout
-from ..workloads.marketplace import PurchaseRequest
 from .replication import GeoReplicator
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..core.errors import LedgerError, ProofVerificationError
+from ..core.errors import LedgerError
 
 
 def _leaf_hash(data: bytes) -> bytes:
@@ -207,11 +207,3 @@ def verify_consistency(
         return False
     expected = tree.consistency_proof(proof.old_size, proof.new_size)
     return expected.path == proof.path
-
-
-def tampered_proof_detected(proof: InclusionProof, leaf_data: bytes, root: bytes) -> bool:
-    """Convenience: True when verification (correctly) fails."""
-    try:
-        return not verify_inclusion(leaf_data, proof, root)
-    except ProofVerificationError:  # pragma: no cover - verify returns bool
-        return True

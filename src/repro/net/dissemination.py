@@ -73,9 +73,6 @@ class CoherencySource:
     def subscribe(self, sub: CoherencySubscription) -> None:
         self._subs[sub.object_id].append(sub)
 
-    def subscriber_count(self, object_id: str) -> int:
-        return len(self._subs[object_id])
-
     def update(self, object_id: str, value: float) -> list[str]:
         """Apply a source update; return subscribers that received a push."""
         self._true_value[object_id] = value

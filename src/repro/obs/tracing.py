@@ -80,10 +80,6 @@ class Span:
         """Seconds between start and end (0.0 while still open)."""
         return (self.end - self.start) if self.end is not None else 0.0
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 

@@ -34,7 +34,7 @@ from ..core.errors import (
     WriteConflictError,
 )
 from ..core.metrics import MetricsRegistry
-from ..core.records import DataKind, DataRecord, Space
+from ..core.records import DataKind, DataRecord, PurchaseRequest, Space
 from ..net.overlay import stable_hash
 from ..net.pubsub import Broker, Publication, Subscription
 from ..obs.tracing import NoopTracer, Tracer
@@ -46,7 +46,6 @@ from ..semantic import SemanticIndex, SemanticIndexConfig
 from ..storage.bufferpool import BufferPool, PageMeta
 from ..storage.engine import LocalStorageEngine, StorageEngine
 from ..txn.mvcc import Transaction, TransactionManager
-from ..workloads.marketplace import PurchaseRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..spatial.geometry import BBox
@@ -165,8 +164,8 @@ class MetaversePlatform:
             )
         # Storage tier: an injected engine, or the in-process default
         # (byte-identical to the pre-split platform that newed up its own
-        # stores).  ``kv``/``objects`` stay addressable for local engines;
-        # a remote engine has no in-process stores to expose.
+        # stores).  ``kv`` stays addressable for local engines; a remote
+        # engine has no in-process store to expose.
         own_engine = engine is None
         if own_engine:
             engine = LocalStorageEngine(
@@ -174,9 +173,6 @@ class MetaversePlatform:
             )
         self.engine = engine
         self.kv = engine.kv if isinstance(engine, LocalStorageEngine) else None
-        self.objects = (
-            engine.objects if isinstance(engine, LocalStorageEngine) else None
-        )
         # Cloud tier.  The transaction manager shares the platform registry
         # and tracer (it used to grow a private registry nobody could read).
         self.txn = TransactionManager(metrics=self.metrics, tracer=self.tracer)

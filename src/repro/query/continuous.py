@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Protocol
+from typing import Hashable
 
 from ..core.errors import ConfigurationError
 from ..spatial.bxtree import BxTree
@@ -87,16 +87,6 @@ class QueryResult:
     matches: frozenset
     cost: int  # objects examined to produce this answer
     ranked: tuple = ()  # kNN answers preserve order here
-
-
-class EvaluationStrategy(Protocol):
-    """Pluggable evaluation backend for moving range queries."""
-
-    def ingest(self, obj: MovingObject, now: float) -> None: ...
-
-    def evaluate(self, query: MovingRangeQuery, now: float) -> QueryResult: ...
-
-    def tick(self, objects: list[MovingObject], now: float) -> None: ...
 
 
 class RescanStrategy:

@@ -10,11 +10,10 @@ modality out of the deployment shape:
 
 * a :class:`QueryRequest` names a modality and carries its parameters;
 * the modality (a :class:`QueryModality` in a :class:`ModalityRegistry`)
-  turns the request into a :class:`QueryPlan` (:meth:`~QueryModality.plan`
-  + the optional :meth:`~QueryModality.rewrite` planner hook, which feeds
-  :func:`repro.query.optimizer.order_predicates`), runs the plan against
-  one shard (:meth:`~QueryModality.execute`), and combines per-shard
-  partial results order-deterministically (:meth:`~QueryModality.merge`);
+  turns the request into a :class:`QueryPlan` once per query
+  (:meth:`~QueryModality.plan`), runs the plan against one shard
+  (:meth:`~QueryModality.execute`), and combines per-shard partial
+  results order-deterministically (:meth:`~QueryModality.merge`);
 * the deployment layers own *only* dispatch: the platform is a
   single-shard :class:`QueryExecutor`, the cluster scatter-gathers
   ``execute`` across its ring under per-shard deadlines, and the geo
@@ -33,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..api.dataplane import GatherResult
 from ..core.errors import ConfigurationError
-from .optimizer import order_predicates
 
 
 @dataclass(frozen=True)
@@ -54,40 +52,23 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A planned (and possibly rewritten) query, ready to execute.
+    """A planned query, ready to execute.
 
     Plans are shard-agnostic: the same plan object is handed to every
-    shard's ``execute``, so per-query work (parameter validation, filter
-    ordering, text embedding) happens exactly once at planning time.
+    shard's ``execute``, so per-query work (parameter validation, text
+    embedding) happens exactly once at planning time.
     """
 
     modality: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PlanFilter:
-    """A residual predicate pushed down to shard-local execution.
-
-    Mirrors :class:`repro.query.operators.Filter`'s cost model (abstract
-    per-item ``cost``, expected pass fraction ``selectivity``) without the
-    operator-tree ``child``, so :func:`repro.query.optimizer.order_predicates`
-    can rank it directly.  ``predicate`` takes one result item (e.g. a
-    ``(key, value)`` pair) and keeps it on True.
-    """
-
-    predicate: Callable[[Any], bool]
-    cost: float = 1.0
-    selectivity: float = 0.5
-    label: str = ""
-
-
 class QueryModality:
     """One query modality: shard-local execution + deterministic merge.
 
     Subclasses set :attr:`name` and implement :meth:`execute` /
-    :meth:`merge`; :meth:`plan`, :meth:`rewrite`, and :meth:`item_key`
-    have useful defaults.  ``item_key`` is what keeps ownership filtering
+    :meth:`merge`; :meth:`plan` and :meth:`item_key` have useful
+    defaults.  ``item_key`` is what keeps ownership filtering
     modality-agnostic: the cluster restricts shared-storage scans to each
     shard's ring slice, and the geo layer restricts each region to its
     home keyspace, both by calling ``item_key`` instead of assuming the
@@ -98,23 +79,9 @@ class QueryModality:
     name = "abstract"
 
     def plan(self, request: QueryRequest) -> QueryPlan:
-        """Validate the request and freeze it into a plan."""
+        """Validate the request and freeze it into a plan, once per query
+        before any dispatch."""
         return QueryPlan(request.modality, dict(request.params))
-
-    def rewrite(self, plan: QueryPlan) -> QueryPlan:
-        """Planner hook, applied once per query before any dispatch.
-
-        The default rewrite rank-orders any pushed-down ``filters``
-        (:class:`PlanFilter` list) with the Hellerstein ordering from
-        :func:`repro.query.optimizer.order_predicates`, so cheap/selective
-        predicates run first on every shard.
-        """
-        filters = plan.params.get("filters")
-        if filters:
-            params = dict(plan.params)
-            params["filters"] = tuple(order_predicates(list(filters)))
-            return QueryPlan(plan.modality, params)
-        return plan
 
     def execute(self, shard, plan: QueryPlan) -> list:
         """Run the plan against one shard; returns that shard's items."""
@@ -128,16 +95,6 @@ class QueryModality:
     def item_key(self, item) -> str:
         """The routing key of one result item (default: ``item[0]``)."""
         return item[0]
-
-    @staticmethod
-    def apply_filters(plan: QueryPlan, items: list) -> list:
-        """Apply the plan's (already rank-ordered) residual filters."""
-        filters = plan.params.get("filters")
-        if not filters:
-            return items
-        for filt in filters:
-            items = [item for item in items if filt.predicate(item)]
-        return items
 
 
 def _sorted_by_key(partials: list[list]) -> list:
@@ -159,7 +116,7 @@ class PrefixScanModality(QueryModality):
 
     def execute(self, shard, plan: QueryPlan) -> list:
         prefix = plan.params["prefix"]
-        return self.apply_filters(plan, shard.scan(prefix, prefix + "￿"))
+        return shard.scan(prefix, prefix + "￿")
 
     def merge(self, partials: list[list], plan: QueryPlan) -> list:
         return _sorted_by_key(partials)
@@ -178,7 +135,7 @@ class SpatialModality(QueryModality):
         return QueryPlan(request.modality, params)
 
     def execute(self, shard, plan: QueryPlan) -> list:
-        return self.apply_filters(plan, shard.spatial_items(plan.params["region"]))
+        return shard.spatial_items(plan.params["region"])
 
     def merge(self, partials: list[list], plan: QueryPlan) -> list:
         return _sorted_by_key(partials)
@@ -219,30 +176,25 @@ DEFAULT_REGISTRY = ModalityRegistry()
 
 
 def register_modality(
-    modality: QueryModality,
-    *,
-    registry: ModalityRegistry | None = None,
-    replace: bool = False,
+    modality: QueryModality, *, replace: bool = False
 ) -> QueryModality:
-    """Register ``modality`` (default registry unless one is given)."""
-    return (registry or DEFAULT_REGISTRY).register(modality, replace=replace)
+    """Register ``modality`` in the default registry."""
+    return DEFAULT_REGISTRY.register(modality, replace=replace)
 
 
 class QueryExecutor:
-    """Binds a modality registry to one deployment shape's dispatch.
+    """Binds the default modality registry to one deployment shape's
+    dispatch.
 
     :meth:`resolve` is the shared planning front half (registry lookup →
-    ``plan`` → ``rewrite``); :meth:`run_single` is the whole back half
-    for a single-shard deployment.  Multi-shard deployments call
+    ``plan``); :meth:`run_single` is the whole back half for a
+    single-shard deployment.  Multi-shard deployments call
     :meth:`resolve` and scatter ``modality.execute`` themselves.
     """
 
-    def __init__(self, registry: ModalityRegistry | None = None) -> None:
-        self.registry = registry or DEFAULT_REGISTRY
-
     def resolve(self, request: QueryRequest) -> tuple[QueryModality, QueryPlan]:
-        modality = self.registry.get(request.modality)
-        return modality, modality.rewrite(modality.plan(request))
+        modality = DEFAULT_REGISTRY.get(request.modality)
+        return modality, modality.plan(request)
 
     def run_single(self, shard, request: QueryRequest) -> GatherResult:
         modality, plan = self.resolve(request)
@@ -250,20 +202,14 @@ class QueryExecutor:
         return GatherResult(items=items)
 
 
-def prefix_query(prefix: str, filters: list[PlanFilter] | None = None) -> QueryRequest:
+def prefix_query(prefix: str) -> QueryRequest:
     """A :class:`QueryRequest` for the built-in prefix-scan modality."""
-    params: dict[str, Any] = {"prefix": prefix}
-    if filters:
-        params["filters"] = tuple(filters)
-    return QueryRequest("prefix", params)
+    return QueryRequest("prefix", {"prefix": prefix})
 
 
-def spatial_query(region, filters: list[PlanFilter] | None = None) -> QueryRequest:
+def spatial_query(region) -> QueryRequest:
     """A :class:`QueryRequest` for the built-in spatial modality."""
-    params: dict[str, Any] = {"region": region}
-    if filters:
-        params["filters"] = tuple(filters)
-    return QueryRequest("spatial", params)
+    return QueryRequest("spatial", {"region": region})
 
 
 register_modality(PrefixScanModality())

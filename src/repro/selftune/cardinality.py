@@ -22,7 +22,6 @@ while the adaptive loop recovers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 
@@ -68,12 +67,6 @@ class HistogramEstimator:
     def true_range_count(sorted_values: list[float], lo: float, hi: float) -> int:
         """Exact answer on a sorted column (ground truth for feedback)."""
         return bisect_right(sorted_values, hi) - bisect_left(sorted_values, lo)
-
-
-@dataclass
-class DriftAlarm:
-    at_observation: int
-    cumulative_signal: float
 
 
 class DriftDetector:

@@ -7,10 +7,10 @@ from then on ``platform.query``, ``cluster.query``, and ``geo.query``
 dispatch it exactly like prefix/spatial — zero edits to any of their
 code, which is the property the tentpole exists to prove.
 
-Planning embeds the query text *once* (a real rewrite-hook use: the
-text → vector step is per-query work, not per-shard work); shard-local
-execution is a :meth:`~repro.platform.platform.MetaversePlatform.
-semantic_search` over that shard's HNSW graph; the merge is the
+Planning embeds the query text *once* (the text → vector step is
+per-query work, not per-shard work); shard-local execution is a
+:meth:`~repro.platform.platform.MetaversePlatform.semantic_search`
+over that shard's HNSW graph; the merge is the
 scatter-gather top-k fold ordered by ``(-score, key)``, identical no
 matter how the corpus is sharded.
 """
@@ -33,39 +33,33 @@ class SemanticModality(QueryModality):
     name = "semantic"
 
     def plan(self, request: QueryRequest) -> QueryPlan:
-        params = dict(request.params)
-        params.setdefault("k", DEFAULT_K)
-        if int(params["k"]) < 1:
-            raise ConfigurationError("semantic queries need k >= 1")
-        if params.get("vector") is None and not params.get("text"):
-            raise ConfigurationError(
-                "semantic queries need 'text' or a precomputed 'vector'"
-            )
-        return QueryPlan(request.modality, params)
-
-    def rewrite(self, plan: QueryPlan) -> QueryPlan:
-        """Embed the query text once at plan time, not once per shard.
+        """Validate, then embed the query text once, not once per shard.
 
         A text whose tokens all hash away (or an empty phrase) plans to
         a ``None`` vector, which executes as an empty result set rather
         than a meaningless similarity ranking.
         """
-        if plan.params.get("vector") is not None:
-            return super().rewrite(plan)
-        params = dict(plan.params)
-        params["vector"] = embed_text(
-            str(params["text"]), int(params.get("dim", DEFAULT_DIM))
-        )
-        return super().rewrite(QueryPlan(plan.modality, params))
+        params = dict(request.params)
+        params.setdefault("k", DEFAULT_K)
+        if int(params["k"]) < 1:
+            raise ConfigurationError("semantic queries need k >= 1")
+        if params.get("vector") is None:
+            if not params.get("text"):
+                raise ConfigurationError(
+                    "semantic queries need 'text' or a precomputed 'vector'"
+                )
+            params["vector"] = embed_text(
+                str(params["text"]), int(params.get("dim", DEFAULT_DIM))
+            )
+        return QueryPlan(request.modality, params)
 
     def execute(self, shard, plan: QueryPlan) -> list:
         vector = plan.params.get("vector")
         if vector is None:
             return []
-        items = shard.semantic_search(
+        return shard.semantic_search(
             vector, int(plan.params["k"]), ef=plan.params.get("ef")
         )
-        return self.apply_filters(plan, items)
 
     def merge(self, partials: list[list], plan: QueryPlan) -> list:
         """Fold per-shard top-k lists into the global top-k by (score, key)."""

@@ -51,11 +51,6 @@ class Enclave:
         self.crossings = 0
         self.paged_mb = 0.0
 
-    def load_data(self, mb: float) -> None:
-        if mb < 0:
-            raise EnclaveError("cannot load negative data")
-        self.resident_mb += mb
-
     def ecall(self, compute_s: float, touched_mb: float = 0.0) -> float:
         """Execute ``compute_s`` of work inside the enclave; returns elapsed.
 

@@ -199,6 +199,3 @@ class BufferPool:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def resident_keys(self) -> list[PageKey]:
-        return list(self._frames)

@@ -6,11 +6,11 @@ tier.  Before this module the :class:`~repro.platform.platform.
 MetaversePlatform` constructed and privately owned its stores, so compute
 and data could only scale together.  :class:`StorageEngine` is the seam
 that separates them — the full operation surface a platform needs from its
-storage tier (entity KV ops, committed-product records, content-addressed
-objects) behind one interface with two implementations:
+storage tier (entity KV ops and committed-product records) behind one
+interface with two implementations:
 
 * :class:`LocalStorageEngine` — today's in-process tier (LSM KV store +
-  WAL, object store, plain product map).  The byte-identical default: a
+  WAL, plain product map).  The byte-identical default: a
   platform built without an engine argument behaves exactly as before.
 * :class:`RemoteStorageEngine` — a compute-side client that speaks to
   standalone :class:`StorageNode` processes over a
@@ -50,7 +50,6 @@ from ..net.simnet import Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement
 from .kv import KVStore, encode_mput, payload_size
-from .objectstore import ObjectRef, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
@@ -58,20 +57,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The storage RPCs that change what a node holds: each one drops the
 #: rows the tier's open read scope recorded (:meth:`StorageTier.read_scope`).
-WRITE_OPS = frozenset(
-    {"mput", "delete", "put_product", "delete_product", "put_object"}
-)
+WRITE_OPS = frozenset({"mput", "delete", "put_product", "delete_product"})
 
 
 class StorageEngine(ABC):
     """The operation surface a platform needs from its storage tier.
 
-    Three key families, mirroring Fig. 7's storage boxes: *entities* (hot
-    structured state, the KV tier), *products* (committed marketplace
-    post-states the compute tier's MVCC cache hydrates from), and
-    *objects* (content-addressed blobs).  Implementations must keep
-    entity scans sorted by key and raise
-    :class:`~repro.core.errors.KeyNotFoundError` for missing entities.
+    Two key families: *entities* (hot structured state, the KV tier) and
+    *products* (committed marketplace post-states the compute tier's MVCC
+    cache hydrates from).  Implementations must keep entity scans sorted
+    by key and raise :class:`~repro.core.errors.KeyNotFoundError` for
+    missing entities.
     """
 
     #: Implementation tag exported in gauges and describe().
@@ -137,16 +133,6 @@ class StorageEngine(ABC):
     @abstractmethod
     def products(self) -> dict[str, dict]: ...
 
-    # -- objects (blob tier) ------------------------------------------------
-
-    @abstractmethod
-    def put_object(
-        self, name: str, data: bytes, metadata: dict[str, str] | None = None
-    ) -> ObjectRef: ...
-
-    @abstractmethod
-    def get_object(self, name: str, version: int | None = None) -> bytes: ...
-
     # -- lifecycle -----------------------------------------------------------
 
     def maintain(self, now: float | None = None) -> dict:
@@ -166,7 +152,7 @@ class StorageEngine(ABC):
 
 
 class LocalStorageEngine(StorageEngine):
-    """The in-process storage tier: LSM KV store (+WAL), objects, products.
+    """The in-process storage tier: LSM KV store (+WAL) and products.
 
     This is exactly the tier a pre-split platform owned privately, so a
     platform built with a default engine is byte-identical to one built
@@ -191,7 +177,6 @@ class LocalStorageEngine(StorageEngine):
             tracer=self.tracer,
             faults=faults,
         )
-        self.objects = ObjectStore(metrics=self.metrics, tracer=self.tracer)
         self._products: dict[str, dict] = {}
 
     # -- entities -----------------------------------------------------------
@@ -228,16 +213,6 @@ class LocalStorageEngine(StorageEngine):
 
     def products(self) -> dict[str, dict]:
         return {pid: dict(value) for pid, value in self._products.items()}
-
-    # -- objects ------------------------------------------------------------
-
-    def put_object(
-        self, name: str, data: bytes, metadata: dict[str, str] | None = None
-    ) -> ObjectRef:
-        return self.objects.put(name, data, metadata)
-
-    def get_object(self, name: str, version: int | None = None) -> bytes:
-        return self.objects.get(name, version)
 
 
 class StorageNode:
@@ -321,7 +296,7 @@ class StorageTier:
 
     A :class:`~repro.placement.Placement` of its own (the construction
     the cluster's :class:`~repro.cluster.router.ShardRouter` is built on)
-    maps every entity key, product id, and object name to its owning node
+    maps every entity key and product id to its owning node
     *independently of compute membership* — which is precisely what makes
     compute remaps free.  Tier membership is fixed at construction.
     The tier's :class:`~repro.net.simnet.SimulatedNetwork` models the
@@ -694,16 +669,6 @@ class RemoteStorageEngine(StorageEngine):
         for part in self._fan_out("products", 1):
             merged.update(part)
         return merged
-
-    # -- objects ------------------------------------------------------------
-
-    def put_object(
-        self, name: str, data: bytes, metadata: dict[str, str] | None = None
-    ) -> ObjectRef:
-        return self._rpc_to_owner("put_object", name, len(data), data, metadata)
-
-    def get_object(self, name: str, version: int | None = None) -> bytes:
-        return self._rpc_to_owner("get_object", name, 0, version)
 
     # -- introspection ------------------------------------------------------
 

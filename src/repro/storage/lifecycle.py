@@ -201,6 +201,7 @@ class TieredStorageEngine(LocalStorageEngine):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
+        self.objects = ObjectStore(metrics=self.metrics, tracer=self.tracer)
         self.policy = (policy if policy is not None else LifecyclePolicy()).validate()
         self.clock = clock if clock is not None else SimulationClock()
         self._hot: OrderedDict[str, object] = OrderedDict()

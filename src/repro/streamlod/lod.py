@@ -91,10 +91,6 @@ class VoxelAsset:
     def levels(self) -> int:
         return len(self._grids)
 
-    @property
-    def finest_resolution(self) -> int:
-        return self._grids[-1].shape[0]
-
     def grid(self, level: int) -> np.ndarray:
         if not 0 <= level < self.levels:
             raise ConfigurationError(f"no level {level}")
@@ -120,14 +116,3 @@ class VoxelAsset:
             )
             for i in range(self.levels)
         ]
-
-    def total_pyramid_bytes(self) -> int:
-        return sum(self.size_bytes(i) for i in range(self.levels))
-
-    def progressive_delta_bytes(self) -> list[int]:
-        """Bytes to *upgrade* level by level (progressive streaming).
-
-        Modeled as the full size of each next level (conservative: real
-        codecs send residuals, which are smaller still).
-        """
-        return [self.size_bytes(i) for i in range(self.levels)]

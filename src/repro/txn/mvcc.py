@@ -53,13 +53,6 @@ class MVStore:
                 return version.value
         raise KeyNotFoundError(key)
 
-    def exists_at(self, key: str, snapshot_ts: int) -> bool:
-        try:
-            self.read_at(key, snapshot_ts)
-        except KeyNotFoundError:
-            return False
-        return True
-
     def latest_commit_of(self, key: str) -> int:
         """Commit timestamp of the newest version of ``key`` (0 if none)."""
         versions = self._versions.get(key)

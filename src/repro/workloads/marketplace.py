@@ -18,19 +18,8 @@ import random
 from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
-from ..core.records import DataKind, DataRecord, Space
+from ..core.records import DataKind, DataRecord, PurchaseRequest, Space
 from .movement import zipf_sampler
-
-
-@dataclass(frozen=True)
-class PurchaseRequest:
-    """One shopper attempting to buy one unit of one product."""
-
-    shopper_id: str
-    product_id: str
-    space: Space
-    timestamp: float
-    quantity: int = 1
 
 
 @dataclass(frozen=True)

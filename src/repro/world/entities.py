@@ -42,10 +42,6 @@ class Avatar:
     owner_entity_id: str | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def is_linked(self) -> bool:
-        return self.owner_entity_id is not None
-
 
 @dataclass(frozen=True)
 class ProximityMatch:

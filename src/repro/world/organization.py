@@ -40,10 +40,6 @@ class _BaseOrganization:
             "timestamp": record.timestamp,
         }
 
-    @staticmethod
-    def _matches_prefix(key: str, prefix: str) -> bool:
-        return key.startswith(prefix)
-
 
 class TaggedUnifiedStore(_BaseOrganization):
     """One store for both spaces; rows are space-tagged."""

@@ -2,10 +2,10 @@
 
 The deployment layers are tested against the plane in
 ``test_api_dataplane.py``; this file pins the plane's own contracts —
-registry semantics, planner rewrites via the optimizer's predicate
-ordering, filter pushdown, and the zero-dispatch-edit extension point
-(a brand-new modality runs on the platform, the cluster, and continuous
-queries without touching either dispatch path).
+registry semantics, planning once per query rather than once per shard,
+and the zero-dispatch-edit extension point (a brand-new modality runs on
+the platform, the cluster, and continuous queries without touching
+either dispatch path).
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.platform import MetaversePlatform
 from repro.query.plane import (
     DEFAULT_REGISTRY,
     ModalityRegistry,
-    PlanFilter,
+    PrefixScanModality,
     QueryModality,
     QueryPlan,
     QueryRequest,
@@ -78,48 +78,30 @@ class TestPlanningAndRewrite:
         with pytest.raises(ConfigurationError, match="BBox"):
             modality.plan(QueryRequest("spatial", {"region": (0, 0, 1, 1)}))
 
-    def test_rewrite_orders_filters_cheap_and_selective_first(self):
-        """The default rewrite feeds pushed-down filters through
-        ``order_predicates``: rank (selectivity-1)/cost ascending, so the
-        cheap selective predicate lands ahead of the expensive loose one."""
-        loose = PlanFilter(lambda kv: True, cost=10.0, selectivity=0.9,
-                           label="loose")
-        sharp = PlanFilter(lambda kv: True, cost=1.0, selectivity=0.1,
-                           label="sharp")
-        modality = DEFAULT_REGISTRY.get("prefix")
-        plan = modality.rewrite(
-            modality.plan(prefix_query("e/", filters=[loose, sharp]))
-        )
-        assert [f.label for f in plan.params["filters"]] == ["sharp", "loose"]
+    def test_planning_happens_once_not_per_shard(self, monkeypatch):
+        """A 4-shard scatter plans the query once and hands the same plan
+        to every shard's ``execute``."""
+        planned, executed = [], []
+        plan, execute = PrefixScanModality.plan, PrefixScanModality.execute
 
-    def test_rewrite_happens_once_not_per_shard(self):
-        """Filter evaluation counts prove pushdown + ordering: the sharp
-        filter sees every item, the loose filter only the survivors."""
-        calls = {"sharp": 0, "loose": 0}
+        def counting_plan(self, request):
+            planned.append(plan(self, request))
+            return planned[-1]
 
-        def sharp_pred(kv):
-            calls["sharp"] += 1
-            return kv[0] < "e/04"
+        def counting_execute(self, shard, query_plan):
+            executed.append(query_plan)
+            return execute(self, shard, query_plan)
 
-        def loose_pred(kv):
-            calls["loose"] += 1
-            return True
-
-        filters = [
-            PlanFilter(loose_pred, cost=10.0, selectivity=0.9, label="loose"),
-            PlanFilter(sharp_pred, cost=1.0, selectivity=0.1, label="sharp"),
-        ]
-        result = seeded_platform(12).query(prefix_query("e/", filters=filters))
-        assert [k for k, _ in result.items] == [f"e/{i:02d}" for i in range(4)]
-        assert calls == {"sharp": 12, "loose": 4}
-
-    def test_filters_apply_on_spatial_too(self):
-        platform = seeded_platform(12)
-        odd = PlanFilter(lambda kv: kv[1]["payload"]["v"] % 2 == 1)
-        result = platform.query(
-            spatial_query(BBox(0.0, -1.0, 7.0, 1.0), filters=[odd])
-        )
-        assert [k for k, _ in result.items] == ["e/01", "e/03", "e/05", "e/07"]
+        monkeypatch.setattr(PrefixScanModality, "plan", counting_plan)
+        monkeypatch.setattr(PrefixScanModality, "execute", counting_execute)
+        cluster = PlatformCluster(config=ClusterConfig(n_shards=4))
+        cluster.ingest_many([record(f"e/{i:02d}", {"v": i}) for i in range(12)])
+        cluster.flush()
+        result = cluster.query(prefix_query("e/"))
+        assert [k for k, _ in result.items] == [f"e/{i:02d}" for i in range(12)]
+        assert len(planned) == 1
+        assert len(executed) == 4
+        assert all(query_plan is planned[0] for query_plan in executed)
 
 
 class SumModality(QueryModality):

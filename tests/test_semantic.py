@@ -428,7 +428,7 @@ class TestModality:
 
     def test_rewrite_embeds_text_once_at_plan_time(self):
         modality = SemanticModality()
-        plan = modality.rewrite(modality.plan(semantic_query("red chair")))
+        plan = modality.plan(semantic_query("red chair"))
         assert np.array_equal(plan.params["vector"], embed_text("red chair"))
 
     def test_unembeddable_text_returns_empty_not_garbage(self):

@@ -140,7 +140,6 @@ def exercise_full_op_mix(engine):
     engine.put_product("p1", {"stock": 5})
     engine.put_product("p2", {"stock": 7})
     engine.delete_product("p2")
-    ref = engine.put_object("obj", b"payload", {"lod": "2"})
     results = {
         "get": engine.get("a"),
         "scan": engine.scan("", "z"),
@@ -148,8 +147,6 @@ def exercise_full_op_mix(engine):
         "product": engine.get_product("p1"),
         "missing_product": engine.get_product("p2"),
         "products": engine.products(),
-        "object": engine.get_object("obj"),
-        "object_version": ref.version,
     }
     try:
         engine.get("c")
