@@ -21,14 +21,12 @@ cluster's, flash-sale purchase outcomes byte-identical while the
 controller scales mid-sale, salting conserves stock exactly, and
 admission control never sheds a physical-space record.
 
-Artifact: ``BENCH_e29.json`` (+ ``e29_elasticity.{prom,json}``).  All
-``deterministic`` metrics derive from seeded streams and simulated time;
-only ``wall_clock`` varies by host.
+Artifact: ``BENCH_e29.json`` (+ ``e29_elasticity.{prom,json}``).  Every
+value derives from seeded streams and simulated time.
 """
 
 import json
 import sys
-import time
 
 import pytest
 
@@ -492,12 +490,10 @@ def bench_payload(scaling, purchases, salting, admission, smoke):
             "admission.accounted": admission["accounted"],
             "admission.shed": admission["shed"],
         },
-        "wall_clock": {},
     }
 
 
 def report(file=sys.stdout, smoke=False, artifacts_dir="benchmarks/artifacts"):
-    start = time.perf_counter()
     scaling = run_scaling_comparison(smoke=smoke)
     purchases = run_purchase_identity()
     salting = run_salting()
@@ -548,14 +544,9 @@ def report(file=sys.stdout, smoke=False, artifacts_dir="benchmarks/artifacts"):
     )
 
     payload = bench_payload(scaling, purchases, salting, admission, smoke)
-    payload["wall_clock"]["runtime_s"] = time.perf_counter() - start
     metrics = MetricsRegistry()
     for key, value in payload["deterministic"].items():
         metrics.gauge(f"e29.{key}").set(float(value))
-    for key, value in payload["wall_clock"].items():
-        # the "wall" token marks these as legitimately run-varying for
-        # the determinism diff in tests/test_determinism.py
-        metrics.gauge(f"e29.wall.{key}").set(float(value))
     prom_path, json_path = write_snapshot(
         metrics, artifacts_dir, basename="e29_elasticity", prefix="repro"
     )

@@ -21,13 +21,11 @@ anti-entropy, per-call ``eventual`` / ``read_your_writes`` /
 * follow-the-user re-homing that moves authority without losing stock,
   and aborts atomically when the WAN is partitioned.
 
-Artifact: ``BENCH_e30.json`` (+ ``e30_geo.{prom,json}``).  All
-``deterministic`` metrics derive from seeded streams and the simulated
-clock; only ``wall_clock`` varies by host.
+Artifact: ``BENCH_e30.json`` (+ ``e30_geo.{prom,json}``).  Every value
+derives from seeded streams and the simulated clock.
 """
 
 import sys
-import time
 
 import pytest
 
@@ -515,12 +513,10 @@ def bench_payload(consistency, kill, partition, rehome, smoke):
             **{f"partition.{k}": v for k, v in partition.items()},
             **{f"rehome.{k}": v for k, v in rehome.items()},
         },
-        "wall_clock": {},
     }
 
 
 def report(file=sys.stdout, smoke=False, artifacts_dir="benchmarks/artifacts"):
-    start = time.perf_counter()
     consistency = run_consistency_surface(smoke=smoke)
     kill = run_region_kill(smoke=smoke)
     partition = run_partition_heal(smoke=smoke)
@@ -570,14 +566,9 @@ def report(file=sys.stdout, smoke=False, artifacts_dir="benchmarks/artifacts"):
     )
 
     payload = bench_payload(consistency, kill, partition, rehome, smoke)
-    payload["wall_clock"]["runtime_s"] = time.perf_counter() - start
     metrics = MetricsRegistry()
     for key, value in payload["deterministic"].items():
         metrics.gauge(f"e30.{key}").set(float(value))
-    for key, value in payload["wall_clock"].items():
-        # the "wall" token marks these as legitimately run-varying for
-        # the determinism diff in tests/test_determinism.py
-        metrics.gauge(f"e30.wall.{key}").set(float(value))
     prom_path, json_path = write_snapshot(
         metrics, artifacts_dir, basename="e30_geo", prefix="repro"
     )

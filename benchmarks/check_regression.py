@@ -7,16 +7,16 @@ Re-measures each selected suite (or loads ``--current`` if given, valid
 only with a single ``--suite``) and checks it against the committed
 ``BENCH_<suite>.json`` with the gates the suite's ``bench_*.py`` exports
 as ``GATES``: ``(kind, name-glob[, bound])`` tuples, each with its reason
-beside it.  Globs match the baseline's ``deterministic`` and ``wall_clock``
-names; a bound is ``"baseline"`` (the committed value of that name) or
-``"meta:<key>"`` (the committed payload's ``meta``).  Kinds:
+beside it.  Globs match the baseline's ``deterministic`` names; a bound
+is ``"baseline"`` (the committed value of that name) or ``"meta:<key>"``
+(the committed payload's ``meta``).  Kinds:
 
 * ``flag`` — an invariant that is 1 in the baseline is still 1;
 * ``floor`` / ``ceiling`` — current ``>=`` / ``<=`` bound;
 * ``positive`` — current ``> 0`` (the drill still bites).
 
-Wall-clock values no gate names are printed, not gated (``macrobench``
-measures those end to end).  Exits nonzero on any violated gate.
+The baselines hold no wall-clock values: ``macrobench`` measures those
+end to end.  Exits nonzero on any violated gate.
 """
 
 from __future__ import annotations
@@ -68,14 +68,13 @@ def _bound(kind: str, spec: list, base: float, meta: dict):
 
 def check(gates: list, baseline: dict, current: dict) -> list[str]:
     """Every violated gate, as one message each."""
-    base_values = {**baseline["deterministic"], **baseline["wall_clock"]}
-    cur_values = {**current["deterministic"], **current["wall_clock"]}
-    failures, gated = [], set()
+    base_values = baseline["deterministic"]
+    cur_values = current["deterministic"]
+    failures = []
     for kind, pattern, *spec in gates:
         names = [name for name in base_values if fnmatchcase(name, pattern)]
         if not names:
             failures.append(f"{pattern}: gate matches nothing in the baseline")
-        gated.update(names)
         for name in names:
             base, cur = base_values[name], cur_values.get(name)
             if kind == "flag":
@@ -88,9 +87,6 @@ def check(gates: list, baseline: dict, current: dict) -> list[str]:
                                   f"[{'ok' if ok else 'REGRESSED'}]")
             if not ok:
                 failures.append(f"{name}: {cur!r} violates {kind} {op} {bound}")
-    for name, base in baseline["wall_clock"].items():
-        if name not in gated:
-            _row(name, base, cur_values.get(name), "[printed, not gated]")
     return failures
 
 

@@ -141,7 +141,7 @@ class DataPlane(Protocol):
     def load_catalog(self, records: "list[DataRecord]") -> None: ...
 
     def process_purchases(
-        self, requests: "list[PurchaseRequest]", max_retries: int = 2
+        self, requests: "list[PurchaseRequest]"
     ) -> "list[PurchaseOutcome]": ...
 
     def get_stock(self, product_id: str) -> int: ...

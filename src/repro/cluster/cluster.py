@@ -33,10 +33,10 @@ and coordinating the cross-shard paths:
   migration — compute caches reset, nothing moves), ``kill_shard``
   marks the compute node down and the next :meth:`tick` recovers it by
   *re-mounting* the surviving storage nodes (no WAL replay, no data
-  movement), and reads re-route to any live compute node while the owner
-  is down.  Mutually exclusive with replica failover (``n_replicas >=
-  2``): in a disaggregated deployment the shared tier *is* the
-  availability mechanism.
+  movement), and while the owner is down its keys are read from the
+  tier through any live compute node's mount.  Mutually exclusive with
+  replica failover (``n_replicas >= 2``): in a disaggregated deployment
+  the shared tier *is* the availability mechanism.
 
 Chaos coverage: sites ``cluster.ingest`` (drop) and ``cluster.query``
 (crash/delay) are instrumented, and the shared fault injector reaches
@@ -90,7 +90,7 @@ from ..replication import (
 )
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import Timeout
-from ..storage.engine import StorageTier
+from ..storage.engine import StorageEngine, StorageTier
 from ..spatial.geometry import BBox
 from ..txn.twopc import TxnOutcome
 from .config import ClusterConfig
@@ -98,10 +98,6 @@ from .coordinator import CrossShardCoordinator
 from .elasticity import ElasticityController
 from .failover import RECOVERING, FailoverManager
 from .router import ShardRouter
-
-#: Per-shard breaker-state gauge encoding (matches the platform-level
-#: ``resilience.breaker.<name>.state`` gauge: closed/half-open/open).
-_BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 #: A cluster orders purchases physical-space first, the paper's policy
 #: and every shard platform's default; only a single platform turns it
@@ -536,9 +532,12 @@ class PlatformCluster:
     # -- reads and scatter-gather queries -----------------------------------
 
     def read(self, key: str, allow_stale: bool = True):
-        """Point read, routed to the owning shard.
+        """Point read, routed to the owning shard; ``None`` for a key no
+        record holds.
 
-        While the owner is crashed (and not yet failed over), the read is
+        On a storage tier, while the owner is a crashed compute node, the
+        tier answers (:meth:`_read_tier`).  With replica failover, while
+        the owner is crashed (and not yet failed over), the read is
         answered from its replicated op log — stale by at most the
         replication lag, but available.  While the owner is a freshly
         promoted replica (recovering), the read additionally read-repairs:
@@ -547,12 +546,10 @@ class PlatformCluster:
         """
         owner = self.router.owner_of(key)
         if owner in self._down_compute:
-            # Disaggregated mode: state lives in the shared tier, so any
-            # live compute node can answer — straight from the engine,
-            # bypassing the fallback's caches so nothing stale lingers.
-            fallback = self._live_shard()
-            self.metrics.counter("cluster.disagg.rerouted_reads").inc()
-            return fallback._with_retry(lambda: fallback.engine.get(key))
+            try:
+                return self._read_tier(lambda engine: engine.get(key))
+            except KeyNotFoundError:
+                return None
         if self.failover is not None:
             if self.failover.is_down(owner):
                 self.metrics.counter("cluster.failover.replica_reads").inc()
@@ -561,12 +558,23 @@ class PlatformCluster:
                 return self._read_repair(owner, key, allow_stale)
         return self.shards[owner].read(key, allow_stale=allow_stale)
 
-    def _live_shard(self) -> MetaversePlatform:
-        """Any compute node that is up (disaggregated re-route target)."""
+    def _read_tier(self, read: Callable[[StorageEngine], object]):
+        """THE down-owner read: ``read(engine)`` straight from the shared
+        tier, while a key's owner is a crashed compute node.
+
+        State lives in the tier, so any live compute node's mount can
+        answer, under that node's retry policy.  The read touches no
+        shard's caches: a copy hydrated into another shard's MVCC cache
+        or buffer pool would go stale there once the owner is back.
+        Counted in ``cluster.disagg.rerouted_reads``."""
         for name in self.router.shards:
             if name not in self._down_compute:
-                return self.shards[name]
-        raise ConfigurationError("every compute node is down")
+                mount = self.shards[name]
+                break
+        else:
+            raise ConfigurationError("every compute node is down")
+        self.metrics.counter("cluster.disagg.rerouted_reads").inc()
+        return mount._with_retry(lambda: read(mount.engine))
 
     def _read_repair(self, owner: str, key: str, allow_stale: bool):
         expected = self.failover.replica_value(owner, key)
@@ -765,14 +773,12 @@ class PlatformCluster:
 
     def committed_product(self, key: str) -> dict | None:
         """Committed product state from the owner's MVCC cache, falling
-        back to storage hydration (stateless compute after a remap)."""
+        back to storage hydration (stateless compute after a remap);
+        from the tier itself while the owner is down."""
         owner = self.router.owner_of(key)
-        shard = (
-            self._live_shard()
-            if owner in self._down_compute
-            else self.shards[owner]
-        )
-        return shard.committed_product(key)
+        if owner in self._down_compute:
+            return self._read_tier(lambda engine: engine.get_product(key))
+        return self.shards[owner].committed_product(key)
 
     # -- marketplace --------------------------------------------------------
 
@@ -781,7 +787,7 @@ class PlatformCluster:
             self.import_product(record.key, record.payload)
 
     def process_purchases(
-        self, requests: list[PurchaseRequest], max_retries: int = 2
+        self, requests: list[PurchaseRequest]
     ) -> list[PurchaseOutcome]:
         """Route each purchase to the shard owning its product.
 
@@ -822,9 +828,7 @@ class PlatformCluster:
                 ]
             # presorted: each shard batch is an order-preserved
             # subsequence of the globally sorted stream.
-            return self.shards[name].process_purchases(
-                batch, max_retries=max_retries, presorted=True
-            )
+            return self.shards[name].process_purchases(batch, presorted=True)
 
         with self.tracer.span("cluster.process_purchases", n=len(requests)):
             merged = route_by_owner(
@@ -899,15 +903,9 @@ class PlatformCluster:
     def _bucket_stock(self, product_id: str) -> int:
         owner = self.router.owner_of(product_id)
         if owner in self._down_compute:
-            # Disaggregated re-route: read the committed record straight
-            # from the shared tier through any live compute node.
-            fallback = self._live_shard()
-            value = fallback._with_retry(
-                lambda: fallback.engine.get_product(product_id)
-            )
+            value = self.committed_product(product_id)
             if value is None:
                 raise KeyNotFoundError(product_id)
-            self.metrics.counter("cluster.disagg.rerouted_reads").inc()
             return int(value.get("stock", 0))
         if self._is_down(owner):
             stock = self.failover.replica_stock(owner, product_id)
@@ -1249,8 +1247,7 @@ class PlatformCluster:
         for name, shard in self.shards.items():
             breaker = shard.breaker
             self.metrics.gauge(f"cluster.shard.{name}.breaker_state").set(
-                _BREAKER_STATE_CODES.get(breaker.state, 0.0)
-                if breaker is not None
+                breaker.STATE_CODES[breaker.state] if breaker is not None
                 else 0.0
             )
             if self.failover is not None:

@@ -129,10 +129,9 @@ class ClusterConfig:
     #: Closed-loop elasticity (autoscaling, hot-key salting, admission
     #: control); None leaves the cluster fully static.
     elasticity: ElasticityConfig | None = None
-    #: Per-shard semantic retrieval (repro.semantic): True for default
-    #: index parameters, or a SemanticIndexConfig.  Off by default — the
-    #: numeric ingest hot paths never pay the embedding cost.
-    semantic_index: object = False
+    #: Per-shard semantic retrieval (repro.semantic).  Off by default —
+    #: the numeric ingest hot paths never pay the embedding cost.
+    semantic_index: bool = False
 
     def validate(self) -> "ClusterConfig":
         """Check cross-field invariants; returns self for chaining."""

@@ -77,7 +77,6 @@ class CrossShardCoordinator:
         self,
         shards: dict[str, MetaversePlatform],
         clock: SimulationClock | None = None,
-        timeout_s: float = 5.0,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -85,9 +84,7 @@ class CrossShardCoordinator:
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.scheduler = EventScheduler(clock)
         self.network = SimulatedNetwork(self.scheduler, metrics=self.metrics)
-        self.coordinator = Coordinator(
-            self.network, name="cluster-coordinator", timeout_s=timeout_s
-        )
+        self.coordinator = Coordinator(self.network, name="cluster-coordinator")
         self.participants: dict[str, ShardParticipant] = {}
         for name, shard in shards.items():
             self.attach_shard(name, shard)

@@ -133,7 +133,7 @@ class TokenBucket:
     """Deterministic token bucket on the simulated clock.
 
     Refills continuously at ``rate`` tokens/second up to ``burst``;
-    :meth:`try_take` either takes whole tokens or reports exhaustion.
+    :meth:`try_take` either takes one whole token or reports exhaustion.
     """
 
     def __init__(self, rate: float, burst: float, now: float) -> None:
@@ -144,14 +144,14 @@ class TokenBucket:
         self.tokens = burst
         self._last_refill = now
 
-    def try_take(self, now: float, n: float = 1.0) -> bool:
+    def try_take(self, now: float) -> bool:
         if now > self._last_refill:
             self.tokens = min(
                 self.burst, self.tokens + (now - self._last_refill) * self.rate
             )
             self._last_refill = now
-        if self.tokens >= n:
-            self.tokens -= n
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 
@@ -254,10 +254,10 @@ class ElasticityController:
 
     # -- signals ------------------------------------------------------------
 
-    def observe_purchase(self, product_id: str, count: float = 1.0) -> None:
+    def observe_purchase(self, product_id: str) -> None:
         """Feed the heat sketch (called by the cluster's purchase router)."""
         if self.config.hot_key_fraction is not None:
-            self.sketch.observe(product_id, count)
+            self.sketch.observe(product_id)
 
     # -- the loop -----------------------------------------------------------
 

@@ -77,6 +77,9 @@ SHIP_OFFERS = 3
 #: threshold of 4, well inside its 2 s recovery bound.
 HEARTBEAT_INTERVAL_S = 0.05
 
+#: Heartbeat inter-arrival times a shard's mean interval is taken over.
+INTERVAL_WINDOW = 32
+
 
 class FailureDetector:
     """Phi-accrual-style failure detection over heartbeat arrivals.
@@ -95,7 +98,6 @@ class FailureDetector:
         self,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         phi_threshold: float = 8.0,
-        window: int = 32,
     ) -> None:
         if heartbeat_interval_s <= 0:
             raise ConfigurationError("heartbeat_interval_s must be positive")
@@ -103,14 +105,13 @@ class FailureDetector:
             raise ConfigurationError("phi_threshold must be positive")
         self.heartbeat_interval_s = heartbeat_interval_s
         self.phi_threshold = phi_threshold
-        self.window = window
         self._last: dict[str, float] = {}
         self._intervals: dict[str, deque[float]] = {}
 
     def watch(self, shard: str, now: float) -> None:
         """Begin monitoring ``shard`` (idempotent)."""
         self._last.setdefault(shard, now)
-        self._intervals.setdefault(shard, deque(maxlen=self.window))
+        self._intervals.setdefault(shard, deque(maxlen=INTERVAL_WINDOW))
 
     def forget(self, shard: str) -> None:
         self._last.pop(shard, None)
@@ -144,7 +145,7 @@ class FailureDetector:
     def reset(self, shard: str, now: float) -> None:
         """Restart monitoring after a recovery (history discarded)."""
         self._last[shard] = now
-        self._intervals[shard] = deque(maxlen=self.window)
+        self._intervals[shard] = deque(maxlen=INTERVAL_WINDOW)
 
 
 class ShardReplicator:

@@ -40,65 +40,6 @@ class Gauge:
         self.value += amount
 
 
-@dataclass(frozen=True)
-class HistogramWindow:
-    """An immutable view over the most recent samples of a :class:`Histogram`.
-
-    Control loops polling a long-lived histogram (see
-    :mod:`repro.cluster.elasticity`) must react to *recent* load, not
-    lifetime quantiles — a p95 over every sample since boot never comes
-    back down after one burst.  :meth:`Histogram.window` snapshots the
-    last ``n`` samples into this view; later observations on the parent
-    histogram do not change an already-taken window.
-    """
-
-    samples: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Exact q-quantile over the window; same interpolation — and the
-        same empty-window :class:`ConfigurationError` — as the parent
-        histogram, so windowed and lifetime reads never disagree on
-        semantics."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.samples:
-            raise ConfigurationError(
-                f"quantile({q}) of an empty window is undefined; "
-                "check .count before querying"
-            )
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = q * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        if lo == hi:
-            return ordered[lo]
-        frac = pos - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-
 @dataclass
 class Histogram:
     """Streaming distribution summary; stores all samples for exact quantiles.
@@ -186,17 +127,20 @@ class Histogram:
     def p99(self) -> float:
         return self.quantile(0.99)
 
-    def window(self, n: int) -> HistogramWindow:
-        """A bounded view over the last ``min(n, count)`` samples.
+    def window(self, n: int) -> "Histogram":
+        """The last ``min(n, count)`` samples, as a histogram of their own.
 
-        The view is a snapshot: O(n) memory regardless of histogram
-        length, and immutable — observations after the call do not leak
-        into it.  Taking a window neither invalidates nor populates the
-        sorted-view cache quantile queries use.
+        A control loop polling a long-lived histogram (see
+        :mod:`repro.cluster.elasticity`) must react to *recent* load: a
+        p95 over every sample since boot never comes back down after one
+        burst.  The window is a snapshot — its samples are a tuple, so
+        observations after the call do not leak into it and it takes
+        none itself — and taking one neither invalidates nor populates
+        this histogram's sorted-view cache.
         """
         if n < 1:
             raise ConfigurationError(f"window size must be >= 1, got {n}")
-        return HistogramWindow(tuple(self.samples[-n:]))
+        return Histogram(samples=tuple(self.samples[-n:]))
 
 
 class MetricsRegistry:
@@ -268,7 +212,12 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Drop every metric value; collectors stay registered."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        """Zero every metric value in place: counters and gauges go to 0,
+        histograms lose their samples.  The metric objects stay, so one a
+        caller holds keeps counting into this registry, and so do the
+        collectors."""
+        for metric in (*self._counters.values(), *self._gauges.values()):
+            metric.value = 0.0
+        for histogram in self._histograms.values():
+            histogram.samples.clear()
+            histogram._sorted = None

@@ -18,6 +18,11 @@ from typing import Any, Iterable, Mapping
 
 from .errors import SchemaError
 
+#: Above every key the system stores: a scan from ``""`` to ``KEY_MAX``
+#: covers the whole keyspace, and one from ``prefix`` to
+#: ``prefix + KEY_MAX`` every key under ``prefix``.
+KEY_MAX = "\uffff"
+
 
 class Space(enum.Enum):
     """Which half of the metaverse a datum belongs to (paper Fig. 1)."""

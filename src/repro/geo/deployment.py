@@ -575,7 +575,7 @@ class GeoDeployment:
             self._clusters[home].load_catalog(batch)
 
     def process_purchases(
-        self, requests: list[PurchaseRequest], max_retries: int = 2
+        self, requests: list[PurchaseRequest]
     ) -> list[PurchaseOutcome]:
         """Route purchases to their products' home regions.
 
@@ -601,9 +601,7 @@ class GeoDeployment:
                     PurchaseOutcome(request, False, f"region down: {home}")
                     for request in batch
                 ]
-            return self._clusters[home].process_purchases(
-                batch, max_retries=max_retries
-            )
+            return self._clusters[home].process_purchases(batch)
 
         merged = route_by_owner(
             self.home_of, ordered, attrgetter("product_id"), run,

@@ -34,7 +34,13 @@ from ..core.errors import (
     WriteConflictError,
 )
 from ..core.metrics import MetricsRegistry
-from ..core.records import DataKind, DataRecord, PurchaseRequest, Space
+from ..core.records import (
+    KEY_MAX,
+    DataKind,
+    DataRecord,
+    PurchaseRequest,
+    Space,
+)
 from ..net.overlay import stable_hash
 from ..net.pubsub import Broker, Publication, Subscription
 from ..obs.tracing import NoopTracer, Tracer
@@ -42,7 +48,7 @@ from ..platform.gateway import DeviceGateway
 from ..query.plane import QueryExecutor, QueryRequest, prefix_query, spatial_query
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import CircuitBreaker, RetryPolicy
-from ..semantic import SemanticIndex, SemanticIndexConfig
+from ..semantic import SemanticIndex
 from ..storage.bufferpool import BufferPool, PageMeta
 from ..storage.engine import LocalStorageEngine, StorageEngine
 from ..txn.mvcc import Transaction, TransactionManager
@@ -121,6 +127,10 @@ STALE_CAPACITY = 4 * BUFFER_POOL_PAGES
 #: executor's makespan reads as 10,000 attempts per second.
 TXN_COST_S = 1e-4
 
+#: Times a purchase whose commit lost a write conflict is tried again
+#: before it fails with "conflict retries exhausted".
+PURCHASE_RETRIES = 2
+
 
 class MetaversePlatform:
     """The end-to-end platform facade."""
@@ -133,7 +143,7 @@ class MetaversePlatform:
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
         engine: StorageEngine | None = None,
-        semantic_index: SemanticIndexConfig | bool = False,
+        semantic_index: bool = False,
     ) -> None:
         if n_executors < 1:
             raise ConfigurationError("need at least one executor")
@@ -243,13 +253,7 @@ class MetaversePlatform:
         # the position memo (so failover promotion, which replays via
         # import_entity, rebuilds it for free).  Off by default — the
         # numeric hot-path workloads never pay the embedding cost.
-        self.semantic: SemanticIndex | None = None
-        if semantic_index:
-            self.semantic = SemanticIndex(
-                semantic_index
-                if isinstance(semantic_index, SemanticIndexConfig)
-                else None
-            )
+        self.semantic = SemanticIndex() if semantic_index else None
         # Query-plane executor: this platform is the single shard.
         self.query_executor = QueryExecutor()
 
@@ -396,7 +400,7 @@ class MetaversePlatform:
         index unknown, so the next query hydrates again."""
         owns = self.owns
         positions: dict[str, tuple] = {}
-        for key, value in self.scan("", "\uffff"):
+        for key, value in self.scan("", KEY_MAX):
             if owns is not None and not owns(key):
                 continue
             position = payload_position(stored_payload(value))
@@ -569,7 +573,7 @@ class MetaversePlatform:
         if self.semantic is None:
             raise ConfigurationError(
                 "semantic index not enabled; build the platform with "
-                "semantic_index=True (or a SemanticIndexConfig)"
+                "semantic_index=True"
             )
         self.metrics.counter("platform.semantic.searches").inc()
         return self.semantic.search(vector, k, ef=ef)
@@ -747,7 +751,6 @@ class MetaversePlatform:
     def process_purchases(
         self,
         requests: list[PurchaseRequest],
-        max_retries: int = 2,
         presorted: bool = False,
     ) -> list[PurchaseOutcome]:
         """Execute a batch of purchases with space-aware ordering.
@@ -755,10 +758,11 @@ class MetaversePlatform:
         Requests are ordered by (priority, time): with
         ``physical_priority`` on, physical-space shoppers win ties on the
         last unit — the paper's example policy.  Each purchase is an MVCC
-        transaction decrementing the product's stock; conflicts retry up to
-        ``max_retries`` times.  ``presorted=True`` skips the sort — the
-        cluster router passes order-preserved subsequences of an already
-        globally sorted stream, so per-shard re-sorting is pure overhead.
+        transaction decrementing the product's stock; conflicts retry up
+        to :data:`PURCHASE_RETRIES` times.  ``presorted=True`` skips the
+        sort — the cluster router passes order-preserved subsequences of
+        an already globally sorted stream, so per-shard re-sorting is pure
+        overhead.
         """
         outcomes = []
         if not presorted:
@@ -777,22 +781,18 @@ class MetaversePlatform:
                     # in k records its sub-trace (commit spans included) —
                     # see Tracer.
                     with self.tracer.sampled_span("platform.purchase"):
-                        outcomes.append(
-                            self._purchase_attempts(request, max_retries)
-                        )
+                        outcomes.append(self._purchase_attempts(request))
             finally:
                 committed, self._call_commits = self._call_commits, None
                 self._settle(committed)
         return outcomes
 
-    def _purchase_attempts(
-        self, request: PurchaseRequest, max_retries: int
-    ) -> PurchaseOutcome:
+    def _purchase_attempts(self, request: PurchaseRequest) -> PurchaseOutcome:
         """A purchase is a basket of one, plus what only purchases have:
         an executor charged per attempt and a retry loop on conflict."""
         executor = self.executors[self._executor_for(request.product_id)]
         quantities = {request.product_id: request.quantity}
-        for _ in range(max_retries + 1):
+        for _ in range(PURCHASE_RETRIES + 1):
             executor.busy_time += TXN_COST_S
             txn, why, _ = self.stage_basket(quantities)
             if txn is None:

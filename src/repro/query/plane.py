@@ -36,6 +36,7 @@ from typing import Any, Mapping
 
 from ..api.dataplane import GatherResult
 from ..core.errors import ConfigurationError
+from ..core.records import KEY_MAX
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class PrefixScanModality(QueryModality):
 
     def execute(self, shard, plan: QueryPlan) -> list:
         prefix = plan.params["prefix"]
-        return shard.scan(prefix, prefix + "￿")
+        return shard.scan(prefix, prefix + KEY_MAX)
 
     def merge(self, partials: list[list], plan: QueryPlan) -> list:
         return _sorted_by_key(partials)

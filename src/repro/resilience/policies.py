@@ -90,7 +90,6 @@ class RetryPolicy:
         self,
         fn: Callable[[], T],
         retry_on: tuple[type[BaseException], ...] = (FaultInjectedError,),
-        on_retry: Callable[[int, float, BaseException], None] | None = None,
     ) -> T:
         """Invoke ``fn``, retrying transient failures with backoff.
 
@@ -115,8 +114,6 @@ class RetryPolicy:
                 )
                 if self.clock is not None:
                     self.clock.advance(delay)
-                if on_retry is not None:
-                    on_retry(attempt, delay, exc)
             else:
                 if attempt:
                     self.metrics.counter("resilience.retry.recovered").inc()
@@ -144,6 +141,9 @@ class CircuitBreaker:
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
+    #: A state's code in the ``resilience.breaker.<name>.state`` gauge,
+    #: and in the cluster's per-shard ``breaker_state`` gauge.
+    STATE_CODES = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
 
     def __init__(
         self,
@@ -233,8 +233,9 @@ class CircuitBreaker:
         self._state = state
         self._failures = 0
         self._probe_successes = 0
-        gauge = {self.CLOSED: 0.0, self.HALF_OPEN: 1.0, self.OPEN: 2.0}[state]
-        self.metrics.gauge(f"resilience.breaker.{self.name}.state").set(gauge)
+        self.metrics.gauge(f"resilience.breaker.{self.name}.state").set(
+            self.STATE_CODES[state]
+        )
         self.tracer.log("info", "breaker transition", breaker=self.name, state=state)
 
 

@@ -6,20 +6,21 @@ elasticity layer needs to know *which* keys are hot right now without
 holding a counter per key.  :class:`HeatSketch` is a count-min sketch
 with exponential decay:
 
-* **count-min core** — ``depth`` rows of ``width`` float cells; a key
-  increments one cell per row (sha256-derived, deterministic across
-  runs) and its estimate is the minimum over its cells.  Collisions only
-  ever *over*-estimate, so a key the sketch calls cold really is cold —
-  the safe direction for a controller that salts hot keys.
+* **count-min core** — :data:`DEPTH` rows of :data:`WIDTH` float cells;
+  a key increments one cell per row (sha256-derived, deterministic
+  across runs) and its estimate is the minimum over its cells.
+  Collisions only ever *over*-estimate, so a key the sketch calls cold
+  really is cold — the safe direction for a controller that salts hot
+  keys.
 * **exponential decay** — :meth:`decay` multiplies every cell by a
   factor, so the estimate tracks recent traffic rather than lifetime
   counts (the same recency argument as
   :meth:`repro.core.metrics.Histogram.window`).
 * **candidate tracking** — the sketch alone cannot enumerate keys, so a
   bounded candidate dict remembers keys whose estimated *share* of total
-  traffic crossed ``candidate_fraction`` when observed; :meth:`hot_keys`
-  reports the candidates currently above the caller's threshold, sorted
-  hottest first (deterministically tie-broken by key).
+  traffic crossed :data:`CANDIDATE_FRACTION` when observed;
+  :meth:`hot_keys` reports the candidates currently above the caller's
+  threshold, sorted hottest first (deterministically tie-broken by key).
 
 Used by :class:`repro.cluster.elasticity.ElasticityController` to drive
 key salting; generic enough for any skew detector.
@@ -32,56 +33,46 @@ import hashlib
 from ..core.errors import ConfigurationError
 
 
-def _cell_index(key: str, row: int, width: int) -> int:
+#: Sketch shape: ``DEPTH`` rows of ``WIDTH`` cells.
+WIDTH = 512
+DEPTH = 4
+#: What :meth:`HeatSketch.decay` multiplies every cell by.
+DECAY = 0.5
+#: A key becomes a candidate once its estimated share of total traffic
+#: reaches this fraction when it is observed.
+CANDIDATE_FRACTION = 0.05
+#: Candidates kept; the hottest survive a prune.
+MAX_CANDIDATES = 64
+
+
+def _cell_index(key: str, row: int) -> int:
     """Deterministic per-row cell index (independent hashes per row)."""
     digest = hashlib.sha256(f"{row}\x1f{key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % width
+    return int.from_bytes(digest[:8], "big") % WIDTH
 
 
 class HeatSketch:
     """Count-min sketch with decay and heavy-hitter candidate tracking."""
 
-    def __init__(
-        self,
-        width: int = 512,
-        depth: int = 4,
-        decay: float = 0.5,
-        candidate_fraction: float = 0.05,
-        max_candidates: int = 64,
-    ) -> None:
-        if width < 1 or depth < 1:
-            raise ConfigurationError("width and depth must be >= 1")
-        if not 0.0 < decay <= 1.0:
-            raise ConfigurationError("decay must be in (0, 1]")
-        if not 0.0 < candidate_fraction < 1.0:
-            raise ConfigurationError("candidate_fraction must be in (0, 1)")
-        if max_candidates < 1:
-            raise ConfigurationError("max_candidates must be >= 1")
-        self.width = width
-        self.depth = depth
-        self.decay_factor = decay
-        self.candidate_fraction = candidate_fraction
-        self.max_candidates = max_candidates
-        self._rows = [[0.0] * width for _ in range(depth)]
+    def __init__(self) -> None:
+        self._rows = [[0.0] * WIDTH for _ in range(DEPTH)]
         self.total = 0.0
         # Insertion-ordered; pruned on decay and when over capacity.
         self._candidates: dict[str, None] = {}
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, key: str, count: float = 1.0) -> None:
-        """Record ``count`` accesses of ``key``."""
-        if count < 0:
-            raise ConfigurationError("count must be >= 0")
-        for row in range(self.depth):
-            self._rows[row][_cell_index(key, row, self.width)] += count
-        self.total += count
+    def observe(self, key: str) -> None:
+        """Record one access of ``key``."""
+        for row in range(DEPTH):
+            self._rows[row][_cell_index(key, row)] += 1.0
+        self.total += 1.0
         if (
             key not in self._candidates
-            and self.estimate(key) >= self.candidate_fraction * self.total
+            and self.estimate(key) >= CANDIDATE_FRACTION * self.total
         ):
             self._candidates[key] = None
-            if len(self._candidates) > self.max_candidates:
+            if len(self._candidates) > MAX_CANDIDATES:
                 self._prune_candidates()
 
     def decay(self) -> None:
@@ -90,24 +81,24 @@ class HeatSketch:
         fell below half the candidate fraction are forgotten."""
         for row in self._rows:
             for i, value in enumerate(row):
-                row[i] = value * self.decay_factor
-        self.total *= self.decay_factor
+                row[i] = value * DECAY
+        self.total *= DECAY
         self._prune_candidates()
 
     def _prune_candidates(self) -> None:
-        floor = 0.5 * self.candidate_fraction * self.total
+        floor = 0.5 * CANDIDATE_FRACTION * self.total
         kept = {
             key: None
             for key in self._candidates
             if self.estimate(key) >= floor
         }
-        if len(kept) > self.max_candidates:
+        if len(kept) > MAX_CANDIDATES:
             # Keep the hottest; deterministic tie-break by key.
             kept = {
                 key: None
                 for key in sorted(
                     kept, key=lambda key: (-self.estimate(key), key)
-                )[: self.max_candidates]
+                )[:MAX_CANDIDATES]
             }
         self._candidates = kept
 
@@ -117,8 +108,7 @@ class HeatSketch:
         """Estimated (decayed) access count; never under the true count
         for an un-decayed sketch."""
         return min(
-            self._rows[row][_cell_index(key, row, self.width)]
-            for row in range(self.depth)
+            self._rows[row][_cell_index(key, row)] for row in range(DEPTH)
         )
 
     def share(self, key: str) -> float:

@@ -22,7 +22,6 @@ from .hnsw import HNSWIndex, brute_force_topk, normalize
 from .index import (
     JITTER_SCALE,
     SemanticIndex,
-    SemanticIndexConfig,
     indexed_vector,
     tie_break_jitter,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "JITTER_SCALE",
     "SEMANTIC_MODALITY",
     "SemanticIndex",
-    "SemanticIndexConfig",
     "SemanticModality",
     "brute_force_topk",
     "embed_payload",

@@ -27,11 +27,9 @@ against the same order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.errors import ConfigurationError
 from .embed import DEFAULT_DIM, embed_payload
 from .hnsw import HNSWIndex, brute_force_topk, normalize
 
@@ -61,48 +59,25 @@ def tie_break_jitter(key: str, dim: int) -> np.ndarray:
     return out * JITTER_SCALE
 
 
-def indexed_vector(key: str, payload: dict, dim: int = DEFAULT_DIM) -> np.ndarray | None:
+def indexed_vector(key: str, payload: dict) -> np.ndarray | None:
     """The exact vector the index stores for ``(key, payload)`` —
     embedding plus jitter, normalized — or ``None`` if undescribable.
     Benchmarks build their brute-force oracle matrices from this."""
-    vector = embed_payload(payload, dim)
+    vector = embed_payload(payload, DEFAULT_DIM)
     if vector is None:
         return None
-    return normalize(vector + tie_break_jitter(key, dim))
-
-
-@dataclass(frozen=True)
-class SemanticIndexConfig:
-    """Shape of one shard's semantic index."""
-
-    dim: int = DEFAULT_DIM
-    m: int = 8
-    ef_construction: int = 64
-    ef_search: int = 48
-
-    def validate(self) -> "SemanticIndexConfig":
-        if self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        if self.m < 2:
-            raise ConfigurationError("m must be >= 2")
-        if self.ef_construction < self.m or self.ef_search < 1:
-            raise ConfigurationError(
-                "ef_construction must be >= m and ef_search >= 1"
-            )
-        return self
+    return normalize(vector + tie_break_jitter(key, DEFAULT_DIM))
 
 
 class SemanticIndex:
-    """Embeds payloads and maintains the shard-local ANN graph."""
+    """Embeds payloads and maintains the shard-local ANN graph.
 
-    def __init__(self, config: SemanticIndexConfig | None = None) -> None:
-        self.config = (config or SemanticIndexConfig()).validate()
-        self.hnsw = HNSWIndex(
-            dim=self.config.dim,
-            m=self.config.m,
-            ef_construction=self.config.ef_construction,
-            ef_search=self.config.ef_search,
-        )
+    Every vector, stored or queried, has :data:`DEFAULT_DIM` components,
+    so an index and the queries planned against it cannot disagree; the
+    graph runs on :class:`HNSWIndex`'s own defaults."""
+
+    def __init__(self) -> None:
+        self.hnsw = HNSWIndex(dim=DEFAULT_DIM)
 
     def __len__(self) -> int:
         return len(self.hnsw)
@@ -116,7 +91,7 @@ class SemanticIndex:
 
     def index_record(self, key: str, payload: dict) -> bool:
         """(Re-)index one entity; True when it landed in the graph."""
-        vector = indexed_vector(key, payload, self.config.dim)
+        vector = indexed_vector(key, payload)
         if vector is None:
             self.hnsw.discard(key)
             return False

@@ -21,7 +21,7 @@ from typing import Any
 
 from ..core.errors import ConfigurationError
 from ..query.plane import QueryModality, QueryPlan, QueryRequest
-from .embed import DEFAULT_DIM, embed_text
+from .embed import embed_text
 
 #: Default result width for semantic queries.
 DEFAULT_K = 10
@@ -35,22 +35,19 @@ class SemanticModality(QueryModality):
     def plan(self, request: QueryRequest) -> QueryPlan:
         """Validate, then embed the query text once, not once per shard.
 
-        A text whose tokens all hash away (or an empty phrase) plans to
-        a ``None`` vector, which executes as an empty result set rather
-        than a meaningless similarity ranking.
+        A text whose tokens all hash away plans to a ``None`` vector,
+        which executes as an empty result set rather than a meaningless
+        similarity ranking.
         """
         params = dict(request.params)
         params.setdefault("k", DEFAULT_K)
         if int(params["k"]) < 1:
             raise ConfigurationError("semantic queries need k >= 1")
-        if params.get("vector") is None:
-            if not params.get("text"):
-                raise ConfigurationError(
-                    "semantic queries need 'text' or a precomputed 'vector'"
-                )
-            params["vector"] = embed_text(
-                str(params["text"]), int(params.get("dim", DEFAULT_DIM))
+        if not params.get("text"):
+            raise ConfigurationError(
+                "semantic queries need 'text' or there is nothing to embed"
             )
+        params["vector"] = embed_text(str(params["text"]))
         return QueryPlan(request.modality, params)
 
     def execute(self, shard, plan: QueryPlan) -> list:
@@ -71,17 +68,13 @@ class SemanticModality(QueryModality):
 def semantic_query(
     text: str | None = None,
     *,
-    vector=None,
     k: int = DEFAULT_K,
     ef: int | None = None,
-    dim: int = DEFAULT_DIM,
 ) -> QueryRequest:
     """A :class:`QueryRequest` for the semantic modality."""
-    params: dict[str, Any] = {"k": k, "dim": dim}
+    params: dict[str, Any] = {"k": k}
     if text is not None:
         params["text"] = text
-    if vector is not None:
-        params["vector"] = vector
     if ef is not None:
         params["ef"] = ef
     return QueryRequest("semantic", params)

@@ -46,6 +46,7 @@ from ..core.errors import (
     PartitionedError,
 )
 from ..core.metrics import MetricsRegistry
+from ..core.records import KEY_MAX
 from ..net.simnet import Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement
@@ -89,7 +90,7 @@ class StorageEngine(ABC):
     def scan(self, lo: str, hi: str) -> list[tuple[str, object]]: ...
 
     def keys(self) -> list[str]:
-        return [key for key, _ in self.scan("", "￿")]
+        return [key for key, _ in self.scan("", KEY_MAX)]
 
     # -- bulk entity ops (the tick-coalesced hot path) ----------------------
     #

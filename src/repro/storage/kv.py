@@ -24,6 +24,7 @@ from ..core.errors import (
     StorageError,
 )
 from ..core.metrics import MetricsRegistry
+from ..core.records import KEY_MAX
 from ..obs.tracing import NoopTracer, Tracer
 from .wal import WriteAheadLog
 
@@ -293,7 +294,7 @@ class KVStore:
         for: ``kv.scans`` does not count it, so computing a gauge when
         it is read moves no counter."""
         return sorted(
-            key for key, found in self._newest("", "￿").items()
+            key for key, found in self._newest("", KEY_MAX).items()
             if found.value is not _TOMBSTONE
         )
 
@@ -346,7 +347,7 @@ class KVStore:
         """
         return {
             "seqno": self._seqno,
-            "items": [[key, value] for key, value in self.scan("", "￿")],
+            "items": [[key, value] for key, value in self.scan("", KEY_MAX)],
         }
 
     def load_snapshot(self, state: dict) -> int:

@@ -9,6 +9,8 @@ facade threads through ``repro.obs``.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import (
@@ -16,6 +18,7 @@ from repro.core import (
     DataKind,
     DataRecord,
     FaultInjectedError,
+    KeyNotFoundError,
     Space,
 )
 from repro.platform import MetaversePlatform
@@ -577,3 +580,146 @@ class TestEntityGauges:
             cluster.tick(0.5)
             assert cluster.metrics.gauge("cluster.shard.shard-2.alive").value == 1.0
             check()
+
+
+@pytest.mark.disagg
+class TestADownOwnerIsReadFromTheTier:
+    """While a key's owner is a crashed compute node, every read of the
+    key — ``read``, ``get_stock``, ``committed_product`` — is answered by
+    the shared tier through a live mount, and never through another
+    shard's caches.  The tier's own record is the oracle."""
+
+    @staticmethod
+    def tier_product(cluster, pid):
+        return cluster.storage.node_of(pid).engine.get_product(pid)
+
+    @staticmethod
+    def tier_entity(cluster, key):
+        try:
+            return cluster.storage.node_of(key).engine.get(key)
+        except KeyNotFoundError:
+            return None
+
+    @staticmethod
+    def buy(cluster, pid, n, quantity=1):
+        requests = [
+            PurchaseRequest(f"s{i}", pid, Space.VIRTUAL, float(i), quantity)
+            for i in range(n)
+        ]
+        return sum(
+            outcome.request.quantity
+            for outcome in cluster.process_purchases(requests)
+            if outcome.success
+        )
+
+    def test_a_rerouted_product_read_is_not_served_stale_later(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=2, n_storage_nodes=2))
+        cluster.load_catalog([record("p0", {"stock": 10})])
+        owner = cluster.router.owner_of("p0")
+        cluster.kill_shard(owner)
+        assert cluster.committed_product("p0") == {"stock": 10}
+        cluster.tick(0.05)
+        assert self.buy(cluster, "p0", 1, quantity=3) == 3
+        assert cluster.get_stock("p0") == 7
+        cluster.kill_shard(owner)
+        assert cluster.committed_product("p0") == self.tier_product(
+            cluster, "p0"
+        ) == {"stock": 7}
+        assert cluster.metrics.counter("cluster.disagg.rerouted_reads").value == 2
+
+    def test_unsalting_across_a_down_bucket_owner_conserves_stock(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=3, n_storage_nodes=2))
+        cluster.load_catalog([record("p0", {"stock": 12})])
+        buckets = cluster.salt_product("p0", 3)
+        owner = cluster.router.owner_of(buckets[1])
+        cluster.kill_shard(owner)
+        assert cluster.committed_product(buckets[1]) == {"stock": 4}
+        cluster.tick(0.05)
+        sold = self.buy(cluster, "p0", 12)
+        assert sold == 12 and cluster.get_stock("p0") == 0
+        cluster.kill_shard(owner)
+        assert cluster.unsalt_product("p0") == 0
+        assert sold + cluster.get_stock("p0") == 12
+
+    def test_a_missing_key_read_while_its_owner_is_down_is_none(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=2, n_storage_nodes=2))
+        cluster.ingest(record("e/1", {"x": 1.0, "y": 2.0}))
+        cluster.flush()
+        owner = cluster.router.owner_of("e/ghost")
+        assert cluster.read("e/ghost") is None
+        cluster.kill_shard(owner)
+        assert cluster.read("e/ghost") is None
+        cluster.kill_shard(cluster.router.owner_of("e/1"))
+        assert cluster.read("e/1") == self.tier_entity(cluster, "e/1")
+
+    PRODUCTS = ("p0", "p1", "p2")
+    ENTITIES = ("e/0", "e/1", "e/2", "e/3", "e/ghost")
+    STOCK = 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("buy"), st.sampled_from(PRODUCTS),
+                    st.integers(1, 4), st.integers(1, 2),
+                ),
+                st.tuples(st.just("kill"), st.integers(0, 2)),
+                st.tuples(st.just("tick")),
+                st.tuples(st.just("salt"), st.sampled_from(PRODUCTS),
+                          st.integers(2, 3)),
+                st.tuples(st.just("unsalt"), st.sampled_from(PRODUCTS)),
+                st.tuples(st.just("read"), st.sampled_from(PRODUCTS)),
+            ),
+            max_size=24,
+        )
+    )
+    def test_the_tier_answers_for_a_down_owner_and_stock_is_conserved(
+        self, steps
+    ):
+        cluster = PlatformCluster(ClusterConfig(n_shards=3, n_storage_nodes=2))
+        cluster.load_catalog(
+            [record(pid, {"stock": self.STOCK}) for pid in self.PRODUCTS]
+        )
+        cluster.ingest_many(
+            [record(key, {"x": float(i), "y": 0.0})
+             for i, key in enumerate(self.ENTITIES[:-1])]
+        )
+        cluster.flush()
+        shards = list(cluster.shards)
+        sold = 0
+        for step in steps:
+            kind = step[0]
+            if kind == "buy":
+                _, pid, n, quantity = step
+                sold += self.buy(cluster, pid, n, quantity)
+            elif kind == "kill":
+                name = shards[step[1]]
+                up = [s for s in shards if s not in cluster._down_compute]
+                if up != [name]:
+                    cluster.kill_shard(name)
+            elif kind == "tick":
+                cluster.tick(0.05)
+            elif kind == "salt":
+                if not cluster.router.is_salted(step[1]):
+                    cluster.salt_product(step[1], step[2])
+            elif kind == "unsalt":
+                if cluster.router.is_salted(step[1]):
+                    cluster.unsalt_product(step[1])
+            else:
+                for bucket in cluster.router.buckets_of(step[1]):
+                    cluster.committed_product(bucket)
+            for pid in self.PRODUCTS:
+                buckets = cluster.router.buckets_of(pid)
+                tier = {b: self.tier_product(cluster, b) for b in buckets}
+                assert cluster.get_stock(pid) == sum(
+                    value["stock"] for value in tier.values()
+                )
+                for bucket in buckets:
+                    if cluster.router.owner_of(bucket) in cluster._down_compute:
+                        assert cluster.committed_product(bucket) == tier[bucket]
+            for key in self.ENTITIES:
+                if cluster.router.owner_of(key) in cluster._down_compute:
+                    assert cluster.read(key) == self.tier_entity(cluster, key)
+            visible = sum(cluster.get_stock(pid) for pid in self.PRODUCTS)
+            assert sold + visible == self.STOCK * len(self.PRODUCTS)

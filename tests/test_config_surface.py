@@ -12,6 +12,11 @@ the second value to reach a code path.  Name both callers in a comment
 beside the new entry (DESIGN.md's "Options" paragraph names them for the
 knobs listed here).  A value nobody varies is a module constant at its
 one use, with a comment saying why it has that value.
+
+The same rule holds below the shapes (DESIGN.md's "Arguments"
+paragraph): the constructors and calls in the second half of
+:data:`PARAMETERS` had parameters no call site passed, which are now
+constants, so re-adding one is an edit here too.
 """
 
 import dataclasses
@@ -19,9 +24,14 @@ import inspect
 
 from repro.cluster import ClusterConfig, PlatformCluster
 from repro.cluster.config import ElasticityConfig
-from repro.cluster.failover import FailoverManager
+from repro.cluster.coordinator import CrossShardCoordinator
+from repro.cluster.elasticity import ElasticityController, TokenBucket
+from repro.cluster.failover import FailoverManager, FailureDetector
 from repro.geo import GeoConfig, GeoDeployment
 from repro.platform import MetaversePlatform
+from repro.resilience.policies import RetryPolicy
+from repro.selftune.heat import HeatSketch
+from repro.semantic import SemanticIndex, semantic_query
 from repro.storage.engine import LocalStorageEngine, StorageTier
 
 FIELDS = {
@@ -94,6 +104,22 @@ PARAMETERS = {
         "breaker",
         "rpc_timeout_s",
     ),
+    # Below the shapes.  Sketch shape, decay and candidate bounds are
+    # heat.py constants; the detector's interval window and the purchase
+    # conflict retries are constants; the 2PC timeout is the Coordinator
+    # default; a token take is one token; a purchase is one observation.
+    HeatSketch: (),
+    FailureDetector: ("heartbeat_interval_s", "phi_threshold"),
+    CrossShardCoordinator: ("shards", "clock", "metrics", "tracer"),
+    TokenBucket.try_take: ("now",),
+    ElasticityController.observe_purchase: ("product_id",),
+    RetryPolicy.call: ("fn", "retry_on"),
+    MetaversePlatform.process_purchases: ("requests", "presorted"),
+    PlatformCluster.process_purchases: ("requests",),
+    GeoDeployment.process_purchases: ("requests",),
+    # One embedding dimension: the index and every query use DEFAULT_DIM.
+    SemanticIndex: (),
+    semantic_query: ("text", "k", "ef"),
 }
 
 #: The six constructors the paper's deployment shapes are built from.

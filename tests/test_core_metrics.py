@@ -203,6 +203,22 @@ class TestRegistry:
         reg.reset()
         assert reg.counter("c").value == 0
 
+    def test_reset_zeroes_in_place_so_a_held_metric_still_counts(self):
+        reg = MetricsRegistry()
+        held = reg.counter("c")
+        held.inc(3)
+        reg.gauge("g").set(7)
+        hist = reg.histogram("h")
+        hist.observe(5.0)
+        assert hist.p50() == 5.0  # populates the sorted cache
+        reg.reset()
+        assert reg.snapshot() == {"c": 0.0, "g": 0.0, "h.count": 0.0}
+        assert hist._sorted is None
+        held.inc()
+        hist.observe(2.0)
+        assert reg.counter("c").value == 1.0
+        assert reg.histogram("h").p50() == 2.0
+
     def test_same_name_returns_same_metric(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")

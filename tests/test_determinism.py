@@ -38,7 +38,9 @@ def run_smoke(artifacts_dir: Path) -> None:
 
 
 def strip_wall_clock(snapshot: dict) -> dict:
-    """Drop wall-clock-derived metrics; keep every simulated/seeded one."""
+    """Drop wall-clock-derived metrics, and a section whose name marks it
+    wall-clock as a whole (an older ``BENCH_*.json``'s ``wall_clock``);
+    keep every simulated/seeded one."""
 
     def keep(name: str) -> bool:
         return not any(token in name for token in WALL_CLOCK_TOKENS)
@@ -48,6 +50,7 @@ def strip_wall_clock(snapshot: dict) -> dict:
             name: value for name, value in metrics.items() if keep(name)
         }
         for section, metrics in snapshot.items()
+        if keep(section)
     }
 
 
@@ -296,6 +299,10 @@ def test_strip_keeps_simulated_metrics_and_drops_wall_clock():
     assert "e23.clean.throughput_rps" not in stripped["gauges"]
     assert "experiments.bench_sync.runtime_s" not in stripped["gauges"]
     assert stripped["counters"] == {"experiments.regenerated": 23.0}
+    # A baseline from before the wall-clock halves left BENCH_*.json
+    # compares equal to one without them.
+    bench = {"deterministic": {"recall_at_10": 1.0}}
+    assert strip_wall_clock({**bench, "wall_clock": {"brute_s": 0.4}}) == bench
 
 
 def test_compare_artifacts_names_the_json_path_that_moved(tmp_path):

@@ -24,7 +24,6 @@ from repro.workloads import RetrievalConfig, RetrievalWorkload
 from repro.semantic import (
     HNSWIndex,
     SemanticIndex,
-    SemanticIndexConfig,
     SemanticModality,
     brute_force_topk,
     embed_payload,
@@ -409,14 +408,6 @@ class TestSemanticIndex:
             )
         assert SemanticIndex().exact_search(embed_text("red chair"), 3) == []
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SemanticIndexConfig(dim=0).validate()
-        with pytest.raises(ConfigurationError):
-            SemanticIndexConfig(m=1).validate()
-        with pytest.raises(ConfigurationError):
-            SemanticIndexConfig(ef_search=0).validate()
-
 
 class TestModality:
     def test_plan_validation(self):
@@ -498,18 +489,6 @@ class TestDeploymentIntegration:
         assert platform.query(semantic_query("red chair", k=12)).items == before
         platform.write_record(record("s/03", scene_payload(4)))
         assert hnsw.node_count == nodes + 1 and len(platform.semantic) == 12
-
-    def test_semantic_index_config_flows_through_cluster(self):
-        cluster = PlatformCluster(
-            config=ClusterConfig(
-                n_shards=2, semantic_index=SemanticIndexConfig(dim=32)
-            )
-        )
-        self.seed(cluster)
-        assert all(
-            shard.semantic.config.dim == 32 for shard in cluster.shards.values()
-        )
-        assert len(cluster.query(semantic_query("red chair", dim=32, k=4)).items) == 4
 
     def test_semantic_index_rejects_disaggregated_mode(self):
         with pytest.raises(ConfigurationError, match="semantic_index"):
