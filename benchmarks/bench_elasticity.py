@@ -4,8 +4,8 @@ Claim: the paper's elasticity argument (Sec. IV-E) is that a metaverse
 platform must absorb order-of-magnitude load swings — diurnal cycles,
 flash sales — without being provisioned for the peak.  The
 :mod:`repro.cluster.elasticity` control loop (hysteresis + cooldown
-autoscaling over windowed ingest-wait p95, hot-key salting, admission
-control) must deliver the static peak cluster's SLO attainment on a
+autoscaling over windowed ingest-wait p95 and admission control, beside
+explicit hot-key salting) must deliver the static peak cluster's SLO attainment on a
 flash spike while spending a fraction of its node-hours on a diurnal
 trace — and purchase outcomes must be *byte-identical* to the static
 cluster's, because scaling is a pure ring remap over a globally ordered

@@ -191,7 +191,7 @@ class PlatformCluster:
         self._drain_credit: dict[str, float] = {}
         # Closed-loop elasticity (opt-in via config.elasticity): the
         # controller reads this cluster's own metrics each tick and
-        # drives shard membership, hot-key salting, and admission.
+        # drives shard membership and admission.
         self.elasticity: ElasticityController | None = None
         if config.elasticity is not None:
             self.elasticity = ElasticityController(
@@ -210,8 +210,8 @@ class PlatformCluster:
             # Stateless compute: the shard's engine is a fresh mount of
             # the shared tier (a new network identity per mount, so a
             # re-mounted shard rejoins like a restarted process would).
-            # Storage RPCs inherit the platform's own retry policy via
-            # _with_retry, so the engine itself carries none.
+            # A storage call is retried in one layer, the platform's
+            # (_with_retry); the mount itself never retries.
             engine = self.storage.mount(client=name, faults=self.faults)
         shard = MetaversePlatform(
             n_executors=self.config.n_executors_per_shard,
@@ -773,11 +773,16 @@ class PlatformCluster:
 
     def committed_product(self, key: str) -> dict | None:
         """Committed product state from the owner's MVCC cache, falling
-        back to storage hydration (stateless compute after a remap);
-        from the tier itself while the owner is down."""
+        back to storage hydration (stateless compute after a remap).
+        While the owner is down it comes from where :meth:`read` and
+        :meth:`get_stock` take it: the tier itself, or with replica
+        failover the replicated op log — never the crashed shard."""
         owner = self.router.owner_of(key)
         if owner in self._down_compute:
             return self._read_tier(lambda engine: engine.get_product(key))
+        if self.failover is not None and self.failover.is_down(owner):
+            self.metrics.counter("cluster.failover.replica_reads").inc()
+            return self.failover.replica_product(owner, key)
         return self.shards[owner].committed_product(key)
 
     # -- marketplace --------------------------------------------------------
@@ -800,13 +805,8 @@ class PlatformCluster:
             requests, key=lambda r: purchase_sort_key(r, PHYSICAL_PRIORITY)
         )
         # Salt-bucket routing: each request maps to the request that
-        # actually executes (identity unless its product is salted).  The
-        # heat sketch sees every original product id, so hot keys are
-        # detected before and tracked after salting.
+        # actually executes (identity unless its product is salted).
         routed = ordered
-        if self.elasticity is not None:
-            for request in ordered:
-                self.elasticity.observe_purchase(request.product_id)
         if self.router.salted_keys():
             reserved: dict[str, int] = {}
             routed = [

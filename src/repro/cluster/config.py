@@ -19,7 +19,7 @@ from ..core.errors import ConfigurationError
 class ElasticityConfig:
     """Shape of the closed elasticity loop (:mod:`repro.cluster.elasticity`).
 
-    Three independently switchable mechanisms:
+    Two independently switchable mechanisms:
 
     * **autoscaling** (``autoscale=True``) — hysteresis + cooldown scale
       decisions over the windowed p95 ingest wait, joining/leaving
@@ -27,11 +27,6 @@ class ElasticityConfig:
       Requires disaggregated mode (``n_storage_nodes``): only there is a
       membership change a zero-migration ring remap cheap enough for a
       control loop to issue.
-    * **hot-key salting** (``hot_key_fraction`` set) — products whose
-      share of recent purchase traffic crosses the fraction are split
-      across ``salt_buckets`` salt buckets on distinct shards
-      (merge-on-read); they merge back when their share falls below a
-      quarter of the fraction.
     * **admission control** (``admission_rate`` set) — a token bucket
       per shard ahead of the circuit breaker; when a shard's bucket is
       dry, lowest-priority LOD traffic (virtual-space records) is shed
@@ -56,14 +51,6 @@ class ElasticityConfig:
     clear_evals: int = 4
     #: Histogram window (samples) for controller reads.
     window: int = 16
-    # -- hot-key salting ----------------------------------------------------
-    #: Share of recent purchase traffic at which a product is salted
-    #: (None disables automatic salting).
-    hot_key_fraction: float | None = None
-    #: Minimum sketch traffic before any salting decision.
-    hot_key_min_requests: int = 64
-    #: Salt buckets a hot product is split across.
-    salt_buckets: int = 4
     # -- admission control --------------------------------------------------
     #: Records per second per shard admitted at steady state (None disables).
     admission_rate: float | None = None
@@ -89,14 +76,6 @@ class ElasticityConfig:
             raise ConfigurationError("breach/clear evals must be >= 1")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
-        if self.hot_key_fraction is not None and not (
-            0.0 < self.hot_key_fraction <= 1.0
-        ):
-            raise ConfigurationError("hot_key_fraction must be in (0, 1]")
-        if self.salt_buckets < 2:
-            raise ConfigurationError("salt_buckets must be >= 2")
-        if self.hot_key_min_requests < 1:
-            raise ConfigurationError("hot_key_min_requests must be >= 1")
         if self.admission_rate is not None and self.admission_rate <= 0:
             raise ConfigurationError("admission_rate must be positive")
         if self.admission_burst is not None and self.admission_burst <= 0:
@@ -126,8 +105,8 @@ class ClusterConfig:
     #: buffers into real queues whose depth/wait the elasticity loop
     #: reads as its load signal.
     shard_drain_rate: float | None = None
-    #: Closed-loop elasticity (autoscaling, hot-key salting, admission
-    #: control); None leaves the cluster fully static.
+    #: Closed-loop elasticity (autoscaling, admission control); None
+    #: leaves the cluster fully static.
     elasticity: ElasticityConfig | None = None
     #: Per-shard semantic retrieval (repro.semantic).  Off by default —
     #: the numeric ingest hot paths never pay the embedding cost.

@@ -1,4 +1,4 @@
-"""Closed-loop elasticity: autoscaling, hot-key salting, admission control.
+"""Closed-loop elasticity: autoscaling and admission control.
 
 The paper's elasticity argument (Sec. IV-E) is that a metaverse platform
 must ride out order-of-magnitude load swings — diurnal cycles, flash
@@ -20,14 +20,8 @@ those membership changes from the cluster's own metrics:
   per-shard ingest-wait histograms (:meth:`Histogram.window
   <repro.core.metrics.Histogram.window>` — recent load, not lifetime
   quantiles), joins ``elastic-N`` compute shards on breach, retires them
-  LIFO on sustained slack, and runs the hot-key and admission mechanisms
-  below on the same cadence.
-* **hot-key salting** — a :class:`~repro.selftune.heat.HeatSketch` over
-  the purchase stream finds products drawing more than a configured share
-  of recent traffic; the controller splits them across salt buckets on
-  distinct shards (router-level salt map, merge-on-read stock, see
-  :meth:`PlatformCluster.salt_product`) and merges them back when they
-  cool.
+  LIFO on sustained slack, and runs the admission mechanism below on the
+  same cadence.
 * :class:`AdmissionController` — a per-shard :class:`TokenBucket` ahead
   of the circuit breaker.  When a shard's bucket runs dry, the lowest
   priority traffic is shed first: virtual-space LOD records are dropped,
@@ -36,8 +30,10 @@ those membership changes from the cluster's own metrics:
   at all.
 
 Everything is driven by the simulated clock, so a run is deterministic:
-the same workload and seed produce the same scale actions, the same salt
-decisions, and the same shed counts (experiment E29 commits to this).
+the same workload and seed produce the same scale actions and the same
+shed counts (experiment E29 commits to this).  Hot-key salting is not the
+controller's: a caller splits a product with
+:meth:`PlatformCluster.salt_product <repro.cluster.cluster.PlatformCluster.salt_product>`.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from ..core.errors import ConfigurationError
 from ..core.metrics import MetricsRegistry
 from ..core.records import Space
 from ..obs.tracing import NoopTracer, Tracer
-from ..selftune.heat import HeatSketch
 from .config import ElasticityConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -217,7 +212,7 @@ class AdmissionController:
 
 
 class ElasticityController:
-    """The closed loop binding policy, sketch, and admission to a cluster.
+    """The closed loop binding policy and admission to a cluster.
 
     Owned by :class:`~repro.cluster.cluster.PlatformCluster` when its
     config carries an :class:`ElasticityConfig`; :meth:`tick` runs once
@@ -239,7 +234,6 @@ class ElasticityController:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.policy = ScalingPolicy(config)
-        self.sketch = HeatSketch()
         self.admission: AdmissionController | None = None
         if config.admission_rate is not None:
             self.admission = AdmissionController(
@@ -251,13 +245,6 @@ class ElasticityController:
         # them LIFO and never touches the operator-provisioned base set.
         self._elastic_shards: list[str] = []
         self.node_seconds = 0.0
-
-    # -- signals ------------------------------------------------------------
-
-    def observe_purchase(self, product_id: str) -> None:
-        """Feed the heat sketch (called by the cluster's purchase router)."""
-        if self.config.hot_key_fraction is not None:
-            self.sketch.observe(product_id)
 
     # -- the loop -----------------------------------------------------------
 
@@ -278,8 +265,6 @@ class ElasticityController:
         self.metrics.gauge("cluster.elasticity.p95_wait_s").set(p95)
         if self.config.autoscale:
             self._autoscale(now, p95)
-        if self.config.hot_key_fraction is not None:
-            self._retune_salting()
         self.metrics.gauge("cluster.elasticity.shards").set(
             float(len(self.cluster.shards))
         )
@@ -304,27 +289,3 @@ class ElasticityController:
             self.tracer.log(
                 "info", "elasticity scale-in", shard=name, p95_wait_s=p95
             )
-
-    def _retune_salting(self) -> None:
-        """Salt products the sketch calls hot; unsalt the ones that cooled."""
-        cfg = self.config
-        hot = {
-            key
-            for key, _share in self.sketch.hot_keys(
-                cfg.hot_key_fraction, min_total=float(cfg.hot_key_min_requests)
-            )
-        }
-        router = self.cluster.router
-        for pid in sorted(hot):
-            if not router.is_salted(pid):
-                self.cluster.salt_product(pid, cfg.salt_buckets)
-                self.metrics.counter("cluster.elasticity.salted").inc()
-                self.tracer.log("info", "hot product salted", product=pid)
-        cool_floor = cfg.hot_key_fraction / 4.0
-        for pid in list(router.salted_keys()):
-            if pid not in hot and self.sketch.share(pid) < cool_floor:
-                self.cluster.unsalt_product(pid)
-                self.metrics.counter("cluster.elasticity.unsalted").inc()
-                self.tracer.log("info", "product unsalted", product=pid)
-        # Age the sketch once per evaluation so "hot" means hot *recently*.
-        self.sketch.decay()

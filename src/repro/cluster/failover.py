@@ -378,6 +378,12 @@ class FailoverManager:
         """Last logged stock level for ``product_id`` (None if unknown)."""
         return self._replica_state(owner, product_id).stock_of(product_id)
 
+    def replica_product(self, owner: str, product_id: str) -> dict | None:
+        """A copy of the product record the replicated log folds to for
+        ``product_id``, stock level included (None if unknown/dropped)."""
+        record = self._replica_state(owner, product_id).products.get(product_id)
+        return None if record is None else dict(record)
+
     # -- crash entry point ---------------------------------------------------
 
     def kill(self, name: str, torn_tail_bytes: int = 0) -> None:

@@ -168,9 +168,8 @@ class GeoConfig:
             if self.cluster.elasticity is not None:
                 raise ConfigurationError(
                     "per-region elasticity is not supported under a geo "
-                    "deployment: the controller salts hot products into "
-                    "bucket keys, and the salt map is router state the "
-                    "replication log does not carry"
+                    "deployment: no workload, bench or test runs the "
+                    "elasticity loop inside a geo region"
                 )
         return self
 

@@ -12,7 +12,6 @@ from .cardinality import (
     DriftDetector,
     HistogramEstimator,
 )
-from .heat import HeatSketch
 from .diststats import (
     ExchangeReport,
     MergeableHistogram,
@@ -37,7 +36,6 @@ __all__ = [
     "CoherencyTuner",
     "DriftDetector",
     "ExchangeReport",
-    "HeatSketch",
     "MergeableHistogram",
     "HistogramEstimator",
     "Human",

@@ -17,9 +17,10 @@ interface with two implementations:
   :class:`~repro.net.simnet.SimulatedNetwork`: every operation pays
   round-trip link latency on the simulated clock, respects partitions,
   and consults the fault injector at the new ``storage.rpc`` site
-  (crash / delay / drop-as-timeout).  Optional retry and circuit-breaker
-  policies guard the link; per-engine counters, latency histograms, and
-  ``storage.rpc`` trace spans make the tier observable.
+  (crash / delay / drop-as-timeout).  The mount surfaces each failure to
+  its caller — the platform's retry policy is the one that retries —
+  and per-engine counters, latency histograms, and ``storage.rpc`` trace
+  spans make the tier observable.
 
 A :class:`StorageTier` groups M storage nodes under a consistent-hash
 (vnode) ring so N compute nodes can mount the same tier with N ≠ M —
@@ -39,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.clock import EventScheduler, SimulationClock
 from ..core.errors import (
-    CircuitOpenError,
     ConfigurationError,
     FaultInjectedError,
     KeyNotFoundError,
@@ -54,7 +54,6 @@ from .kv import KVStore, encode_mput, payload_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
-    from ..resilience.policies import CircuitBreaker, RetryPolicy
 
 #: The storage RPCs that change what a node holds: each one drops the
 #: rows the tier's open read scope recorded (:meth:`StorageTier.read_scope`).
@@ -381,8 +380,6 @@ class StorageTier:
         self,
         client: str | None = None,
         faults: "FaultInjector | None" = None,
-        retry: "RetryPolicy | None" = None,
-        breaker: "CircuitBreaker | None" = None,
         rpc_timeout_s: float = 0.05,
     ) -> "RemoteStorageEngine":
         """Attach a new compute-side client and return its engine.
@@ -397,8 +394,6 @@ class StorageTier:
             self,
             client=name,
             faults=faults,
-            retry=retry,
-            breaker=breaker,
             rpc_timeout_s=rpc_timeout_s,
         )
 
@@ -463,10 +458,11 @@ class RemoteStorageEngine(StorageEngine):
     ``delay`` (slow link), and ``drop`` (the request vanishes; the client
     burns its ``rpc_timeout_s`` budget before surfacing the failure) —
     all raised as retryable
-    :class:`~repro.core.errors.FaultInjectedError`, so the platform's
-    existing retry policy recovers transient storage faults and an
-    optional :class:`~repro.resilience.policies.CircuitBreaker` sheds
-    load from a persistently failing tier.
+    :class:`~repro.core.errors.FaultInjectedError`.  The mount does not
+    retry: the platform's own retry policy
+    (:meth:`~repro.platform.platform.MetaversePlatform._with_retry`)
+    recovers transient storage faults, so a storage call is retried in
+    one layer.
     """
 
     kind = "remote"
@@ -476,8 +472,6 @@ class RemoteStorageEngine(StorageEngine):
         tier: StorageTier,
         client: str = "compute/node@0",
         faults: "FaultInjector | None" = None,
-        retry: "RetryPolicy | None" = None,
-        breaker: "CircuitBreaker | None" = None,
         rpc_timeout_s: float = 0.05,
     ) -> None:
         if rpc_timeout_s <= 0:
@@ -487,8 +481,6 @@ class RemoteStorageEngine(StorageEngine):
         self.metrics = tier.metrics
         self.tracer = tier.tracer
         self.faults = faults
-        self.retry = retry
-        self.breaker = breaker
         self.rpc_timeout_s = rpc_timeout_s
         if client not in tier.net.nodes:
             tier.net.add_node(client)
@@ -500,24 +492,7 @@ class RemoteStorageEngine(StorageEngine):
         scans = self.tier._scans
         if scans and op in WRITE_OPS:
             scans.clear()
-        if self.retry is not None:
-            return self.retry.call(lambda: self._rpc_once(node, op, request_size, *args))
-        return self._rpc_once(node, op, request_size, *args)
-
-    def _rpc_once(self, node: StorageNode, op: str, request_size: int, *args):
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"storage link breaker open for {self.client}"
-            )
-        try:
-            result = self._transact(node, op, request_size, *args)
-        except FaultInjectedError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return result
+        return self._transact(node, op, request_size, *args)
 
     def _reach(self, node: StorageNode) -> None:
         """Raise :class:`PartitionedError` if ``node`` is cut off from
@@ -625,7 +600,7 @@ class RemoteStorageEngine(StorageEngine):
     # O(storage nodes) instead of O(keys).  Fault semantics are
     # batch-grained by construction — the injector is consulted once per
     # round trip in _transact, so a dropped batch burns one timeout and
-    # fails (and retries) as a unit.
+    # fails as a unit.
 
     def mget(self, keys: Iterable[str]) -> dict[str, object]:
         merged: dict[str, object] = {}
@@ -643,9 +618,9 @@ class RemoteStorageEngine(StorageEngine):
     ) -> None:
         # The request on the wire is the record in the node's log: every
         # node group is serialised here, once, before the first round trip
-        # — a value JSON cannot carry fails with no node written, and a
-        # retry resends the same bytes.  A ``record`` handed in covers all
-        # of ``items``, not one node's group, so it is not what is sent.
+        # — a value JSON cannot carry fails with no node written.  A
+        # ``record`` handed in covers all of ``items``, not one node's
+        # group, so it is not what is sent.
         requests = []
         grouped = self.tier.group_by_node(items, itemgetter(0))
         for node, node_items in grouped.items():

@@ -374,48 +374,6 @@ class TestControllerOnCluster:
         for earlier, later in zip(times, times[1:]):
             assert later - earlier >= TICK_S
 
-    def test_controller_salts_hot_product_and_unsalts_when_cool(self):
-        cluster = elastic_cluster(
-            autoscale=False, hot_key_fraction=0.5,
-            hot_key_min_requests=16, salt_buckets=4,
-        )
-        workload = MarketplaceWorkload(
-            FlashSaleConfig(n_products=8, initial_stock=500), seed=3
-        )
-        cluster.load_catalog(workload.catalog_records())
-        hot = workload.product_id(0)
-        for burst in range(3):
-            cluster.process_purchases([
-                PurchaseRequest(
-                    f"hot-{burst}-{i}", hot, Space.VIRTUAL,
-                    cluster.clock.now,
-                )
-                for i in range(20)
-            ])
-            cluster.tick(TICK_S)
-        assert cluster.router.is_salted(hot)
-        assert (
-            cluster.metrics.counter("cluster.elasticity.salted").value == 1
-        )
-        # The crowd moves on: traffic spreads thin over the other
-        # products and the sketch decays the old heat away.
-        for wave in range(12):
-            cluster.process_purchases([
-                PurchaseRequest(
-                    f"cool-{wave}-{i}", workload.product_id(1 + i % 7),
-                    Space.VIRTUAL, cluster.clock.now,
-                )
-                for i in range(21)
-            ])
-            cluster.tick(TICK_S)
-        assert not cluster.router.is_salted(hot)
-        assert (
-            cluster.metrics.counter("cluster.elasticity.unsalted").value == 1
-        )
-        # split+merge conserved the catalog through the whole episode
-        sold = 60  # every hot-burst purchase succeeded (stock 500)
-        assert cluster.get_stock(hot) == 500 - sold
-
 
 # -- chaos: byte-identity through mid-sale scaling under faults --------------
 

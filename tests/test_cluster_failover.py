@@ -343,6 +343,34 @@ class TestMarketplaceDuringFailure:
         with pytest.raises(ConfigurationError):
             cluster.get_stock("nonexistent-product-on-" + victim)
 
+    def test_down_owner_product_record_agrees_with_its_stock(self):
+        """While an owner is down, ``committed_product`` answers from the
+        replicated log like ``get_stock`` does, not from the crashed
+        shard's memory, which holds a sale the log never saw."""
+        injector = FaultInjector(FaultPlan(rules=[
+            FaultRule(site="cluster.replicate", kind="drop", rate=1.0,
+                      start=0.5, end=0.6),
+        ]))
+        cluster = failover_cluster(n_shards=3, faults=injector)
+        cluster.import_product("p0", {"stock": 10})
+        while cluster.clock.now < 0.55 - 1e-9:
+            cluster.tick(TICK)
+        [sold] = cluster.process_purchases([
+            PurchaseRequest("s1", "p0", Space.VIRTUAL, cluster.clock.now)
+        ])
+        assert sold.success
+        owner = cluster.router.owner_of("p0")
+        cluster.kill_shard(owner, torn_tail_bytes=10_000)
+        reads = cluster.metrics.counter("cluster.failover.replica_reads")
+        before = reads.value
+        down = cluster.committed_product("p0")["stock"]
+        counted = reads.value - before
+        assert down == cluster.get_stock("p0")
+        assert counted == 1
+        tick_until_up(cluster, owner)
+        assert cluster.committed_product("p0")["stock"] == down
+        assert cluster.get_stock("p0") == down
+
     def test_basket_touching_down_shard_rejected(self):
         cluster, _, pids = self.catalog_cluster()
         victim = cluster.router.owner_of(pids[0])

@@ -25,12 +25,11 @@ import inspect
 from repro.cluster import ClusterConfig, PlatformCluster
 from repro.cluster.config import ElasticityConfig
 from repro.cluster.coordinator import CrossShardCoordinator
-from repro.cluster.elasticity import ElasticityController, TokenBucket
+from repro.cluster.elasticity import TokenBucket
 from repro.cluster.failover import FailoverManager, FailureDetector
 from repro.geo import GeoConfig, GeoDeployment
 from repro.platform import MetaversePlatform
 from repro.resilience.policies import RetryPolicy
-from repro.selftune.heat import HeatSketch
 from repro.semantic import SemanticIndex, semantic_query
 from repro.storage.engine import LocalStorageEngine, StorageTier
 
@@ -54,7 +53,7 @@ FIELDS = {
         "compact_threshold",
         "seed",
     ),
-    # Every field is set by the E29 bench or test_cluster_elasticity.py.
+    # Every field is set by the E29 bench (bench_elasticity.py).
     ElasticityConfig: (
         "autoscale",
         "min_shards",
@@ -66,9 +65,6 @@ FIELDS = {
         "breach_evals",
         "clear_evals",
         "window",
-        "hot_key_fraction",
-        "hot_key_min_requests",
-        "salt_buckets",
         "admission_rate",
         "admission_burst",
     ),
@@ -100,19 +96,14 @@ PARAMETERS = {
     StorageTier.mount: (
         "client",
         "faults",
-        "retry",
-        "breaker",
         "rpc_timeout_s",
     ),
-    # Below the shapes.  Sketch shape, decay and candidate bounds are
-    # heat.py constants; the detector's interval window and the purchase
+    # Below the shapes.  The detector's interval window and the purchase
     # conflict retries are constants; the 2PC timeout is the Coordinator
-    # default; a token take is one token; a purchase is one observation.
-    HeatSketch: (),
+    # default; a token take is one token.
     FailureDetector: ("heartbeat_interval_s", "phi_threshold"),
     CrossShardCoordinator: ("shards", "clock", "metrics", "tracer"),
     TokenBucket.try_take: ("now",),
-    ElasticityController.observe_purchase: ("product_id",),
     RetryPolicy.call: ("fn", "retry_on"),
     MetaversePlatform.process_purchases: ("requests", "presorted"),
     PlatformCluster.process_purchases: ("requests",),

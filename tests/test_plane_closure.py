@@ -10,12 +10,20 @@ importing anything outside it fails here, with the offending edge.
 A package imported as a package (``from ..semantic import SemanticIndex``)
 counts as its ``__init__`` module and is not walked further: what a
 package re-exports is its own business.
+
+Inside the plane, nothing serves only its own tests: every public
+function, class and method a plane module defines is named somewhere
+else under ``src/``, ``benchmarks/``, ``examples/`` or ``macrobench/``,
+or is on :data:`TESTS_ONLY` with the test that uses it.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 ROOTS = (
     "repro.api.dataplane",
@@ -24,7 +32,7 @@ ROOTS = (
     "repro.geo.deployment",
 )
 
-#: The plane (``repro.`` prefix dropped): 34 modules, 10,740 lines.
+#: The plane (``repro.`` prefix dropped): 33 modules, 10,463 lines.
 PLANE = {
     "api.dataplane",
     "cluster.cluster",
@@ -51,7 +59,6 @@ PLANE = {
     "replication",
     "resilience.faults",
     "resilience.policies",
-    "selftune.heat",
     "semantic",
     "spatial.geometry",
     "storage.bufferpool",
@@ -125,3 +132,88 @@ def test_the_walk_sees_function_level_and_relative_imports():
     assert "repro.spatial.geometry" in imported_by("repro.platform.platform")
     assert "repro.semantic" in imported_by("repro.platform.platform")
     assert imported_by("repro.core.errors") == set()
+
+
+#: Public definitions in the plane that no program code names, each
+#: with the test that uses it.  Keys are ``module.Qualname`` (``repro.``
+#: dropped); values are ``file::test`` under ``tests/``.
+TESTS_ONLY = {
+    "core.clock.EventScheduler.run_for": "test_core_clock.py::test_run_for_is_relative",
+    "core.metrics.Histogram.stddev": "test_core_metrics.py::test_stddev",
+    "core.records.DataRecord.age": "test_core_records.py::test_age",
+    "net.overlay.BatonTree.range_owners":
+        "test_net_overlay.py::test_range_owners_contiguous",
+    "net.pubsub.Broker.unsubscribe": "test_net_pubsub.py::test_unsubscribe",
+    "obs.tracing.Tracer.finished_spans": "test_obs_tracing.py::test_bounded_memory",
+    "obs.tracing.Tracer.spans_named": "test_obs_tracing.py::test_flush_gateways_span_tree",
+    "obs.tracing.Tracer.children_of": "test_obs_tracing.py::test_siblings_share_parent",
+    "placement.Placement.load_of": "test_cluster_ring.py::test_max_load_within_bound",
+    "resilience.faults.FaultInjector.maybe_crash":
+        "test_resilience.py::test_maybe_crash_raises",
+    "resilience.policies.RetryPolicy.planned_delays":
+        "test_resilience.py::test_jitter_is_deterministic_under_fixed_seed",
+    "spatial.geometry.Point.translated": "test_spatial_geometry.py::test_translate",
+    "spatial.geometry.BBox.from_points": "test_spatial_geometry.py::test_from_points",
+    "spatial.geometry.BBox.contains_box": "test_spatial_geometry.py::test_contains_box",
+    "storage.wal.WriteAheadLog.truncated_lsn":
+        "test_storage_lifecycle.py::test_last_valid_lsn_survives_empty_body",
+    "txn.mvcc.MVStore.vacuum": "test_txn_mvcc.py::test_vacuum_drops_old_versions",
+    "txn.mvcc.MVStore.version_count": "test_txn_mvcc.py::test_vacuum_drops_old_versions",
+    "txn.twopc.Participant.staged_count": "test_txn_twopc.py::test_no_vote_aborts_all",
+}
+
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def words_under(*dirs: str) -> Counter:
+    """How often each identifier-shaped word occurs in the ``.py`` files
+    under ``dirs`` (code, strings and comments alike)."""
+    counts: Counter = Counter()
+    for name in dirs:
+        for path in (REPO / name).rglob("*.py"):
+            counts.update(WORD.findall(path.read_text()))
+    return counts
+
+
+def public_definitions(module: str):
+    """``(Qualname, name)`` for every public module-level function and
+    class of ``module``, and every public method of those classes."""
+    for node in ast.parse(source_of(module).read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (
+                    isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                ):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def test_nothing_in_the_plane_serves_only_its_own_tests():
+    in_src = words_under("src")
+    elsewhere = words_under("benchmarks", "examples", "macrobench")
+    unnamed = {
+        f"{module}.{qualname}"
+        for module in PLANE
+        for qualname, name in public_definitions("repro." + module)
+        # One occurrence in src/ is the definition itself.
+        if in_src[name] <= 1 and not elsewhere[name]
+    }
+    assert not unnamed - TESTS_ONLY.keys(), (
+        "used only by tests; delete it, or list it in TESTS_ONLY with "
+        f"the test that uses it: {sorted(unnamed - TESTS_ONLY.keys())}"
+    )
+    assert not TESTS_ONLY.keys() - unnamed, (
+        "named by program code now, or gone from the plane; drop from "
+        f"TESTS_ONLY: {sorted(TESTS_ONLY.keys() - unnamed)}"
+    )
+    for qualified, entry in TESTS_ONLY.items():
+        test_file, test = entry.split("::")
+        text = (REPO / "tests" / test_file).read_text()
+        name = qualified.rsplit(".", 1)[1]
+        assert f"def {test}(" in text and re.search(rf"\b{name}\b", text), entry
+

@@ -8,9 +8,8 @@ Three families:
 * **fault sites** — the ``storage.rpc`` site injects crash/delay/drop
   (drop surfaces as a client timeout that burns simulated time) and
   partitions sever the mount;
-* **recovery** — a retry policy absorbs transient RPC faults, a circuit
-  breaker sheds load from a persistently failing tier, and a platform on
-  a remote engine stays exactly-once through cache loss (hydration).
+* **recovery** — a platform on a remote engine stays exactly-once through
+  cache loss (hydration).
 """
 
 import copy
@@ -23,14 +22,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import DataKind, DataRecord, SimulationClock, Space
 from repro.core.errors import (
-    CircuitOpenError,
     ConfigurationError,
     FaultInjectedError,
     KeyNotFoundError,
     PartitionedError,
 )
 from repro.platform import MetaversePlatform
-from repro.resilience import CircuitBreaker, FaultInjector, FaultPlan, RetryPolicy
+from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
 from repro.resilience.faults import FaultRule
 from repro.storage import (
     LifecyclePolicy,
@@ -46,9 +44,9 @@ from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 pytestmark = pytest.mark.disagg
 
 
-def remote_engine(n_nodes=2, **mount_kwargs):
+def remote_engine(n_nodes=2):
     tier = StorageTier(n_nodes=n_nodes)
-    return tier, tier.mount("test", **mount_kwargs)
+    return tier, tier.mount("test")
 
 
 def faulted_engine(rules, seed=1, **mount_kwargs):
@@ -381,71 +379,6 @@ class TestFaultSites:
         first = faulted_outcomes()
         assert first == faulted_outcomes()
         assert True in first and False in first
-
-
-class TestRecoveryPolicies:
-    def test_retry_absorbs_transient_rpc_faults(self):
-        tier = StorageTier(n_nodes=2)
-        injector = FaultInjector(
-            FaultPlan(
-                rules=(FaultRule(site="storage.rpc", kind="crash", rate=0.3),),
-                seed=5,
-            ),
-            clock=tier.clock,
-        )
-        retry = RetryPolicy(
-            max_attempts=6, base_delay_s=0.001, clock=tier.clock,
-            metrics=tier.metrics,
-        )
-        engine = tier.mount("test", faults=injector, retry=retry)
-        for i in range(40):  # at 30% faults, un-retried this would fail
-            engine.put(f"k{i}", i)
-        assert len(engine.keys()) == 40
-        assert tier.metrics.counter("resilience.retries").value > 0
-
-    def test_breaker_sheds_load_from_a_failing_tier(self):
-        tier = StorageTier(n_nodes=1)
-        injector = FaultInjector(
-            FaultPlan(
-                rules=(FaultRule(site="storage.rpc", kind="crash", rate=1.0),),
-                seed=3,
-            ),
-            clock=tier.clock,
-        )
-        breaker = CircuitBreaker(
-            failure_threshold=3, cooldown_s=1.0, clock=tier.clock
-        )
-        engine = tier.mount("test", faults=injector, breaker=breaker)
-        for _ in range(3):
-            with pytest.raises(FaultInjectedError):
-                engine.get("k")
-        with pytest.raises(CircuitOpenError):
-            engine.get("k")  # open: shed without an RPC
-        assert breaker.state == "open"
-
-    def test_breaker_recloses_after_cooldown_and_success(self):
-        tier = StorageTier(n_nodes=1)
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_s=0.5, half_open_successes=1,
-            clock=tier.clock,
-        )
-        injector = FaultInjector(
-            FaultPlan(
-                rules=(
-                    FaultRule(site="storage.rpc", kind="crash", rate=1.0,
-                              end=0.2),
-                ),
-                seed=3,
-            ),
-            clock=tier.clock,
-        )
-        engine = tier.mount("test", faults=injector, breaker=breaker)
-        with pytest.raises(FaultInjectedError):
-            engine.put("k", 1)
-        assert breaker.state == "open"
-        tier.clock.advance(1.0)  # past cooldown AND the fault window
-        engine.put("k", 1)  # half-open probe succeeds
-        assert breaker.state == "closed"
 
 
 class TestPlatformOnEngines:

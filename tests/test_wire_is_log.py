@@ -8,8 +8,8 @@ batch, every store under it must hold exactly the bytes a server-side-
 encoding store would have logged, and must recover from them.
 
 The second half pins what moving the encode bought at the failure edge: a
-value JSON cannot carry fails before any round trip begins, and a retried
-request is the same bytes, encoded once.
+value JSON cannot carry fails before any round trip begins, and an engine
+handed no record encodes each batch once.
 """
 
 import json
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resilience import CircuitBreaker, FaultInjector, FaultPlan, RetryPolicy
-from repro.resilience.faults import NO_FAULT, FaultDecision, FaultRule
+from repro.resilience import FaultInjector, FaultPlan
+from repro.resilience.faults import FaultRule
 from repro.storage import (
     KVStore,
     LifecyclePolicy,
@@ -184,8 +184,7 @@ class TestEncodedBeforeTheRoundTrip:
                                        rate=0.5, delay_s=0.01)], seed=3),
             clock=tier.clock,
         )
-        breaker = CircuitBreaker(failure_threshold=1, clock=tier.clock)
-        engine = tier.mount("test", faults=injector, breaker=breaker)
+        engine = tier.mount("test", faults=injector)
         engine.mput([("good", 1)])
         decisions = []
         decide = injector.decide
@@ -198,7 +197,6 @@ class TestEncodedBeforeTheRoundTrip:
                 "bytes": tier.metrics.counter("storage.rpc.bytes").value,
                 "latencies": tier.metrics.histogram("storage.rpc.latency_s").count,
                 "ops": [node.ops for node in tier.nodes.values()],
-                "breaker": dict(vars(breaker)),
                 "rng": injector._rng.getstate(),
                 "keys": tier.keys(),
             }
@@ -207,25 +205,6 @@ class TestEncodedBeforeTheRoundTrip:
         with pytest.raises(error):
             engine.mput([("bad", bad)])
         assert observed() == before and decisions == []
-
-    def test_a_retried_request_is_the_same_bytes_encoded_once(self, monkeypatch):
-        tier = StorageTier(n_nodes=2)
-        injector = FaultInjector(FaultPlan(), clock=tier.clock)
-        script = iter(["crash", "drop"])
-        injector.decide = lambda *a, **kw: (
-            FaultDecision(kind=kind) if (kind := next(script, None)) else NO_FAULT
-        )
-        retry = RetryPolicy(max_attempts=4, base_delay_s=0.01, seed=1, clock=tier.clock)
-        engine = tier.mount("test", faults=injector, retry=retry)
-        batch = [(f"k{i}", {"v": i}) for i in range(12)]
-        groups = applied_by(engine, batch)
-        assert len(groups) == 2
-        calls = count_encodes(monkeypatch)
-        engine.mput(batch)
-        assert tier.metrics.counter("storage.rpc.faults").value == 2
-        assert calls == list(groups.values())  # once per group, none on a node
-        for name, kv in stores_of(engine).items():
-            assert logged(kv) == [encode_mput(groups[name])]
 
     def test_an_engine_handed_no_record_encodes_once(self, monkeypatch):
         calls = count_encodes(monkeypatch)
