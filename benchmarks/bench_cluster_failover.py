@@ -23,7 +23,7 @@ import sys
 import pytest
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.cluster.failover import RECOVERING, UP
+from repro.cluster.failover import DOWN, RECOVERING, UP
 from repro.core import MetricsRegistry
 from repro.obs import write_snapshot
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
@@ -72,7 +72,7 @@ def run_sale(n, kill):
             cluster.kill_shard(victim, torn_tail_bytes=TORN_TAIL_BYTES)
         outcomes += cluster.process_purchases(batch)
         cluster.tick(TICK_S)
-        if kill and cluster.failover.is_down(victim):
+        if kill and cluster.failover.state(victim) == DOWN:
             # The crashed shard's keys stay readable from replicated logs.
             assert cluster.get_stock(pids[0]) >= 0
         if kill and cluster.failover.state(victim) == RECOVERING:

@@ -34,9 +34,9 @@ and coordinating the cross-shard paths:
   marks the compute node down and the next :meth:`tick` recovers it by
   *re-mounting* the surviving storage nodes (no WAL replay, no data
   movement), and while the owner is down its keys are read from the
-  tier through any live compute node's mount.  Mutually exclusive with
-  replica failover (``n_replicas >= 2``): in a disaggregated deployment
-  the shared tier *is* the availability mechanism.
+  tier through any live compute node's mount (:class:`TierStandIn`).
+  Mutually exclusive with replica failover (``n_replicas >= 2``): in a
+  disaggregated deployment the shared tier *is* the availability mechanism.
 
 Chaos coverage: sites ``cluster.ingest`` (drop) and ``cluster.query``
 (crash/delay) are instrumented, and the shared fault injector reaches
@@ -96,7 +96,7 @@ from ..txn.twopc import TxnOutcome
 from .config import ClusterConfig
 from .coordinator import CrossShardCoordinator
 from .elasticity import ElasticityController
-from .failover import RECOVERING, FailoverManager
+from .failover import RECOVERING, FailoverManager, ReplicaStandIn
 from .router import ShardRouter
 
 #: A cluster orders purchases physical-space first, the paper's policy
@@ -113,6 +113,43 @@ class BasketOutcome:
     reason: str = ""
     shards: tuple[str, ...] = ()
     txn: TxnOutcome | None = None
+
+
+class TierStandIn:
+    """A crashed compute node's read surface until the next tick
+    re-mounts it: the shared tier, through any live node's mount under
+    that node's retry.  It touches no shard's caches — a copy hydrated
+    into another shard's would go stale there once the owner is back.
+    Counted in ``cluster.disagg.rerouted_reads``."""
+
+    def __init__(self, cluster: "PlatformCluster") -> None:
+        self.cluster = cluster
+
+    def _read(self, read: Callable[[StorageEngine], object]):
+        cluster = self.cluster
+        for name in cluster.router.shards:
+            if not cluster._is_down(name):
+                mount = cluster.shards[name]
+                break
+        else:
+            raise ConfigurationError("every compute node is down")
+        cluster.metrics.counter("cluster.disagg.rerouted_reads").inc()
+        return mount._with_retry(lambda: read(mount.engine))
+
+    def read(self, key: str, allow_stale: bool = True):
+        try:
+            return self._read(lambda engine: engine.get(key))
+        except KeyNotFoundError:
+            return None
+
+    def get_stock(self, product_id: str) -> int:
+        value = self.committed_product(product_id)
+        if value is None:
+            raise KeyNotFoundError(product_id)
+        return int(value.get("stock", 0))
+
+    def committed_product(self, key: str) -> dict | None:
+        return self._read(lambda engine: engine.get_product(key))
 
 
 class PlatformCluster:
@@ -150,7 +187,9 @@ class PlatformCluster:
         # compute shard.  The tier shares the cluster clock so RPC latency
         # advances the same simulated time the rest of the system runs on.
         self.storage: StorageTier | None = None
-        self._down_compute: set[str] = set()
+        # THE record of down-ness, {crashed shard: what answers for it}:
+        # entered by kill_shard, left by install_shard.
+        self._stand_ins: dict[str, TierStandIn | ReplicaStandIn] = {}
         # Failover is opt-in: with n_replicas == 1 (the default) nothing is
         # replicated, no heartbeats flow, and every path below behaves
         # exactly as before.
@@ -259,9 +298,13 @@ class PlatformCluster:
                 sink(shard, op)
 
     def _is_down(self, name: str) -> bool:
-        if name in self._down_compute:
-            return True
-        return self.failover is not None and self.failover.is_down(name)
+        return name in self._stand_ins
+
+    def _answerer(self, owner: str):
+        """THE down-owner decision: ``owner``'s platform, or its stand-in
+        while it is down — each with ``read``, ``get_stock`` and
+        ``committed_product``."""
+        return self._stand_ins.get(owner) or self.shards[owner]
 
     def install_shard(self, name: str, platform: MetaversePlatform) -> None:
         """Swap in a promoted replica under an existing shard name.
@@ -274,6 +317,7 @@ class PlatformCluster:
             raise ConfigurationError(f"unknown shard {name!r}")
         self.shards[name] = platform
         self.coordinator.attach_shard(name, platform)
+        self._stand_ins.pop(name, None)
 
     def _remount_shard(self, name: str) -> None:
         """Bring a crashed compute node back by mounting the tier afresh."""
@@ -455,13 +499,12 @@ class PlatformCluster:
         batches, run the upkeep loops, refresh every registered continuous
         query (returning the fresh results).  The geo deployment advances
         one shared clock, then steps each region's cluster."""
-        if self._down_compute:
+        if self.storage is not None and self._stand_ins:
             # Disaggregated recovery: a crashed compute node holds no
             # state, so recovery is a re-mount of the surviving storage
             # nodes — no WAL replay, no data movement.
-            for name in sorted(self._down_compute):
+            for name in sorted(self._stand_ins):
                 self._remount_shard(name)
-            self._down_compute.clear()
             self._refresh_shard_gauges()
         rate = self.config.shard_drain_rate
         if rate is not None:
@@ -535,49 +578,19 @@ class PlatformCluster:
         """Point read, routed to the owning shard; ``None`` for a key no
         record holds.
 
-        On a storage tier, while the owner is a crashed compute node, the
-        tier answers (:meth:`_read_tier`).  With replica failover, while
-        the owner is crashed (and not yet failed over), the read is
-        answered from its replicated op log — stale by at most the
-        replication lag, but available.  While the owner is a freshly
-        promoted replica (recovering), the read additionally read-repairs:
-        a value that disagrees with the replicated log is overwritten in
-        place, so hot keys reconverge ahead of the anti-entropy sweep.
+        While the owner is down its stand-in answers (:meth:`_answerer`).
+        While the owner is a freshly promoted replica (recovering), the
+        read additionally read-repairs: a value that disagrees with the
+        replicated log is overwritten in place, so hot keys reconverge
+        ahead of the anti-entropy sweep.
         """
         owner = self.router.owner_of(key)
-        if owner in self._down_compute:
-            try:
-                return self._read_tier(lambda engine: engine.get(key))
-            except KeyNotFoundError:
-                return None
-        if self.failover is not None:
-            if self.failover.is_down(owner):
-                self.metrics.counter("cluster.failover.replica_reads").inc()
-                return self.failover.replica_value(owner, key)
-            if self.failover.state(owner) == RECOVERING:
-                return self._read_repair(owner, key, allow_stale)
-        return self.shards[owner].read(key, allow_stale=allow_stale)
-
-    def _read_tier(self, read: Callable[[StorageEngine], object]):
-        """THE down-owner read: ``read(engine)`` straight from the shared
-        tier, while a key's owner is a crashed compute node.
-
-        State lives in the tier, so any live compute node's mount can
-        answer, under that node's retry policy.  The read touches no
-        shard's caches: a copy hydrated into another shard's MVCC cache
-        or buffer pool would go stale there once the owner is back.
-        Counted in ``cluster.disagg.rerouted_reads``."""
-        for name in self.router.shards:
-            if name not in self._down_compute:
-                mount = self.shards[name]
-                break
-        else:
-            raise ConfigurationError("every compute node is down")
-        self.metrics.counter("cluster.disagg.rerouted_reads").inc()
-        return mount._with_retry(lambda: read(mount.engine))
+        if self.failover is not None and self.failover.state(owner) == RECOVERING:
+            return self._read_repair(owner, key, allow_stale)
+        return self._answerer(owner).read(key, allow_stale=allow_stale)
 
     def _read_repair(self, owner: str, key: str, allow_stale: bool):
-        expected = self.failover.replica_value(owner, key)
+        expected = ReplicaStandIn(self.failover, owner).state_of(key).entity(key)
         value = self.shards[owner].read(key, allow_stale=allow_stale)
         if expected is not None and value != expected:
             self.shards[owner].import_entity(key, expected)
@@ -773,17 +786,9 @@ class PlatformCluster:
 
     def committed_product(self, key: str) -> dict | None:
         """Committed product state from the owner's MVCC cache, falling
-        back to storage hydration (stateless compute after a remap).
-        While the owner is down it comes from where :meth:`read` and
-        :meth:`get_stock` take it: the tier itself, or with replica
-        failover the replicated op log — never the crashed shard."""
-        owner = self.router.owner_of(key)
-        if owner in self._down_compute:
-            return self._read_tier(lambda engine: engine.get_product(key))
-        if self.failover is not None and self.failover.is_down(owner):
-            self.metrics.counter("cluster.failover.replica_reads").inc()
-            return self.failover.replica_product(owner, key)
-        return self.shards[owner].committed_product(key)
+        back to storage hydration (stateless compute after a remap);
+        while the owner is down, from its stand-in."""
+        return self._answerer(self.router.owner_of(key)).committed_product(key)
 
     # -- marketplace --------------------------------------------------------
 
@@ -901,21 +906,9 @@ class PlatformCluster:
         return self._bucket_stock(product_id)
 
     def _bucket_stock(self, product_id: str) -> int:
-        owner = self.router.owner_of(product_id)
-        if owner in self._down_compute:
-            value = self.committed_product(product_id)
-            if value is None:
-                raise KeyNotFoundError(product_id)
-            return int(value.get("stock", 0))
-        if self._is_down(owner):
-            stock = self.failover.replica_stock(owner, product_id)
-            if stock is None:
-                raise ConfigurationError(
-                    f"product {product_id!r} unknown to replicas of {owner!r}"
-                )
-            self.metrics.counter("cluster.failover.replica_reads").inc()
-            return stock
-        return self.shards[owner].get_stock(product_id)
+        return self._answerer(self.router.owner_of(product_id)).get_stock(
+            product_id
+        )
 
     # -- hot-key salting ----------------------------------------------------
     #
@@ -1035,10 +1028,11 @@ class PlatformCluster:
         if name not in self.shards:
             raise ConfigurationError(f"unknown shard {name!r}")
         if self.storage is not None:
-            self._down_compute.add(name)
+            self._stand_ins[name] = TierStandIn(self)
             self.metrics.counter("cluster.disagg.kills").inc()
         else:
             self.failover.kill(name, torn_tail_bytes=torn_tail_bytes)
+            self._stand_ins[name] = ReplicaStandIn(self.failover, name)
         participant = self.coordinator.participants.get(name)
         if participant is not None:
             participant.crashed = True
@@ -1078,7 +1072,7 @@ class PlatformCluster:
                 f"shard {name!r} is {self.failover.state(name)}; "
                 "wait for failover to finish before removing it"
             )
-        if name in self._down_compute:
+        if self._is_down(name):
             raise ConfigurationError(
                 f"shard {name!r} is down; let the next tick re-mount it "
                 "before removing it"
@@ -1124,6 +1118,10 @@ class PlatformCluster:
                 shard.reset_caches()
             self.metrics.counter("cluster.disagg.remaps").inc()
         else:
+            # A down owner is promoted first: keys then move from, and the
+            # logs are re-seeded from, its replicated state, not its memory.
+            for name in sorted(self._stand_ins):
+                self.failover._promote(name, self.clock.now)
             moved = self._rebalance(sources)
             if self.failover is not None:
                 self.failover.resync()
@@ -1250,16 +1248,13 @@ class PlatformCluster:
                 breaker.STATE_CODES[breaker.state] if breaker is not None
                 else 0.0
             )
-            if self.failover is not None:
+            if self.failover is not None or self.storage is not None:
                 self.metrics.gauge(f"cluster.shard.{name}.alive").set(
-                    0.0 if self.failover.is_down(name) else 1.0
+                    0.0 if self._is_down(name) else 1.0
                 )
+            if self.failover is not None:
                 self.metrics.gauge(f"cluster.shard.{name}.phi").set(
                     self.failover.phi(name)
-                )
-            elif self.storage is not None:
-                self.metrics.gauge(f"cluster.shard.{name}.alive").set(
-                    0.0 if name in self._down_compute else 1.0
                 )
 
     def _refresh_purchase_gauges(self) -> None:

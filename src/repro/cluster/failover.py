@@ -51,7 +51,7 @@ from ..core.clock import EventScheduler
 from ..core.errors import ConfigurationError, NetworkError, PartitionedError
 from ..core.metrics import MetricsRegistry
 from ..net.simnet import SimulatedNetwork
-from ..replication import ReplicatedLog, apply, entity_op, fold, product_op
+from ..replication import PostState, ReplicatedLog, apply, entity_op, fold, product_op
 from ..resilience.faults import FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,6 +277,40 @@ class ShardReplicator:
             ).inc(removed)
 
 
+class ReplicaStandIn:
+    """A failover-down owner's read surface until a replica is promoted:
+    its log's LSN-union, stale by at most the replication lag — never the
+    crashed shard's memory.  Counted in ``cluster.failover.replica_reads``
+    per answered read."""
+
+    def __init__(self, manager: "FailoverManager", owner: str) -> None:
+        self.replicator = manager.replicator
+        self.owner = owner
+        self.metrics = manager.metrics
+
+    def state_of(self, key: str) -> PostState:
+        """What the owner's log union says ``key`` holds (uncounted)."""
+        return fold(self.replicator.log(self.owner).union(), keys=(key,))
+
+    def read(self, key: str, allow_stale: bool = True):
+        self.metrics.counter("cluster.failover.replica_reads").inc()
+        return self.state_of(key).entity(key)
+
+    def get_stock(self, product_id: str) -> int:
+        stock = self.state_of(product_id).stock_of(product_id)
+        if stock is None:
+            raise ConfigurationError(
+                f"product {product_id!r} unknown to replicas of {self.owner!r}"
+            )
+        self.metrics.counter("cluster.failover.replica_reads").inc()
+        return stock
+
+    def committed_product(self, product_id: str) -> dict | None:
+        self.metrics.counter("cluster.failover.replica_reads").inc()
+        record = self.state_of(product_id).products.get(product_id)
+        return None if record is None else dict(record)
+
+
 class FailoverManager:
     """Drives the detect → promote → reconverge loop for one cluster.
 
@@ -324,12 +358,10 @@ class FailoverManager:
     # -- state accessors ----------------------------------------------------
 
     def state(self, shard: str) -> str:
+        """DOWN while the cluster holds a stand-in for ``shard``."""
+        if self.cluster._is_down(shard):
+            return DOWN
         return self._state.get(shard, UP)
-
-    def is_down(self, shard: str) -> bool:
-        """True while the shard is crashed and no replica has been
-        promoted yet — the only window in which it cannot serve."""
-        return self.state(shard) == DOWN
 
     def phi(self, shard: str) -> float:
         return self.detector.phi(shard, self.clock.now)
@@ -337,7 +369,9 @@ class FailoverManager:
     # -- membership ---------------------------------------------------------
 
     def _watch(self, name: str, now: float) -> None:
-        self._state[name] = UP
+        # A shard promoted at a membership change stays RECOVERING: its
+        # detector history is reset only when that recovery completes.
+        self._state.setdefault(name, UP)
         self.detector.watch(name, now)
         if f"hb/{name}" not in self.net.nodes:
             self.net.add_node(f"hb/{name}")
@@ -367,22 +401,9 @@ class FailoverManager:
 
     # -- replica-side serving ----------------------------------------------
 
-    def _replica_state(self, owner: str, key: str):
-        return fold(self.replicator.log(owner).union(), keys=(key,))
-
-    def replica_value(self, owner: str, key: str):
-        """Last logged entity value for ``key`` (None if absent/dropped)."""
-        return self._replica_state(owner, key).entity(key)
-
     def replica_stock(self, owner: str, product_id: str) -> int | None:
         """Last logged stock level for ``product_id`` (None if unknown)."""
-        return self._replica_state(owner, product_id).stock_of(product_id)
-
-    def replica_product(self, owner: str, product_id: str) -> dict | None:
-        """A copy of the product record the replicated log folds to for
-        ``product_id``, stock level included (None if unknown/dropped)."""
-        record = self._replica_state(owner, product_id).products.get(product_id)
-        return None if record is None else dict(record)
+        return ReplicaStandIn(self, owner).state_of(product_id).stock_of(product_id)
 
     # -- crash entry point ---------------------------------------------------
 
@@ -397,7 +418,6 @@ class FailoverManager:
         """
         if self.state(name) != UP:
             raise ConfigurationError(f"shard {name!r} is not up")
-        self._state[name] = DOWN
         self._downed_at[name] = self.clock.now
         self.replicator.mark_down(name)
         if torn_tail_bytes > 0:
@@ -415,7 +435,7 @@ class FailoverManager:
         self._detect(now)
         self._compact_logs()
         self.metrics.gauge("cluster.failover.down_shards").set(
-            float(sum(1 for s in self._state.values() if s != UP))
+            float(sum(self.state(name) != UP for name in self._state))
         )
 
     def _send_heartbeats(self, now: float) -> None:

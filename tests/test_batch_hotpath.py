@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.cluster.failover import UP
+from repro.cluster.failover import UP, ReplicaStandIn
 from repro.core import (
     ConfigurationError,
     DataKind,
@@ -264,7 +264,7 @@ class TestRunOfQueuedRecords:
             assert self.logged(cluster, owner) == [
                 (r.key, r.payload["v"]) for r in run
             ]
-            assert cluster.failover.replica_value(owner, "k")["payload"] == {"v": 3}
+            assert ReplicaStandIn(cluster.failover, owner).read("k")["payload"] == {"v": 3}
 
     def test_drain_budget_cuts_a_run_and_keeps_the_tail_in_order(self):
         cluster = PlatformCluster(

@@ -17,7 +17,13 @@ from repro.cluster import (
     ShardReplicator,
     ShardRouter,
 )
-from repro.cluster.failover import DOWN, RECOVERING, UP, FailureDetector
+from repro.cluster.failover import (
+    DOWN,
+    RECOVERING,
+    UP,
+    FailureDetector,
+    ReplicaStandIn,
+)
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.replication import drop_entity_op, entity_op, product_op, stock_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -172,11 +178,11 @@ class TestReplication:
         log_op(owner, entity_op("e1", {"x": 2}))
         log_op(owner, product_op("p1", {"stock": 9}))
         log_op(owner, stock_op("p1", 7))
-        assert manager.replica_value(owner, "e1") == {"x": 2}
+        assert ReplicaStandIn(manager, owner).read("e1") == {"x": 2}
         assert manager.replica_stock(owner, "p1") == 7
         assert manager.replica_stock(owner, "p2") is None
         log_op(owner, drop_entity_op("e1"))
-        assert manager.replica_value(owner, "e1") is None
+        assert ReplicaStandIn(manager, owner).read("e1") is None
 
 
 class TestHintedHandoff:
@@ -550,6 +556,41 @@ class TestMembershipWithFailover:
         tick_until_up(cluster, victim)
         for i in range(40):
             assert cluster.read(f"e/{i:03d}")["payload"] == {"v": i}
+
+    @pytest.mark.parametrize("change", ["join", "leave"])
+    def test_a_membership_change_promotes_a_down_owner_first(self, change):
+        """A join or leave while an owner is down promotes it before any
+        key moves.  Otherwise the change revives the crashed shard: keys
+        move from and to its memory, and its silent 2PC participant
+        aborts every basket touching it on the prepare round."""
+        cluster = failover_cluster(n_shards=3)
+        pids = [f"p{i}" for i in range(12)]
+        cluster.load_catalog([record(pid, {"stock": 10}) for pid in pids])
+        victim = cluster.router.owner_of("p0")
+        [sold] = cluster.process_purchases(
+            [PurchaseRequest("s0", "p0", Space.VIRTUAL, 0.0)]
+        )
+        assert sold.success
+        cluster.kill_shard(victim)
+        if change == "join":
+            cluster.add_shard("shard-9")
+        else:
+            cluster.remove_shard(
+                next(name for name in cluster.router.shards if name != victim)
+            )
+        promotions = cluster.metrics.counter("cluster.failover.promotions")
+        assert promotions.value == 1
+        assert cluster.failover.state(victim) == RECOVERING
+        here = next(p for p in pids if cluster.router.owner_of(p) == victim)
+        there = next(p for p in pids if cluster.router.owner_of(p) != victim)
+        outcome = cluster.process_basket([
+            PurchaseRequest("s1", pid, Space.VIRTUAL, 0.0)
+            for pid in (here, there)
+        ])
+        assert outcome.committed and len(outcome.shards) == 2
+        tick_until_up(cluster, victim)
+        assert promotions.value == 1
+        assert sum(cluster.get_stock(pid) for pid in pids) == 12 * 10 - 3
 
 
 def mid_sale_kill_drill(fault_seed):

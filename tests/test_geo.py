@@ -347,7 +347,7 @@ class TestRegionClusters:
         assert lsn is None and session.vector == {home: 1}
         assert logged.value == before
         geo.tick(0.2)  # long enough to ship, too short to detect the kill
-        assert cluster.failover.is_down(victim)
+        assert cluster._is_down(victim)
         for region in others(geo, home):
             assert geo.read(key, EVENTUAL, region=region)["payload"] == {"v": 0}
         self.until_up(geo, cluster, victim)

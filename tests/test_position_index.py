@@ -131,7 +131,7 @@ def is_up(cluster, name):
     """Neither crashed nor still failing over (what kill and remove need)."""
     if cluster.failover is not None:
         return cluster.failover.state(name) == "up"
-    return name not in cluster._down_compute
+    return not cluster._is_down(name)
 
 
 def settle(cluster):

@@ -192,7 +192,7 @@ def play(script):
                 cluster.add_shard(f"joined-{serial}")
         elif kind == "remove_shard":
             victim = names[op[1] % len(names)]
-            if len(names) > 1 and victim not in cluster._down_compute:
+            if len(names) > 1 and not cluster._is_down(victim):
                 cluster.remove_shard(victim)
         elif kind == "kill":
             cluster.kill_shard(names[op[1] % len(names)])
