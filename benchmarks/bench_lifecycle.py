@@ -91,27 +91,34 @@ def build_history(n_keys, history_mult, checkpoint_every=None):
     return kv, ckpt
 
 
-def time_recovery(kv, ckpt=None, trials=RECOVERY_TRIALS):
-    """Best-of-N wall-clock recovery of a fresh store from ``kv``'s WAL
-    (and checkpoint, when a manager is given); returns the deterministic
-    work counts from the last trial alongside the timing."""
-    best = float("inf")
-    snapshot_entries = wal_entries = 0
-    fresh = None
+def time_recoveries(stores, trials=RECOVERY_TRIALS):
+    """Best-of-N wall-clock recovery of a fresh store from each
+    ``(kv, ckpt)`` in ``stores`` — from ``kv``'s WAL, and checkpoint when
+    a manager is given.  Each trial recovers every store once, in turn,
+    so a slow spell on a shared host lands on both sides of a ratio
+    instead of one.  Returns, per store, the timing with the
+    deterministic work counts of its last trial."""
+    best = [float("inf")] * len(stores)
+    last: list = [None] * len(stores)
     for _ in range(trials):
-        fresh = KVStore(wal=kv.wal)
-        start = time.perf_counter()
-        if ckpt is not None:
-            snapshot_entries, wal_entries = ckpt.recover(fresh)
-        else:
-            snapshot_entries, wal_entries = 0, fresh.recover()
-        best = min(best, time.perf_counter() - start)
-    return {
-        "time_s": best,
-        "snapshot_entries": snapshot_entries,
-        "wal_entries": wal_entries,
-        "identical": int(kv_state(fresh) == kv_state(kv)),
-    }
+        for i, (kv, ckpt) in enumerate(stores):
+            fresh = KVStore(wal=kv.wal)
+            start = time.perf_counter()
+            if ckpt is not None:
+                counts = ckpt.recover(fresh)
+            else:
+                counts = 0, fresh.recover()
+            best[i] = min(best[i], time.perf_counter() - start)
+            last[i] = fresh, counts
+    return [
+        {
+            "time_s": elapsed,
+            "snapshot_entries": counts[0],
+            "wal_entries": counts[1],
+            "identical": int(kv_state(fresh) == kv_state(kv)),
+        }
+        for elapsed, (kv, _), (fresh, counts) in zip(best, stores, last)
+    ]
 
 
 def run_recovery_experiment(smoke=False):
@@ -121,12 +128,12 @@ def run_recovery_experiment(smoke=False):
     growth = SMOKE_GROWTH if smoke else HISTORY_GROWTH
     interval = SMOKE_CHECKPOINT_EVERY if smoke else CHECKPOINT_EVERY
 
-    kv_base, ckpt_base = build_history(n_keys, 1, interval)
-    base = time_recovery(kv_base, ckpt_base)
-    kv_grown, ckpt_grown = build_history(n_keys, growth, interval)
-    grown = time_recovery(kv_grown, ckpt_grown)
+    base, grown = time_recoveries([
+        build_history(n_keys, 1, interval),
+        build_history(n_keys, growth, interval),
+    ])
     kv_ctl, _ = build_history(n_keys, growth, checkpoint_every=None)
-    control = time_recovery(kv_ctl, ckpt=None, trials=3)
+    (control,) = time_recoveries([(kv_ctl, None)], trials=3)
 
     # The satellite-bugfix interaction: tear the tail of a checkpoint-
     # truncated log; the LSN floor must hold and recovery must still see

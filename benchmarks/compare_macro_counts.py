@@ -43,6 +43,8 @@ NEVER_UP = (
     "geo.repl.shipped",
     "wal.bytes",
     "storage.rpc.bytes",
+    "net.messages_sent",
+    "geo.rpc.round_trips",
 )
 
 

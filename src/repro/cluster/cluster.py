@@ -51,7 +51,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, takewhile
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from ..api.dataplane import ContinuousQueries, GatherResult
@@ -600,20 +600,31 @@ class PlatformCluster:
 
     def write_record(self, record: DataRecord) -> None:
         """Unbatched write-through (catalog audits, tests)."""
-        owner = self.router.owner_of(record.key)
-        if self._is_down(owner):
-            # The owner is crashed: defer like batched ingest does rather
-            # than write into dead state; the flush after promotion lands it.
-            self._pending.setdefault(owner, deque()).append(record)
-            self.metrics.counter("cluster.failover.deferred_writes").inc()
-            return
-        if self._pending.get(owner):
-            # Arrival order: what the owner has queued is older, so it
-            # drains first and cannot overwrite this write at the next flush.
-            self.metrics.counter("cluster.ingested_records").inc(
-                self._flush_shard(owner, None)
-            )
-        self._emit_stored(owner, self.shards[owner].write_unit(record))
+        self.write_records([record])
+
+    def write_records(self, records: list[DataRecord]) -> None:
+        """Write-through now, not at the next flush: one write unit per
+        owner, the owners' records each in arrival order."""
+        for owner, unit in group_by_owner(
+            self.router.owner_of, records, attrgetter("key")
+        ).items():
+            if self._is_down(owner):
+                # The owner is crashed: defer like batched ingest does
+                # rather than write into dead state; the flush after
+                # promotion lands it.
+                self._pending.setdefault(owner, deque()).extend(unit)
+                self.metrics.counter("cluster.failover.deferred_writes").inc(
+                    len(unit)
+                )
+                continue
+            if self._pending.get(owner):
+                # Arrival order: what the owner has queued is older, so it
+                # drains first and cannot overwrite these writes at the
+                # next flush.
+                self.metrics.counter("cluster.ingested_records").inc(
+                    self._flush_shard(owner, None)
+                )
+            self._emit_stored(owner, self.shards[owner].write_unit(unit))
 
     def query(self, request: QueryRequest) -> GatherResult:
         """Scatter one query-plane request across the ring and merge.
@@ -762,10 +773,16 @@ class PlatformCluster:
     # log like any other write.
 
     def import_entity(self, key: str, value: object) -> None:
-        """Install stored entity ``value`` under ``key`` on its owner."""
-        owner = self.router.owner_of(key)
-        self.shards[owner].import_entity(key, value)
-        self._emit(owner, entity_op, key, value)
+        self.import_entities([(key, value)])
+
+    def import_entities(self, items: list) -> None:
+        """Install stored ``(key, value)`` items on their owners: one bulk
+        import per owner."""
+        for owner, batch in group_by_owner(
+            self.router.owner_of, items, itemgetter(0)
+        ).items():
+            self.shards[owner].import_entities(batch)
+            self._emit_stored(owner, batch)
 
     def drop_entity(self, key: str) -> None:
         owner = self.router.owner_of(key)

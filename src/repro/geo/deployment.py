@@ -13,11 +13,19 @@ entries (:mod:`repro.geo.replication`) over the WAN.
 Who emits and who subscribes: a region's :class:`PlatformCluster` emits
 every mutation it commits through its op tap, and this module registers
 one sink per region (:meth:`GeoDeployment._log_and_ship`) that logs the
-op in the home's log and ships it.  The deployment builds no op and
-touches no shard: remote post-states land *through* the destination
-region's cluster (so its failover log, if it keeps one, carries the
-copies), and the sink skips those landings — a copy is not a mutation of
-that region's to ship.
+op in the home's log and queues it in the home's outbox.  The deployment
+builds no op and touches no shard: remote post-states land *through* the
+destination region's cluster (so its failover log, if it keeps one,
+carries the copies), and the sink skips those landings — a copy is not a
+mutation of that region's to ship.
+
+What one call commits crosses the WAN once: every cluster call the
+deployment makes ships the outbox when it returns, as one *segment* —
+``[(lsn, payload), …]`` in log order — per destination region, in one
+``geo.repl`` message (an op committed outside any deployment call ships
+at once, as a segment of one).  Delivery folds a segment once and lands
+it as one import per shard, and :meth:`GeoDeployment.ingest_many` makes
+one forward round trip and one cluster write per home.
 
 Reads take a per-call consistency mode:
 
@@ -34,10 +42,11 @@ Reads take a per-call consistency mode:
   :class:`DeadlineExceededError` instead of serving stale state.
 
 WAN faults are injected under the ``geo.wan`` site (partition / drop /
-delay), independent from single-region ``net.link`` plans.  A dropped
-replication entry leaves a visible LSN hole repaired by set-digest
-anti-entropy; an unreachable destination gets hinted handoff.  Region
-kills use the outage model: the region's state survives, writes to its
+delay), decided once per segment and destination, independent from
+single-region ``net.link`` plans.  A dropped segment leaves visible LSN
+holes repaired by set-digest anti-entropy; an unreachable destination
+gets hinted handoff, entry by entry in log order, drained as one
+segment.  Region kills use the outage model: the region's state survives, writes to its
 home keys are deferred (ingest) or fail fast (purchases — never queued,
 preserving exactly-once), and a restart drains deferrals, hints, and
 anti-entropy until every copy reconverges.
@@ -45,6 +54,7 @@ anti-entropy until every copy reconverges.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -261,8 +271,17 @@ class GeoDeployment:
         self._home_override: dict[str, str] = {}
         # True while :meth:`_land` is writing replica state to a cluster.
         self._landing = False
-        # LSN of the last op :meth:`_log_and_ship` logged.
-        self._logged_lsn: int | None = None
+        # Per home, the (lsn, payload) entries logged since its last ship;
+        # :meth:`_shipping` ships them when the cluster call returns.
+        self._outbox: dict[str, list[tuple[int, bytes]]] = {
+            name: [] for name in self.config.regions
+        }
+        # Cluster calls in flight under :meth:`_shipping`; an op logged
+        # with none in flight ships at once.
+        self._calls = 0
+        # While :meth:`ingest_many` writes one home's records: key -> the
+        # LSNs logged for it, in log order.
+        self._written: dict[str, list[int]] | None = None
         self._down: set[str] = set()
         self._deferred: dict[str, list[DataRecord]] = {}
         self._last_antientropy = self.clock.now
@@ -373,56 +392,82 @@ class GeoDeployment:
 
     def _log_and_ship(self, home: str, shard: str, op: dict) -> None:
         """Region ``home``'s op sink: its cluster just committed ``op``, so
-        log it in ``home``'s log and ship it to every other region.  What
-        :meth:`_land` commits is skipped: a landing is a copy of another
-        home's mutation, not one of this region's to ship."""
+        log it in ``home``'s log and queue it in ``home``'s outbox, which
+        ships when the cluster call in flight returns (at once if none
+        is).  What :meth:`_land` commits is skipped: a landing is a copy
+        of another home's mutation, not one of this region's to ship."""
         if self._landing:
             return
         lsn, payload = self.replicator.log_op(home, op, self.clock.now)
-        self._logged_lsn = lsn
-        for dst in self.config.regions:
-            if dst != home:
-                self._ship(home, dst, lsn, payload)
+        if self._written is not None:
+            self._written.setdefault(op["k"], []).append(lsn)
+        self._outbox[home].append((lsn, payload))
+        if not self._calls:
+            self._ship_outbox()
 
-    def _ship(self, home: str, dst: str, lsn: int, payload: bytes) -> bool:
+    @contextmanager
+    def _shipping(self):
+        """Wrap one cluster call: what it commits leaves, when it returns
+        or raises, as one segment per destination region."""
+        self._calls += 1
+        try:
+            yield
+        finally:
+            self._calls -= 1
+            self._ship_outbox()
+
+    def _ship_outbox(self) -> None:
+        for home, entries in self._outbox.items():
+            if entries:
+                self._outbox[home] = []
+                for dst in self.config.regions:
+                    if dst != home:
+                        self._ship(home, dst, entries)
+
+    def _hint(self, home: str, dst: str, entries) -> None:
+        for lsn, payload in entries:
+            self.replicator.buffer_hint(home, dst, lsn, payload)
+
+    def _ship(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> bool:
         # Once a pair has hints queued, everything later must queue behind
         # them so hints drain in log order; the per-key applied-LSN guard
         # at delivery is the backstop for any reordering that remains.
         if dst in self._down or self.replicator.has_hints(home, dst):
-            self.replicator.buffer_hint(home, dst, lsn, payload)
+            self._hint(home, dst, entries)
             return False
         decision = self.faults.decide(
             "geo.wan", target=f"{home}->{dst}", kinds=("partition", "drop", "delay")
         )
         if decision.kind == "partition":
-            self.replicator.buffer_hint(home, dst, lsn, payload)
+            self._hint(home, dst, entries)
             return False
         if decision.kind == "drop":
-            # Lost on the WAN with no sender-side signal: a visible LSN
-            # hole in the destination copy until anti-entropy repairs it.
+            # Lost on the WAN with no sender-side signal: visible LSN
+            # holes in the destination copy until anti-entropy repairs them.
             self.metrics.counter("geo.repl.dropped").inc()
             return False
         if decision.kind == "delay":
             self.scheduler.schedule(
                 decision.delay_s,
-                lambda home=home, dst=dst, lsn=lsn, payload=payload: (
-                    self._ship_now(home, dst, lsn, payload)
+                lambda home=home, dst=dst, entries=entries: (
+                    self._ship_now(home, dst, entries)
                 ),
             )
             return True
-        return self._ship_now(home, dst, lsn, payload)
+        return self._ship_now(home, dst, entries)
 
-    def _ship_now(self, home: str, dst: str, lsn: int, payload: bytes) -> bool:
+    def _ship_now(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> bool:
         try:
-            self.wan.send(
-                self._node(home),
-                self._node(dst),
-                "geo.repl",
-                {"home": home, "lsn": lsn, "data": payload},
-                size_bytes=len(payload) + 64,
-            )
+            with self.tracer.span("geo.repl.ship", dst=dst, entries=len(entries)):
+                self.wan.send(
+                    self._node(home),
+                    self._node(dst),
+                    "geo.repl",
+                    {"home": home, "entries": entries},
+                    size_bytes=sum(len(payload) for _, payload in entries) + 64,
+                )
         except PartitionedError:
-            self.replicator.buffer_hint(home, dst, lsn, payload)
+            self._hint(home, dst, entries)
             return False
         self.metrics.counter("geo.repl.shipped").inc()
         return True
@@ -430,15 +475,21 @@ class GeoDeployment:
     def _on_repl(self, message: Message) -> None:
         dst = message.dst.split("/", 1)[1]
         home = message.payload["home"]
-        lsn = message.payload["lsn"]
-        data = message.payload["data"]
+        entries = message.payload["entries"]
         if dst in self._down:
-            # The destination died with the entry in flight: it was never
-            # processed, so park it for handoff at restart.
-            self.replicator.buffer_hint(home, dst, lsn, data)
+            # The destination died with the segment in flight: it was
+            # never processed, so park it for handoff at restart.
+            self._hint(home, dst, entries)
             return
-        state = self.replicator.deliver(home, dst, lsn, data)
-        if state is not None and self._land(home, dst, state):
+        with self.tracer.span("geo.repl.deliver", entries=len(entries)) as span:
+            delivered = self.metrics.counter("geo.repl.delivered")
+            before = delivered.value
+            state = self.replicator.deliver(home, dst, entries)
+            landed = 0 if state is None else self._land(home, dst, state)
+            if span is not None:
+                span.set_attribute("fresh", int(delivered.value - before))
+                span.set_attribute("landed", landed)
+        if landed:
             self.metrics.counter("geo.repl.applied").inc()
 
     def _land(self, home: str, region: str, state: PostState) -> int:
@@ -485,13 +536,11 @@ class GeoDeployment:
                     yield home, dst
 
     def _deliver_hints(self) -> None:
+        """Drain each open pair's hints as one segment, in log order."""
         for home, dst in self._open_pairs(self.replicator.has_hints):
-            delivered = sum(
-                self._ship_now(home, dst, lsn, payload)
-                for lsn, payload in self.replicator.take_hints(home, dst)
-            )
-            if delivered:
-                self.metrics.counter("geo.repl.hints_delivered").inc(delivered)
+            entries = self.replicator.take_hints(home, dst)
+            if self._ship_now(home, dst, entries):
+                self.metrics.counter("geo.repl.hints_delivered").inc(len(entries))
 
     def _antientropy_round(self) -> None:
         """Reconverge every reachable (home, destination) pair.
@@ -526,29 +575,8 @@ class GeoDeployment:
         region: str | None = None,
         session: GeoSession | None = None,
     ) -> int | None:
-        """Write-through at the record's home region; returns the home-log
-        LSN — ``None`` when the write was deferred because the home region
-        is down, or queued by the home cluster behind a down shard (it is
-        logged and shipped when it lands)."""
-        home = self.home_of(record.key)
-        if home in self._down:
-            self._deferred.setdefault(home, []).append(record)
-            self.metrics.counter("geo.writes.deferred").inc()
-            return None
-        if region is not None:
-            submitted = self._resolve_region(region)
-            if submitted != home:
-                # The client's region forwards to the home region: a WAN
-                # partition surfaces here, before anything mutates.
-                self._wan_rpc(submitted, home)
-                self.metrics.counter("geo.writes.forwarded").inc()
-        self._logged_lsn = None
-        self._clusters[home].write_record(record)
-        lsn = self._logged_lsn  # the record's own op is the last one out
-        if session is not None:
-            session.observe(home, lsn)
-        self.metrics.counter("geo.writes").inc()
-        return lsn
+        """:meth:`ingest_many` of one record; returns its LSN."""
+        return self.ingest_many([record], region=region, session=session)[0]
 
     def ingest(
         self,
@@ -564,14 +592,54 @@ class GeoDeployment:
         region: str | None = None,
         session: GeoSession | None = None,
     ) -> list[int | None]:
-        return [self.write_record(r, region=region, session=session) for r in records]
+        """Write-through at each record's home region, homes in name order:
+        one forward round trip from ``region`` and one cluster write per
+        home.  Returns, per record, the home-log LSN of its write — ``None``
+        when it was deferred because the home region is down, or queued by
+        the home cluster behind a down shard (it is logged and shipped
+        when it lands)."""
+        lsns: list[int | None] = [None] * len(records)
+        by_home = group_by_owner(
+            self.home_of, range(len(records)), lambda i: records[i].key
+        )
+        for home, rows in sorted(by_home.items()):
+            batch = [records[i] for i in rows]
+            if home in self._down:
+                self._deferred.setdefault(home, []).extend(batch)
+                self.metrics.counter("geo.writes.deferred").inc(len(batch))
+                continue
+            if region is not None:
+                submitted = self._resolve_region(region)
+                if submitted != home:
+                    # The client's region forwards to the home region: a
+                    # WAN partition surfaces here, before anything of this
+                    # home mutates.
+                    self._wan_rpc(submitted, home)
+                    self.metrics.counter("geo.writes.forwarded").inc(len(batch))
+            written = self._written = {}
+            try:
+                with self._shipping():
+                    self._clusters[home].write_records(batch)
+            finally:
+                self._written = None
+            # A key's last LSNs are its records' own writes (a drained
+            # queue logs first), matched from the back.
+            for i in reversed(rows):
+                logged = written.get(records[i].key)
+                if logged:
+                    lsns[i] = logged.pop()
+            if session is not None:
+                session.observe(home, max(lsns[i] or 0 for i in rows))
+            self.metrics.counter("geo.writes").inc(len(batch))
+        return lsns
 
     def load_catalog(self, records: list[DataRecord]) -> None:
         by_home = group_by_owner(self.home_of, records, attrgetter("key"))
         for home, batch in sorted(by_home.items()):
             if home in self._down:
                 raise NetworkError(f"cannot load catalog: region {home!r} is down")
-            self._clusters[home].load_catalog(batch)
+            with self._shipping():
+                self._clusters[home].load_catalog(batch)
 
     def process_purchases(
         self, requests: list[PurchaseRequest]
@@ -600,7 +668,8 @@ class GeoDeployment:
                     PurchaseOutcome(request, False, f"region down: {home}")
                     for request in batch
                 ]
-            return self._clusters[home].process_purchases(batch)
+            with self._shipping():
+                return self._clusters[home].process_purchases(batch)
 
         merged = route_by_owner(
             self.home_of, ordered, attrgetter("product_id"), run,
@@ -736,7 +805,8 @@ class GeoDeployment:
             raise KeyNotFoundError(key)
         # One write at the new home: its cluster logs it for failover and
         # its sink logs and ships it as the new home's first op on ``key``.
-        install(key, value)
+        with self._shipping():
+            install(key, value)
         self._home_override[key] = to_region
         # The old home keeps its copy as a plain replica; ops still in its
         # log for this key are ignored at apply time (home guard), and the
@@ -764,8 +834,7 @@ class GeoDeployment:
         self._down.discard(name)
         self.metrics.counter("geo.region.restarts").inc()
         self.metrics.gauge("geo.regions.down").set(float(len(self._down)))
-        for record in self._deferred.pop(name, []):
-            self.write_record(record)
+        self.ingest_many(self._deferred.pop(name, []))
 
     def partition_regions(self, groups) -> None:
         """Split the WAN into isolated region groups (chaos drills)."""
@@ -792,7 +861,8 @@ class GeoDeployment:
         for name in self.config.regions:
             if name in self._down:
                 continue
-            self._clusters[name].step(dt)
+            with self._shipping():
+                self._clusters[name].step(dt)
         self._deliver_hints()
         if now - self._last_antientropy >= ANTIENTROPY_INTERVAL_S:
             self._last_antientropy = now

@@ -16,7 +16,9 @@ clusters is the deployment's job (:mod:`repro.geo.deployment`), which
 keeps this class deterministic and network-free.  So is feeding it: the
 one caller of :meth:`GeoReplicator.log_op` is the op sink the deployment
 registers on each region's cluster — the cluster builds the op when the
-mutation commits, this class only logs it.
+mutation commits, this class only logs it.  What travels is a *segment*:
+the ``(lsn, payload)`` entries one deployment call committed, in log
+order, which :meth:`GeoReplicator.deliver` adopts whole and folds once.
 """
 
 from __future__ import annotations
@@ -83,25 +85,37 @@ class GeoReplicator:
     # -- destination side --------------------------------------------------
 
     def deliver(
-        self, home: str, dst: str, lsn: int, payload: bytes
+        self, home: str, dst: str, entries: list[tuple[int, bytes]]
     ) -> PostState | None:
-        """Adopt one shipped entry into ``dst``'s copy of ``home``'s log;
-        return its post-state for the caller to land on ``dst``'s cluster.
+        """Adopt one shipped segment of ``(lsn, payload)`` entries into
+        ``dst``'s copy of ``home``'s log; return the post-state of the
+        entries new to it, folded once, for the caller to land on
+        ``dst``'s cluster.
 
         Idempotent: hints and anti-entropy can re-ship an entry that is
-        also in flight, so a duplicate LSN is skipped (returns ``None``).
+        also in flight, so an LSN the copy already holds is skipped
+        (``None`` when the segment holds nothing new).
         """
         progress = self._progress[home][dst]
-        if lsn in progress.received:
-            self.metrics.counter("geo.repl.duplicates").inc()
+        log, logged_at = self._logs[home], self._logged_at[home]
+        fresh: list[WalEntry] = []
+        for lsn, payload in entries:
+            if lsn in progress.received:
+                continue
+            log.adopt(dst, lsn, payload)
+            progress.received.add(lsn)
+            if lsn in logged_at:  # still in the primary
+                progress.lag -= 1
+            fresh.append(WalEntry(lsn, payload))
+        if len(fresh) < len(entries):
+            self.metrics.counter("geo.repl.duplicates").inc(
+                len(entries) - len(fresh)
+            )
+        if not fresh:
             return None
-        self._logs[home].adopt(dst, lsn, payload)
-        progress.received.add(lsn)
-        if lsn in self._logged_at[home]:  # still in the primary
-            progress.lag -= 1
         self._advance_watermark(home, progress)
-        self.metrics.counter("geo.repl.delivered").inc()
-        return fold([WalEntry(lsn, payload)])
+        self.metrics.counter("geo.repl.delivered").inc(len(fresh))
+        return fold(fresh)
 
     def _advance_watermark(self, home: str, progress: _Progress) -> None:
         lsns, received, index = self._primary_lsns[home], progress.received, progress.index

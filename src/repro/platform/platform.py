@@ -899,8 +899,12 @@ class MetaversePlatform:
         return self._with_retry(lambda: self.engine.get(key))
 
     def import_entity(self, key: str, value: object) -> None:
-        """Adopt a migrated entity value, keeping caches coherent."""
-        self._write_items([(key, value)], [stored_payload(value)])
+        self.import_entities([(key, value)])
+
+    def import_entities(self, items: list) -> None:
+        """Adopt migrated or replicated ``(key, stored value)`` items in
+        one bulk write, keeping caches coherent."""
+        self._write_items(items, [stored_payload(value) for _, value in items])
 
     def drop_entity(self, key: str) -> None:
         """Forget an entity handed off to another shard."""

@@ -208,10 +208,13 @@ def apply(
     post-states are only safe to land in LSN order, and transport can
     reorder.  An *equal* LSN lands again on purpose — re-folding a
     repaired log reaches the same LSN with fields a hole had hidden.  A
-    key whose ``shard_of`` is ``None`` is recorded but not landed.  Each
-    key costs one import (one MVCC commit per product, not per stock op).
+    key whose ``shard_of`` is ``None`` is recorded but not landed.  The
+    entity values bound for one shard land in one ``import_entities``
+    call, after the walk; a product costs one import (one MVCC commit per
+    product, not per stock op).
     """
     landed: list[str] = []
+    imports: dict[object, list] = {}  # shard -> its (key, value) items
     for key, lsn in state.lsn.items():
         if lsn < applied.get(key, 0):
             continue
@@ -224,7 +227,7 @@ def apply(
             if value is DROPPED:
                 _drop(shard.drop_entity, key)
             else:
-                shard.import_entity(key, value)
+                imports.setdefault(shard, []).append((key, value))
         if key in state.products:
             record = state.products[key]
             if record is None:
@@ -235,6 +238,8 @@ def apply(
             else:
                 shard.import_product(key, record)
         landed.append(key)
+    for shard, items in imports.items():
+        shard.import_entities(items)
     return landed
 
 

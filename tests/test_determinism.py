@@ -402,7 +402,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
 
     def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
                rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0,
-               logged=4132069.0, sent=4132069.0):
+               logged=4132069.0, sent=4132069.0, messages=4990.0,
+               trips=1439.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
@@ -413,6 +414,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                    "geo.repl.shipped": shipped,
                    "wal.bytes": logged,
                    "storage.rpc.bytes": sent,
+                   "net.messages_sent": messages,
+                   "geo.rpc.round_trips": trips,
                    "storage.rpc.calls": calls}
         return {"metrics": {
             name: {"value": value,
@@ -426,6 +429,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "geo.antientropy.rounds", "failover.replicated_ops",
         "wal.appends", "geo.repl.shipped",
         "wal.bytes", "storage.rpc.bytes",
+        "net.messages_sent", "geo.rpc.round_trips",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
@@ -443,11 +447,15 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, logged=4132068.0, sent=4179269.0)) == [
         "storage.rpc.bytes"
     ]
+    assert risen(base, result(626066.0, 282729.0, messages=4991.0, trips=1440.0)) == [
+        "net.messages_sent", "geo.rpc.round_trips"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
                ops=25822.0, appends=51644.0, shipped=5598.0,
-               logged=4132070.0, sent=4132070.0),
+               logged=4132070.0, sent=4132070.0, messages=5000.0,
+               trips=1500.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

@@ -120,8 +120,8 @@ class FakeShard:
         self.entities: dict[str, object] = {}
         self.products: dict[str, dict] = {}
 
-    def import_entity(self, key, value):
-        self.entities[key] = value
+    def import_entities(self, items):
+        self.entities.update(items)
 
     def drop_entity(self, key):
         if key not in self.entities:
@@ -387,7 +387,7 @@ class GeoHarness:
         return self.rep.log_op(self.owner, op, 0.0)
 
     def deliver(self, lsn, payload):
-        self.rep.deliver(self.owner, self.holder, lsn, payload)
+        self.rep.deliver(self.owner, self.holder, [(lsn, payload)])
 
     def hint(self, lsn, payload):
         self.rep.buffer_hint(self.owner, self.holder, lsn, payload)
@@ -556,7 +556,7 @@ class TestReorderIsNotDivergence:
         for dst in ("b", "c"):
             for lsn, payload in shipped:
                 if dst == "c" or lsn not in withheld:
-                    h.rep.deliver("a", dst, lsn, payload)
+                    h.rep.deliver("a", dst, [(lsn, payload)])
         return h, shipped
 
     def rounds(self, h):
@@ -631,7 +631,7 @@ class TestSteadyRoundCost:
         for i in range(n):
             lsn, payload = rep.log_op("a", entity_op(f"k{i}", i), 0.0)
             for dst in ("b", "c"):
-                rep.deliver("a", dst, lsn, payload)
+                rep.deliver("a", dst, [(lsn, payload)])
         return rep
 
     def round_work(self, rep, monkeypatch):
@@ -665,7 +665,7 @@ class TestSteadyRoundCost:
         """A rebuilt copy takes the authority's digest: same entries."""
         rep = self.converged(40)
         lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
-        rep.deliver("a", "b", lsn, payload)  # c misses it
+        rep.deliver("a", "b", [(lsn, payload)])  # c misses it
         assert rep.antientropy("a", "b") is None
         assert rep.antientropy("a", "c") is not None
         assert self.round_work(rep, monkeypatch)["sha256"] == 0
@@ -674,7 +674,7 @@ class TestSteadyRoundCost:
         rep = self.converged(40)
         log = rep.log("a")
         lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
-        rep.deliver("a", "b", lsn, payload)  # c misses it
+        rep.deliver("a", "b", [(lsn, payload)])  # c misses it
         asked = []
         entries = log.entries
         monkeypatch.setattr(
