@@ -9,7 +9,7 @@ new protocol, the cluster binds the canonical blocking 2PC driver from
 (phase 1's vote is whether it staged), its apply hook the shard's
 ``commit_basket``, its release hook an abort of the staged transaction.
 All this module adds is the replay of a decided basket whose staged
-snapshot a local purchase overtook.  The protocol machinery —
+snapshot a local commit (a purchase call's, a basket's) overtook.  The protocol machinery —
 prepare/vote/decision/ack rounds, timeouts, partition behaviour over
 :class:`~repro.net.simnet.SimulatedNetwork` — is inherited unchanged, so
 the latency the coordinator observes is the genuine message-round cost.
@@ -52,7 +52,7 @@ class ShardParticipant(Participant):
         try:
             self.shard.commit_basket(txn)
         except WriteConflictError:
-            # A local purchase slipped in between prepare and commit (only
+            # A local commit slipped in between prepare and commit (only
             # possible when the caller interleaves shard work with an open
             # 2PC round).  The global decision is already COMMIT, so
             # re-apply the decrement against fresh state rather than

@@ -17,9 +17,9 @@ substrate:
   and a dropped ship offered again to an up one (:data:`SHIP_OFFERS`), so
   an acknowledged op does not live on the primary alone because one
   message was lost.  The cluster decides what a mutation is — a purchase
-  call settles as one ``stock`` op per product it touched, not one per
-  decrement (:meth:`MetaversePlatform.commit_basket`) — and emits it, as
-  the op it is logged as, through its one tap
+  call commits once and settles as one ``stock`` op per product it sold,
+  not one per decrement (:meth:`MetaversePlatform.process_purchases`) —
+  and emits it, as the op it is logged as, through its one tap
   (:meth:`PlatformCluster.add_op_sink`);
   the :class:`FailoverManager` subscribes ``replicator.log_op`` to it, so
   nothing else ever writes to these logs but :meth:`FailoverManager.resync`

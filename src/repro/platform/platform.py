@@ -127,8 +127,8 @@ STALE_CAPACITY = 4 * BUFFER_POOL_PAGES
 #: executor's makespan reads as 10,000 attempts per second.
 TXN_COST_S = 1e-4
 
-#: Times a purchase whose commit lost a write conflict is tried again
-#: before it fails with "conflict retries exhausted".
+#: Times a purchase call whose commit lost a write conflict is decided
+#: again before its sales fail with "conflict retries exhausted".
 PURCHASE_RETRIES = 2
 
 
@@ -213,11 +213,6 @@ class MetaversePlatform:
         # budget; re-flushed before the next persist so the storage tier
         # converges once the fault clears.
         self._dirty_products: OrderedDict[str, dict | None] = OrderedDict()
-        # The open call scope of the stock-commit core: product id ->
-        # value last committed inside the running process_purchases call,
-        # in last-commit order, settled when the call ends.  ``None``
-        # outside a call: a commit then settles at once (see _settle).
-        self._call_commits: dict[str, dict] | None = None
         # DataPlane surface: tick-driven buffered ingest and continuous
         # queries, mirroring the cluster facade so workloads written
         # against the protocol run unchanged on either shape.
@@ -642,11 +637,15 @@ class MetaversePlatform:
     def _hydrate_product(self, product_id: str) -> dict | None:
         """Pull a product the compute cache has never seen (or dropped)
         from the storage engine into MVCC; ``None`` when the tier has no
-        record either (or stayed unreachable past the retry budget)."""
-        try:
-            value = self._with_retry(lambda: self.engine.get_product(product_id))
-        except FaultInjectedError:
-            return None
+        record either (or stayed unreachable past the retry budget).  A
+        write-through parked dirty is newer than the tier's record: it wins."""
+        if product_id in self._dirty_products:
+            value = self._dirty_products[product_id]
+        else:
+            try:
+                value = self._with_retry(lambda: self.engine.get_product(product_id))
+            except FaultInjectedError:
+                return None
         if value is None:
             return None
         self._install_product(product_id, value)
@@ -757,65 +756,89 @@ class MetaversePlatform:
 
         Requests are ordered by (priority, time): with
         ``physical_priority`` on, physical-space shoppers win ties on the
-        last unit — the paper's example policy.  Each purchase is an MVCC
-        transaction decrementing the product's stock; conflicts retry up
-        to :data:`PURCHASE_RETRIES` times.  ``presorted=True`` skips the
+        last unit — the paper's example policy.  The call is one MVCC
+        transaction deciding every request against one snapshot; a
+        conflict at its one commit re-decides the call up to
+        :data:`PURCHASE_RETRIES` times.  ``presorted=True`` skips the
         sort — the cluster router passes order-preserved subsequences of
         an already globally sorted stream, so per-shard re-sorting is pure
         overhead.
         """
-        outcomes = []
         if not presorted:
             requests = sorted(
                 requests,
                 key=lambda r: purchase_sort_key(r, self.physical_priority),
             )
         with self.tracer.span("platform.process_purchases", n=len(requests)):
-            # The call scope: commits below reach MVCC one by one and are
-            # settled once, before any outcome is returned — also when a
-            # request raises, so nothing committed is left unsettled.
-            self._call_commits = {}
-            try:
-                for request in requests:
-                    # A sampling boundary: with sample_every=k, one purchase
-                    # in k records its sub-trace (commit spans included) —
-                    # see Tracer.
-                    with self.tracer.sampled_span("platform.purchase"):
-                        outcomes.append(self._purchase_attempts(request))
-            finally:
-                committed, self._call_commits = self._call_commits, None
-                self._settle(committed)
-        return outcomes
-
-    def _purchase_attempts(self, request: PurchaseRequest) -> PurchaseOutcome:
-        """A purchase is a basket of one, plus what only purchases have:
-        an executor charged per attempt and a retry loop on conflict."""
-        executor = self.executors[self._executor_for(request.product_id)]
-        quantities = {request.product_id: request.quantity}
-        for _ in range(PURCHASE_RETRIES + 1):
-            executor.busy_time += TXN_COST_S
-            txn, why, _ = self.stage_basket(quantities)
-            if txn is None:
-                if why == "sold out":
-                    self.metrics.counter("platform.soldout").inc()
-                return PurchaseOutcome(request, False, why)
-            try:
-                self.commit_basket(txn)
-            except WriteConflictError:
+            # Hydrate first, in request order: the engine calls per-request
+            # stages made, as nothing else in a call touches the engine.
+            cached, unknown = set(), set()
+            for i, request in enumerate(requests):
+                if request.product_id not in cached:
+                    if self._product(request.product_id) is None:
+                        unknown.add(i)  # tried again at its next request
+                    else:
+                        cached.add(request.product_id)
+            executor = {
+                product_id: self.executors[self._executor_for(product_id)]
+                for product_id in {r.product_id for r in requests}
+            }
+            for _ in range(PURCHASE_RETRIES + 1):
+                txn, whys = self.txn.begin(), []
+                try:
+                    for i, request in enumerate(requests):
+                        executor[request.product_id].busy_time += TXN_COST_S
+                        # A sampling boundary: with sample_every=k, one
+                        # purchase in k records its sub-trace — see Tracer.
+                        with self.tracer.sampled_span("platform.purchase"):
+                            whys.append("no such product" if i in unknown else
+                                        self._decrement(txn, request.product_id,
+                                                        request.quantity))
+                finally:
+                    # Commit and settle what was decided, also on a raise.
+                    if txn.writes:
+                        try:
+                            self.txn.commit(txn)
+                        except WriteConflictError:
+                            pass  # aborted, nothing applied: decide again
+                        else:
+                            self._settle(txn.writes)
+                if txn.status != "aborted":
+                    break
                 self.metrics.counter("platform.retries").inc()
-                continue
-            executor.processed += 1
-            self.metrics.counter("platform.purchases").inc()
-            return PurchaseOutcome(request, True)
-        return PurchaseOutcome(request, False, "conflict retries exhausted")
+            else:
+                whys = [why or "conflict retries exhausted" for why in whys]
+        for request, why in zip(requests, whys):
+            if not why:
+                executor[request.product_id].processed += 1
+        for name, why in (("platform.purchases", ""), ("platform.soldout", "sold out")):
+            if why in whys:
+                self.metrics.counter(name).inc(whys.count(why))
+        return [PurchaseOutcome(r, not why, why) for r, why in zip(requests, whys)]
 
     # -- the stock-commit core ----------------------------------------------
     #
-    # Every committed stock decrement — a purchase, a single-shard basket,
-    # a 2PC participant's prepare/commit — is one stage_basket and one
-    # commit_basket; nothing else checks stock, and nothing but the
-    # _settle behind commit_basket writes stock through or reports it to
-    # the sink.
+    # Every committed stock decrement — a purchase call, a single-shard
+    # basket, a 2PC participant's prepare/commit — is decided by
+    # _decrement and settled by _settle; nothing else checks stock, and
+    # nothing else writes stock through or reports it to the sink.
+
+    def _decrement(self, txn: Transaction, product_id: str, quantity: int) -> str:
+        """The one stock check: decrement ``product_id`` inside ``txn`` and
+        return ``""``, or why not (``"no such product"``, ``"sold out"``).
+        ``txn.writes`` holds the running stock, asked before the snapshot
+        and re-seated on every write, so it is in last-decision order."""
+        product = txn.writes.get(product_id) or txn.read_or(product_id)
+        if product is None:
+            return "no such product"
+        stock = product.get("stock", 0)
+        if stock < quantity:
+            return "sold out"
+        updated = dict(product)
+        updated["stock"] = stock - quantity
+        txn.writes.pop(product_id, None)
+        txn.writes[product_id] = updated
+        return ""
 
     def stage_basket(
         self, quantities: dict[str, int]
@@ -830,44 +853,21 @@ class MetaversePlatform:
         """
         txn = self.txn.begin()
         for product_id, quantity in quantities.items():
-            try:
-                product = txn.read(product_id)
-            except KeyNotFoundError:
+            why = self._decrement(txn, product_id, quantity)
+            if why:
                 self.txn.abort(txn)
-                # Stateless-compute path: an empty MVCC cache is not "no
-                # such product" until the storage tier agrees.
-                if self._product(product_id) is None:
-                    return None, "no such product", product_id
-                # Hydration committed behind this snapshot: start over.
-                return self.stage_basket(quantities)
-            stock = product.get("stock", 0)
-            if stock < quantity:
-                self.txn.abort(txn)
-                return None, "sold out", product_id
-            updated = dict(product)
-            updated["stock"] = stock - quantity
-            txn.write(product_id, updated)
+                # An empty MVCC cache is not "no such product" until the
+                # tier agrees; a hydration commits behind us: start over.
+                if why == "no such product" and self._product(product_id) is not None:
+                    return self.stage_basket(quantities)
+                return None, why, product_id
         return txn, "", None
 
     def commit_basket(self, txn: Transaction) -> None:
         """Commit a staged basket (a :class:`WriteConflictError` leaves
-        nothing applied) and settle what it wrote.
-
-        Inside a :meth:`process_purchases` call the commit reaches MVCC
-        and is recorded in the call's scope — per product the last
-        committed value, in last-commit order — and the call settles the
-        scope once when it ends: a logged op is an absolute post-state,
-        so every value but a product's last is dead on arrival.  Any
-        other commit (a single-shard basket, a 2PC participant) is a
-        scope of one and settles here."""
+        nothing applied) and settle what it wrote."""
         self.txn.commit(txn)
-        scope = self._call_commits
-        if scope is None:
-            self._settle(txn.writes)
-            return
-        for product_id, value in txn.writes.items():
-            scope.pop(product_id, None)  # re-seat: last-commit order
-            scope[product_id] = value
+        self._settle(txn.writes)
 
     def _settle(self, committed: dict[str, dict]) -> None:
         """Write each committed product through to the storage engine

@@ -9,8 +9,8 @@ this module is the single owner of its three decisions:
   never the request, so replay is idempotent and cannot re-execute a
   purchase (:func:`entity_op` … :func:`stock_op`, :func:`encode`) — and
   so a writer may log what *changed* rather than what *happened*: a
-  purchase call logs one ``stock`` op per product it touched, the last
-  level it committed (:meth:`MetaversePlatform.commit_basket`);
+  purchase call commits once and logs one ``stock`` op per product it
+  sold (:meth:`MetaversePlatform.process_purchases`);
 * **the fold** — :func:`fold` reduces entries *in LSN order*, whatever
   order they were delivered in, to each key's post-state and highest LSN;
   :func:`apply` lands that on shards behind a per-key applied-LSN guard;

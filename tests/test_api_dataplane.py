@@ -13,6 +13,7 @@ cluster, and a two-region geo deployment read through a
 identical items from all three.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -439,6 +440,40 @@ class TestOneStockCommitPath(SourceGrep):
         assert self.hits(r'\["stock"\] = .* - (\w+\.)?quantity') == [
             "cluster/coordinator.py", "platform/platform.py"
         ]
+        # Check and decrement are one function, the basket stage and the
+        # purchase call both reach it, and no renamed copy of the check
+        # exists: every other ordering comparison in the module is
+        # against a constant, a length or a box edge.
+        tree = ast.parse((self.ROOT / "platform" / "platform.py").read_text())
+        functions = [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        ]
+        assert [
+            fn.name for fn in functions
+            if "stock < quantity" in ast.unparse(fn)
+            and "stock - quantity" in ast.unparse(fn)
+        ] == ["_decrement"]
+        assert sorted(
+            fn.name for fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_decrement"
+        ) == ["process_purchases", "stage_basket"]
+
+        def bounded(operand):
+            return isinstance(operand, (ast.Constant, ast.BinOp)) or (
+                isinstance(operand, ast.Name) and operand.id.isupper()
+            ) or (
+                isinstance(operand, ast.Call) and ast.unparse(operand.func) == "len"
+            )
+
+        assert [
+            (fn.name, ast.unparse(node))
+            for fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+            and not any(map(bounded, [node.left, *node.comparators]))
+        ] == [("_decrement", "stock < quantity")]
 
     def test_only_the_platform_writes_through_and_reports(self):
         assert self.hits(r"\.purchase_log\(") == ["platform/platform.py"]
@@ -462,7 +497,7 @@ class TestOneStockCommitPath(SourceGrep):
     def test_the_duplicate_bodies_stay_deleted(self):
         assert self.hits(
             r"_persist_product|_local_basket|_log_stocks|_persist_stocks"
-            r"|_purchase_one"
+            r"|_purchase_one|_purchase_attempts|_call_commits"
         ) == []
 
 

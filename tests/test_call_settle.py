@@ -1,30 +1,42 @@
-"""A purchase call settles once: the per-commit settle is the oracle.
+"""A purchase call is one transaction: the per-request path is the oracle.
 
-Inside a ``process_purchases`` call :meth:`MetaversePlatform.commit_basket`
-commits to MVCC and records the product's committed value; the call ends
-with one :meth:`MetaversePlatform._settle` — one write-through and one
-``stock`` op per product it touched.  The path this replaced settled after
+:meth:`MetaversePlatform.process_purchases` hydrates in request order,
+decides every request against one MVCC snapshot through the one stock
+check, commits once and settles once — one write-through and one
+``stock`` op per product it sold, in last-decision order.  The path this
+replaced staged and committed each request on its own and settled after
 every commit; it lives on here as :class:`PerCommitPlatform` and the two
 run side by side:
 
 * **invisible to a client** — outcomes, every ``get_stock``, every engine
-  product record and the fold of every owner's primary log are equal;
+  product record, every executor's ``busy_time``/``processed`` and the
+  fold of every owner's primary log are equal, on a replicated local
+  cluster and on a disaggregated one through a storage outage;
+* **the op stream per call** — each call logs exactly the oracle's ops
+  with every (shard, product) but its last dropped;
 * **the tap still is the log** — each owner's sink-recorded subsequence
   is its primary log, op for op (``tests/test_op_tap.py``'s property);
-* **the bound** — a call logs at most one ``stock`` op per (shard,
-  product) it committed;
-* **the one flush point** — a call that raises has already settled what
-  it committed (the ``finally``), and a commit outside a call settles at
-  once (the scope of one).
+* **one commit** — a call adds one to ``mvcc.commits`` when it sells
+  anything and none when it does not;
+* **first committer wins** — a commit behind the call's back after its
+  snapshot is never overwritten: the call re-decides against it;
+* **the one flush point** — a call that raises has already committed and
+  settled what it decided (the ``finally``), and a basket settles at once.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.core import ConfigurationError, KeyNotFoundError
+from repro.core import ConfigurationError, KeyNotFoundError, WriteConflictError
 from repro.platform import MetaversePlatform
+from repro.platform.platform import (
+    PURCHASE_RETRIES,
+    TXN_COST_S,
+    PurchaseOutcome,
+    purchase_sort_key,
+)
 from repro.replication import encode, fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from tests.test_op_tap import PRODUCTS, perform, product, quantity, record, request, stock
@@ -33,11 +45,35 @@ pytestmark = [pytest.mark.cluster, pytest.mark.failover]
 
 
 class PerCommitPlatform(MetaversePlatform):
-    """The replaced path: every commit writes through and reports."""
+    """The replaced path: each purchase is its own ``stage_basket`` and
+    ``commit_basket`` (which settles at once), retried on conflict."""
 
-    def commit_basket(self, txn):
-        self.txn.commit(txn)
-        self._settle(txn.writes)
+    def process_purchases(self, requests, presorted=False):
+        if not presorted:
+            requests = sorted(
+                requests,
+                key=lambda r: purchase_sort_key(r, self.physical_priority),
+            )
+        return [self._purchase(request) for request in requests]
+
+    def _purchase(self, request):
+        executor = self.executors[self._executor_for(request.product_id)]
+        for _ in range(PURCHASE_RETRIES + 1):
+            executor.busy_time += TXN_COST_S
+            txn, why, _ = self.stage_basket({request.product_id: request.quantity})
+            if txn is None:
+                if why == "sold out":
+                    self.metrics.counter("platform.soldout").inc()
+                return PurchaseOutcome(request, False, why)
+            try:
+                self.commit_basket(txn)
+            except WriteConflictError:
+                self.metrics.counter("platform.retries").inc()
+                continue
+            executor.processed += 1
+            self.metrics.counter("platform.purchases").inc()
+            return PurchaseOutcome(request, True)
+        return PurchaseOutcome(request, False, "conflict retries exhausted")
 
 
 class PerCommitCluster(PlatformCluster):
@@ -47,10 +83,29 @@ class PerCommitCluster(PlatformCluster):
         return shard
 
 
-def recorded(cluster_type):
-    cluster = cluster_type(ClusterConfig(
-        n_shards=3, n_replicas=2, replica_log_compact_threshold=None,
-    ))
+#: The disaggregated shape's one storage outage: every ``storage.rpc``
+#: fails from ``OUTAGE`` through ``HEALED - 1``, instants only an
+#: ``outage``/``heal`` action reaches (ticks and simulated RPC latency
+#: stay far below).
+OUTAGE, HEALED = 100.0, 10_000.0
+
+
+def move_clock(cluster, to):
+    cluster.clock.advance(max(0.0, to - cluster.clock.now))
+
+
+def recorded(cluster_type, shape="replicated"):
+    if shape == "replicated":
+        config, faults = ClusterConfig(
+            n_shards=3, n_replicas=2, replica_log_compact_threshold=None,
+        ), None
+    else:
+        config = ClusterConfig(n_shards=3, n_storage_nodes=2)
+        faults = FaultInjector(FaultPlan(rules=[FaultRule(
+            site="storage.rpc", kind="crash", rate=1.0,
+            start=OUTAGE, end=HEALED - 1,
+        )]))
+    cluster = cluster_type(config, faults=faults)
     ops = []
     cluster.add_op_sink(lambda shard, op: ops.append((shard, op)))
     cluster.load_catalog(
@@ -59,22 +114,29 @@ def recorded(cluster_type):
     return cluster, ops
 
 
-actions = st.lists(
+commerce = [
+    st.tuples(
+        st.just("process_purchases"),
+        st.lists(st.tuples(product, quantity), min_size=1, max_size=8),
+    ),
+    st.tuples(
+        st.just("process_basket"),
+        st.lists(st.tuples(product, quantity), min_size=1, max_size=2),
+    ),
+    st.tuples(st.just("import_product"), product, stock),
+    st.tuples(st.just("drop_product"), product),
+    st.tuples(st.just("tick")),
+]
+replicated_actions = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("process_purchases"),
-            st.lists(st.tuples(product, quantity), min_size=1, max_size=8),
-        ),
-        st.tuples(
-            st.just("process_basket"),
-            st.lists(st.tuples(product, quantity), min_size=1, max_size=2),
-        ),
-        st.tuples(st.just("import_product"), product, stock),
-        st.tuples(st.just("drop_product"), product),
+        *commerce,
         st.tuples(st.just("salt_product"), product, st.integers(2, 3)),
         st.tuples(st.just("unsalt_product"), product),
-        st.tuples(st.just("tick")),
     ),
+    max_size=20,
+)
+outage_actions = st.lists(
+    st.one_of(*commerce, st.tuples(st.sampled_from(["outage", "heal"]))),
     max_size=20,
 )
 
@@ -82,6 +144,8 @@ actions = st.lists(
 def outcome_of(cluster, action, step):
     """What a client sees of one action: the purchase outcomes, the
     basket verdict, or the refusal."""
+    if action[0] in ("outage", "heal"):
+        return move_clock(cluster, OUTAGE if action[0] == "outage" else HEALED)
     try:
         result = perform(cluster, action, step)
     except (KeyNotFoundError, ConfigurationError) as refused:
@@ -100,47 +164,81 @@ def stock_or_missing(cluster, pid):
         return None
 
 
+def last_per_product(ops):
+    """``ops`` with every (shard, product) but its last op dropped."""
+    last = {(shard, op["k"]): i for i, (shard, op) in enumerate(ops)}
+    return [ops[i] for i in sorted(last.values())]
+
+
 def primary_ops(cluster, owner):
     return cluster.failover.replicator.log(owner).entries(owner)
 
 
+def executor_stats(cluster):
+    return {
+        name: [(e.processed, e.busy_time) for e in shard.executors]
+        for name, shard in cluster.shards.items()
+    }
+
+
+def run_side_by_side(script, shape):
+    called, called_ops = recorded(PlatformCluster, shape)
+    oracle, oracle_ops = recorded(PerCommitCluster, shape)
+    for step, action in enumerate(script):
+        logged, oracle_logged = len(called_ops), len(oracle_ops)
+        assert outcome_of(called, action, step) == outcome_of(
+            oracle, action, step
+        )
+        for pid in PRODUCTS:
+            assert stock_or_missing(called, pid) == stock_or_missing(oracle, pid)
+        ours, theirs = called_ops[logged:], oracle_ops[oracle_logged:]
+        if action[0] == "process_purchases":
+            theirs = last_per_product(theirs)
+        assert ours == theirs
+    assert executor_stats(called) == executor_stats(oracle)
+    return (called, called_ops), (oracle, oracle_ops)
+
+
+def tier_products(cluster):
+    """The shared tier's product records, once the outage is over and
+    every parked write-through is re-driven."""
+    move_clock(cluster, HEALED)
+    for shard in cluster.shards.values():
+        assert shard.flush_dirty_products() == 0
+    return next(iter(cluster.shards.values())).engine.products()
+
+
 class TestThePerCommitSettleIsTheOracle:
     @settings(max_examples=60, deadline=None)
-    @given(script=actions)
+    @given(script=replicated_actions)
     def test_a_call_scope_is_invisible_and_logs_each_product_once(self, script):
-        folded, folded_ops = recorded(PlatformCluster)
-        oracle, oracle_ops = recorded(PerCommitCluster)
-        for step, action in enumerate(script):
-            logged = len(folded_ops)
-            assert outcome_of(folded, action, step) == outcome_of(
-                oracle, action, step
+        called, oracle = run_side_by_side(script, "replicated")
+        for owner in called[0].router.shards:
+            assert called[0].shards[owner].engine.products() == (
+                oracle[0].shards[owner].engine.products()
             )
-            for pid in PRODUCTS:
-                assert stock_or_missing(folded, pid) == stock_or_missing(
-                    oracle, pid
-                )
-            if action[0] == "process_purchases":
-                stocked = [
-                    (shard, op["k"]) for shard, op in folded_ops[logged:]
-                    if op["op"] == "stock"
-                ]
-                assert len(stocked) == len(set(stocked))
-        for owner in folded.router.shards:
-            assert folded.shards[owner].engine.products() == (
-                oracle.shards[owner].engine.products()
-            )
-            ours = fold(primary_ops(folded, owner))
-            theirs = fold(primary_ops(oracle, owner))
+            ours = fold(primary_ops(called[0], owner))
+            theirs = fold(primary_ops(oracle[0], owner))
             assert ours.entities == theirs.entities
             assert ours.products == theirs.products
             assert ours.partial == theirs.partial
-            assert len(primary_ops(folded, owner)) <= len(
-                primary_ops(oracle, owner)
+            assert len(primary_ops(called[0], owner)) <= len(
+                primary_ops(oracle[0], owner)
             )
-            for cluster, ops in ((folded, folded_ops), (oracle, oracle_ops)):
+            for cluster, ops in (called, oracle):
                 assert [e.payload for e in primary_ops(cluster, owner)] == [
                     encode(op) for shard, op in ops if shard == owner
                 ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(script=outage_actions)
+    # p1 and p2 share a shard: the oracle's first commit re-drives the
+    # parked drop before p1's stage, the call hydrates p1 before it.
+    @example(script=[("outage",), ("drop_product", "p1"), ("heal",),
+                     ("process_purchases", [("p2", 1), ("p1", 1)])])
+    def test_a_call_scope_is_invisible_through_a_storage_outage(self, script):
+        called, oracle = run_side_by_side(script, "outage")
+        assert tier_products(called[0]) == tier_products(oracle[0])
 
     def test_the_oracle_logs_every_decrement_and_the_call_scope_the_last(self):
         """The two differ where they are meant to: five purchases of one
@@ -158,34 +256,153 @@ class TestThePerCommitSettleIsTheOracle:
         assert logged[PlatformCluster] == logged[PerCommitCluster][-1:]
 
 
+class TestOneCommitPerCall:
+    @staticmethod
+    def platform(**stocks):
+        platform, logged = MetaversePlatform(), []
+        platform.load_catalog([
+            record(pid, {"name": pid, "stock": n}) for pid, n in stocks.items()
+        ])
+        platform.purchase_log = lambda *call: logged.append(call)
+        return platform, logged
+
+    @staticmethod
+    def interloping(platform, monkeypatch, times, take):
+        """Commit a basket of ``take`` units of ``p0`` behind the call's
+        back — after its snapshot, before its commit — at the first
+        decision of each of the call's first ``times`` attempts."""
+        decide, attempts, inside = platform._decrement, [], []
+
+        def decrement(txn, product_id, quantity):
+            if not inside and txn not in attempts and len(attempts) < times:
+                attempts.append(txn)
+                inside.append(txn)
+                platform.commit_basket(platform.stage_basket({"p0": take})[0])
+                inside.pop()
+            return decide(txn, product_id, quantity)
+
+        monkeypatch.setattr(platform, "_decrement", decrement)
+
+    @staticmethod
+    def busy(platform, requests, attempts):
+        """Each executor's ``busy_time``: one charge per request per
+        attempt of the call."""
+        busy = [0.0] * platform.n_executors
+        for _ in range(attempts):
+            for r in requests:
+                busy[platform._executor_for(r.product_id)] += TXN_COST_S
+        return busy
+
+    @staticmethod
+    def count(platform, name):
+        return platform.metrics.snapshot().get(name, 0)
+
+    def test_a_call_commits_once_when_it_sells_and_never_when_it_does_not(self):
+        platform, _ = self.platform(p0=3, p1=0)
+        for basket, commits in (
+            ([("p0", 1), ("p0", 1)], 1),
+            ([("p1", 1)], 0),
+            ([("ghost", 1)], 0),
+            ([("p0", 5), ("p1", 1), ("ghost", 2)], 0),
+            ([("p1", 1), ("p0", 1), ("ghost", 1)], 1),
+        ):
+            before = self.count(platform, "mvcc.commits")
+            platform.process_purchases(
+                [request(pid, n, shopper=f"s{i}") for i, (pid, n) in enumerate(basket)]
+            )
+            assert self.count(platform, "mvcc.commits") - before == commits
+        assert platform.get_stock("p0") == 0
+
+    def test_a_commit_behind_the_calls_back_is_decided_against(self, monkeypatch):
+        platform, logged = self.platform(p0=10, p1=1)
+        self.interloping(platform, monkeypatch, times=1, take=5)
+        requests = [
+            request("p0", 1, shopper="s0"), request("p0", 1, shopper="s1"),
+            request("p1", 2, shopper="s2"), request("p0", 1, shopper="s3"),
+        ]
+        outcomes = platform.process_purchases(requests)
+        assert [(o.success, o.reason) for o in outcomes] == [
+            (True, ""), (True, ""), (False, "sold out"), (True, ""),
+        ]
+        # The interloper's 5 are not overwritten: 10 - 5 - 3, not 10 - 3.
+        assert platform.get_stock("p0") == 2
+        assert platform.engine.get_product("p0")["stock"] == 2
+        assert logged == [("p0", 5), ("p0", 2)]
+        assert self.count(platform, "platform.retries") == 1
+        assert self.count(platform, "mvcc.conflicts") == 1
+        assert self.count(platform, "platform.purchases") == 3
+        assert self.count(platform, "platform.soldout") == 1
+        assert sum(e.processed for e in platform.executors) == 3
+        assert [e.busy_time for e in platform.executors] == pytest.approx(
+            self.busy(platform, requests, attempts=2)
+        )
+
+    def test_three_conflicts_in_a_row_apply_nothing(self, monkeypatch):
+        platform, logged = self.platform(p0=10, p1=1)
+        self.interloping(platform, monkeypatch, times=PURCHASE_RETRIES + 1, take=1)
+        requests = [request("p0", 1, shopper=f"s{i}") for i in range(3)]
+        requests.append(request("p1", 2, shopper="s3"))
+        outcomes = platform.process_purchases(requests)
+        assert [(o.success, o.reason) for o in outcomes] == [
+            (False, "conflict retries exhausted")
+        ] * 3 + [(False, "sold out")]
+        assert platform.get_stock("p0") == 7
+        assert platform.engine.get_product("p0")["stock"] == 7
+        assert logged == [("p0", 9), ("p0", 8), ("p0", 7)]
+        assert self.count(platform, "platform.retries") == 3
+        assert self.count(platform, "mvcc.conflicts") == 3
+        assert self.count(platform, "platform.purchases") == 0
+        assert sum(e.processed for e in platform.executors) == 0
+        assert [e.busy_time for e in platform.executors] == pytest.approx(
+            self.busy(platform, requests, attempts=3)
+        )
+
+    def test_a_product_dropped_in_an_outage_stays_dropped(self):
+        """Hydration asks a parked write-through before the tier: the
+        tier still holds the dropped record until the drop is re-driven."""
+        cluster, _ = recorded(PlatformCluster, "outage")
+        shard = cluster.shards[cluster.router.owner_of("p1")]
+        move_clock(cluster, OUTAGE)
+        cluster.drop_product("p1")
+        move_clock(cluster, HEALED)
+        assert shard.engine.get_product("p1") == {"name": "p1", "stock": 6}
+        with pytest.raises(KeyNotFoundError):
+            cluster.get_stock("p1")
+        [outcome] = cluster.process_purchases([request("p1", 1)])
+        assert (outcome.success, outcome.reason) == (False, "no such product")
+        assert shard.flush_dirty_products() == 0
+        assert shard.engine.get_product("p1") is None
+
+
 class TestTheOneFlushPoint:
     def test_a_call_that_raises_has_settled_what_it_committed(self, monkeypatch):
         cluster, ops = recorded(PlatformCluster)
         del ops[:]
         owner = cluster.router.owner_of("p0")
         shard = cluster.shards[owner]
-        stage, calls = shard.stage_basket, []
+        decide, calls = shard._decrement, []
 
-        def stage_until_the_third(quantities):
-            calls.append(quantities)
+        def decide_until_the_third(txn, product_id, quantity):
+            calls.append(product_id)
             if len(calls) == 3:
                 raise RuntimeError("request 3")
-            return stage(quantities)
+            return decide(txn, product_id, quantity)
 
-        monkeypatch.setattr(shard, "stage_basket", stage_until_the_third)
+        monkeypatch.setattr(shard, "_decrement", decide_until_the_third)
         with pytest.raises(RuntimeError, match="request 3"):
             shard.process_purchases(
                 [request("p0", 1, shopper=f"s{i}") for i in range(5)]
             )
-        # Two commits reached MVCC before the raise; both are settled.
+        # Two decisions were made before the raise; both are committed
+        # and settled.
         assert shard.get_stock("p0") == 4
         assert shard.engine.get_product("p0")["stock"] == 4
         assert [(name, op["k"], op["stock"]) for name, op in ops] == [
             (owner, "p0", 4)
         ]
         assert cluster.failover.replica_stock(owner, "p0") == 4
-        # And the scope closed with the call: the next commit settles.
-        monkeypatch.setattr(shard, "stage_basket", stage)
+        # And nothing stays open: the next basket settles at once.
+        monkeypatch.setattr(shard, "_decrement", decide)
         assert cluster.process_basket([request("p0", 2)]).committed
         assert shard.engine.get_product("p0")["stock"] == 2
         assert ops[-1] == (owner, {"op": "stock", "k": "p0", "stock": 2})
