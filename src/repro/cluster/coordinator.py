@@ -86,6 +86,11 @@ class CrossShardCoordinator:
         self.network = SimulatedNetwork(self.scheduler, metrics=self.metrics)
         self.coordinator = Coordinator(self.network, name="cluster-coordinator")
         self.participants: dict[str, ShardParticipant] = {}
+        self._outcomes = {
+            True: self.metrics.counter("cluster.twopc.committed"),
+            False: self.metrics.counter("cluster.twopc.aborted"),
+        }
+        self._latency = self.metrics.histogram("cluster.twopc.latency_s")
         for name, shard in shards.items():
             self.attach_shard(name, shard)
 
@@ -111,9 +116,6 @@ class CrossShardCoordinator:
             outcome = self.coordinator.execute(
                 DistributedTxn(writes_by_participant=dict(quantities_by_shard))
             )
-        state = "committed" if outcome.committed else "aborted"
-        self.metrics.counter(f"cluster.twopc.{state}").inc()
-        self.metrics.histogram("cluster.twopc.latency_s").observe(
-            outcome.total_latency
-        )
+        self._outcomes[outcome.committed].inc()
+        self._latency.observe(outcome.total_latency)
         return outcome

@@ -32,6 +32,7 @@ class ShardRouter(Placement):
     ) -> None:
         super().__init__(vnodes=vnodes)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._lookups = self.metrics.counter("cluster.router.lookups")
         # Hot-key salting (elasticity layer): base key → bucket count.
         # The router only keeps the map — splitting stock into buckets
         # and merging it back is the cluster's job (it owns the data
@@ -59,7 +60,7 @@ class ShardRouter(Placement):
     def owner_of(self, key: str) -> str:
         """The shard owning ``key``; every answered lookup is counted."""
         owner = Placement.owner_of(self, key)
-        self.metrics.counter("cluster.router.lookups").inc()
+        self._lookups.inc()
         return owner
 
     # -- hot-key salting ----------------------------------------------------

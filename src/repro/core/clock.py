@@ -9,9 +9,8 @@ need "now" take a clock (or a plain ``time_fn``) instead of calling
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import ConfigurationError
@@ -54,45 +53,44 @@ class SimulationClock:
         return f"SimulationClock(now={self._now:.6f})"
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, sequence number)."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`EventScheduler.schedule`; allows cancelling."""
+    """Handle returned by :meth:`EventScheduler.schedule`; allows cancelling.
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    It wraps the scheduler's heap entry, a plain ``[time, seq, callback]``
+    list (so the heap compares entries in C); cancelling sets the entry's
+    callback to ``None``, and dispatch skips such an entry.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[2] is None
 
     def cancel(self) -> None:
         """Cancel the event; cancelled events are skipped at dispatch time."""
-        self._event.cancelled = True
+        self._entry[2] = None
 
 
 class EventScheduler:
     """A discrete-event scheduler bound to a :class:`SimulationClock`.
 
     Events scheduled for the same instant run in scheduling order (FIFO),
-    which keeps simulations deterministic.
+    which keeps simulations deterministic: a heap entry is
+    ``[time, seq, callback]`` with a unique ``seq``, so the callback is
+    never compared.
     """
 
     def __init__(self, clock: SimulationClock | None = None) -> None:
         self.clock = clock if clock is not None else SimulationClock()
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
@@ -107,9 +105,9 @@ class EventScheduler:
             raise ConfigurationError(
                 f"cannot schedule at {timestamp} before now={self.clock.now}"
             )
-        event = _ScheduledEvent(timestamp, next(self._seq), callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        entry = [timestamp, next(self._seq), callback]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def __len__(self) -> int:
         """Number of events still queued (including cancelled ones)."""
@@ -118,9 +116,10 @@ class EventScheduler:
     @property
     def next_event_time(self) -> float | None:
         """Timestamp of the earliest pending event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def run_until(self, timestamp: float) -> int:
         """Dispatch every event with time <= ``timestamp``; return the count.
@@ -128,15 +127,16 @@ class EventScheduler:
         The clock is advanced to each event's time as it dispatches, and to
         ``timestamp`` at the end, so callbacks observe consistent "now".
         """
+        heap, clock = self._heap, self.clock
         dispatched = 0
-        while self._heap and self._heap[0].time <= timestamp:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        while heap and heap[0][0] <= timestamp:
+            when, _, callback = heappop(heap)
+            if callback is None:
                 continue
-            self.clock.advance_to(event.time)
-            event.callback()
+            clock.advance_to(when)
+            callback()
             dispatched += 1
-        self.clock.advance_to(timestamp)
+        clock.advance_to(timestamp)
         return dispatched
 
     def run_for(self, duration: float) -> int:
@@ -145,12 +145,13 @@ class EventScheduler:
 
     def run_all(self, max_events: int = 1_000_000) -> int:
         """Dispatch until the queue is empty (bounded by ``max_events``)."""
+        heap, clock = self._heap, self.clock
         dispatched = 0
-        while self._heap and dispatched < max_events:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        while heap and dispatched < max_events:
+            when, _, callback = heappop(heap)
+            if callback is None:
                 continue
-            self.clock.advance_to(event.time)
-            event.callback()
+            clock.advance_to(when)
+            callback()
             dispatched += 1
         return dispatched

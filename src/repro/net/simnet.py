@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.clock import EventScheduler
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _message_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight between two nodes.
 
@@ -41,10 +42,10 @@ class Message:
     dst: str
     topic: str
     payload: Any
-    size_bytes: int = 256
-    sent_at: float = 0.0
-    corrupted: bool = False
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    size_bytes: int
+    sent_at: float
+    corrupted: bool
+    message_id: int
 
 
 @dataclass
@@ -102,6 +103,8 @@ class SimulatedNetwork:
 
     A default link applies between any pair without an explicit link.
     Partitions are sets of unordered node pairs that drop all traffic.
+    The counters every message moves (sent, bytes, delivered, delivery
+    latency) are bound once at construction; fault paths look theirs up.
     """
 
     def __init__(
@@ -122,6 +125,10 @@ class SimulatedNetwork:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
+        self._sent = self.metrics.counter("net.messages_sent")
+        self._bytes_sent = self.metrics.counter("net.bytes_sent")
+        self._delivered = self.metrics.counter("net.messages_delivered")
+        self._latency = self.metrics.histogram("net.delivery_latency")
 
     # -- topology ---------------------------------------------------------
 
@@ -212,11 +219,11 @@ class SimulatedNetwork:
         """
         if dst not in self.nodes:
             raise NetworkError(f"unknown destination {dst!r}")
-        if self.is_partitioned(src, dst):
+        if self._partitioned and self.is_partitioned(src, dst):
             self.metrics.counter("net.partitioned_sends").inc()
             raise PartitionedError(f"{src} -> {dst} is partitioned")
         extra_delay = 0.0
-        corrupted = False
+        corrupted = dropped = False
         if self.faults is not None:
             decision = self.faults.decide(
                 "net.link",
@@ -229,45 +236,34 @@ class SimulatedNetwork:
                     f"{src} -> {dst}: injected transient partition"
                 )
             if decision.kind == "drop":
-                self.metrics.counter("net.messages_sent").inc()
-                self.metrics.counter("net.messages_dropped").inc()
-                return Message(
-                    src=src, dst=dst, topic=topic, payload=payload,
-                    size_bytes=size_bytes, sent_at=self.scheduler.clock.now,
-                )
-            if decision.kind == "delay":
+                dropped = True
+            elif decision.kind == "delay":
                 extra_delay = decision.delay_s
             elif decision.kind == "corrupt":
                 corrupted = True
+        now = self.scheduler.clock.now
         message = Message(
-            src=src,
-            dst=dst,
-            topic=topic,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.scheduler.clock.now,
-            corrupted=corrupted,
+            src, dst, topic, payload, size_bytes, now, corrupted,
+            next(_message_ids),
         )
         link = self.link_for(src, dst)
-        self.metrics.counter("net.messages_sent").inc()
-        self.metrics.counter("net.bytes_sent").inc(size_bytes)
-        if link.loss_rate > 0 and self._rng.random() < link.loss_rate:
+        self._sent.inc()
+        self._bytes_sent.inc(size_bytes)
+        if dropped or (link.loss_rate > 0 and self._rng.random() < link.loss_rate):
             self.metrics.counter("net.messages_dropped").inc()
             return message
         delay = link.transfer_delay(size_bytes) + extra_delay
-        self.scheduler.schedule(delay, lambda: self._deliver(message))
+        self.scheduler.schedule_at(now + delay, partial(self._deliver, message))
         return message
 
     def _deliver(self, message: Message) -> None:
         # A partition raised mid-flight also drops the message.
-        if self.is_partitioned(message.src, message.dst):
+        if self._partitioned and self.is_partitioned(message.src, message.dst):
             self.metrics.counter("net.messages_dropped").inc()
             return
         node = self.nodes.get(message.dst)
         if node is None:
             return
-        self.metrics.counter("net.messages_delivered").inc()
-        self.metrics.histogram("net.delivery_latency").observe(
-            self.scheduler.clock.now - message.sent_at
-        )
+        self._delivered.inc()
+        self._latency.observe(self.scheduler.clock.now - message.sent_at)
         node.deliver(message)

@@ -12,10 +12,10 @@ behaviour under participant failure and partitions.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.errors import TransactionAborted
 from ..net.simnet import Message, SimulatedNetwork
 from ..resilience.policies import Timeout
 
@@ -130,7 +130,6 @@ class Coordinator:
         self.network = network
         self.node = network.add_node(name)
         self.timeout = Timeout(timeout_s)
-        self.timeout_s = timeout_s
         # Per-transaction state lives only while execute() waits for it:
         # votes until the decision, acks until the decision round ends.
         # A vote or ack arriving after that is for a forgotten
@@ -151,17 +150,34 @@ class Coordinator:
         if acks is not None:
             acks.add(message.src)
 
+    def _drive(self, received: Sized, expected: int, deadline: float) -> bool:
+        """Run the shared scheduler one instant at a time until ``expected``
+        replies are in ``received``, ``deadline`` passes or nothing is left
+        to run; return whether the deadline cut the wait short."""
+        scheduler = self.network.scheduler
+        clock = scheduler.clock
+        while (
+            len(received) < expected
+            and clock.now < deadline
+            and (next_time := scheduler.next_event_time) is not None
+        ):
+            scheduler.run_until(min(deadline, next_time))
+        return clock.now >= deadline and len(received) < expected
+
     def execute(self, txn: DistributedTxn) -> TxnOutcome:
         """Run the full protocol to completion on the shared scheduler.
 
         The call drives the event scheduler; when it returns, the decision
-        has been made and (for reachable participants) applied.
+        has been made and (for reachable participants) applied.  Each phase
+        waits at most the coordinator's one :class:`Timeout`.
         """
-        scheduler = self.network.scheduler
-        start = scheduler.clock.now
+        clock = self.network.scheduler.clock
+        start = clock.now
         participants = list(txn.writes_by_participant)
-        self._votes[txn.txn_id] = {}
-        self._acks[txn.txn_id] = set()
+        votes: dict[str, bool] = {}
+        acks: set[str] = set()
+        self._votes[txn.txn_id] = votes
+        self._acks[txn.txn_id] = acks
 
         # Phase 1: prepare.
         unreachable: list[str] = []
@@ -175,24 +191,13 @@ class Coordinator:
                         "writes": txn.writes_by_participant[participant],
                     },
                 )
-            except TransactionAborted:  # pragma: no cover - defensive
-                unreachable.append(participant)
             except Exception:
                 unreachable.append(participant)
-        guard = self.timeout.guard(scheduler.clock, label="2pc.prepare")
-        while (
-            len(self._votes[txn.txn_id]) < len(participants) - len(unreachable)
-            and not guard.expired
-            and scheduler.next_event_time is not None
-        ):
-            scheduler.run_until(min(guard.at, scheduler.next_event_time))
-        if guard.expired and len(self._votes[txn.txn_id]) < len(participants) - len(
-            unreachable
-        ):
+        if self._drive(votes, len(participants) - len(unreachable),
+                       self.timeout.deadline_from(clock.now)):
             self.network.metrics.counter("twopc.prepare_timeouts").inc()
-        prepare_latency = scheduler.clock.now - start
-
-        votes = self._votes.pop(txn.txn_id)
+        prepare_latency = clock.now - start
+        del self._votes[txn.txn_id]
         all_yes = (
             not unreachable
             and len(votes) == len(participants)
@@ -206,14 +211,8 @@ class Coordinator:
                 self.node.send(participant, decision_topic, {"txn_id": txn.txn_id})
             except Exception:
                 pass
-        guard = self.timeout.guard(scheduler.clock, label="2pc.decision")
-        while (
-            len(self._acks[txn.txn_id]) < len(participants)
-            and not guard.expired
-            and scheduler.next_event_time is not None
-        ):
-            scheduler.run_until(min(guard.at, scheduler.next_event_time))
-        if guard.expired and len(self._acks[txn.txn_id]) < len(participants):
+        if self._drive(acks, len(participants),
+                       self.timeout.deadline_from(clock.now)):
             self.network.metrics.counter("twopc.decision_timeouts").inc()
         del self._acks[txn.txn_id]
 
@@ -231,5 +230,5 @@ class Coordinator:
             committed=all_yes,
             reason=reason,
             prepare_latency=prepare_latency,
-            total_latency=scheduler.clock.now - start,
+            total_latency=clock.now - start,
         )

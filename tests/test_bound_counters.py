@@ -1,0 +1,150 @@
+"""Counters a hot path binds once must stay honest.
+
+``SimulatedNetwork`` binds ``net.messages_sent``, ``net.bytes_sent``,
+``net.messages_delivered`` and the ``net.delivery_latency`` histogram at
+construction; ``ShardRouter`` binds ``cluster.router.lookups``;
+``CrossShardCoordinator`` binds ``cluster.twopc.committed``/``aborted``
+and the ``cluster.twopc.latency_s`` histogram.  A fault-free message, a
+lookup or a 2PC round therefore asks the registry for nothing, and what
+it counts still lands in that registry, also after ``reset()``.
+"""
+
+import pytest
+
+from repro.cluster.coordinator import CrossShardCoordinator
+from repro.cluster.router import ShardRouter
+from repro.core import DataRecord, EventScheduler, MetricsRegistry
+from repro.net import Link, SimulatedNetwork
+from repro.platform import MetaversePlatform
+from repro.txn import Coordinator, DistributedTxn, Participant
+
+
+class LookupLog(MetricsRegistry):
+    """A registry that records every counter and histogram lookup."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups: list[str] = []
+
+    def counter(self, name):
+        self.lookups.append(name)
+        return super().counter(name)
+
+    def histogram(self, name):
+        self.lookups.append(name)
+        return super().histogram(name)
+
+
+def network(metrics):
+    scheduler = EventScheduler()
+    net = SimulatedNetwork(
+        scheduler, default_link=Link(latency_s=0.01, bandwidth_bps=1e12),
+        metrics=metrics,
+    )
+    net.add_node("a")
+    net.add_node("b").on("t", lambda message: None)
+    return scheduler, net
+
+
+def cross_shard(metrics):
+    shards = {}
+    for name in ("s0", "s1"):
+        shards[name] = MetaversePlatform()
+        shards[name].load_catalog([
+            DataRecord(key=f"{name}/p", payload={"stock": 5, "price": 1})
+        ])
+    return CrossShardCoordinator(shards, metrics=metrics)
+
+
+def basket(quantity=1):
+    return {"s0": {"s0/p": quantity}, "s1": {"s1/p": quantity}}
+
+
+class TestNoLookupOnTheHotPath:
+    def test_a_send_and_its_delivery(self):
+        metrics = LookupLog()
+        scheduler, net = network(metrics)
+        metrics.lookups.clear()
+        net.send("a", "b", "t", None, size_bytes=100)
+        scheduler.run_all()
+        assert metrics.lookups == []
+        assert metrics.counter("net.messages_sent").value == 1
+        assert metrics.counter("net.bytes_sent").value == 100
+        assert metrics.counter("net.messages_delivered").value == 1
+        assert metrics.histogram("net.delivery_latency").count == 1
+
+    def test_an_owner_lookup(self):
+        metrics = LookupLog()
+        router = ShardRouter(["s0", "s1", "s2"], metrics=metrics)
+        metrics.lookups.clear()
+        owners = {router.owner_of(f"k{i}") for i in range(20)}
+        assert metrics.lookups == []
+        assert owners <= {"s0", "s1", "s2"}
+        assert metrics.counter("cluster.router.lookups").value == 20
+
+    def test_a_two_phase_round(self):
+        metrics = LookupLog()
+        scheduler = EventScheduler()
+        net = SimulatedNetwork(scheduler, metrics=metrics)
+        coordinator = Coordinator(net)
+        participants = [Participant(net, f"dc-{i}") for i in range(3)]
+        metrics.lookups.clear()
+        outcome = coordinator.execute(DistributedTxn(
+            {p.name: {"k": 1} for p in participants}
+        ))
+        assert outcome.committed
+        assert metrics.lookups == []
+        assert metrics.counter("net.messages_sent").value == 12
+
+    def test_a_cross_shard_basket(self):
+        metrics = LookupLog()
+        coordinator = cross_shard(metrics)
+        metrics.lookups.clear()
+        assert coordinator.execute(basket()).committed
+        assert not coordinator.execute(basket(quantity=50)).committed
+        assert metrics.lookups == []
+        assert metrics.counter("cluster.twopc.committed").value == 1
+        assert metrics.counter("cluster.twopc.aborted").value == 1
+        assert metrics.histogram("cluster.twopc.latency_s").count == 2
+
+
+class TestBoundCountersSurviveReset:
+    def test_the_network_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        scheduler, net = network(metrics)
+        net.send("a", "b", "t", None, size_bytes=10)
+        scheduler.run_all()
+        metrics.reset()
+        net.send("a", "b", "t", None, size_bytes=30)
+        scheduler.run_all()
+        snapshot = metrics.snapshot()
+        assert snapshot["net.messages_sent"] == 1
+        assert snapshot["net.bytes_sent"] == 30
+        assert snapshot["net.messages_delivered"] == 1
+        assert snapshot["net.delivery_latency.count"] == 1
+
+    def test_the_router_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        router = ShardRouter(["s0", "s1"], metrics=metrics)
+        router.owner_of("a")
+        metrics.reset()
+        router.owner_of("b")
+        assert metrics.snapshot()["cluster.router.lookups"] == 1
+
+    def test_the_cross_shard_coordinator_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        coordinator = cross_shard(metrics)
+        coordinator.execute(basket())
+        metrics.reset()
+        coordinator.execute(basket())
+        coordinator.execute(basket(quantity=50))
+        snapshot = metrics.snapshot()
+        assert snapshot["cluster.twopc.committed"] == 1
+        assert snapshot["cluster.twopc.aborted"] == 1
+        assert snapshot["cluster.twopc.latency_s.count"] == 2
+
+
+def test_a_negative_size_still_raises():
+    _, net = network(MetricsRegistry())
+    with pytest.raises(ValueError):
+        net.send("a", "b", "t", None, size_bytes=-1)

@@ -1,6 +1,13 @@
 """Tests for the simulation clock and discrete-event scheduler."""
 
+import heapq
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, EventScheduler, SimulationClock
 
@@ -121,3 +128,179 @@ class TestEventScheduler:
 
     def test_next_event_time_empty(self):
         assert EventScheduler().next_event_time is None
+
+
+# -- the dataclass-heap scheduler the plain-entry heap replaced, as oracle ---
+
+
+@dataclass(order=True)
+class _OracleEvent:
+    time: float
+    seq: int
+    callback: Callable[[], None] = field(compare=False)
+    cancelled: bool = field(default=False, compare=False)
+
+
+class _OracleHandle:
+    def __init__(self, event: _OracleEvent) -> None:
+        self._event = event
+
+    @property
+    def time(self) -> float:
+        return self._event.time
+
+    @property
+    def cancelled(self) -> bool:
+        return self._event.cancelled
+
+    def cancel(self) -> None:
+        self._event.cancelled = True
+
+
+class OracleScheduler:
+    """Heap entries are ``order=True`` dataclasses with a cancelled flag."""
+
+    def __init__(self) -> None:
+        self.clock = SimulationClock()
+        self._heap: list[_OracleEvent] = []
+        self._seq = itertools.count()
+
+    def schedule(self, delay, callback):
+        if delay < 0:
+            raise ConfigurationError(f"cannot schedule in the past (delay={delay})")
+        return self.schedule_at(self.clock.now + delay, callback)
+
+    def schedule_at(self, timestamp, callback):
+        if timestamp < self.clock.now:
+            raise ConfigurationError("cannot schedule before now")
+        event = _OracleEvent(timestamp, next(self._seq), callback)
+        heapq.heappush(self._heap, event)
+        return _OracleHandle(event)
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def next_event_time(self):
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0].time if self._heap else None
+
+    def run_until(self, timestamp):
+        dispatched = 0
+        while self._heap and self._heap[0].time <= timestamp:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self.clock.advance_to(event.time)
+            event.callback()
+            dispatched += 1
+        self.clock.advance_to(timestamp)
+        return dispatched
+
+    def run_for(self, duration):
+        return self.run_until(self.clock.now + duration)
+
+    def run_all(self, max_events=1_000_000):
+        dispatched = 0
+        while self._heap and dispatched < max_events:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self.clock.advance_to(event.time)
+            event.callback()
+            dispatched += 1
+        return dispatched
+
+
+def drive(scheduler, program) -> list:
+    """Run ``program`` on ``scheduler`` and log every observable: each
+    dispatch with its clock reading, every return value and, per step,
+    the clock, the queue length and every handle's time and state."""
+    log: list = []
+    handles: list = []
+
+    def make(label, script):
+        def callback():
+            log.append(("ran", label, scheduler.clock.now))
+            kind, arg = script
+            if kind == "same_instant":
+                add(0.0, ("none", 0))
+            elif kind == "later":
+                add(arg, ("none", 0))
+            elif kind == "cancel" and handles:
+                handles[arg % len(handles)].cancel()
+        return callback
+
+    def add(delay, script):
+        handles.append(scheduler.schedule(delay, make(len(handles), script)))
+
+    for op, arg, script in program:
+        if op == "schedule":
+            add(arg, script)
+        elif op == "schedule_at":
+            handles.append(scheduler.schedule_at(
+                scheduler.clock.now + arg, make(len(handles), script)
+            ))
+        elif op == "cancel" and handles:
+            handles[arg % len(handles)].cancel()
+        elif op == "run_until":
+            log.append(("run_until", scheduler.run_until(scheduler.clock.now + arg)))
+        elif op == "run_for":
+            log.append(("run_for", scheduler.run_for(arg)))
+        elif op == "run_all":
+            log.append(("run_all", scheduler.run_all(arg)))
+        elif op == "peek":
+            log.append(("peek", scheduler.next_event_time))
+        log.append((
+            "step", scheduler.clock.now, len(scheduler),
+            [(handle.time, handle.cancelled) for handle in handles],
+        ))
+    return log
+
+
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+_scripts = st.one_of(
+    st.just(("none", 0)),
+    st.just(("same_instant", 0)),
+    st.tuples(st.just("later"), _delays),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+)
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays, _scripts),
+    st.tuples(st.just("schedule_at"), _delays, _scripts),
+    st.tuples(st.just("cancel"), st.integers(0, 30), st.none()),
+    st.tuples(st.just("run_until"),
+              st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 3.0]), st.none()),
+    st.tuples(st.just("run_for"), _delays, st.none()),
+    st.tuples(st.just("run_all"),
+              st.integers(0, 4) | st.just(1_000_000), st.none()),
+    st.tuples(st.just("peek"), st.just(0), st.none()),
+)
+
+
+class TestPlainEntryHeapMatchesTheDataclassHeap:
+    @settings(max_examples=300, deadline=None)
+    @given(program=st.lists(_ops, max_size=40))
+    def test_dispatch_order_clock_and_counts_are_equal(self, program):
+        assert drive(EventScheduler(), program) == drive(OracleScheduler(), program)
+
+    def test_same_instant_events_scheduled_by_a_callback_run_after_the_queue(self):
+        program = [
+            ("schedule", 1.0, ("same_instant", 0)),
+            ("schedule", 1.0, ("none", 0)),
+            ("run_all", 1_000_000, None),
+        ]
+        log = drive(EventScheduler(), program)
+        assert [entry[1] for entry in log if entry[0] == "ran"] == [0, 1, 2]
+        assert log == drive(OracleScheduler(), program)
+
+    def test_a_handle_reads_its_time_and_state_before_and_after_dispatch(self):
+        sched = EventScheduler()
+        kept = sched.schedule(1.5, lambda: None)
+        dropped = sched.schedule(2.0, lambda: None)
+        dropped.cancel()
+        assert (kept.time, kept.cancelled) == (1.5, False)
+        assert (dropped.time, dropped.cancelled) == (2.0, True)
+        assert sched.run_all() == 1
+        assert (kept.time, kept.cancelled) == (1.5, False)

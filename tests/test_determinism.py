@@ -392,7 +392,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     (copies rebuilt by anti-entropy, ops shipped to the failover log or
     across the WAN, WAL appends under them) or a byte count of the write
     path (logged, sent to storage) or an isolation count (MVCC write
-    conflicts, purchase retries) above the base's is named and ``main``
+    conflicts, purchase retries) or the fabric's work (simulated-network
+    bytes, shard-router lookups) above the base's is named and ``main``
     exits non-zero on it; lower, equal or absent on either side is not."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
@@ -404,7 +405,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
                rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0,
                logged=4132069.0, sent=4132069.0, messages=4990.0,
-               trips=1439.0, conflicts=0.0, retries=0.0):
+               trips=1439.0, conflicts=0.0, retries=0.0,
+               net_bytes=5793280.0, lookups=60188.0):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
@@ -419,6 +421,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                    "geo.rpc.round_trips": trips,
                    "mvcc.conflicts": conflicts,
                    "platform.retries": retries,
+                   "net.bytes_sent": net_bytes,
+                   "cluster.router.lookups": lookups,
                    "storage.rpc.calls": calls}
         return {"metrics": {
             name: {"value": value,
@@ -434,6 +438,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "wal.bytes", "storage.rpc.bytes",
         "net.messages_sent", "geo.rpc.round_trips",
         "mvcc.conflicts", "platform.retries",
+        "net.bytes_sent", "cluster.router.lookups",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
@@ -457,12 +462,19 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, conflicts=1.0, retries=1.0)) == [
         "mvcc.conflicts", "platform.retries"
     ]
+    assert risen(base, result(626066.0, 282729.0, net_bytes=5793281.0)) == [
+        "net.bytes_sent"
+    ]
+    assert risen(base, result(626066.0, 282729.0, lookups=60189.0)) == [
+        "cluster.router.lookups"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
                ops=25822.0, appends=51644.0, shipped=5598.0,
                logged=4132070.0, sent=4132070.0, messages=5000.0,
-               trips=1500.0, conflicts=3.0, retries=3.0),
+               trips=1500.0, conflicts=3.0, retries=3.0,
+               net_bytes=5800000.0, lookups=60200.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

@@ -182,6 +182,28 @@ class TestNetworkChaos:
         assert inbox == []
         assert network.metrics.counter("net.messages_dropped").value == 1
 
+    def test_an_injected_drop_is_counted_like_a_link_loss(self):
+        def counts(network):
+            return {
+                name: network.metrics.counter(name).value
+                for name in ("net.messages_sent", "net.bytes_sent",
+                             "net.messages_dropped", "net.messages_delivered")
+            }
+
+        injected, scheduler, _ = self.mk(
+            [FaultRule(site="net.link", kind="drop", rate=1.0)]
+        )
+        injected.send("a", "b", "t", {"n": 1}, size_bytes=300)
+        scheduler.run_until(10.0)
+        lossy, scheduler, _ = self.mk([])
+        lossy.default_link.loss_rate = 1.0
+        lossy.send("a", "b", "t", {"n": 1}, size_bytes=300)
+        scheduler.run_until(10.0)
+        assert counts(injected) == counts(lossy) == {
+            "net.messages_sent": 1, "net.bytes_sent": 300,
+            "net.messages_dropped": 1, "net.messages_delivered": 0,
+        }
+
     def test_injected_corruption_is_rejected_at_delivery(self):
         network, scheduler, inbox = self.mk(
             [FaultRule(site="net.link", kind="corrupt", rate=1.0)]
