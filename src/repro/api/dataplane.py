@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.metrics import MetricsRegistry
     from ..core.records import DataRecord, PurchaseRequest
     from ..platform.platform import PurchaseOutcome
-    from ..query.plane import QueryRequest
+    from ..query.plane import QueryModality, QueryPlan, QueryRequest
     from ..spatial.geometry import BBox
 
 
@@ -38,13 +38,19 @@ class GatherResult:
 
 @dataclass
 class ContinuousQuery:
-    """One standing query, re-evaluated on every :meth:`tick`.
+    """One standing query, planned once at registration, and its latest
+    results.
 
-    ``request`` carries the full query-plane request (any modality).
+    ``modality`` and ``plan`` are what planning the registered request
+    (any modality) gave; every refresh reuses them.  A standing prefix
+    query is answered from each shard's view of it
+    (:meth:`~repro.platform.platform.MetaversePlatform.standing_items`);
+    any other modality is re-evaluated at each refresh.
     """
 
     query_id: str
-    request: "QueryRequest"
+    modality: "QueryModality"
+    plan: "QueryPlan"
     results: GatherResult | None = field(default=None)
 
 
@@ -52,32 +58,43 @@ class ContinuousQueries:
     """The standing queries of one data plane, keyed by query id.
 
     Both planes own one and differ only in what they pass to
-    :meth:`refresh`: their own ``query`` (single-shard or scatter-gather)
-    and the name of their own evaluations counter.
+    :meth:`register` (their executor's ``resolve``) and :meth:`refresh`
+    (how they answer one standing query, and the name of their own
+    evaluations counter).
     """
 
     def __init__(self) -> None:
         self._queries: dict[str, ContinuousQuery] = {}
 
-    def register(self, query_id: str, request: "QueryRequest") -> None:
+    def register(
+        self,
+        query_id: str,
+        request: "QueryRequest",
+        resolve: "Callable[[QueryRequest], tuple[QueryModality, QueryPlan]]",
+    ) -> None:
+        """Plan ``request`` with ``resolve`` and keep it under
+        ``query_id``.  A request that does not plan (an unknown modality,
+        a malformed parameter) raises :class:`ConfigurationError` here
+        and is not kept."""
         if query_id in self._queries:
             raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._queries[query_id] = ContinuousQuery(query_id, request)
+        modality, plan = resolve(request)
+        self._queries[query_id] = ContinuousQuery(query_id, modality, plan)
 
     def results(self, query_id: str) -> GatherResult | None:
         return self._queries[query_id].results
 
     def refresh(
         self,
-        run_query: "Callable[[QueryRequest], GatherResult]",
+        answer: "Callable[[ContinuousQuery], GatherResult]",
         metrics: "MetricsRegistry",
         evaluations: str,
     ) -> dict[str, GatherResult]:
-        """Re-evaluate every standing query, counting each evaluation
+        """Answer every standing query with ``answer``, counting each
         under ``evaluations``; returns the fresh results."""
         results: dict[str, GatherResult] = {}
         for query in self._queries.values():
-            query.results = run_query(query.request)
+            query.results = answer(query)
             metrics.counter(evaluations).inc()
             results[query.query_id] = query.results
         return results
@@ -105,8 +122,10 @@ class DataPlane(Protocol):
       (:mod:`repro.query.plane`) and returns a :class:`GatherResult`;
       :meth:`scan_prefix`/:meth:`query_spatial` are thin wrappers over
       it whose items are ``(key, stored_value)`` pairs sorted by key;
-    * :meth:`tick` advances simulated time, flushes, and re-evaluates
-      every registered continuous query, returning fresh results;
+    * :meth:`tick` advances simulated time, flushes, and refreshes
+      every registered continuous query, returning fresh results: a
+      standing prefix query answers from per-shard views, any other
+      modality is re-evaluated;
     * :meth:`process_purchases` decides an identically-ordered request
       stream identically on every implementation (E24/E26/E27 assert
       byte-identical outcomes across shapes and ingest paths).

@@ -54,7 +54,7 @@ from itertools import islice, takewhile
 from operator import attrgetter, itemgetter
 from typing import Callable
 
-from ..api.dataplane import ContinuousQueries, GatherResult
+from ..api.dataplane import ContinuousQueries, ContinuousQuery, GatherResult
 from ..core.clock import SimulationClock
 from ..core.columns import RecordBatch
 from ..core.errors import (
@@ -264,7 +264,9 @@ class PlatformCluster:
             shard.purchase_log = partial(self._emit, name, stock_op)
         if self.storage is not None:
             # Every mount sees the whole tier; a shard serves (and keeps
-            # a position index over) the keys the compute ring gives it.
+            # its derived state over) the keys the compute ring gives it.
+            # The cluster routes every write of a key to its owner, so a
+            # shard with ``owns`` set is its keys' sole writer.
             shard.owns = partial(self._owns, name)
         return shard
 
@@ -524,7 +526,21 @@ class PlatformCluster:
             self.failover.tick()
         self.maintain_storage()
         return self._continuous.refresh(
-            self.query, self.metrics, "cluster.continuous.evaluations"
+            self._answer, self.metrics, "cluster.continuous.evaluations"
+        )
+
+    def _answer(self, query: ContinuousQuery) -> GatherResult:
+        """One refresh of a standing query: one :meth:`_scatter`, so down
+        shards, ``cluster.query`` faults and deadlines fail a shard as
+        they fail any query.  Each shard returns its owned items
+        (:meth:`MetaversePlatform.standing_items`: from its view, or
+        re-evaluated) and the modality merges them."""
+        partials, failed = self._scatter(
+            lambda name, shard: shard.standing_items(query)
+        )
+        return GatherResult(
+            items=query.modality.merge(partials, query.plan),
+            failed_shards=failed,
         )
 
     def _observe_ingest_waits(self, rate: float) -> None:
@@ -753,14 +769,18 @@ class PlatformCluster:
         return self.query(spatial_query(region))
 
     def register_continuous(self, query_id: str, prefix: str) -> None:
-        """Register a standing prefix query, re-evaluated every tick."""
+        """Register a standing prefix query, refreshed every tick."""
         self.register_continuous_query(query_id, prefix_query(prefix))
 
     def register_continuous_query(
         self, query_id: str, request: QueryRequest
     ) -> None:
-        """Register a standing query of *any* modality, refreshed per tick."""
-        self._continuous.register(query_id, request)
+        """Register a standing query of *any* modality, refreshed per
+        tick.  It is planned here, once: a request that does not plan
+        raises :class:`ConfigurationError` and is not registered."""
+        self._continuous.register(
+            query_id, request, self.query_executor.resolve
+        )
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous.results(query_id)

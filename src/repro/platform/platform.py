@@ -24,7 +24,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..api.dataplane import ContinuousQueries, GatherResult
+from ..api.dataplane import ContinuousQueries, ContinuousQuery, GatherResult
 from ..core.clock import SimulationClock
 from ..core.columns import RecordBatch
 from ..core.errors import (
@@ -45,7 +45,13 @@ from ..net.overlay import stable_hash
 from ..net.pubsub import Broker, Publication, Subscription
 from ..obs.tracing import NoopTracer, Tracer
 from ..platform.gateway import DeviceGateway
-from ..query.plane import QueryExecutor, QueryRequest, prefix_query, spatial_query
+from ..query.plane import (
+    PrefixScanModality,
+    QueryExecutor,
+    QueryRequest,
+    prefix_query,
+    spatial_query,
+)
 from ..resilience.faults import FaultInjector
 from ..resilience.policies import CircuitBreaker, RetryPolicy
 from ..semantic import SemanticIndex
@@ -97,6 +103,100 @@ def payload_position(payload: dict) -> tuple | None:
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
         return (x, y)
     return None
+
+
+class DerivedState:
+    """Compute-side state derived from the entities a node serves, on
+    the platform's one lifecycle: *unknown* (``data is None``) →
+    *hydrated* by its first reader's owned pass over ``span`` →
+    *maintained* on every write and drop the node makes → *reset* to
+    unknown.
+
+    The platform drives it from ``_after_write`` (:meth:`on_write`),
+    ``drop_entity`` (:meth:`on_drop`) and ``reset_caches``
+    (:meth:`reset`), the step a remap runs; readers hydrate it through
+    ``MetaversePlatform._hydrated``.  ``exact`` state is an answer in
+    itself, so a write that raised part-way, which may have landed on
+    some storage nodes unseen, resets it as well.  Inexact state is a
+    candidate filter whose hits are re-checked against what is fetched:
+    a stale entry costs a fetch, never a wrong answer.
+    """
+
+    exact = False
+
+    def __init__(self, lo: str, hi: str, data: dict | None = None) -> None:
+        self.span = (lo, hi)
+        self.data = data
+
+    def hydrate(self, rows: list) -> None:
+        """Build ``data`` from the owned ``(key, stored value)`` rows of
+        ``span``."""
+        raise NotImplementedError
+
+    def on_write(self, items: list, payloads: list) -> None:
+        """Follow the ``(key, stored value)`` items the engine just
+        accepted, with their record payloads."""
+        raise NotImplementedError
+
+    def on_drop(self, key: str) -> None:
+        if self.data is not None:
+            self.data.pop(key, None)
+
+    def reset(self) -> None:
+        self.data = None
+
+
+class PositionIndex(DerivedState):
+    """key → ``(x, y)`` over the entities a node serves, so a spatial
+    query filters a dict instead of scanning the keyspace.  Inexact:
+    ``spatial_items`` re-checks every fetched value against the box."""
+
+    def __init__(self, data: dict | None = None) -> None:
+        super().__init__("", KEY_MAX, data)
+
+    def hydrate(self, rows: list) -> None:
+        positions: dict[str, tuple] = {}
+        for key, value in rows:
+            position = payload_position(stored_payload(value))
+            if position is not None:
+                positions[key] = position
+        self.data = positions
+
+    def on_write(self, items: list, payloads: list) -> None:
+        positions = self.data
+        if positions is None:
+            return  # unknown: writes pay nothing
+        for (key, _), payload in zip(items, payloads):
+            position = payload_position(payload)
+            if position is not None:
+                positions[key] = position
+            else:
+                positions.pop(key, None)
+
+
+class PrefixView(DerivedState):
+    """key → stored value of the entities a node serves under one
+    standing query's prefix: the node's answer to that query, given
+    without a storage read.  Exact, and kept only by a node that is its
+    keys' sole writer (see ``MetaversePlatform.standing_items``).
+    Membership is the prefix scan's own range test, ``lo <= key <= hi``."""
+
+    exact = True
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__(prefix, prefix + KEY_MAX)
+
+    def hydrate(self, rows: list) -> None:
+        self.data = dict(rows)
+
+    def on_write(self, items: list, payloads: list) -> None:
+        rows = self.data
+        if rows is None:
+            return
+        lo, hi = self.span
+        for key, value in items:
+            if lo <= key <= hi:
+                rows[key] = value
 
 
 def unit_len(unit: DataRecord | RecordBatch) -> int:
@@ -226,23 +326,24 @@ class MetaversePlatform:
         # mounted on a storage tier (ring ownership); unset, the node
         # serves everything its engine holds.
         self.owns = None
-        # key → (x, y) index over the entities this node serves, so a
-        # spatial query filters a dict instead of scanning the keyspace.
-        # ``None`` while *unknown*, a dict once *hydrated*, ``None``
-        # again after reset_caches().  An engine this platform built is
-        # empty, so its index starts hydrated at ``{}``; an injected one
-        # may already hold entities, so it starts unknown and the first
-        # spatial query hydrates it from one full scan, keeping the keys
-        # ``owns`` accepts.  Once hydrated, _after_write and drop_entity
-        # maintain it; while unknown, writes pay nothing.  That is
+        # Derived state, every piece on the one DerivedState lifecycle:
+        # the position index, and one PrefixView per standing prefix
+        # query this node has answered (keyed by query id).  An engine
+        # this platform built is empty, so its position index starts
+        # hydrated at ``{}``; an injected one may already hold entities,
+        # so it starts unknown and the first spatial query hydrates it
+        # from one full scan, keeping the keys ``owns`` accepts.  That is
         # complete on a shared tier because the cluster routes every
         # write of a key to the shard owning it and resets every shard's
         # caches when ownership moves (a re-mounted shard is a fresh
         # platform).  A write behind this platform's back (another mount
-        # of the tier) can leave an entry stale, never wrong:
+        # of the tier) can leave an index entry stale, never wrong:
         # spatial_items re-checks what it fetched, reset_caches()
         # re-hydrates.
-        self._positions: dict[str, tuple] | None = {} if own_engine else None
+        self._positions = PositionIndex({} if own_engine else None)
+        self._views: dict[str, PrefixView] = {}
+        self._derived: list[DerivedState] = [self._positions]
+        self._own_engine = own_engine
         # Opt-in semantic retrieval: an HNSW graph over this node's
         # describable entities, maintained from the same write paths as
         # the position memo (so failover promotion, which replays via
@@ -296,23 +397,33 @@ class MetaversePlatform:
 
     def _write_items(self, items: list, payloads: list) -> list:
         """The entity write: one retried bulk engine call, then
-        :meth:`_after_write` per item.  Returns ``items``, the stored
-        (key, value) pairs."""
-        self._with_retry(lambda: self.engine.mput(items))
-        for (key, value), payload in zip(items, payloads):
-            self._after_write(key, value, payload)
+        :meth:`_after_write`.  Returns ``items``, the stored (key, value)
+        pairs.  A call that raises may have landed some storage nodes'
+        groups before it failed, so it resets every exact derived state
+        first."""
+        try:
+            self._with_retry(lambda: self.engine.mput(items))
+        except Exception:
+            for state in self._derived:
+                if state.exact:
+                    state.reset()
+            raise
+        self._after_write(items, payloads)
         return items
 
-    def _after_write(self, key: str, value: object, payload: dict) -> None:
-        """Bring every compute-side view of ``key`` in line with a value
-        the engine just accepted: page, stale-read fallback, position
-        memo, semantic index."""
-        self.pool.invalidate(key)
-        self._remember(key, value)
-        if self._positions is not None:
-            self._index_position(key, payload)
+    def _after_write(self, items: list, payloads: list) -> None:
+        """Bring every compute-side copy of the stored ``items`` in line
+        with what the engine just accepted: pages, stale-read fallback,
+        semantic index, and every derived state."""
+        invalidate, remember = self.pool.invalidate, self._remember
+        for key, value in items:
+            invalidate(key)
+            remember(key, value)
         if self.semantic is not None:
-            self.semantic.index_record(key, payload)
+            for (key, _), payload in zip(items, payloads):
+                self.semantic.index_record(key, payload)
+        for state in self._derived:
+            state.on_write(items, payloads)
 
     def write_unit(self, unit: DataRecord | RecordBatch | list[DataRecord]) -> list:
         """Persist one write unit — a record, a columnar batch or a run
@@ -379,30 +490,19 @@ class MetaversePlatform:
         ]
         return self._write_items(items, payloads)
 
-    def _index_position(self, key: str, payload: dict) -> None:
-        """Track (or forget) the entity's payload position in the
-        hydrated index."""
-        position = payload_position(payload)
-        if position is not None:
-            self._positions[key] = position
-        else:
-            self._positions.pop(key, None)
-
-    def _hydrate_positions(self) -> dict[str, tuple]:
-        """Build the position index from one full scan, keeping the keys
-        this node serves.  Assigned only once the scan returned: a scan
-        that stays faulted past the retry budget raises and leaves the
-        index unknown, so the next query hydrates again."""
-        owns = self.owns
-        positions: dict[str, tuple] = {}
-        for key, value in self.scan("", KEY_MAX):
-            if owns is not None and not owns(key):
-                continue
-            position = payload_position(stored_payload(value))
-            if position is not None:
-                positions[key] = position
-        self._positions = positions
-        return positions
+    def _hydrated(self, state: DerivedState) -> dict:
+        """``state``'s data, hydrated first if it is unknown: one scan of
+        its span, keeping the keys this node serves (``owns``).  Assigned
+        only once the scan returned: a scan that stays faulted past the
+        retry budget raises and leaves the state unknown, so the next
+        reader hydrates again."""
+        if state.data is None:
+            owns = self.owns
+            rows = self.scan(*state.span)
+            state.hydrate(
+                rows if owns is None else [row for row in rows if owns(row[0])]
+            )
+        return state.data
 
     def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
         """Sorted range scan of the entity tier (retried past transient
@@ -500,7 +600,13 @@ class MetaversePlatform:
         self.clock.advance(dt)
         self.flush()
         return self._continuous.refresh(
-            self.query, self.metrics, "platform.continuous.evaluations"
+            self._answer, self.metrics, "platform.continuous.evaluations"
+        )
+
+    def _answer(self, query: ContinuousQuery) -> GatherResult:
+        """One refresh of a standing query on this single-shard plane."""
+        return GatherResult(
+            items=query.modality.merge([self.standing_items(query)], query.plan)
         )
 
     # -- DataPlane: queries --------------------------------------------------
@@ -528,7 +634,7 @@ class MetaversePlatform:
         ``x``/``y`` inside ``region``.
 
         One path on every engine.  An unknown position index is hydrated
-        first (one full scan; see ``_positions``); candidates are then a
+        first (one full scan; see :class:`PositionIndex`); candidates are then a
         dict filter, fetched with one bulk read — one round trip per
         storage node holding a hit on a remote engine — and each fetched
         value is checked against the box again, so an index entry that
@@ -537,9 +643,7 @@ class MetaversePlatform:
         scan or fetch that stays faulted past the retry budget raises;
         the cluster's scatter reports this shard failed.
         """
-        positions = self._positions
-        if positions is None:
-            positions = self._hydrate_positions()
+        positions = self._hydrated(self._positions)
         x_min, x_max = region.x_min, region.x_max
         y_min, y_max = region.y_min, region.y_max
         hits = [
@@ -573,15 +677,53 @@ class MetaversePlatform:
         self.metrics.counter("platform.semantic.searches").inc()
         return self.semantic.search(vector, k, ef=ef)
 
+    def standing_items(self, query: ContinuousQuery) -> list:
+        """This node's items of a standing query (unsorted; the modality
+        merges).
+
+        A standing prefix query on a node that is its keys' sole writer
+        answers from the node's :class:`PrefixView` of it: hydrated by
+        the first refresh from one owned scan of the prefix, maintained
+        by every write and drop from then on, reset with the caches.  A
+        hydrated view answers without a storage read; a hydration scan
+        that stays faulted past the retry budget raises and leaves the
+        view unknown.  The node is its keys' sole writer when it built
+        its engine, or when a cluster mounted it (``owns`` set) on the
+        tier the cluster built and routes every write of a key to its
+        owner.  A hand-mounted engine may have other writers.
+
+        Any other query is re-evaluated from its stored plan, keeping
+        the items whose key (the modality's ``item_key``) this node
+        owns: every item on a node with no ``owns``."""
+        modality, owns = query.modality, self.owns
+        if type(modality) is PrefixScanModality and (
+            self._own_engine or owns is not None
+        ):
+            view = self._views.get(query.query_id)
+            if view is None:
+                view = PrefixView(query.plan.params["prefix"])
+                self._views[query.query_id] = view
+                self._derived.append(view)
+            return list(self._hydrated(view).items())
+        items = modality.execute(self, query.plan)
+        if owns is None:
+            return items
+        key_of = modality.item_key
+        return [item for item in items if owns(key_of(item))]
+
     def register_continuous(self, query_id: str, prefix: str) -> None:
-        """Register a standing prefix query, re-evaluated every tick."""
+        """Register a standing prefix query, refreshed every tick."""
         self.register_continuous_query(query_id, prefix_query(prefix))
 
     def register_continuous_query(
         self, query_id: str, request: QueryRequest
     ) -> None:
-        """Register a standing query of *any* modality, refreshed per tick."""
-        self._continuous.register(query_id, request)
+        """Register a standing query of *any* modality, refreshed per
+        tick.  It is planned here, once: a request that does not plan
+        raises :class:`ConfigurationError` and is not registered."""
+        self._continuous.register(
+            query_id, request, self.query_executor.resolve
+        )
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous.results(query_id)
@@ -716,7 +858,7 @@ class MetaversePlatform:
 
     def reset_caches(self) -> None:
         """Drop every compute-side cache — product MVCC, buffer pool, the
-        stale-read fallback and the position index — so all subsequent
+        stale-read fallback and every derived state — so all subsequent
         reads re-load from the storage engine.  The full stateless-compute
         remap: what a compute node does when cluster membership changes
         under it."""
@@ -728,7 +870,8 @@ class MetaversePlatform:
             tracer=self.tracer,
         )
         self._stale.clear()
-        self._positions = None
+        for state in self._derived:
+            state.reset()
 
     def maintain_storage(self, now: float | None = None) -> dict:
         """One data-lifecycle sweep of the storage engine (checkpointing,
@@ -911,10 +1054,10 @@ class MetaversePlatform:
         self._with_retry(lambda: self.engine.delete(key))
         self.pool.invalidate(key)
         self._stale.pop(key, None)
-        if self._positions is not None:
-            self._positions.pop(key, None)
         if self.semantic is not None:
             self.semantic.discard(key)
+        for state in self._derived:
+            state.on_drop(key)
 
     def catalog_snapshot(self) -> dict[str, dict]:
         """Committed product state, keyed by product id."""

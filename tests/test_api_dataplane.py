@@ -33,7 +33,12 @@ from repro.core import (
 )
 from repro.geo import EVENTUAL, GeoConfig, GeoDeployment, GeoSession
 from repro.platform import MetaversePlatform
-from repro.query.plane import prefix_query, spatial_query
+from repro.query.plane import (
+    PrefixScanModality,
+    QueryRequest,
+    prefix_query,
+    spatial_query,
+)
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.semantic import semantic_query
 from repro.spatial.geometry import BBox
@@ -179,6 +184,69 @@ class TestProtocolConformance:
         assert scans["cluster-disagg"] == scans["platform"]
         assert spatial["cluster"] == spatial["platform"]
         assert spatial["cluster-disagg"] == spatial["platform"]
+
+
+class TestStandingQueries:
+    """A standing query is planned once, at registration, and a standing
+    prefix query answers from views that equal its re-evaluation."""
+
+    @pytest.mark.parametrize("malformed", [
+        QueryRequest("prefix", {"prefix": 3}),
+        QueryRequest("no-such-modality", {}),
+    ], ids=["non-string-prefix", "unknown-modality"])
+    def test_a_malformed_standing_query_is_refused_at_registration(
+        self, plane, malformed
+    ):
+        with pytest.raises(ConfigurationError):
+            plane.register_continuous_query("bad", malformed)
+        plane.register_continuous("good", "ent/")
+        plane.ingest_many(seed_records(3))
+        results = plane.tick(0.5)
+        assert list(results) == ["good"] and len(results["good"].items) == 3
+        plane.register_continuous("bad", "ent/00")  # the id was never taken
+        assert len(plane.tick(0.5)["bad"].items) == 3
+
+    def test_a_standing_query_is_planned_once(self, plane, monkeypatch):
+        planned = []
+        plan = PrefixScanModality.plan
+
+        def counting_plan(self, request):
+            planned.append(request)
+            return plan(self, request)
+
+        monkeypatch.setattr(PrefixScanModality, "plan", counting_plan)
+        plane.register_continuous("q", "ent/")
+        for _ in range(3):
+            plane.tick(0.5)
+        assert len(planned) == 1
+
+    PREFIXES = ("ent/", "ent/00", "ent/01", "", "zz/")
+
+    def test_a_standing_view_equals_reevaluation(self, plane):
+        for prefix in self.PREFIXES:
+            plane.register_continuous(prefix, prefix)
+        scans = plane.metrics.counter("kv.scans")
+
+        def refresh_and_check(hydrated=True):
+            before = scans.value
+            results = plane.tick(0.5)
+            if hydrated:
+                assert scans.value == before  # every view answered
+            for prefix in self.PREFIXES:
+                fresh = plane.query(prefix_query(prefix))
+                assert results[prefix].items == fresh.items, prefix
+                assert results[prefix].failed_shards == fresh.failed_shards
+
+        plane.ingest_many(seed_records(12))
+        refresh_and_check(hydrated=False)
+        plane.ingest_batch(RecordBatch.from_records([
+            record(f"ent/{i:03d}", {"v": -i}) for i in range(0, 20, 3)
+        ]))
+        plane.ingest(record("zz/a", {"v": 1}))
+        refresh_and_check()
+        plane.drop_entity("ent/004")
+        plane.drop_entity("zz/a")
+        refresh_and_check()
 
 
 @pytest.mark.parametrize("shape", WRITE_SHAPES)

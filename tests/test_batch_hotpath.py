@@ -414,6 +414,70 @@ class TestOneWritePath(SourceGrep):
         assert "payload_size" not in inspect.getsource(RemoteStorageEngine.mput)
 
 
+class TestOneLifecycle(SourceGrep):
+    """Derived state has one lifecycle: the platform's write, drop and
+    reset steps reach the position index and every standing view only
+    through ``DerivedState``, and name neither."""
+
+    STEPS = {
+        "_write_items": ["reset"],  # a raised write, exact state only
+        "_after_write": ["on_write"],
+        "drop_entity": ["on_drop"],
+        "reset_caches": ["reset"],
+    }
+
+    def methods(self):
+        tree = ast.parse(self.sources()["platform/platform.py"])
+        platform = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "MetaversePlatform"
+        )
+        return {
+            node.name: node for node in platform.body
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    def test_each_step_drives_every_derived_state_through_one_method(self):
+        methods = self.methods()
+        for name, lifecycle in self.STEPS.items():
+            body = ast.unparse(methods[name])
+            assert "for state in self._derived:" in body, name
+            assert sorted({
+                call.func.attr for call in ast.walk(methods[name])
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and ast.unparse(call.func.value) == "state"
+            }) == lifecycle, name
+
+    def test_no_step_names_the_position_index_or_a_view(self):
+        methods = self.methods()
+        for name in self.STEPS:
+            body = ast.unparse(methods[name])
+            assert re.findall(r"_positions|_views|PositionIndex|PrefixView", body) == [], name
+        # Built in __init__; read where a query asks for them; hydrated
+        # by one method; named nowhere outside the platform.
+        readers = {
+            attr: sorted(
+                name for name, node in methods.items()
+                if re.search(rf"self\.{attr}\b", ast.unparse(node))
+            )
+            for attr in ("_positions", "_views", "_derived")
+        }
+        assert readers == {
+            "_positions": ["__init__", "spatial_items"],
+            "_views": ["__init__", "standing_items"],
+            "_derived": [
+                "__init__", "_after_write", "_write_items", "drop_entity",
+                "reset_caches", "standing_items",
+            ],
+        }
+        assert [
+            name for name, node in methods.items()
+            if ".hydrate(" in ast.unparse(node)
+        ] == ["_hydrated"]
+        assert self.hits(r"\._positions\b|\._views\b|\._derived\b", "cluster") == []
+
+
 class TestOneCommitCore(SourceGrep):
     """A purchase call settles once, in one place: committed stock is
     written through and reported by ``MetaversePlatform._settle`` alone,

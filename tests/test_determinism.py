@@ -393,8 +393,10 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     across the WAN, WAL appends under them) or a byte count of the write
     path (logged, sent to storage) or an isolation count (MVCC write
     conflicts, purchase retries) or the fabric's work (simulated-network
-    bytes, shard-router lookups) above the base's is named and ``main``
-    exits non-zero on it; lower, equal or absent on either side is not."""
+    bytes, shard-router lookups) or the storage round trips above the
+    base's is named and ``main`` exits non-zero on it; lower, equal or
+    absent on either side is not, and a report-only count (keys per
+    storage call) is never named, however far it rises."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
         import compare_macro_counts
@@ -402,11 +404,11 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     finally:
         sys.path.pop(0)
 
-    def result(build, query=None, calls=5.0, rows=16000.0, scans=4816.0,
+    def result(build, query=None, calls=3608.0, rows=16000.0, scans=4816.0,
                rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0,
                logged=4132069.0, sent=4132069.0, messages=4990.0,
                trips=1439.0, conflicts=0.0, retries=0.0,
-               net_bytes=5793280.0, lookups=60188.0):
+               net_bytes=5793280.0, lookups=60188.0, per_call=3.95):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
@@ -423,7 +425,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                    "platform.retries": retries,
                    "net.bytes_sent": net_bytes,
                    "cluster.router.lookups": lookups,
-                   "storage.rpc.calls": calls}
+                   "storage.rpc.calls": calls,
+                   "storage.rpc.keys_per_call": per_call}
         return {"metrics": {
             name: {"value": value,
                    "unit": "bytes" if name.endswith(".bytes") else "count"}
@@ -439,10 +442,12 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "net.messages_sent", "geo.rpc.round_trips",
         "mvcc.conflicts", "platform.retries",
         "net.bytes_sent", "cluster.router.lookups",
+        "storage.rpc.calls",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
-    assert risen(base, result(600000.0, 282729.0, calls=9.0, rows=0.0, scans=1.0)) == []
+    assert risen(base, result(600000.0, 282729.0, calls=2824.0, rows=0.0, scans=1.0)) == []
+    assert risen(base, result(626066.0, 282729.0, per_call=9.0)) == []
     assert risen(base, result(626067.0, 282729.0)) == ["semantic.distance_evals_build"]
     assert risen(base, result(626066.0, 282729.0, rows=16001.0)) == [
         "storage.scan.rows_examined"
@@ -468,13 +473,17 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, lookups=60189.0)) == [
         "cluster.router.lookups"
     ]
+    assert risen(base, result(626066.0, 282729.0, calls=3609.0)) == [
+        "storage.rpc.calls"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
                ops=25822.0, appends=51644.0, shipped=5598.0,
                logged=4132070.0, sent=4132070.0, messages=5000.0,
                trips=1500.0, conflicts=3.0, retries=3.0,
-               net_bytes=5800000.0, lookups=60200.0),
+               net_bytes=5800000.0, lookups=60200.0, calls=4400.0,
+               per_call=9.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

@@ -1,4 +1,5 @@
-"""The position index behind spatial queries: indexed equals scanned.
+"""Derived state equals what it is derived from: the position index
+behind spatial queries and the views behind standing prefix queries.
 
 ``MetaversePlatform.spatial_items`` answers from a key → (x, y) index on
 every engine; the scan-and-filter it replaced lives on here as the
@@ -8,6 +9,8 @@ moved, per-record and columnar ingest, rebalance drops, ring ownership
 changes, compute crashes, foreign writers on a shared tier, a hydration
 scan that faults — and guards the two costs the index exists to remove:
 a tick does not scan, and a box query after the first does not either.
+The same interleavings hold every standing prefix query's result equal
+to a fresh ``query(prefix_query(p))``, its re-evaluation oracle.
 """
 
 import pytest
@@ -16,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster, ShardRouter
 from repro.core import DataKind, DataRecord, RecordBatch, Space
+from repro.core import FaultInjectedError
 from repro.platform import MetaversePlatform
+from repro.query.plane import prefix_query
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
 from repro.storage.engine import LocalStorageEngine, StorageTier
@@ -59,6 +64,25 @@ def assert_indexed_equals_scanned(plane, box):
     assert result.failed_shards == scanned.failed_shards
     assert result.items == scan_and_filter(scanned.items, box)
     return result
+
+
+#: Standing prefixes of the interleaving property: one narrow, one that
+#: holds every key the scripts write, and one no key falls under.
+STANDING = ("k/0", "k/", "m/")
+
+
+def register_standing(plane):
+    for prefix in STANDING:
+        plane.register_continuous(prefix, prefix)
+
+
+def assert_standing_equals_reevaluated(plane):
+    """Each standing result of the last refresh equals a fresh query."""
+    for prefix in STANDING:
+        standing = plane.continuous_results(prefix)
+        fresh = plane.query(prefix_query(prefix))
+        assert standing.items == fresh.items, prefix
+        assert standing.failed_shards == fresh.failed_shards, prefix
 
 
 # -- interleavings on a cluster -------------------------------------------------
@@ -159,7 +183,8 @@ def run_script(shape, script, final):
     """Play ``script`` on a seeded 3-shard cluster of ``shape`` and hold
     every invariant at the end: indexed equals scanned, nothing partial,
     last buffered write wins with each key served once, and on a tier
-    each shard's index holds exactly the keys it owns."""
+    each shard's index holds exactly the keys it owns.  After every tick
+    and at the end, every standing result equals its re-evaluation."""
     cluster = PlatformCluster(ClusterConfig(n_shards=3, **shape))
     seeded = [
         record(f"k/{i:02d}", payload_at((i % 10, (3 * i) % 10), 0))
@@ -169,14 +194,20 @@ def run_script(shape, script, final):
     cluster.ingest_many(seeded)
     cluster.flush()
     assert_indexed_equals_scanned(cluster, final)  # hydrate early
+    register_standing(cluster)
+    cluster.tick(0.5)  # and the standing views
+    assert_standing_equals_reevaluated(cluster)
     for serial, op in enumerate(script, start=1):
         apply(cluster, op, serial)
+        if op[0] == "tick":
+            assert_standing_equals_reevaluated(cluster)
         if op[0] == "write":
             model[f"k/{op[1]:02d}"] = payload_at(op[2], serial)
         elif op[0] == "batch":
             for index, position in op[1]:
                 model[f"k/{index:02d}"] = payload_at(position, serial)
     settle(cluster)  # re-mounts or promotes whatever is down, flushes the rest
+    assert_standing_equals_reevaluated(cluster)
     result = assert_indexed_equals_scanned(cluster, final)
     assert result.failed_shards == ()
     whole = assert_indexed_equals_scanned(cluster, BBox(0.0, 0.0, 9.0, 9.0))
@@ -187,12 +218,12 @@ def run_script(shape, script, final):
     if cluster.storage is not None:
         # The invariant the ownership argument rests on.
         for name, shard in cluster.shards.items():
-            assert shard._positions is not None
+            assert shard._positions.data is not None
             assert all(
                 cluster.router.owner_of(key) == name
-                for key in shard._positions
+                for key in shard._positions.data
             )
-            assert sorted(shard._positions) == [
+            assert sorted(shard._positions.data) == [
                 key for key, _ in whole.items
                 if cluster.router.owner_of(key) == name
             ]
@@ -285,11 +316,11 @@ class TestInjectedEngines:
             ("d", "not a wrapper dict"),
         ])
         platform = MetaversePlatform(engine=engine)
-        assert platform._positions is None
+        assert platform._positions.data is None
         assert [key for key, _ in assert_indexed_equals_scanned(
             platform, BOX
         ).items] == ["a"]
-        assert platform._positions == {"a": (1.0, 1.0), "b": (9.0, 9.0)}
+        assert platform._positions.data == {"a": (1.0, 1.0), "b": (9.0, 9.0)}
         # Maintained from here on: moves in, moves out, loses its position.
         platform.write_record(record("b", {"x": 2.0, "y": 2.0}))
         platform.write_record(record("a", {"x": 7.0, "y": 1.0}))
@@ -302,12 +333,12 @@ class TestInjectedEngines:
         assert assert_indexed_equals_scanned(platform, BOX).items == []
 
     def test_own_engine_starts_hydrated_and_writes_pay_nothing_while_unknown(self):
-        assert MetaversePlatform()._positions == {}
+        assert MetaversePlatform()._positions.data == {}
         platform = MetaversePlatform(engine=LocalStorageEngine())
         platform.write_record(record("a", {"x": 1.0, "y": 1.0}))
-        assert platform._positions is None  # never asked, never built
+        assert platform._positions.data is None  # never asked, never built
         platform.reset_caches()
-        assert platform._positions is None
+        assert platform._positions.data is None
 
     def test_foreign_writes_on_a_shared_tier_never_yield_false_positives(self):
         tier = StorageTier(n_nodes=3)
@@ -327,9 +358,30 @@ class TestInjectedEngines:
         assert [key for key, _ in seen] == [f"k/{i}" for i in range(3, 8)]
         assert all(item in oracle for item in seen)
         mine.reset_caches()
-        assert mine._positions is None
+        assert mine._positions.data is None
         assert mine.query_spatial(BOX).items == oracle
-        assert "new" in mine._positions and "k/2" not in mine._positions
+        assert "new" in mine._positions.data and "k/2" not in mine._positions.data
+
+    def test_foreign_writes_reach_a_hand_mounted_standing_result(self):
+        """A hand-mounted platform is not its keys' only writer, so it
+        keeps no view: its standing result re-evaluates and shows what
+        another mount wrote behind its back."""
+        tier = StorageTier(n_nodes=3)
+        mine = MetaversePlatform(engine=tier.mount("mine"))
+        other = MetaversePlatform(engine=tier.mount("other"))
+        mine.register_continuous("k", "k/")
+        for i in range(6):
+            mine.write_record(record(f"k/{i}", {"v": i}))
+        assert len(mine.tick(0.5)["k"].items) == 6
+        other.write_record(record("k/0", {"v": 99}))
+        other.drop_entity("k/1")
+        other.write_record(record("k/new", {"v": 7}))
+        result = mine.tick(0.5)["k"]
+        assert result.items == mine.scan_prefix("k/").items
+        seen = {key: value["payload"] for key, value in result.items}
+        assert seen["k/0"] == {"v": 99} and seen["k/new"] == {"v": 7}
+        assert "k/1" not in seen
+        assert mine._views == {}
 
     def test_hydration_scan_faulted_past_the_retry_budget_leaves_it_unknown(self):
         plan = FaultPlan(rules=[FaultRule(
@@ -347,11 +399,80 @@ class TestInjectedEngines:
         outage = cluster.query_spatial(BOX)
         assert outage.items == []
         assert outage.failed_shards == tuple(cluster.router.shards)
-        assert all(s._positions is None for s in cluster.shards.values())
+        assert all(s._positions.data is None for s in cluster.shards.values())
         cluster.clock.advance(200.0)
         result = assert_indexed_equals_scanned(cluster, BOX)
         assert result.failed_shards == () and len(result.items) == 24
-        assert all(s._positions is not None for s in cluster.shards.values())
+        assert all(s._positions.data is not None for s in cluster.shards.values())
+
+    def test_standing_hydration_faulted_past_the_retry_budget_leaves_it_unknown(self):
+        """A storage fault can fail only a hydration: the view stays
+        unknown and the shard failed.  Once hydrated, a view answers
+        without a round trip, so during the next outage the standing
+        result is complete where re-evaluation is partial."""
+        plan = FaultPlan(rules=[
+            FaultRule(site="storage.rpc", kind="crash", rate=1.0,
+                      start=start, end=start + 100.0)
+            for start in (100.0, 300.0)
+        ], seed=5)
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3, n_storage_nodes=2),
+            faults=FaultInjector(plan),
+        )
+        cluster.ingest_many([record(f"k/{i:02d}", {"v": i}) for i in range(30)])
+        cluster.flush()
+        cluster.register_continuous("k", "k/")
+        cluster.clock.advance(100.0 - cluster.clock.now)
+        outage = cluster.tick(0.5)["k"]
+        assert outage.items == []
+        assert outage.failed_shards == tuple(cluster.router.shards)
+        assert all(s._views["k"].data is None for s in cluster.shards.values())
+        cluster.clock.advance(150.0)
+        result = cluster.tick(0.5)["k"]
+        assert result.failed_shards == () and len(result.items) == 30
+        assert result.items == cluster.scan_prefix("k/").items
+        cluster.clock.advance(300.0 - cluster.clock.now)
+        assert cluster.scan_prefix("k/").failed_shards == tuple(cluster.router.shards)
+        assert cluster.tick(0.5)["k"] == result
+
+    @pytest.mark.parametrize("via", ["flush", "write_records"])
+    def test_a_write_raising_mid_mput_resets_the_view(self, via):
+        """A bulk write whose first storage node landed and whose second
+        stayed faulted past the retry budget resets the writer's view;
+        the next refresh re-hydrates it equal to re-evaluation.  Written
+        through, the failed unit is not queued again, so a view that
+        missed the reset would keep the old value of the landed key."""
+        # shard-0 is the tier's first mount; its link to storage-1 fails.
+        plan = FaultPlan(rules=[FaultRule(
+            site="storage.rpc", kind="crash", rate=1.0, start=100.0,
+            end=110.0, target="compute/shard-0@1->storage-1",
+        )], seed=3)
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=2, n_storage_nodes=2),
+            faults=FaultInjector(plan),
+        )
+        cluster.ingest_many([record(f"k/{i:02d}", {"v": i}) for i in range(30)])
+        cluster.register_continuous("k", "k/")
+        cluster.tick(0.5)
+        shard = cluster.shards["shard-0"]
+        mine = [f"k/{i:02d}" for i in range(30)
+                if cluster.router.owner_of(f"k/{i:02d}") == "shard-0"]
+        landed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-0")
+        failed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-1")
+        cluster.clock.advance(100.0 - cluster.clock.now)
+        writes = [record(landed, {"v": "new"}), record(failed, {"v": "new"})]
+        with pytest.raises(FaultInjectedError):
+            if via == "flush":
+                cluster.ingest_many(writes)
+                cluster.flush()
+            else:
+                cluster.write_records(writes)
+        assert shard._views["k"].data is None
+        assert cluster.storage.mget([landed])[landed]["payload"] == {"v": "new"}
+        cluster.clock.advance(10.0)
+        result = cluster.tick(0.5)["k"]
+        assert result.items == cluster.scan_prefix("k/").items
+        assert shard._views["k"].data is not None
 
 
 # -- what the index exists to remove -------------------------------------------

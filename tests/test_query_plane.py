@@ -150,7 +150,16 @@ class TestZeroDispatchEditExtension:
         assert result.items == [("total", {"sum": 45, "count": 10})]
 
     def test_custom_modality_drives_continuous_queries(self):
-        cluster = PlatformCluster(config=ClusterConfig(n_shards=2))
+        self.drive_running_sum(ClusterConfig(n_shards=2))
+
+    def test_custom_modality_drives_continuous_queries_on_a_shared_tier(self):
+        """Every shard sees every key of a shared tier; each shard's
+        refresh keeps the items it owns, so each entity counts once."""
+        self.drive_running_sum(ClusterConfig(n_shards=2, n_storage_nodes=2))
+
+    @staticmethod
+    def drive_running_sum(config):
+        cluster = PlatformCluster(config=config)
         cluster.register_continuous_query(
             "running-sum", QueryRequest("sum-v", {"prefix": "e/"})
         )

@@ -86,7 +86,7 @@ class TestOneTierRead:
             f"e/{i:03d}" for i in (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)
         ]
         assert cluster.metrics.counter("kv.scans").value - scans == 3
-        assert all(s._positions is not None for s in cluster.shards.values())
+        assert all(s._positions.data is not None for s in cluster.shards.values())
 
     def test_rows_do_not_outlive_the_fan_out(self):
         """A row written behind every mount's back — straight into a
