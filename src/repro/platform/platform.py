@@ -178,7 +178,7 @@ class PrefixView(DerivedState):
     """key → stored value of the entities a node serves under one
     standing query's prefix: the node's answer to that query, given
     without a storage read.  Exact, and kept only by a node that is its
-    keys' sole writer (see ``MetaversePlatform.standing_items``).
+    keys' sole writer (see ``MetaversePlatform._sole_writer``).
     Membership is the prefix scan's own range test, ``lo <= key <= hi``."""
 
     exact = True
@@ -294,10 +294,7 @@ class MetaversePlatform:
         self._executor_memo: dict[str, int] = {}
         self.physical_priority = physical_priority
         self.pool = BufferPool(
-            capacity=BUFFER_POOL_PAGES,
-            loader=self._load_page,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            BUFFER_POOL_PAGES, self._load_page, metrics=self.metrics, tracer=self.tracer
         )
         self.storage_reads = 0
         # Bounded last-known-value cache backing stale-read fallback.
@@ -399,11 +396,13 @@ class MetaversePlatform:
         """The entity write: one retried bulk engine call, then
         :meth:`_after_write`.  Returns ``items``, the stored (key, value)
         pairs.  A call that raises may have landed some storage nodes'
-        groups before it failed, so it resets every exact derived state
-        first."""
+        groups before it failed, so it drops the page of every key it
+        carried and resets every exact derived state first."""
         try:
             self._with_retry(lambda: self.engine.mput(items))
         except Exception:
+            for key, _ in items:
+                self.pool.invalidate(key)
             for state in self._derived:
                 if state.exact:
                     state.reset()
@@ -411,13 +410,25 @@ class MetaversePlatform:
         self._after_write(items, payloads)
         return items
 
+    @property
+    def _sole_writer(self) -> bool:
+        """Whether every write of this node's keys goes through it: it
+        built its engine, or a cluster mounted it (``owns`` set) on the
+        tier the cluster built and routes each key's writes to its owner.
+        A hand-mounted or injected engine may have other writers."""
+        return self._own_engine or self.owns is not None
+
     def _after_write(self, items: list, payloads: list) -> None:
         """Bring every compute-side copy of the stored ``items`` in line
-        with what the engine just accepted: pages, stale-read fallback,
-        semantic index, and every derived state."""
-        invalidate, remember = self.pool.invalidate, self._remember
+        with what the engine just accepted: pages (a sole writer's cached
+        page takes the stored value, any other is dropped), stale-read
+        fallback, semantic index, and every derived state."""
+        pool, remember, keep = self.pool, self._remember, self._sole_writer
         for key, value in items:
-            invalidate(key)
+            if keep:
+                pool.refresh(key, value)
+            else:
+                pool.invalidate(key)
             remember(key, value)
         if self.semantic is not None:
             for (key, _), payload in zip(items, payloads):
@@ -457,8 +468,9 @@ class MetaversePlatform:
         return stored, rejected
 
     def write_record(self, record: DataRecord) -> list:
-        """Persist a record to the storage engine, invalidating its page;
-        returns the stored (key, value) pair as a one-item list."""
+        """Persist a record to the storage engine, keeping its page in
+        line (:meth:`_after_write`); returns the stored (key, value) pair
+        as a one-item list."""
         return self._write_items(
             [(record.key, stored_record_value(record))], [record.payload]
         )
@@ -468,8 +480,8 @@ class MetaversePlatform:
         cluster's flush brings as a list): one bulk engine call for N
         records; returns the stored (key, value) pairs.
 
-        Leaves byte-identical engine state, stale-cache contents, and page
-        invalidations to ``for r in batch.to_records(): write_record(r)`` —
+        Leaves byte-identical engine state, stale-cache contents, and
+        pages to ``for r in batch.to_records(): write_record(r)`` —
         the stored wrapper dicts are rebuilt from the columns with exact
         scalar conversion — while paying one (coalesced) storage round
         trip and zero per-record Python object churn.
@@ -687,18 +699,13 @@ class MetaversePlatform:
         by every write and drop from then on, reset with the caches.  A
         hydrated view answers without a storage read; a hydration scan
         that stays faulted past the retry budget raises and leaves the
-        view unknown.  The node is its keys' sole writer when it built
-        its engine, or when a cluster mounted it (``owns`` set) on the
-        tier the cluster built and routes every write of a key to its
-        owner.  A hand-mounted engine may have other writers.
+        view unknown.
 
         Any other query is re-evaluated from its stored plan, keeping
         the items whose key (the modality's ``item_key``) this node
         owns: every item on a node with no ``owns``."""
         modality, owns = query.modality, self.owns
-        if type(modality) is PrefixScanModality and (
-            self._own_engine or owns is not None
-        ):
+        if type(modality) is PrefixScanModality and self._sole_writer:
             view = self._views.get(query.query_id)
             if view is None:
                 view = PrefixView(query.plan.params["prefix"])
@@ -715,15 +722,11 @@ class MetaversePlatform:
         """Register a standing prefix query, refreshed every tick."""
         self.register_continuous_query(query_id, prefix_query(prefix))
 
-    def register_continuous_query(
-        self, query_id: str, request: QueryRequest
-    ) -> None:
+    def register_continuous_query(self, query_id: str, request: QueryRequest) -> None:
         """Register a standing query of *any* modality, refreshed per
         tick.  It is planned here, once: a request that does not plan
         raises :class:`ConfigurationError` and is not registered."""
-        self._continuous.register(
-            query_id, request, self.query_executor.resolve
-        )
+        self._continuous.register(query_id, request, self.query_executor.resolve)
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous.results(query_id)
@@ -861,13 +864,10 @@ class MetaversePlatform:
         stale-read fallback and every derived state — so all subsequent
         reads re-load from the storage engine.  The full stateless-compute
         remap: what a compute node does when cluster membership changes
-        under it."""
+        under it, and what a storage node restarted under it requires."""
         self.reset_products()
         self.pool = BufferPool(
-            capacity=BUFFER_POOL_PAGES,
-            loader=self._load_page,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            BUFFER_POOL_PAGES, self._load_page, metrics=self.metrics, tracer=self.tracer
         )
         self._stale.clear()
         for state in self._derived:

@@ -2,8 +2,10 @@
 
 The paper calls for "novel buffer management and caching schemes ...
 conscious of the semantics", e.g. physical-space data prioritized over
-virtual-space data.  The :class:`BufferPool` caches immutable pages fetched
-through a loader callback and supports three eviction policies:
+virtual-space data.  The :class:`BufferPool` caches pages fetched through
+a loader callback; a page's writer may replace its value in place
+(:meth:`BufferPool.refresh`) or drop it (:meth:`BufferPool.invalidate`).
+It supports three eviction policies:
 
 * :class:`LRUPolicy` — classic least-recently-used,
 * :class:`LRUKPolicy` — LRU-K (backward K-distance) which resists scan
@@ -135,7 +137,11 @@ class BufferPool:
 
     ``loader(key)`` must return ``(value, PageMeta)``; it models the fetch
     from the storage tier (and its cost — callers count loader invocations
-    as storage reads).
+    as storage reads).  A page holds what the loader returned until its
+    key is evicted, invalidated, or refreshed with a newer value by a
+    writer that knows it is the value's only source.  The ``pool.*``
+    counters are bound at construction, so a hit, a miss or an eviction
+    asks the registry for nothing.
     """
 
     def __init__(
@@ -159,6 +165,9 @@ class BufferPool:
         self.misses = 0
         self.evictions = 0
         self.evicted_by_class: dict[tuple[Space, DataKind], int] = defaultdict(int)
+        self._hit_counter = self.metrics.counter("pool.hits")
+        self._miss_counter = self.metrics.counter("pool.misses")
+        self._eviction_counter = self.metrics.counter("pool.evictions")
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -172,11 +181,11 @@ class BufferPool:
         frame = self._frames.get(key)
         if frame is not None:
             self.hits += 1
-            self.metrics.counter("pool.hits").inc()
+            self._hit_counter.inc()
             self.policy.touch(key, frame, self._tick)
             return frame.value
         self.misses += 1
-        self.metrics.counter("pool.misses").inc()
+        self._miss_counter.inc()
         with self.tracer.span("pool.load"):
             value, meta = self.loader(key)
         if len(self._frames) >= self.capacity:
@@ -191,10 +200,18 @@ class BufferPool:
         frame = self._frames.pop(victim)
         self.evictions += 1
         self.evicted_by_class[(frame.meta.space, frame.meta.kind)] += 1
-        self.metrics.counter("pool.evictions").inc()
+        self._eviction_counter.inc()
 
     def invalidate(self, key: PageKey) -> None:
         self._frames.pop(key, None)
+
+    def refresh(self, key: PageKey, value: object) -> None:
+        """Replace the value of ``key``'s cached page with ``value``, the
+        one its writer just stored; a key with no page stays uncached.
+        Neither recency nor the hit and miss counts move."""
+        frame = self._frames.get(key)
+        if frame is not None:
+            frame.value = value
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -44,6 +44,7 @@ from repro.semantic import semantic_query
 from repro.spatial.geometry import BBox
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
+from tests.test_position_index import assert_reads_kept, invalidating
 
 SHAPES = ["platform", "cluster", "cluster-disagg"]
 #: Replica failover folds columnar batches into per-record units, so the
@@ -247,6 +248,38 @@ class TestStandingQueries:
         plane.drop_entity("ent/004")
         plane.drop_entity("zz/a")
         refresh_and_check()
+
+
+class TestKeptPages:
+    """On every shape, a point read equals the same read on a twin whose
+    pools drop a page on every write, and what storage holds, through
+    writes, a batch that writes one key twice, a drop and a tick."""
+
+    def test_reads_equal_an_invalidating_twin(self, plane, request):
+        with invalidating():
+            twin = make_plane(request.node.callspec.params["plane"])
+        keys = [r.key for r in seed_records(8)]
+        steps = [
+            lambda p: (p.ingest_many(seed_records(8)), p.flush()),
+            lambda p: (p.ingest_batch(RecordBatch.from_records([
+                record("ent/000", {"v": 1}), record("ent/001", {"v": 1}),
+                record("ent/000", {"v": 2}),
+            ])), p.flush()),
+            lambda p: p.write_record(record("ent/002", {"v": 3})),
+            lambda p: p.drop_entity("ent/003"),
+            lambda p: p.tick(0.5),
+        ]
+        for step in steps:
+            step(plane)
+            with invalidating():
+                step(twin)
+            reads = assert_reads_kept(plane, twin, keys)
+        assert reads["ent/000"]["payload"] == {"v": 2}  # the later write
+        assert reads["ent/002"]["payload"] == {"v": 3}
+        assert reads["ent/003"] is None
+        assert plane.metrics.counter("pool.hits").value > (
+            twin.metrics.counter("pool.hits").value
+        )
 
 
 @pytest.mark.parametrize("shape", WRITE_SHAPES)

@@ -367,6 +367,18 @@ class SourceGrep:
             for _ in re.findall(pattern, text)
         ]
 
+    def platform_methods(self):
+        """``MetaversePlatform``'s methods by name, as AST nodes."""
+        tree = ast.parse(self.sources()["platform/platform.py"])
+        platform = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "MetaversePlatform"
+        )
+        return {
+            node.name: node for node in platform.body
+            if isinstance(node, ast.FunctionDef)
+        }
+
 
 class TestOneWritePath(SourceGrep):
     """A record is a batch of one: no layer regrows a per-record write
@@ -426,19 +438,8 @@ class TestOneLifecycle(SourceGrep):
         "reset_caches": ["reset"],
     }
 
-    def methods(self):
-        tree = ast.parse(self.sources()["platform/platform.py"])
-        platform = next(
-            node for node in tree.body
-            if isinstance(node, ast.ClassDef) and node.name == "MetaversePlatform"
-        )
-        return {
-            node.name: node for node in platform.body
-            if isinstance(node, ast.FunctionDef)
-        }
-
     def test_each_step_drives_every_derived_state_through_one_method(self):
-        methods = self.methods()
+        methods = self.platform_methods()
         for name, lifecycle in self.STEPS.items():
             body = ast.unparse(methods[name])
             assert "for state in self._derived:" in body, name
@@ -450,7 +451,7 @@ class TestOneLifecycle(SourceGrep):
             }) == lifecycle, name
 
     def test_no_step_names_the_position_index_or_a_view(self):
-        methods = self.methods()
+        methods = self.platform_methods()
         for name in self.STEPS:
             body = ast.unparse(methods[name])
             assert re.findall(r"_positions|_views|PositionIndex|PrefixView", body) == [], name
@@ -476,6 +477,30 @@ class TestOneLifecycle(SourceGrep):
             if ".hydrate(" in ast.unparse(node)
         ] == ["_hydrated"]
         assert self.hits(r"\._positions\b|\._views\b|\._derived\b", "cluster") == []
+
+
+class TestOneSoleWriter(SourceGrep):
+    """Whether a platform is its keys' sole writer is decided in one
+    place, ``MetaversePlatform._sole_writer``, and read by the two steps
+    that act on it: the standing views and the kept pages.  The buffer
+    pool's frames are its own."""
+
+    def test_the_decision_is_made_once(self):
+        decision = r"_own_engine or (?:self\.)?owns is not None"
+        assert self.hits(decision) == ["platform/platform.py"]
+        assert [
+            name for name, node in self.platform_methods().items()
+            if re.search(decision, ast.unparse(node))
+        ] == ["_sole_writer"]
+
+    def test_the_views_and_the_pages_read_it(self):
+        assert sorted(
+            name for name, node in self.platform_methods().items()
+            if "self._sole_writer" in ast.unparse(node)
+        ) == ["_after_write", "standing_items"]
+
+    def test_no_module_but_the_pool_names_its_frames(self):
+        assert set(self.hits(r"\b_frames\b")) == {"storage/bufferpool.py"}
 
 
 class TestOneCommitCore(SourceGrep):

@@ -4,9 +4,11 @@
 ``net.messages_delivered`` and the ``net.delivery_latency`` histogram at
 construction; ``ShardRouter`` binds ``cluster.router.lookups``;
 ``CrossShardCoordinator`` binds ``cluster.twopc.committed``/``aborted``
-and the ``cluster.twopc.latency_s`` histogram.  A fault-free message, a
-lookup or a 2PC round therefore asks the registry for nothing, and what
-it counts still lands in that registry, also after ``reset()``.
+and the ``cluster.twopc.latency_s`` histogram; ``BufferPool`` binds
+``pool.hits``, ``pool.misses`` and ``pool.evictions``.  A fault-free
+message, a lookup, a 2PC round or a page access therefore asks the
+registry for nothing, and what it counts still lands in that registry,
+also after ``reset()``.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.cluster.router import ShardRouter
 from repro.core import DataRecord, EventScheduler, MetricsRegistry
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
+from repro.storage import BufferPool, PageMeta
 from repro.txn import Coordinator, DistributedTxn, Participant
 
 
@@ -54,6 +57,13 @@ def cross_shard(metrics):
             DataRecord(key=f"{name}/p", payload={"stock": 5, "price": 1})
         ])
     return CrossShardCoordinator(shards, metrics=metrics)
+
+
+def one_page_pool(metrics):
+    """A one-page pool: a second key evicts the first."""
+    return BufferPool(
+        capacity=1, loader=lambda key: (key, PageMeta()), metrics=metrics
+    )
 
 
 def basket(quantity=1):
@@ -108,6 +118,17 @@ class TestNoLookupOnTheHotPath:
         assert metrics.histogram("cluster.twopc.latency_s").count == 2
 
 
+    def test_a_page_hit_a_miss_and_an_eviction(self):
+        metrics = LookupLog()
+        pool = one_page_pool(metrics)
+        metrics.lookups.clear()
+        assert [pool.get(key) for key in ("a", "a", "b")] == ["a", "a", "b"]
+        assert metrics.lookups == []
+        assert metrics.counter("pool.hits").value == 1
+        assert metrics.counter("pool.misses").value == 2
+        assert metrics.counter("pool.evictions").value == 1
+
+
 class TestBoundCountersSurviveReset:
     def test_the_network_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()
@@ -142,6 +163,20 @@ class TestBoundCountersSurviveReset:
         assert snapshot["cluster.twopc.committed"] == 1
         assert snapshot["cluster.twopc.aborted"] == 1
         assert snapshot["cluster.twopc.latency_s.count"] == 2
+
+
+    def test_the_pool_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        pool = one_page_pool(metrics)
+        pool.get("a")
+        pool.get("a")
+        metrics.reset()
+        for key in ("a", "b", "b"):
+            pool.get(key)
+        snapshot = metrics.snapshot()
+        assert snapshot["pool.hits"] == 2
+        assert snapshot["pool.misses"] == 1
+        assert snapshot["pool.evictions"] == 1
 
 
 def test_a_negative_size_still_raises():

@@ -393,10 +393,11 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     across the WAN, WAL appends under them) or a byte count of the write
     path (logged, sent to storage) or an isolation count (MVCC write
     conflicts, purchase retries) or the fabric's work (simulated-network
-    bytes, shard-router lookups) or the storage round trips above the
-    base's is named and ``main`` exits non-zero on it; lower, equal or
-    absent on either side is not, and a report-only count (keys per
-    storage call) is never named, however far it rises."""
+    bytes, shard-router lookups) or the storage round trips or the
+    engine's point reads above the base's is named and ``main`` exits
+    non-zero on it; lower, equal or absent on either side is not, and a
+    report-only count (keys per storage call) is never named, however
+    far it rises."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     try:
         import compare_macro_counts
@@ -408,7 +409,8 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                rounds=0.0, ops=12488.0, appends=24976.0, shipped=4990.0,
                logged=4132069.0, sent=4132069.0, messages=4990.0,
                trips=1439.0, conflicts=0.0, retries=0.0,
-               net_bytes=5793280.0, lookups=60188.0, per_call=3.95):
+               net_bytes=5793280.0, lookups=60188.0, gets=1734.0,
+               per_call=3.95):
         metrics = {"semantic.distance_evals_build": build,
                    "semantic.distance_evals_query": query,
                    "storage.scan.rows_examined": rows,
@@ -426,6 +428,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                    "net.bytes_sent": net_bytes,
                    "cluster.router.lookups": lookups,
                    "storage.rpc.calls": calls,
+                   "kv.gets": gets,
                    "storage.rpc.keys_per_call": per_call}
         return {"metrics": {
             name: {"value": value,
@@ -442,11 +445,12 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
         "net.messages_sent", "geo.rpc.round_trips",
         "mvcc.conflicts", "platform.retries",
         "net.bytes_sent", "cluster.router.lookups",
-        "storage.rpc.calls",
+        "storage.rpc.calls", "kv.gets",
     )
     base = result(626066.0, 282729.0)
     assert risen(base, base) == []
-    assert risen(base, result(600000.0, 282729.0, calls=2824.0, rows=0.0, scans=1.0)) == []
+    assert risen(base, result(600000.0, 282729.0, calls=2824.0, rows=0.0, scans=1.0,
+                              gets=733.0)) == []
     assert risen(base, result(626066.0, 282729.0, per_call=9.0)) == []
     assert risen(base, result(626067.0, 282729.0)) == ["semantic.distance_evals_build"]
     assert risen(base, result(626066.0, 282729.0, rows=16001.0)) == [
@@ -476,6 +480,9 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     assert risen(base, result(626066.0, 282729.0, calls=3609.0)) == [
         "storage.rpc.calls"
     ]
+    assert risen(base, result(626066.0, 282729.0, gets=1735.0, per_call=9.0)) == [
+        "kv.gets"
+    ]
     assert risen(
         base,
         result(626067.0, 282730.0, rows=212000.0, scans=6000.0, rounds=214.0,
@@ -483,7 +490,7 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
                logged=4132070.0, sent=4132070.0, messages=5000.0,
                trips=1500.0, conflicts=3.0, retries=3.0,
                net_bytes=5800000.0, lookups=60200.0, calls=4400.0,
-               per_call=9.0),
+               gets=2000.0, per_call=9.0),
     ) == list(NEVER_UP)
     assert risen(result(626066.0), base) == [] == risen(base, result(626066.0))
 

@@ -10,8 +10,13 @@ changes, compute crashes, foreign writers on a shared tier, a hydration
 scan that faults — and guards the two costs the index exists to remove:
 a tick does not scan, and a box query after the first does not either.
 The same interleavings hold every standing prefix query's result equal
-to a fresh ``query(prefix_query(p))``, its re-evaluation oracle.
+to a fresh ``query(prefix_query(p))``, its re-evaluation oracle, and
+every point read equal to the same read on a twin whose buffer pools
+drop a page on every write instead of keeping it current.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +25,14 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterConfig, PlatformCluster, ShardRouter
 from repro.core import DataKind, DataRecord, RecordBatch, Space
 from repro.core import FaultInjectedError
+import repro.platform.platform as platform_module
 from repro.platform import MetaversePlatform
 from repro.query.plane import prefix_query
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
+from repro.storage.bufferpool import BufferPool
 from repro.storage.engine import LocalStorageEngine, StorageTier
+from repro.storage.lifecycle import LifecyclePolicy, TieredStorageEngine
 
 pytestmark = [pytest.mark.cluster, pytest.mark.disagg]
 
@@ -85,9 +93,46 @@ def assert_standing_equals_reevaluated(plane):
         assert standing.failed_shards == fresh.failed_shards, prefix
 
 
+class InvalidatingPool(BufferPool):
+    """The oracle's pool: a write drops the cached page instead of
+    refreshing it, as every platform's pool did before a sole writer
+    kept its pages."""
+
+    def refresh(self, key, value):
+        self.invalidate(key)
+
+
+@contextmanager
+def invalidating():
+    """Every pool a platform builds inside the block (at construction,
+    a re-mount or ``reset_caches``) is an :class:`InvalidatingPool`."""
+    with mock.patch.object(platform_module, "BufferPool", InvalidatingPool):
+        yield
+
+
+def assert_reads_kept(plane, twin, keys):
+    """Each of ``keys`` reads ``==`` on ``plane`` and on its invalidating
+    ``twin``, and equals what a scan of the stored entities holds (for
+    every key whose owner the scan reached); ``plane``'s pools hit at
+    least as often as the twin's.  Returns the reads."""
+    mine = {key: plane.read(key) for key in keys}
+    with invalidating():
+        assert {key: twin.read(key) for key in keys} == mine
+    scanned = plane.scan_prefix("")
+    stored, failed = dict(scanned.items), set(scanned.failed_shards)
+    owner = plane.router.owner_of if failed else None
+    for key in keys:
+        if owner is None or owner(key) not in failed:
+            assert mine[key] == stored.get(key), key
+    hits = plane.metrics.counter("pool.hits").value
+    assert hits >= twin.metrics.counter("pool.hits").value
+    return mine
+
+
 # -- interleavings on a cluster -------------------------------------------------
 
 N_KEYS = 14
+KEYS = [f"k/{i:02d}" for i in range(N_KEYS)]
 coords = st.integers(min_value=0, max_value=9)
 positions = st.one_of(st.none(), st.tuples(coords, coords))
 boxes = st.tuples(coords, coords, coords, coords).map(
@@ -105,6 +150,14 @@ ops = st.one_of(
             min_size=1, max_size=5,
         ),
     ),
+    st.tuples(
+        st.just("put"),
+        st.lists(
+            st.tuples(st.integers(0, N_KEYS - 1), positions),
+            min_size=1, max_size=5,
+        ),
+    ),
+    st.tuples(st.just("drop"), st.integers(0, N_KEYS - 1)),
     st.tuples(st.just("flush")),
     st.tuples(st.just("tick")),
     st.tuples(st.just("query"), boxes),
@@ -121,6 +174,7 @@ def payload_at(position, serial):
 
 
 def apply(cluster, op, serial):
+    """Play ``op``; ``True`` for a drop that was made."""
     kind = op[0]
     if kind == "write":
         cluster.ingest(record(f"k/{op[1]:02d}", payload_at(op[2], serial)))
@@ -129,6 +183,18 @@ def apply(cluster, op, serial):
             record(f"k/{index:02d}", payload_at(position, serial))
             for index, position in op[1]
         ]))
+    elif kind == "put":
+        cluster.write_records([
+            record(f"k/{index:02d}", payload_at(position, serial))
+            for index, position in op[1]
+        ])
+    elif kind == "drop":
+        # Only with nothing queued (a queued write would land after it)
+        # and through a serving owner, which the model can follow.
+        key = f"k/{op[1]:02d}"
+        if not cluster.pending_count and is_up(cluster, cluster.router.owner_of(key)):
+            cluster.drop_entity(key)
+            return True
     elif kind == "flush":
         cluster.flush()
     elif kind == "tick":
@@ -182,10 +248,16 @@ SHAPES = [
 def run_script(shape, script, final):
     """Play ``script`` on a seeded 3-shard cluster of ``shape`` and hold
     every invariant at the end: indexed equals scanned, nothing partial,
-    last buffered write wins with each key served once, and on a tier
-    each shard's index holds exactly the keys it owns.  After every tick
-    and at the end, every standing result equals its re-evaluation."""
+    last write wins with each key served once, and on a tier each
+    shard's index holds exactly the keys it owns.  After every tick and
+    at the end, every standing result equals its re-evaluation.  A twin
+    cluster whose pools invalidate plays the same script; after every
+    op, every key reads the same on both and what storage holds, so
+    each write, batch, write-through (a key twice in one ``mput``: the
+    later wins) and drop lands on a page its sole writer keeps."""
     cluster = PlatformCluster(ClusterConfig(n_shards=3, **shape))
+    with invalidating():
+        twin = PlatformCluster(ClusterConfig(n_shards=3, **shape))
     seeded = [
         record(f"k/{i:02d}", payload_at((i % 10, (3 * i) % 10), 0))
         for i in range(0, N_KEYS, 2)
@@ -193,20 +265,35 @@ def run_script(shape, script, final):
     model = {r.key: r.payload for r in seeded}
     cluster.ingest_many(seeded)
     cluster.flush()
+    with invalidating():
+        twin.ingest_many(seeded)
+        twin.flush()
     assert_indexed_equals_scanned(cluster, final)  # hydrate early
     register_standing(cluster)
     cluster.tick(0.5)  # and the standing views
+    with invalidating():
+        twin.tick(0.5)
     assert_standing_equals_reevaluated(cluster)
+    assert_reads_kept(cluster, twin, KEYS)
     for serial, op in enumerate(script, start=1):
-        apply(cluster, op, serial)
+        dropped = apply(cluster, op, serial)
+        with invalidating():
+            apply(twin, op, serial)
         if op[0] == "tick":
             assert_standing_equals_reevaluated(cluster)
         if op[0] == "write":
             model[f"k/{op[1]:02d}"] = payload_at(op[2], serial)
-        elif op[0] == "batch":
+        elif op[0] in ("batch", "put"):
             for index, position in op[1]:
                 model[f"k/{index:02d}"] = payload_at(position, serial)
+        elif dropped:
+            model.pop(f"k/{op[1]:02d}", None)
+        if any(is_up(cluster, name) for name in cluster.shards):
+            assert_reads_kept(cluster, twin, KEYS)
     settle(cluster)  # re-mounts or promotes whatever is down, flushes the rest
+    with invalidating():
+        settle(twin)
+    assert_reads_kept(cluster, twin, KEYS)
     assert_standing_equals_reevaluated(cluster)
     result = assert_indexed_equals_scanned(cluster, final)
     assert result.failed_shards == ()
@@ -303,6 +390,43 @@ class TestQueuedWritesFollowOwnership:
 
 # -- a standalone platform on an engine it did not build ------------------------
 
+
+def split_write_cluster():
+    """A 2-shard cluster on 2 storage nodes holding ``k/00``..``k/29``
+    (queued, not flushed), whose shard-0 link to storage-1 crashes over
+    [100, 110); shard-0 is the tier's first mount.  Returns it with a
+    key shard-0 owns on storage-0 (``landed``) and one it owns on
+    storage-1 (``failed``)."""
+    plan = FaultPlan(rules=[FaultRule(
+        site="storage.rpc", kind="crash", rate=1.0, start=100.0,
+        end=110.0, target="compute/shard-0@1->storage-1",
+    )], seed=3)
+    cluster = PlatformCluster(
+        ClusterConfig(n_shards=2, n_storage_nodes=2),
+        faults=FaultInjector(plan),
+    )
+    cluster.ingest_many([record(f"k/{i:02d}", {"v": i}) for i in range(30)])
+    mine = [f"k/{i:02d}" for i in range(30)
+            if cluster.router.owner_of(f"k/{i:02d}") == "shard-0"]
+    landed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-0")
+    failed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-1")
+    return cluster, landed, failed
+
+
+def raise_split_write(cluster, via, landed, failed):
+    """Write ``{"v": "new"}`` to both keys inside the fault window, by
+    flushing queued ingest or written through: one ``mput`` that lands
+    storage-0's group and raises on storage-1's."""
+    cluster.clock.advance(100.0 - cluster.clock.now)
+    writes = [record(landed, {"v": "new"}), record(failed, {"v": "new"})]
+    with pytest.raises(FaultInjectedError):
+        if via == "flush":
+            cluster.ingest_many(writes)
+            cluster.flush()
+        else:
+            cluster.write_records(writes)
+
+
 BOX = BBox(0.0, 0.0, 5.0, 5.0)
 
 
@@ -361,6 +485,35 @@ class TestInjectedEngines:
         assert mine._positions.data is None
         assert mine.query_spatial(BOX).items == oracle
         assert "new" in mine._positions.data and "k/2" not in mine._positions.data
+
+    @pytest.mark.parametrize("shared", ["tier", "injected"])
+    def test_a_platform_that_is_not_the_sole_writer_drops_its_page(self, shared):
+        """A platform hand-mounted on a shared tier, or built on an
+        injected engine, may have other writers: its own write drops the
+        page it held instead of keeping it, so a read after another
+        writer's write of that key fetches what storage holds.  A page
+        read before another writer's write is dropped by
+        ``reset_caches``."""
+        if shared == "tier":
+            tier = StorageTier(n_nodes=3)
+            mine, other = (
+                MetaversePlatform(engine=tier.mount(name)) for name in ("mine", "other")
+            )
+        else:
+            engine = LocalStorageEngine()
+            mine, other = (MetaversePlatform(engine=engine) for _ in range(2))
+        assert not mine._sole_writer and not other._sole_writer
+        mine.write_record(record("k/0", {"v": 0}))
+        assert mine.read("k/0")["payload"] == {"v": 0}
+        assert "k/0" in mine.pool
+        mine.write_record(record("k/0", {"v": 1}))
+        assert "k/0" not in mine.pool
+        other.write_record(record("k/0", {"v": 2}))  # behind mine's back
+        assert mine.read("k/0") == mine.export_entity("k/0")
+        assert mine.read("k/0")["payload"] == {"v": 2}
+        other.write_record(record("k/0", {"v": 3}))
+        mine.reset_caches()
+        assert mine.read("k/0")["payload"] == {"v": 3}
 
     def test_foreign_writes_reach_a_hand_mounted_standing_result(self):
         """A hand-mounted platform is not its keys' only writer, so it
@@ -442,37 +595,137 @@ class TestInjectedEngines:
         the next refresh re-hydrates it equal to re-evaluation.  Written
         through, the failed unit is not queued again, so a view that
         missed the reset would keep the old value of the landed key."""
-        # shard-0 is the tier's first mount; its link to storage-1 fails.
-        plan = FaultPlan(rules=[FaultRule(
-            site="storage.rpc", kind="crash", rate=1.0, start=100.0,
-            end=110.0, target="compute/shard-0@1->storage-1",
-        )], seed=3)
-        cluster = PlatformCluster(
-            ClusterConfig(n_shards=2, n_storage_nodes=2),
-            faults=FaultInjector(plan),
-        )
-        cluster.ingest_many([record(f"k/{i:02d}", {"v": i}) for i in range(30)])
+        cluster, landed, failed = split_write_cluster()
         cluster.register_continuous("k", "k/")
         cluster.tick(0.5)
         shard = cluster.shards["shard-0"]
-        mine = [f"k/{i:02d}" for i in range(30)
-                if cluster.router.owner_of(f"k/{i:02d}") == "shard-0"]
-        landed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-0")
-        failed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-1")
-        cluster.clock.advance(100.0 - cluster.clock.now)
-        writes = [record(landed, {"v": "new"}), record(failed, {"v": "new"})]
-        with pytest.raises(FaultInjectedError):
-            if via == "flush":
-                cluster.ingest_many(writes)
-                cluster.flush()
-            else:
-                cluster.write_records(writes)
+        raise_split_write(cluster, via, landed, failed)
         assert shard._views["k"].data is None
         assert cluster.storage.mget([landed])[landed]["payload"] == {"v": "new"}
         cluster.clock.advance(10.0)
         result = cluster.tick(0.5)["k"]
         assert result.items == cluster.scan_prefix("k/").items
         assert shard._views["k"].data is not None
+
+    @pytest.mark.parametrize("via", ["flush", "write_records"])
+    def test_a_write_raising_mid_mput_drops_the_pages_it_carried(self, via):
+        """The twenty-fourth defect: a bulk write that landed its first
+        storage node's group and raised on the second left the writer's
+        cached page of the landed key holding the old value, while
+        storage and scans held the new one, also after the fault window.
+        Written through, the failed unit is not queued again, so nothing
+        healed it.  A raised write now drops the page of every key it
+        carried and installs none: the landed key reads its new value,
+        the failed one its old value, each what storage holds."""
+        cluster, landed, failed = split_write_cluster()
+        cluster.flush()
+        pool = cluster.shards["shard-0"].pool
+        before = {key: cluster.read(key) for key in (landed, failed)}
+        assert landed in pool and failed in pool
+        raise_split_write(cluster, via, landed, failed)
+        assert cluster.read(landed)["payload"] == {"v": "new"}
+        assert failed not in pool  # dropped, and nothing installed
+        cluster.clock.advance(10.0)
+        if via == "flush":
+            cluster.flush()  # the unit stayed queued: it lands now
+        stored = cluster.storage.mget([landed, failed])
+        scanned = dict(cluster.scan_prefix("k/").items)
+        for key in (landed, failed):
+            assert cluster.read(key) == stored[key] == scanned[key]
+        assert stored[failed] == (
+            before[failed] if via == "write_records"
+            else {**before[failed], "payload": {"v": "new"}}
+        )
+
+
+class TestKeptPages:
+    """A sole writer's write refreshes a cached page in place and
+    installs none; the invalidating pool is the oracle."""
+
+    def test_a_write_refreshes_a_cached_page_and_installs_none(self):
+        platform = MetaversePlatform()
+        platform.write_record(record("a", {"v": 0}))
+        assert platform.read("a")["payload"] == {"v": 0}
+        platform.write_record_batch([record("a", {"v": 1}), record("b", {"v": 1}),
+                                     record("a", {"v": 2})])
+        assert "a" in platform.pool and "b" not in platform.pool
+        hits = platform.pool.hits
+        assert platform.read("a") == platform.export_entity("a")
+        assert platform.read("a")["payload"] == {"v": 2}  # the later write
+        assert platform.pool.hits == hits + 2
+
+    def test_a_remap_drops_every_page(self):
+        """On a tier, a key whose ownership moves away and back is
+        written by another shard in between: the first owner's page of
+        it does not survive the remaps (``reset_caches``)."""
+        cluster = PlatformCluster(ClusterConfig(n_shards=3, n_storage_nodes=3))
+        cluster.write_record(record("k/00", {"v": 0}))
+        owner = cluster.router.owner_of("k/00")
+        assert cluster.read("k/00")["payload"] == {"v": 0}
+        assert "k/00" in cluster.shards[owner].pool
+        joiner = next(
+            name for name in (f"joined-{i}" for i in range(100))
+            if ShardRouter([*cluster.router.shards, name]).owner_of("k/00")
+            == name
+        )
+        cluster.add_shard(joiner)
+        cluster.write_record(record("k/00", {"v": 1}))  # through the joiner
+        cluster.remove_shard(joiner)
+        assert cluster.router.owner_of("k/00") == owner
+        assert cluster.read("k/00")["payload"] == {"v": 1}
+
+    def test_a_kept_page_equals_what_a_cold_tier_decodes(self):
+        """On storage nodes that demote idle keys to a cold object tier,
+        a read of a cold key returns a copy decoded from its stored
+        bytes, not the object written.  A write, a demotion and a read:
+        the page kept from the write holds the written object, the
+        twin's page the decoded copy, and they read ``==``."""
+
+        def tiered(cluster):
+            for node in cluster.storage.nodes.values():
+                node.engine = TieredStorageEngine(
+                    policy=LifecyclePolicy(hot_capacity=2, hot_ttl_s=1.0, warm_ttl_s=2.0),
+                    clock=cluster.clock, metrics=node.metrics, tracer=node.tracer,
+                )
+            return cluster
+
+        config = ClusterConfig(n_shards=2, n_storage_nodes=2)
+        cluster = tiered(PlatformCluster(config))
+        with invalidating():
+            twin = tiered(PlatformCluster(config))
+        keys = [f"k/{i}" for i in range(6)]
+
+        def on_both(step):
+            step(cluster)
+            with invalidating():
+                step(twin)
+
+        def write(serial):
+            # every other key, and k/0 once more at the end (later wins)
+            on_both(lambda plane: plane.write_records([
+                record(key, {"v": serial, "path": [i, [serial, 0.5]], "tag": {"t": key}})
+                for i, key in enumerate(keys[serial % 2::2] + keys[:1])
+            ]))
+
+        def demote(plane):
+            plane.clock.advance(3.0)
+            plane.storage.maintain()
+
+        write(0)
+        write(1)
+        on_both(demote)
+        assert all(n.engine.describe()["cold"] for n in cluster.storage.nodes.values())
+        assert_reads_kept(cluster, twin, keys)  # every page a decoded copy
+        write(2)
+        on_both(demote)
+        kept = assert_reads_kept(cluster, twin, keys)
+        with invalidating():
+            decoded = twin.read("k/0")
+        assert decoded == kept["k/0"] and decoded is not kept["k/0"]
+        assert kept["k/0"]["payload"] == {"v": 2, "path": [3, [2, 0.5]], "tag": {"t": "k/0"}}
+        assert cluster.metrics.counter("pool.hits").value > (
+            twin.metrics.counter("pool.hits").value
+        )
 
 
 # -- what the index exists to remove -------------------------------------------
