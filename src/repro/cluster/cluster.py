@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, wraps
 from itertools import islice, takewhile
 from operator import attrgetter, itemgetter
 from typing import Callable
@@ -152,6 +152,26 @@ class TierStandIn:
         return self._read(lambda engine: engine.get_product(key))
 
 
+def _tap_scope(method):
+    """Scope the op tap to a write-surface call that can commit several ops:
+    each sink gets them once, when the outermost scoped call returns or raises."""
+
+    @wraps(method)
+    def scoped(self, *args, **kwargs):
+        if not self._op_sinks:
+            return method(self, *args, **kwargs)
+        self._tap_depth += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._tap_depth -= 1
+            if not self._tap_depth and self._segments:
+                segments, self._segments = self._segments, []
+                self._deliver(segments)
+
+    return scoped
+
+
 class PlatformCluster:
     """N :class:`MetaversePlatform` shards behind a single facade.
 
@@ -194,7 +214,9 @@ class PlatformCluster:
         # replicated, no heartbeats flow, and every path below behaves
         # exactly as before.
         self.failover: FailoverManager | None = None
-        self._op_sinks: list[Callable[[str, dict], object]] = []
+        self._op_sinks: list[Callable[[list], object]] = []
+        self._tap_depth = 0
+        self._segments: list[tuple[str, list[dict]]] = []
         if config.n_storage_nodes is not None:
             self.storage = StorageTier(
                 n_nodes=config.n_storage_nodes,
@@ -276,28 +298,40 @@ class PlatformCluster:
         placement directly and leaves ``cluster.router.lookups`` alone."""
         return Placement.owner_of(self.router, key) == name
 
-    def add_op_sink(self, sink: Callable[[str, dict], object]) -> None:
-        """Register ``sink(shard, op)`` to see every mutation this cluster
-        commits, as the :mod:`repro.replication` op it is logged as, on
-        the shard that committed it.  The failover manager and the geo
-        deployment are two subscribers.  Only a stock commit originates
-        inside a shard, so every platform :meth:`_make_shard` returns
-        (joined, promoted, re-mounted) has its ``purchase_log`` armed too;
-        with no sink the hook stays unset and no op is ever built."""
+    def add_op_sink(self, sink: Callable[[list], object]) -> None:
+        """Register ``sink(segments)`` to see every mutation this cluster
+        commits: ``(shard, ops)`` segments of :mod:`repro.replication` ops,
+        in commit order.  The failover manager and the geo deployment
+        subscribe.  Only a stock commit originates inside a shard, so every
+        platform :meth:`_make_shard` returns has its ``purchase_log`` armed
+        too; with no sink the hook stays unset and no op is ever built."""
         self._op_sinks.append(sink)
         for name, shard in self.shards.items():
             shard.purchase_log = partial(self._emit, name, stock_op)
 
     def _emit(self, shard: str, op_of: Callable[..., dict], *args) -> None:
-        """THE op tap: ``op_of(*args)`` just committed on ``shard``.
-
-        It sits on the cluster's own write surface, not on the platform's:
-        state *movement* (rebalancing, promotion replay, read repair) goes
-        to the platforms directly and is not a mutation to log."""
         if self._op_sinks:
-            op = op_of(*args)
-            for sink in self._op_sinks:
-                sink(shard, op)
+            self._tap(shard, [op_of(*args)])
+
+    def _emit_stored(self, name: str, stored: list) -> None:
+        """Emit what shard ``name`` just stored (a promotion replays it)."""
+        if self._op_sinks and stored:  # no subscriber: no walk, no op
+            self._tap(name, [entity_op(key, value) for key, value in stored])
+
+    def _tap(self, shard: str, ops: list[dict]) -> None:
+        """THE op tap: ``ops`` just committed on ``shard`` join the open call's
+        segments, or go at once.  On the cluster's write surface, not the
+        platform's: state *movement* (rebalance, promotion, read repair) is not logged."""
+        if not self._tap_depth:
+            self._deliver([(shard, ops)])
+        elif self._segments and self._segments[-1][0] == shard:
+            self._segments[-1][1].extend(ops)
+        else:
+            self._segments.append((shard, ops))
+
+    def _deliver(self, segments: list) -> None:
+        for sink in self._op_sinks:
+            sink(segments)
 
     def _is_down(self, name: str) -> bool:
         return name in self._stand_ins
@@ -402,6 +436,7 @@ class PlatformCluster:
             return True
         return self.elasticity.admission.admit(owner, space)
 
+    @_tap_scope
     def flush(self, force: bool = True) -> int:
         """Write buffered batches to their shards; return records written.
 
@@ -484,13 +519,6 @@ class PlatformCluster:
             written += len(stored)
         return written
 
-    def _emit_stored(self, name: str, stored: list) -> None:
-        """Emit the post-state of every item shard ``name`` just stored
-        (what a promoted replica replays)."""
-        if self._op_sinks:  # no subscriber: skip the walk, not just the op
-            for key, value in stored:
-                self._emit(name, entity_op, key, value)
-
     def tick(self, dt: float) -> dict[str, GatherResult]:
         """One simulated-clock tick: advance time, then :meth:`step`."""
         self.clock.advance(dt)
@@ -500,7 +528,8 @@ class PlatformCluster:
         """Everything a tick does once the clock has moved ``dt``: flush
         batches, run the upkeep loops, refresh every registered continuous
         query (returning the fresh results).  The geo deployment advances
-        one shared clock, then steps each region's cluster."""
+        one shared clock, then steps each region's cluster.  Its flush
+        is its tap scope: the failover tick reads logs that hold it."""
         if self.storage is not None and self._stand_ins:
             # Disaggregated recovery: a crashed compute node holds no
             # state, so recovery is a re-mount of the surviving storage
@@ -618,6 +647,7 @@ class PlatformCluster:
         """Unbatched write-through (catalog audits, tests)."""
         self.write_records([record])
 
+    @_tap_scope
     def write_records(self, records: list[DataRecord]) -> None:
         """Write-through now, not at the next flush: one write unit per
         owner, the owners' records each in arrival order."""
@@ -795,6 +825,7 @@ class PlatformCluster:
     def import_entity(self, key: str, value: object) -> None:
         self.import_entities([(key, value)])
 
+    @_tap_scope
     def import_entities(self, items: list) -> None:
         """Install stored ``(key, value)`` items on their owners: one bulk
         import per owner."""
@@ -829,10 +860,12 @@ class PlatformCluster:
 
     # -- marketplace --------------------------------------------------------
 
+    @_tap_scope
     def load_catalog(self, records: list[DataRecord]) -> None:
         for record in records:
             self.import_product(record.key, record.payload)
 
+    @_tap_scope
     def process_purchases(
         self, requests: list[PurchaseRequest]
     ) -> list[PurchaseOutcome]:
@@ -888,6 +921,7 @@ class PlatformCluster:
         self._refresh_purchase_gauges()
         return merged
 
+    @_tap_scope
     def process_basket(self, requests: list[PurchaseRequest]) -> BasketOutcome:
         """All-or-nothing basket; cross-shard baskets go through 2PC.
 

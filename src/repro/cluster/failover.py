@@ -20,16 +20,16 @@ substrate:
   call commits once and settles as one ``stock`` op per product it sold,
   not one per decrement (:meth:`MetaversePlatform.process_purchases`) —
   and emits it, as the op it is logged as, through its one tap
-  (:meth:`PlatformCluster.add_op_sink`);
-  the :class:`FailoverManager` subscribes ``replicator.log_op`` to it, so
-  nothing else ever writes to these logs but :meth:`FailoverManager.resync`
-  seeding them after a membership change;
+  (:meth:`PlatformCluster.add_op_sink`) when the cluster call returns;
+  the :class:`FailoverManager` logs each ``(shard, ops)`` segment with
+  ``replicator.log_op``, so nothing else ever writes to these logs but
+  :meth:`FailoverManager.resync` seeding them after a membership change;
 * **promotion** — when the detector suspects a shard, the
   :class:`FailoverManager` folds the LSN-union of the surviving copies
   (tolerant of torn tails and of holes from dropped replication messages)
   onto a fresh platform and installs it under the dead shard's name — the
   ring never changes, so routing is untouched;
-* **anti-entropy** — after promotion, copies whose set digest
+* **anti-entropy** — after promotion or a dropped ship, copies whose set digest
   (:func:`repro.replication.set_digest`: same entries, any order)
   disagrees with the union's are rebuilt from it; reads against a recovering shard
   additionally read-repair through :meth:`PlatformCluster.read`.
@@ -63,12 +63,12 @@ UP = "up"                  # serving; heartbeats flowing
 DOWN = "down"              # crashed, not yet detected; replicas answer reads
 RECOVERING = "recovering"  # promoted replica serving; anti-entropy running
 
-#: Offers of one entry to an *up* holder before the ship counts as
+#: Offers of one segment to an *up* holder before the ship counts as
 #: dropped.  Shipping is synchronous and a drop is a missing ack, so the
-#: sender knows at once and offers again; an entry offered once lives on
+#: sender knows at once and offers again; a segment offered once lives on
 #: the primary alone, and a torn primary tail then loses an acknowledged
 #: op (15 of 150 kill-drill fault seeds oversold by a unit).  Three keeps
-#: a 10 % drop plan's residue at 0.1 % of entries — still holes for
+#: a 10 % drop plan's residue at 0.1 % of segments — still holes for
 #: anti-entropy to find — without an unbounded loop under a total outage.
 SHIP_OFFERS = 3
 
@@ -154,12 +154,12 @@ class ShardReplicator:
     Each shard's (the *owner*'s) log is copied to its R-1 distinct ring
     successors (:meth:`ShardRouter.replica_holders`, the
     :meth:`~repro.net.overlay.ChordRing.successors` walk).  Shipping is
-    synchronous: a live holder adopts an op inside :meth:`log_op` (an
-    injected ``cluster.replicate`` drop is offered again, and only an
-    entry dropped :data:`SHIP_OFFERS` times leaves an LSN hole), a *down*
-    holder gets a hint delivered when it returns.  No log is authoritative
-    on repair — the primary can be the torn one — so anti-entropy rebuilds
-    from the LSN-union of all copies.
+    synchronous: a live holder adopts a *segment* (what one cluster call
+    committed on the owner) inside :meth:`log_op` — a ``cluster.replicate``
+    drop is offered again, and only a segment dropped :data:`SHIP_OFFERS`
+    times leaves LSN holes — a *down* holder a hint per entry, delivered
+    when it returns.  No log is authoritative on repair — the primary can
+    be the torn one — so anti-entropy rebuilds from the LSN-union of all copies.
     """
 
     def __init__(
@@ -177,6 +177,12 @@ class ShardReplicator:
         self.faults = faults
         self._logs: dict[str, ReplicatedLog] = {}
         self._down: set[str] = set()
+        #: Owners a dropped ship left LSN holes in since the last tick.
+        self.holed: set[str] = set()
+        self._replicated = self.metrics.counter("cluster.failover.replicated_ops")
+        self._hints_buffered = self.metrics.counter("cluster.failover.hints_buffered")
+        self._dropped = self.metrics.counter("cluster.failover.replication_dropped")
+        self._hints_delivered = self.metrics.counter("cluster.failover.hints_delivered")
 
     def holders(self, owner: str) -> list[str]:
         """Replica holders of ``owner``'s log, owner first."""
@@ -197,35 +203,30 @@ class ShardReplicator:
     def reset(self) -> None:
         """Drop all logs and hints (membership-change resync)."""
         self._logs.clear()
+        self.holed.clear()
 
     # -- the write path -----------------------------------------------------
 
-    def log_op(self, owner: str, op: dict) -> int:
-        """Log one absolute-state op for ``owner`` and replicate it.
-        ``cluster.failover.replication_dropped`` counts entries an up
+    def log_op(self, owner: str, ops: list[dict]) -> None:
+        """Log a segment of absolute-state ops for ``owner`` and replicate
+        it.  ``cluster.failover.replication_dropped`` counts entries an up
         holder never took, not offers."""
         log = self.log(owner)
-        lsn, payload = log.append(op)
+        entries = list(map(log.append, ops))
         for holder in log.holders:
             if holder in self._down:
-                log.buffer_hint(holder, lsn, payload)
-                self.metrics.counter("cluster.failover.hints_buffered").inc()
-                continue
-            if self.faults is not None and all(
-                self.faults.decide(
-                    "cluster.replicate",
-                    target=f"{owner}->{holder}",
-                    kinds=("drop",),
-                ).faulted
+                log.buffer_hints(holder, entries)
+                self._hints_buffered.inc(len(entries))
+            elif self.faults is not None and all(
+                self.faults.decide("cluster.replicate", f"{owner}->{holder}", ("drop",)).faulted
                 for _ in range(SHIP_OFFERS)
             ):
-                self.metrics.counter(
-                    "cluster.failover.replication_dropped"
-                ).inc()
-                continue
-            log.adopt(holder, lsn, payload)
-        self.metrics.counter("cluster.failover.replicated_ops").inc()
-        return lsn
+                self._dropped.inc(len(entries))
+                self.holed.add(owner)
+            else:
+                for lsn, payload in entries:
+                    log.adopt(holder, lsn, payload)
+        self._replicated.inc(len(entries))
 
     # -- holder availability ------------------------------------------------
 
@@ -240,7 +241,7 @@ class ShardReplicator:
                 continue
             for lsn, payload in log.take_hints(holder):
                 log.adopt(holder, lsn, payload)
-                self.metrics.counter("cluster.failover.hints_delivered").inc()
+                self._hints_delivered.inc()
 
     # -- recovery primitives ------------------------------------------------
 
@@ -340,7 +341,7 @@ class FailoverManager:
         )
         # Subscribe to the cluster's op tap: whatever it commits on a
         # shard is logged for that shard, in commit order.
-        cluster.add_op_sink(self.replicator.log_op)
+        cluster.add_op_sink(self._log_segments)
         self.scheduler = EventScheduler(self.clock)
         self.net = SimulatedNetwork(
             self.scheduler, metrics=self.metrics,
@@ -354,6 +355,10 @@ class FailoverManager:
         now = self.clock.now
         for name in cluster.router.shards:
             self._watch(name, now)
+
+    def _log_segments(self, segments) -> None:
+        for owner, ops in segments:
+            self.replicator.log_op(owner, ops)
 
     # -- state accessors ----------------------------------------------------
 
@@ -381,8 +386,8 @@ class FailoverManager:
 
         Holder sets shift when shards join or leave; rather than migrate
         log suffixes incrementally, every owner's log is re-seeded from
-        its shard's current snapshot (the same wholesale stance
-        ``_rebalance`` takes for the data itself).
+        its shard's current snapshot, as one segment (the same wholesale
+        stance ``_rebalance`` takes for the data itself).
         """
         self.replicator.reset()
         now = self.clock.now
@@ -391,13 +396,12 @@ class FailoverManager:
                 self._state.pop(name, None)
                 self._downed_at.pop(name, None)
                 self.detector.forget(name)
-        log_op = self.replicator.log_op
         for name, shard in self.cluster.shards.items():
             self._watch(name, now)
-            for key in shard.entity_keys():
-                log_op(name, entity_op(key, shard.export_entity(key)))
-            for product_id, value in shard.catalog_snapshot().items():
-                log_op(name, product_op(product_id, value))
+            seed = [entity_op(key, shard.export_entity(key)) for key in shard.entity_keys()]
+            seed += [product_op(pid, value) for pid, value in shard.catalog_snapshot().items()]
+            if seed:
+                self.replicator.log_op(name, seed)
 
     # -- replica-side serving ----------------------------------------------
 
@@ -433,6 +437,11 @@ class FailoverManager:
         self._send_heartbeats(now)
         self._advance_recoveries(now)
         self._detect(now)
+        # Holes a dropped ship left, repaired before a torn kill loses them.
+        for name in sorted(self.replicator.holed):
+            if self.state(name) == UP:
+                self.replicator.sync_owner(name)
+        self.replicator.holed.clear()
         self._compact_logs()
         self.metrics.gauge("cluster.failover.down_shards").set(
             float(sum(self.state(name) != UP for name in self._state))

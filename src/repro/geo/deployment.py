@@ -10,22 +10,16 @@ follow-the-user overrides via :meth:`GeoDeployment.rehome_entity` /
 and replicate asynchronously by shipping absolute post-state replica-log
 entries (:mod:`repro.geo.replication`) over the WAN.
 
-Who emits and who subscribes: a region's :class:`PlatformCluster` emits
-every mutation it commits through its op tap, and this module registers
-one sink per region (:meth:`GeoDeployment._log_and_ship`) that logs the
-op in the home's log and queues it in the home's outbox.  The deployment
-builds no op and touches no shard: remote post-states land *through* the
-destination region's cluster (so its failover log, if it keeps one,
-carries the copies), and the sink skips those landings — a copy is not a
-mutation of that region's to ship.
-
-What one call commits crosses the WAN once: every cluster call the
-deployment makes ships the outbox when it returns, as one *segment* —
-``[(lsn, payload), …]`` in log order — per destination region, in one
-``geo.repl`` message (an op committed outside any deployment call ships
-at once, as a segment of one).  Delivery folds a segment once and lands
-it as one import per shard, and :meth:`GeoDeployment.ingest_many` makes
-one forward round trip and one cluster write per home.
+What one cluster call commits crosses the WAN once: a region's
+:class:`PlatformCluster` delivers it through its op tap when the call
+returns, and the sink this module registers per region
+(:meth:`GeoDeployment._log_and_ship`) logs it in the home's log and ships
+it as one *segment* — ``[(lsn, payload), …]`` in log order — per
+destination region, in one ``geo.repl`` message.  The deployment builds
+no op and touches no shard: a segment lands *through* the destination
+region's cluster, folded once, as one import per shard (so its failover
+log, if it keeps one, carries the copies), and the sink skips those
+landings — a copy is not a mutation of that region's to ship.
 
 Reads take a per-call consistency mode:
 
@@ -54,7 +48,6 @@ anti-entropy until every copy reconverges.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -271,14 +264,6 @@ class GeoDeployment:
         self._home_override: dict[str, str] = {}
         # True while :meth:`_land` is writing replica state to a cluster.
         self._landing = False
-        # Per home, the (lsn, payload) entries logged since its last ship;
-        # :meth:`_shipping` ships them when the cluster call returns.
-        self._outbox: dict[str, list[tuple[int, bytes]]] = {
-            name: [] for name in self.config.regions
-        }
-        # Cluster calls in flight under :meth:`_shipping`; an op logged
-        # with none in flight ships at once.
-        self._calls = 0
         # While :meth:`ingest_many` writes one home's records: key -> the
         # LSNs logged for it, in log order.
         self._written: dict[str, list[int]] | None = None
@@ -390,71 +375,46 @@ class GeoDeployment:
 
     # -- replication: ship / deliver / apply -------------------------------
 
-    def _log_and_ship(self, home: str, shard: str, op: dict) -> None:
-        """Region ``home``'s op sink: its cluster just committed ``op``, so
-        log it in ``home``'s log and queue it in ``home``'s outbox, which
-        ships when the cluster call in flight returns (at once if none
-        is).  What :meth:`_land` commits is skipped: a landing is a copy
-        of another home's mutation, not one of this region's to ship."""
+    def _log_and_ship(self, home: str, segments) -> None:
+        """Region ``home``'s op sink: log what one call of its cluster
+        committed in ``home``'s log and ship it, skipping what
+        :meth:`_land` commits (a copy, not a mutation of ``home``'s)."""
         if self._landing:
             return
-        lsn, payload = self.replicator.log_op(home, op, self.clock.now)
-        if self._written is not None:
-            self._written.setdefault(op["k"], []).append(lsn)
-        self._outbox[home].append((lsn, payload))
-        if not self._calls:
-            self._ship_outbox()
+        now, written = self.clock.now, self._written
+        entries = []
+        for _, ops in segments:
+            for op in ops:
+                lsn, payload = self.replicator.log_op(home, op, now)
+                if written is not None:
+                    written.setdefault(op["k"], []).append(lsn)
+                entries.append((lsn, payload))
+        for dst in self.config.regions:
+            if dst != home:
+                self._ship(home, dst, entries)
 
-    @contextmanager
-    def _shipping(self):
-        """Wrap one cluster call: what it commits leaves, when it returns
-        or raises, as one segment per destination region."""
-        self._calls += 1
-        try:
-            yield
-        finally:
-            self._calls -= 1
-            self._ship_outbox()
-
-    def _ship_outbox(self) -> None:
-        for home, entries in self._outbox.items():
-            if entries:
-                self._outbox[home] = []
-                for dst in self.config.regions:
-                    if dst != home:
-                        self._ship(home, dst, entries)
-
-    def _hint(self, home: str, dst: str, entries) -> None:
-        for lsn, payload in entries:
-            self.replicator.buffer_hint(home, dst, lsn, payload)
-
-    def _ship(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> bool:
+    def _ship(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> None:
         # Once a pair has hints queued, everything later must queue behind
         # them so hints drain in log order; the per-key applied-LSN guard
         # at delivery is the backstop for any reordering that remains.
         if dst in self._down or self.replicator.has_hints(home, dst):
-            self._hint(home, dst, entries)
-            return False
+            self.replicator.buffer_hints(home, dst, entries)
+            return
         decision = self.faults.decide(
             "geo.wan", target=f"{home}->{dst}", kinds=("partition", "drop", "delay")
         )
         if decision.kind == "partition":
-            self._hint(home, dst, entries)
-            return False
-        if decision.kind == "drop":
+            self.replicator.buffer_hints(home, dst, entries)
+        elif decision.kind == "drop":
             # Lost on the WAN with no sender-side signal: visible LSN
             # holes in the destination copy until anti-entropy repairs them.
             self.metrics.counter("geo.repl.dropped").inc()
-            return False
-        if decision.kind == "delay":
+        elif decision.kind == "delay":
             self.scheduler.schedule(
-                decision.delay_s,
-                lambda home=home, dst=dst, entries=entries: (
-                    self._ship_now(home, dst, entries)
-                ),
+                decision.delay_s, partial(self._ship_now, home, dst, entries)
             )
-            return True
-        return self._ship_now(home, dst, entries)
+        else:
+            self._ship_now(home, dst, entries)
 
     def _ship_now(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> bool:
         try:
@@ -467,7 +427,7 @@ class GeoDeployment:
                     size_bytes=sum(len(payload) for _, payload in entries) + 64,
                 )
         except PartitionedError:
-            self._hint(home, dst, entries)
+            self.replicator.buffer_hints(home, dst, entries)
             return False
         self.metrics.counter("geo.repl.shipped").inc()
         return True
@@ -479,7 +439,7 @@ class GeoDeployment:
         if dst in self._down:
             # The destination died with the segment in flight: it was
             # never processed, so park it for handoff at restart.
-            self._hint(home, dst, entries)
+            self.replicator.buffer_hints(home, dst, entries)
             return
         with self.tracer.span("geo.repl.deliver", entries=len(entries)) as span:
             delivered = self.metrics.counter("geo.repl.delivered")
@@ -618,8 +578,7 @@ class GeoDeployment:
                     self.metrics.counter("geo.writes.forwarded").inc(len(batch))
             written = self._written = {}
             try:
-                with self._shipping():
-                    self._clusters[home].write_records(batch)
+                self._clusters[home].write_records(batch)
             finally:
                 self._written = None
             # A key's last LSNs are its records' own writes (a drained
@@ -638,8 +597,7 @@ class GeoDeployment:
         for home, batch in sorted(by_home.items()):
             if home in self._down:
                 raise NetworkError(f"cannot load catalog: region {home!r} is down")
-            with self._shipping():
-                self._clusters[home].load_catalog(batch)
+            self._clusters[home].load_catalog(batch)
 
     def process_purchases(
         self, requests: list[PurchaseRequest]
@@ -668,8 +626,7 @@ class GeoDeployment:
                     PurchaseOutcome(request, False, f"region down: {home}")
                     for request in batch
                 ]
-            with self._shipping():
-                return self._clusters[home].process_purchases(batch)
+            return self._clusters[home].process_purchases(batch)
 
         merged = route_by_owner(
             self.home_of, ordered, attrgetter("product_id"), run,
@@ -805,8 +762,7 @@ class GeoDeployment:
             raise KeyNotFoundError(key)
         # One write at the new home: its cluster logs it for failover and
         # its sink logs and ships it as the new home's first op on ``key``.
-        with self._shipping():
-            install(key, value)
+        install(key, value)
         self._home_override[key] = to_region
         # The old home keeps its copy as a plain replica; ops still in its
         # log for this key are ignored at apply time (home guard), and the
@@ -861,8 +817,7 @@ class GeoDeployment:
         for name in self.config.regions:
             if name in self._down:
                 continue
-            with self._shipping():
-                self._clusters[name].step(dt)
+            self._clusters[name].step(dt)
         self._deliver_hints()
         if now - self._last_antientropy >= ANTIENTROPY_INTERVAL_S:
             self._last_antientropy = now

@@ -17,8 +17,8 @@ keeps this class deterministic and network-free.  So is feeding it: the
 one caller of :meth:`GeoReplicator.log_op` is the op sink the deployment
 registers on each region's cluster — the cluster builds the op when the
 mutation commits, this class only logs it.  What travels is a *segment*:
-the ``(lsn, payload)`` entries one deployment call committed, in log
-order, which :meth:`GeoReplicator.deliver` adopts whole and folds once.
+the ``(lsn, payload)`` entries one cluster call committed, in log order,
+which :meth:`GeoReplicator.deliver` adopts whole and folds once.
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ class GeoReplicator:
 
     # -- hinted handoff ----------------------------------------------------
 
-    def buffer_hint(self, home: str, dst: str, lsn: int, payload: bytes) -> None:
-        """Park an entry bound for an unreachable ``dst`` (ship order)."""
-        self._logs[home].buffer_hint(dst, lsn, payload)
-        self.metrics.counter("geo.repl.hints_buffered").inc()
+    def buffer_hints(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> None:
+        """Park entries bound for an unreachable ``dst``, one hint each, in
+        ship order."""
+        self._logs[home].buffer_hints(dst, entries)
+        self.metrics.counter("geo.repl.hints_buffered").inc(len(entries))
 
     def has_hints(self, home: str, dst: str) -> bool:
         return self._logs[home].has_hints(dst)

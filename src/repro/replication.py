@@ -325,8 +325,8 @@ class ReplicatedLog:
         """``holder``'s copy takes one shipped entry at the primary's LSN."""
         self._logs[holder].append_at(lsn, payload)
 
-    def buffer_hint(self, holder: str, lsn: int, payload: bytes) -> None:
-        self._hints[holder].append((lsn, payload))
+    def buffer_hints(self, holder: str, entries: list[tuple[int, bytes]]) -> None:
+        self._hints[holder].extend(entries)
 
     def has_hints(self, holder: str) -> bool:
         return bool(self._hints[holder])

@@ -22,7 +22,7 @@ site                      component
 ``gateway.ingest``        :class:`~repro.platform.gateway.DeviceGateway`
 ``cluster.ingest``        :class:`~repro.cluster.cluster.PlatformCluster`
 ``cluster.query``         :class:`~repro.cluster.cluster.PlatformCluster`
-``cluster.replicate``     :class:`~repro.cluster.failover.ShardReplicator`
+``cluster.replicate``     :class:`~repro.cluster.failover.ShardReplicator`, per segment
 ``storage.rpc``           :class:`~repro.storage.engine.RemoteStorageEngine`
 ``geo.wan``               :class:`~repro.geo.deployment.GeoDeployment`
 ========================  =========================================

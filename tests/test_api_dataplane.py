@@ -386,8 +386,9 @@ def commerce_plane(shape, stocks):
     if shape == "platform":
         plane.purchase_log = lambda *call: sunk.append(call)
     else:
-        plane.add_op_sink(lambda shard, op: op["op"] == "stock" and sunk.append(
+        plane.add_op_sink(lambda segments: sunk.extend(
             (op["k"], op["stock"])
+            for _, ops in segments for op in ops if op["op"] == "stock"
         ))
     for node in [plane] if shape == "platform" else plane.shards.values():
         def begin(begin=node.txn.begin):
@@ -625,6 +626,40 @@ class TestOneOpTap(SourceGrep):
         assert self.hits(r"\.add_op_sink\(") == [
             "cluster/failover.py", "geo/deployment.py"
         ]
+
+    def test_sinks_are_called_in_one_place_the_scopes_delivery(self):
+        cluster = ast.parse((self.ROOT / "cluster" / "cluster.py").read_text())
+        functions = {
+            node.name: node for node in ast.walk(cluster)
+            if isinstance(node, ast.FunctionDef)
+        }
+        calling = {
+            name for name, node in functions.items()
+            if any(
+                isinstance(call, ast.Call) and ast.unparse(call.func) == "sink"
+                for call in ast.walk(node)
+            )
+        }
+        assert calling == {"_deliver"}
+        # The scope delivers at its outermost return; a stray op (no call
+        # open) is the tap's one other way out, through the same method.
+        delivering = sorted(
+            name for name, node in functions.items()
+            if name != "_deliver" and "self._deliver(" in ast.unparse(node)
+        )
+        assert delivering == ["_tap", "_tap_scope", "scoped"]
+
+    def test_geo_keeps_no_outbox_and_failover_logs_no_single_op(self):
+        assert [
+            name for name in self.hits(r"_outbox|\b_calls\b|_shipping|_ship_outbox")
+            if name.startswith("geo/")
+        ] == []
+        failover = ast.parse((self.ROOT / "cluster" / "failover.py").read_text())
+        (log_op,) = [
+            node for node in ast.walk(failover)
+            if isinstance(node, ast.FunctionDef) and node.name == "log_op"
+        ]
+        assert [arg.arg for arg in log_op.args.args] == ["self", "owner", "ops"]
 
     def test_geo_reaches_into_no_shard_and_derives_no_op(self):
         in_geo = [

@@ -542,24 +542,22 @@ class TestOneCommitCore(SourceGrep):
             "commit_basket", "process_purchases"
         ]
 
-    def test_the_tap_and_the_replicators_see_one_op_at_a_time(self):
-        # five op kinds, none a batch
+    def test_the_tap_delivers_a_calls_ops_as_segments(self):
+        # five op kinds, none a batch: a segment is a list of them
         assert sorted(
             re.findall(r'"op": "(\w+)"', self.sources()["replication.py"])
         ) == ["drop_entity", "drop_product", "entity", "product", "stock"]
-        # one sink signature, and a tap that passes each op straight on
-        emit = next(
+        # one sink signature, and one delivery that hands it the segments
+        deliver = next(
             node for node in ast.walk(ast.parse(self.sources()["cluster/cluster.py"]))
-            if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+            if isinstance(node, ast.FunctionDef) and node.name == "_deliver"
         )
         assert [
-            ast.unparse(stmt) for stmt in emit.body
+            ast.unparse(stmt) for stmt in deliver.body
             if not isinstance(getattr(stmt, "value", None), ast.Constant)
         ] == [
-            "if self._op_sinks:\n"
-            "    op = op_of(*args)\n"
-            "    for sink in self._op_sinks:\n"
-            "        sink(shard, op)"
+            "for sink in self._op_sinks:\n"
+            "    sink(segments)"
         ]
 
 

@@ -5,19 +5,24 @@
 construction; ``ShardRouter`` binds ``cluster.router.lookups``;
 ``CrossShardCoordinator`` binds ``cluster.twopc.committed``/``aborted``
 and the ``cluster.twopc.latency_s`` histogram; ``BufferPool`` binds
-``pool.hits``, ``pool.misses`` and ``pool.evictions``.  A fault-free
-message, a lookup, a 2PC round or a page access therefore asks the
-registry for nothing, and what it counts still lands in that registry,
-also after ``reset()``.
+``pool.hits``, ``pool.misses`` and ``pool.evictions``; ``ShardReplicator``
+binds ``cluster.failover.replicated_ops``, ``hints_buffered``,
+``replication_dropped`` and ``hints_delivered``.  A fault-free message, a
+lookup, a 2PC round, a page access or a logged segment therefore asks
+the registry for nothing, and what it counts still lands in that
+registry, also after ``reset()``.
 """
 
 import pytest
 
+from repro.cluster import ShardReplicator
 from repro.cluster.coordinator import CrossShardCoordinator
 from repro.cluster.router import ShardRouter
 from repro.core import DataRecord, EventScheduler, MetricsRegistry
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
+from repro.replication import entity_op
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.storage import BufferPool, PageMeta
 from repro.txn import Coordinator, DistributedTxn, Participant
 
@@ -64,6 +69,18 @@ def one_page_pool(metrics):
     return BufferPool(
         capacity=1, loader=lambda key: (key, PageMeta()), metrics=metrics
     )
+
+
+def replicator(metrics, faults=None):
+    """Owner ``s0``'s log on a three-shard ring, with one holder."""
+    router = ShardRouter(["s0", "s1", "s2"])
+    rep = ShardReplicator(router, 2, metrics=metrics, faults=faults)
+    rep.log("s0")
+    return rep
+
+
+def segment(*keys):
+    return [entity_op(key, 1) for key in keys]
 
 
 def basket(quantity=1):
@@ -128,6 +145,20 @@ class TestNoLookupOnTheHotPath:
         assert metrics.counter("pool.misses").value == 2
         assert metrics.counter("pool.evictions").value == 1
 
+    def test_a_logged_segment_its_hints_and_their_delivery(self):
+        metrics = LookupLog()
+        rep = replicator(metrics)
+        holder = rep.holders("s0")[1]
+        metrics.lookups.clear()
+        rep.log_op("s0", segment("a", "b"))
+        rep.mark_down(holder)
+        rep.log_op("s0", segment("c"))
+        rep.mark_up(holder)
+        assert metrics.lookups == []
+        assert metrics.counter("cluster.failover.replicated_ops").value == 3
+        assert metrics.counter("cluster.failover.hints_buffered").value == 1
+        assert metrics.counter("cluster.failover.hints_delivered").value == 1
+
 
 class TestBoundCountersSurviveReset:
     def test_the_network_counts_into_the_registry_after_reset(self):
@@ -177,6 +208,26 @@ class TestBoundCountersSurviveReset:
         assert snapshot["pool.hits"] == 2
         assert snapshot["pool.misses"] == 1
         assert snapshot["pool.evictions"] == 1
+
+    def test_the_replicator_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        drop = FaultInjector(FaultPlan(rules=[FaultRule(
+            site="cluster.replicate", kind="drop", rate=1.0, start=1.0,
+        )]))
+        rep = replicator(metrics, faults=drop)
+        holder = rep.holders("s0")[1]
+        rep.log_op("s0", segment("a"))
+        metrics.reset()
+        rep.mark_down(holder)
+        rep.log_op("s0", segment("b", "c"))
+        rep.mark_up(holder)
+        drop.clock.advance(1.0)
+        rep.log_op("s0", segment("d", "e", "f"))
+        snapshot = metrics.snapshot()
+        assert snapshot["cluster.failover.replicated_ops"] == 5
+        assert snapshot["cluster.failover.hints_buffered"] == 2
+        assert snapshot["cluster.failover.hints_delivered"] == 2
+        assert snapshot["cluster.failover.replication_dropped"] == 3
 
 
 def test_a_negative_size_still_raises():

@@ -107,7 +107,9 @@ def recorded(cluster_type, shape="replicated"):
         )]))
     cluster = cluster_type(config, faults=faults)
     ops = []
-    cluster.add_op_sink(lambda shard, op: ops.append((shard, op)))
+    cluster.add_op_sink(lambda segments: ops.extend(
+        (shard, op) for shard, seg in segments for op in seg
+    ))
     cluster.load_catalog(
         [record(pid, {"name": pid, "stock": 6}) for pid in PRODUCTS]
     )

@@ -130,7 +130,7 @@ class TestReplication:
         rep = self.three_shard_replicator()
         owner, holder = rep.holders("a")
         for i in range(5):
-            rep.log_op(owner, entity_op(f"k{i}", i))
+            rep.log_op(owner, [entity_op(f"k{i}", i)])
         log = rep.log(owner)
         assert [e.lsn for e in log.entries(owner)] == [1, 2, 3, 4, 5]
         assert log.entries(holder) == log.entries(owner) == log.union()
@@ -140,14 +140,14 @@ class TestReplication:
         in the holder's copy; one anti-entropy round refills it."""
         rep = self.three_shard_replicator()
         owner, holder = rep.holders("a")
-        rep.log_op(owner, entity_op("k1", 1))
+        rep.log_op(owner, [entity_op("k1", 1)])
         rep.faults = FaultInjector(FaultPlan(rules=[
             FaultRule(site="cluster.replicate", kind="drop", rate=1.0,
                       target=f"{owner}->{holder}"),
         ]))
-        rep.log_op(owner, entity_op("k2", 2))  # dropped
+        rep.log_op(owner, [entity_op("k2", 2)])  # dropped
         rep.faults = None
-        rep.log_op(owner, entity_op("k3", 3))
+        rep.log_op(owner, [entity_op("k3", 3)])
         log = rep.log(owner)
         assert [e.lsn for e in log.entries(holder)] == [1, 3]  # the hole shows
         assert rep.metrics.counter(
@@ -157,13 +157,40 @@ class TestReplication:
         assert [e.lsn for e in log.entries(holder)] == [1, 2, 3]
         assert rep.sync_owner(owner) is False  # now converged
 
+    def test_a_dropped_ship_is_repaired_at_the_next_tick(self):
+        """A segment every offer of which dropped lives on the primary
+        alone until the next tick's anti-entropy, not until the owner's
+        next promotion — a torn kill in between would lose it."""
+        injector = FaultInjector(FaultPlan(rules=[
+            FaultRule(site="cluster.replicate", kind="drop", rate=1.0,
+                      end=0.01),
+        ]))
+        cluster = failover_cluster(n_shards=3, faults=injector)
+        cluster.write_records([record(f"e/{i}", {"v": i}) for i in range(6)])
+        replicator = cluster.failover.replicator
+        holed = [
+            owner for owner in cluster.router.shards
+            if len(replicator.log(owner).union())
+            > len(replicator.log(owner).entries(replicator.holders(owner)[1]))
+        ]
+        assert holed
+        cluster.tick(TICK)
+        for owner in cluster.router.shards:
+            log = replicator.log(owner)
+            assert sorted(e.lsn for e in log.entries(log.holders[0])) == [
+                e.lsn for e in log.entries(owner)
+            ]
+        assert cluster.metrics.counter(
+            "cluster.failover.antientropy_repairs"
+        ).value == len(holed)
+
     def test_union_merges_torn_primary_with_fresh_replica(self):
         """The replica carries the suffix the primary lost to a torn tail,
         so the union recovers everything."""
         rep = self.three_shard_replicator()
         owner, _ = rep.holders("a")
         for i in range(4):
-            rep.log_op(owner, entity_op(f"k{i}", i))
+            rep.log_op(owner, [entity_op(f"k{i}", i)])
         log = rep.log(owner)
         log.tear(3)  # primary drops its last entry
         assert [e.lsn for e in log.entries(owner)] == [1, 2, 3]
@@ -174,14 +201,14 @@ class TestReplication:
         cluster = failover_cluster()
         manager, owner = cluster.failover, "shard-0"
         log_op = manager.replicator.log_op
-        log_op(owner, entity_op("e1", {"x": 1}))
-        log_op(owner, entity_op("e1", {"x": 2}))
-        log_op(owner, product_op("p1", {"stock": 9}))
-        log_op(owner, stock_op("p1", 7))
+        log_op(owner, [entity_op("e1", {"x": 1})])
+        log_op(owner, [entity_op("e1", {"x": 2})])
+        log_op(owner, [product_op("p1", {"stock": 9})])
+        log_op(owner, [stock_op("p1", 7)])
         assert ReplicaStandIn(manager, owner).read("e1") == {"x": 2}
         assert manager.replica_stock(owner, "p1") == 7
         assert manager.replica_stock(owner, "p2") is None
-        log_op(owner, drop_entity_op("e1"))
+        log_op(owner, [drop_entity_op("e1")])
         assert ReplicaStandIn(manager, owner).read("e1") is None
 
 

@@ -460,8 +460,9 @@ class TestBaskets:
         and reported to the stock sink in commit order."""
         cluster, cross, _ = self.seeded()
         sunk = []
-        cluster.add_op_sink(lambda shard, op: op["op"] == "stock" and sunk.append(
+        cluster.add_op_sink(lambda segments: sunk.extend(
             (shard, op["k"], op["stock"])
+            for shard, ops in segments for op in ops if op["op"] == "stock"
         ))
         hot, other = cross
         owner = cluster.router.owner_of(hot)

@@ -1,9 +1,9 @@
-"""What one deployment call commits crosses the WAN once (repro.geo).
+"""What one cluster call commits crosses the WAN once (repro.geo).
 
-The geo op sink logs every op in its home log when the region's cluster
-commits it, and queues it in the home's outbox; the deployment ships the
-outbox when the cluster call it made returns — one ``geo.repl`` message
-per destination carrying the ``[(lsn, payload), …]`` segment.  Delivery
+The region cluster's op tap delivers what one of its calls committed when
+the call returns; the geo op sink logs those ops in the home log and ships
+them — one ``geo.repl`` message per destination carrying the
+``[(lsn, payload), …]`` segment.  Delivery
 folds a segment once and lands it as one import per shard, and a geo
 ``ingest_many`` makes one forward round trip and one cluster write per
 home.
@@ -87,15 +87,22 @@ class TestSegments:
             for r in records:
                 assert geo.region(region).read(r.key)["payload"] == r.payload
 
-    def test_an_op_committed_outside_a_deployment_call_ships_at_once(self):
+    def test_a_direct_region_call_ships_once_when_it_returns(self):
+        """The ship point is the region cluster's call, not a deployment
+        call: a caller writing to a region's cluster directly ships what
+        the call committed as one segment per destination."""
         geo = make_geo()
         home = REGIONS[1]
-        key = keys_homed(geo, home, 1)[0]
-        geo.region(home).write_record(record(key, {"v": 1}))
+        keys = keys_homed(geo, home, 3)
+        geo.region(home).write_records(
+            [record(key, {"v": i}) for i, key in enumerate(keys)]
+        )
+        assert counter(geo, "geo.repl.logged") == 3
         assert counter(geo, "geo.repl.shipped") == 2
         geo.tick(0.5)
         for region in REGIONS:
-            assert geo.region(region).read(key)["payload"] == {"v": 1}
+            for i, key in enumerate(keys):
+                assert geo.region(region).read(key)["payload"] == {"v": i}
 
     def test_ingest_forwards_once_per_home_and_ships_before_the_next(self):
         """Homes in name order; each home's segment leaves at the instant

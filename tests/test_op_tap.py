@@ -57,7 +57,9 @@ def request(product_id, quantity, shopper="s"):
 def recorded_cluster(**config):
     cluster = PlatformCluster(ClusterConfig(n_shards=3, **config))
     ops = []
-    cluster.add_op_sink(lambda shard, op: ops.append((shard, op)))
+    cluster.add_op_sink(lambda segments: ops.extend(
+        (shard, op) for shard, seg in segments for op in seg
+    ))
     return cluster, ops
 
 
@@ -244,7 +246,9 @@ class TestTheTapIsCompleteAndExact:
         ops = {name: [] for name in regions}
         for name in regions:
             geo.region(name).add_op_sink(
-                lambda shard, op, seen=ops[name]: seen.append(op)
+                lambda segments, seen=ops[name]: seen.extend(
+                    op for _, seg in segments for op in seg
+                )
             )
         for step, (name, *args) in enumerate(script):
             if name == "tick":

@@ -355,14 +355,14 @@ class ClusterHarness:
         self.log = self.rep.log("a")
 
     def write(self, op):
-        self.rep.log_op(self.owner, op)
+        self.rep.log_op(self.owner, [op])
         return self.log.take_hints(self.holder)[0]
 
     def deliver(self, lsn, payload):
         self.log.adopt(self.holder, lsn, payload)
 
     def hint(self, lsn, payload):
-        self.log.buffer_hint(self.holder, lsn, payload)
+        self.log.buffer_hints(self.holder, [(lsn, payload)])
 
     def flush_hints(self):
         self.rep.mark_up(self.holder)
@@ -390,7 +390,7 @@ class GeoHarness:
         self.rep.deliver(self.owner, self.holder, [(lsn, payload)])
 
     def hint(self, lsn, payload):
-        self.rep.buffer_hint(self.owner, self.holder, lsn, payload)
+        self.rep.buffer_hints(self.owner, self.holder, [(lsn, payload)])
 
     def flush_hints(self):
         for lsn, payload in self.rep.take_hints(self.owner, self.holder):
