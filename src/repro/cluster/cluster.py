@@ -203,6 +203,13 @@ class PlatformCluster:
         self.clock = faults.clock if faults is not None else SimulationClock()
         self.query_deadline = Timeout(config.query_deadline_s)
         self.router = ShardRouter(metrics=self.metrics)
+        # The basket and purchase counters, bound once: every basket and
+        # every purchase call moves one.
+        self._baskets_local = self.metrics.counter("cluster.basket.local")
+        self._baskets_distributed = self.metrics.counter(
+            "cluster.basket.distributed"
+        )
+        self._purchases_routed = self.metrics.counter("cluster.purchases_routed")
         # Disaggregated mode: one shared storage tier, mounted by every
         # compute shard.  The tier shares the cluster clock so RPC latency
         # advances the same simulated time the rest of the system runs on.
@@ -917,7 +924,7 @@ class PlatformCluster:
                 else PurchaseOutcome(original, outcome.success, outcome.reason)
                 for original, request, outcome in zip(ordered, routed, merged)
             ]
-        self.metrics.counter("cluster.purchases_routed").inc(len(requests))
+        self._purchases_routed.inc(len(requests))
         self._refresh_purchase_gauges()
         return merged
 
@@ -962,10 +969,10 @@ class PlatformCluster:
                 why = f"sold out: {product_id}"
             else:
                 why = f"no such product {product_id!r}"
-            self.metrics.counter("cluster.basket.local").inc()
+            self._baskets_local.inc()
             return BasketOutcome(txn is not None, why, shards)
         outcome = self.coordinator.execute(quantities)
-        self.metrics.counter("cluster.basket.distributed").inc()
+        self._baskets_distributed.inc()
         return BasketOutcome(outcome.committed, outcome.reason, shards, outcome)
 
     def get_stock(self, product_id: str) -> int:

@@ -1,18 +1,22 @@
-"""Cross-shard purchases: the existing 2PC coordinator over platform shards.
+"""Cross-shard purchases: 2PC over platform shards, run at a participant.
 
 A flash-sale basket can touch products owned by different shards; the
 paper notes such cross-partition transactions are "hard to process at
 scale" — they pay message rounds over the network.  Rather than invent a
-new protocol, the cluster binds the canonical blocking 2PC driver from
+new protocol, the cluster binds the 2PC driver from
 :mod:`repro.txn.twopc` to the platform's stock-commit core: a
 :class:`ShardParticipant`'s stage hook is the shard's ``stage_basket``
 (phase 1's vote is whether it staged), its apply hook the shard's
 ``commit_basket``, its release hook an abort of the staged transaction.
-All this module adds is the replay of a decided basket whose staged
-snapshot a local commit (a purchase call's, a basket's) overtook.  The protocol machinery —
-prepare/vote/decision/ack rounds, timeouts, partition behaviour over
-:class:`~repro.net.simnet.SimulatedNetwork` — is inherited unchanged, so
-the latency the coordinator observes is the genuine message-round cost.
+Each round runs at the basket's first shard in name order, its *home*:
+the home prepares and decides by local calls, the other shards over
+:class:`~repro.net.simnet.SimulatedNetwork`, and aborts are presumed
+(never acked).  A commit is still acked, so a committed basket is on
+every shard's engine, log and replica when the round returns.  There is
+no coordinator node: the network holds one node per shard, and a
+coordinator's failure is its shard's failure.  All this module adds is
+the replay of a decided basket whose staged snapshot a local commit (a
+purchase call's, a basket's) overtook.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class ShardParticipant(Participant):
 
 
 class CrossShardCoordinator:
-    """Runs baskets spanning shards through one shared 2PC coordinator."""
+    """Runs baskets spanning shards through 2PC, each round at its home."""
 
     def __init__(
         self,
@@ -84,7 +88,7 @@ class CrossShardCoordinator:
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.scheduler = EventScheduler(clock)
         self.network = SimulatedNetwork(self.scheduler, metrics=self.metrics)
-        self.coordinator = Coordinator(self.network, name="cluster-coordinator")
+        self.coordinator = Coordinator(self.network, name=None)
         self.participants: dict[str, ShardParticipant] = {}
         self._outcomes = {
             True: self.metrics.counter("cluster.twopc.committed"),
@@ -107,14 +111,17 @@ class CrossShardCoordinator:
 
     def detach_shard(self, name: str) -> None:
         self.participants.pop(name, None)
+        self.network.remove_node(name)
 
     def execute(self, quantities_by_shard: dict[str, dict[str, int]]) -> TxnOutcome:
-        """Run one basket ({shard: {product: quantity}}) to a decision."""
+        """Run one basket ({shard: {product: quantity}}) to a decision at
+        its first shard in name order."""
         with self.tracer.span(
             "cluster.twopc", shards=len(quantities_by_shard)
         ):
             outcome = self.coordinator.execute(
-                DistributedTxn(writes_by_participant=dict(quantities_by_shard))
+                DistributedTxn(writes_by_participant=dict(quantities_by_shard)),
+                at=self.participants[min(quantities_by_shard)],
             )
         self._outcomes[outcome.committed].inc()
         self._latency.observe(outcome.total_latency)

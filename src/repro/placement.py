@@ -65,16 +65,18 @@ def route_by_owner(
     Owners are visited in first-appearance order, or name order with
     ``sorted_owners`` — the visit order fixes the order of fault-injector
     draws and clock advances inside ``run``, so each caller keeps its own.
-    The merge asks ``owner_of`` again per item (a memo hit) instead of
-    keeping a parallel owner list, so a counting ``owner_of`` sees two
-    lookups per item.
+    ``owner_of`` is asked once per item: the merge walks the owner list
+    the split made.
     """
-    groups = group_by_owner(owner_of, items, key)
+    owners = [owner_of(key(item)) for item in items]
+    groups: dict = {}
+    for owner, item in zip(owners, items):
+        groups.setdefault(owner, []).append(item)
     streams = {
         owner: iter(run(owner, groups[owner]))
         for owner in (sorted(groups) if sorted_owners else groups)
     }
-    return [next(streams[owner_of(key(item))]) for item in items]
+    return [next(streams[owner]) for owner in owners]
 
 
 class Placement:

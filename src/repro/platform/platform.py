@@ -249,6 +249,11 @@ class MetaversePlatform:
             raise ConfigurationError("need at least one executor")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
+        # A purchase call's outcome counters, bound once.
+        self._decided = {
+            "": self.metrics.counter("platform.purchases"),
+            "sold out": self.metrics.counter("platform.soldout"),
+        }
         # Resilience.  A platform built with a fault injector survives it:
         # storage and broker calls retry with backoff, a breaker sheds
         # publishes while the broker is failing, and reads fall back to
@@ -954,9 +959,9 @@ class MetaversePlatform:
         for request, why in zip(requests, whys):
             if not why:
                 executor[request.product_id].processed += 1
-        for name, why in (("platform.purchases", ""), ("platform.soldout", "sold out")):
+        for why, counter in self._decided.items():
             if why in whys:
-                self.metrics.counter(name).inc(whys.count(why))
+                counter.inc(whys.count(why))
         return [PurchaseOutcome(r, not why, why) for r, why in zip(requests, whys)]
 
     # -- the stock-commit core ----------------------------------------------

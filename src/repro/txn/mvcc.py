@@ -41,6 +41,7 @@ class MVStore:
         self.last_commit_ts = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
+        self._commits = self.metrics.counter("mvcc.commits")
 
     # -- version access -----------------------------------------------------
 
@@ -76,7 +77,7 @@ class MVStore:
             self._versions.setdefault(key, []).append(_Version(commit_ts, value))
         for key in deletes:
             self._versions.setdefault(key, []).append(_Version(commit_ts, _DELETED))
-        self.metrics.counter("mvcc.commits").inc()
+        self._commits.inc()
         return commit_ts
 
     def vacuum(self, horizon_ts: int) -> int:

@@ -7,24 +7,28 @@ construction; ``ShardRouter`` binds ``cluster.router.lookups``;
 and the ``cluster.twopc.latency_s`` histogram; ``BufferPool`` binds
 ``pool.hits``, ``pool.misses`` and ``pool.evictions``; ``ShardReplicator``
 binds ``cluster.failover.replicated_ops``, ``hints_buffered``,
-``replication_dropped`` and ``hints_delivered``.  A fault-free message, a
-lookup, a 2PC round, a page access or a logged segment therefore asks
-the registry for nothing, and what it counts still lands in that
-registry, also after ``reset()``.
+``replication_dropped`` and ``hints_delivered``; ``PlatformCluster``
+binds ``cluster.basket.local``/``distributed`` and
+``cluster.purchases_routed``, ``MetaversePlatform`` ``platform.purchases``
+and ``platform.soldout``, and ``MVStore`` ``mvcc.commits``.  A fault-free
+message, a lookup, a 2PC round, a page access, a logged segment, a basket
+or a purchase call therefore asks the registry for nothing, and what it
+counts still lands in that registry, also after ``reset()``.
 """
 
 import pytest
 
-from repro.cluster import ShardReplicator
+from repro.cluster import ClusterConfig, PlatformCluster, ShardReplicator
 from repro.cluster.coordinator import CrossShardCoordinator
 from repro.cluster.router import ShardRouter
-from repro.core import DataRecord, EventScheduler, MetricsRegistry
+from repro.core import DataRecord, EventScheduler, MetricsRegistry, Space
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
 from repro.replication import entity_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.storage import BufferPool, PageMeta
 from repro.txn import Coordinator, DistributedTxn, Participant
+from repro.workloads.marketplace import PurchaseRequest
 
 
 class LookupLog(MetricsRegistry):
@@ -87,6 +91,28 @@ def basket(quantity=1):
     return {"s0": {"s0/p": quantity}, "s1": {"s1/p": quantity}}
 
 
+def market(metrics):
+    """A four-shard cluster with a catalog, and two of its products on
+    different shards."""
+    cluster = PlatformCluster(ClusterConfig(n_shards=4), metrics=metrics)
+    products = [f"p{i}" for i in range(12)]
+    cluster.load_catalog([
+        DataRecord(key=pid, payload={"stock": 5, "price": 1})
+        for pid in products
+    ])
+    first = products[0]
+    owner = cluster.router.owner_of(first)
+    second = next(p for p in products if cluster.router.owner_of(p) != owner)
+    return cluster, first, second
+
+
+def requests(*products):
+    return [
+        PurchaseRequest(f"s{i}", pid, Space.PHYSICAL, float(i))
+        for i, pid in enumerate(products)
+    ]
+
+
 class TestNoLookupOnTheHotPath:
     def test_a_send_and_its_delivery(self):
         metrics = LookupLog()
@@ -134,6 +160,20 @@ class TestNoLookupOnTheHotPath:
         assert metrics.counter("cluster.twopc.aborted").value == 1
         assert metrics.histogram("cluster.twopc.latency_s").count == 2
 
+
+    def test_a_local_basket_a_distributed_basket_and_a_purchase_call(self):
+        metrics = LookupLog()
+        cluster, first, second = market(metrics)
+        metrics.lookups.clear()
+        assert cluster.process_basket(requests(first)).committed
+        assert cluster.process_basket(requests(first, second)).committed
+        outcomes = cluster.process_purchases(requests(first, second, second))
+        assert all(outcome.success for outcome in outcomes)
+        assert metrics.lookups == []
+        assert metrics.counter("cluster.basket.local").value == 1
+        assert metrics.counter("cluster.basket.distributed").value == 1
+        assert metrics.counter("cluster.purchases_routed").value == 3
+        assert metrics.counter("platform.purchases").value == 3
 
     def test_a_page_hit_a_miss_and_an_eviction(self):
         metrics = LookupLog()
@@ -195,6 +235,28 @@ class TestBoundCountersSurviveReset:
         assert snapshot["cluster.twopc.aborted"] == 1
         assert snapshot["cluster.twopc.latency_s.count"] == 2
 
+
+    def test_the_cluster_counts_baskets_and_purchases_after_reset(self):
+        metrics = MetricsRegistry()
+        cluster, first, second = market(metrics)
+        cluster.process_basket(requests(first))
+        cluster.process_purchases(requests(second))
+        metrics.reset()
+        cluster.process_basket(requests(first))
+        cluster.process_basket(requests(first, second))
+        cluster.process_basket(requests(first, second))
+        cluster.process_purchases(requests(first, first, second, second))
+        cluster.process_purchases(requests(first) * 3)
+        snapshot = metrics.snapshot()
+        assert snapshot["cluster.basket.local"] == 1
+        assert snapshot["cluster.basket.distributed"] == 2
+        assert snapshot["cluster.purchases_routed"] == 7
+        # Five units each, one of each gone before the reset: the
+        # baskets leave one of the first and two of the second.
+        assert snapshot["platform.purchases"] == 3
+        assert snapshot["platform.soldout"] == 4
+        # One local basket, two shards each for two baskets and a call.
+        assert snapshot["mvcc.commits"] == 7
 
     def test_the_pool_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()

@@ -467,9 +467,13 @@ class TestBaskets:
         hot, other = cross
         owner = cluster.router.owner_of(hot)
         twopc = cluster.coordinator
+        # The round's home is another shard: its node sends the messages.
+        home = next(name for name in twopc.participants if name != owner)
 
         def deliver(topic, **payload):
-            twopc.coordinator.node.send(owner, topic, {"txn_id": 1, **payload})
+            twopc.network.node(home).send(
+                owner, topic, {"txn_id": 1, **payload}
+            )
             while twopc.scheduler.next_event_time is not None:
                 twopc.scheduler.run_until(twopc.scheduler.next_event_time)
 

@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, DataRecord, Space
 from repro.net.overlay import ChordRing
-from repro.cluster import ShardRouter
-from repro.placement import Placement
+from repro.cluster import ClusterConfig, PlatformCluster, ShardRouter
+from repro.geo import GeoConfig, GeoDeployment
+from repro.placement import Placement, route_by_owner
 from repro.storage.engine import StorageTier
+from repro.workloads.marketplace import PurchaseRequest
 
 pytestmark = pytest.mark.cluster
 
@@ -218,3 +220,71 @@ class TestRingSuccessors:
         with pytest.raises(ConfigurationError):
             ring.successors("k", 4)  # only 3 distinct peers
         assert sorted(ring.successors("k", 3)) == ["n0", "n1", "n2"]
+
+
+class TestRouteByOwnerAsksOncePerItem:
+    """:func:`route_by_owner` merges by the owner list its split made, so
+    its ``owner_of`` runs once per item."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.sampled_from([f"k{i}" for i in range(12)])),
+           sorted_owners=st.booleans())
+    def test_results_in_input_order_and_one_lookup_per_item(
+        self, keys, sorted_owners
+    ):
+        placement = make_placement(3)
+        asked = []
+
+        def owner_of(key):
+            asked.append(key)
+            return placement.owner_of(key)
+
+        merged = route_by_owner(
+            owner_of, keys, lambda key: key,
+            lambda owner, batch: [(owner, key) for key in batch],
+            sorted_owners=sorted_owners,
+        )
+        assert merged == [(placement.owner_of(key), key) for key in keys]
+        assert asked == keys
+
+    def test_a_cluster_purchase_call_makes_one_router_lookup_per_request(self):
+        cluster = PlatformCluster(ClusterConfig(n_shards=4))
+        products = [f"p{i}" for i in range(10)]
+        cluster.load_catalog([
+            DataRecord(key=pid, payload={"stock": 5, "price": 1})
+            for pid in products
+        ])
+        requests = [
+            PurchaseRequest(f"s{i}", products[i % 10], Space.PHYSICAL, float(i))
+            for i in range(25)
+        ]
+        lookups = cluster.metrics.counter("cluster.router.lookups")
+        before = lookups.value
+        cluster.process_purchases(requests)
+        assert lookups.value - before == len(requests)
+
+    def test_geo_purchase_routing_asks_home_of_once_per_request(self):
+        geo = GeoDeployment(GeoConfig(
+            regions=("r0", "r1", "r2"),
+            wan_latencies_s={("r0", "r1"): 0.01, ("r0", "r2"): 0.01,
+                             ("r1", "r2"): 0.01},
+        ))
+        products = [f"p{i}" for i in range(10)]
+        geo.load_catalog([
+            DataRecord(key=pid, payload={"stock": 5, "price": 1})
+            for pid in products
+        ])
+        requests = [
+            PurchaseRequest(f"s{i}", products[i % 10], Space.PHYSICAL, float(i))
+            for i in range(25)
+        ]
+        asked = []
+        home_of = geo.home_of
+
+        def counting(key):
+            asked.append(key)
+            return home_of(key)
+
+        geo.home_of = counting
+        assert len(geo.process_purchases(requests)) == len(requests)
+        assert len(asked) == len(requests)

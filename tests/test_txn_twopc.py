@@ -8,6 +8,7 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import DataRecord, EventScheduler, Space
 from repro.net import Link, SimulatedNetwork
 from repro.txn import Coordinator, DistributedTxn, Participant
+from repro.resilience.policies import Timeout
 from repro.txn.twopc import TxnOutcome
 from repro.workloads.marketplace import PurchaseRequest
 
@@ -154,16 +155,20 @@ class TestLatencyScaling:
         assert wan.total_latency > 50 * lan.total_latency
 
 
-class TwoLoopCoordinator(Coordinator):
-    """The oracle: ``execute`` as it was before one ``_drive`` loop served
-    both phases — a ``Deadline`` guard and a wait loop per phase."""
+class RemoteCoordinator(Coordinator):
+    """The oracle: ``execute`` as it was while the coordinator was a node
+    of its own — every participant remote, so a round over *n*
+    participants sends 4*n* messages, and an abort goes to every
+    participant and waits for its acks.  It ignores ``at``."""
 
-    def execute(self, txn):
-        scheduler = self.network.scheduler
-        start = scheduler.clock.now
+    def execute(self, txn, at=None):
+        clock = self.network.scheduler.clock
+        start = clock.now
         participants = list(txn.writes_by_participant)
-        self._votes[txn.txn_id] = {}
-        self._acks[txn.txn_id] = set()
+        votes = {}
+        acks = set()
+        self._votes[txn.txn_id] = votes
+        self._acks[txn.txn_id] = acks
 
         unreachable = []
         for participant in participants:
@@ -178,20 +183,11 @@ class TwoLoopCoordinator(Coordinator):
                 )
             except Exception:
                 unreachable.append(participant)
-        guard = self.timeout.guard(scheduler.clock, label="2pc.prepare")
-        while (
-            len(self._votes[txn.txn_id]) < len(participants) - len(unreachable)
-            and not guard.expired
-            and scheduler.next_event_time is not None
-        ):
-            scheduler.run_until(min(guard.at, scheduler.next_event_time))
-        if guard.expired and len(self._votes[txn.txn_id]) < len(participants) - len(
-            unreachable
-        ):
+        if self._drive(votes, len(participants) - len(unreachable),
+                       self.timeout.deadline_from(clock.now)):
             self.network.metrics.counter("twopc.prepare_timeouts").inc()
-        prepare_latency = scheduler.clock.now - start
-
-        votes = self._votes.pop(txn.txn_id)
+        prepare_latency = clock.now - start
+        del self._votes[txn.txn_id]
         all_yes = (
             not unreachable
             and len(votes) == len(participants)
@@ -204,14 +200,8 @@ class TwoLoopCoordinator(Coordinator):
                 self.node.send(participant, decision_topic, {"txn_id": txn.txn_id})
             except Exception:
                 pass
-        guard = self.timeout.guard(scheduler.clock, label="2pc.decision")
-        while (
-            len(self._acks[txn.txn_id]) < len(participants)
-            and not guard.expired
-            and scheduler.next_event_time is not None
-        ):
-            scheduler.run_until(min(guard.at, scheduler.next_event_time))
-        if guard.expired and len(self._acks[txn.txn_id]) < len(participants):
+        if self._drive(acks, len(participants),
+                       self.timeout.deadline_from(clock.now)):
             self.network.metrics.counter("twopc.decision_timeouts").inc()
         del self._acks[txn.txn_id]
 
@@ -229,8 +219,43 @@ class TwoLoopCoordinator(Coordinator):
             committed=all_yes,
             reason=reason,
             prepare_latency=prepare_latency,
-            total_latency=scheduler.clock.now - start,
+            total_latency=clock.now - start,
         )
+
+
+class AckingParticipant(Participant):
+    """The oracle's participant: it acks an abort, as every participant
+    did before aborts were presumed."""
+
+    def _on_abort(self, message):
+        if self.crashed:
+            return
+        txn_id = message.payload["txn_id"]
+        staged = self._staged.pop(txn_id, None)
+        if staged is not None:
+            self._release(txn_id, staged)
+        self.node.send(message.src, "2pc.ack", {"txn_id": txn_id})
+
+
+class RecordingParticipant(Participant):
+    """A participant that remembers, per transaction, whether it voted
+    yes (staged), applied or released."""
+
+    def __init__(self, network, name):
+        super().__init__(network, name)
+        self.staged_ids, self.applied, self.released = set(), set(), set()
+
+    def _stage(self, txn_id, writes):
+        self.staged_ids.add(txn_id)
+        return super()._stage(txn_id, writes)
+
+    def _apply(self, txn_id, staged):
+        self.applied.add(txn_id)
+        super()._apply(txn_id, staged)
+
+    def _release(self, txn_id, staged):
+        self.released.add(txn_id)
+        super()._release(txn_id, staged)
 
 
 _names = [f"dc-{i}" for i in range(4)]
@@ -238,24 +263,38 @@ _subsets = st.sets(st.sampled_from(_names))
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, exact=False):
     """A run of transactions on a small world: who votes no, who is
     silent, who is cut off before the round, which links are cut and
     healed mid-flight, the loss rate, the latency, the timeout (one
     exact round trip puts the replies on the deadline's instant), and
     whether an unrelated event far ahead keeps the scheduler busy (a wait
-    only times out while there is something left to run)."""
+    only times out while there is something left to run).
+
+    An ``exact`` scenario loses no message, cuts no link and waits at
+    least 2.5 round trips, so no outcome hangs on when a round started:
+    the home's local calls end rounds earlier than the oracle's."""
     n = draw(st.integers(1, 4))
     names = _names[:n]
     txns = draw(st.lists(
         st.lists(st.sampled_from(names), min_size=1, unique=True),
         min_size=1, max_size=4,
     ))
-    return {
+    scenario = {
         "n": n,
         "txns": txns,
         "fail": draw(_subsets),
         "crashed": draw(_subsets),
+        "latency": draw(st.sampled_from([0.005, 0.01])),
+        "busy": draw(st.booleans()),
+    }
+    if exact:
+        return {
+            **scenario, "cut_before": set(), "cut_mid": [], "loss": 0.0,
+            "timeout": draw(st.sampled_from([0.05, 1.0])),
+        }
+    return {
+        **scenario,
         "cut_before": draw(_subsets),
         "cut_mid": draw(st.lists(
             st.tuples(st.sampled_from(names),
@@ -264,16 +303,24 @@ def scenarios(draw):
             max_size=3,
         )),
         "loss": draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])),
-        "latency": draw(st.sampled_from([0.005, 0.01])),
         "timeout": draw(st.sampled_from(["round_trip", 0.005, 0.02, 0.05, 1.0])),
-        "busy": draw(st.booleans()),
     }
 
 
-def play(coordinator_cls, scenario):
-    """Every observable a round leaves: each outcome, the clock, the
-    participants' data and staged state, and the ``twopc.*`` and
-    ``net.*`` metrics."""
+def isolate(network, name, heal=False):
+    """Cut (or heal) every link of ``name``: to the oracle's coordinator
+    node and to every other participant, any of which may be a home."""
+    for other in ["coordinator", *_names]:
+        if other != name:
+            (network.heal if heal else network.partition)(name, other)
+
+
+def play(coordinator_cls, scenario, participant_cls=Participant):
+    """Run ``scenario`` and return its world and, per round, the outcome,
+    how far it moved the ``twopc.*`` counters and ``net.messages_sent``,
+    and the transactions each participant held staged when it returned.  The oracle runs every round at its own node;
+    any other coordinator runs it at its first participant in name
+    order."""
     scheduler = EventScheduler()
     link = Link(latency_s=scenario["latency"], bandwidth_bps=1e12,
                 loss_rate=scenario["loss"])
@@ -283,49 +330,305 @@ def play(coordinator_cls, scenario):
         timeout = 2 * link.transfer_delay(256)
     coordinator = coordinator_cls(network, timeout_s=timeout)
     participants = {
-        name: Participant(network, name) for name in _names[:scenario["n"]]
+        name: participant_cls(network, name)
+        for name in _names[:scenario["n"]]
     }
     for name, participant in participants.items():
         participant.fail_prepares = name in scenario["fail"]
         participant.crashed = name in scenario["crashed"]
         if name in scenario["cut_before"]:
-            network.partition("coordinator", name)
+            isolate(network, name)
     for name, at, heal in scenario["cut_mid"]:
         if name in participants:
-            scheduler.schedule(at, lambda name=name, heal=heal: (
-                network.heal if heal else network.partition
-            )("coordinator", name))
+            scheduler.schedule(
+                at, lambda name=name, heal=heal: isolate(network, name, heal)
+            )
     if scenario["busy"]:
         scheduler.schedule(30.0, lambda: None)
-    outcomes = []
+    counters = ("twopc.prepare_timeouts", "twopc.decision_timeouts",
+                "net.messages_sent")
+    metrics = network.metrics
+    rounds = []
     for i, members in enumerate(scenario["txns"]):
+        before = [metrics.counter(name).value for name in counters]
         txn = DistributedTxn({name: {f"k{i}": i} for name in members}, txn_id=i)
-        outcomes.append(coordinator.execute(txn))
-    metrics = {
-        name: value for name, value in network.metrics.snapshot().items()
-        if name.startswith(("twopc.", "net."))
-    }
-    return (
-        outcomes, scheduler.clock.now, metrics,
-        {name: (p.data, p.staged_count) for name, p in participants.items()},
-        (coordinator._votes, coordinator._acks),
-    )
+        outcome = coordinator.execute(txn, at=participants[min(members)])
+        rounds.append((outcome, *(
+            metrics.counter(name).value - was
+            for name, was in zip(counters, before)
+        ), {name: set(p._staged) for name, p in participants.items()}))
+    return rounds, participants, coordinator
+
+
+def saved_messages(scenario, members, committed):
+    """What running a lossless, uncut round at its first participant saves
+    over the oracle: the home's prepare, vote, decision and ack, and on
+    an abort every ack plus each remote no-voter's abort."""
+    home = min(members)
+    live = [name for name in members if name not in scenario["crashed"]]
+    if committed:
+        return 4
+    remote_noes = [
+        name for name in live if name != home and name in scenario["fail"]
+    ]
+    return 2 + (home in live) + len(remote_noes) + len(live)
 
 
 class TestOneDriveLoopMatchesTheTwoLoopOracle:
+    """The home-run, presumed-abort round against the remote-coordinator
+    oracle (``RemoteCoordinator`` over acking participants).  Where no
+    message is lost and no link cut, every outcome, every participant's
+    data and staged count, and the prepare timeouts are equal; the
+    messages differ by :func:`saved_messages`, and an abort, no longer
+    acked, never waits out a decision timeout."""
+
     @settings(max_examples=200, deadline=None)
-    @given(scenario=scenarios())
+    @given(scenario=scenarios(exact=True))
     def test_outcomes_counters_and_data_are_equal(self, scenario):
-        assert play(Coordinator, scenario) == play(TwoLoopCoordinator, scenario)
+        new, new_world, coordinator = play(Coordinator, scenario)
+        old, old_world, _ = play(RemoteCoordinator, scenario, AckingParticipant)
+        for members, now, was in zip(scenario["txns"], new, old):
+            (outcome, prepare_timeouts, decision_timeouts, sent, _) = now
+            (oracle, oracle_prepare, oracle_decision, oracle_sent, _) = was
+            assert (outcome.committed, outcome.reason) == (
+                oracle.committed, oracle.reason
+            )
+            assert prepare_timeouts == oracle_prepare
+            assert decision_timeouts == (
+                oracle_decision if oracle.committed else 0
+            )
+            assert sent == oracle_sent - saved_messages(
+                scenario, members, oracle.committed
+            )
+        assert {
+            name: (p.data, p.staged_count) for name, p in new_world.items()
+        } == {
+            name: (p.data, p.staged_count) for name, p in old_world.items()
+        }
+        assert coordinator._votes == {} and coordinator._acks == {}
 
     def test_each_timeout_counter_is_equal_on_its_own_path(self):
+        """A participant silent from the start times the prepare out in
+        both, and only the oracle then waits out the abort's acks; one
+        that falls silent after voting yes times a commit's acks out in
+        both."""
         scenario = {
             "n": 3, "txns": [["dc-0", "dc-1", "dc-2"]], "fail": set(),
             "crashed": {"dc-2"}, "cut_before": set(), "cut_mid": [],
             "loss": 0.0, "latency": 0.01, "timeout": 0.05, "busy": True,
         }
-        new, old = play(Coordinator, scenario), play(TwoLoopCoordinator, scenario)
-        assert new == old
-        assert new[2]["twopc.prepare_timeouts"] == 1
-        assert new[2]["twopc.decision_timeouts"] == 1
-        assert new[0][0].reason == "prepare timeout"
+        [(new, *new_counts, _)], _, _ = play(Coordinator, scenario)
+        [(old, *old_counts, _)], _, _ = play(
+            RemoteCoordinator, scenario, AckingParticipant
+        )
+        assert (new.committed, new.reason) == (False, "prepare timeout")
+        assert (old.committed, old.reason) == (False, "prepare timeout")
+        assert old_counts == [1, 1, 10] and new_counts == [1, 0, 5]
+
+        results = []
+        for cls, participant_cls in (
+            (Coordinator, Participant), (RemoteCoordinator, AckingParticipant)
+        ):
+            scheduler = EventScheduler()
+            network = SimulatedNetwork(
+                scheduler, default_link=Link(latency_s=0.01, bandwidth_bps=1e12)
+            )
+            coordinator = cls(network, timeout_s=0.05)
+            participants = {
+                f"dc-{i}": participant_cls(network, f"dc-{i}") for i in range(3)
+            }
+            scheduler.schedule(
+                0.015, lambda p=participants: setattr(p["dc-2"], "crashed", True)
+            )
+            scheduler.schedule(30.0, lambda: None)
+            outcome = coordinator.execute(
+                DistributedTxn({name: {"k": 1} for name in participants}),
+                at=participants["dc-0"],
+            )
+            snapshot = network.metrics.snapshot()
+            results.append((
+                outcome.committed, outcome.total_latency,
+                snapshot.get("twopc.prepare_timeouts", 0),
+                snapshot["twopc.decision_timeouts"],
+                {name: (p.data, p.staged_count) for name, p in participants.items()},
+            ))
+        assert results[0] == results[1]
+        assert results[0][:4] == (True, pytest.approx(0.07), 0, 1)
+
+
+class TestHomeRoundSafety:
+    """Lossy links and cut links draw the fabric's RNG differently from
+    the oracle's, so these scenarios are held to safety alone: a round is
+    all-or-nothing, a commit implies every participant voted yes, and a
+    participant reachable from the home holds no staged transaction when
+    the round returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=scenarios())
+    def test_rounds_are_atomic_and_leave_no_reachable_stage(self, scenario):
+        rounds, world, coordinator = play(
+            Coordinator, scenario, RecordingParticipant
+        )
+        isolated = set(scenario["cut_before"]) | {
+            name for name, _, _ in scenario["cut_mid"]
+        }
+        for i, (members, (outcome, *_, staged)) in enumerate(
+            zip(scenario["txns"], rounds)
+        ):
+            applied = {name for name in members if i in world[name].applied}
+            released = {name for name in members if i in world[name].released}
+            assert not (applied and released)
+            if outcome.committed:
+                assert all(i in world[name].staged_ids for name in members)
+            else:
+                assert not applied
+            home = min(members)
+            if scenario["loss"] or home in isolated:
+                continue
+            for name in members:
+                if name in isolated or name in scenario["crashed"]:
+                    continue
+                assert staged[name] == set()
+                if outcome.committed:
+                    assert name in applied
+        assert coordinator._votes == {} and coordinator._acks == {}
+
+
+class TestASilentHome:
+    def test_a_crashed_home_times_the_prepare_out_and_releases_remote_stages(self):
+        scheduler, network, coordinator, participants = build()
+        coordinator.timeout = Timeout(0.5)
+        scheduler.schedule(30.0, lambda: None)  # a wait only times out while busy
+        participants["dc-0"].crashed = True
+        txn = DistributedTxn({"dc-0": {"x": 1}, "dc-1": {"y": 2}, "dc-2": {"z": 3}})
+        outcome = coordinator.execute(txn, at=participants["dc-0"])
+        assert (outcome.committed, outcome.reason) == (False, "prepare timeout")
+        assert outcome.prepare_latency == pytest.approx(0.5)
+        assert network.metrics.counter("twopc.prepare_timeouts").value == 1
+        assert all(p.staged_count == 0 and p.data == {} for p in participants.values())
+
+
+PRODUCTS = [f"p{i}" for i in range(10)]
+
+
+def market(oracle=False):
+    """A 4-shard replicated cluster with ten products of six units; the
+    oracle's coordinator is :class:`RemoteCoordinator` on a node of its
+    own."""
+    cluster = PlatformCluster(ClusterConfig(n_shards=4, n_replicas=2))
+    cluster.load_catalog([
+        DataRecord(key=pid, payload={"stock": 6, "price": 1})
+        for pid in PRODUCTS
+    ])
+    if oracle:
+        twopc = cluster.coordinator
+        twopc.coordinator = RemoteCoordinator(
+            twopc.network, name="cluster-coordinator"
+        )
+    return cluster
+
+
+market_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["basket", "purchases"]),
+        st.lists(
+            st.tuples(st.sampled_from(PRODUCTS), st.integers(1, 4)),
+            min_size=1, max_size=4,
+        ),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def play_market(cluster, calls):
+    """Every basket's and purchase's outcome, every shard's and replica's
+    stock, and the 2PC outcome counters after ``calls``."""
+    outcomes = []
+    for i, (kind, items) in enumerate(calls):
+        requests = [
+            PurchaseRequest(f"s{i}.{j}", pid, Space.PHYSICAL, float(i), quantity)
+            for j, (pid, quantity) in enumerate(items)
+        ]
+        if kind == "basket":
+            basket = cluster.process_basket(requests)
+            outcomes.append((basket.committed, basket.reason, basket.shards))
+        else:
+            outcomes.append([
+                (o.success, o.reason) for o in cluster.process_purchases(requests)
+            ])
+    owners = {pid: cluster.router.owner_of(pid) for pid in PRODUCTS}
+    stock = {
+        pid: (
+            cluster.shards[owner].get_stock(pid),
+            cluster.failover.replica_stock(owner, pid),
+        )
+        for pid, owner in owners.items()
+    }
+    counters = {
+        name: cluster.metrics.counter(name).value
+        for name in ("cluster.twopc.committed", "cluster.twopc.aborted")
+    }
+    return outcomes, stock, counters
+
+
+class TestClusterRoundsAtTheHome:
+    @settings(max_examples=40, deadline=None)
+    @given(calls=market_calls)
+    def test_baskets_stock_and_counters_equal_the_remote_coordinator(self, calls):
+        assert play_market(market(), calls) == play_market(
+            market(oracle=True), calls
+        )
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(calls=market_calls)
+    def test_sweep_baskets_equal_the_remote_coordinator(self, request, calls):
+        """The property above at 1,000 examples, for the nightly tier."""
+        if not request.config.getoption("markexpr"):
+            pytest.skip("nightly sweep: select it with -m slow")
+        assert play_market(market(), calls) == play_market(
+            market(oracle=True), calls
+        )
+
+    def test_the_network_holds_exactly_the_shards(self):
+        cluster = market()
+        twopc = cluster.coordinator
+
+        def nodes():
+            return set(twopc.network.nodes)
+
+        assert nodes() == set(cluster.shards)
+        basket = [
+            PurchaseRequest("s", pid, Space.PHYSICAL, 0.0) for pid in PRODUCTS
+        ]
+        assert cluster.process_basket(basket).committed
+        assert nodes() == set(cluster.shards)
+        victim = min(cluster.shards)
+        cluster.kill_shard(victim)
+        while cluster.failover.state(victim) != "up":
+            cluster.tick(0.05)
+        assert nodes() == set(cluster.shards)
+        cluster.add_shard("shard-9")
+        assert nodes() == set(cluster.shards)
+        cluster.remove_shard("shard-1")
+        assert nodes() == set(cluster.shards) and "shard-1" not in nodes()
+        assert cluster.process_basket(basket).committed
+        assert nodes() == set(cluster.shards)
+
+    def test_a_killed_home_rejects_the_basket_and_starts_no_round(self):
+        cluster = market()
+        owners = {pid: cluster.router.owner_of(pid) for pid in PRODUCTS}
+        basket = [
+            PurchaseRequest("s", pid, Space.PHYSICAL, 0.0) for pid in PRODUCTS
+        ]
+        home = min(owners.values())
+        cluster.kill_shard(home)
+        sent = cluster.coordinator.network.metrics.counter("net.messages_sent")
+        before = sent.value
+        outcome = cluster.process_basket(basket)
+        assert (outcome.committed, outcome.reason) == (False, f"shard down: {home}")
+        assert outcome.txn is None and sent.value == before
+        assert cluster.metrics.counter("cluster.twopc.aborted").value == 0
+        assert all(
+            p.staged_count == 0 for p in cluster.coordinator.participants.values()
+        )
