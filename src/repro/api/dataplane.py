@@ -17,7 +17,7 @@ from ..core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.columns import RecordBatch
-    from ..core.metrics import MetricsRegistry
+    from ..core.metrics import Counter
     from ..core.records import DataRecord, PurchaseRequest
     from ..platform.platform import PurchaseOutcome
     from ..query.plane import QueryModality, QueryPlan, QueryRequest
@@ -59,8 +59,8 @@ class ContinuousQueries:
 
     Both planes own one and differ only in what they pass to
     :meth:`register` (their executor's ``resolve``) and :meth:`refresh`
-    (how they answer one standing query, and the name of their own
-    evaluations counter).
+    (how they answer one standing query, and their own evaluations
+    counter, bound once).
     """
 
     def __init__(self) -> None:
@@ -87,15 +87,14 @@ class ContinuousQueries:
     def refresh(
         self,
         answer: "Callable[[ContinuousQuery], GatherResult]",
-        metrics: "MetricsRegistry",
-        evaluations: str,
+        evaluations: "Counter",
     ) -> dict[str, GatherResult]:
         """Answer every standing query with ``answer``, counting each
-        under ``evaluations``; returns the fresh results."""
+        in ``evaluations``; returns the fresh results."""
         results: dict[str, GatherResult] = {}
         for query in self._queries.values():
             query.results = answer(query)
-            metrics.counter(evaluations).inc()
+            evaluations.inc()
             results[query.query_id] = query.results
         return results
 

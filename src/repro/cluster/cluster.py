@@ -8,14 +8,16 @@ partitioning entity and product keys across N full platform shards with a
 :class:`~repro.cluster.router.ShardRouter` (consistent-hash ring, vnodes)
 and coordinating the cross-shard paths:
 
-* **batched ingest** — observations buffer in the router grouped by owning
-  shard and flush per simulated-clock tick, so each shard sees one batch
-  per tick instead of a per-record stream;
+* **batched ingest** — observations buffer in the cluster's per-shard
+  queues, grouped by the shard the router names, and flush per
+  simulated-clock tick, so each shard sees one batch per tick instead of
+  a per-record stream;
 * **scatter-gather queries** — prefix/range, spatial, and continuous
   queries fan out to every shard under a per-shard
-  :class:`~repro.resilience.policies.Deadline`; a shard that faults or
-  blows its deadline is skipped and the gather is marked partial rather
-  than failing the caller;
+  :class:`~repro.resilience.policies.Deadline`; each shard answers for
+  the keys it owns (:meth:`MetaversePlatform.answer`); a shard that
+  faults or blows its deadline is skipped and the gather is marked
+  partial rather than failing the caller;
 * **purchases** — single-product requests route to the owning shard (the
   global stream is pre-sorted with the same space-aware key a single node
   uses, so sharded and single-node runs decide every purchase the same
@@ -203,13 +205,22 @@ class PlatformCluster:
         self.clock = faults.clock if faults is not None else SimulationClock()
         self.query_deadline = Timeout(config.query_deadline_s)
         self.router = ShardRouter(metrics=self.metrics)
-        # The basket and purchase counters, bound once: every basket and
-        # every purchase call moves one.
-        self._baskets_local = self.metrics.counter("cluster.basket.local")
-        self._baskets_distributed = self.metrics.counter(
-            "cluster.basket.distributed"
-        )
-        self._purchases_routed = self.metrics.counter("cluster.purchases_routed")
+        # Which shard owns a key, asked of the placement: an ownership
+        # question that is not a routing decision (a shard's owned slice,
+        # a re-key, a migration, a gauge sweep) leaves the router's
+        # ``cluster.router.lookups`` alone.
+        self._owner_of = partial(Placement.owner_of, self.router)
+        # The counters and histograms of the ingest, query, tick, basket
+        # and purchase paths, bound once.
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._buffered = counter("cluster.buffered_records")
+        self._ingested = counter("cluster.ingested_records")
+        self._batch_sizes = histogram("cluster.router.batch_size")
+        self._fanout_results = histogram("cluster.query.fanout_results")
+        self._evaluations = counter("cluster.continuous.evaluations")
+        self._baskets_local = counter("cluster.basket.local")
+        self._baskets_distributed = counter("cluster.basket.distributed")
+        self._purchases_routed = counter("cluster.purchases_routed")
         # Disaggregated mode: one shared storage tier, mounted by every
         # compute shard.  The tier shares the cluster clock so RPC latency
         # advances the same simulated time the rest of the system runs on.
@@ -300,10 +311,8 @@ class PlatformCluster:
         return shard
 
     def _owns(self, name: str, key: str) -> bool:
-        """Whether shard ``name`` owns ``key`` on the compute ring.  An
-        ownership test over a sweep, not a routing decision: it asks the
-        placement directly and leaves ``cluster.router.lookups`` alone."""
-        return Placement.owner_of(self.router, key) == name
+        """Whether shard ``name`` owns ``key`` on the compute ring."""
+        return self._owner_of(key) == name
 
     def add_op_sink(self, sink: Callable[[list], object]) -> None:
         """Register ``sink(segments)`` to see every mutation this cluster
@@ -387,7 +396,7 @@ class PlatformCluster:
         if not self._admit(owner, record.space):
             return
         self._pending.setdefault(owner, deque()).append(record)
-        self.metrics.counter("cluster.buffered_records").inc()
+        self._buffered.inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
         with self.tracer.span("cluster.ingest", batch=len(records)):
@@ -428,7 +437,7 @@ class PlatformCluster:
         for name, rows in owners.items():
             shard_batch = batch if len(rows) == len(batch) else batch.take(rows)
             self._pending.setdefault(name, deque()).append(shard_batch)
-        self.metrics.counter("cluster.buffered_records").inc(len(batch))
+        self._buffered.inc(len(batch))
 
     @property
     def pending_count(self) -> int:
@@ -472,7 +481,7 @@ class PlatformCluster:
                         self._drain_credit.get(name, 0.0) - written
                     )
                 total += written
-        self.metrics.counter("cluster.ingested_records").inc(total)
+        self._ingested.inc(total)
         self._refresh_shard_gauges()
         return total
 
@@ -490,7 +499,7 @@ class PlatformCluster:
         queue = self._pending.get(name)
         if not queue:
             return 0
-        observe = self.metrics.histogram("cluster.router.batch_size").observe
+        observe = self._batch_sizes.observe
         taken = written = 0
         while queue and (budget is None or taken < budget):
             room = None if budget is None else budget - taken
@@ -561,9 +570,7 @@ class PlatformCluster:
         if self.failover is not None:
             self.failover.tick()
         self.maintain_storage()
-        return self._continuous.refresh(
-            self._answer, self.metrics, "cluster.continuous.evaluations"
-        )
+        return self._continuous.refresh(self._answer, self._evaluations)
 
     def _answer(self, query: ContinuousQuery) -> GatherResult:
         """One refresh of a standing query: one :meth:`_scatter`, so down
@@ -572,7 +579,7 @@ class PlatformCluster:
         (:meth:`MetaversePlatform.standing_items`: from its view, or
         re-evaluated) and the modality merges them."""
         partials, failed = self._scatter(
-            lambda name, shard: shard.standing_items(query)
+            lambda shard: shard.standing_items(query)
         )
         return GatherResult(
             items=query.modality.merge(partials, query.plan),
@@ -674,9 +681,7 @@ class PlatformCluster:
                 # Arrival order: what the owner has queued is older, so it
                 # drains first and cannot overwrite these writes at the
                 # next flush.
-                self.metrics.counter("cluster.ingested_records").inc(
-                    self._flush_shard(owner, None)
-                )
+                self._ingested.inc(self._flush_shard(owner, None))
             self._emit_stored(owner, self.shards[owner].write_unit(unit))
 
     def query(self, request: QueryRequest) -> GatherResult:
@@ -694,11 +699,10 @@ class PlatformCluster:
 
     def run_plan(self, modality: QueryModality, plan: QueryPlan) -> GatherResult:
         """Dispatch an already-planned query (the geo layer reuses this
-        to fan the same plan out across regions without re-planning)."""
+        to fan the same plan out across regions without re-planning):
+        every shard answers for its own keys."""
         partials, failed = self._scatter(
-            lambda name, shard: self._owned_slice(
-                name, modality.execute(shard, plan), key_of=modality.item_key
-            )
+            lambda shard: shard.answer(modality, plan)
         )
         return GatherResult(
             items=modality.merge(partials, plan), failed_shards=failed
@@ -708,7 +712,7 @@ class PlatformCluster:
         """Scatter an ad-hoc ``fn(shard)`` to every shard (escape hatch
         for cross-shard reads that are not a registered modality); the
         per-shard results are concatenated in ring order."""
-        partials, failed = self._scatter(lambda name, shard: fn(shard))
+        partials, failed = self._scatter(fn)
         return GatherResult(
             items=[item for partial in partials for item in partial],
             failed_shards=failed,
@@ -761,41 +765,19 @@ class PlatformCluster:
                     failed.append(name)
                     continue
                 try:
-                    partials.append(list(fn(name, self.shards[name])))
+                    partials.append(list(fn(self.shards[name])))
                 except FaultInjectedError:
                     # Remote-engine RPCs that stayed faulted past the
                     # shard's retry budget: partial result, not an error.
                     self.metrics.counter("cluster.query.shard_failed").inc()
                     failed.append(name)
-        self.metrics.histogram("cluster.query.fanout_results").observe(
-            sum(len(partial) for partial in partials)
-        )
+        self._fanout_results.observe(sum(len(partial) for partial in partials))
         if failed:
             # Partial results are legitimate (availability over
             # completeness) but must be observable: dashboards alert on
             # this counter.
             self.metrics.counter("cluster.gather.partial").inc()
         return partials, tuple(failed)
-
-    def _owned_slice(self, name: str, items: list, key_of=None) -> list:
-        """Restrict shard output to keys ``name`` owns on the compute ring.
-
-        On local engines each shard physically holds only its own keys and
-        this is the identity; on a shared storage tier every compute node
-        sees the whole keyspace, so scatter-gather must partition results
-        by ring ownership to keep exactly-one semantics.  ``key_of`` maps
-        one result item to its routing key (the modality's ``item_key``),
-        keeping this filter modality-agnostic.
-        """
-        if self.storage is None:
-            return items
-        if key_of is None:
-            def key_of(item):
-                return item[0]
-        return [
-            item for item in items
-            if self.router.owner_of(key_of(item)) == name
-        ]
 
     def scan_prefix(self, prefix: str) -> GatherResult:
         """Range query: every (key, value) with ``key`` under ``prefix``."""
@@ -1212,19 +1194,19 @@ class PlatformCluster:
         current ring, batches split per owner.  A key's units all sit in
         one queue (its owner's when they were queued), so each key keeps
         its arrival order.  A unit whose new owner is down stays queued
-        under that owner.  Asks the placement, not the counting router: a
-        re-key is not a routing decision."""
+        under that owner."""
         if not any(self._pending.values()):
             return
-        owner_of = partial(Placement.owner_of, self.router)
         requeued: dict[str, deque[DataRecord | RecordBatch]] = {}
         for queue in self._pending.values():
             for unit in queue:
                 if isinstance(unit, DataRecord):
-                    requeued.setdefault(owner_of(unit.key), deque()).append(unit)
+                    requeued.setdefault(
+                        self._owner_of(unit.key), deque()
+                    ).append(unit)
                     continue
                 groups = group_by_owner(
-                    owner_of, range(len(unit)), unit.keys.__getitem__
+                    self._owner_of, range(len(unit)), unit.keys.__getitem__
                 )
                 for name, rows in groups.items():
                     requeued.setdefault(name, deque()).append(
@@ -1244,7 +1226,7 @@ class PlatformCluster:
             for name, shard in sources.items():
                 staying = name not in departing
                 for key in shard.entity_keys():
-                    target = self.router.owner_of(key)
+                    target = self._owner_of(key)
                     if target != name:
                         self.shards[target].import_entity(
                             key, shard.export_entity(key)
@@ -1253,7 +1235,7 @@ class PlatformCluster:
                             shard.drop_entity(key)
                         moved += 1
                 for product_id, value in shard.catalog_snapshot().items():
-                    target = self.router.owner_of(product_id)
+                    target = self._owner_of(product_id)
                     if target != name:
                         self.shards[target].import_product(product_id, value)
                         if staying:
@@ -1271,9 +1253,7 @@ class PlatformCluster:
         *served* by exactly one compute node).
         """
         if self.storage is not None:
-            return {
-                key: [self.router.owner_of(key)] for key in self.storage.keys()
-            }
+            return {key: [self._owner_of(key)] for key in self.storage.keys()}
         locations: dict[str, list[str]] = {}
         for name, shard in self.shards.items():
             for key in shard.entity_keys():
@@ -1295,9 +1275,8 @@ class PlatformCluster:
 
         On a tier it is one ``keys()`` per storage node, feeding both the
         node's gauge and the per-owner counts — a key lives on exactly
-        one node, so nothing is merged or sorted.  Ownership is asked of
-        the placement, not the counting router: reading metrics moves no
-        counter."""
+        one node, so nothing is merged or sorted.  Reading metrics moves
+        no counter."""
         gauge = self.metrics.gauge
         if self.storage is None:
             for name, shard in self.shards.items():
@@ -1306,13 +1285,12 @@ class PlatformCluster:
                 )
             return
         owned = dict.fromkeys(self.shards, 0)
-        owner_of = partial(Placement.owner_of, self.router)
         for name, node in self.storage.nodes.items():
             keys = node.engine.keys()
             gauge(f"storage.node.{name}.entities").set(float(len(keys)))
             gauge(f"storage.node.{name}.ops_total").set(float(node.ops))
             for key in keys:
-                owned[owner_of(key)] += 1
+                owned[self._owner_of(key)] += 1
         for name, count in owned.items():
             gauge(f"cluster.shard.{name}.entities").set(float(count))
 

@@ -98,6 +98,16 @@ READ_YOUR_WRITES = "read_your_writes"
 LINEARIZABLE = "linearizable"
 CONSISTENCY_MODES = (EVENTUAL, READ_YOUR_WRITES, LINEARIZABLE)
 
+
+def _check_consistency(consistency: str) -> None:
+    """THE consistency-mode check of every read and fan-out query."""
+    if consistency not in CONSISTENCY_MODES:
+        raise ConfigurationError(
+            f"unknown consistency mode {consistency!r}; "
+            f"expected one of {CONSISTENCY_MODES}"
+        )
+
+
 # The WAN and the read path.  A deployment chooses its regions, their
 # pair latencies and its log compaction threshold (GeoConfig); the rest is
 # the one calibration the E30 artifacts were measured with, so changing a
@@ -666,11 +676,7 @@ class GeoDeployment:
         )
 
     def _read(self, key, consistency, region, session, local):
-        if consistency not in CONSISTENCY_MODES:
-            raise ConfigurationError(
-                f"unknown consistency mode {consistency!r}; "
-                f"expected one of {CONSISTENCY_MODES}"
-            )
+        _check_consistency(consistency)
         via = self._resolve_region(region)
         home = self.home_of(key)
         started = self.clock.now
@@ -869,11 +875,7 @@ class GeoDeployment:
         Any registered modality rides this path — the geo layer resolves
         the plan once and never looks at what the modality is.
         """
-        if consistency not in CONSISTENCY_MODES:
-            raise ConfigurationError(
-                f"unknown consistency mode {consistency!r}; "
-                f"expected one of {CONSISTENCY_MODES}"
-            )
+        _check_consistency(consistency)
         modality, plan = self.query_executor.resolve(request)
         if consistency == EVENTUAL:
             result = self._query_local(

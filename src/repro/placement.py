@@ -93,11 +93,12 @@ class Placement:
         self._name_ring = ChordRing()
         self._names: list[str] = []
         # key → owner memo.  A ring lookup is a sha256 + bisect per call
-        # and the hot paths (batch routing, purchase routing, owned-slice
-        # filters, per-key storage RPCs) ask about the same keys every
-        # tick; the memo makes the steady state a dict hit.  Any
-        # membership change invalidates it wholesale — correctness over
-        # cleverness; the cap only bounds memory under adversarial churn.
+        # and the hot paths (batch routing, purchase routing, a tier
+        # node's ``owns`` filter, per-key storage RPCs) ask about the
+        # same keys every tick; the memo makes the steady state a dict
+        # hit.  Any membership change invalidates it wholesale —
+        # correctness over cleverness; the cap only bounds memory under
+        # adversarial churn.
         self._owner_cache: dict[str, str] = {}
         self._owner_cache_cap = 1 << 20
         for name in names:

@@ -48,6 +48,8 @@ from ..platform.gateway import DeviceGateway
 from ..query.plane import (
     PrefixScanModality,
     QueryExecutor,
+    QueryModality,
+    QueryPlan,
     QueryRequest,
     prefix_query,
     spatial_query,
@@ -249,11 +251,15 @@ class MetaversePlatform:
             raise ConfigurationError("need at least one executor")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
-        # A purchase call's outcome counters, bound once.
+        # A purchase call's outcome counters and a tick's standing-query
+        # counter, bound once.
         self._decided = {
             "": self.metrics.counter("platform.purchases"),
             "sold out": self.metrics.counter("platform.soldout"),
         }
+        self._evaluations = self.metrics.counter(
+            "platform.continuous.evaluations"
+        )
         # Resilience.  A platform built with a fault injector survives it:
         # storage and broker calls retry with backoff, a breaker sheds
         # publishes while the broker is failing, and reads fall back to
@@ -616,9 +622,7 @@ class MetaversePlatform:
         refresh every registered continuous query.  Returns fresh results."""
         self.clock.advance(dt)
         self.flush()
-        return self._continuous.refresh(
-            self._answer, self.metrics, "platform.continuous.evaluations"
-        )
+        return self._continuous.refresh(self._answer, self._evaluations)
 
     def _answer(self, query: ContinuousQuery) -> GatherResult:
         """One refresh of a standing query on this single-shard plane."""
@@ -631,11 +635,25 @@ class MetaversePlatform:
     def query(self, request: QueryRequest) -> GatherResult:
         """Run one query-plane request on this node (single-shard executor).
 
-        The modality plans/rewrites once, executes against this platform
-        as the only shard, and merges the single partial — the same code
-        path the cluster scatter-gathers, minus the fan-out.
+        The modality plans/rewrites once, this node answers it
+        (:meth:`answer`) as the only shard, and the modality merges the
+        single partial — the same code path the cluster scatter-gathers,
+        minus the fan-out.
         """
         return self.query_executor.run_single(self, request)
+
+    def answer(self, modality: QueryModality, plan: QueryPlan) -> list:
+        """THE per-node query path (unsorted; the modality merges): the
+        plan run on this node, keeping the items whose key (the modality's
+        ``item_key``) this node ``owns`` — every item on a node with no
+        ``owns``.  A single node's queries, a cluster's scatter and a
+        standing query's re-evaluation all answer through here."""
+        items = modality.execute(self, plan)
+        owns = self.owns
+        if owns is None:
+            return items
+        key_of = modality.item_key
+        return [item for item in items if owns(key_of(item))]
 
     def scan_prefix(self, prefix: str) -> GatherResult:
         """Range query: every (key, value) with ``key`` under ``prefix``."""
@@ -706,10 +724,9 @@ class MetaversePlatform:
         that stays faulted past the retry budget raises and leaves the
         view unknown.
 
-        Any other query is re-evaluated from its stored plan, keeping
-        the items whose key (the modality's ``item_key``) this node
-        owns: every item on a node with no ``owns``."""
-        modality, owns = query.modality, self.owns
+        Any other query is re-evaluated from its stored plan
+        (:meth:`answer`)."""
+        modality = query.modality
         if type(modality) is PrefixScanModality and self._sole_writer:
             view = self._views.get(query.query_id)
             if view is None:
@@ -717,11 +734,7 @@ class MetaversePlatform:
                 self._views[query.query_id] = view
                 self._derived.append(view)
             return list(self._hydrated(view).items())
-        items = modality.execute(self, query.plan)
-        if owns is None:
-            return items
-        key_of = modality.item_key
-        return [item for item in items if owns(key_of(item))]
+        return self.answer(modality, query.plan)
 
     def register_continuous(self, query_id: str, prefix: str) -> None:
         """Register a standing prefix query, refreshed every tick."""

@@ -14,9 +14,11 @@ modality out of the deployment shape:
   (:meth:`~QueryModality.plan`), runs the plan against one shard
   (:meth:`~QueryModality.execute`), and combines per-shard partial
   results order-deterministically (:meth:`~QueryModality.merge`);
-* the deployment layers own *only* dispatch: the platform is a
-  single-shard :class:`QueryExecutor`, the cluster scatter-gathers
-  ``execute`` across its ring under per-shard deadlines, and the geo
+* the deployment layers own *only* dispatch: each node answers a plan
+  for the keys it serves
+  (:meth:`~repro.platform.platform.MetaversePlatform.answer`), a single
+  platform merges its own answer, the cluster scatter-gathers the
+  answers across its ring under per-shard deadlines, and the geo
   deployment fans out per consistency mode.  None of them know which
   modalities exist — registering a new modality (see
   :mod:`repro.semantic`) requires zero edits to any dispatch code.
@@ -70,10 +72,11 @@ class QueryModality:
     Subclasses set :attr:`name` and implement :meth:`execute` /
     :meth:`merge`; :meth:`plan` and :meth:`item_key` have useful
     defaults.  ``item_key`` is what keeps ownership filtering
-    modality-agnostic: the cluster restricts shared-storage scans to each
-    shard's ring slice, and the geo layer restricts each region to its
-    home keyspace, both by calling ``item_key`` instead of assuming the
-    item shape.
+    modality-agnostic: a node on a shared storage tier keeps the items of
+    its own ring slice
+    (:meth:`~repro.platform.platform.MetaversePlatform.answer`), and the
+    geo layer restricts each region to its home keyspace, both by calling
+    ``item_key`` instead of assuming the item shape.
     """
 
     #: Registry key; subclasses override.
@@ -189,8 +192,10 @@ class QueryExecutor:
 
     :meth:`resolve` is the shared planning front half (registry lookup →
     ``plan``); :meth:`run_single` is the whole back half for a
-    single-shard deployment.  Multi-shard deployments call
-    :meth:`resolve` and scatter ``modality.execute`` themselves.
+    single-shard deployment: the shard's one answer
+    (:meth:`~repro.platform.platform.MetaversePlatform.answer`), merged.
+    Multi-shard deployments call :meth:`resolve`, scatter ``answer``
+    and merge themselves.
     """
 
     def resolve(self, request: QueryRequest) -> tuple[QueryModality, QueryPlan]:
@@ -199,7 +204,7 @@ class QueryExecutor:
 
     def run_single(self, shard, request: QueryRequest) -> GatherResult:
         modality, plan = self.resolve(request)
-        items = modality.merge([modality.execute(shard, plan)], plan)
+        items = modality.merge([shard.answer(modality, plan)], plan)
         return GatherResult(items=items)
 
 

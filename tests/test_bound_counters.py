@@ -8,12 +8,17 @@ and the ``cluster.twopc.latency_s`` histogram; ``BufferPool`` binds
 ``pool.hits``, ``pool.misses`` and ``pool.evictions``; ``ShardReplicator``
 binds ``cluster.failover.replicated_ops``, ``hints_buffered``,
 ``replication_dropped`` and ``hints_delivered``; ``PlatformCluster``
-binds ``cluster.basket.local``/``distributed`` and
-``cluster.purchases_routed``, ``MetaversePlatform`` ``platform.purchases``
-and ``platform.soldout``, and ``MVStore`` ``mvcc.commits``.  A fault-free
-message, a lookup, a 2PC round, a page access, a logged segment, a basket
-or a purchase call therefore asks the registry for nothing, and what it
-counts still lands in that registry, also after ``reset()``.
+binds ``cluster.basket.local``/``distributed``,
+``cluster.purchases_routed``, ``cluster.buffered_records``,
+``cluster.ingested_records``, ``cluster.continuous.evaluations`` and the
+``cluster.router.batch_size`` and ``cluster.query.fanout_results``
+histograms, ``MetaversePlatform`` ``platform.purchases``,
+``platform.soldout`` and ``platform.continuous.evaluations``, and
+``MVStore`` ``mvcc.commits``.  A fault-free message, a lookup, a 2PC
+round, a page access, a logged segment, a basket, a purchase call, or a
+cluster's ingest, flush, query or tick therefore asks the registry for
+nothing of its own, and what it counts still lands in that registry, also
+after ``reset()``.
 """
 
 import pytest
@@ -22,10 +27,13 @@ from repro.cluster import ClusterConfig, PlatformCluster, ShardReplicator
 from repro.cluster.coordinator import CrossShardCoordinator
 from repro.cluster.router import ShardRouter
 from repro.core import DataRecord, EventScheduler, MetricsRegistry, Space
+from repro.core.columns import RecordBatch
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
+from repro.query.plane import prefix_query, spatial_query
 from repro.replication import entity_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.spatial.geometry import BBox
 from repro.storage import BufferPool, PageMeta
 from repro.txn import Coordinator, DistributedTxn, Participant
 from repro.workloads.marketplace import PurchaseRequest
@@ -106,6 +114,33 @@ def market(metrics):
     return cluster, first, second
 
 
+def standing(metrics):
+    """A three-shard cluster with a standing prefix and a standing
+    spatial query."""
+    cluster = PlatformCluster(ClusterConfig(n_shards=3), metrics=metrics)
+    cluster.register_continuous("all", "e/")
+    cluster.register_continuous_query("box", spatial_query(BBox(0, 0, 4, 1)))
+    return cluster
+
+
+def entities(*indices):
+    return [
+        DataRecord(key=f"e/{i}", payload={"x": float(i), "y": 0.0})
+        for i in indices
+    ]
+
+
+def ingest_flush_query_tick(cluster):
+    """One record and a batch of eight in, a flush, a query, one more
+    record and a tick."""
+    cluster.ingest(*entities(0))
+    cluster.ingest_batch(RecordBatch.from_records(entities(*range(1, 9))))
+    cluster.flush()
+    cluster.query(prefix_query("e/"))
+    cluster.ingest(*entities(9))
+    return cluster.tick(0.5)
+
+
 def requests(*products):
     return [
         PurchaseRequest(f"s{i}", pid, Space.PHYSICAL, float(i))
@@ -174,6 +209,24 @@ class TestNoLookupOnTheHotPath:
         assert metrics.counter("cluster.basket.distributed").value == 1
         assert metrics.counter("cluster.purchases_routed").value == 3
         assert metrics.counter("platform.purchases").value == 3
+
+    def test_a_cluster_ingest_flush_query_and_tick(self):
+        metrics = LookupLog()
+        cluster = standing(metrics)
+        metrics.lookups.clear()
+        results = ingest_flush_query_tick(cluster)
+        assert [n for n in metrics.lookups if n.startswith("cluster.")] == []
+        assert [key for key, _ in results["box"].items] == [
+            f"e/{i}" for i in range(5)
+        ]
+        assert metrics.counter("cluster.buffered_records").value == 10
+        assert metrics.counter("cluster.ingested_records").value == 10
+        assert metrics.counter("cluster.continuous.evaluations").value == 2
+        # The query, then the tick's two standing queries.
+        assert metrics.histogram("cluster.query.fanout_results").samples == [
+            9, 10, 5
+        ]
+        assert sum(metrics.histogram("cluster.router.batch_size").samples) == 10
 
     def test_a_page_hit_a_miss_and_an_eviction(self):
         metrics = LookupLog()
@@ -257,6 +310,19 @@ class TestBoundCountersSurviveReset:
         assert snapshot["platform.soldout"] == 4
         # One local basket, two shards each for two baskets and a call.
         assert snapshot["mvcc.commits"] == 7
+
+    def test_the_cluster_counts_ingest_queries_and_ticks_after_reset(self):
+        metrics = MetricsRegistry()
+        cluster = standing(metrics)
+        ingest_flush_query_tick(cluster)
+        metrics.reset()
+        ingest_flush_query_tick(cluster)
+        snapshot = metrics.snapshot()
+        assert snapshot["cluster.buffered_records"] == 10
+        assert snapshot["cluster.ingested_records"] == 10
+        assert snapshot["cluster.continuous.evaluations"] == 2
+        assert snapshot["cluster.query.fanout_results.count"] == 3
+        assert sum(metrics.histogram("cluster.router.batch_size").samples) == 10
 
     def test_the_pool_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()

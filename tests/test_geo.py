@@ -26,6 +26,7 @@ from repro.geo import (
 )
 from repro.geo.deployment import BREAKER_FAILURE_THRESHOLD, LINEARIZABLE_TIMEOUT_S
 from repro.obs.tracing import Tracer
+from repro.query.plane import prefix_query
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
@@ -434,6 +435,19 @@ class TestConsistencyModes:
         assert set(CONSISTENCY_MODES) == {
             EVENTUAL, READ_YOUR_WRITES, LINEARIZABLE
         }
+
+    @pytest.mark.parametrize("call", [
+        lambda geo: geo.read("k", "strong-ish"),
+        lambda geo: geo.get_stock("p", "strong-ish"),
+        lambda geo: geo.query(prefix_query("k"), "strong-ish"),
+    ], ids=["read", "get_stock", "query"])
+    def test_each_read_surface_rejects_an_unknown_mode(self, call):
+        geo = make_geo()
+        with pytest.raises(
+            ConfigurationError, match="unknown consistency mode 'strong-ish'"
+        ):
+            call(geo)
+        assert not [name for name in geo.metrics.snapshot() if "strong-ish" in name]
 
     def test_per_mode_latency_histograms_are_recorded(self):
         geo = make_geo()

@@ -4,11 +4,12 @@ On a disaggregated cluster every compute shard sees the whole storage
 tier, so a scatter used to read each range once per shard and keep only
 the owned slice.  ``PlatformCluster._scatter`` now opens the tier's read
 scope: each ``(lo, hi)`` range is read from the storage nodes once, and
-every other shard slices its owned rows out of those.  The path it
-replaced — each live shard's own ``shard.scan`` plus ``_owned_slice`` —
-lives on here as the oracle, held equal under writes, kills and
-membership changes; seeded ``storage.rpc`` faults, partitions and
-writes inside a fan-out check the scope's edges.
+every other shard slices its owned rows out of those, and each shard
+answers for its own keys (``MetaversePlatform.answer``).  The path it
+replaced — each live shard's own ``shard.scan`` or ``spatial_items``,
+sliced by the counting router — lives on here as the oracle, held equal
+under writes, kills and membership changes; seeded ``storage.rpc``
+faults, partitions and writes inside a fan-out check the scope's edges.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import DataKind, DataRecord, PartitionedError, Space
-from repro.query.plane import prefix_query
+from repro.query.plane import prefix_query, spatial_query
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
 
@@ -46,16 +47,20 @@ def loaded(n_shards=4, n_storage_nodes=3, n_keys=40, faults=None):
     return cluster
 
 
-def oracle(cluster, prefix):
-    """The replaced path: every live shard reads the range over its own
-    mount and keeps the rows it owns; merged in key order."""
+def owned_slice(cluster, name, items):
+    """The items whose key the counting router gives to shard ``name``."""
+    return [item for item in items if cluster.router.owner_of(item[0]) == name]
+
+
+def oracle(cluster, read):
+    """The replaced path: every live shard runs ``read(shard)`` over its
+    own mount and keeps the items it owns; merged in key order."""
     items, failed = [], []
     for name in cluster.router.shards:
         if cluster._is_down(name):
             failed.append(name)
             continue
-        rows = cluster.shards[name].scan(prefix, prefix + HI)
-        items += cluster._owned_slice(name, rows)
+        items += owned_slice(cluster, name, read(cluster.shards[name]))
     return sorted(items, key=lambda item: item[0]), tuple(failed)
 
 
@@ -164,6 +169,7 @@ tier_ops = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, N_KEYS - 1)),
     st.tuples(st.just("tick")),
     st.tuples(st.just("query"), st.sampled_from(["", "k/", "k/0", "k/1", "j/"])),
+    st.tuples(st.just("spatial"), st.integers(0, 9), st.integers(0, 9)),
     st.tuples(st.just("add_shard")),
     st.tuples(st.just("remove_shard"), st.integers(0, 7)),
     st.tuples(st.just("kill"), st.integers(0, 7)),
@@ -171,21 +177,35 @@ tier_ops = st.one_of(
 
 
 def play(script):
-    """Play ``script`` on a 3 compute x 3 storage cluster, holding
-    ``cluster.query(prefix)`` equal to the oracle at every query."""
+    """Play ``script`` on a 3 compute x 3 storage cluster, holding every
+    prefix and spatial query equal to the oracle.  A written value sits
+    at ``(v, v % 3)``."""
     cluster = PlatformCluster(ClusterConfig(n_shards=3, n_storage_nodes=3))
     for serial, op in enumerate(script, start=1):
         kind = op[0]
         names = cluster.router.shards
         if kind == "write":
-            cluster.ingest(record(f"k/{op[1]:02d}", {"v": op[2], "at": serial}))
+            cluster.ingest(record(f"k/{op[1]:02d}", {
+                "v": op[2], "at": serial,
+                "x": float(op[2]), "y": float(op[2] % 3),
+            }))
         elif kind == "drop":
             cluster.drop_entity(f"k/{op[1]:02d}")
         elif kind == "tick":
             cluster.tick(0.5)
         elif kind == "query":
             result = cluster.query(prefix_query(op[1]))
-            items, failed = oracle(cluster, op[1])
+            items, failed = oracle(
+                cluster, lambda shard: shard.scan(op[1], op[1] + HI)
+            )
+            assert (result.items, result.failed_shards) == (items, failed)
+        elif kind == "spatial":
+            lo, hi = sorted(op[1:])
+            box = BBox(float(lo), 0.0, float(hi), 1.0)
+            result = cluster.query(spatial_query(box))
+            items, failed = oracle(
+                cluster, lambda shard: shard.spatial_items(box)
+            )
             assert (result.items, result.failed_shards) == (items, failed)
         elif kind == "add_shard":
             if len(names) < 6:

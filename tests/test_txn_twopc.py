@@ -1,7 +1,7 @@
 """Tests for two-phase commit over the simulated network."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
@@ -460,11 +460,21 @@ class TestHomeRoundSafety:
     """Lossy links and cut links draw the fabric's RNG differently from
     the oracle's, so these scenarios are held to safety alone: a round is
     all-or-nothing, a commit implies every participant voted yes, and a
-    participant reachable from the home holds no staged transaction when
-    the round returns."""
+    participant reachable from the home holds no stage of the round when
+    it returns.  A stage it still holds belongs to an earlier round whose
+    home was cut mid-round: 2PC's blocking window, which no later home can
+    close."""
 
     @settings(max_examples=200, deadline=None)
     @given(scenario=scenarios())
+    # Round 0's home is cut once dc-2 has staged: dc-2 keeps that stage
+    # through round 1.
+    @example(scenario={
+        "n": 3, "txns": [["dc-1", "dc-2"], ["dc-0", "dc-1", "dc-2"]],
+        "fail": set(), "crashed": set(), "latency": 0.005, "busy": False,
+        "cut_before": set(), "cut_mid": [("dc-1", 0.01, False)],
+        "loss": 0.0, "timeout": "round_trip",
+    })
     def test_rounds_are_atomic_and_leave_no_reachable_stage(self, scenario):
         rounds, world, coordinator = play(
             Coordinator, scenario, RecordingParticipant
@@ -488,7 +498,11 @@ class TestHomeRoundSafety:
             for name in members:
                 if name in isolated or name in scenario["crashed"]:
                     continue
-                assert staged[name] == set()
+                assert i not in staged[name]
+                assert all(
+                    j < i and min(scenario["txns"][j]) in isolated
+                    for j in staged[name]
+                )
                 if outcome.committed:
                     assert name in applied
         assert coordinator._votes == {} and coordinator._acks == {}
