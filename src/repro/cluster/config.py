@@ -108,8 +108,10 @@ class ClusterConfig:
     #: Closed-loop elasticity (autoscaling, admission control); None
     #: leaves the cluster fully static.
     elasticity: ElasticityConfig | None = None
-    #: Per-shard semantic retrieval (repro.semantic).  Off by default —
-    #: the numeric ingest hot paths never pay the embedding cost.
+    #: Per-shard semantic retrieval (repro.semantic), on local engines or
+    #: a storage tier: each shard's index is derived state, hydrated from
+    #: its owned rows and reset on a remap.  Off by default — the numeric
+    #: ingest hot paths never pay the embedding cost.
     semantic_index: bool = False
 
     def validate(self) -> "ClusterConfig":
@@ -138,12 +140,6 @@ class ClusterConfig:
                 )
         if self.shard_drain_rate is not None and self.shard_drain_rate <= 0:
             raise ConfigurationError("shard_drain_rate must be positive")
-        if self.semantic_index and self.n_storage_nodes is not None:
-            raise ConfigurationError(
-                "semantic_index requires local shard engines: on a shared "
-                "storage tier a compute node's ANN graph would go stale "
-                "across re-mounts and ring remaps"
-            )
         if self.elasticity is not None:
             self.elasticity.validate()
             if self.n_replicas >= 2:

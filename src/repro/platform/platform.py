@@ -34,13 +34,8 @@ from ..core.errors import (
     WriteConflictError,
 )
 from ..core.metrics import MetricsRegistry
-from ..core.records import (
-    KEY_MAX,
-    DataKind,
-    DataRecord,
-    PurchaseRequest,
-    Space,
-)
+from ..core.records import DataKind, DataRecord, PurchaseRequest, Space
+from ..derived import DerivedState, PositionIndex, PrefixView, payload_position, stored_payload
 from ..net.overlay import stable_hash
 from ..net.pubsub import Broker, Publication, Subscription
 from ..obs.tracing import NoopTracer, Tracer
@@ -90,115 +85,6 @@ def stored_record_value(record: DataRecord) -> dict:
         "space": record.space.value,
         "timestamp": record.timestamp,
     }
-
-
-def stored_payload(value: object) -> dict:
-    """The record payload inside a stored entity value (``{}`` for a
-    value that is not a :func:`stored_record_value` wrapper)."""
-    return value.get("payload", {}) if isinstance(value, dict) else {}
-
-
-def payload_position(payload: dict) -> tuple | None:
-    """``(x, y)`` when the payload carries a numeric ``x`` and ``y`` —
-    the one membership rule of spatial queries — else ``None``."""
-    x, y = payload.get("x"), payload.get("y")
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return (x, y)
-    return None
-
-
-class DerivedState:
-    """Compute-side state derived from the entities a node serves, on
-    the platform's one lifecycle: *unknown* (``data is None``) →
-    *hydrated* by its first reader's owned pass over ``span`` →
-    *maintained* on every write and drop the node makes → *reset* to
-    unknown.
-
-    The platform drives it from ``_after_write`` (:meth:`on_write`),
-    ``drop_entity`` (:meth:`on_drop`) and ``reset_caches``
-    (:meth:`reset`), the step a remap runs; readers hydrate it through
-    ``MetaversePlatform._hydrated``.  ``exact`` state is an answer in
-    itself, so a write that raised part-way, which may have landed on
-    some storage nodes unseen, resets it as well.  Inexact state is a
-    candidate filter whose hits are re-checked against what is fetched:
-    a stale entry costs a fetch, never a wrong answer.
-    """
-
-    exact = False
-
-    def __init__(self, lo: str, hi: str, data: dict | None = None) -> None:
-        self.span = (lo, hi)
-        self.data = data
-
-    def hydrate(self, rows: list) -> None:
-        """Build ``data`` from the owned ``(key, stored value)`` rows of
-        ``span``."""
-        raise NotImplementedError
-
-    def on_write(self, items: list, payloads: list) -> None:
-        """Follow the ``(key, stored value)`` items the engine just
-        accepted, with their record payloads."""
-        raise NotImplementedError
-
-    def on_drop(self, key: str) -> None:
-        if self.data is not None:
-            self.data.pop(key, None)
-
-    def reset(self) -> None:
-        self.data = None
-
-
-class PositionIndex(DerivedState):
-    """key → ``(x, y)`` over the entities a node serves, so a spatial
-    query filters a dict instead of scanning the keyspace.  Inexact:
-    ``spatial_items`` re-checks every fetched value against the box."""
-
-    def __init__(self, data: dict | None = None) -> None:
-        super().__init__("", KEY_MAX, data)
-
-    def hydrate(self, rows: list) -> None:
-        positions: dict[str, tuple] = {}
-        for key, value in rows:
-            position = payload_position(stored_payload(value))
-            if position is not None:
-                positions[key] = position
-        self.data = positions
-
-    def on_write(self, items: list, payloads: list) -> None:
-        positions = self.data
-        if positions is None:
-            return  # unknown: writes pay nothing
-        for (key, _), payload in zip(items, payloads):
-            position = payload_position(payload)
-            if position is not None:
-                positions[key] = position
-            else:
-                positions.pop(key, None)
-
-
-class PrefixView(DerivedState):
-    """key → stored value of the entities a node serves under one
-    standing query's prefix: the node's answer to that query, given
-    without a storage read.  Exact, and kept only by a node that is its
-    keys' sole writer (see ``MetaversePlatform._sole_writer``).
-    Membership is the prefix scan's own range test, ``lo <= key <= hi``."""
-
-    exact = True
-
-    def __init__(self, prefix: str) -> None:
-        super().__init__(prefix, prefix + KEY_MAX)
-
-    def hydrate(self, rows: list) -> None:
-        self.data = dict(rows)
-
-    def on_write(self, items: list, payloads: list) -> None:
-        rows = self.data
-        if rows is None:
-            return
-        lo, hi = self.span
-        for key, value in items:
-            if lo <= key <= hi:
-                rows[key] = value
 
 
 def unit_len(unit: DataRecord | RecordBatch) -> int:
@@ -335,29 +221,29 @@ class MetaversePlatform:
         # serves everything its engine holds.
         self.owns = None
         # Derived state, every piece on the one DerivedState lifecycle:
-        # the position index, and one PrefixView per standing prefix
-        # query this node has answered (keyed by query id).  An engine
-        # this platform built is empty, so its position index starts
-        # hydrated at ``{}``; an injected one may already hold entities,
-        # so it starts unknown and the first spatial query hydrates it
-        # from one full scan, keeping the keys ``owns`` accepts.  That is
-        # complete on a shared tier because the cluster routes every
-        # write of a key to the shard owning it and resets every shard's
-        # caches when ownership moves (a re-mounted shard is a fresh
-        # platform).  A write behind this platform's back (another mount
-        # of the tier) can leave an index entry stale, never wrong:
-        # spatial_items re-checks what it fetched, reset_caches()
-        # re-hydrates.
-        self._positions = PositionIndex({} if own_engine else None)
+        # the position index, the opt-in semantic index (an HNSW graph
+        # over describable entities; off by default, so numeric hot paths
+        # never pay the embedding cost) and one PrefixView per standing
+        # prefix query answered here (keyed by query id).  The indexes
+        # start empty, as a built engine is; on an injected engine, which
+        # may hold entities, they start unknown, and a first reader
+        # hydrates each from one full scan of the keys ``owns`` accepts.
+        # That is complete on a shared tier: the cluster routes each key's
+        # writes to its owner and resets every shard's caches when
+        # ownership moves (a re-mount is a fresh platform).  Another
+        # mount's write is seen once reset_caches() re-hydrates; until
+        # then a position can be stale, never wrong (spatial_items
+        # re-checks what it fetched).
+        self._positions = PositionIndex()
+        self.semantic = SemanticIndex() if semantic_index else None
         self._views: dict[str, PrefixView] = {}
         self._derived: list[DerivedState] = [self._positions]
+        if self.semantic is not None:
+            self._derived.append(self.semantic)
+        if not own_engine:
+            for state in self._derived:
+                state.reset()
         self._own_engine = own_engine
-        # Opt-in semantic retrieval: an HNSW graph over this node's
-        # describable entities, maintained from the same write paths as
-        # the position memo (so failover promotion, which replays via
-        # import_entity, rebuilds it for free).  Off by default — the
-        # numeric hot-path workloads never pay the embedding cost.
-        self.semantic = SemanticIndex() if semantic_index else None
         # Query-plane executor: this platform is the single shard.
         self.query_executor = QueryExecutor()
 
@@ -433,7 +319,7 @@ class MetaversePlatform:
         """Bring every compute-side copy of the stored ``items`` in line
         with what the engine just accepted: pages (a sole writer's cached
         page takes the stored value, any other is dropped), stale-read
-        fallback, semantic index, and every derived state."""
+        fallback, and every derived state."""
         pool, remember, keep = self.pool, self._remember, self._sole_writer
         for key, value in items:
             if keep:
@@ -441,9 +327,6 @@ class MetaversePlatform:
             else:
                 pool.invalidate(key)
             remember(key, value)
-        if self.semantic is not None:
-            for (key, _), payload in zip(items, payloads):
-                self.semantic.index_record(key, payload)
         for state in self._derived:
             state.on_write(items, payloads)
 
@@ -703,13 +586,14 @@ class MetaversePlatform:
     def semantic_search(
         self, vector, k: int, ef: int | None = None
     ) -> list[tuple[str, float]]:
-        """Shard-local ANN top-k over this node's semantic index."""
+        """Shard-local ANN top-k over this node's semantic index (hydrated first)."""
         if self.semantic is None:
             raise ConfigurationError(
                 "semantic index not enabled; build the platform with "
                 "semantic_index=True"
             )
         self.metrics.counter("platform.semantic.searches").inc()
+        self._hydrated(self.semantic)
         return self.semantic.search(vector, k, ef=ef)
 
     def standing_items(self, query: ContinuousQuery) -> list:
@@ -1072,8 +956,6 @@ class MetaversePlatform:
         self._with_retry(lambda: self.engine.delete(key))
         self.pool.invalidate(key)
         self._stale.pop(key, None)
-        if self.semantic is not None:
-            self.semantic.discard(key)
         for state in self._derived:
             state.on_drop(key)
 

@@ -1,13 +1,14 @@
-"""Per-shard semantic index: embeddings + HNSW, fed from the ingest path.
+"""Per-shard semantic index: embeddings + HNSW, on the derived-state lifecycle.
 
 :class:`SemanticIndex` is what a :class:`~repro.platform.platform.
-MetaversePlatform` owns when built with ``semantic_index``: every entity
-write (``write_record``, ``write_record_batch``, ``import_entity``) and
-delete (``drop_entity``) keeps it coherent, exactly like the spatial
-position memo — so shard failover promotion, which replays entities via
-``import_entity``, rebuilds the graph for free.  Records whose payloads
-carry nothing describable (pure numeric telemetry) embed to ``None`` and
-are skipped; a record *updated* from describable to numeric is evicted.
+MetaversePlatform` owns when built with ``semantic_index``: a
+:class:`~repro.derived.DerivedState` like the position index, hydrated
+from the node's owned scan by the first search, maintained by every
+entity write and ``drop_entity``, and reset with the node's caches, so a
+remap or a re-mount on a storage tier rebuilds it from the stored rows.
+Records whose payloads carry nothing describable (pure numeric
+telemetry) embed to ``None`` and are skipped; a record *updated* from
+describable to numeric is evicted.
 
 Stored vectors are the payload embedding plus a tiny deterministic
 per-key **tie-breaking jitter** (:func:`tie_break_jitter`).  Bag-of-words
@@ -30,6 +31,8 @@ import hashlib
 
 import numpy as np
 
+from ..core.records import KEY_MAX
+from ..derived import DerivedState, stored_payload
 from .embed import DEFAULT_DIM, embed_payload
 from .hnsw import HNSWIndex, brute_force_topk, normalize
 
@@ -69,15 +72,23 @@ def indexed_vector(key: str, payload: dict) -> np.ndarray | None:
     return normalize(vector + tie_break_jitter(key, DEFAULT_DIM))
 
 
-class SemanticIndex:
-    """Embeds payloads and maintains the shard-local ANN graph.
+class SemanticIndex(DerivedState):
+    """Embeds payloads and maintains the shard-local ANN graph, its ``data``.
+    Exact: a search answers from the graph alone.
 
     Every vector, stored or queried, has :data:`DEFAULT_DIM` components,
     so an index and the queries planned against it cannot disagree; the
     graph runs on :class:`HNSWIndex`'s own defaults."""
 
+    exact = True
+
     def __init__(self) -> None:
-        self.hnsw = HNSWIndex(dim=DEFAULT_DIM)
+        super().__init__("", KEY_MAX, HNSWIndex(dim=DEFAULT_DIM))
+        self._reset_evals = 0  # distance work of the graphs reset dropped
+
+    @property
+    def hnsw(self) -> HNSWIndex | None:  # None while unknown
+        return self.data
 
     def __len__(self) -> int:
         return len(self.hnsw)
@@ -86,8 +97,27 @@ class SemanticIndex:
         return key in self.hnsw
 
     @property
-    def distance_evals(self) -> int:
-        return self.hnsw.distance_evals
+    def distance_evals(self) -> int:  # of every graph it built, across resets
+        return self._reset_evals + (0 if self.data is None else self.data.distance_evals)
+
+    def hydrate(self, rows: list) -> None:
+        self.data = HNSWIndex(dim=DEFAULT_DIM)
+        for key, value in rows:
+            self.index_record(key, stored_payload(value))
+
+    def on_write(self, items: list, payloads: list) -> None:
+        if self.data is None:
+            return  # unknown: writes pay nothing
+        for (key, _), payload in zip(items, payloads):
+            self.index_record(key, payload)
+
+    def on_drop(self, key: str) -> None:
+        if self.data is not None:
+            self.data.discard(key)
+
+    def reset(self) -> None:
+        self._reset_evals = self.distance_evals
+        self.data = None
 
     def index_record(self, key: str, payload: dict) -> bool:
         """(Re-)index one entity; True when it landed in the graph."""
@@ -97,9 +127,6 @@ class SemanticIndex:
             return False
         self.hnsw.add(key, vector)
         return True
-
-    def discard(self, key: str) -> bool:
-        return self.hnsw.discard(key)
 
     def search(
         self, vector: np.ndarray, k: int, ef: int | None = None

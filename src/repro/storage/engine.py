@@ -244,13 +244,14 @@ class StorageNode:
             else LocalStorageEngine(metrics=self.metrics, tracer=self.tracer)
         )
         self.ops = 0
+        self._ops_counter = self.metrics.counter(f"storage.node.{name}.ops")
         # key -> (last value object served, encoded key size, value size)
         self._sized: dict[str, tuple[object, int, int]] = {}
 
     def execute(self, op: str, *args):
         """Run one storage operation locally (the RPC server side)."""
         self.ops += 1
-        self.metrics.counter(f"storage.node.{self.name}.ops").inc()
+        self._ops_counter.inc()
         if op == "delete":
             self._sized.pop(args[0], None)
         return getattr(self.engine, op)(*args)
@@ -479,6 +480,10 @@ class RemoteStorageEngine(StorageEngine):
         self.tier = tier
         self.client = client
         self.metrics = tier.metrics
+        # A round trip's counters, bound once; fault paths look theirs up.
+        self._calls, self._bytes = map(
+            self.metrics.counter, ("storage.rpc.calls", "storage.rpc.bytes"))
+        self._latency = self.metrics.histogram("storage.rpc.latency_s")
         self.tracer = tier.tracer
         self.faults = faults
         self.rpc_timeout_s = rpc_timeout_s
@@ -540,11 +545,9 @@ class RemoteStorageEngine(StorageEngine):
                 max(1, node.response_size(op, args, result))
             ))
         self.rpcs += 1
-        self.metrics.counter("storage.rpc.calls").inc()
-        self.metrics.counter("storage.rpc.bytes").inc(request_size)
-        self.metrics.histogram("storage.rpc.latency_s").observe(
-            clock.now - started
-        )
+        self._calls.inc()
+        self._bytes.inc(request_size)
+        self._latency.observe(clock.now - started)
         return result
 
     def _rpc_to_owner(self, op: str, key: str, payload_size: int, *args):

@@ -171,6 +171,8 @@ class KVStore:
         self.max_runs = max_runs
         self.wal = wal if wal is not None else WriteAheadLog(faults=faults)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._puts, self._gets, self._scans, self._deletes = map(
+            self.metrics.counter, ("kv.puts", "kv.gets", "kv.scans", "kv.deletes"))
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
         self._memtable = MemTable()
@@ -226,7 +228,7 @@ class KVStore:
             for offset, (key, value) in enumerate(items, start=1)
         ]
         self._memtable.mput(entries, value_bytes)
-        self.metrics.counter("kv.puts").inc(len(items))
+        self._puts.inc(len(items))
         self._maybe_flush()
 
     def delete(self, key: str) -> None:
@@ -239,7 +241,7 @@ class KVStore:
     def _apply_delete(self, key: str) -> None:
         self._seqno += 1
         self._memtable.mput([(key, _Versioned(self._seqno, _TOMBSTONE))], 0)
-        self.metrics.counter("kv.deletes").inc()
+        self._deletes.inc()
         self._maybe_flush()
 
     # -- reads --------------------------------------------------------------
@@ -247,7 +249,7 @@ class KVStore:
     def get(self, key: str) -> object:
         """Return the live value for ``key`` or raise KeyNotFoundError."""
         self._maybe_fault("kv.get", key)
-        self.metrics.counter("kv.gets").inc()
+        self._gets.inc()
         with self.tracer.span("kv.get"):
             found = self._memtable.get(key)
             if found is None:
@@ -270,7 +272,7 @@ class KVStore:
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
         """Yield live (key, value) pairs with lo <= key <= hi, ascending."""
-        self.metrics.counter("kv.scans").inc()
+        self._scans.inc()
         best = self._newest(lo, hi)
         for key in sorted(best):
             value = best[key].value

@@ -427,9 +427,10 @@ class TestOneWritePath(SourceGrep):
 
 
 class TestOneLifecycle(SourceGrep):
-    """Derived state has one lifecycle: the platform's write, drop and
-    reset steps reach the position index and every standing view only
-    through ``DerivedState``, and name neither."""
+    """Derived state has one lifecycle, in one module: the platform's
+    write, drop and reset steps reach the position index, the semantic
+    index and every standing view only through ``DerivedState``, and
+    name none of them."""
 
     STEPS = {
         "_write_items": ["reset"],  # a raised write, exact state only
@@ -477,6 +478,26 @@ class TestOneLifecycle(SourceGrep):
             if ".hydrate(" in ast.unparse(node)
         ] == ["_hydrated"]
         assert self.hits(r"\._positions\b|\._views\b|\._derived\b", "cluster") == []
+
+    def test_no_step_names_the_semantic_index_and_no_config_refuses_it(self):
+        methods = self.platform_methods()
+        for name in self.STEPS:
+            assert "semantic" not in ast.unparse(methods[name]).lower(), name
+        # Built in __init__, hydrated and searched by the one reader.
+        assert sorted(
+            name for name, node in methods.items()
+            if re.search(r"self\.semantic\b", ast.unparse(node))
+        ) == ["__init__", "semantic_search"]
+        assert self.hits(r"(?m)^class DerivedState\b") == ["derived.py"]
+        config = next(
+            node for node in ast.parse(self.sources()["cluster/config.py"]).body
+            if isinstance(node, ast.ClassDef) and node.name == "ClusterConfig"
+        )
+        validate = next(
+            node for node in config.body
+            if isinstance(node, ast.FunctionDef) and node.name == "validate"
+        )
+        assert "semantic" not in ast.unparse(validate)
 
 
 class TestOneSoleWriter(SourceGrep):

@@ -13,12 +13,17 @@ binds ``cluster.basket.local``/``distributed``,
 ``cluster.ingested_records``, ``cluster.continuous.evaluations`` and the
 ``cluster.router.batch_size`` and ``cluster.query.fanout_results``
 histograms, ``MetaversePlatform`` ``platform.purchases``,
-``platform.soldout`` and ``platform.continuous.evaluations``, and
-``MVStore`` ``mvcc.commits``.  A fault-free message, a lookup, a 2PC
-round, a page access, a logged segment, a basket, a purchase call, or a
-cluster's ingest, flush, query or tick therefore asks the registry for
-nothing of its own, and what it counts still lands in that registry, also
-after ``reset()``.
+``platform.soldout`` and ``platform.continuous.evaluations``,
+``MVStore`` ``mvcc.commits``, ``KVStore`` ``kv.puts``, ``kv.gets``,
+``kv.scans`` and ``kv.deletes``, ``StorageNode`` its
+``storage.node.<name>.ops``, and ``RemoteStorageEngine``
+``storage.rpc.calls``, ``storage.rpc.bytes`` and the
+``storage.rpc.latency_s`` histogram.  A fault-free message, a lookup, a
+2PC round, a page access, a logged segment, a basket, a purchase call, a
+cluster's ingest, flush, query or tick, a local engine's write, read,
+scan or delete, or a storage round trip therefore asks the registry for
+nothing of its own, and what it counts still lands in that registry,
+also after ``reset()``.
 """
 
 import pytest
@@ -141,6 +146,23 @@ def ingest_flush_query_tick(cluster):
     return cluster.tick(0.5)
 
 
+def local_scenario(cluster):
+    """The ingest, flush, query and tick above, a spatial query and a
+    drop, on a three-shard local-engine cluster with two standing
+    queries."""
+    results = ingest_flush_query_tick(cluster)
+    hits = cluster.query(spatial_query(BBox(0, 0, 2, 1))).items
+    cluster.drop_entity("e/9")
+    return results, hits
+
+
+def tier_flush_and_query(cluster):
+    """Ten records flushed to a two-node tier, then a prefix query."""
+    cluster.ingest_many(entities(*range(10)))
+    cluster.flush()
+    return cluster.query(prefix_query("e/")).items
+
+
 def requests(*products):
     return [
         PurchaseRequest(f"s{i}", pid, Space.PHYSICAL, float(i))
@@ -227,6 +249,44 @@ class TestNoLookupOnTheHotPath:
             9, 10, 5
         ]
         assert sum(metrics.histogram("cluster.router.batch_size").samples) == 10
+
+    def test_a_local_engines_writes_reads_scans_and_delete(self):
+        metrics = LookupLog()
+        cluster = standing(metrics)
+        metrics.lookups.clear()
+        results, hits = local_scenario(cluster)
+        assert [n for n in metrics.lookups if n.startswith("kv.")] == []
+        assert len(results["all"].items) == 10
+        assert [key for key, _ in hits] == ["e/0", "e/1", "e/2"]
+        assert metrics.counter("kv.puts").value == 10
+        # The standing box fetches its five hits, the spatial query three.
+        assert metrics.counter("kv.gets").value == 8
+        # The prefix query's scan and the standing view's hydration, per
+        # shard; the position indexes started hydrated.
+        assert metrics.counter("kv.scans").value == 6
+        assert metrics.counter("kv.deletes").value == 1
+
+    def test_a_tier_clusters_flush_and_prefix_query(self):
+        metrics = LookupLog()
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3, n_storage_nodes=2), metrics=metrics
+        )
+        metrics.lookups.clear()
+        items = tier_flush_and_query(cluster)
+        assert [
+            n for n in metrics.lookups
+            if n.startswith(("storage.rpc.", "storage.node."))
+        ] == []
+        assert [key for key, _ in items] == [f"e/{i}" for i in range(10)]
+        # One mput per shard per node holding its keys (four pairs), and
+        # one scan per node that the query's three shards share.
+        assert metrics.counter("storage.rpc.calls").value == 6
+        assert metrics.histogram("storage.rpc.latency_s").count == 6
+        assert metrics.counter("storage.rpc.bytes").value > 0
+        assert sum(
+            metrics.counter(f"storage.node.{name}.ops").value
+            for name in cluster.storage.node_names
+        ) == 6
 
     def test_a_page_hit_a_miss_and_an_eviction(self):
         metrics = LookupLog()
@@ -323,6 +383,35 @@ class TestBoundCountersSurviveReset:
         assert snapshot["cluster.continuous.evaluations"] == 2
         assert snapshot["cluster.query.fanout_results.count"] == 3
         assert sum(metrics.histogram("cluster.router.batch_size").samples) == 10
+
+    def test_a_local_engine_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        cluster = standing(metrics)
+        local_scenario(cluster)
+        metrics.reset()
+        local_scenario(cluster)
+        snapshot = metrics.snapshot()
+        assert snapshot["kv.puts"] == 10
+        assert snapshot["kv.gets"] == 8  # hydrated views scan no more
+        assert snapshot["kv.scans"] == 3
+        assert snapshot["kv.deletes"] == 1
+
+    def test_the_storage_rpc_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=3, n_storage_nodes=2), metrics=metrics
+        )
+        tier_flush_and_query(cluster)
+        metrics.reset()
+        tier_flush_and_query(cluster)
+        snapshot = metrics.snapshot()
+        assert snapshot["storage.rpc.calls"] == 6
+        assert snapshot["storage.rpc.latency_s.count"] == 6
+        assert snapshot["storage.rpc.bytes"] > 0
+        assert sum(
+            snapshot[f"storage.node.{name}.ops"]
+            for name in cluster.storage.node_names
+        ) == 6
 
     def test_the_pool_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()

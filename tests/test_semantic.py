@@ -5,7 +5,10 @@ end-to-end behaviour through the platform / cluster / geo layers.
 The Hypothesis properties pin the three invariants the benchmark leans
 on: tombstoned keys never resurface (and re-inserted ones always do),
 recall against the brute-force oracle clears a floor on seeded gaussian
-corpora, and the scatter-gather merge is partition-invariant.
+corpora, and the scatter-gather merge is partition-invariant.  A fourth
+holds the index to its derived-state lifecycle on a storage tier: after
+every semantic query, each live shard's graph is exactly the describable
+stored rows it owns, under writes, drops, remaps, kills and outages.
 """
 
 import heapq
@@ -17,9 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.core import ConfigurationError, DataKind, DataRecord, Space
+from repro.core import ConfigurationError, DataKind, DataRecord, FaultInjectedError, Space
+from repro.core.records import KEY_MAX
 from repro.platform import MetaversePlatform
+from repro.platform.platform import stored_record_value
 from repro.query.plane import QueryPlan
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.storage.engine import LocalStorageEngine
 from repro.workloads import RetrievalConfig, RetrievalWorkload
 from repro.semantic import (
     HNSWIndex,
@@ -399,7 +406,7 @@ class TestSemanticIndex:
         for i in (5, 2, 9, 2, 7):  # out of order, one rewritten
             index.index_record(f"s/{i}", scene_payload(i + 10 * (i == 2)))
             index.index_record(f"s/{i}", scene_payload(i))
-        index.discard("s/9")
+        index.on_drop("s/9")
         keys, matrix = index.hnsw.live_rows()
         assert keys == ["s/2", "s/5", "s/7"]
         for key, row in zip(keys, matrix):
@@ -490,9 +497,41 @@ class TestDeploymentIntegration:
         platform.write_record(record("s/03", scene_payload(4)))
         assert hnsw.node_count == nodes + 1 and len(platform.semantic) == 12
 
-    def test_semantic_index_rejects_disaggregated_mode(self):
-        with pytest.raises(ConfigurationError, match="semantic_index"):
-            ClusterConfig(n_shards=2, n_storage_nodes=2, semantic_index=True).validate()
+    def test_semantic_index_runs_on_a_storage_tier(self):
+        config = ClusterConfig(n_shards=2, n_storage_nodes=2, semantic_index=True)
+        assert config.validate() is config
+
+    def test_tier_topk_equals_local_topk_across_a_join_a_drop_and_a_kill(self):
+        """Each tier shard hydrates its graph from its owned rows, and a
+        remap or a re-mount resets it: the answer is the local cluster's,
+        whose graphs were built write by write."""
+        tier = self.seed(PlatformCluster(config=ClusterConfig(
+            n_shards=3, n_storage_nodes=2, semantic_index=True
+        )))
+        local = self.seed(
+            PlatformCluster(config=ClusterConfig(n_shards=3, semantic_index=True))
+        )
+        request = semantic_query("wooden table garden", k=6, ef=64)
+
+        def same():
+            a, b = tier.query(request), local.query(request)
+            assert a.failed_shards == b.failed_shards == ()
+            assert [k for k, _ in a.items] == [k for k, _ in b.items]
+            for (_, sa), (_, sb) in zip(a.items, b.items):
+                assert sa == pytest.approx(sb, abs=1e-12)
+            return a.items
+
+        same()
+        for plane in (tier, local):
+            plane.add_shard("joined")
+        victim = same()[0][0]
+        for plane in (tier, local):
+            plane.drop_entity(victim)
+        assert victim not in [k for k, _ in same()]
+        tier.kill_shard(tier.router.owner_of(same()[0][0]))
+        tier.tick(1.0)
+        local.tick(1.0)
+        same()
 
     def test_columnar_batch_update_evicts_describable_records(self):
         """The columnar batch path carries numeric fields only, so a
@@ -509,3 +548,246 @@ class TestDeploymentIntegration:
         assert len(platform.semantic) == 7 and "s/03" not in platform.semantic
         keys = [k for k, _ in platform.query(semantic_query("red chair", k=8)).items]
         assert "s/03" not in keys
+
+
+class TestOneLifecycleDefects:
+    """The semantic index is derived state like the position index:
+    an engine that already holds entities is hydrated, not assumed
+    empty, and ``reset_caches`` drops it like every other cache."""
+
+    def test_an_injected_engine_holding_entities_is_hydrated(self):
+        engine = LocalStorageEngine()
+        engine.mput([
+            (f"obj/{i}", stored_record_value(record(f"obj/{i}", scene_payload(i))))
+            for i in range(5)
+        ])
+        platform = MetaversePlatform(engine=engine, semantic_index=True)
+        assert len(platform.scan_prefix("").items) == 5
+        hits = platform.query(semantic_query("red chair", k=5)).items
+        assert sorted(key for key, _ in hits) == [f"obj/{i}" for i in range(5)]
+
+    def test_reset_caches_then_a_delete_behind_its_back_is_not_served(self):
+        platform = MetaversePlatform(semantic_index=True)
+        platform.ingest_many(
+            [record(f"obj/{i}", scene_payload(i)) for i in range(5)]
+        )
+        platform.tick(1.0)
+        request = semantic_query("red chair", k=5)
+        assert "obj/0" in [key for key, _ in platform.query(request).items]
+        platform.reset_caches()
+        platform.engine.delete("obj/0")
+        keys = [key for key, _ in platform.query(request).items]
+        assert sorted(keys) == [f"obj/{i}" for i in range(1, 5)]
+
+    def test_distance_evals_count_across_a_reset(self):
+        platform = MetaversePlatform(semantic_index=True)
+        platform.ingest_many(
+            [record(f"obj/{i}", scene_payload(i)) for i in range(8)]
+        )
+        platform.tick(1.0)
+        built = platform.semantic.distance_evals
+        assert built > 0
+        platform.reset_caches()
+        assert platform.semantic.hnsw is None
+        assert platform.semantic.distance_evals == built
+        platform.query(semantic_query("red chair", k=3))
+        assert platform.semantic.distance_evals > built
+
+
+# -- the semantic index on a storage tier -----------------------------------------
+
+N_TIER_KEYS = 12
+TIER_TEXTS = ("red chair", "wooden table garden", "glass lamp lobby")
+#: Windows of the property's fault plan in which every storage RPC
+#: crashes; an ``outage`` op jumps the clock into the next one.
+OUTAGES = [1000.0 * (i + 1) for i in range(30)]
+OUTAGE_S = 10.0
+
+tier_ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, N_TIER_KEYS - 1), st.booleans()),
+    st.tuples(
+        st.just("put"),
+        st.lists(
+            st.tuples(st.integers(0, N_TIER_KEYS - 1), st.booleans()),
+            min_size=1, max_size=4,
+        ),
+    ),
+    st.tuples(st.just("drop"), st.integers(0, N_TIER_KEYS - 1)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("query"), st.sampled_from(TIER_TEXTS)),
+    st.tuples(st.just("join")),
+    st.tuples(st.just("leave"), st.integers(0, 7)),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+    st.tuples(st.just("outage"), st.sampled_from(TIER_TEXTS)),
+)
+tier_scripts = st.lists(tier_ops, min_size=1, max_size=20)
+
+
+def tier_record(index, describable, serial):
+    payload = scene_payload(serial) if describable else {"v": serial}
+    return record(f"k/{index:02d}", payload)
+
+
+def stored_rows(cluster):
+    """Every (key, stored value) on the tier, read off its nodes directly."""
+    rows = {}
+    for node in cluster.storage.nodes.values():
+        rows.update(node.engine.scan("", KEY_MAX))
+    return rows
+
+
+def down(cluster):
+    return {name for name in cluster.shards if cluster._is_down(name)}
+
+
+def assert_graphs_are_the_tier(cluster, text):
+    """Every live shard's graph holds exactly the describable stored keys
+    it owns, each with the vector ``indexed_vector`` gives its stored
+    payload, and its exact search is the brute force over those rows."""
+    rows = stored_rows(cluster)
+    query = normalize(embed_text(text))
+    for name, shard in cluster.shards.items():
+        if cluster._is_down(name):
+            continue
+        owned = {
+            key: indexed_vector(key, value["payload"])
+            for key, value in sorted(rows.items())
+            if cluster.router.owner_of(key) == name
+        }
+        owned = {key: vector for key, vector in owned.items() if vector is not None}
+        assert shard.semantic.hnsw is not None, name
+        keys, matrix = shard.semantic.hnsw.live_rows()
+        assert keys == list(owned), name
+        for key, row in zip(keys, matrix):
+            assert np.array_equal(row, normalize(owned[key])), key
+        oracle = brute_force_topk(
+            list(owned), np.stack(list(owned.values())), query, 5
+        ) if owned else []
+        found = shard.semantic.exact_search(query, 5)
+        assert [key for key, _ in found] == [key for key, _ in oracle], name
+        assert [score for _, score in found] == pytest.approx(
+            [score for _, score in oracle], abs=1e-12
+        )
+
+
+def outage(cluster, text):
+    """A semantic query while every storage RPC crashes: a shard whose
+    graph is unknown cannot hydrate, so it is reported failed and stays
+    unknown; a hydrated shard answers from its graph."""
+    start = next(at for at in OUTAGES if at > cluster.clock.now)
+    cluster.clock.advance(start + 1.0 - cluster.clock.now)
+    unknown = {
+        name for name, shard in cluster.shards.items()
+        if name not in down(cluster) and shard.semantic.hnsw is None
+    }
+    result = cluster.query(semantic_query(text, k=5))
+    assert set(result.failed_shards) == unknown | down(cluster)
+    assert all(cluster.shards[name].semantic.hnsw is None for name in unknown)
+    cluster.clock.advance(start + OUTAGE_S + 1.0 - cluster.clock.now)
+
+
+def run_tier_script(script):
+    """Play ``script`` on a 3-shard cluster over a 2-node storage tier
+    and hold the graphs equal to the tier after every semantic query."""
+    plan = FaultPlan(rules=[
+        FaultRule(site="storage.rpc", kind="crash", rate=1.0,
+                  start=at, end=at + OUTAGE_S)
+        for at in OUTAGES
+    ], seed=3)
+    cluster = PlatformCluster(
+        ClusterConfig(n_shards=3, n_storage_nodes=2, semantic_index=True),
+        faults=FaultInjector(plan),
+    )
+    cluster.ingest_many([tier_record(i, i % 3 != 0, i) for i in range(N_TIER_KEYS)])
+    cluster.flush()
+    cluster.query(semantic_query(TIER_TEXTS[0], k=5))  # hydrate early
+    for serial, op in enumerate(script, start=1):
+        kind, names = op[0], cluster.router.shards
+        if kind == "write":
+            cluster.ingest(tier_record(op[1], op[2], serial))
+        elif kind == "put":
+            cluster.write_records([
+                tier_record(index, describable, serial)
+                for index, describable in op[1]
+            ])
+        elif kind == "drop":
+            key = f"k/{op[1]:02d}"
+            if not cluster.pending_count and not cluster._is_down(
+                cluster.router.owner_of(key)
+            ):
+                cluster.drop_entity(key)
+        elif kind == "flush":
+            cluster.flush()
+        elif kind == "tick":
+            cluster.tick(0.5)
+        elif kind == "query":
+            result = cluster.query(semantic_query(op[1], k=5))
+            assert set(result.failed_shards) == down(cluster)
+            assert_graphs_are_the_tier(cluster, op[1])
+        elif kind == "join" and len(names) < 5:
+            cluster.add_shard(f"joined-{serial}")
+        elif kind == "leave" and len(names) > 1:
+            victim = names[op[1] % len(names)]
+            if not cluster._is_down(victim):
+                cluster.remove_shard(victim)
+        elif kind == "kill":
+            victim = names[op[1] % len(names)]
+            if not cluster._is_down(victim):
+                cluster.kill_shard(victim)
+        elif kind == "outage":
+            outage(cluster, op[1])
+    cluster.tick(0.5)  # re-mounts whatever is down and flushes the rest
+    assert down(cluster) == set() and cluster.pending_count == 0
+    for text in TIER_TEXTS:
+        assert cluster.query(semantic_query(text, k=5)).failed_shards == ()
+        assert_graphs_are_the_tier(cluster, text)
+
+
+class TestSemanticOnATier:
+    def test_a_write_raising_mid_mput_resets_the_index(self):
+        """A bulk write whose storage-0 group landed and whose storage-1
+        group stayed faulted resets the writer's index (it is exact), so
+        the next search re-hydrates it from what the tier holds."""
+        plan = FaultPlan(rules=[FaultRule(
+            site="storage.rpc", kind="crash", rate=1.0, start=100.0,
+            end=110.0, target="compute/shard-0@1->storage-1",
+        )], seed=3)
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=2, n_storage_nodes=2, semantic_index=True),
+            faults=FaultInjector(plan),
+        )
+        cluster.ingest_many([record(f"k/{i:02d}", scene_payload(i)) for i in range(30)])
+        cluster.flush()
+        request = semantic_query("red chair", k=5)
+        assert cluster.query(request).failed_shards == ()
+        mine = [key for key in sorted(stored_rows(cluster))
+                if cluster.router.owner_of(key) == "shard-0"]
+        landed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-0")
+        failed = next(k for k in mine if cluster.storage.node_of(k).name == "storage-1")
+        index = cluster.shards["shard-0"].semantic
+        assert landed in index and failed in index
+        cluster.clock.advance(100.0 - cluster.clock.now)
+        with pytest.raises(FaultInjectedError):
+            cluster.write_records([record(landed, {"v": 1}), record(failed, {"v": 1})])
+        assert index.hnsw is None
+        cluster.clock.advance(10.0)
+        assert cluster.query(request).failed_shards == ()
+        assert landed not in index and failed in index
+        assert_graphs_are_the_tier(cluster, "red chair")
+
+    @settings(max_examples=50, deadline=None)
+    @given(script=tier_scripts)
+    def test_graphs_equal_the_tier_under_writes_remaps_kills_and_outages(
+        self, script
+    ):
+        run_tier_script(script)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(script=tier_scripts)
+    def test_sweep_graphs_equal_the_tier(self, request, script):
+        """The property above at 1,000 examples, for the nightly tier."""
+        if not request.config.getoption("markexpr"):
+            pytest.skip("nightly sweep: select it with -m slow")
+        run_tier_script(script)
