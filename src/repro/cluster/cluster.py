@@ -830,11 +830,19 @@ class PlatformCluster:
         self._emit(owner, drop_entity_op, key)
 
     def import_product(self, key: str, value: dict) -> None:
-        """Install product record ``value`` on ``key``'s owner — a product
-        write the owner's log never saw is undone by the next promotion."""
-        owner = self.router.owner_of(key)
-        self.shards[owner].import_product(key, value)
-        self._emit(owner, product_op, key, value)
+        self.import_products([(key, value)])
+
+    @_tap_scope
+    def import_products(self, items: list) -> None:
+        """Install ``(key, product record)`` items on their owners: one
+        bulk import per owner — a product write the owner's log never saw
+        is undone by the next promotion."""
+        for owner, batch in group_by_owner(
+            self.router.owner_of, items, itemgetter(0)
+        ).items():
+            self.shards[owner].import_products(batch)
+            if self._op_sinks:
+                self._tap(owner, [product_op(key, value) for key, value in batch])
 
     def drop_product(self, key: str) -> None:
         owner = self.router.owner_of(key)

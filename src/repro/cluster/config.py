@@ -97,7 +97,8 @@ class ClusterConfig:
     phi_threshold: float = 8.0
     n_storage_nodes: int | None = None
     #: Compact replica op logs once a shard's primary copy exceeds this
-    #: many entries (None disables compaction entirely).
+    #: many records — a record is what one call logged for the shard, so
+    #: it may hold many ops (None disables compaction entirely).
     replica_log_compact_threshold: int | None = 4096
     #: Records per second each shard drains from its ingest queue per
     #: tick (None = unbounded: every buffered record flushes

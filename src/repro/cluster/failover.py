@@ -22,8 +22,9 @@ substrate:
   and emits it, as the op it is logged as, through its one tap
   (:meth:`PlatformCluster.add_op_sink`) when the cluster call returns;
   the :class:`FailoverManager` logs each ``(shard, ops)`` segment with
-  ``replicator.log_op``, so nothing else ever writes to these logs but
-  :meth:`FailoverManager.resync` seeding them after a membership change;
+  ``replicator.log_op`` as one record, so nothing else ever writes to
+  these logs but :meth:`FailoverManager.resync` seeding each shard as one
+  record after a membership change;
 * **promotion** — when the detector suspects a shard, the
   :class:`FailoverManager` folds the LSN-union of the surviving copies
   (tolerant of torn tails and of holes from dropped replication messages)
@@ -154,12 +155,15 @@ class ShardReplicator:
     Each shard's (the *owner*'s) log is copied to its R-1 distinct ring
     successors (:meth:`ShardRouter.replica_holders`, the
     :meth:`~repro.net.overlay.ChordRing.successors` walk).  Shipping is
-    synchronous: a live holder adopts a *segment* (what one cluster call
-    committed on the owner) inside :meth:`log_op` — a ``cluster.replicate``
-    drop is offered again, and only a segment dropped :data:`SHIP_OFFERS`
-    times leaves LSN holes — a *down* holder a hint per entry, delivered
-    when it returns.  No log is authoritative on repair — the primary can
-    be the torn one — so anti-entropy rebuilds from the LSN-union of all copies.
+    synchronous: a *segment* (what one cluster call committed on the
+    owner) is one log record, which a live holder adopts inside
+    :meth:`log_op` — a ``cluster.replicate`` drop is offered again, and
+    only a record dropped :data:`SHIP_OFFERS` times leaves an LSN hole — and
+    a *down* holder gets it as one hint, delivered when it returns.  A torn
+    primary tail drops whole records: one call's ops for one owner are in
+    a copy all or none.  No log is authoritative on repair — the primary
+    can be the torn one — so anti-entropy rebuilds from the LSN-union of
+    all copies.
     """
 
     def __init__(
@@ -183,6 +187,9 @@ class ShardReplicator:
         self._hints_buffered = self.metrics.counter("cluster.failover.hints_buffered")
         self._dropped = self.metrics.counter("cluster.failover.replication_dropped")
         self._hints_delivered = self.metrics.counter("cluster.failover.hints_delivered")
+        self._repairs = self.metrics.counter("cluster.failover.antientropy_repairs")
+        self._compactions = self.metrics.counter("cluster.failover.log_compactions")
+        self._compacted = self.metrics.counter("cluster.failover.compacted_entries")
 
     def holders(self, owner: str) -> list[str]:
         """Replica holders of ``owner``'s log, owner first."""
@@ -208,25 +215,25 @@ class ShardReplicator:
     # -- the write path -----------------------------------------------------
 
     def log_op(self, owner: str, ops: list[dict]) -> None:
-        """Log a segment of absolute-state ops for ``owner`` and replicate
-        it.  ``cluster.failover.replication_dropped`` counts entries an up
-        holder never took, not offers."""
+        """Log a segment of absolute-state ops for ``owner`` as one record
+        and replicate it.  ``cluster.failover.replicated_ops`` counts ops;
+        ``hints_buffered`` and ``replication_dropped`` count records (a
+        drop is a record an up holder never took, not an offer)."""
         log = self.log(owner)
-        entries = list(map(log.append, ops))
+        lsn, payload = log.append(ops)
         for holder in log.holders:
             if holder in self._down:
-                log.buffer_hints(holder, entries)
-                self._hints_buffered.inc(len(entries))
+                log.buffer_hints(holder, [(lsn, payload)])
+                self._hints_buffered.inc()
             elif self.faults is not None and all(
                 self.faults.decide("cluster.replicate", f"{owner}->{holder}", ("drop",)).faulted
                 for _ in range(SHIP_OFFERS)
             ):
-                self._dropped.inc(len(entries))
+                self._dropped.inc()
                 self.holed.add(owner)
             else:
-                for lsn, payload in entries:
-                    log.adopt(holder, lsn, payload)
-        self._replicated.inc(len(entries))
+                log.adopt(holder, lsn, payload)
+        self._replicated.inc(len(ops))
 
     # -- holder availability ------------------------------------------------
 
@@ -252,13 +259,13 @@ class ShardReplicator:
         log = self.log(owner)
         diverged = bool(log.repair([owner, *log.holders]))
         if diverged:
-            self.metrics.counter("cluster.failover.antientropy_repairs").inc()
+            self._repairs.inc()
         return diverged
 
     # -- log compaction -----------------------------------------------------
 
     def entry_count(self, owner: str) -> int:
-        """Intact entries in ``owner``'s primary log copy."""
+        """Intact records in ``owner``'s primary log copy."""
         return self.log(owner).primary_count
 
     def compact_if_due(self, owner: str, threshold: int | None) -> None:
@@ -272,10 +279,8 @@ class ShardReplicator:
             return
         removed = sum(log.compact(skip=self._down).values())
         if removed:
-            self.metrics.counter("cluster.failover.log_compactions").inc()
-            self.metrics.counter(
-                "cluster.failover.compacted_entries"
-            ).inc(removed)
+            self._compactions.inc()
+            self._compacted.inc(removed)
 
 
 class ReplicaStandIn:

@@ -13,9 +13,10 @@ entries (:mod:`repro.geo.replication`) over the WAN.
 What one cluster call commits crosses the WAN once: a region's
 :class:`PlatformCluster` delivers it through its op tap when the call
 returns, and the sink this module registers per region
-(:meth:`GeoDeployment._log_and_ship`) logs it in the home's log and ships
-it as one *segment* — ``[(lsn, payload), …]`` in log order — per
-destination region, in one ``geo.repl`` message.  The deployment builds
+(:meth:`GeoDeployment._log_and_ship`) logs it in the home's log as one
+record and ships it as one *segment* — ``[(lsn, payload)]``, a drained
+hint buffer ``[(lsn, payload), …]`` in log order — per destination
+region, in one ``geo.repl`` message.  The deployment builds
 no op and touches no shard: a segment lands *through* the destination
 region's cluster, folded once, as one import per shard (so its failover
 log, if it keeps one, carries the copies), and the sink skips those
@@ -39,7 +40,7 @@ WAN faults are injected under the ``geo.wan`` site (partition / drop /
 delay), decided once per segment and destination, independent from
 single-region ``net.link`` plans.  A dropped segment leaves visible LSN
 holes repaired by set-digest anti-entropy; an unreachable destination
-gets hinted handoff, entry by entry in log order, drained as one
+gets hinted handoff, record by record in log order, drained as one
 segment.  Region kills use the outage model: the region's state survives, writes to its
 home keys are deferred (ingest) or fail fast (purchases — never queued,
 preserving exactly-once), and a restart drains deferrals, hints, and
@@ -148,7 +149,9 @@ class GeoConfig:
     propagation latency in seconds; pairs without an entry use
     :data:`DEFAULT_WAN_LATENCY_S`.  ``cluster`` is the per-region template
     (every region runs an identical cluster); it defaults to a small
-    2-shard cluster.
+    2-shard cluster.  ``compact_threshold`` compacts a home log once its
+    primary copy exceeds that many records — a record is what one call
+    logged for the home, so it may hold many ops (None: never).
     """
 
     regions: tuple[str, ...] = ("us-east", "eu-west", "ap-south")
@@ -275,7 +278,7 @@ class GeoDeployment:
         # True while :meth:`_land` is writing replica state to a cluster.
         self._landing = False
         # While :meth:`ingest_many` writes one home's records: key -> the
-        # LSNs logged for it, in log order.
+        # LSNs of the log records that wrote it, one per op, in log order.
         self._written: dict[str, list[int]] | None = None
         self._down: set[str] = set()
         self._deferred: dict[str, list[DataRecord]] = {}
@@ -306,6 +309,13 @@ class GeoDeployment:
         # Query-plane executor: plans/rewrites once per geo query; the
         # regions' clusters then run the resolved plan as-is.
         self.query_executor = QueryExecutor()
+        # The write, ship, delivery and anti-entropy paths' counters, bound
+        # once; fault paths look theirs up.
+        self._writes = self.metrics.counter("geo.writes")
+        self._shipped = self.metrics.counter("geo.repl.shipped")
+        self._delivered = self.metrics.counter("geo.repl.delivered")
+        self._applied = self.metrics.counter("geo.repl.applied")
+        self._lacked = self.metrics.counter("geo.antientropy.repaired_entries")
 
     # -- topology ----------------------------------------------------------
 
@@ -387,21 +397,21 @@ class GeoDeployment:
 
     def _log_and_ship(self, home: str, segments) -> None:
         """Region ``home``'s op sink: log what one call of its cluster
-        committed in ``home``'s log and ship it, skipping what
-        :meth:`_land` commits (a copy, not a mutation of ``home``'s)."""
+        committed in ``home``'s log as one record and ship it, skipping
+        what :meth:`_land` commits (a copy, not a mutation of ``home``'s)."""
         if self._landing:
             return
-        now, written = self.clock.now, self._written
-        entries = []
-        for _, ops in segments:
+        ops = [op for _, segment in segments for op in segment]
+        if not ops:
+            return
+        lsn, payload = self.replicator.log_op(home, ops, self.clock.now)
+        written = self._written
+        if written is not None:
             for op in ops:
-                lsn, payload = self.replicator.log_op(home, op, now)
-                if written is not None:
-                    written.setdefault(op["k"], []).append(lsn)
-                entries.append((lsn, payload))
+                written.setdefault(op["k"], []).append(lsn)
         for dst in self.config.regions:
             if dst != home:
-                self._ship(home, dst, entries)
+                self._ship(home, dst, [(lsn, payload)])
 
     def _ship(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> None:
         # Once a pair has hints queued, everything later must queue behind
@@ -439,7 +449,7 @@ class GeoDeployment:
         except PartitionedError:
             self.replicator.buffer_hints(home, dst, entries)
             return False
-        self.metrics.counter("geo.repl.shipped").inc()
+        self._shipped.inc()
         return True
 
     def _on_repl(self, message: Message) -> None:
@@ -452,7 +462,7 @@ class GeoDeployment:
             self.replicator.buffer_hints(home, dst, entries)
             return
         with self.tracer.span("geo.repl.deliver", entries=len(entries)) as span:
-            delivered = self.metrics.counter("geo.repl.delivered")
+            delivered = self._delivered
             before = delivered.value
             state = self.replicator.deliver(home, dst, entries)
             landed = 0 if state is None else self._land(home, dst, state)
@@ -460,7 +470,7 @@ class GeoDeployment:
                 span.set_attribute("fresh", int(delivered.value - before))
                 span.set_attribute("landed", landed)
         if landed:
-            self.metrics.counter("geo.repl.applied").inc()
+            self._applied.inc()
 
     def _land(self, home: str, region: str, state: PostState) -> int:
         """Land ``home``-log post-states on ``region``'s replica state;
@@ -522,7 +532,7 @@ class GeoDeployment:
         rebuilt copy that lacked none held an extra one the primary has
         since compacted away; arrival order alone is not divergence).
         """
-        lacked = self.metrics.counter("geo.antientropy.repaired_entries")
+        lacked = self._lacked
         lacked_before = lacked.value
         pairs = rebuilt = 0
         with self.tracer.span("geo.antientropy") as span:
@@ -599,7 +609,7 @@ class GeoDeployment:
                     lsns[i] = logged.pop()
             if session is not None:
                 session.observe(home, max(lsns[i] or 0 for i in rows))
-            self.metrics.counter("geo.writes").inc(len(batch))
+            self._writes.inc(len(batch))
         return lsns
 
     def load_catalog(self, records: list[DataRecord]) -> None:
@@ -967,7 +977,7 @@ class GeoDeployment:
     # -- introspection -----------------------------------------------------
 
     def replication_lag(self) -> dict[tuple[str, str], int]:
-        """Outstanding entries per (home, destination) pair."""
+        """Outstanding records per (home, destination) pair."""
         return {
             (home, dst): self.replicator.lag(home, dst)
             for home in self.config.regions

@@ -15,10 +15,13 @@ Shipping over the simulated WAN and landing post-states on region
 clusters is the deployment's job (:mod:`repro.geo.deployment`), which
 keeps this class deterministic and network-free.  So is feeding it: the
 one caller of :meth:`GeoReplicator.log_op` is the op sink the deployment
-registers on each region's cluster — the cluster builds the op when the
-mutation commits, this class only logs it.  What travels is a *segment*:
-the ``(lsn, payload)`` entries one cluster call committed, in log order,
-which :meth:`GeoReplicator.deliver` adopts whole and folds once.
+registers on each region's cluster — the cluster builds the ops when the
+mutation commits, this class only logs them: what one cluster call
+committed is one log *record* (every segment's ops, in order), one LSN.
+What travels is a *segment* of ``(lsn, payload)`` records in log order —
+one fresh record, or a pair's hints drained together — which
+:meth:`GeoReplicator.deliver` adopts whole and folds once.  Watermarks,
+lag, hints and the delivery counters count records.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ class _Progress:
 
     def __init__(self) -> None:
         self.received: set[int] = set()  # LSNs adopted from the primary
-        self.index = 0      # primary entries [0, index) are all adopted
-        self.watermark = 0  # LSN of entry index-1 (0 before the first)
-        self.lag = 0        # primary entries not yet adopted
+        self.index = 0      # primary records [0, index) are all adopted
+        self.watermark = 0  # LSN of record index-1 (0 before the first)
+        self.lag = 0        # primary records not yet adopted
 
 
 class GeoReplicator:
@@ -65,6 +68,9 @@ class GeoReplicator:
         # staleness-in-seconds walk these instead of rescanning the log.
         self._primary_lsns: dict[str, list[int]] = {h: [] for h in self.regions}
         self._logged_at: dict[str, dict[int, float]] = {h: {} for h in self.regions}
+        self._logged = self.metrics.counter("geo.repl.logged")
+        self._delivered = self.metrics.counter("geo.repl.delivered")
+        self._duplicates = self.metrics.counter("geo.repl.duplicates")
 
     def log(self, home: str) -> ReplicatedLog:
         """``home``'s replicated log (tests, audits)."""
@@ -72,14 +78,15 @@ class GeoReplicator:
 
     # -- primary side ------------------------------------------------------
 
-    def log_op(self, home: str, op: dict, now: float) -> tuple[int, bytes]:
-        """Append ``op`` to ``home``'s primary log; return (lsn, payload)."""
-        lsn, payload = self._logs[home].append(op)
+    def log_op(self, home: str, ops: list[dict], now: float) -> tuple[int, bytes]:
+        """Append ``ops`` to ``home``'s primary log as one record; return
+        its ``(lsn, payload)``."""
+        lsn, payload = self._logs[home].append(ops)
         self._primary_lsns[home].append(lsn)
         self._logged_at[home][lsn] = now
         for progress in self._progress[home].values():
             progress.lag += 1
-        self.metrics.counter("geo.repl.logged").inc()
+        self._logged.inc()
         return lsn, payload
 
     # -- destination side --------------------------------------------------
@@ -87,12 +94,12 @@ class GeoReplicator:
     def deliver(
         self, home: str, dst: str, entries: list[tuple[int, bytes]]
     ) -> PostState | None:
-        """Adopt one shipped segment of ``(lsn, payload)`` entries into
+        """Adopt one shipped segment of ``(lsn, payload)`` records into
         ``dst``'s copy of ``home``'s log; return the post-state of the
-        entries new to it, folded once, for the caller to land on
+        records new to it, folded once, for the caller to land on
         ``dst``'s cluster.
 
-        Idempotent: hints and anti-entropy can re-ship an entry that is
+        Idempotent: hints and anti-entropy can re-ship a record that is
         also in flight, so an LSN the copy already holds is skipped
         (``None`` when the segment holds nothing new).
         """
@@ -108,13 +115,11 @@ class GeoReplicator:
                 progress.lag -= 1
             fresh.append(WalEntry(lsn, payload))
         if len(fresh) < len(entries):
-            self.metrics.counter("geo.repl.duplicates").inc(
-                len(entries) - len(fresh)
-            )
+            self._duplicates.inc(len(entries) - len(fresh))
         if not fresh:
             return None
         self._advance_watermark(home, progress)
-        self.metrics.counter("geo.repl.delivered").inc(len(fresh))
+        self._delivered.inc(len(fresh))
         return fold(fresh)
 
     def _advance_watermark(self, home: str, progress: _Progress) -> None:
@@ -127,15 +132,15 @@ class GeoReplicator:
     # -- lag / staleness ---------------------------------------------------
 
     def watermark(self, home: str, dst: str) -> int:
-        """Highest LSN below which ``dst`` has every primary entry."""
+        """Highest LSN below which ``dst`` has every primary record."""
         return self._progress[home][dst].watermark
 
     def lag(self, home: str, dst: str) -> int:
-        """Primary entries not yet adopted by ``dst`` (0 = converged)."""
+        """Primary records not yet adopted by ``dst`` (0 = converged)."""
         return self._progress[home][dst].lag
 
     def staleness_s(self, home: str, dst: str, now: float) -> float:
-        """Age (simulated seconds) of the oldest entry ``dst`` is missing."""
+        """Age (simulated seconds) of the oldest record ``dst`` is missing."""
         lsns, index = self._primary_lsns[home], self._progress[home][dst].index
         if index >= len(lsns):
             return 0.0
@@ -144,7 +149,7 @@ class GeoReplicator:
     # -- hinted handoff ----------------------------------------------------
 
     def buffer_hints(self, home: str, dst: str, entries: list[tuple[int, bytes]]) -> None:
-        """Park entries bound for an unreachable ``dst``, one hint each, in
+        """Park records bound for an unreachable ``dst``, one hint each, in
         ship order."""
         self._logs[home].buffer_hints(dst, entries)
         self.metrics.counter("geo.repl.hints_buffered").inc(len(entries))

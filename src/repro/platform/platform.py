@@ -233,9 +233,12 @@ class MetaversePlatform:
         # ownership moves (a re-mount is a fresh platform).  Another
         # mount's write is seen once reset_caches() re-hydrates; until
         # then a position can be stale, never wrong (spatial_items
-        # re-checks what it fetched).
+        # re-checks what it fetched).  The exact ones are kept only by a
+        # sole writer: elsewhere a view is never built and the semantic
+        # index re-hydrates on every search.
         self._positions = PositionIndex()
         self.semantic = SemanticIndex() if semantic_index else None
+        self._searches = self.metrics.counter("platform.semantic.searches")
         self._views: dict[str, PrefixView] = {}
         self._derived: list[DerivedState] = [self._positions]
         if self.semantic is not None:
@@ -586,13 +589,19 @@ class MetaversePlatform:
     def semantic_search(
         self, vector, k: int, ef: int | None = None
     ) -> list[tuple[str, float]]:
-        """Shard-local ANN top-k over this node's semantic index (hydrated first)."""
+        """Shard-local ANN top-k over this node's semantic index (hydrated
+        first).  The index is exact state, so, as a :class:`PrefixView`,
+        it is kept only by its keys' sole writer: on any other node every
+        search re-hydrates it from one owned scan, and a key another
+        writer changed or deleted is never answered from an old graph."""
         if self.semantic is None:
             raise ConfigurationError(
                 "semantic index not enabled; build the platform with "
                 "semantic_index=True"
             )
-        self.metrics.counter("platform.semantic.searches").inc()
+        self._searches.inc()
+        if not self._sole_writer:
+            self.semantic.reset()
         self._hydrated(self.semantic)
         return self.semantic.search(vector, k, ef=ef)
 
@@ -662,8 +671,7 @@ class MetaversePlatform:
     # -- marketplace transactions --------------------------------------------------
 
     def load_catalog(self, records: list[DataRecord]) -> None:
-        for record in records:
-            self.import_product(record.key, record.payload)
+        self.import_products([(record.key, record.payload) for record in records])
 
     # -- product write-through / hydration ----------------------------------
     #
@@ -965,8 +973,17 @@ class MetaversePlatform:
         return {key: dict(value) for key, value in store.scan_at(store.last_commit_ts)}
 
     def import_product(self, product_id: str, value: dict) -> None:
-        self._install_product(product_id, value)
-        self.persist_committed(product_id, dict(value))
+        self.import_products([(product_id, value)])
+
+    def import_products(self, items: list) -> None:
+        """Adopt migrated or replicated ``(product_id, record)`` items in
+        one MVCC commit, then write each through."""
+        txn = self.txn.begin()
+        for product_id, value in items:
+            txn.write(product_id, dict(value))
+        self.txn.commit(txn)
+        for product_id, value in items:
+            self.persist_committed(product_id, dict(value))
 
     def drop_product(self, product_id: str) -> None:
         txn = self.txn.begin()

@@ -7,14 +7,22 @@ this module is the single owner of its three decisions:
 * **the op format** — every logged mutation is an *absolute post-state*
   (entity value, product record, stock level after a committed purchase),
   never the request, so replay is idempotent and cannot re-execute a
-  purchase (:func:`entity_op` … :func:`stock_op`, :func:`encode`) — and
-  so a writer may log what *changed* rather than what *happened*: a
-  purchase call commits once and logs one ``stock`` op per product it
-  sold (:meth:`MetaversePlatform.process_purchases`);
-* **the fold** — :func:`fold` reduces entries *in LSN order*, whatever
-  order they were delivered in, to each key's post-state and highest LSN;
-  :func:`apply` lands that on shards behind a per-key applied-LSN guard;
-  :func:`compact_entries` drops what the fold would never look at;
+  purchase (:func:`entity_op` … :func:`stock_op`) — and so a writer may
+  log what *changed* rather than what *happened*: a purchase call commits
+  once and logs one ``stock`` op per product it sold
+  (:meth:`MetaversePlatform.process_purchases`);
+* **the record** — a log entry is one *record*: the ops one call
+  committed for one owner, in commit order, encoded once as one compact
+  sorted-key JSON list (:meth:`ReplicatedLog.append`, :func:`decode`).
+  One record is one LSN, one CRC frame, one ship and one hint, and a torn
+  tail drops a whole record — one call's ops for one owner land in a log
+  all or none;
+* **the fold** — :func:`fold` reduces records *in LSN order*, whatever
+  order they were delivered in, and each record's ops in commit order,
+  to each key's post-state and the LSN of the record that last spoke
+  about it; :func:`apply` lands that on shards behind a per-key
+  applied-LSN guard; :func:`compact_entries` drops the records the fold
+  would never look at;
 * **the replicated log** — :class:`ReplicatedLog`: one owner's primary
   WAL, copies adopting its LSNs verbatim, hint buffers, set-digest
   compare-and-rebuild (:func:`set_digest`), one compaction trigger.
@@ -61,18 +69,16 @@ def stock_op(key: str, stock: int) -> dict:
     return {"op": "stock", "k": key, "stock": int(stock)}
 
 
-# One encoder for every op: ``json.dumps(op, sort_keys=True)`` builds a
-# ``JSONEncoder`` per call, and the log paths call this once per mutation.
-_encode_json = json.JSONEncoder(sort_keys=True).encode
+# One bound encoder for every record (``json.dumps`` builds one per call).
+# Sorted keys make equal ops equal bytes, hence equal digest terms; the
+# compact separators keep a many-op record from paying ", " and ": " per
+# op — with the default ones a record log wrote more WAL and WAN bytes
+# than the one-op-per-entry log it replaced.
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def encode(op: dict) -> bytes:
-    """Canonical payload: equal ops, equal bytes, equal digest terms —
-    the bytes of ``json.dumps(op, sort_keys=True)``."""
-    return _encode_json(op).encode("utf-8")
-
-
-def decode(payload: bytes) -> dict:
+def decode(payload: bytes) -> list[dict]:
+    """The ops of one record, in commit order."""
     return json.loads(payload.decode("utf-8"))
 
 
@@ -109,9 +115,10 @@ class PostState:
         return None if record is None else int(record.get("stock", 0))
 
 
-def _walk(entries: Iterable[WalEntry], keys=None, ops: dict[int, dict] | None = None):
-    """Walk ``entries`` in LSN order — the one place that knows what each
-    op kind means and which op supersedes which:
+def _walk(entries: Iterable[WalEntry], keys=None, records: dict[int, list] | None = None):
+    """Walk ``entries`` in LSN order, each record's ops in commit order —
+    the one place that knows what each op kind means and which op
+    supersedes which:
 
     * entity family (``entity``/``drop_entity``): later ops replace
       wholesale, so only the last op per key counts;
@@ -120,81 +127,92 @@ def _walk(entries: Iterable[WalEntry], keys=None, ops: dict[int, dict] | None = 
     * ``stock``: sets only the stock field, so the last stock op counts
       alongside (not folded into) the last product op when it is newer.
 
-    Hinted handoff can append old LSNs after newer ones, hence the sort.
-    Returns the :class:`PostState` and the entries it rests on: each key's
-    last per family as three ``key -> entry`` maps, then the entries of
-    unknown kinds.
+    Every op of a record speaks at the record's LSN.  Hinted handoff can
+    append old LSNs after newer ones, hence the sort.  Returns the
+    :class:`PostState` and the records it rests on: the record holding
+    each key's last op per family as three ``key -> entry`` maps, then the
+    records holding an op of an unknown kind.
 
-    ``ops`` (LSN -> decoded op) lets walks over copies of *one* log — equal
-    LSN, equal payload — decode each entry once between them.  The state
-    aliases the decoded ops (a stock op writes into its product's record),
-    so only a caller that discards the state may share one.
+    ``records`` (LSN -> decoded ops) lets walks over copies of *one* log —
+    equal LSN, equal payload — decode each record once between them.  The
+    state aliases the decoded ops (a stock op writes into its product's
+    record), so only a caller that discards the state may share one.
     """
     state = PostState()
-    entities, products, partial = state.entities, state.products, state.partial
+    entities, products, partial, lsns = (
+        state.entities, state.products, state.partial, state.lsn
+    )
     entity: dict[str, WalEntry] = {}
     product: dict[str, WalEntry] = {}
     stock: dict[str, WalEntry] = {}
     unknown: list[WalEntry] = []
     for entry in sorted(entries, key=lambda entry: entry.lsn):
-        if ops is None:
-            op = decode(entry.payload)
+        lsn = entry.lsn
+        if records is None:
+            ops = decode(entry.payload)
         else:
-            op = ops.get(entry.lsn)
-            if op is None:
-                op = ops[entry.lsn] = decode(entry.payload)
-        key = op.get("k")
-        if keys is not None and key not in keys:
-            continue
-        kind = op.get("op")
-        if kind in ("entity", "drop_entity"):
-            entities[key] = op["v"] if kind == "entity" else DROPPED
-            entity[key] = entry
-        elif kind in ("product", "drop_product"):
-            products[key] = op["v"] if kind == "product" else None
-            partial.discard(key)
-            product[key] = entry
-            stock.pop(key, None)  # older stock level: superseded
-        elif kind == "stock":
-            record = products.get(key)
-            if record is None:
-                record = products[key] = {}
-                if key not in product:
-                    partial.add(key)
-            record["stock"] = int(op["stock"])
-            stock[key] = entry
-        else:
-            unknown.append(entry)
-            continue
-        state.lsn[key] = entry.lsn  # ascending walk: the last is the highest
+            ops = records.get(lsn)
+            if ops is None:
+                ops = records[lsn] = decode(entry.payload)
+        for op in ops:
+            key = op.get("k")
+            if keys is not None and key not in keys:
+                continue
+            kind = op.get("op")
+            if kind in ("entity", "drop_entity"):
+                entities[key] = op["v"] if kind == "entity" else DROPPED
+                entity[key] = entry
+            elif kind in ("product", "drop_product"):
+                products[key] = op["v"] if kind == "product" else None
+                partial.discard(key)
+                product[key] = entry
+                stock.pop(key, None)  # older stock level: superseded
+            elif kind == "stock":
+                record = products.get(key)
+                if record is None:
+                    record = products[key] = {}
+                    if key not in product:
+                        partial.add(key)
+                record["stock"] = int(op["stock"])
+                stock[key] = entry
+            else:
+                unknown.append(entry)
+                continue
+            lsns[key] = lsn  # ascending walk: the last is the highest
     return state, entity, product, stock, unknown
 
 
 def fold(entries: Iterable[WalEntry], keys=None) -> PostState:
     """Per-key post-state of ``entries`` (restricted to ``keys`` if given);
     the same for any permutation, duplication or late (hinted) delivery of
-    one owner's entries, because the walk is in LSN order."""
+    one owner's records, because the walk is in LSN order — and the same
+    post-states as a log holding each of those ops alone, in order."""
     return _walk(entries, keys)[0]
 
 
 def compact_entries(
-    entries: Iterable[WalEntry], ops: dict[int, dict] | None = None
+    entries: Iterable[WalEntry], records: dict[int, list] | None = None
 ) -> list[WalEntry]:
-    """Drop the entries :func:`fold` does not rest on.
+    """Drop the records :func:`fold` does not rest on.
 
-    An op goes only when a *later op in this same copy* supersedes it, so
-    the fold of the LSN-union is unchanged for any interleaving with other
-    copies' entries.  Survivors stay *verbatim at their original LSNs* —
-    a synthesized full record could claim non-stock fields at an LSN newer
-    than another copy's genuine ``product`` op that this copy missed (a
-    replication hole), corrupting the union.  Unknown kinds are kept.
-    ``ops`` is :func:`_walk`'s decode memo, for compacting several copies
-    of one log in a row.
+    A record goes only when *later records in this same copy* supersede
+    every op in it, so the fold of the LSN-union is unchanged for any
+    interleaving with other copies' records.  A record that keeps one
+    live op is kept *whole*, and survivors stay *verbatim at their
+    original LSNs*: a stripped record would leave two copies holding
+    different payloads at one LSN, which set-digest anti-entropy would
+    rebuild forever, and a synthesized full record could claim non-stock
+    fields at an LSN newer than another copy's genuine ``product`` op that
+    this copy missed (a replication hole), corrupting the union.  Records
+    holding unknown kinds are kept.  ``records`` is :func:`_walk`'s decode
+    memo, for compacting several copies of one log in a row.
     """
-    _, entity, product, stock, unknown = _walk(entries, ops=ops)
-    kept = [*unknown, *entity.values(), *product.values(), *stock.values()]
-    kept.sort(key=lambda entry: entry.lsn)
-    return kept
+    _, entity, product, stock, unknown = _walk(entries, records=records)
+    kept = {
+        entry.lsn: entry
+        for entry in (*unknown, *entity.values(), *product.values(), *stock.values())
+    }
+    return [kept[lsn] for lsn in sorted(kept)]
 
 
 def apply(
@@ -210,11 +228,12 @@ def apply(
     repaired log reaches the same LSN with fields a hole had hidden.  A
     key whose ``shard_of`` is ``None`` is recorded but not landed.  The
     entity values bound for one shard land in one ``import_entities``
-    call, after the walk; a product costs one import (one MVCC commit per
-    product, not per stock op).
+    call and its product records in one ``import_products`` call, after
+    the walk: one MVCC commit per shard, not per product.
     """
     landed: list[str] = []
-    imports: dict[object, list] = {}  # shard -> its (key, value) items
+    entities: dict[object, list] = {}  # shard -> its (key, value) items
+    products: dict[object, list] = {}  # shard -> its (key, record) items
     for key, lsn in state.lsn.items():
         if lsn < applied.get(key, 0):
             continue
@@ -227,19 +246,20 @@ def apply(
             if value is DROPPED:
                 _drop(shard.drop_entity, key)
             else:
-                imports.setdefault(shard, []).append((key, value))
+                entities.setdefault(shard, []).append((key, value))
         if key in state.products:
             record = state.products[key]
             if record is None:
                 _drop(shard.drop_product, key)
-            elif key in state.partial:  # keep the shard's other fields
-                base = shard.committed_product(key) or {}
-                shard.import_product(key, {**base, **record})
             else:
-                shard.import_product(key, record)
+                if key in state.partial:  # keep the shard's other fields
+                    record = {**(shard.committed_product(key) or {}), **record}
+                products.setdefault(shard, []).append((key, record))
         landed.append(key)
-    for shard, items in imports.items():
+    for shard, items in entities.items():
         shard.import_entities(items)
+    for shard, items in products.items():
+        shard.import_products(items)
     return landed
 
 
@@ -285,11 +305,11 @@ def set_digest(entries: Iterable[WalEntry], onto: SetDigest = (0, 0)) -> SetDige
 class ReplicatedLog:
     """One owner's primary log and its named, LSN-adopting copies.
 
-    The primary assigns LSNs; a copy adopts them verbatim, so a copy that
-    missed a message carries a visible LSN hole rather than silently
-    renumbering, and the union across copies is well defined.  Entries
-    bound for a holder that cannot take them now wait, in ship order, in
-    its hint buffer.
+    Each entry is one record (:meth:`append`).  The primary assigns LSNs;
+    a copy adopts them verbatim, so a copy that missed a message carries a
+    visible LSN hole rather than silently renumbering, and the union
+    across copies is well defined.  Records bound for a holder that cannot
+    take them now wait, in ship order, in its hint buffer.
 
     Each log has one cached :func:`set_digest`, caught up with its valid
     prefix only when :meth:`repair` compares it — never per append — and
@@ -314,15 +334,17 @@ class ReplicatedLog:
         self.primary_count = 0
         self._compacted_count = 0  # primary_count after the last compaction
 
-    def append(self, op: dict) -> tuple[int, bytes]:
-        """Log ``op`` on the primary; return ``(lsn, payload)`` to ship."""
-        payload = encode(op)
+    def append(self, ops: list[dict]) -> tuple[int, bytes]:
+        """Log ``ops`` — what one call committed for this owner, in
+        commit order — on the primary as one record; return
+        ``(lsn, payload)`` to ship."""
+        payload = _encode_json(ops).encode("utf-8")
         lsn = self._logs[self.owner].append(payload)
         self.primary_count += 1
         return lsn, payload
 
     def adopt(self, holder: str, lsn: int, payload: bytes) -> None:
-        """``holder``'s copy takes one shipped entry at the primary's LSN."""
+        """``holder``'s copy takes one shipped record at the primary's LSN."""
         self._logs[holder].append_at(lsn, payload)
 
     def buffer_hints(self, holder: str, entries: list[tuple[int, bytes]]) -> None:
@@ -415,15 +437,15 @@ class ReplicatedLog:
     def compact(self, skip: Iterable[str] = ()) -> dict[str, int]:
         """Compact every log not in ``skip`` in place; return the entries
         removed per log.  Each is compacted independently — a copy with
-        holes may keep an op the primary dropped; the union fold is
+        holes may keep a record the primary dropped; the union fold is
         unchanged and the next anti-entropy round reconciles."""
         removed: dict[str, int] = {}
-        ops: dict[int, dict] = {}  # the copies hold the same ops: decode once
+        records: dict[int, list] = {}  # the copies hold the same records: decode once
         for name in self._logs:
             if name in skip:
                 continue
             entries = self.entries(name)
-            kept = compact_entries(entries, ops)
+            kept = compact_entries(entries, records)
             removed[name] = len(entries) - len(kept)
             if removed[name]:
                 self.rebuild(name, kept)

@@ -216,10 +216,8 @@ class TestRunOfQueuedRecords:
     def logged(self, cluster, shard="shard-0"):
         return [
             (op["k"], op["v"]["payload"]["v"])
-            for op in (
-                json.loads(entry.payload)
-                for entry in cluster.failover.replicator.log(shard).union()
-            )
+            for entry in cluster.failover.replicator.log(shard).union()
+            for op in json.loads(entry.payload)
         ]
 
     def test_a_batch_ends_a_run(self):
@@ -502,9 +500,9 @@ class TestOneLifecycle(SourceGrep):
 
 class TestOneSoleWriter(SourceGrep):
     """Whether a platform is its keys' sole writer is decided in one
-    place, ``MetaversePlatform._sole_writer``, and read by the two steps
-    that act on it: the standing views and the kept pages.  The buffer
-    pool's frames are its own."""
+    place, ``MetaversePlatform._sole_writer``, and read by the three steps
+    that act on it: the standing views, the kept semantic index and the
+    kept pages.  The buffer pool's frames are its own."""
 
     def test_the_decision_is_made_once(self):
         decision = r"_own_engine or (?:self\.)?owns is not None"
@@ -518,7 +516,7 @@ class TestOneSoleWriter(SourceGrep):
         assert sorted(
             name for name, node in self.platform_methods().items()
             if "self._sole_writer" in ast.unparse(node)
-        ) == ["_after_write", "standing_items"]
+        ) == ["_after_write", "semantic_search", "standing_items"]
 
     def test_no_module_but_the_pool_names_its_frames(self):
         assert set(self.hits(r"\b_frames\b")) == {"storage/bufferpool.py"}
@@ -548,7 +546,7 @@ class TestOneCommitCore(SourceGrep):
         assert self.callers(platform, "purchase_log") == ["_settle"]
         assert self.hits(r"\.persist_committed\(") == [platform] * 3
         assert self.callers(platform, "persist_committed") == [
-            "_settle", "drop_product", "import_product"
+            "_settle", "drop_product", "import_products"
         ]
         # the drain behind every persist, and the cluster's remap drain
         # before a compute node drops the cache that may be the only

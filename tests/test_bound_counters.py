@@ -7,7 +7,12 @@ construction; ``ShardRouter`` binds ``cluster.router.lookups``;
 and the ``cluster.twopc.latency_s`` histogram; ``BufferPool`` binds
 ``pool.hits``, ``pool.misses`` and ``pool.evictions``; ``ShardReplicator``
 binds ``cluster.failover.replicated_ops``, ``hints_buffered``,
-``replication_dropped`` and ``hints_delivered``; ``PlatformCluster``
+``replication_dropped``, ``hints_delivered``, ``antientropy_repairs``,
+``log_compactions`` and ``compacted_entries``; ``GeoReplicator``
+``geo.repl.logged``, ``delivered`` and ``duplicates``, and
+``GeoDeployment`` ``geo.writes``, ``geo.repl.shipped``, ``delivered``
+and ``applied`` and ``geo.antientropy.repaired_entries``;
+``PlatformCluster``
 binds ``cluster.basket.local``/``distributed``,
 ``cluster.purchases_routed``, ``cluster.buffered_records``,
 ``cluster.ingested_records``, ``cluster.continuous.evaluations`` and the
@@ -20,8 +25,9 @@ histograms, ``MetaversePlatform`` ``platform.purchases``,
 ``storage.rpc.calls``, ``storage.rpc.bytes`` and the
 ``storage.rpc.latency_s`` histogram.  A fault-free message, a lookup, a
 2PC round, a page access, a logged segment, a basket, a purchase call, a
-cluster's ingest, flush, query or tick, a local engine's write, read,
-scan or delete, or a storage round trip therefore asks the registry for
+cluster's ingest, flush, query or tick, a replicated cluster's purchase,
+basket and compacting tick, a geo write and tick, a local engine's
+write, read, scan or delete, or a storage round trip therefore asks the registry for
 nothing of its own, and what it counts still lands in that registry,
 also after ``reset()``.
 """
@@ -33,6 +39,7 @@ from repro.cluster.coordinator import CrossShardCoordinator
 from repro.cluster.router import ShardRouter
 from repro.core import DataRecord, EventScheduler, MetricsRegistry, Space
 from repro.core.columns import RecordBatch
+from repro.geo import GeoConfig, GeoDeployment
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
 from repro.query.plane import prefix_query, spatial_query
@@ -161,6 +168,41 @@ def tier_flush_and_query(cluster):
     cluster.ingest_many(entities(*range(10)))
     cluster.flush()
     return cluster.query(prefix_query("e/")).items
+
+
+def replicated(metrics):
+    """A four-shard cluster keeping two copies of each log, compacted
+    past two records, with a catalog; two of its products on different
+    shards."""
+    cluster = PlatformCluster(
+        ClusterConfig(n_shards=4, n_replicas=2, replica_log_compact_threshold=2),
+        metrics=metrics,
+    )
+    products = [f"p{i}" for i in range(12)]
+    cluster.load_catalog([
+        DataRecord(key=pid, payload={"stock": 50, "price": 1})
+        for pid in products
+    ])
+    first = products[0]
+    owner = cluster.router.owner_of(first)
+    second = next(p for p in products if cluster.router.owner_of(p) != owner)
+    return cluster, first, second
+
+
+def purchase_basket_tick(cluster, first, second):
+    """Three purchase calls, a distributed basket and a tick that
+    compacts the logs they grew."""
+    for _ in range(3):
+        cluster.process_purchases(requests(first, second))
+    assert cluster.process_basket(requests(first, second)).committed
+    cluster.tick(0.5)
+
+
+def geo_write_tick(geo):
+    """Ten entities written at their homes, then a tick that delivers,
+    lands and compares every copy."""
+    geo.ingest_many(entities(*range(10)))
+    geo.tick(0.5)
 
 
 def requests(*products):
@@ -313,6 +355,33 @@ class TestNoLookupOnTheHotPath:
         assert metrics.counter("cluster.failover.hints_delivered").value == 1
 
 
+    def test_a_replicated_purchase_basket_and_tick(self):
+        metrics = LookupLog()
+        cluster, first, second = replicated(metrics)
+        metrics.lookups.clear()
+        purchase_basket_tick(cluster, first, second)
+        assert metrics.lookups == []
+        # The catalog's twelve product ops, then three calls and a
+        # basket of one stock op per product each.
+        assert metrics.counter("cluster.failover.replicated_ops").value == 20
+        # Both owners' logs, each copy: the stock records the last one
+        # supersedes.
+        assert metrics.counter("cluster.failover.log_compactions").value == 2
+        assert metrics.counter("cluster.failover.compacted_entries").value == 12
+
+    def test_a_geo_write_and_tick(self):
+        metrics = LookupLog()
+        geo = GeoDeployment(GeoConfig(), metrics=metrics)
+        homes = {geo.home_of(f"e/{i}") for i in range(10)}
+        metrics.lookups.clear()
+        geo_write_tick(geo)
+        assert metrics.lookups == []
+        assert metrics.counter("geo.writes").value == 10
+        assert metrics.counter("geo.repl.logged").value == len(homes)
+        for name in ("shipped", "delivered", "applied"):
+            assert metrics.counter(f"geo.repl.{name}").value == 2 * len(homes)
+
+
 class TestBoundCountersSurviveReset:
     def test_the_network_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()
@@ -441,10 +510,39 @@ class TestBoundCountersSurviveReset:
         drop.clock.advance(1.0)
         rep.log_op("s0", segment("d", "e", "f"))
         snapshot = metrics.snapshot()
+        # Ops are counted as ops; hints and drops as records, one per
+        # segment.
         assert snapshot["cluster.failover.replicated_ops"] == 5
-        assert snapshot["cluster.failover.hints_buffered"] == 2
-        assert snapshot["cluster.failover.hints_delivered"] == 2
-        assert snapshot["cluster.failover.replication_dropped"] == 3
+        assert snapshot["cluster.failover.hints_buffered"] == 1
+        assert snapshot["cluster.failover.hints_delivered"] == 1
+        assert snapshot["cluster.failover.replication_dropped"] == 1
+
+
+    def test_a_replicated_cluster_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        cluster, first, second = replicated(metrics)
+        purchase_basket_tick(cluster, first, second)
+        metrics.reset()
+        # Twice: a log is due again once twice its post-compaction size.
+        purchase_basket_tick(cluster, first, second)
+        purchase_basket_tick(cluster, first, second)
+        snapshot = metrics.snapshot()
+        assert snapshot["cluster.failover.replicated_ops"] == 16
+        assert snapshot["cluster.failover.log_compactions"] == 2
+        assert snapshot["cluster.failover.compacted_entries"] == 32
+
+    def test_a_geo_deployment_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        geo = GeoDeployment(GeoConfig(), metrics=metrics)
+        homes = {geo.home_of(f"e/{i}") for i in range(10)}
+        geo_write_tick(geo)
+        metrics.reset()
+        geo_write_tick(geo)
+        snapshot = metrics.snapshot()
+        assert snapshot["geo.writes"] == 10
+        assert snapshot["geo.repl.logged"] == len(homes)
+        for name in ("shipped", "delivered", "applied"):
+            assert snapshot[f"geo.repl.{name}"] == 2 * len(homes)
 
 
 def test_a_negative_size_still_raises():

@@ -115,9 +115,10 @@ class TestWriteThroughOrdering:
             owner = cluster.router.owner_of("k")
             assert ReplicaStandIn(cluster.failover, owner).read("k")["payload"] == {"v": 2}
             logged = [
-                json.loads(entry.payload)["v"]["payload"]
+                op["v"]["payload"]
                 for entry in cluster.failover.replicator.log(owner).union()
-                if json.loads(entry.payload)["k"] == "k"
+                for op in json.loads(entry.payload)
+                if op["k"] == "k"
             ]
             assert logged == [{"v": 1}, {"v": 2}]  # arrival order, newer last
 

@@ -175,7 +175,12 @@ def test_e31_semantic_run_is_byte_identical(tmp_path):
 # ``stock`` op per product it touched, not one per decrement, so each log
 # holds fewer entries at other LSNs (``us-east`` 40 -> 17); what the logs
 # *fold to* is held equal to the per-decrement logs by
-# ``tests/test_call_settle.py``.
+# ``tests/test_call_settle.py``.  The record pins moved on purpose when a
+# log entry became one record, the ops one call committed for one owner:
+# each log holds fewer entries (``us-east`` 17 -> 8).  The per-op pins stay: each
+# copy's records, expanded in LSN order and written one op per entry at
+# LSNs 1..n in the per-op encoding, must still be the per-op logs above
+# — same ops, same order, in every copy.
 # (``repro`` is imported inside the functions:
 # ``benchmarks/compare_artifacts.py`` imports this module for its strip
 # helper without ``src`` on the path.)
@@ -190,6 +195,17 @@ GOLDEN_GEO_LOGS = {
     "us-east": (17, "dcc485247a3dcede"),
     "eu-west": (27, "5e87e49eb1115aae"),
     "ap-south": (21, "a2a454f2ee5ba159"),
+}
+GOLDEN_SALE_RECORDS = {
+    "shard-0": (9, "8d746ff591c08391"),
+    "shard-1": (9, "7325242950d1d0c0"),
+    "shard-2": (10, "2b5398aa29912d88"),
+    "shard-3": (8, "ab009b2163e94d21"),
+}
+GOLDEN_GEO_RECORDS = {
+    "us-east": (8, "2cdbb6300e322aaf"),
+    "eu-west": (16, "88ac7c5f9da4b8b2"),
+    "ap-south": (15, "306798486ea65255"),
 }
 
 
@@ -214,22 +230,42 @@ def location(key, x, t):
     )
 
 
-def assert_golden(logs, golden):
+def assert_golden(logs, golden_ops, golden_records):
     """Every copy of every log: entry count and RFC-6962 root prefix —
     the primary as it stands, a copy over its entries sorted by LSN (it
-    appends in arrival order, and holding the same set is converged)."""
+    appends in arrival order, and holding the same set is converged) —
+    once over its records and once over its ops, one per entry."""
+    import json
+
+    from repro.replication import decode
+    from repro.storage import WalEntry
     from tests.test_replication import merkle_root
 
-    def pinned(log, name):
+    def pinned(entries):
+        return len(entries), merkle_root(entries).hex()[:16]
+
+    def records(log, name):
         entries = log.entries(name)
         if name != log.owner:
             entries = sorted(entries, key=lambda entry: entry.lsn)
-        return len(entries), merkle_root(entries).hex()[:16]
+        return pinned(entries)
 
-    assert {
-        log.owner: {pinned(log, name) for name in (log.owner, *log.holders)}
-        for log in logs
-    } == {owner: {pinned} for owner, pinned in golden.items()}
+    def ops(log, name):
+        expanded = [
+            op
+            for entry in sorted(log.entries(name), key=lambda entry: entry.lsn)
+            for op in decode(entry.payload)
+        ]
+        return pinned([
+            WalEntry(lsn, json.dumps(op, sort_keys=True).encode("utf-8"))
+            for lsn, op in enumerate(expanded, start=1)
+        ])
+
+    for view, golden in ((records, golden_records), (ops, golden_ops)):
+        assert {
+            log.owner: {view(log, name) for name in (log.owner, *log.holders)}
+            for log in logs
+        } == {owner: {pinned} for owner, pinned in golden.items()}
 
 
 @pytest.mark.failover
@@ -252,6 +288,7 @@ def test_a_scripted_sale_leaves_the_golden_failover_logs():
     assert_golden(
         [replicator.log(owner) for owner in cluster.router.shards],
         GOLDEN_SALE_LOGS,
+        GOLDEN_SALE_RECORDS,
     )
 
 
@@ -280,6 +317,7 @@ def test_a_scripted_three_region_run_leaves_the_golden_geo_logs():
     assert_golden(
         [geo.replicator.log(home) for home in geo.config.regions],
         GOLDEN_GEO_LOGS,
+        GOLDEN_GEO_RECORDS,
     )
 
 

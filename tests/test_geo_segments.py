@@ -1,23 +1,24 @@
 """What one cluster call commits crosses the WAN once (repro.geo).
 
 The region cluster's op tap delivers what one of its calls committed when
-the call returns; the geo op sink logs those ops in the home log and ships
-them — one ``geo.repl`` message per destination carrying the
-``[(lsn, payload), …]`` segment.  Delivery
-folds a segment once and lands it as one import per shard, and a geo
-``ingest_many`` makes one forward round trip and one cluster write per
-home.
+the call returns; the geo op sink logs those ops in the home log as one
+record and ships it — one ``geo.repl`` message per destination carrying
+the ``[(lsn, payload)]`` segment.  Delivery folds a segment once and
+lands it as one entity import and one product import per shard, and a
+geo ``ingest_many`` makes one forward round trip and one cluster write
+per home.
 
 The paths this replaced live on here as oracles:
 
-* **per-entry delivery** is a segment of one: any cut of a home's ops
+* **per-op, per-entry delivery** is a log holding each op as its own
+  record, delivered one record at a time: any cut of a home's records
   into segments, delivered reordered, duplicated or dropped, then one
-  anti-entropy round, leaves every region's state and every copy's fold
-  equal to delivering the same entries one at a time;
+  anti-entropy round, leaves every region's state, every copy's fold and
+  ops, and the watermark and lag counted in ops equal to it;
 * **the per-record write loop** is ``write_record`` (a batch of one):
-  ``ingest_many`` leaves region states, home-log folds and the session's
-  read-your-writes answers equal to it under region kills and WAN
-  partitions.
+  ``ingest_many`` leaves region states, home-log ops and folds, the
+  session's read-your-writes answers and its writes' reach, counted in
+  ops, equal to it under region kills and WAN partitions.
 """
 
 import ast
@@ -32,9 +33,9 @@ from repro import DataKind, DataRecord, Space
 from repro.geo import READ_YOUR_WRITES, GeoConfig, GeoDeployment, GeoSession
 from repro.geo.replication import GeoReplicator
 from repro.obs.tracing import Tracer
-from repro.replication import apply, fold
+from repro.replication import apply, decode, fold
 from repro.resilience import FaultInjector, FaultPlan
-from tests.test_replication import FakeShard, replica_ops
+from tests.test_replication import FakeShard, expanded, replica_calls
 
 pytestmark = pytest.mark.geo
 
@@ -76,12 +77,13 @@ class TestSegments:
             for i, key in enumerate(keys_homed(geo, home, 6))
         ]
         geo.ingest_many(records)
-        assert counter(geo, "geo.repl.logged") == 6
+        assert counter(geo, "geo.repl.logged") == 1  # one record of six ops
+        assert len(decode(geo.replicator.log(home).entries(home)[0].payload)) == 6
         assert counter(geo, "geo.repl.shipped") == 2  # one per destination
         assert counter(geo, "net.messages_sent") == 2
         geo.tick(0.5)
         assert geo.max_replication_lag() == 0
-        assert counter(geo, "geo.repl.delivered") == 12  # entries, not segments
+        assert counter(geo, "geo.repl.delivered") == 2  # records, not ops
         assert counter(geo, "geo.repl.applied") == 2
         for region in REGIONS:
             for r in records:
@@ -97,7 +99,7 @@ class TestSegments:
         geo.region(home).write_records(
             [record(key, {"v": i}) for i, key in enumerate(keys)]
         )
-        assert counter(geo, "geo.repl.logged") == 3
+        assert counter(geo, "geo.repl.logged") == 1
         assert counter(geo, "geo.repl.shipped") == 2
         geo.tick(0.5)
         for region in REGIONS:
@@ -138,7 +140,7 @@ class TestSegments:
         geo.partition_regions([[home], [r for r in REGIONS if r != home]])
         for i in range(5):
             geo.write_record(record(key, {"x": i}))
-        assert counter(geo, "geo.repl.hints_buffered") == 10  # entries
+        assert counter(geo, "geo.repl.hints_buffered") == 10  # records
         assert counter(geo, "geo.repl.shipped") == 0
         geo.heal_wan()
         geo.tick(0.5)
@@ -146,6 +148,29 @@ class TestSegments:
         assert counter(geo, "geo.repl.hints_delivered") == 10
         for region in REGIONS:
             assert geo.region(region).read(key)["payload"] == {"x": 4}
+
+    def test_a_landing_commits_each_shards_products_once(self):
+        """A segment's product records land as one import per shard: one
+        MVCC commit per (destination, shard), not one per product."""
+        geo = make_geo()
+        home = REGIONS[0]
+        products = [
+            record(f"product-{i:03d}", {"name": f"p{i}", "stock": i})
+            for i in range(40)
+        ]
+        homed = [r for r in products if geo.home_of(r.key) == home]
+        geo.load_catalog(homed)
+        before = counter(geo, "mvcc.commits")
+        geo.tick(0.5)
+        shards = sum(
+            len({geo.region(dst).router.owner_of(r.key) for r in homed})
+            for dst in REGIONS if dst != home
+        )
+        assert len(homed) > shards
+        assert counter(geo, "mvcc.commits") - before == shards
+        for region in REGIONS:
+            for r in homed:
+                assert geo.region(region).get_stock(r.key) == r.payload["stock"]
 
     def test_ship_and_deliver_spans_count_what_the_counters_count(self):
         tracer = Tracer()
@@ -173,7 +198,12 @@ class TestSegments:
         assert {s.attributes["dst"] for s in ship} == set(REGIONS)
 
 
-# -- the replaced per-entry delivery is the oracle --------------------------------
+# -- the replaced per-op, per-entry delivery is the oracle -------------------------
+
+
+def ops_of(log, lsns):
+    """How many ops the records of the primary's ``lsns`` hold."""
+    return sum(len(decode(e.payload)) for e in log.entries("a") if e.lsn in lsns)
 
 
 class Copies:
@@ -198,39 +228,52 @@ class Copies:
             self.land(dst, self.rep.antientropy("a", dst))
 
     def view(self):
+        """Per copy: region state, fold, ops held, and the watermark and
+        lag counted in ops."""
         log = self.rep.log("a")
-        return {
-            dst: (
+        primary = {e.lsn for e in log.entries("a")}
+        views = {}
+        for dst in ("b", "c"):
+            copy = log.entries(dst)
+            held = {e.lsn for e in copy}
+            assert self.rep.lag("a", dst) == len(primary - held)
+            state = fold(copy)
+            watermark = self.rep.watermark("a", dst)
+            views[dst] = (
                 self.regions[dst].dump(),
-                vars(fold(log.entries(dst))),
-                self.rep.watermark("a", dst),
-                self.rep.lag("a", dst),
+                (state.entities, state.products, state.partial),
+                expanded(copy),
+                ops_of(log, {lsn for lsn in primary if lsn <= watermark}),
+                ops_of(log, primary - held),
             )
-            for dst in ("b", "c")
-        }
+        return views
 
 
 class TestSegmentDeliveryIsPerEntryDelivery:
     @settings(max_examples=80, deadline=None)
-    @given(ops=replica_ops, data=st.data())
-    def test_any_cut_reorder_duplication_and_drop(self, ops, data):
+    @given(calls=replica_calls, data=st.data())
+    def test_any_cut_reorder_duplication_and_drop(self, calls, data):
         segmented, per_entry = Copies(), Copies()
-        shipped = [segmented.rep.log_op("a", op, 0.0) for op in ops]
-        assert shipped == [per_entry.rep.log_op("a", op, 0.0) for op in ops]
-        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(ops) - 1)))))
-        bounds = [0, *[c for c in cuts if c < len(ops)], len(ops)]
-        segments = [shipped[i:j] for i, j in zip(bounds, bounds[1:])]
+        shipped = [segmented.rep.log_op("a", ops, 0.0) for ops in calls]
+        alone = [
+            [per_entry.rep.log_op("a", [op], 0.0) for op in ops] for ops in calls
+        ]
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(calls) - 1)))))
+        bounds = [0, *[c for c in cuts if c < len(calls)], len(calls)]
+        spans = list(zip(bounds, bounds[1:]))
         for dst in ("b", "c"):
-            order = data.draw(st.permutations(range(len(segments))))
+            order = data.draw(st.permutations(range(len(spans))))
             fates = data.draw(st.lists(
                 st.sampled_from(["once", "twice", "drop"]),
-                min_size=len(segments), max_size=len(segments),
+                min_size=len(spans), max_size=len(spans),
             ))
             for i in order:
+                lo, hi = spans[i]
                 for _ in range({"once": 1, "twice": 2, "drop": 0}[fates[i]]):
-                    segmented.deliver(dst, segments[i])
-                    for entry in segments[i]:
-                        per_entry.deliver(dst, [entry])
+                    segmented.deliver(dst, shipped[lo:hi])
+                    for entries in alone[lo:hi]:
+                        for entry in entries:
+                            per_entry.deliver(dst, [entry])
                     assert segmented.view() == per_entry.view()
         segmented.antientropy()
         per_entry.antientropy()
@@ -264,6 +307,57 @@ def outcome(call):
         return None, type(exc)
 
 
+def home_ops(geo, home, lsns=None):
+    """How many ops ``home``'s primary holds in the records ``lsns`` names
+    (all of them by default)."""
+    return sum(
+        len(decode(e.payload))
+        for e in geo.replicator.log(home).entries(home)
+        if lsns is None or lsns(e.lsn)
+    )
+
+
+def reach(geo, session):
+    """Per home, how many of its log's ops the session's writes reach —
+    the read-your-writes bound, counted in ops."""
+    return {
+        home: home_ops(geo, home, lambda lsn, top=top: lsn <= top)
+        for home, top in session.vector.items()
+    }
+
+
+def ops_behind(geo):
+    """Per (home, destination): the ops of the home's records the
+    destination's copy lacks — replication lag, counted in ops."""
+    behind = {}
+    for home in geo.config.regions:
+        log = geo.replicator.log(home)
+        for dst in log.holders:
+            held = {e.lsn for e in log.entries(dst)}
+            behind[home, dst] = home_ops(geo, home, lambda lsn: lsn not in held)
+            assert geo.replicator.lag(home, dst) == len(
+                {e.lsn for e in log.entries(home)} - held
+            )
+    return behind
+
+
+def logged_in(geo, home, lsn, written):
+    """Whether ``home``'s record ``lsn`` holds the entity op of ``written``."""
+    (entry,) = [e for e in geo.replicator.log(home).entries(home) if e.lsn == lsn]
+    return any(
+        op["k"] == written.key and op["v"]["payload"] == written.payload
+        for op in decode(entry.payload)
+    )
+
+
+def per_key(ops):
+    """Each key's ops, in log order."""
+    keyed = {}
+    for op in ops:
+        keyed.setdefault(op["k"], []).append(op)
+    return keyed
+
+
 class TestIngestManyIsTheWriteLoop:
     def view(self, geo, session, calm):
         regions = {
@@ -274,6 +368,12 @@ class TestIngestManyIsTheWriteLoop:
             (home, name): fold(geo.replicator.log(home).entries(name)).entities
             for home in REGIONS for name in REGIONS
         }
+        # A call groups its ops by shard, so only each key's ops keep
+        # the loop's order.
+        ops = {
+            (home, name): per_key(expanded(geo.replicator.log(home).entries(name)))
+            for home in REGIONS for name in REGIONS
+        }
         ryw = None
         if calm:  # every home reachable: no read fails, no breaker moves
             ryw = [
@@ -282,7 +382,7 @@ class TestIngestManyIsTheWriteLoop:
                 ))
                 for region in REGIONS for key in KEYS
             ]
-        return regions, folds, dict(session.vector), ryw, geo.max_replication_lag()
+        return regions, folds, ops, reach(geo, session), ryw, ops_behind(geo)
 
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(step, min_size=1, max_size=12))
@@ -310,7 +410,11 @@ class TestIngestManyIsTheWriteLoop:
                 assert [lsn is None for lsn in got] == [
                     lsn is None for lsn in want
                 ]
-                assert sorted(filter(None, got)) == sorted(filter(None, want))
+                # Each LSN names the home record that logged its write.
+                for geo, lsns in ((loop, want), (batched, got)):
+                    for r, lsn in zip(records, lsns):
+                        if lsn is not None:
+                            assert logged_in(geo, geo.home_of(r.key), lsn, r)
             for geo in (loop, batched):
                 if kind == "kill" and args[0] not in down:
                     geo.kill_region(args[0])
@@ -379,6 +483,13 @@ class TestOneShipPath:
         assert bodies and bodies == [
             ["self.import_entities([(key, value)])"]
         ] * len(bodies)
+
+    def test_every_import_product_is_a_batch_of_one(self):
+        bodies = functions("import_product")
+        assert sorted(bodies) == [
+            ["self.import_products([(key, value)])"],
+            ["self.import_products([(product_id, value)])"],
+        ]
 
     def test_a_geo_write_is_an_ingest_of_one(self):
         (body,) = [

@@ -30,9 +30,10 @@ from repro.core import (
 )
 from repro.geo import GeoConfig, GeoDeployment
 from repro.platform.platform import stored_record_value
-from repro.replication import decode, encode, entity_op, fold, product_op
+from repro.replication import decode, entity_op, fold, product_op
 from repro.storage import WalEntry
 from repro.workloads.marketplace import PurchaseRequest
+from tests.test_replication import encode, expanded
 
 pytestmark = [pytest.mark.cluster]
 
@@ -65,7 +66,7 @@ def recorded_cluster(**config):
 
 def folded(ops):
     return fold(
-        WalEntry(lsn, encode(op)) for lsn, (_, op) in enumerate(ops, start=1)
+        WalEntry(lsn, encode([op])) for lsn, (_, op) in enumerate(ops, start=1)
     )
 
 
@@ -199,13 +200,18 @@ class TestTheTapIsCompleteAndExact:
         cluster, ops = recorded_cluster(
             n_replicas=2, replica_log_compact_threshold=None
         )
+        segments = []
+        cluster.add_op_sink(segments.extend)
         run(cluster, script)
         assert_fold_is_the_cluster(cluster, ops)
         replicator = cluster.failover.replicator
         for owner in cluster.router.shards:
-            assert [
-                entry.payload for entry in replicator.log(owner).entries(owner)
-            ] == [encode(op) for shard, op in ops if shard == owner]
+            entries = replicator.log(owner).entries(owner)
+            assert expanded(entries) == [op for shard, op in ops if shard == owner]
+            # One record per segment, holding its ops in commit order.
+            assert [decode(entry.payload) for entry in entries] == [
+                seg for shard, seg in segments if shard == owner
+            ]
 
     def test_no_sink_builds_no_op(self, monkeypatch):
         from repro.cluster import cluster as module
@@ -266,17 +272,13 @@ class TestTheTapIsCompleteAndExact:
         assert geo.max_replication_lag() == 0
         for name, other in (regions, regions[::-1]):
             own = [op for op in ops[name] if geo.home_of(op["k"]) == name]
-            assert [
-                e.payload for e in geo.replicator.log(name).entries(name)
-            ] == [encode(op) for op in own]
+            assert expanded(geo.replicator.log(name).entries(name)) == own
             # The rest are landings: every key of the other home's log, in
-            # no more commits than it has entries (entries can fold).
+            # no more ops than its records hold (ops can fold).
             landings = [op for op in ops[name] if geo.home_of(op["k"]) == other]
-            shipped = geo.replicator.log(other).entries(other)
+            shipped = expanded(geo.replicator.log(other).entries(other))
             assert len(landings) <= len(shipped)
-            assert {op["k"] for op in landings} == {
-                decode(e.payload)["k"] for e in shipped
-            }
+            assert {op["k"] for op in landings} == {op["k"] for op in shipped}
 
 
 class TestTheHandDerivationIsTheOracle:
@@ -297,7 +299,7 @@ class TestTheHandDerivationIsTheOracle:
         geo.load_catalog(self.RECORDS)
         for home in geo.config.regions:
             entries = geo.replicator.log(home).entries(home)
-            assert [decode(e.payload) for e in entries] == [
+            assert expanded(entries) == [
                 product_op(r.key, r.payload)
                 for r in self.RECORDS if geo.home_of(r.key) == home
             ]
@@ -307,6 +309,6 @@ class TestTheHandDerivationIsTheOracle:
         (last,) = [
             e for e in geo.replicator.log(home).entries(home) if e.lsn == lsn
         ]
-        assert last.payload == encode(
+        assert decode(last.payload) == [
             entity_op(written.key, stored_record_value(written))
-        )
+        ]

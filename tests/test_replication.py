@@ -28,28 +28,38 @@ hashes and parses nothing, however long the logs are.
 
 ``_fold`` below is an independent reference the production
 ``fold``/``apply`` pair is checked against.
+
+A log entry is one *record*: what one call committed for one owner.  The
+one-op-per-entry log it replaced lives on as the oracle
+(``TestRecordLogIsThePerOpLog``): a per-op log is a record log whose
+records each hold one op, and under any delivery, drop, hint, torn tail
+and compaction the record log folds, and answers for a down owner, as
+that log does.  ``TestOneRecordPerSegment`` is the acceptance grep.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.failover import ShardReplicator
+from repro.cluster.failover import ReplicaStandIn, ShardReplicator
 from repro.cluster.router import ShardRouter
-from repro.core.errors import KeyNotFoundError
+from repro.core.errors import ConfigurationError, KeyNotFoundError
 from repro.geo.replication import GeoReplicator
 from repro.ledger.merkle import MerkleTree
 from repro.replication import (
     PostState,
+    ReplicatedLog,
     apply,
     compact_entries,
     decode,
     drop_entity_op,
     drop_product_op,
-    encode,
     entity_op,
     fold,
     product_op,
@@ -57,6 +67,8 @@ from repro.replication import (
     stock_op,
 )
 from repro.storage import WalEntry, wal
+from repro.storage.wal import WriteAheadLog
+from tests.test_position_index import sweep_only
 
 pytestmark = [pytest.mark.lifecycle]
 
@@ -91,14 +103,27 @@ replica_op = st.one_of(
     st.builds(stock_op, keys, st.integers(0, 99)),
 )
 replica_ops = st.lists(replica_op, min_size=1, max_size=50)
+#: What calls commit: each call's ops, one record each.
+replica_calls = st.lists(
+    st.lists(replica_op, min_size=1, max_size=4), min_size=1, max_size=20
+)
+
+
+def encode(ops) -> bytes:
+    """The record format: a list of ops as compact sorted-key JSON."""
+    return json.dumps(ops, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def expanded(entries):
+    """The ops of ``entries``, records in LSN order, each in op order."""
+    return [op for e in sorted(entries, key=lambda e: e.lsn) for op in decode(e.payload)]
 
 
 def _fold(entries):
     """Reference replay fold: every op applied one by one in LSN order."""
     entities: dict[str, object] = {}
     products: dict[str, dict] = {}
-    for entry in sorted(entries, key=lambda e: e.lsn):
-        op = decode(entry.payload)
+    for op in expanded(entries):
         kind = op["op"]
         if kind == "entity":
             entities[op["k"]] = op["v"]
@@ -114,7 +139,7 @@ def _fold(entries):
 
 
 class FakeShard:
-    """The five calls :func:`repro.replication.apply` makes on a shard."""
+    """The calls :func:`repro.replication.apply` makes on a shard."""
 
     def __init__(self):
         self.entities: dict[str, object] = {}
@@ -129,7 +154,11 @@ class FakeShard:
         del self.entities[key]
 
     def import_product(self, key, value):
-        self.products[key] = dict(value)
+        self.import_products([(key, value)])
+
+    def import_products(self, items):
+        for key, value in items:
+            self.products[key] = dict(value)
 
     def drop_product(self, key):
         if key not in self.products:
@@ -159,9 +188,14 @@ def _union(copies):
 
 
 def _materialize(ops):
-    """Primary log entries (LSNs 1..n) for an op stream."""
+    """Per-op primary log entries (LSNs 1..n), one op per record."""
+    return _records([[op] for op in ops])
+
+
+def _records(calls):
+    """Primary log entries (LSNs 1..n), one record per call."""
     return [
-        WalEntry(lsn=lsn, payload=encode(op)) for lsn, op in enumerate(ops, start=1)
+        WalEntry(lsn=lsn, payload=encode(ops)) for lsn, ops in enumerate(calls, start=1)
     ]
 
 
@@ -186,12 +220,24 @@ def by_lsn(entries):
 
 class TestOpFormat:
     @settings(max_examples=200, deadline=None)
-    @given(op=replica_op)
-    def test_encode_is_sorted_key_json(self, op):
-        """The shared encoder writes ``json.dumps``'s bytes for every op
-        constructor: payload sizes and digests rest on them."""
-        assert encode(op) == json.dumps(op, sort_keys=True).encode("utf-8")
-        assert decode(encode(op)) == op
+    @given(ops=st.lists(replica_op, min_size=1, max_size=6))
+    def test_encode_is_sorted_key_json(self, ops):
+        """One append writes the call's ops as one compact sorted-key
+        JSON list: payload sizes and digests rest on these bytes."""
+        log = ReplicatedLog("a", ["b"])
+        lsn, payload = log.append(ops)
+        assert payload == encode(ops)
+        assert decode(payload) == ops
+        assert log.entries("a") == [WalEntry(lsn, payload)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(replica_op, min_size=1, max_size=6))
+    def test_a_record_is_no_longer_than_its_ops_logged_alone(self, ops):
+        """Why the separators are compact: the one-op-per-entry log wrote
+        ``json.dumps(op, sort_keys=True)`` per op, and a record of the
+        same ops never writes more bytes, frame headers aside."""
+        alone = [json.dumps(op, sort_keys=True).encode("utf-8") for op in ops]
+        assert len(encode(ops)) <= sum(map(len, alone))
 
 
 class TestSetDigest:
@@ -247,13 +293,13 @@ class TestSetDigest:
 class TestCompactionPreservesUnion:
     @settings(max_examples=80, deadline=None)
     @given(
-        ops=replica_ops,
+        calls=replica_calls,
         hole_seed=st.lists(st.booleans(), max_size=50),
         torn=st.integers(0, 10),
     )
-    def test_union_fold_identical(self, ops, hole_seed, torn):
+    def test_union_fold_identical(self, calls, hole_seed, torn):
         """Compacting any subset of copies never changes the union fold."""
-        primary = _materialize(ops)
+        primary = _records(calls)
         # Replica copy: primary minus a hole pattern (dropped replication).
         holes = (hole_seed + [False] * len(primary))[: len(primary)]
         replica = [e for e, drop in zip(primary, holes) if not drop]
@@ -270,6 +316,9 @@ class TestCompactionPreservesUnion:
             ]
             assert _fold(_union(compacted)) == baseline
             assert folded(_union(compacted)) == baseline
+            # Survivors are verbatim records of the copy, once each.
+            for copy, kept in zip(copies, compacted):
+                assert [e for e in copy if e in kept] == kept
         # Compaction is idempotent and only ever shrinks.
         once = compact_entries(primary_prefix)
         assert compact_entries(once) == once
@@ -293,15 +342,32 @@ class TestCompactionPreservesUnion:
         compacted = compact_entries(entries)
         assert [e.lsn for e in compacted] == [2]
 
+    def test_a_record_survives_whole_while_any_op_in_it_is_live(self):
+        entries = _records([
+            [entity_op("a", 1), entity_op("b", 1), stock_op("p", 4)],
+            [entity_op("a", 2), product_op("p", {"name": "x", "stock": 3})],
+        ])
+        assert compact_entries(entries) == entries  # b's last op is in 1
+        later = entries + [WalEntry(3, encode([entity_op("b", 2)]))]
+        assert [e.lsn for e in compact_entries(later)] == [2, 3]
+        assert _fold(compact_entries(later)) == _fold(later)
+
+    def test_a_record_holding_several_last_ops_survives_once(self):
+        entries = _records([
+            [entity_op("a", 0)],
+            [entity_op("a", 1), entity_op("b", 1), stock_op("p", 2)],
+        ])
+        assert compact_entries(entries) == entries[1:]
+
     def test_unknown_ops_kept_verbatim(self):
-        alien = WalEntry(lsn=7, payload=encode({"op": "future", "k": "z"}))
+        alien = WalEntry(lsn=7, payload=encode([{"op": "future", "k": "z"}]))
         entries = _materialize([entity_op("a", 1)]) + [alien]
         assert alien in compact_entries(entries)
 
 
 class TestApplyGuard:
     def state(self, lsn, op) -> PostState:
-        return fold([WalEntry(lsn, encode(op))])
+        return fold([WalEntry(lsn, encode([op]))])
 
     def test_older_post_state_never_regresses_a_newer_one(self):
         shard, applied = FakeShard(), {}
@@ -314,10 +380,10 @@ class TestApplyGuard:
         """A re-fold after a repaired hole reaches the same LSN with the
         fields the hole had hidden; it must land."""
         shard, applied = FakeShard(), {}
-        stock = WalEntry(7, encode(stock_op("p", 3)))
+        stock = WalEntry(7, encode([stock_op("p", 3)]))
         apply(fold([stock]), applied, lambda k: shard)
         assert shard.products == {"p": {"stock": 3}}
-        product = WalEntry(5, encode(product_op("p", {"name": "x", "stock": 9})))
+        product = WalEntry(5, encode([product_op("p", {"name": "x", "stock": 9})]))
         assert apply(fold([stock, product]), applied, lambda k: shard) == ["p"]
         assert shard.products == {"p": {"name": "x", "stock": 3}}
 
@@ -344,8 +410,8 @@ class TestApplyGuard:
 
 class ClusterHarness:
     """Owner ``a`` on a three-shard ring; its one ring-successor holder is
-    kept *down* while ops are logged so every entry comes out as a hint
-    the test then delivers however it likes."""
+    kept *down* while calls are logged so every record comes out as a
+    hint the test then delivers however it likes."""
 
     def __init__(self):
         self.rep = ShardReplicator(ShardRouter(["a", "b", "c"]), 2)
@@ -354,9 +420,12 @@ class ClusterHarness:
         self.rep.mark_down(self.holder)
         self.log = self.rep.log("a")
 
-    def write(self, op):
-        self.rep.log_op(self.owner, [op])
-        return self.log.take_hints(self.holder)[0]
+    def write(self, ops):
+        """Log one call's ``ops``; return its ``(lsn, payload)``."""
+        self.rep.log_op(self.owner, ops)
+        *earlier, entry = self.log.take_hints(self.holder)
+        self.log.buffer_hints(self.holder, earlier)  # hinted by the test
+        return entry
 
     def deliver(self, lsn, payload):
         self.log.adopt(self.holder, lsn, payload)
@@ -383,8 +452,8 @@ class GeoHarness:
         self.owner, self.holder = "a", "b"
         self.log = self.rep.log("a")
 
-    def write(self, op):
-        return self.rep.log_op(self.owner, op, 0.0)
+    def write(self, ops):
+        return self.rep.log_op(self.owner, ops, 0.0)
 
     def deliver(self, lsn, payload):
         self.rep.deliver(self.owner, self.holder, [(lsn, payload)])
@@ -419,12 +488,12 @@ def assert_cached_digests(h):
 )
 class TestBothReplicators:
     @settings(max_examples=60, deadline=None)
-    @given(ops=replica_ops, data=st.data())
+    @given(calls=replica_calls, data=st.data())
     def test_any_delivery_order_folds_to_the_same_state(
-        self, make_harness, ops, data
+        self, make_harness, calls, data
     ):
         h = make_harness()
-        shipped = [h.write(op) for op in ops]
+        shipped = [h.write(ops) for ops in calls]
         order = data.draw(st.permutations(shipped))
         flags = data.draw(
             st.lists(
@@ -450,16 +519,16 @@ class TestBothReplicators:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        ops=replica_ops,
+        calls=replica_calls,
         holes=st.lists(st.booleans(), min_size=50, max_size=50),
         torn=st.integers(0, 40),
         skip_mask=st.integers(0, 3),
     )
     def test_compacting_any_subset_of_logs_keeps_the_union_fold(
-        self, make_harness, ops, holes, torn, skip_mask
+        self, make_harness, calls, holes, torn, skip_mask
     ):
         h = make_harness()
-        for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
+        for (lsn, payload), hole in zip([h.write(ops) for ops in calls], holes):
             if not hole:
                 h.deliver(lsn, payload)
         assert_cached_digests(h)
@@ -477,15 +546,15 @@ class TestBothReplicators:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        ops=replica_ops,
+        calls=replica_calls,
         holes=st.lists(st.booleans(), min_size=50, max_size=50),
         compact_first=st.booleans(),
     )
     def test_one_antientropy_round_converges_every_copy(
-        self, make_harness, ops, holes, compact_first
+        self, make_harness, calls, holes, compact_first
     ):
         h = make_harness()
-        for (lsn, payload), hole in zip([h.write(op) for op in ops], holes):
+        for (lsn, payload), hole in zip([h.write(ops) for ops in calls], holes):
             if not hole:
                 h.deliver(lsn, payload)
         assert_cached_digests(h)
@@ -500,7 +569,7 @@ class TestBothReplicators:
         assert_cached_digests(h)
         assert folded(authority) == before
         # A repaired copy keeps converging as the primary grows.
-        for lsn, payload in [h.write(op) for op in ops[:5]]:
+        for lsn, payload in [h.write(ops) for ops in calls[:5]]:
             h.deliver(lsn, payload)
         assert_cached_digests(h)
         assert h.log._digest(h.holder) == h.log._digest(h.owner)
@@ -515,7 +584,7 @@ class TestDigestLifecycle:
     def warm(self):
         h = ClusterHarness()
         for i in range(6):
-            h.deliver(*h.write(entity_op(f"k{i}", i)))
+            h.deliver(*h.write([entity_op(f"k{i}", i)]))
         assert_cached_digests(h)
         return h
 
@@ -530,7 +599,7 @@ class TestDigestLifecycle:
         h.log.rebuild(h.holder, h.log.entries(h.holder)[:3])
         assert_cached_digests(h)
         h.log.compact()  # every op is its key's last: nothing to drop
-        h.deliver(*h.write(entity_op("k0", "newer")))
+        h.deliver(*h.write([entity_op("k0", "newer")]))
         h.log.compact()
         assert_cached_digests(h)
 
@@ -543,7 +612,7 @@ class TestReorderIsNotDivergence:
     N = 12
 
     def shipped(self, h):
-        return [h.write(entity_op(f"k{i}", i)) for i in range(self.N)]
+        return [h.write([entity_op(f"k{i}", i)]) for i in range(self.N)]
 
     def shuffled(self, shipped):
         order = shipped[::-1]
@@ -593,7 +662,7 @@ class TestReorderIsNotDivergence:
 
     def test_a_geo_copy_holding_an_extra_entry_is_repaired_in_one_round(self):
         h, _ = self.geo()
-        h.log.adopt("b", 99, encode(entity_op("ghost", 0)))
+        h.log.adopt("b", 99, encode([entity_op("ghost", 0)]))
         self.repaired(h, [])
 
     def test_a_geo_copy_with_a_torn_tail_is_repaired_in_one_round(self):
@@ -629,7 +698,7 @@ class TestSteadyRoundCost:
     def converged(self, n):
         rep = GeoReplicator(("a", "b", "c"), compact_threshold=None)
         for i in range(n):
-            lsn, payload = rep.log_op("a", entity_op(f"k{i}", i), 0.0)
+            lsn, payload = rep.log_op("a", [entity_op(f"k{i}", i)], 0.0)
             for dst in ("b", "c"):
                 rep.deliver("a", dst, [(lsn, payload)])
         return rep
@@ -664,7 +733,7 @@ class TestSteadyRoundCost:
     def test_round_after_a_repair_hashes_nothing(self, monkeypatch):
         """A rebuilt copy takes the authority's digest: same entries."""
         rep = self.converged(40)
-        lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
+        lsn, payload = rep.log_op("a", [entity_op("late", 1)], 0.0)
         rep.deliver("a", "b", [(lsn, payload)])  # c misses it
         assert rep.antientropy("a", "b") is None
         assert rep.antientropy("a", "c") is not None
@@ -673,7 +742,7 @@ class TestSteadyRoundCost:
     def test_agreeing_log_is_never_materialised(self, monkeypatch):
         rep = self.converged(40)
         log = rep.log("a")
-        lsn, payload = rep.log_op("a", entity_op("late", 1), 0.0)
+        lsn, payload = rep.log_op("a", [entity_op("late", 1)], 0.0)
         rep.deliver("a", "b", [(lsn, payload)])  # c misses it
         asked = []
         entries = log.entries
@@ -686,3 +755,278 @@ class TestSteadyRoundCost:
         asked.clear()
         assert log.repair(["b", "c"], authority="a") == {}
         assert asked == []
+
+
+# -- the per-op log is the oracle -------------------------------------------------
+
+FATES = ("deliver", "twice", "drop", "late")
+KEYS = [f"k{i:02d}" for i in range(13)]
+
+
+def frame(payload: bytes) -> int:
+    """Bytes one record takes in a WAL: header and payload."""
+    return wal._HEADER.size + len(payload)
+
+
+class Twins:
+    """A record log and the per-op log it replaced, driven alike: each
+    call is one record in the first and one record per op in the second,
+    and whatever happens to a call's record happens to each of its ops."""
+
+    def __init__(self, make_harness):
+        self.records, self.per_op = make_harness(), make_harness()
+        self.calls = []  # per call: its record, then its per-op entries
+
+    def write(self, ops):
+        self.calls.append(
+            (self.records.write(ops), [self.per_op.write([op]) for op in ops])
+        )
+
+    def deliver(self, call, fate):
+        record, alone = self.calls[call]
+        for h, entries in ((self.records, [record]), (self.per_op, alone)):
+            for lsn, payload in entries:
+                if fate == "late":
+                    h.hint(lsn, payload)
+                for _ in range({"deliver": 1, "twice": 2}.get(fate, 0)):
+                    h.deliver(lsn, payload)
+
+    def tear(self, calls, into):
+        """Tear the last ``calls`` calls off both primaries: into the
+        first of them by ``into`` bytes in the record log, at its first
+        op's frame boundary in the per-op log."""
+        if not calls:
+            return
+        torn = self.calls[-calls:]
+        first = frame(torn[0][0][1])
+        self.records.log.tear(
+            sum(frame(record[1]) for record, _ in torn[1:]) + 1 + into % first
+        )
+        self.per_op.log.tear(
+            sum(frame(payload) for _, alone in torn for _, payload in alone)
+        )
+
+    def logs(self, h):
+        """Every copy's ops in LSN order, with how many of them it holds
+        twice, and every hint buffer's ops in ship order."""
+        names = (h.owner, *h.log.holders)
+
+        def copy(entries):
+            once = {e.lsn: e for e in entries}
+            return expanded(once.values()), len(expanded(entries)) - len(
+                expanded(once.values())
+            )
+
+        return (
+            {name: copy(h.log.entries(name)) for name in names},
+            {
+                name: [op for _, payload in h.log._hints[name] for op in decode(payload)]
+                for name in h.log.holders
+            },
+        )
+
+    def answers(self, h):
+        """The union's fold, and what a stand-in for the down owner says."""
+        state = fold(h.log.union())
+        stand_in = ReplicaStandIn(
+            SimpleNamespace(replicator=h.rep, metrics=h.rep.metrics), h.owner
+        )
+        stock = []
+        for key in KEYS:
+            try:
+                stock.append(stand_in.get_stock(key))
+            except ConfigurationError:
+                stock.append(None)
+        return (
+            (state.entities, state.products, state.partial),
+            _fold(h.log.union()),
+            [stand_in.read(key) for key in KEYS],
+            stock,
+            [stand_in.committed_product(key) for key in KEYS],
+        )
+
+    def assert_same_logs(self):
+        assert self.logs(self.records) == self.logs(self.per_op)
+
+    def assert_same_answers(self):
+        assert self.answers(self.records) == self.answers(self.per_op)
+
+
+twin_scripts = st.fixed_dictionaries({
+    "calls": replica_calls,
+    "fates": st.lists(st.sampled_from(FATES), min_size=20, max_size=20),
+    "torn": st.integers(0, 3),
+    "into": st.integers(0, 10**6),
+    "after": st.lists(st.lists(replica_op, min_size=1, max_size=4), max_size=3),
+    "skip_mask": st.integers(0, 7),
+})
+
+
+def play_twins(make_harness, script):
+    twins = Twins(make_harness)
+    for ops in script["calls"]:
+        twins.write(ops)
+    for call, fate in enumerate(script["fates"][: len(twins.calls)]):
+        twins.deliver(call, fate)
+    twins.assert_same_logs()
+    twins.tear(min(script["torn"], len(twins.calls)), script["into"])
+    twins.assert_same_logs()
+    twins.assert_same_answers()
+    for ops in script["after"]:  # the torn primary writes on
+        twins.write(ops)
+        twins.deliver(len(twins.calls) - 1, "deliver")
+    twins.assert_same_logs()
+    twins.assert_same_answers()
+    for h in (twins.records, twins.per_op):
+        names = (h.owner, *h.log.holders)
+        h.log.compact(
+            skip=[n for i, n in enumerate(names) if (script["skip_mask"] >> i) & 1]
+        )
+    # Compaction keeps records whole, so the logs part here; what they
+    # say does not.
+    twins.assert_same_answers()
+    for h in (twins.records, twins.per_op):
+        h.flush_hints()
+    twins.assert_same_answers()
+    for h in (twins.records, twins.per_op):
+        h.antientropy()
+    twins.assert_same_answers()
+
+
+@pytest.mark.parametrize(
+    "make_harness", [ClusterHarness, GeoHarness], ids=["cluster", "geo"]
+)
+class TestRecordLogIsThePerOpLog:
+    """Before compaction every copy and hint buffer holds, expanded, the
+    per-op log's ops; through torn tails, drops, hints, compaction of any
+    subset of copies and anti-entropy, the union folds and a down owner's
+    stand-in answers as the per-op log's do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=twin_scripts)
+    def test_the_record_log_folds_and_answers_as_the_per_op_log(
+        self, make_harness, script
+    ):
+        play_twins(make_harness, script)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(script=twin_scripts)
+    def test_sweep_the_record_log_folds_and_answers_as_the_per_op_log(
+        self, make_harness, request, script
+    ):
+        """The property above at 1,000 examples, for the nightly tier."""
+        sweep_only(request)
+        play_twins(make_harness, script)
+
+
+class TestATornTailDropsWholeCalls:
+    CALLS = [
+        [entity_op("a", 1), entity_op("b", 1)],
+        [entity_op("c", 1)],
+        [entity_op("a", 2), stock_op("p", 3), entity_op("d", 4)],
+    ]
+
+    def logged(self):
+        rep = ShardReplicator(ShardRouter(["a", "b", "c"]), 2)
+        for ops in self.CALLS:
+            rep.log_op("a", ops)
+        return rep.log("a")
+
+    @pytest.mark.parametrize("into", [1, 9, None], ids=["byte", "some", "whole"])
+    def test_tearing_into_the_last_record_drops_that_call_only(self, into):
+        log = self.logged()
+        last = log.entries("a")[-1]
+        log.tear(frame(last.payload) if into is None else into)
+        assert expanded(log.entries("a")) == self.CALLS[0] + self.CALLS[1]
+        # The holder's copy carries the call: the union loses no op.
+        assert expanded(log.union()) == [op for ops in self.CALLS for op in ops]
+
+    def test_tearing_one_byte_further_drops_the_call_before_whole(self):
+        log = self.logged()
+        log.tear(frame(log.entries("a")[-1].payload) + 1)
+        assert expanded(log.entries("a")) == self.CALLS[0]
+
+
+# -- acceptance grep ---------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+class TestOneRecordPerSegment:
+    def counting(self, monkeypatch):
+        """Count ``WriteAheadLog.append`` and ``append_at`` calls."""
+        calls = {"append": 0, "append_at": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(WriteAheadLog, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(WriteAheadLog, name, counted)
+        return calls
+
+    def test_a_cluster_segment_is_one_append_and_one_adopt_per_up_holder(
+        self, monkeypatch
+    ):
+        rep = ShardReplicator(ShardRouter(["a", "b", "c", "d"]), 3)
+        rep.log("a")
+        calls = self.counting(monkeypatch)
+        rep.log_op("a", [entity_op(f"k{i}", i) for i in range(5)])
+        assert calls == {"append": 1, "append_at": 2}
+        down = rep.holders("a")[2]
+        rep.mark_down(down)
+        rep.log_op("a", [entity_op("k0", 9), stock_op("p", 1)])
+        assert calls == {"append": 2, "append_at": 3}
+        assert len(rep.log("a")._hints[down]) == 1
+        rep.mark_up(down)
+        assert calls == {"append": 2, "append_at": 4}
+        counted = rep.metrics.counter
+        assert counted("cluster.failover.replicated_ops").value == 7
+        assert counted("cluster.failover.hints_buffered").value == 1
+        assert counted("cluster.failover.hints_delivered").value == 1
+
+    def test_a_geo_record_is_one_append_and_one_adopt_per_destination(
+        self, monkeypatch
+    ):
+        rep = GeoReplicator(("a", "b", "c"))
+        calls = self.counting(monkeypatch)
+        entry = rep.log_op("a", [entity_op(f"k{i}", i) for i in range(5)], 0.0)
+        assert calls == {"append": 1, "append_at": 0}
+        for dst in ("b", "c"):
+            rep.deliver("a", dst, [entry])
+        assert calls == {"append": 1, "append_at": 2}
+        assert rep.metrics.counter("geo.repl.logged").value == 1
+        assert rep.metrics.counter("geo.repl.delivered").value == 2
+
+    def test_no_caller_maps_or_loops_a_log_append(self):
+        """The replicators append to a :class:`ReplicatedLog` in one call
+        each, never in a loop or a ``map``."""
+        loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp)
+
+        def is_log(node):
+            text = ast.unparse(node)
+            return text == "log" or text.startswith("self._logs[")
+
+        appends = []
+        for path in sorted([SRC / "cluster" / "failover.py", *(SRC / "geo").glob("*.py")]):
+            tree = ast.parse(path.read_text())
+            called = {
+                id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            }
+            looped = {
+                id(inner)
+                for loop in ast.walk(tree) if isinstance(loop, loops)
+                for inner in ast.walk(loop)
+            }
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "append"
+                    and is_log(node.value)
+                ):
+                    assert id(node) in called, f"{path.name}: {ast.unparse(node)} passed on"
+                    assert id(node) not in looped, f"{path.name}: looped {ast.unparse(node)}"
+                    appends.append((path.name, ast.unparse(node)))
+        assert appends == [
+            ("failover.py", "log.append"),
+            ("replication.py", "self._logs[home].append"),
+        ]

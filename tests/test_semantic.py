@@ -566,6 +566,23 @@ class TestOneLifecycleDefects:
         hits = platform.query(semantic_query("red chair", k=5)).items
         assert sorted(key for key, _ in hits) == [f"obj/{i}" for i in range(5)]
 
+    def test_a_delete_by_another_writer_is_not_served(self):
+        """A platform that is not its keys' sole writer keeps no exact
+        state: each search re-hydrates the index from the engine, so a
+        key another writer deleted is never answered, with no
+        ``reset_caches`` in between."""
+        engine = LocalStorageEngine()
+        engine.mput([
+            (f"obj/{i}", stored_record_value(record(f"obj/{i}", scene_payload(i))))
+            for i in range(5)
+        ])
+        platform = MetaversePlatform(engine=engine, semantic_index=True)
+        request = semantic_query("red chair", k=5)
+        assert "obj/0" in [key for key, _ in platform.query(request).items]
+        engine.delete("obj/0")
+        keys = [key for key, _ in platform.query(request).items]
+        assert sorted(keys) == [f"obj/{i}" for i in range(1, 5)]
+
     def test_reset_caches_then_a_delete_behind_its_back_is_not_served(self):
         platform = MetaversePlatform(semantic_index=True)
         platform.ingest_many(

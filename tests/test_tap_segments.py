@@ -3,16 +3,27 @@
 The op tap is scoped to the cluster's write-surface calls: a sink gets
 ``(shard, ops)`` segments, in commit order, when the outermost call
 returns or raises, and an op committed with no call open at once.  The
-failover replicator logs a segment with one round of ship offers per
-holder; geo logs a delivery in its home log and ships it as one segment
-per destination.
+failover replicator logs a segment as one record with one round of ship
+offers per holder; geo logs a delivery in its home log as one record and
+ships it as one segment per destination.
 
-The per-op tap this replaced lives on here as the oracle: ``PerOpTap``
-hands each op to each sink as it commits, and ``PerOpReplicator`` logs it
-alone.  Under any interleaving of purchases, baskets, flushes, writes,
-imports, drops, kills with torn tails, promotions, joins and leaves, both
-trees hold every log copy equal LSN for LSN, every hint buffer and every
-shard's state; on a geo deployment, every home log and region state.
+The per-op tap and the per-op log this replaced live on here as the
+oracle: ``PerOpTap`` hands each op to each sink as it commits, and
+``PerOpReplicator`` logs it alone, as a record of one op.  Under any
+interleaving of purchases, baskets, flushes, writes, imports, drops,
+kills with torn tails (torn at the same calls in both), promotions,
+joins and leaves, both trees hold every log copy and every hint buffer
+equal op for op, in LSN order, and every shard's state equal; with log
+compaction on, which keeps records whole, every shard's state and every
+owner's union fold, through kills that tear compacted primaries.  In
+each tree every serving shard holds what its log union folds to, and
+the catalog's stock is what loads, imports and acknowledged sales left
+— until a tear loses the only copy of a call, after which stock is not
+conserved and, with compaction on, the trees are not compared (each
+brings back the older values its own compaction kept).  On a geo
+deployment both hold every home log equal op for op, every region state
+equal, and the session's reach and the replication lag equal counted in
+ops.
 """
 
 from dataclasses import replace
@@ -24,20 +35,23 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster, ShardReplicator
 from repro.cluster.cluster import BasketOutcome
-from repro.cluster.failover import SHIP_OFFERS
+from repro.cluster.failover import DOWN, SHIP_OFFERS
 from repro.core import (
     DataKind,
     DataRecord,
     FaultInjectedError,
+    KeyNotFoundError,
     Space,
 )
 from repro.geo import GeoConfig, GeoDeployment, GeoSession
 from repro.geo import deployment
 from repro.platform.platform import stored_record_value
-from repro.replication import decode, entity_op
+from repro.replication import DROPPED, compact_entries, decode, fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads.marketplace import PurchaseRequest
+from tests.test_geo_segments import logged_in, ops_behind, reach
 from tests.test_position_index import sweep_only, split_write_cluster
+from tests.test_replication import expanded, frame
 
 pytestmark = [pytest.mark.cluster, pytest.mark.failover]
 
@@ -74,22 +88,16 @@ class PerOpTap(PlatformCluster):
     """The tap before call scoping: ``sink(shard, op)`` for each op, as
     it commits."""
 
-    def _emit(self, shard, op_of, *args):
-        if self._op_sinks:
-            op = op_of(*args)
+    def _tap(self, shard, ops):
+        for op in ops:
             for sink in self._op_sinks:
                 sink(shard, op)
 
-    def _emit_stored(self, name, stored):
-        if self._op_sinks:
-            for key, value in stored:
-                self._emit(name, entity_op, key, value)
-
 
 class PerOpReplicator(ShardReplicator):
-    """``log_op`` before segments: one append, one round of ship offers
-    per holder and one counter lookup per op.  The resync seed, one
-    segment per shard now, is logged op by op."""
+    """``log_op`` before records: one append of one op, one round of ship
+    offers per holder and one counter lookup per op.  The resync seed,
+    one record per shard now, is logged op by op."""
 
     def log_op(self, owner, ops):
         for op in ops:
@@ -97,7 +105,7 @@ class PerOpReplicator(ShardReplicator):
 
     def log_one(self, owner, op):
         log = self.log(owner)
-        lsn, payload = log.append(op)
+        lsn, payload = log.append([op])
         for holder in log.holders:
             if holder in self._down:
                 log.buffer_hints(holder, [(lsn, payload)])
@@ -119,22 +127,39 @@ class PerOpReplicator(ShardReplicator):
         self.metrics.counter("cluster.failover.replicated_ops").inc()
 
 
+#: Log compaction off: it keeps records whole, so only with it off is a
+#: record log the per-op log op for op.
 CONFIG = ClusterConfig(
     n_shards=3, n_replicas=2, phi_threshold=2.0,
-    replica_log_compact_threshold=12,
+    replica_log_compact_threshold=None,
 )
+#: A log of a few calls is already due: a record goes only once later
+#: calls supersede every op in it, which a short run rarely reaches.
+COMPACTING = replace(CONFIG, replica_log_compact_threshold=2)
+
+#: Failover metrics that count records, which the two logs cut apart.
+RECORD_COUNTS = {
+    "cluster.failover.hints_buffered",
+    "cluster.failover.hints_delivered",
+    "cluster.failover.replication_dropped",
+    "cluster.failover.log_compactions",
+    "cluster.failover.compacted_entries",
+    "cluster.failover.promotion_replayed_entries",
+}
 
 
-def segmented_cluster():
-    return PlatformCluster(CONFIG)
+def segmented_cluster(config=CONFIG):
+    cluster = PlatformCluster(config)
+    recording(cluster.failover.replicator)
+    return cluster
 
 
-def per_op_cluster():
-    cluster = PerOpTap(CONFIG)
+def per_op_cluster(config=CONFIG):
+    cluster = PerOpTap(config)
     replicator = PerOpReplicator(
-        cluster.router, CONFIG.n_replicas, metrics=cluster.metrics,
+        cluster.router, config.n_replicas, metrics=cluster.metrics,
     )
-    cluster.failover.replicator = replicator
+    cluster.failover.replicator = recording(replicator)
     cluster._op_sinks[:] = [replicator.log_one]
     return cluster
 
@@ -177,6 +202,13 @@ cluster_steps = st.lists(
 )
 
 
+#: The steps above with a failover tick after each, so the logs compact
+#: between calls and a kill tears a compacted primary.
+compacting_steps = cluster_steps.map(
+    lambda steps: [s for step in steps for s in (step, ("tick", 1))]
+)
+
+
 def perform(cluster, step, n):
     kind, *args = step
     names = sorted(cluster.router.shards)
@@ -216,32 +248,137 @@ def perform(cluster, step, n):
     return cluster.remove_shard(names[args[0] % len(names)])
 
 
-def cluster_view(cluster):
-    """Every log copy LSN for LSN, every hint buffer, every shard's
-    state and lifecycle, and the failover counters."""
+def shard_state(shard):
+    return (
+        {key: shard.export_entity(key) for key in shard.entity_keys()},
+        shard.catalog_snapshot(),
+    )
+
+
+def cluster_view(cluster, compacting=False):
+    """Every log copy op for op in LSN order (with how many ops it holds
+    twice) — with compaction on, every owner's union fold instead — every
+    hint buffer op for op, every shard's state and lifecycle, and the
+    failover counters that count ops or events."""
     replicator = cluster.failover.replicator
     logs, hints = {}, {}
     for owner, log in sorted(replicator._logs.items()):
-        logs[owner] = {
-            name: [(e.lsn, e.payload) for e in log.entries(name)]
-            for name in (owner, *log.holders)
-        }
+        if compacting:
+            state = fold(log.union())
+            logs[owner] = (state.entities, state.products, state.partial)
+        else:
+            logs[owner] = {}
+            for name in (owner, *log.holders):
+                entries = log.entries(name)
+                once = {e.lsn: e for e in entries}.values()
+                logs[owner][name] = (
+                    expanded(once), len(expanded(entries)) - len(expanded(once))
+                )
         hints[owner] = {
-            holder: list(buffered) for holder, buffered in log._hints.items()
+            holder: [op for _, payload in buffered for op in decode(payload)]
+            for holder, buffered in log._hints.items()
         }
     shards = {
-        name: (
-            {key: shard.export_entity(key) for key in shard.entity_keys()},
-            shard.catalog_snapshot(),
-        )
-        for name, shard in sorted(cluster.shards.items())
+        name: shard_state(shard) for name, shard in sorted(cluster.shards.items())
     }
     states = {name: cluster.failover.state(name) for name in cluster.shards}
     counters = {
         name: value for name, value in cluster.metrics.snapshot().items()
-        if name.startswith("cluster.failover.")
+        if name.startswith("cluster.failover.") and name not in RECORD_COUNTS
     }
     return logs, hints, shards, states, counters
+
+
+def recording(replicator):
+    """``replicator``, remembering per owner the LSN each op was appended
+    under.  Both trees log the same ops in the same order, so op *k* of an
+    owner's log is one write in both, and a record maps to the per-op
+    entries of its call."""
+    replicator.appended = {}
+    log_of = replicator.log
+
+    def log(owner):
+        log = log_of(owner)
+        if "append" not in vars(log):  # a new log: a new history
+            lsns = replicator.appended[owner] = []
+            append = log.append
+
+            def recorded(ops):
+                lsn, payload = append(ops)
+                lsns.extend([lsn] * len(ops))
+                return lsn, payload
+
+            log.append = recorded
+        return log
+
+    replicator.log = log
+    return replicator
+
+
+def kill_alike(segmented, per_op, step):
+    """A kill step on both trees: the segmented primary is torn by the
+    step's bytes, which drops whole records, and the per-op primary from
+    the first entry it still holds of the first torn record's call on,
+    which drops the same calls — compacted or not.  Also returns whether
+    a torn record was in no holder's copy: an acknowledged call lost."""
+    _, index, nbytes = step
+    names = sorted(segmented.router.shards)
+    name = names[index % len(names)]
+    records, alone = (
+        tree.failover.replicator for tree in (segmented, per_op)
+    )
+    log = records.log(name)
+    before = {e.lsn for e in log.entries(name)}
+    got = outcome(lambda: segmented.kill_shard(name, torn_tail_bytes=nbytes))
+    torn = before - {e.lsn for e in log.entries(name)}
+    cut = 0
+    if torn:
+        since = alone.appended[name][records.appended[name].index(min(torn))]
+        cut = sum(
+            frame(e.payload) for e in alone.log(name).entries(name)
+            if e.lsn >= since
+        )
+    want = outcome(lambda: per_op.kill_shard(name, torn_tail_bytes=cut))
+    held = {e.lsn for holder in log.holders for e in log.entries(holder)}
+    return got, want, bool(torn - held)
+
+
+class Ledger:
+    """Each product's stock as the loads, imports, drops and acknowledged
+    sales so far leave it (``None``: dropped), or unknown after a call
+    that raised."""
+
+    def __init__(self):
+        self.stock = {pid: 8 for pid in PRODUCTS}
+
+    def book(self, step, result):
+        kind, *args = step
+        value, raised = result
+        if kind == "purchases":
+            touched = [pid for pid, _ in args[0]]
+            sold = [] if raised else [
+                (o.request.product_id, o.request.quantity)
+                for o in value if o.success
+            ]
+        elif kind == "basket":
+            touched = [pid for pid, _ in args[0]]
+            sold = [] if raised or not value.committed else args[0]
+        elif kind in ("import_product", "drop_product"):
+            touched, sold = [args[0]], []
+            if not raised:
+                self.stock[args[0]] = args[1] if kind == "import_product" else None
+        else:
+            return
+        for pid in touched if raised else []:
+            self.stock.pop(pid, None)
+        for pid, quantity in sold:
+            if pid in self.stock:
+                self.stock[pid] -= quantity
+
+    def assert_conserved(self, cluster):
+        for pid, stock in self.stock.items():
+            got, raised = outcome(lambda: cluster.get_stock(pid))
+            assert (None if raised is KeyNotFoundError else got) == stock, pid
 
 
 def compared(result):
@@ -252,14 +389,54 @@ def compared(result):
     return value, raised
 
 
-def play_both(steps):
-    segmented, per_op = seeded(segmented_cluster()), seeded(per_op_cluster())
-    assert cluster_view(segmented) == cluster_view(per_op)
+def logged_state(log):
+    state = fold(log.union())
+    return (
+        {k: v for k, v in state.entities.items() if v is not DROPPED},
+        {k: v for k, v in state.products.items() if v is not None},
+    )
+
+
+def assert_shards_are_their_logs(cluster):
+    """Every serving shard holds what its log union folds to: what a
+    promotion would replay is what the shard serves."""
+    replicator = cluster.failover.replicator
+    for name, shard in cluster.shards.items():
+        if cluster.failover.state(name) != DOWN:
+            assert shard_state(shard) == logged_state(replicator.log(name))
+
+
+def play_both(steps, config=CONFIG):
+    """Play ``steps`` on both trees, each torn kill tearing the same calls
+    off both primaries.  After every step each serving shard holds its
+    log union's fold, the catalog holds what the ledger says, and the
+    trees are equal: op for op with compaction off; with it on, in shard
+    states and union folds.  A tear that loses a call's only copy ends
+    two of these: stock is conserved no more, and with compaction on the
+    trees are compared no more — each compacted apart, so each brings
+    back whatever older value its own compaction kept."""
+    compacting = config.replica_log_compact_threshold is not None
+    segmented = seeded(segmented_cluster(config))
+    per_op = seeded(per_op_cluster(config))
+    ledger, lost = Ledger(), False
+    assert cluster_view(segmented, compacting) == cluster_view(per_op, compacting)
     for n, step in enumerate(steps):
-        got = outcome(lambda: perform(segmented, step, n))
-        want = outcome(lambda: perform(per_op, step, n))
+        if step[0] == "kill":
+            got, want, tore_off = kill_alike(segmented, per_op, step)
+            lost = lost or tore_off
+        else:
+            got = outcome(lambda: perform(segmented, step, n))
+            want = outcome(lambda: perform(per_op, step, n))
+        for tree in (segmented, per_op):
+            assert_shards_are_their_logs(tree)
+        if lost and compacting:
+            continue
         assert compared(got) == compared(want)
-        assert cluster_view(segmented) == cluster_view(per_op)
+        assert cluster_view(segmented, compacting) == cluster_view(per_op, compacting)
+        if not lost:
+            ledger.book(step, got)
+            for tree in (segmented, per_op):
+                ledger.assert_conserved(tree)
     return segmented
 
 
@@ -297,15 +474,39 @@ class TestSegmentsAreThePerOpTap:
         assert counted("cluster.failover.promotions").value == 1
         assert counted("cluster.failover.hints_buffered").value > 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(steps=compacting_steps)
+    def test_with_compaction_shards_and_union_folds_equal_the_per_op_tap(
+        self, steps
+    ):
+        play_both(steps, COMPACTING)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(steps=compacting_steps)
+    def test_sweep_with_compaction_shards_and_union_folds_equal_the_per_op_tap(
+        self, request, steps
+    ):
+        """The property above at 1,000 examples, for the nightly tier."""
+        sweep_only(request)
+        play_both(steps, COMPACTING)
+
     def test_a_steps_flush_is_logged_before_its_failover_tick(self):
         """``step`` is no scope of its own: were it one, its flush would
-        reach the logs after the tick's compaction had run without it."""
-        segmented = play_both([
-            ("ingest", [(key, v) for v in range(4) for key in ENTITIES]),
-            ("tick", 1),
-        ])
+        reach the logs after the tick's compaction had run without it,
+        and the compacted log would still hold the write it supersedes."""
+        segmented = play_both(
+            [("write_records", [(key, v) for key in ENTITIES]) for v in range(14)]
+            + [("ingest", [(key, 9) for key in ENTITIES]), ("tick", 1)],
+            COMPACTING,
+        )
         compactions = segmented.metrics.counter("cluster.failover.log_compactions")
         assert compactions.value > 0
+        replicator = segmented.failover.replicator
+        for owner in segmented.router.shards:
+            entries = replicator.log(owner).entries(owner)
+            assert compact_entries(entries) == entries
+            assert {op["v"]["payload"]["v"] for op in decode(entries[-1].payload)} == {9}
 
 
 # -- geo: a delivery is one home-log segment ---------------------------------------
@@ -390,8 +591,7 @@ def geo_perform(geo, session, step, n):
 
 def geo_view(geo, session):
     logs = {
-        home: [(e.lsn, e.payload) for e in geo.replicator.log(home).entries(home)]
-        for home in REGIONS
+        home: expanded(geo.replicator.log(home).entries(home)) for home in REGIONS
     }
     states = {
         name: (
@@ -400,7 +600,20 @@ def geo_view(geo, session):
         )
         for name in REGIONS
     }
-    return logs, states, dict(session.vector), geo.max_replication_lag()
+    return logs, states, reach(geo, session), ops_behind(geo)
+
+
+def geo_compared(geo, step, n, result):
+    """A step's result; an ingest's LSNs each as whether it names the
+    home record that logged its write (``None`` for a deferred one)."""
+    value, raised = result
+    if step[0] == "ingest" and value is not None:
+        value = [
+            None if lsn is None else logged_in(geo, geo.home_of(key), lsn, written)
+            for (key, v), lsn in zip(step[1], value)
+            for written in [record(key, {"v": v}, float(n))]
+        ]
+    return value, raised
 
 
 def play_geo(steps):
@@ -409,7 +622,9 @@ def play_geo(steps):
     for n, step in enumerate(steps):
         got = outcome(lambda: geo_perform(segmented, sessions[0], step, n))
         want = outcome(lambda: geo_perform(per_op, sessions[1], step, n))
-        assert got == want
+        assert geo_compared(segmented, step, n, got) == geo_compared(
+            per_op, step, n, want
+        )
         assert geo_view(segmented, sessions[0]) == geo_view(per_op, sessions[1])
     return segmented, per_op
 
@@ -436,12 +651,16 @@ class TestGeoSegmentsAreThePerOpTap:
             ("ingest", [(key, 1) for key in GEO_KEYS], None),
             ("tick",),
         ])
-        shipped = [
-            geo.metrics.counter("geo.repl.shipped").value
-            for geo in (segmented, per_op)
-        ]
-        logged = segmented.metrics.counter("geo.repl.logged").value
-        assert shipped[1] == 2 * logged  # one message per op and destination
+        shipped, logged = (
+            [geo.metrics.counter(f"geo.repl.{name}").value for geo in (segmented, per_op)]
+            for name in ("shipped", "logged")
+        )
+        # One message per record and destination: a call's in one, each
+        # op alone in the other.
+        assert shipped == [2 * logged[0], 2 * logged[1]]
+        assert logged[1] == sum(
+            len(geo_view(per_op, GeoSession())[0][home]) for home in REGIONS
+        )
         assert shipped[0] < shipped[1]
 
 
@@ -502,7 +721,7 @@ class TestARaisingCallStillDelivers:
         owner = cluster.router.owner_of(landed)
         log = replicator.log(owner)
         for name in (owner, *log.holders):
-            assert [decode(e.payload)["k"] for e in log.entries(name)] == [landed]
+            assert [op["k"] for op in expanded(log.entries(name))] == [landed]
         assert replicator.log("shard-1").entries("shard-1") == []
 
     def test_the_landed_ops_reach_the_geo_home_log(self):
@@ -516,7 +735,7 @@ class TestARaisingCallStillDelivers:
         with pytest.raises(FaultInjectedError):
             geo.ingest_many([record(landed, {"v": 1}), record(failed, {"v": 2})])
         assert [
-            decode(e.payload)["k"] for e in geo.replicator.log(home).entries(home)
+            op["k"] for op in expanded(geo.replicator.log(home).entries(home))
         ] == [landed]
         assert geo.metrics.counter("geo.repl.shipped").value == 2
         geo.tick(0.5)
