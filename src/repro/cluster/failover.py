@@ -273,9 +273,13 @@ class ShardReplicator:
         primary is due (:meth:`ReplicatedLog.compact_due`).  Down holders
         are skipped — their copies (and any torn tail from a crash) stay
         as a later promotion must see them, and reconverge via
-        anti-entropy on return."""
+        anti-entropy on return.  Nothing is compacted while no holder
+        copy besides the primary is up: a torn primary tail would then
+        lose, with the torn record, every record it superseded."""
         log = self.log(owner)
-        if not log.compact_due(threshold):
+        if not log.compact_due(threshold) or all(
+            holder in self._down for holder in log.holders
+        ):
             return
         removed = sum(log.compact(skip=self._down).values())
         if removed:

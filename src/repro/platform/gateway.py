@@ -74,6 +74,9 @@ class DeviceGateway:
         self.aggregate = aggregate
         self.group_fn = group_fn
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._raw, self._uplink, self._sent = map(self.metrics.counter, (
+            "gateway.raw_records", "gateway.uplink_bytes", "gateway.sent_records",
+        ))
         self.tracer_injected = tracer is not None
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
@@ -87,7 +90,7 @@ class DeviceGateway:
                 self.metrics.counter("gateway.dropped_records").inc()
                 return
         self._buffer.append(record)
-        self.metrics.counter("gateway.raw_records").inc()
+        self._raw.inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
         with self.tracer.span("gateway.ingest", batch=len(records)):
@@ -115,7 +118,7 @@ class DeviceGateway:
                     return
                 batch = batch.take(keep)
         self._batch_buffer.append(batch)
-        self.metrics.counter("gateway.raw_records").inc(len(batch))
+        self._raw.inc(len(batch))
 
     def flush(self) -> tuple[list[DataRecord], int]:
         """Return (records to send upstream, uplink bytes) and clear."""
@@ -140,13 +143,13 @@ class DeviceGateway:
             self._batch_buffer = []
             if not self.aggregate:
                 uplink = batch_uplink_bytes(merged)
-                self.metrics.counter("gateway.uplink_bytes").inc(uplink)
-                self.metrics.counter("gateway.sent_records").inc(len(merged))
+                self._uplink.inc(uplink)
+                self._sent.inc(len(merged))
                 return merged, uplink
             out = self._aggregate_batch(merged)
             uplink = batch_uplink_bytes(out)
-            self.metrics.counter("gateway.uplink_bytes").inc(uplink)
-            self.metrics.counter("gateway.sent_records").inc(len(out))
+            self._uplink.inc(uplink)
+            self._sent.inc(len(out))
             return out, uplink
 
     def _aggregate_batch(self, merged: RecordBatch) -> RecordBatch:
@@ -187,8 +190,8 @@ class DeviceGateway:
             out = self._buffer
             self._buffer = []
             uplink = sum(r.size_bytes() for r in out)
-            self.metrics.counter("gateway.uplink_bytes").inc(uplink)
-            self.metrics.counter("gateway.sent_records").inc(len(out))
+            self._uplink.inc(uplink)
+            self._sent.inc(len(out))
             return out, uplink
         assert self.group_fn is not None
         groups: dict[str, list[DataRecord]] = defaultdict(list)
@@ -218,6 +221,6 @@ class DeviceGateway:
             )
         self._buffer = []
         uplink = sum(r.size_bytes() for r in out)
-        self.metrics.counter("gateway.uplink_bytes").inc(uplink)
-        self.metrics.counter("gateway.sent_records").inc(len(out))
+        self._uplink.inc(uplink)
+        self._sent.inc(len(out))
         return out, uplink

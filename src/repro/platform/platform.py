@@ -137,8 +137,8 @@ class MetaversePlatform:
             raise ConfigurationError("need at least one executor")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
-        # A purchase call's outcome counters and a tick's standing-query
-        # counter, bound once.
+        # A purchase call's outcome counters, a tick's standing-query
+        # counter and the ingest counters, bound once.
         self._decided = {
             "": self.metrics.counter("platform.purchases"),
             "sold out": self.metrics.counter("platform.soldout"),
@@ -146,6 +146,8 @@ class MetaversePlatform:
         self._evaluations = self.metrics.counter(
             "platform.continuous.evaluations"
         )
+        self._buffered = self.metrics.counter("platform.buffered_records")
+        self._ingested = self.metrics.counter("platform.ingested_records")
         # Resilience.  A platform built with a fault injector survives it:
         # storage and broker calls retry with backoff, a breaker sheds
         # publishes while the broker is failing, and reads fall back to
@@ -452,7 +454,7 @@ class MetaversePlatform:
                         )
                     )
                     total_records += 1
-        self.metrics.counter("platform.ingested_records").inc(total_records)
+        self._ingested.inc(total_records)
         self.metrics.counter("platform.uplink_bytes").inc(total_bytes)
         return total_records, total_bytes
 
@@ -466,7 +468,7 @@ class MetaversePlatform:
     def ingest(self, record: DataRecord) -> None:
         """Buffer one observation until the next :meth:`flush`."""
         self._pending.append(record)
-        self.metrics.counter("platform.buffered_records").inc()
+        self._buffered.inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
         with self.tracer.span("platform.ingest", batch=len(records)):
@@ -476,7 +478,7 @@ class MetaversePlatform:
     def ingest_batch(self, batch: RecordBatch) -> None:
         """Buffer one columnar batch until the next :meth:`flush`."""
         self._pending.append(batch)
-        self.metrics.counter("platform.buffered_records").inc(len(batch))
+        self._buffered.inc(len(batch))
 
     @property
     def pending_count(self) -> int:
@@ -500,7 +502,7 @@ class MetaversePlatform:
                     )
                     self.tracer.log("warn", "records rejected", keys=rejected)
                 total += len(stored)
-        self.metrics.counter("platform.ingested_records").inc(total)
+        self._ingested.inc(total)
         return total
 
     def tick(self, dt: float) -> dict[str, GatherResult]:

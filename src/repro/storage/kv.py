@@ -6,6 +6,13 @@ flushed to an immutable sorted run (SSTable); reads consult the memtable and
 then runs newest-first; ranged scans merge all runs.  A tiered compactor
 bounds the run count.  Deletes are tombstones.
 
+A write batch is one ``mput`` WAL record in one of two shapes
+(:func:`encode_mput`): rows, or — for a node group of at least
+:data:`COLUMNAR_MIN_ITEMS` stored-record wrappers sharing one payload
+shape — parallel columns, numeric ones packed as binary.
+:func:`decode_mput` reads either back as rows.  The memtable budget counts
+logged bytes, so a columnar batch fills it more slowly.
+
 This is the storage tier the disaggregated architecture (Fig. 7) mounts for
 hot structured data; the experiments that use it care about its update-heavy
 performance profile, which the LSM design provides.
@@ -14,6 +21,8 @@ performance profile, which the LSM design provides.
 from __future__ import annotations
 
 import json
+import struct
+from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -121,21 +130,117 @@ def payload_size(value: object) -> int:
     """Size estimate of a value that is not a write batch: a snapshot's
     memtable accounting here; RPC responses and product records in
     :mod:`repro.storage.engine`.  A write batch is sized by the record
-    :func:`encode_mput` builds for it."""
+    :func:`encode_mput` builds for it, in whichever shape it took."""
     try:
         return len(json.dumps(value))
     except (TypeError, ValueError):
         return len(repr(value))
 
 
+#: The smallest node group logged as columns.  Measured, not tuned: on
+#: ``geo_commerce``'s groups one item costs 12.3 µs as columns against
+#: 6.2 µs as rows, and four items break even at 15.5 µs.
+COLUMNAR_MIN_ITEMS = 4
+
+#: The keys of a stored-record wrapper, in order
+#: (:func:`repro.platform.platform.stored_record_value`).
+_WRAPPER = ("payload", "space", "timestamp")
+_INT64 = (-(2 ** 63), 2 ** 63 - 1)
+# Bound once; the settings are ``json.dumps``'s with compact separators,
+# so a cyclic value still raises ``ValueError`` (``check_circular``).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _pack(column: tuple) -> "tuple | str":
+    """A column as logged: all ``float``, or all ``int`` in int64 range,
+    packs as ``"d"``/``"q"`` plus base64 of little-endian 8-byte values;
+    anything else stays a JSON list."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        code = "d"
+    elif kinds == {int} and _INT64[0] <= min(column) and max(column) <= _INT64[1]:
+        code = "q"
+    else:
+        return column
+    raw = struct.pack(f"<{len(column)}{code}", *column)
+    return code + b64encode(raw).decode("ascii")
+
+
+def _unpack(column: "list | str") -> list:
+    if not isinstance(column, str):
+        return column
+    code, raw = column[:1], b64decode(column[1:])
+    if code not in ("d", "q") or len(raw) % 8:
+        raise StorageError(f"malformed packed column {column[:16]!r}")
+    return list(struct.unpack(f"<{len(raw) // 8}{code}", raw))
+
+
+def _columns(items: "list[tuple[str, object]]") -> dict | None:
+    """The column body of ``items`` when every value is a stored-record
+    wrapper and every payload a dict with one ordered set of string field
+    names: keys, one column per field, spaces and timestamps.  ``None``
+    otherwise, for the row shape."""
+    keys, values = zip(*items)
+    if set(map(type, values)) != {dict} or set(map(tuple, values)) != {_WRAPPER}:
+        return None
+    payloads, spaces, stamps = zip(*map(dict.values, values))
+    if set(map(type, payloads)) != {dict}:
+        return None
+    shapes = set(map(tuple, payloads))
+    if len(shapes) != 1:
+        return None
+    (fields,) = shapes
+    if not all(type(field) is str for field in fields):
+        return None
+    return {
+        "keys": keys,
+        "fields": fields,
+        "payload": [_pack(column) for column in zip(*map(dict.values, payloads))],
+        "space": _pack(spaces),
+        "timestamp": _pack(stamps),
+    }
+
+
 def encode_mput(items: "list[tuple[str, object]]") -> bytes:
     """The WAL record of one write batch — and, for a remote engine, the
     request on the wire: whoever receives the batch first serialises it,
-    once, and :meth:`KVStore.mput` logs those bytes.  Raises ``TypeError``
-    for a value JSON cannot carry and ``ValueError`` for a cyclic one."""
-    return json.dumps(
-        {"op": "mput", "items": items}, separators=(",", ":")
-    ).encode("utf-8")
+    once, and :meth:`KVStore.mput` logs those bytes.
+
+    A batch of :data:`COLUMNAR_MIN_ITEMS` or more stored-record wrappers
+    whose payloads share one ordered set of string field names is written
+    as columns (:func:`_columns`); every other batch as rows, an
+    ``items`` list of ``[key, value]`` pairs.  Either way
+    :func:`decode_mput` returns the rows the row shape decodes to.  Raises
+    ``TypeError`` for a value JSON cannot carry and ``ValueError`` for a
+    cyclic one."""
+    body = _columns(items) if len(items) >= COLUMNAR_MIN_ITEMS else None
+    if body is None:
+        body = {"items": items}
+    return _encode({"op": "mput", **body}).encode("utf-8")
+
+
+def decode_mput(record: dict) -> list:
+    """The ``[key, value]`` rows of a parsed ``mput`` record, whichever
+    shape :func:`encode_mput` wrote it in — for a columnar record, equal
+    (dict key order included) to what its row record decodes to.  Raises
+    :class:`StorageError` when its columns differ in length."""
+    if "items" in record:
+        return record["items"]
+    keys, fields = record["keys"], record["fields"]
+    columns = [_unpack(column) for column in record["payload"]]
+    spaces, stamps = _unpack(record["space"]), _unpack(record["timestamp"])
+    if len(columns) != len(fields) or any(
+        len(column) != len(keys) for column in (*columns, spaces, stamps)
+    ):
+        raise StorageError("columnar mput record with ragged columns")
+    payloads = (
+        [dict(zip(fields, row)) for row in zip(*columns)]
+        if columns else [{} for _ in keys]
+    )
+    return [
+        [key, {"payload": payload, "space": space, "timestamp": stamp}]
+        for key, payload, space, stamp in zip(keys, payloads, spaces, stamps)
+    ]
 
 
 class KVStore:
@@ -171,8 +276,13 @@ class KVStore:
         self.max_runs = max_runs
         self.wal = wal if wal is not None else WriteAheadLog(faults=faults)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._puts, self._gets, self._scans, self._deletes = map(
-            self.metrics.counter, ("kv.puts", "kv.gets", "kv.scans", "kv.deletes"))
+        (
+            self._puts, self._gets, self._scans, self._deletes,
+            self._flushes, self._compactions,
+        ) = map(self.metrics.counter, (
+            "kv.puts", "kv.gets", "kv.scans", "kv.deletes",
+            "kv.flushes", "kv.compactions",
+        ))
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
         self._memtable = MemTable()
@@ -320,7 +430,7 @@ class KVStore:
         with self.tracer.span("kv.flush", entries=len(self._memtable)):
             self._runs.insert(0, SSTable(list(self._memtable.items())))
             self._memtable = MemTable()
-            self.metrics.counter("kv.flushes").inc()
+            self._flushes.inc()
             if len(self._runs) > self.max_runs:
                 self.compact()
 
@@ -336,7 +446,7 @@ class KVStore:
                 if versioned.value is not _TOMBSTONE
             ]
             self._runs = [SSTable(live)] if live else []
-            self.metrics.counter("kv.compactions").inc()
+            self._compactions.inc()
 
     # -- checkpointing ----------------------------------------------------
 
@@ -386,8 +496,9 @@ class KVStore:
         for entry in self.wal.replay():
             record = json.loads(entry.payload.decode("utf-8"))
             if record["op"] == "mput":
-                self._apply_mput(record["items"], len(entry.payload))
-                applied += len(record["items"])
+                items = decode_mput(record)
+                self._apply_mput(items, len(entry.payload))
+                applied += len(items)
             elif record["op"] == "del":
                 self._apply_delete(record["k"])
                 applied += 1

@@ -411,7 +411,8 @@ class TestOneWritePath(SourceGrep):
     def test_one_wal_put_format_and_one_size_function(self):
         quoted = "[\"']{}[\"']".format
         assert self.hits(quoted("put"), "storage") == []
-        # written by KVStore.mput, read by the one replay branch
+        # written once by encode_mput, in either record shape, and read
+        # once, by the one replay branch
         assert self.hits(quoted("mput"), "storage").count("storage/kv.py") == 2
         assert self.hits(r"len\(\s*json\.dumps") == ["storage/kv.py"]
 
@@ -422,6 +423,12 @@ class TestOneWritePath(SourceGrep):
             "storage/engine.py", "storage/kv.py"
         ]
         assert "payload_size" not in inspect.getsource(RemoteStorageEngine.mput)
+
+    def test_a_write_batch_is_decoded_in_one_place_by_recovery_alone(self):
+        # one reader for both record shapes, and replay is its one caller
+        assert self.hits(r"def decode_mput\(") == ["storage/kv.py"]
+        assert self.hits(r"(?<!def )decode_mput\(") == ["storage/kv.py"]
+        assert "decode_mput(" in inspect.getsource(KVStore.recover)
 
 
 class TestOneLifecycle(SourceGrep):

@@ -18,18 +18,23 @@ binds ``cluster.basket.local``/``distributed``,
 ``cluster.ingested_records``, ``cluster.continuous.evaluations`` and the
 ``cluster.router.batch_size`` and ``cluster.query.fanout_results``
 histograms, ``MetaversePlatform`` ``platform.purchases``,
-``platform.soldout`` and ``platform.continuous.evaluations``,
-``MVStore`` ``mvcc.commits``, ``KVStore`` ``kv.puts``, ``kv.gets``,
-``kv.scans`` and ``kv.deletes``, ``StorageNode`` its
-``storage.node.<name>.ops``, and ``RemoteStorageEngine``
-``storage.rpc.calls``, ``storage.rpc.bytes`` and the
-``storage.rpc.latency_s`` histogram.  A fault-free message, a lookup, a
-2PC round, a page access, a logged segment, a basket, a purchase call, a
-cluster's ingest, flush, query or tick, a replicated cluster's purchase,
+``platform.soldout``, ``platform.continuous.evaluations``,
+``platform.buffered_records`` and ``platform.ingested_records``,
+``DeviceGateway`` ``gateway.raw_records``, ``gateway.uplink_bytes`` and
+``gateway.sent_records``, ``MVStore`` ``mvcc.commits``, ``KVStore``
+``kv.puts``, ``kv.gets``, ``kv.scans``, ``kv.deletes``, ``kv.flushes``
+and ``kv.compactions``, ``StorageNode`` its ``storage.node.<name>.ops``,
+and ``RemoteStorageEngine`` ``storage.rpc.calls``, ``storage.rpc.bytes``
+and the ``storage.rpc.latency_s`` histogram.  A fault-free message, a
+lookup, a 2PC round, a page access, a logged segment, a basket, a
+purchase call, a platform's or a cluster's ingest and flush, a cluster's
+query or tick, a gateway's batch flush, a replicated cluster's purchase,
 basket and compacting tick, a geo write and tick, a local engine's
-write, read, scan or delete, or a storage round trip therefore asks the registry for
-nothing of its own, and what it counts still lands in that registry,
-also after ``reset()``.
+write, read, scan or delete, a memtable flush with compaction, or a
+storage round trip therefore asks the registry for nothing of its own,
+and what it counts still lands in that registry, also after
+``reset()``.  Fault paths (a dropped reading, a stale read) keep their
+lookups.
 """
 
 import pytest
@@ -42,11 +47,12 @@ from repro.core.columns import RecordBatch
 from repro.geo import GeoConfig, GeoDeployment
 from repro.net import Link, SimulatedNetwork
 from repro.platform import MetaversePlatform
+from repro.platform.gateway import DeviceGateway
 from repro.query.plane import prefix_query, spatial_query
 from repro.replication import entity_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
-from repro.storage import BufferPool, PageMeta
+from repro.storage import BufferPool, KVStore, PageMeta
 from repro.txn import Coordinator, DistributedTxn, Participant
 from repro.workloads.marketplace import PurchaseRequest
 
@@ -203,6 +209,30 @@ def geo_write_tick(geo):
     lands and compares every copy."""
     geo.ingest_many(entities(*range(10)))
     geo.tick(0.5)
+
+
+def platform_ingest_flush(platform):
+    """One record and a batch of eight buffered, then one flush."""
+    platform.ingest(*entities(0))
+    platform.ingest_batch(RecordBatch.from_records(entities(*range(1, 9))))
+    return platform.flush()
+
+
+def gateway_flush(gateway):
+    """Eight readings in as one batch, then one batch flush."""
+    gateway.ingest_batch(RecordBatch.from_records(entities(*range(8))))
+    return gateway.flush_batch()
+
+
+def small_store(metrics):
+    """A store that flushes past 64 bytes and compacts past one run."""
+    return KVStore(memtable_budget_bytes=64, max_runs=1, metrics=metrics)
+
+
+def flush_and_compact(kv):
+    """Six puts: three memtable flushes, the last two compacting."""
+    for i in range(6):
+        kv.put(f"k{i}", i)
 
 
 def requests(*products):
@@ -382,6 +412,39 @@ class TestNoLookupOnTheHotPath:
             assert metrics.counter(f"geo.repl.{name}").value == 2 * len(homes)
 
 
+    def test_a_platform_ingest_and_flush(self):
+        metrics = LookupLog()
+        platform = MetaversePlatform(metrics=metrics)
+        metrics.lookups.clear()
+        assert platform_ingest_flush(platform) == 9
+        assert metrics.lookups == []
+        assert metrics.counter("platform.buffered_records").value == 9
+        assert metrics.counter("platform.ingested_records").value == 9
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_a_gateway_batch_flush(self, aggregate):
+        metrics = LookupLog()
+        gateway = DeviceGateway(
+            aggregate=aggregate, group_fn=lambda r: r.key, metrics=metrics
+        )
+        metrics.lookups.clear()
+        batch, uplink = gateway_flush(gateway)
+        assert metrics.lookups == []
+        assert metrics.counter("gateway.raw_records").value == 8
+        assert metrics.counter("gateway.sent_records").value == len(batch)
+        assert metrics.counter("gateway.uplink_bytes").value == uplink > 0
+
+    def test_a_memtable_flush_with_compaction(self):
+        metrics = LookupLog()
+        kv = small_store(metrics)
+        metrics.lookups.clear()
+        flush_and_compact(kv)
+        assert metrics.lookups == []
+        assert metrics.counter("kv.flushes").value == 3
+        assert metrics.counter("kv.compactions").value == 2
+        assert kv.run_count == 1
+
+
 class TestBoundCountersSurviveReset:
     def test_the_network_counts_into_the_registry_after_reset(self):
         metrics = MetricsRegistry()
@@ -543,6 +606,38 @@ class TestBoundCountersSurviveReset:
         assert snapshot["geo.repl.logged"] == len(homes)
         for name in ("shipped", "delivered", "applied"):
             assert snapshot[f"geo.repl.{name}"] == 2 * len(homes)
+
+
+    def test_a_platform_counts_its_ingest_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        platform = MetaversePlatform(metrics=metrics)
+        platform_ingest_flush(platform)
+        metrics.reset()
+        platform_ingest_flush(platform)
+        snapshot = metrics.snapshot()
+        assert snapshot["platform.buffered_records"] == 9
+        assert snapshot["platform.ingested_records"] == 9
+
+    def test_a_gateway_counts_into_the_registry_after_reset(self):
+        metrics = MetricsRegistry()
+        gateway = DeviceGateway(aggregate=False, metrics=metrics)
+        gateway_flush(gateway)
+        metrics.reset()
+        _, uplink = gateway_flush(gateway)
+        snapshot = metrics.snapshot()
+        assert snapshot["gateway.raw_records"] == 8
+        assert snapshot["gateway.sent_records"] == 8
+        assert snapshot["gateway.uplink_bytes"] == uplink > 0
+
+    def test_a_store_counts_flushes_and_compactions_after_reset(self):
+        metrics = MetricsRegistry()
+        kv = small_store(metrics)
+        flush_and_compact(kv)
+        metrics.reset()
+        flush_and_compact(kv)
+        snapshot = metrics.snapshot()
+        assert snapshot["kv.flushes"] == 3
+        assert snapshot["kv.compactions"] == 3
 
 
 def test_a_negative_size_still_raises():

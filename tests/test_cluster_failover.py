@@ -212,6 +212,53 @@ class TestReplication:
         assert ReplicaStandIn(manager, owner).read("e1") is None
 
 
+class TestCompactionKeepsAHolderCopy:
+    """A log is compacted only while a holder copy besides the primary is
+    up: compaction drops superseded records from every up copy, so with
+    no other copy a torn primary tail would lose, with the torn record,
+    every record it superseded."""
+
+    def test_a_torn_tail_without_a_holder_loses_only_the_torn_call(self):
+        # Two shards keeping two copies; removing one leaves the owner
+        # with no holder but its own primary.
+        cluster = PlatformCluster(ClusterConfig(
+            n_shards=2, n_replicas=2, replica_log_compact_threshold=2,
+        ))
+        cluster.load_catalog([record("p0", {"stock": 8, "price": 1})])
+        owner = cluster.router.owner_of("p0")
+        cluster.remove_shard(next(
+            name for name in cluster.router.shards if name != owner
+        ))
+        assert cluster.failover.replicator.holders(owner) == [owner]
+        for i in range(3):
+            [outcome] = cluster.process_purchases([
+                PurchaseRequest(f"s{i}", "p0", Space.PHYSICAL, float(i))
+            ])
+            assert outcome.success
+        assert cluster.get_stock("p0") == 5
+        cluster.tick(TICK)  # the primary is due: four records, threshold 2
+        cluster.kill_shard(owner, torn_tail_bytes=1)
+        tick_until_up(cluster, owner)
+        # The torn record was the last sale; the two before it survive.
+        assert cluster.get_stock("p0") == 6
+        assert cluster.metrics.counter(
+            "cluster.failover.log_compactions"
+        ).value == 0
+
+    def test_a_down_holder_defers_compaction_until_it_returns(self):
+        rep = ShardReplicator(ShardRouter(["a", "b", "c"]), 2)
+        owner, holder = rep.holders("a")
+        for _ in range(4):
+            rep.log_op(owner, [entity_op("k", 1)])
+        rep.mark_down(holder)
+        rep.compact_if_due(owner, 2)
+        assert rep.entry_count(owner) == 4
+        rep.mark_up(holder)
+        rep.compact_if_due(owner, 2)
+        assert rep.entry_count(owner) == 1
+        assert [e.lsn for e in rep.log(owner).entries(holder)] == [4]
+
+
 class TestHintedHandoff:
     def test_hints_buffer_while_holder_down_and_deliver_on_recovery(self):
         cluster = failover_cluster()
