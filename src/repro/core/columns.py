@@ -18,7 +18,8 @@ so round-tripped payload dicts preserve ``int`` vs ``float`` exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +29,18 @@ from .records import DataKind, DataRecord, Space
 #: Space codes used in the ``spaces`` column (index == code).
 _SPACES = (Space.PHYSICAL, Space.VIRTUAL)
 _SPACE_CODE = {space: code for code, space in enumerate(_SPACES)}
+#: The stored name of each space code (``Space.value``, read once here
+#: instead of once per row through the enum's property).
+SPACE_NAMES = tuple(space.value for space in _SPACES)
+
+
+def dense_codes(keys: Iterable[Hashable]) -> tuple[np.ndarray, list]:
+    """Dense ``intp`` codes for ``keys`` in first-appearance order, and
+    the distinct keys by code.  One ``setdefault`` a key into a list, one
+    array conversion: a new key's code is ``len(index)`` before it joins."""
+    index: dict = {}
+    codes = [index.setdefault(key, len(index)) for key in keys]
+    return np.array(codes, dtype=np.intp), list(index)
 
 
 def _column_array(values: Sequence) -> np.ndarray:
@@ -36,7 +49,15 @@ def _column_array(values: Sequence) -> np.ndarray:
     Columns must be homogeneous (all int or all float): a mixed column
     would silently widen ints to floats and break the byte-identical
     round trip the batch path guarantees against the per-record path.
+    A column of exactly ``int`` (or no values) or exactly ``float`` is
+    told from its set of types; any other type takes the per-value
+    checks, which also raise the errors.
     """
+    types = set(map(type, values))
+    if types <= {int}:
+        return np.asarray(values, dtype=np.int64)
+    if types == {float}:
+        return np.asarray(values, dtype=np.float64)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigurationError(
@@ -128,8 +149,11 @@ class RecordBatch:
                 for name in fields
             },
             timestamps=[r.timestamp for r in records],
-            spaces=np.asarray(
-                [_SPACE_CODE[r.space] for r in records], dtype=np.uint8
+            # ``tuple.index`` finds a member by identity, where a dict
+            # lookup would call ``Enum.__hash__`` once a record.
+            spaces=np.array(
+                list(map(_SPACES.index, map(attrgetter("space"), records))),
+                dtype=np.uint8,
             ),
             kind=first.kind,
             source=first.source,

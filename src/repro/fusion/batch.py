@@ -15,6 +15,12 @@ each group's terms in exactly the sequence the Python loop would, and
 scalar formulas reuse the same expressions — so ``fuse_batch`` returns
 *equal* :class:`~repro.fusion.fuser.FusedValue` objects, not merely close
 ones (asserted in ``tests/test_batch_hotpath.py``).
+
+Building and coding a batch pays per column, not per row: numeric-ness
+is decided from the set of value types, and the group and source codes
+are one ``setdefault`` a row into a list, turned into an array once
+(:func:`~repro.core.columns.dense_codes`); ``tests/test_batch_hotpath.py``
+holds each pass equal to the per-row loop it stands for.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.columns import dense_codes
 from ..core.errors import ConfigurationError
 from .sources import Observation
 
@@ -33,7 +40,9 @@ class ObservationBatch:
     ``entity_ids``/``attributes``/``sources`` are per-row string lists;
     ``values``/``confidences``/``timestamps`` are float64 arrays.  Only
     numeric claims columnarize — categorical fusion stays on the
-    per-record path, which remains fully supported.
+    per-record path, which remains fully supported.  A column handed
+    over as a list (or a float64 array) becomes the batch's own, not a
+    copy.
     """
 
     __slots__ = ("entity_ids", "attributes", "values", "sources",
@@ -48,10 +57,10 @@ class ObservationBatch:
         timestamps: np.ndarray | Sequence[float] | None = None,
         confidences: np.ndarray | Sequence[float] | None = None,
     ) -> None:
-        self.entity_ids = list(entity_ids)
+        self.entity_ids = _as_list(entity_ids)
         n = len(self.entity_ids)
-        self.attributes = list(attributes)
-        self.sources = list(sources)
+        self.attributes = _as_list(attributes)
+        self.sources = _as_list(sources)
         self.values = np.asarray(values, dtype=np.float64)
         self.timestamps = (
             np.zeros(n) if timestamps is None
@@ -76,19 +85,32 @@ class ObservationBatch:
     def from_observations(
         cls, observations: Sequence[Observation]
     ) -> "ObservationBatch":
-        """Columnarize numeric observations (order preserved)."""
-        for obs in observations:
-            if isinstance(obs.value, bool) or not isinstance(
-                obs.value, (int, float)
-            ):
-                raise ConfigurationError(
-                    "only numeric observations columnarize; fuse "
-                    "categorical claims through the per-record path"
-                )
+        """Columnarize numeric observations (order preserved).
+
+        Numeric-ness is read from the set of value types: values that
+        are all ``float`` are taken as they are, and any other mix is
+        converted by ``float()``; a type other than ``int`` and ``float``
+        (``bool``, a numeric subclass, a string) first takes the
+        per-value ``isinstance`` check, which raises for a categorical
+        claim.
+        """
+        values = [o.value for o in observations]
+        types = set(map(type, values))
+        if not types <= {float, int}:
+            for value in values:
+                if isinstance(value, bool) or not isinstance(
+                    value, (int, float)
+                ):
+                    raise ConfigurationError(
+                        "only numeric observations columnarize; fuse "
+                        "categorical claims through the per-record path"
+                    )
+        if types != {float}:
+            values = [float(value) for value in values]
         return cls(
             entity_ids=[o.entity_id for o in observations],
             attributes=[o.attribute for o in observations],
-            values=[float(o.value) for o in observations],
+            values=values,
             sources=[o.source for o in observations],
             timestamps=[o.timestamp for o in observations],
             confidences=[o.confidence for o in observations],
@@ -114,22 +136,13 @@ class ObservationBatch:
         """Dense (entity, attribute) codes in first-appearance order —
         the same order the per-record path's ``defaultdict`` grouping
         produces, so downstream accumulators see identical sequences."""
-        index: dict[tuple[str, str], int] = {}
-        codes = np.empty(len(self.entity_ids), dtype=np.intp)
-        for i, key in enumerate(zip(self.entity_ids, self.attributes)):
-            code = index.get(key)
-            if code is None:
-                code = index.setdefault(key, len(index))
-            codes[i] = code
-        return codes, list(index)
+        return dense_codes(zip(self.entity_ids, self.attributes))
 
     def source_codes(self) -> tuple[np.ndarray, list[str]]:
         """Dense source codes in first-appearance order."""
-        index: dict[str, int] = {}
-        codes = np.empty(len(self.sources), dtype=np.intp)
-        for i, source in enumerate(self.sources):
-            code = index.get(source)
-            if code is None:
-                code = index.setdefault(source, len(index))
-            codes[i] = code
-        return codes, list(index)
+        return dense_codes(self.sources)
+
+
+def _as_list(column: Sequence) -> list:
+    """A string column as a list, taking a list as it was handed over."""
+    return column if type(column) is list else list(column)

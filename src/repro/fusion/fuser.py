@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import ObservationBatch
 
 
-@dataclass
+@dataclass(slots=True)
 class FusedValue:
     """The fused estimate for one (entity, attribute)."""
 

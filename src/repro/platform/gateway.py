@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..core.columns import RecordBatch
+from ..core.columns import RecordBatch, dense_codes
 from ..core.errors import ConfigurationError
 from ..core.records import DataKind, DataRecord, payload_wire_size
 from ..core.metrics import MetricsRegistry
@@ -153,15 +153,10 @@ class DeviceGateway:
             return out, uplink
 
     def _aggregate_batch(self, merged: RecordBatch) -> RecordBatch:
-        groups = merged.groups if merged.groups is not None else merged.keys
-        index: dict[str, int] = {}
-        codes = np.empty(len(merged), dtype=np.intp)
-        for i, group in enumerate(groups):
-            code = index.get(group)
-            if code is None:
-                code = index.setdefault(group, len(index))
-            codes[i] = code
-        n_groups = len(index)
+        codes, keys = dense_codes(
+            merged.groups if merged.groups is not None else merged.keys
+        )
+        n_groups = len(keys)
         counts = np.bincount(codes, minlength=n_groups)
         columns: dict[str, np.ndarray] = {
             name: np.bincount(codes, weights=arr, minlength=n_groups) / counts
@@ -170,15 +165,15 @@ class DeviceGateway:
         columns["count"] = counts.astype(np.int64)
         timestamps = np.full(n_groups, -np.inf)
         np.maximum.at(timestamps, codes, merged.timestamps)
-        # First row of each group decides its space: assigning in reverse
-        # lets the earliest occurrence overwrite the rest.
-        spaces = np.empty(n_groups, dtype=np.uint8)
-        spaces[codes[::-1]] = merged.spaces[::-1]
+        # The first row of each group decides its space; codes run in
+        # first-appearance order, so the first index of code g is the
+        # g-th of ``np.unique``'s first indices.
+        first = np.unique(codes, return_index=True)[1]
         return RecordBatch(
-            keys=list(index),
+            keys=keys,
             columns=columns,
             timestamps=timestamps,
-            spaces=spaces,
+            spaces=merged.spaces[first],
             kind=DataKind.SENSOR,
             source="device-aggregate",
         )

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from ..api.dataplane import ContinuousQueries, ContinuousQuery, GatherResult
 from ..core.clock import SimulationClock
-from ..core.columns import RecordBatch
+from ..core.columns import SPACE_NAMES, RecordBatch
 from ..core.errors import (
     ConfigurationError,
     FaultInjectedError,
@@ -391,10 +391,10 @@ class MetaversePlatform:
                 [record.payload for record in batch],
             )
         payloads = batch.payloads()
-        spaces = batch.space_values()
+        spaces = map(SPACE_NAMES.__getitem__, batch.spaces.tolist())
         times = batch.timestamps.tolist()
         items = [
-            (key, {"payload": payload, "space": space.value, "timestamp": ts})
+            (key, {"payload": payload, "space": space, "timestamp": ts})
             for key, payload, space, ts in zip(
                 batch.keys, payloads, spaces, times
             )

@@ -15,6 +15,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from repro.core import (
     RecordBatch,
     Space,
 )
+from repro.core.columns import _column_array, dense_codes
 from repro.fusion import ObservationBatch, TruthFusion
 from repro.fusion.sources import Observation
 from repro.platform import DeviceGateway, MetaversePlatform
@@ -588,17 +590,27 @@ class TestOneCommitCore(SourceGrep):
 
 
 class TestGatewayBatchIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(records=record_lists())
-    def test_aggregated_flush_matches_per_record(self, records):
-        group_fn = lambda r: r.key.split("/")[0]  # noqa: E731
-        per_record = DeviceGateway(aggregate=True, group_fn=group_fn)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=record_lists(),
+        group_fn=st.sampled_from([
+            lambda r: r.key.split("/")[0], lambda r: r.key[-1], None,
+        ]),
+    )
+    def test_aggregated_flush_matches_per_record(self, records, group_fn):
+        """One group, several groups repeating in any order, or a group
+        per key (untagged rows group by key), each with mixed spaces:
+        a group's space is its first row's."""
+        per_record = DeviceGateway(
+            aggregate=True, group_fn=group_fn or (lambda r: r.key)
+        )
         per_record.ingest_many(records)
         out_records, uplink_records = per_record.flush()
 
-        columnar = DeviceGateway(aggregate=True, group_fn=group_fn)
+        columnar = DeviceGateway(aggregate=True, group_fn=lambda r: r.key)
         batch = RecordBatch.from_records(records)
-        batch.groups = [group_fn(r) for r in records]
+        if group_fn is not None:
+            batch.groups = [group_fn(r) for r in records]
         columnar.ingest_batch(batch)
         out_batch, uplink_batch = columnar.flush_batch()
 
@@ -780,3 +792,246 @@ class TestRecordBatchFormat:
         merged = RecordBatch.concat([batch.take([0, 1]), batch.take([2])])
         assert merged.keys == ["k0", "k1", "k2"]
         assert len(RecordBatch.concat([batch])) == 6
+
+
+# -- column passes against the per-row loops they replaced ---------------------
+#
+# Each function below is a loop the columnar path ran until the column
+# pass beside it took over; it stays here as the oracle that pass is held
+# equal to.
+
+
+def loop_codes(keys):
+    """Per-row coding: one numpy element assigned per key."""
+    index = {}
+    codes = np.empty(len(keys), dtype=np.intp)
+    for i, key in enumerate(keys):
+        code = index.get(key)
+        if code is None:
+            code = index.setdefault(key, len(index))
+        codes[i] = code
+    return codes, list(index)
+
+
+def loop_column_array(values):
+    """Per-value numeric checks: three ``isinstance`` passes."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigurationError(
+                "columnar payload fields must be int or float"
+            )
+    if all(isinstance(v, int) for v in values):
+        return np.asarray(values, dtype=np.int64)
+    if not all(isinstance(v, float) for v in values):
+        raise ConfigurationError(
+            "mixed int/float column; cast to one type before batching"
+        )
+    return np.asarray(values, dtype=np.float64)
+
+
+def loop_from_observations(observations):
+    """Per-observation check, then ``float()`` of every value."""
+    for obs in observations:
+        if isinstance(obs.value, bool) or not isinstance(
+            obs.value, (int, float)
+        ):
+            raise ConfigurationError(
+                "only numeric observations columnarize; fuse "
+                "categorical claims through the per-record path"
+            )
+    return ObservationBatch(
+        entity_ids=[o.entity_id for o in observations],
+        attributes=[o.attribute for o in observations],
+        values=[float(o.value) for o in observations],
+        sources=[o.source for o in observations],
+        timestamps=[o.timestamp for o in observations],
+        confidences=[o.confidence for o in observations],
+    )
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except (ConfigurationError, OverflowError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_column(values):
+    """``_column_array`` returns the loop's dtype and bytes, or raises
+    its error with its message."""
+    got, want = outcome(_column_array, values), outcome(
+        loop_column_array, values
+    )
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert same_array(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def same_array(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+#: A numeric column's values as callers hand them over: plain ints and
+#: floats, ints outside int64, bools, numpy floats, strings and None.
+column_values = st.one_of(
+    st.integers(-5, 5),
+    st.integers(),
+    st.integers(2**63 - 2, 2**64),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.floats(-5, 5).map(np.float64),
+    st.text(max_size=2),
+    st.none(),
+)
+names = st.text("abcxyz", min_size=1, max_size=3)
+
+
+class TestColumnPassesEqualTheirLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entities=st.lists(names, max_size=60),
+        data=st.data(),
+    )
+    def test_group_and_source_codes(self, entities, data):
+        n = len(entities)
+        batch = ObservationBatch(
+            entity_ids=entities,
+            attributes=data.draw(st.lists(names, min_size=n, max_size=n)),
+            values=[0.0] * n,
+            sources=data.draw(st.lists(names, min_size=n, max_size=n)),
+        )
+        for (codes, found), (want, expected) in (
+            (batch.group_codes(),
+             loop_codes(list(zip(batch.entity_ids, batch.attributes)))),
+            (batch.source_codes(), loop_codes(batch.sources)),
+        ):
+            assert same_array(codes, want)
+            assert found == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=st.lists(names, max_size=60))
+    def test_gateway_codes(self, groups):
+        codes, found = dense_codes(groups)
+        want, expected = loop_codes(groups)
+        assert same_array(codes, want)
+        assert found == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(
+        st.lists(column_values, max_size=6),
+        st.lists(st.integers(-5, 5), max_size=6),
+        st.lists(st.floats(allow_nan=False), max_size=6),
+    ))
+    def test_column_array(self, values):
+        assert_same_column(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [True], [1, True], ["1"], [None], [1, 2.0], [2.0, 1],
+        [np.float64(1.5), 2.5], [2**63], [-(2**63) - 1], [1.5, "x"],
+    ])
+    def test_column_array_edges(self, values):
+        assert_same_column(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(
+        st.lists(column_values, max_size=6),
+        st.lists(st.floats(), max_size=6),
+        st.lists(st.one_of(st.integers(), st.floats()), max_size=6),
+    ))
+    def test_from_observations(self, values):
+        observations = [
+            Observation(f"e{i % 3}", "x", value, f"s{i % 2}", float(i), 0.5)
+            for i, value in enumerate(values)
+        ]
+        got = outcome(ObservationBatch.from_observations, observations)
+        want = outcome(loop_from_observations, observations)
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            assert got[1] == want[1]
+            return
+        got, want = got[1], want[1]
+        for name in ("values", "timestamps", "confidences"):
+            assert same_array(getattr(got, name), getattr(want, name))
+        for name in ("entity_ids", "attributes", "sources"):
+            assert getattr(got, name) == getattr(want, name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        fields=st.lists(names, unique=True, max_size=4),
+        data=st.data(),
+    )
+    def test_payloads_keep_the_column_order(self, n, fields, data):
+        batch = RecordBatch(
+            keys=[f"k{i}" for i in range(n)],
+            columns={
+                name: data.draw(st.one_of(
+                    st.lists(ints, min_size=n, max_size=n),
+                    st.lists(floats, min_size=n, max_size=n),
+                ))
+                for name in fields
+            },
+            timestamps=[0.0] * n,
+        )
+        payloads = batch.payloads()
+        assert payloads == [
+            {name: batch.columns[name][i].item() for name in fields}
+            for i in range(n)
+        ]
+        assert [list(p) for p in payloads] == [fields] * n
+
+
+class TestNoPerRowElementWrites(SourceGrep):
+    """The columnar path codes and aggregates a column at a time: no
+    ``for`` loop in these modules writes a numpy array one element at a
+    time through a subscript."""
+
+    FILES = ("fusion/batch.py", "core/columns.py", "platform/gateway.py")
+
+    @staticmethod
+    def element_writes(text):
+        """``name[...] = ...`` inside a ``for`` loop, where ``name`` was
+        bound in the same function to the result of an ``np.*`` call."""
+        found = []
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            arrays = {
+                target.id
+                for node in ast.walk(func) if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and isinstance(node.value.func.value, ast.Name)
+                and node.value.func.value.id == "np"
+                for target in node.targets if isinstance(target, ast.Name)
+            }
+            for loop in ast.walk(func):
+                if not isinstance(loop, ast.For):
+                    continue
+                for node in ast.walk(loop):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target]
+                        if isinstance(node, ast.AugAssign) else []
+                    )
+                    found += [
+                        ast.unparse(target) for target in targets
+                        if isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id in arrays
+                    ]
+        return found
+
+    def test_the_check_finds_the_loop_it_forbids(self):
+        assert self.element_writes(inspect.getsource(loop_codes)) == [
+            "codes[i]"
+        ]
+
+    def test_no_module_of_the_columnar_path_writes_elements_in_a_loop(self):
+        sources = self.sources()
+        assert {
+            name: self.element_writes(sources[name]) for name in self.FILES
+        } == {name: [] for name in self.FILES}

@@ -543,3 +543,47 @@ def test_compare_macro_counts_fails_only_when_a_never_up_metric_rises(monkeypatc
     with pytest.raises(SystemExit) as failed:
         compare_macro_counts.main()
     assert "scene_query: semantic.distance_evals_build" in str(failed.value)
+
+
+def test_paired_macro_verdict_is_nine_tenths_of_pairs_and_a_gap_past_the_iqr():
+    """``paired_macro.py``'s verdict on canned pairs: a gain needs the
+    change to win at least nine of ten pairs (ties count for neither)
+    and its median to beat the parent's by more than the parent's
+    interquartile range, in the direction BENCHMARK.json declares;
+    quartiles interpolate as numpy's default percentiles do."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        from paired_macro import directions, quartiles, verdict
+    finally:
+        sys.path.pop(0)
+
+    base = [0.585, 0.590, 0.580, 0.600, 0.595, 0.588, 0.592, 0.583, 0.597, 0.586]
+    assert quartiles(base) == pytest.approx((0.58525, 0.589, 0.59425))
+    assert quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+    faster = [b - 0.05 for b in base]
+    won = verdict(base, faster, "lower")
+    assert (won["wins"], won["losses"], won["pairs"]) == (10, 0, 10)
+    assert won["iqr"] == pytest.approx(0.009)
+    assert won["change"] == pytest.approx(-0.05 / 0.589)
+    assert won["gain"]
+    # the same numbers read the other way round lose every pair
+    assert verdict(base, faster, "higher")["gain"] is False
+    assert verdict(faster, base, "higher")["gain"]
+
+    # eight of ten pairs won is not enough, however wide the gap
+    two_lost = faster[:8] + [b + 0.01 for b in base[8:]]
+    assert (verdict(base, two_lost, "lower")["wins"], verdict(
+        base, two_lost, "lower")["gain"]) == (8, False)
+    # nine of ten is, and a tie counts for neither side
+    one_tied = faster[:9] + base[9:]
+    tied = verdict(base, one_tied, "lower")
+    assert (tied["wins"], tied["losses"], tied["gain"]) == (9, 0, True)
+    # every pair won, but the median moved less than the parent's IQR
+    close = [b - 0.004 for b in base]
+    narrow = verdict(base, close, "lower")
+    assert (narrow["wins"], narrow["gain"]) == (10, False)
+
+    better = directions()
+    assert better["wall_s"] == better["peak_rss_mb"] == "lower"
+    assert better["ingest_rec_s"] == "higher"
