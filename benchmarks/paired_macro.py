@@ -12,6 +12,10 @@ side's median and quartiles, the change's relative move, its wins over
 the pairs (ties count for neither side) and the verdict on a gain: the
 change won at least nine tenths of all pairs, and its median is better
 than the parent's by more than the parent's interquartile range.
+Each end-to-end metric also gets the verdict on a regression against its
+``bound`` in ``BENCHMARK.json`` (a relative change): inside the bound,
+worse beyond it, or unresolved when the parent's interquartile range,
+relative to its median, is wider than the bound.
 A run that reports ``correct: false`` or failed operations is named.
 Report-only: exits 0 unless a run itself fails.
 """
@@ -36,6 +40,14 @@ def directions(path: Path = BENCHMARK) -> dict[str, str]:
         metric["name"]: metric["better"]
         for metric in declared["end_to_end"] + declared["per_layer"]
     }
+
+
+def bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """``{metric: bound}`` for every end-to-end metric: how far, as a
+    fraction of the parent's value, the change may move it the wrong
+    way."""
+    declared = json.loads(path.read_text())
+    return {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -69,6 +81,18 @@ def verdict(base: list[float], head: list[float], better: str) -> dict:
         "gain": 10 * wins >= 9 * len(base)
         and sign * (b_median - h_median) > iqr,
     }
+
+
+def regression(v: dict, better: str, bound: float) -> str:
+    """The no-regression verdict on one metric's :func:`verdict`:
+    ``"unresolved"`` when the parent's IQR is wider than ``bound`` of its
+    median, else ``"worse beyond bound"`` when the median moved the
+    wrong way by more than ``bound``, else ``"inside bound"``."""
+    b_median = v["base"][1]
+    if b_median and v["iqr"] > bound * abs(b_median):
+        return "unresolved"
+    worse = v["change"] if better == "lower" else -v["change"]
+    return "worse beyond bound" if worse > bound else "inside bound"
 
 
 def line(name: str, v: dict) -> str:
@@ -108,16 +132,21 @@ def main() -> None:
             if not result["correct"] or result["failed"]:
                 print(f"{side} pair {pair}: correct={result['correct']} "
                       f"failed={result['failed']}")
-    better = directions()
+    better, bound = directions(), bounds()
     print(f"{args.workload} seed={args.seed} pairs={args.pairs} "
           f"seconds={args.seconds} trace={args.trace}")
     for name in base[0]["metrics"]:
         if name in better and all(name in r["metrics"] for r in base + head):
-            print(line(name, verdict(
+            v = verdict(
                 [r["metrics"][name]["value"] for r in base],
                 [r["metrics"][name]["value"] for r in head],
                 better[name],
-            )))
+            )
+            text = line(name, v)
+            if name in bound:
+                text += (f"  {regression(v, better[name], bound[name])}"
+                         f" (bound {100 * bound[name]:.0f} %)")
+            print(text)
 
 
 if __name__ == "__main__":

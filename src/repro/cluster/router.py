@@ -63,6 +63,12 @@ class ShardRouter(Placement):
         self._lookups.inc()
         return owner
 
+    def owners(self, keys: list[str]) -> list[str]:
+        """Each key's shard, one lookup counted per key."""
+        owners = Placement.owners(self, keys)
+        self._lookups.inc(len(owners))
+        return owners
+
     # -- hot-key salting ----------------------------------------------------
 
     def salt_key(self, key: str, n_buckets: int) -> list[str]:

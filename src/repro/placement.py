@@ -14,7 +14,8 @@ the single owner of its four parts:
   membership change;
 * **the replica walk** — :meth:`Placement.replica_holders`: the distinct
   clockwise successors on a second, bare-name ring;
-* **the routing idioms** — :func:`group_by_owner` and
+* **the routing idioms** — :meth:`Placement.owners` (a key column's
+  owners in one memo pass), :func:`group_by_owner` and
   :func:`route_by_owner` (split an ordered stream by owner, run each
   owner's subsequence, re-merge positionally).
 
@@ -25,6 +26,8 @@ layer's home overrides) stay with the three users.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_
 from typing import Callable, Iterable
 
 from .core.errors import ConfigurationError
@@ -50,6 +53,15 @@ def group_by_owner(
     return out
 
 
+def _group_by_column(owners: list, items: list) -> dict:
+    """:func:`group_by_owner` with the owners already asked: ``owners[i]``
+    owns ``items[i]``."""
+    out: dict = {}
+    for owner, item in zip(owners, items):
+        out.setdefault(owner, []).append(item)
+    return out
+
+
 def route_by_owner(
     owner_of: Callable[[str], str],
     items: list,
@@ -69,9 +81,7 @@ def route_by_owner(
     the split made.
     """
     owners = [owner_of(key(item)) for item in items]
-    groups: dict = {}
-    for owner, item in zip(owners, items):
-        groups.setdefault(owner, []).append(item)
+    groups = _group_by_column(owners, items)
     streams = {
         owner: iter(run(owner, groups[owner]))
         for owner in (sorted(groups) if sorted_owners else groups)
@@ -153,6 +163,24 @@ class Placement:
             self._owner_cache[key] = owner
         return owner
 
+    def owners(self, keys: list[str]) -> list[str]:
+        """``[owner_of(key) for key in keys]`` in one pass over the memo.
+
+        Only the keys the memo misses go through :meth:`owner_of`, in
+        column order, so the memo ends as the per-key loop leaves it.  A
+        column whose misses could reach the memo's cap takes that loop
+        itself, since a cap reached mid-column drops hits it has read."""
+        cache = self._owner_cache
+        owners = list(map(cache.get, keys))
+        misses = owners.count(None)
+        if misses:
+            owner_of = Placement.owner_of
+            if len(cache) + misses >= self._owner_cache_cap:
+                return [owner_of(self, key) for key in keys]
+            for i in compress(range(len(keys)), map(is_, owners, repeat(None))):
+                owners[i] = owner_of(self, keys[i])
+        return owners
+
     def replica_holders(self, name: str, n: int) -> list[str]:
         """The ``n`` distinct owners holding copies of ``name``'s state:
         ``name`` itself plus its clockwise successors on the bare-name
@@ -162,8 +190,11 @@ class Placement:
         return self._name_ring.successors(name, n)
 
     def group(self, items: Iterable, key: Callable | None = None) -> dict[str, list]:
-        """:func:`group_by_owner` under this placement's :meth:`owner_of`."""
-        return group_by_owner(self.owner_of, items, key)
+        """:func:`group_by_owner` under this placement's :meth:`owner_of`,
+        asked once for the whole key column (:meth:`owners`)."""
+        items = list(items)
+        keys = items if key is None else list(map(key, items))
+        return _group_by_column(self.owners(keys), items)
 
     def load_of(self, keys: Iterable[str]) -> dict[str, int]:
         """Keys per owner for balance introspection (all owners listed)."""

@@ -285,26 +285,35 @@ class MetaversePlatform:
                 self.tracer.log("warn", "stale read served", key=key)
                 return self._stale[key]
             raise
-        self._remember(key, value)
+        self._remember([(key, value)])
         return value
 
-    def _remember(self, key: str, value: object) -> None:
-        self._stale[key] = value
-        self._stale.move_to_end(key)
-        while len(self._stale) > STALE_CAPACITY:
-            self._stale.popitem(last=False)
+    def _remember(self, items: list) -> None:
+        """Make each (key, value) of ``items``, in order, the newest
+        stale-read fallback of its key, then trim the oldest past
+        :data:`STALE_CAPACITY` once."""
+        stale = self._stale
+        move_to_end = stale.move_to_end
+        for key, value in items:
+            stale[key] = value
+            move_to_end(key)
+        while len(stale) > STALE_CAPACITY:
+            stale.popitem(last=False)
 
-    def _write_items(self, items: list, payloads: list) -> list:
+    def _write_items(
+        self, items: list, payloads: list, batch: RecordBatch | None = None
+    ) -> list:
         """The entity write: one retried bulk engine call, then
         :meth:`_after_write`.  Returns ``items``, the stored (key, value)
-        pairs.  A call that raises may have landed some storage nodes'
-        groups before it failed, so it drops the page of every key it
-        carried and resets every exact derived state first."""
+        pairs; ``batch`` is the columnar batch they were built from, if
+        any, which the engine encodes from.  A call that raises may have
+        landed some storage nodes' groups before it failed, so it drops
+        the page of every key it carried and resets every exact derived
+        state first."""
         try:
-            self._with_retry(lambda: self.engine.mput(items))
+            self._with_retry(lambda: self.engine.mput(items, batch=batch))
         except Exception:
-            for key, _ in items:
-                self.pool.invalidate(key)
+            self.pool.written(items, keep=False)
             for state in self._derived:
                 if state.exact:
                     state.reset()
@@ -322,16 +331,12 @@ class MetaversePlatform:
 
     def _after_write(self, items: list, payloads: list) -> None:
         """Bring every compute-side copy of the stored ``items`` in line
-        with what the engine just accepted: pages (a sole writer's cached
-        page takes the stored value, any other is dropped), stale-read
-        fallback, and every derived state."""
-        pool, remember, keep = self.pool, self._remember, self._sole_writer
-        for key, value in items:
-            if keep:
-                pool.refresh(key, value)
-            else:
-                pool.invalidate(key)
-            remember(key, value)
+        with what the engine just accepted, once for the whole write:
+        pages (a sole writer's cached page takes the stored value, any
+        other is dropped), the stale-read fallback, and every derived
+        state."""
+        self.pool.written(items, keep=self._sole_writer)
+        self._remember(items)
         for state in self._derived:
             state.on_write(items, payloads)
 
@@ -399,7 +404,7 @@ class MetaversePlatform:
                 batch.keys, payloads, spaces, times
             )
         ]
-        return self._write_items(items, payloads)
+        return self._write_items(items, payloads, batch)
 
     def _hydrated(self, state: DerivedState) -> dict:
         """``state``'s data, hydrated first if it is unknown: one scan of

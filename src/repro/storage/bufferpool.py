@@ -3,8 +3,9 @@
 The paper calls for "novel buffer management and caching schemes ...
 conscious of the semantics", e.g. physical-space data prioritized over
 virtual-space data.  The :class:`BufferPool` caches pages fetched through
-a loader callback; a page's writer may replace its value in place
-(:meth:`BufferPool.refresh`) or drop it (:meth:`BufferPool.invalidate`).
+a loader callback; a page's writer may replace its value in place or
+drop it (:meth:`BufferPool.written`, once for a whole write), or drop
+one page (:meth:`BufferPool.invalidate`).
 It supports three eviction policies:
 
 * :class:`LRUPolicy` — classic least-recently-used,
@@ -205,13 +206,22 @@ class BufferPool:
     def invalidate(self, key: PageKey) -> None:
         self._frames.pop(key, None)
 
-    def refresh(self, key: PageKey, value: object) -> None:
-        """Replace the value of ``key``'s cached page with ``value``, the
-        one its writer just stored; a key with no page stays uncached.
-        Neither recency nor the hit and miss counts move."""
-        frame = self._frames.get(key)
-        if frame is not None:
-            frame.value = value
+    def written(self, items: list, keep: bool) -> None:
+        """Follow one write of ``items``, (key, value) pairs in write
+        order: with ``keep`` (the writer is the values' only source)
+        every cached page takes its key's last written value; otherwise
+        every page written is dropped, as :meth:`invalidate` drops one.
+        A key with no page stays uncached, and neither recency nor the
+        hit and miss counts move."""
+        frames = self._frames
+        if keep:
+            for key, value in items:
+                frame = frames.get(key)
+                if frame is not None:
+                    frame.value = value
+        else:
+            for key, _ in items:
+                frames.pop(key, None)
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

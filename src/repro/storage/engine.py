@@ -53,6 +53,7 @@ from ..placement import Placement
 from .kv import KVStore, encode_mput, payload_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.columns import RecordBatch
     from ..resilience.faults import FaultInjector
 
 #: The storage RPCs that change what a node holds: each one drops the
@@ -111,13 +112,19 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def mput(
-        self, items: "list[tuple[str, object]]", record: bytes | None = None
+        self,
+        items: "list[tuple[str, object]]",
+        record: bytes | None = None,
+        batch: "RecordBatch | None" = None,
     ) -> None:
         """The entity write: store every (key, value) pair in order, later
         duplicates winning.  :meth:`put` is this with one item.
         ``record`` is :func:`~repro.storage.kv.encode_mput` of ``items``
         when the batch arrived already serialised (over the storage RPC);
-        the engine that logs the write logs those bytes."""
+        the engine that logs the write logs those bytes.  ``batch`` is
+        the :class:`~repro.core.columns.RecordBatch` ``items`` were built
+        from row for row, when they were: whoever serialises the write
+        encodes its columns from the arrays."""
 
     # -- committed product records ------------------------------------------
 
@@ -185,10 +192,13 @@ class LocalStorageEngine(StorageEngine):
         return self.kv.get(key)
 
     def mput(
-        self, items: "list[tuple[str, object]]", record: bytes | None = None
+        self,
+        items: "list[tuple[str, object]]",
+        record: bytes | None = None,
+        batch: "RecordBatch | None" = None,
     ) -> None:
-        # Group commit: one WAL entry and one memtable merge for the batch.
-        self.kv.mput(items, record)
+        # Group commit: one WAL entry and one memtable write for the batch.
+        self.kv.mput(items, record, batch)
 
     def delete(self, key: str) -> None:
         self.kv.delete(key)
@@ -617,17 +627,23 @@ class RemoteStorageEngine(StorageEngine):
         return merged
 
     def mput(
-        self, items: "list[tuple[str, object]]", record: bytes | None = None
+        self,
+        items: "list[tuple[str, object]]",
+        record: bytes | None = None,
+        batch: "RecordBatch | None" = None,
     ) -> None:
         # The request on the wire is the record in the node's log: every
         # node group is serialised here, once, before the first round trip
         # — a value JSON cannot carry fails with no node written.  A
         # ``record`` handed in covers all of ``items``, not one node's
-        # group, so it is not what is sent.
+        # group, so it is not what is sent.  A node group is a list of
+        # rows, so ``batch``'s arrays encode it.
         requests = []
-        grouped = self.tier.group_by_node(items, itemgetter(0))
-        for node, node_items in grouped.items():
-            request = encode_mput(node_items)
+        keys = list(map(itemgetter(0), items))
+        grouped = self.tier.group_by_node(range(len(keys)), keys.__getitem__)
+        for node, rows in grouped.items():
+            node_items = list(map(items.__getitem__, rows))
+            request = encode_mput(node_items, batch, rows)
             requests.append((node, node_items, request))
         for node, node_items, request in requests:
             self._rpc(node, "mput", len(request), node_items, request)

@@ -9,9 +9,11 @@ bounds the run count.  Deletes are tombstones.
 A write batch is one ``mput`` WAL record in one of two shapes
 (:func:`encode_mput`): rows, or — for a node group of at least
 :data:`COLUMNAR_MIN_ITEMS` stored-record wrappers sharing one payload
-shape — parallel columns, numeric ones packed as binary.
-:func:`decode_mput` reads either back as rows.  The memtable budget counts
-logged bytes, so a columnar batch fills it more slowly.
+shape — parallel columns, numeric ones packed as binary, straight from
+a :class:`~repro.core.columns.RecordBatch`'s arrays when the write
+brings them.  :func:`decode_mput` reads either back as rows.  The
+memtable budget counts logged bytes, so a columnar batch fills it more
+slowly; the memtable sorts its new keys when it is next read in order.
 
 This is the storage tier the disaggregated architecture (Fig. 7) mounts for
 hot structured data; the experiments that use it care about its update-heavy
@@ -26,6 +28,9 @@ from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+import numpy as np
+
+from ..core.columns import SPACE_NAMES
 from ..core.errors import (
     ConfigurationError,
     FaultInjectedError,
@@ -38,6 +43,7 @@ from ..obs.tracing import NoopTracer, Tracer
 from .wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.columns import RecordBatch
     from ..resilience.faults import FaultInjector
 
 _TOMBSTONE = object()
@@ -56,33 +62,54 @@ class _Versioned(NamedTuple):
     value: object  # _TOMBSTONE marks deletion
 
 
+#: Fresh keys a memtable read inserts one by one (a bisection each); more
+#: are merged in one pass over the sorted list, which costs a comparison
+#: per key already there.
+_INSORT_MAX = 16
+
+
 class MemTable:
-    """Sorted in-memory write buffer."""
+    """In-memory write buffer, its keys sorted on read.
+
+    :meth:`mput` is a dict update that notes the keys it added; the next
+    ordered read (:meth:`scan`, :meth:`items`, and so a flush) sorts
+    those fresh keys once and merges them into the sorted key list.  A
+    run of writes between two reads pays one merge, not one per batch,
+    and no read re-sorts the whole table."""
 
     def __init__(self) -> None:
         self._keys: list[str] = []
+        # keys in ``_data`` not yet in ``_keys``, in arrival order
+        self._fresh: list[str] = []
         self._data: dict[str, _Versioned] = {}
         self.approx_bytes = 0
 
     def mput(self, entries: list[tuple[str, _Versioned]], value_bytes: int) -> None:
         """Insert ``entries`` in order (later duplicates win);
         ``value_bytes`` is the caller's size estimate for the values (0
-        for a tombstone).  Fresh keys join the sorted key list in one
-        merge — or one ``insort`` when there is a single one, which is
-        what a batch of one (a per-record put) brings."""
-        fresh: list[str] = []
+        for a tombstone)."""
+        data, fresh = self._data, self._fresh
+        added = value_bytes
         for key, versioned in entries:
-            if key not in self._data:
+            if key not in data:
                 fresh.append(key)
-            self._data[key] = versioned
+                added += len(key)
+            data[key] = versioned
+        self.approx_bytes += added
+
+    def _sorted_keys(self) -> list[str]:
+        """The sorted key list, with every fresh key merged in."""
+        fresh = self._fresh
         if fresh:
-            self.approx_bytes += sum(len(key) for key in fresh)
-            if len(fresh) == 1:
-                insort(self._keys, fresh[0])
+            if len(fresh) <= _INSORT_MAX:
+                for key in fresh:
+                    insort(self._keys, key)
             else:
-                fresh.sort()
-                self._keys = sorted(self._keys + fresh) if self._keys else fresh
-        self.approx_bytes += value_bytes
+                # Timsort takes the sorted keys as one run, sorts the fresh
+                # ones and merges the two.
+                self._keys = sorted(self._keys + fresh)
+            self._fresh = []
+        return self._keys
 
     def get(self, key: str) -> _Versioned | None:
         return self._data.get(key)
@@ -91,11 +118,13 @@ class MemTable:
         return len(self._data)
 
     def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
-        keys = self._keys[bisect_left(self._keys, lo):bisect_right(self._keys, hi)]
+        keys = self._sorted_keys()
+        keys = keys[bisect_left(keys, lo):bisect_right(keys, hi)]
         return zip(keys, map(self._data.__getitem__, keys))
 
     def items(self) -> Iterator[tuple[str, _Versioned]]:
-        return zip(self._keys, map(self._data.__getitem__, self._keys))
+        keys = self._sorted_keys()
+        return zip(keys, map(self._data.__getitem__, keys))
 
 
 class SSTable:
@@ -201,7 +230,51 @@ def _columns(items: "list[tuple[str, object]]") -> dict | None:
     }
 
 
-def encode_mput(items: "list[tuple[str, object]]") -> bytes:
+#: The payload dtypes a batch's array packs straight from, with the code
+#: :func:`_pack` gives the same values once they are Python scalars.
+_ARRAY_CODES = {np.dtype(np.float64): "d", np.dtype(np.int64): "q"}
+
+
+def _pack_array(array: np.ndarray) -> str:
+    """:func:`_pack` of ``array.tolist()``, for a dtype in
+    :data:`_ARRAY_CODES`, without making the scalars."""
+    code = _ARRAY_CODES[array.dtype]
+    raw = array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes()
+    return code + b64encode(raw).decode("ascii")
+
+
+def _array_columns(batch: "RecordBatch", rows: "list[int] | None") -> dict | None:
+    """The column body :func:`_columns` builds from the stored items of
+    ``batch``'s ``rows`` (every row when None), read from its arrays.
+    ``None`` when a payload column has a dtype outside
+    :data:`_ARRAY_CODES` or a field name is not a string: those batches
+    take :func:`_columns`."""
+    fields = tuple(batch.columns)
+    arrays = list(batch.columns.values())
+    if not all(type(field) is str for field in fields) or not all(
+        array.dtype in _ARRAY_CODES for array in arrays
+    ):
+        return None
+    keys, spaces, stamps = batch.keys, batch.spaces, batch.timestamps
+    if rows is not None:
+        index = np.asarray(rows, dtype=np.intp)
+        keys = list(map(keys.__getitem__, rows))
+        arrays = [array[index] for array in arrays]
+        spaces, stamps = spaces[index], stamps[index]
+    return {
+        "keys": keys,
+        "fields": fields,
+        "payload": list(map(_pack_array, arrays)),
+        "space": list(map(SPACE_NAMES.__getitem__, spaces.tolist())),
+        "timestamp": _pack_array(stamps),
+    }
+
+
+def encode_mput(
+    items: "list[tuple[str, object]]",
+    batch: "RecordBatch | None" = None,
+    rows: "list[int] | None" = None,
+) -> bytes:
     """The WAL record of one write batch — and, for a remote engine, the
     request on the wire: whoever receives the batch first serialises it,
     once, and :meth:`KVStore.mput` logs those bytes.
@@ -212,8 +285,21 @@ def encode_mput(items: "list[tuple[str, object]]") -> bytes:
     ``items`` list of ``[key, value]`` pairs.  Either way
     :func:`decode_mput` returns the rows the row shape decodes to.  Raises
     ``TypeError`` for a value JSON cannot carry and ``ValueError`` for a
-    cyclic one."""
-    body = _columns(items) if len(items) >= COLUMNAR_MIN_ITEMS else None
+    cyclic one.
+
+    ``items`` may be the stored items of a :class:`RecordBatch`'s
+    ``rows`` (all of its rows when ``rows`` is None), built from it row
+    for row as :meth:`~repro.platform.platform.MetaversePlatform.
+    write_record_batch` builds them.  Passing ``batch`` then packs its
+    float64 and int64 columns straight from the arrays
+    (:func:`_array_columns`); the bytes are the ones the items alone
+    encode to."""
+    body = None
+    if len(items) >= COLUMNAR_MIN_ITEMS:
+        if batch is not None:
+            body = _array_columns(batch, rows)
+        if body is None:
+            body = _columns(items)
     if body is None:
         body = {"items": items}
     return _encode({"op": "mput", **body}).encode("utf-8")
@@ -304,18 +390,22 @@ class KVStore:
         self.mput([(key, value)])
 
     def mput(
-        self, items: "list[tuple[str, object]]", record: bytes | None = None
+        self,
+        items: "list[tuple[str, object]]",
+        record: bytes | None = None,
+        batch: "RecordBatch | None" = None,
     ) -> None:
         """The write: store every (key, value) pair, later duplicates
         winning, as one group commit.  Values must be JSON-serializable.
         ``record`` is ``encode_mput(items)`` when the caller has already
         serialised the batch (a remote engine did, to send it); the store
-        encodes only when nobody has.
+        encodes only when nobody has, from ``batch``'s arrays when
+        ``items`` were built from it (:func:`encode_mput`).
 
         Fault decisions are per key (site ``kv.put``) and all happen
         before any state changes, so an injected crash leaves the store
-        untouched.  Then one WAL entry, one memtable merge (seqnos rise in
-        item order) and one flush-threshold check for the whole batch.
+        untouched.  Then one WAL entry, one memtable write (seqnos rise
+        in item order) and one flush-threshold check for the whole batch.
         """
         items = list(items)
         if not items:
@@ -324,7 +414,7 @@ class KVStore:
             for key, _ in items:
                 self._maybe_fault("kv.put", key)
         if record is None:
-            record = encode_mput(items)
+            record = encode_mput(items, batch)
         self.wal.append(record)
         self._apply_mput(items, len(record))
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.clock import SimulationClock
 from ..core.errors import ConfigurationError, KeyNotFoundError
@@ -38,6 +39,9 @@ from ..core.metrics import MetricsRegistry
 from .engine import LocalStorageEngine
 from .kv import KVStore
 from .objectstore import ObjectStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.columns import RecordBatch
 
 #: Object-store name prefix for cold-tier demoted values.
 _COLD_PREFIX = "tier/cold/"
@@ -318,9 +322,12 @@ class TieredStorageEngine(LocalStorageEngine):
         return value
 
     def mput(
-        self, items: "list[tuple[str, object]]", record: bytes | None = None
+        self,
+        items: "list[tuple[str, object]]",
+        record: bytes | None = None,
+        batch: "RecordBatch | None" = None,
     ) -> None:
-        self.kv.mput(items, record)
+        self.kv.mput(items, record, batch)
         for key, value in items:
             if key in self._cold:
                 self.objects.delete(_COLD_PREFIX + key)

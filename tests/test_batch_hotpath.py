@@ -233,9 +233,9 @@ class TestRunOfQueuedRecords:
         writes = []
         shard = cluster.shards["shard-0"]
         write_items = shard._write_items
-        shard._write_items = lambda items, payloads: (
+        shard._write_items = lambda items, payloads, batch=None: (
             writes.append([key for key, _ in items])
-            or write_items(items, payloads)
+            or write_items(items, payloads, batch)
         )
         assert cluster.flush() == 9
         assert writes == [["a", "b"], [f"b/{i}" for i in range(5)], ["a", "c"]]

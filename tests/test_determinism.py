@@ -587,3 +587,39 @@ def test_paired_macro_verdict_is_nine_tenths_of_pairs_and_a_gap_past_the_iqr():
     better = directions()
     assert better["wall_s"] == better["peak_rss_mb"] == "lower"
     assert better["ingest_rec_s"] == "higher"
+
+
+def test_paired_macro_regression_is_a_median_past_the_bound_unless_the_iqr_is_wider():
+    """``paired_macro.py``'s no-regression verdict on canned pairs: a
+    median that moved the wrong way by more than the metric's bound in
+    BENCHMARK.json is worse beyond bound, one that moved less is inside
+    it, and a parent whose IQR is wider than the bound leaves it
+    unresolved, whatever the medians did."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        from paired_macro import bounds, regression, verdict
+    finally:
+        sys.path.pop(0)
+
+    base = [0.585, 0.590, 0.580, 0.600, 0.595, 0.588, 0.592, 0.583, 0.597, 0.586]
+    # IQR 0.009 on a 0.589 median: 1.5 %
+    slower = [b * 1.25 for b in base]
+    assert regression(verdict(base, slower, "lower"), "lower", 0.2) == (
+        "worse beyond bound")
+    assert regression(verdict(base, slower, "lower"), "lower", 0.3) == (
+        "inside bound")
+    # the same move is an improvement where higher is better
+    assert regression(verdict(base, slower, "higher"), "higher", 0.2) == (
+        "inside bound")
+    faster = [b * 0.75 for b in base]
+    assert regression(verdict(base, faster, "higher"), "higher", 0.2) == (
+        "worse beyond bound")
+    # a bound narrower than the parent's spread cannot be judged
+    assert regression(verdict(base, slower, "lower"), "lower", 0.01) == "unresolved"
+    assert regression(verdict(base, base, "lower"), "lower", 0.01) == "unresolved"
+    wide = [0.4, 0.5, 0.6, 0.7, 0.8, 0.45, 0.55, 0.65, 0.75, 0.62]
+    assert regression(verdict(wide, wide, "lower"), "lower", 0.2) == "unresolved"
+
+    declared = bounds()
+    assert declared["wall_s"] == 0.2 and declared["peak_rss_mb"] == 0.1
+    assert "ingest_rec_s" not in declared

@@ -10,18 +10,26 @@ columns replaced, and it stays the oracle here: for any item list,
 ``==`` and as ``json.dumps`` bytes (which tell ``1`` from ``1.0`` from
 ``true``, ``0.0`` from ``-0.0``, and see dict key order); and a WAL that
 mixes both shapes, torn at any byte of its last record, recovers to the
-scan and snapshot the row-only log recovers to.
+scan and snapshot the row-only log recovers to.  A group encoded from
+its :class:`RecordBatch`'s arrays is byte for byte the group encoded
+from its items.
 """
 
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RecordBatch
 from repro.core.errors import StorageError
+from repro.platform.platform import MetaversePlatform, stored_record_value
 from repro.storage import KVStore, LifecyclePolicy, TieredStorageEngine
+from repro.storage import kv as kv_module
+from repro.storage.engine import StorageTier
 from repro.storage.kv import COLUMNAR_MIN_ITEMS, decode_mput, encode_mput
 from repro.storage.wal import WriteAheadLog
 from tests.test_position_index import sweep_only
@@ -315,3 +323,134 @@ class TestAMixedLogReplaysAsTheRowLog:
         assert engine.checkpointer.checkpoint_lsn > 0
         before = engine.scan("", "￿")
         assert engine.recover().scan("", "￿") == before
+
+
+# -- encoding from a batch's arrays -------------------------------------------
+#
+# ``write_record_batch`` hands the engine the batch its stored items were
+# built from, and ``encode_mput`` packs float64 and int64 columns straight
+# from its arrays.  The oracle is ``encode_mput`` of the items alone: the
+# bytes are equal, for every row subset a storage node's group can be.
+
+ARRAY_COLUMNS = {
+    "float64": (np.float64, st.one_of(
+        st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    )),
+    "int64": (np.int64, st.integers(INT64[0], INT64[1])),
+    # every other dtype takes the item path
+    "bool": (np.bool_, st.booleans()),
+    "float32": (np.float32, st.floats(width=32)),
+    "int32": (np.int32, st.integers(-(2**31), 2**31 - 1)),
+    "uint8": (np.uint8, st.integers(0, 255)),
+}
+batch_keys = st.text(alphabet='ab/é"\\\n 😀', max_size=4)
+batch_fields = st.one_of(
+    st.lists(st.sampled_from(["x", "y", 'q"', "é", ""]), unique=True, max_size=3),
+    st.lists(st.sampled_from(["x", 1]), unique=True, max_size=2),
+)
+
+
+@st.composite
+def batches(draw, dtypes=tuple(sorted(ARRAY_COLUMNS))):
+    """A :class:`RecordBatch` of 0–9 rows, each column of one dtype, and
+    the row subset one storage node's group takes (``None``: all)."""
+    n = draw(st.integers(0, 2 * COLUMNAR_MIN_ITEMS + 1))
+    columns = {}
+    for name in draw(batch_fields):
+        dtype, values = ARRAY_COLUMNS[draw(st.sampled_from(dtypes))]
+        columns[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                                 dtype=dtype)
+    batch = RecordBatch(
+        keys=draw(st.lists(batch_keys, min_size=n, max_size=n)),
+        columns=columns,
+        timestamps=draw(st.lists(st.floats(), min_size=n, max_size=n)),
+        spaces=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+    )
+    rows = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), max_size=9)
+                          if n else st.none()))
+    return batch, rows
+
+
+def stored_items(batch):
+    """The batch's stored items, built record by record."""
+    return [(record.key, stored_record_value(record))
+            for record in batch.to_records()]
+
+
+def node_group(batch, rows):
+    items = stored_items(batch)
+    return items if rows is None else [items[i] for i in rows]
+
+
+class TestArraysEncodeAsTheItems:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=batches())
+    def test_the_bytes_are_the_items_bytes(self, drawn):
+        batch, rows = drawn
+        items = node_group(batch, rows)
+        assert encode_mput(items, batch, rows) == encode_mput(items)
+
+    @pytest.mark.parametrize("n", range(2 * COLUMNAR_MIN_ITEMS + 2))
+    def test_groups_around_the_cutoff(self, n):
+        batch = RecordBatch(
+            keys=[f"é/{i}\"" for i in range(n)],
+            columns={"f": np.array([math.nan, -0.0, math.inf, 1.5] * 3)[:n],
+                     "i": np.arange(n, dtype=np.int64) - 2**62},
+            timestamps=np.linspace(0.0, 1.0, n),
+            spaces=[i % 2 for i in range(n)],
+        )
+        for rows in (None, list(range(n))[::-2], [0] * n if n else None):
+            items = node_group(batch, rows)
+            assert encode_mput(items, batch, rows) == encode_mput(items)
+
+    def test_float64_and_int64_columns_never_reach_the_item_path(self):
+        batch = RecordBatch(
+            keys=[f"k{i}" for i in range(6)],
+            columns={"f": np.linspace(-1.0, 1.0, 6), "i": np.arange(6)},
+            timestamps=np.zeros(6),
+        )
+        flags = RecordBatch(batch.keys, {"b": np.ones(6, dtype=bool)}, np.zeros(6))
+        items, flag_items = stored_items(batch), stored_items(flags)
+        whole, part = encode_mput(items), encode_mput(items[1:5])
+        with mock.patch.object(kv_module, "_columns", side_effect=AssertionError):
+            assert encode_mput(items, batch) == whole
+            assert encode_mput(items[1:5], batch, [1, 2, 3, 4]) == part
+            with pytest.raises(AssertionError):  # a bool column is not packed
+                encode_mput(flag_items, flags)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=st.lists(batches(), min_size=1, max_size=4))
+    def test_a_log_written_both_ways_recovers_equal(self, drawn):
+        from_arrays = KVStore(memtable_budget_bytes=256, max_runs=2)
+        from_items = KVStore(memtable_budget_bytes=256, max_runs=2)
+        for batch, rows in drawn:
+            items = node_group(batch, rows)
+            if rows is None:
+                from_arrays.mput(items, batch=batch)
+            else:  # a remote node logs the group its client encoded
+                from_arrays.mput(items, encode_mput(items, batch, rows))
+            from_items.mput(items)
+        assert ([entry.payload for entry in from_arrays.wal.replay()]
+                == [entry.payload for entry in from_items.wal.replay()])
+        assert scan_and_snapshot(from_arrays.wal) == scan_and_snapshot(from_items.wal)
+
+    def test_a_platform_write_logs_what_the_records_log(self):
+        """A batch written through a mount encodes each node's group
+        from the arrays; each node logs the bytes the same rows written
+        as records log."""
+        batch = RecordBatch([f"e/{i}" for i in range(40)],
+                            {"x": np.arange(40.0), "n": np.arange(40)},
+                            np.full(40, 2.5), spaces=[i % 2 for i in range(40)])
+        tiers = StorageTier(n_nodes=3), StorageTier(n_nodes=3)
+        columnar, per_record = (MetaversePlatform(engine=tier.mount()) for tier in tiers)
+        with mock.patch.object(kv_module, "_columns", side_effect=AssertionError):
+            columnar.write_record_batch(batch)
+        per_record.write_record_batch(batch.to_records())
+        logs = [
+            {name: [entry.payload for entry in node.engine.kv.wal.replay()]
+             for name, node in tier.nodes.items()}
+            for tier in tiers
+        ]
+        assert logs[0] == logs[1]
+        assert sum(len(log) for log in logs[0].values()) == 3
+

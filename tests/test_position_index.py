@@ -98,8 +98,8 @@ class InvalidatingPool(BufferPool):
     refreshing it, as every platform's pool did before a sole writer
     kept its pages."""
 
-    def refresh(self, key, value):
-        self.invalidate(key)
+    def written(self, items, keep):
+        super().written(items, keep=False)
 
 
 @contextmanager

@@ -162,9 +162,9 @@ def count_encodes(monkeypatch):
     """Count every ``encode_mput`` call, client side and server side."""
     calls = []
 
-    def counting(items):
+    def counting(items, *columns):
         calls.append(items)
-        return encode_mput(items)
+        return encode_mput(items, *columns)
 
     monkeypatch.setattr(engine_module, "encode_mput", counting)
     monkeypatch.setattr(kv_module, "encode_mput", counting)
