@@ -68,7 +68,7 @@ from ..core.errors import (
 )
 from ..core.metrics import MetricsRegistry
 from ..core.records import DataRecord, PurchaseRequest
-from ..net.simnet import Link, Message, SimulatedNetwork
+from ..net.simnet import CallSite, Link, Message, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement, group_by_owner, route_by_owner
 from ..platform.platform import PurchaseOutcome, purchase_sort_key
@@ -228,7 +228,8 @@ class GeoDeployment:
         self.scheduler = EventScheduler(self.clock)
         # The WAN deliberately carries no fault injector: single-region
         # ``net.link`` plans must not leak onto inter-region links.  WAN
-        # faults are decided here under the ``geo.wan`` site instead.
+        # faults are decided under the ``geo.wan`` site instead (a round
+        # trip's by ``_wan_site``).  Its endpoints are the region names.
         self.wan = SimulatedNetwork(
             self.scheduler,
             default_link=Link(
@@ -238,14 +239,8 @@ class GeoDeployment:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        for pair, latency in sorted(self.config.wan_latencies_s.items()):
-            a, b = pair
-            self.wan.set_link(
-                self._node(a),
-                self._node(b),
-                Link(latency_s=latency, bandwidth_bps=WAN_BANDWIDTH_BPS),
-                symmetric=True,
-            )
+        for (a, b), latency in sorted(self.config.wan_latencies_s.items()):
+            self.wan.set_link(a, b, Link(latency_s=latency, bandwidth_bps=WAN_BANDWIDTH_BPS))
         template = (
             self.config.cluster
             if self.config.cluster is not None
@@ -255,7 +250,7 @@ class GeoDeployment:
         self._ring = Placement(self.config.regions, vnodes=32)
         self._clusters: dict[str, PlatformCluster] = {}
         for name in self.config.regions:
-            self.wan.add_node(self._node(name)).on("geo.repl", self._on_repl)
+            self.wan.add_node(name).on("geo.repl", self._on_repl)
             # Every region cluster gets the *geo* registry/tracer: the
             # cluster constructor rebinds faults.metrics to whatever it is
             # handed, so handing each region its own registry would leave
@@ -316,11 +311,15 @@ class GeoDeployment:
         self._delivered = self.metrics.counter("geo.repl.delivered")
         self._applied = self.metrics.counter("geo.repl.applied")
         self._lacked = self.metrics.counter("geo.antientropy.repaired_entries")
+        # A WAN round trip's; every failure it raises counts as a timeout.
+        self._wan_site = CallSite(
+            "geo.wan", ("partition", "drop", "delay"), RPC_TIMEOUT_S, self.faults,
+            calls=self.metrics.counter("geo.rpc.round_trips"),
+            latency=self.metrics.histogram("geo.rpc.rtt_s"), sent=None,
+            failed=dict.fromkeys(("partitioned", "partition", "drop"), ("geo.rpc.timeouts",)),
+        )
 
     # -- topology ----------------------------------------------------------
-
-    def _node(self, region: str) -> str:
-        return f"wan/{region}"
 
     def region(self, name: str) -> PlatformCluster:
         """The named region's cluster (tests, direct workload drivers)."""
@@ -347,51 +346,20 @@ class GeoDeployment:
     def _wan_reachable(self, a: str, b: str) -> bool:
         if a in self._down or b in self._down:
             return False
-        return not self.wan.is_partitioned(self._node(a), self._node(b))
+        return not self.wan.is_partitioned(a, b)
 
-    def _wan_rpc(self, src: str, dst: str) -> float:
-        """One synchronous round trip ``src -> dst -> src``.
-
-        Advances the shared clock by the RTT on success and by
-        :data:`RPC_TIMEOUT_S` on failure, so deadlines expire deterministically
-        while a destination stays unreachable.
-        """
+    def _round_trip(self, src: str, dst: str, op: str) -> None:
+        """A WAN :meth:`~repro.net.simnet.SimulatedNetwork.call`, or
+        :data:`RPC_TIMEOUT_S` burnt if either region is down: a deadline
+        expires on simulated time while a destination stays unreachable."""
         if src == dst:
-            return 0.0
+            return
         if src in self._down or dst in self._down:
             self.clock.advance(RPC_TIMEOUT_S)
             self.metrics.counter("geo.rpc.timeouts").inc()
             down = dst if dst in self._down else src
             raise PartitionedError(f"region {down!r} is down")
-        extra = 0.0
-        decision = self.faults.decide(
-            "geo.wan", target=f"{src}->{dst}", kinds=("partition", "drop", "delay")
-        )
-        if decision.kind == "partition":
-            self.clock.advance(RPC_TIMEOUT_S)
-            self.metrics.counter("geo.rpc.timeouts").inc()
-            raise PartitionedError(f"injected WAN partition {src} -> {dst}")
-        if decision.kind == "drop":
-            self.clock.advance(RPC_TIMEOUT_S)
-            self.metrics.counter("geo.rpc.timeouts").inc()
-            raise FaultInjectedError(f"injected WAN drop {src} -> {dst}")
-        if decision.kind == "delay":
-            extra = decision.delay_s
-        if self.wan.is_partitioned(self._node(src), self._node(dst)):
-            self.clock.advance(RPC_TIMEOUT_S)
-            self.metrics.counter("geo.rpc.timeouts").inc()
-            raise PartitionedError(f"{src} -> {dst} is partitioned")
-        there = self.wan.link_for(self._node(src), self._node(dst))
-        back = self.wan.link_for(self._node(dst), self._node(src))
-        rtt = (
-            there.transfer_delay(RPC_BYTES)
-            + back.transfer_delay(RPC_BYTES)
-            + extra
-        )
-        self.clock.advance(rtt)
-        self.metrics.counter("geo.rpc.round_trips").inc()
-        self.metrics.histogram("geo.rpc.rtt_s").observe(rtt)
-        return rtt
+        self.wan.call(src, dst, self._wan_site, RPC_BYTES, op)
 
     # -- replication: ship / deliver / apply -------------------------------
 
@@ -440,10 +408,7 @@ class GeoDeployment:
         try:
             with self.tracer.span("geo.repl.ship", dst=dst, entries=len(entries)):
                 self.wan.send(
-                    self._node(home),
-                    self._node(dst),
-                    "geo.repl",
-                    {"home": home, "entries": entries},
+                    home, dst, "geo.repl", {"home": home, "entries": entries},
                     size_bytes=sum(len(payload) for _, payload in entries) + 64,
                 )
         except PartitionedError:
@@ -453,7 +418,7 @@ class GeoDeployment:
         return True
 
     def _on_repl(self, message: Message) -> None:
-        dst = message.dst.split("/", 1)[1]
+        dst = message.dst
         home = message.payload["home"]
         entries = message.payload["entries"]
         if dst in self._down:
@@ -594,7 +559,7 @@ class GeoDeployment:
                     # The client's region forwards to the home region: a
                     # WAN partition surfaces here, before anything of this
                     # home mutates.
-                    self._wan_rpc(submitted, home)
+                    self._round_trip(submitted, home, "forward")
                     self.metrics.counter("geo.writes.forwarded").inc(len(batch))
             written = self._written = {}
             try:
@@ -723,7 +688,7 @@ class GeoDeployment:
         def attempt():
             guard.check()
             if via != home:
-                self._wan_rpc(via, home)
+                self._round_trip(via, home, "read")
             return local(self._clusters[home])
 
         try:
@@ -765,7 +730,7 @@ class GeoDeployment:
             # The handoff round trip runs before any state moves, so a WAN
             # partition aborts the re-home atomically: home map, both
             # clusters, and both logs are untouched.
-            self._wan_rpc(old, to_region)
+            self._round_trip(old, to_region, "rehome")
         except (PartitionedError, FaultInjectedError) as exc:
             self.metrics.counter("geo.rehome.aborted").inc()
             raise PartitionedError(f"re-home of {key!r} aborted: {exc}") from exc
@@ -810,9 +775,7 @@ class GeoDeployment:
 
     def partition_regions(self, groups) -> None:
         """Split the WAN into isolated region groups (chaos drills)."""
-        self.wan.partition_group(
-            [[self._node(region) for region in group] for group in groups]
-        )
+        self.wan.partition_group(groups)
         self.metrics.counter("geo.wan.partitions").inc()
 
     def heal_wan(self) -> None:
@@ -950,7 +913,7 @@ class GeoDeployment:
                 continue
             if via is not None and via != name:
                 try:
-                    self._wan_rpc(via, name)
+                    self._round_trip(via, name, "gather")
                 except (PartitionedError, FaultInjectedError):
                     failed.append(name)
                     self.metrics.counter("geo.gather.region_unreachable").inc()

@@ -19,8 +19,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.clock import EventScheduler
-from ..core.errors import ConfigurationError, NetworkError, PartitionedError
-from ..core.metrics import MetricsRegistry
+from ..core.errors import ConfigurationError, FaultInjectedError, NetworkError, PartitionedError
+from ..core.metrics import Counter, Histogram, MetricsRegistry
 from ..obs.tracing import NoopTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,6 +65,25 @@ class Link:
         if self.bandwidth_bps <= 0:
             raise ConfigurationError("bandwidth must be positive")
         return self.latency_s + (size_bytes * 8.0) / self.bandwidth_bps
+
+
+@dataclass(frozen=True, slots=True)
+class CallSite:
+    """A caller's side of :meth:`SimulatedNetwork.call`, built once: the
+    fault site (and span name) its ``faults`` decide at, the ``kinds``
+    drawn there, the timeout a failed call burns (all but an injected
+    ``crash``), the bound metrics of a returned call (``sent`` adds its
+    request bytes), and per failure — ``"partitioned"`` or the injected
+    kind — the counters it adds one to, looked up as fault paths do."""
+
+    site: str
+    kinds: tuple[str, ...]
+    timeout_s: float
+    faults: "FaultInjector | None"
+    calls: Counter
+    latency: Histogram
+    sent: Counter | None
+    failed: dict[str, tuple[str, ...]]
 
 
 class Node:
@@ -159,7 +178,8 @@ class SimulatedNetwork:
             self._links[(dst, src)] = link
 
     def link_for(self, src: str, dst: str) -> Link:
-        return self._links.get((src, dst), self.default_link)
+        links = self._links
+        return links.get((src, dst), self.default_link) if links else self.default_link
 
     def partition(self, a: str, b: str) -> None:
         """Sever connectivity between ``a`` and ``b`` (both directions)."""
@@ -255,6 +275,63 @@ class SimulatedNetwork:
         delay = link.transfer_delay(size_bytes) + extra_delay
         self.scheduler.schedule_at(now + delay, partial(self._deliver, message))
         return message
+
+    def call(self, src: str, dst: str, site: CallSite, request_bytes: int, op: str,
+             server: Any = None, *args: Any) -> Any:
+        """One synchronous round trip ``src -> dst -> src`` on the clock: in
+        order :meth:`reach`, the fault decision (a ``delay`` lengthens the
+        request leg, any other kind fails the call), the request leg,
+        ``server.execute(op, *args)`` at ``dst``, and the reply leg of
+        ``server.response_size(op, args, result)`` bytes, in one span named
+        by the site (``op``, ``node=dst``); then ``site`` counts it.
+        Without a server it is a ping: the reply is as long as the request
+        and both legs pass as one advance.  A call is not a message: it
+        skips :meth:`send` and moves no ``net.`` metric."""
+        clock = self.scheduler.clock
+        if self._partitioned:
+            self.reach(src, dst, site)
+        extra = 0.0
+        if site.faults is not None:
+            decision = site.faults.decide(
+                site.site, target=f"{src}->{dst}", kinds=site.kinds
+            )
+            if decision.kind == "delay":
+                extra = decision.delay_s
+            elif decision.kind is not None:
+                self._fail(site, decision.kind, src, dst)
+        started = clock.now
+        there = self.link_for(src, dst).transfer_delay(request_bytes)
+        back = self.link_for(dst, src)
+        with self.tracer.span(site.site, op=op, node=dst):
+            if server is None:
+                result, elapsed = None, there + back.transfer_delay(request_bytes) + extra
+                clock.advance(elapsed)
+            else:
+                clock.advance(there + extra)
+                result = server.execute(op, *args)
+                reply = back.transfer_delay(server.response_size(op, args, result))
+                elapsed = clock.advance(reply) - started
+        site.calls.inc()
+        if site.sent is not None:
+            site.sent.inc(request_bytes)
+        site.latency.observe(elapsed)
+        return result
+
+    def reach(self, src: str, dst: str, site: CallSite) -> None:
+        """Fail a call of ``site`` (timeout burnt) if ``src``-``dst`` is cut."""
+        if self._partitioned and self.is_partitioned(src, dst):
+            self._fail(site, "partitioned", src, dst)
+
+    def _fail(self, site: CallSite, kind: str, src: str, dst: str) -> None:
+        for name in site.failed.get(kind, ()):
+            self.metrics.counter(name).inc()
+        route = f"{site.site} ({src} -> {dst})"
+        if kind == "crash":
+            raise FaultInjectedError(f"injected crash at {route}")
+        # A lost request or a cut link is a timeout to the caller.
+        self.scheduler.clock.advance(site.timeout_s)
+        error = PartitionedError if kind.startswith("partition") else FaultInjectedError
+        raise error(f"{route} timed out after {site.timeout_s}s: {kind}")
 
     def _deliver(self, message: Message) -> None:
         # A partition raised mid-flight also drops the message.

@@ -39,15 +39,10 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.clock import EventScheduler, SimulationClock
-from ..core.errors import (
-    ConfigurationError,
-    FaultInjectedError,
-    KeyNotFoundError,
-    PartitionedError,
-)
+from ..core.errors import ConfigurationError, KeyNotFoundError
 from ..core.metrics import MetricsRegistry
 from ..core.records import KEY_MAX
-from ..net.simnet import Link, SimulatedNetwork
+from ..net.simnet import CallSite, Link, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement
 from .kv import KVStore, encode_mput, payload_size
@@ -462,14 +457,16 @@ class RemoteStorageEngine(StorageEngine):
     """Compute-side client of a :class:`StorageTier`.
 
     Each operation routes its key through the tier ring to the owning
-    node and pays a synchronous round trip on the simulated clock:
-    request serialization + propagation out, response back, plus any
-    injected extra latency.  The ``storage.rpc`` fault site models the
+    node and pays a synchronous round trip on the simulated clock (one
+    :meth:`~repro.net.simnet.SimulatedNetwork.call`): request
+    serialization + propagation out, response back, plus any injected
+    extra latency.  The ``storage.rpc`` fault site models the
     disaggregation tax in failure form — ``crash`` (the RPC errors),
     ``delay`` (slow link), and ``drop`` (the request vanishes; the client
     burns its ``rpc_timeout_s`` budget before surfacing the failure) —
-    all raised as retryable
-    :class:`~repro.core.errors.FaultInjectedError`.  The mount does not
+    all raised as retryable :class:`~repro.core.errors.FaultInjectedError`.
+    A partitioned node costs the same ``rpc_timeout_s`` before the call
+    raises :class:`~repro.core.errors.PartitionedError`.  The mount does not
     retry: the platform's own retry policy
     (:meth:`~repro.platform.platform.MetaversePlatform._with_retry`)
     recovers transient storage faults, so a storage call is retried in
@@ -490,13 +487,18 @@ class RemoteStorageEngine(StorageEngine):
         self.tier = tier
         self.client = client
         self.metrics = tier.metrics
-        # A round trip's counters, bound once; fault paths look theirs up.
-        self._calls, self._bytes = map(
-            self.metrics.counter, ("storage.rpc.calls", "storage.rpc.bytes"))
-        self._latency = self.metrics.histogram("storage.rpc.latency_s")
         self.tracer = tier.tracer
         self.faults = faults
-        self.rpc_timeout_s = rpc_timeout_s
+        # A round trip's counters, bound once; fault paths look theirs up.
+        self._site = CallSite(
+            "storage.rpc", ("crash", "delay", "drop"), rpc_timeout_s, faults,
+            calls=self.metrics.counter("storage.rpc.calls"),
+            latency=self.metrics.histogram("storage.rpc.latency_s"),
+            sent=self.metrics.counter("storage.rpc.bytes"),
+            failed={"partitioned": ("storage.rpc.partitioned",),
+                    "crash": ("storage.rpc.faults",),
+                    "drop": ("storage.rpc.faults", "storage.rpc.timeouts")},
+        )
         if client not in tier.net.nodes:
             tier.net.add_node(client)
         self.rpcs = 0
@@ -507,57 +509,10 @@ class RemoteStorageEngine(StorageEngine):
         scans = self.tier._scans
         if scans and op in WRITE_OPS:
             scans.clear()
-        return self._transact(node, op, request_size, *args)
-
-    def _reach(self, node: StorageNode) -> None:
-        """Raise :class:`PartitionedError` if ``node`` is cut off from
-        this mount."""
-        if self.tier.net.is_partitioned(self.client, node.name):
-            self.metrics.counter("storage.rpc.partitioned").inc()
-            raise PartitionedError(
-                f"{self.client} -> {node.name} is partitioned"
-            )
-
-    def _transact(self, node: StorageNode, op: str, request_size: int, *args):
-        clock = self.tier.clock
-        net = self.tier.net
-        self._reach(node)
-        extra_delay = 0.0
-        if self.faults is not None:
-            decision = self.faults.decide(
-                "storage.rpc",
-                target=f"{self.client}->{node.name}",
-                kinds=("crash", "delay", "drop"),
-            )
-            if decision.kind == "crash":
-                self.metrics.counter("storage.rpc.faults").inc()
-                raise FaultInjectedError(
-                    f"injected crash at storage.rpc ({op} -> {node.name})"
-                )
-            if decision.kind == "drop":
-                # A lost request looks like a timeout from the client side:
-                # the full budget burns before the failure surfaces.
-                clock.advance(self.rpc_timeout_s)
-                self.metrics.counter("storage.rpc.faults").inc()
-                self.metrics.counter("storage.rpc.timeouts").inc()
-                raise FaultInjectedError(
-                    f"storage.rpc timed out after {self.rpc_timeout_s}s "
-                    f"({op} -> {node.name}: request dropped)"
-                )
-            if decision.kind == "delay":
-                extra_delay = decision.delay_s
-        link = net.link_for(self.client, node.name)
-        started = clock.now
-        with self.tracer.span("storage.rpc", op=op, node=node.name):
-            clock.advance(link.transfer_delay(request_size) + extra_delay)
-            result = node.execute(op, *args)
-            clock.advance(link.transfer_delay(
-                max(1, node.response_size(op, args, result))
-            ))
+        result = self.tier.net.call(
+            self.client, node.name, self._site, request_size, op, node, *args
+        )
         self.rpcs += 1
-        self._calls.inc()
-        self._bytes.inc(request_size)
-        self._latency.observe(clock.now - started)
         return result
 
     def _rpc_to_owner(self, op: str, key: str, payload_size: int, *args):
@@ -589,12 +544,13 @@ class RemoteStorageEngine(StorageEngine):
         """Every (key, value) in ``[lo, hi]``, sorted: one RPC per node,
         unless another mount read this range inside the tier's open read
         scope (:meth:`StorageTier.read_scope`).  Those rows are served
-        here after the same partition check this mount's own RPCs make."""
+        here after the network's reachability check of each node, the
+        one this mount's own RPCs make (a cut node costs the timeout)."""
         scans = self.tier._scans
         rows = None if scans is None else scans.get((lo, hi))
         if rows is not None:
-            for node in self.tier.nodes.values():
-                self._reach(node)
+            for name in self.tier.nodes:
+                self.tier.net.reach(self.client, name, self._site)
             return list(rows)
         merged: list[tuple[str, object]] = []
         for part in self._fan_out("scan", len(lo) + len(hi), lo, hi):
@@ -612,8 +568,8 @@ class RemoteStorageEngine(StorageEngine):
     # (``mget``/``mput`` on the node side), so per-tick round trips are
     # O(storage nodes) instead of O(keys).  Fault semantics are
     # batch-grained by construction — the injector is consulted once per
-    # round trip in _transact, so a dropped batch burns one timeout and
-    # fails as a unit.
+    # round trip in SimulatedNetwork.call, so a dropped batch burns one
+    # timeout and fails as a unit.
 
     def mget(self, keys: Iterable[str]) -> dict[str, object]:
         merged: dict[str, object] = {}

@@ -589,6 +589,45 @@ class TestOneCommitCore(SourceGrep):
         ]
 
 
+class TestOneCall(SourceGrep):
+    """A synchronous round trip is priced in one place,
+    ``SimulatedNetwork.call``: no other module advances a clock by a
+    transfer delay, and the two copies it replaced are gone."""
+
+    def test_no_module_but_the_network_prices_a_round_trip(self):
+        uses = []
+        for name, text in self.sources().items():
+            tree = ast.parse(text)
+            parent = {
+                child: node for node in ast.walk(tree)
+                for child in ast.iter_child_nodes(node)
+            }
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "transfer_delay"):
+                    continue
+                enclosing = []
+                while node in parent:
+                    node = parent[node]
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        enclosing.append(node.func.attr)
+                uses.append((name, enclosing))
+        assert {name for name, _ in uses} == {"net/simnet.py", "txn/twopc.py"}
+        # 2PC's one-way abort wait hands an arrival time to the scheduler:
+        # a message's leg, not a round trip.
+        assert [
+            enclosing for name, enclosing in uses if name == "txn/twopc.py"
+        ] == [["run_until"]]
+
+    def test_the_replaced_copies_are_gone(self):
+        for name in ("_transact", "_reach", "_wan_rpc"):
+            assert self.hits(rf"def {name}\(") == []
+        assert sorted(self.hits(r"\b(?:net|wan)\.call\(")) == [
+            "geo/deployment.py", "storage/engine.py"
+        ]
+
+
 class TestGatewayBatchIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
