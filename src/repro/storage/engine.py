@@ -273,7 +273,7 @@ class StorageNode:
         an overwrite, a delete + re-put, a cold-tier decode or a recovery
         all bring a new object and miss.  Punctuation is arithmetic:
         ``[[k, v], [k, v]]`` adds 6 per row, ``{k: v, k: v}`` 4, and an
-        empty one is 2.
+        empty one is 2.  A write's ``None`` reply is ``null``, 4 bytes.
         """
         if op == "get":
             rows, punctuation = ((args[0], result),), 0
@@ -281,6 +281,8 @@ class StorageNode:
             rows, punctuation = result, 6
         elif op == "mget":
             rows, punctuation = result.items(), 4
+        elif result is None:
+            return 4
         else:
             return payload_size(result)
         sized = self._sized

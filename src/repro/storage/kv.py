@@ -4,7 +4,9 @@ An update-optimized store in the log-structured-merge mold: writes go to a
 WAL and an in-memory memtable; when the memtable exceeds its budget it is
 flushed to an immutable sorted run (SSTable); reads consult the memtable and
 then runs newest-first; ranged scans merge all runs.  A tiered compactor
-bounds the run count.  Deletes are tombstones.
+bounds the run count.  A stored cell is the written value itself, and a
+delete stores a tombstone; no read compares versions, because the newer
+source always wins.
 
 A write batch is one ``mput`` WAL record in one of two shapes
 (:func:`encode_mput`): rows, or — for a node group of at least
@@ -26,7 +28,7 @@ import json
 import struct
 from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right, insort
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -46,20 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.columns import RecordBatch
     from ..resilience.faults import FaultInjector
 
+#: The stored cell of a deleted key.
 _TOMBSTONE = object()
-
-
-class _Versioned(NamedTuple):
-    """A value with its global write sequence number.
-
-    A NamedTuple rather than a (frozen) dataclass: versioned cells are
-    minted once per mutation on the hottest write path, and tuple
-    construction is several times cheaper than a frozen dataclass's
-    ``object.__setattr__`` init.
-    """
-
-    seqno: int
-    value: object  # _TOMBSTONE marks deletion
+#: What a source's ``get`` returns for a key it holds no cell for, so a
+#: stored ``None`` stays a value.
+_MISSING = object()
 
 
 #: Fresh keys a memtable read inserts one by one (a bisection each); more
@@ -69,7 +62,8 @@ _INSORT_MAX = 16
 
 
 class MemTable:
-    """In-memory write buffer, its keys sorted on read.
+    """In-memory write buffer, its keys sorted on read.  A cell is the
+    stored value itself, or :data:`_TOMBSTONE` for a delete.
 
     :meth:`mput` is a dict update that notes the keys it added; the next
     ordered read (:meth:`scan`, :meth:`items`, and so a flush) sorts
@@ -81,20 +75,20 @@ class MemTable:
         self._keys: list[str] = []
         # keys in ``_data`` not yet in ``_keys``, in arrival order
         self._fresh: list[str] = []
-        self._data: dict[str, _Versioned] = {}
+        self._data: dict[str, object] = {}
         self.approx_bytes = 0
 
-    def mput(self, entries: list[tuple[str, _Versioned]], value_bytes: int) -> None:
+    def mput(self, entries: "list[tuple[str, object]]", value_bytes: int) -> None:
         """Insert ``entries`` in order (later duplicates win);
         ``value_bytes`` is the caller's size estimate for the values (0
         for a tombstone)."""
         data, fresh = self._data, self._fresh
         added = value_bytes
-        for key, versioned in entries:
+        for key, value in entries:
             if key not in data:
                 fresh.append(key)
                 added += len(key)
-            data[key] = versioned
+            data[key] = value
         self.approx_bytes += added
 
     def _sorted_keys(self) -> list[str]:
@@ -111,26 +105,27 @@ class MemTable:
             self._fresh = []
         return self._keys
 
-    def get(self, key: str) -> _Versioned | None:
-        return self._data.get(key)
+    def get(self, key: str) -> object:
+        """``key``'s cell, or :data:`_MISSING`."""
+        return self._data.get(key, _MISSING)
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
+    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
         keys = self._sorted_keys()
         keys = keys[bisect_left(keys, lo):bisect_right(keys, hi)]
         return zip(keys, map(self._data.__getitem__, keys))
 
-    def items(self) -> Iterator[tuple[str, _Versioned]]:
+    def items(self) -> Iterator[tuple[str, object]]:
         keys = self._sorted_keys()
         return zip(keys, map(self._data.__getitem__, keys))
 
 
 class SSTable:
-    """An immutable sorted run."""
+    """An immutable sorted run of cells, as :class:`MemTable` holds them."""
 
-    def __init__(self, entries: list[tuple[str, _Versioned]]) -> None:
+    def __init__(self, entries: "list[tuple[str, object]]") -> None:
         self._keys = [k for k, _ in entries]
         self._values = [v for _, v in entries]
         self.min_key = self._keys[0] if self._keys else ""
@@ -139,19 +134,20 @@ class SSTable:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def get(self, key: str) -> _Versioned | None:
+    def get(self, key: str) -> object:
+        """``key``'s cell, or :data:`_MISSING`."""
         if not self._keys or not (self.min_key <= key <= self.max_key):
-            return None
+            return _MISSING
         idx = bisect_left(self._keys, key)
         if idx < len(self._keys) and self._keys[idx] == key:
             return self._values[idx]
-        return None
+        return _MISSING
 
-    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
+    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
         start, stop = bisect_left(self._keys, lo), bisect_right(self._keys, hi)
         return zip(self._keys[start:stop], self._values[start:stop])
 
-    def items(self) -> Iterator[tuple[str, _Versioned]]:
+    def items(self) -> Iterator[tuple[str, object]]:
         return zip(self._keys, self._values)
 
 
@@ -373,7 +369,7 @@ class KVStore:
         self.faults = faults
         self._memtable = MemTable()
         self._runs: list[SSTable] = []  # newest first
-        self._seqno = 0
+        self._seqno = 0  # mutations applied; a checkpoint carries the count
 
     def _maybe_fault(self, site: str, key: str) -> None:
         if self.faults is not None:
@@ -404,8 +400,9 @@ class KVStore:
 
         Fault decisions are per key (site ``kv.put``) and all happen
         before any state changes, so an injected crash leaves the store
-        untouched.  Then one WAL entry, one memtable write (seqnos rise
-        in item order) and one flush-threshold check for the whole batch.
+        untouched.  Then one WAL entry, one memtable write of the items as
+        they are (a later duplicate overwrites an earlier one) and one
+        flush-threshold check for the whole batch.
         """
         items = list(items)
         if not items:
@@ -421,13 +418,8 @@ class KVStore:
     def _apply_mput(self, items: list, value_bytes: int) -> None:
         """Land one logged batch in the memtable (live writes and replay);
         the WAL payload length stands in for per-value sizing."""
-        base = self._seqno
         self._seqno += len(items)
-        entries = [
-            (key, _Versioned(base + offset, value))
-            for offset, (key, value) in enumerate(items, start=1)
-        ]
-        self._memtable.mput(entries, value_bytes)
+        self._memtable.mput(items, value_bytes)
         self._puts.inc(len(items))
         self._maybe_flush()
 
@@ -440,7 +432,7 @@ class KVStore:
 
     def _apply_delete(self, key: str) -> None:
         self._seqno += 1
-        self._memtable.mput([(key, _Versioned(self._seqno, _TOMBSTONE))], 0)
+        self._memtable.mput([(key, _TOMBSTONE)], 0)
         self._deletes.inc()
         self._maybe_flush()
 
@@ -452,14 +444,14 @@ class KVStore:
         self._gets.inc()
         with self.tracer.span("kv.get"):
             found = self._memtable.get(key)
-            if found is None:
+            if found is _MISSING:
                 for run in self._runs:
                     found = run.get(key)
-                    if found is not None:
+                    if found is not _MISSING:
                         break
-            if found is None or found.value is _TOMBSTONE:
+            if found is _MISSING or found is _TOMBSTONE:
                 raise KeyNotFoundError(key)
-            return found.value
+            return found
 
     def get_or(self, key: str, default: object = None) -> object:
         try:
@@ -475,17 +467,17 @@ class KVStore:
         self._scans.inc()
         best = self._newest(lo, hi)
         for key in sorted(best):
-            value = best[key].value
+            value = best[key]
             if value is not _TOMBSTONE:
                 yield key, value
 
-    def _newest(self, lo: str, hi: str) -> dict[str, _Versioned]:
-        """Each key's newest version (tombstones included) in [lo, hi].
+    def _newest(self, lo: str, hi: str) -> dict[str, object]:
+        """Each key's newest cell (tombstones included) in [lo, hi].
 
-        Sources merge oldest first, so the last writer of a key is its
-        highest seqno without comparing any: runs are newest-first and
-        the memtable is newer than every run."""
-        best: dict[str, _Versioned] = {}
+        Sources merge oldest first, so the last source to write a key
+        wins: runs are newest-first and the memtable is newer than every
+        run, and within a source a key holds one cell."""
+        best: dict[str, object] = {}
         for source in [*reversed(self._runs), self._memtable]:
             best.update(source.scan(lo, hi))
         return best
@@ -496,8 +488,8 @@ class KVStore:
         for: ``kv.scans`` does not count it, so computing a gauge when
         it is read moves no counter."""
         return sorted(
-            key for key, found in self._newest("", KEY_MAX).items()
-            if found.value is not _TOMBSTONE
+            key for key, value in self._newest("", KEY_MAX).items()
+            if value is not _TOMBSTONE
         )
 
     def __len__(self) -> int:
@@ -527,13 +519,13 @@ class KVStore:
     def compact(self) -> None:
         """Merge all runs into one, discarding shadowed versions/tombstones."""
         with self.tracer.span("kv.compact", runs=len(self._runs)):
-            best: dict[str, _Versioned] = {}
+            best: dict[str, object] = {}
             for run in reversed(self._runs):  # oldest first: newest wins
                 best.update(run.items())
             live = [
-                (key, versioned)
-                for key, versioned in sorted(best.items())
-                if versioned.value is not _TOMBSTONE
+                (key, value)
+                for key, value in sorted(best.items())
+                if value is not _TOMBSTONE
             ]
             self._runs = [SSTable(live)] if live else []
             self._compactions.inc()
@@ -544,8 +536,8 @@ class KVStore:
         """Full live state as a JSON-serializable checkpoint payload.
 
         Tombstones materialize as absence (a checkpoint needs no delete
-        history), and the write seqno rides along so recovery continues
-        version numbering instead of colliding with the WAL suffix.
+        history).  ``seqno`` is the count of mutations the store has
+        applied, loads included; no read depends on it.
         """
         return {
             "seqno": self._seqno,
@@ -560,14 +552,12 @@ class KVStore:
         Recovery path: call on a fresh store *before* replaying the WAL
         suffix, so reads land byte-identical to a full-history replay.
         """
-        entries = []
-        for key, value in state["items"]:
-            self._seqno += 1
-            entries.append((key, _Versioned(self._seqno, value)))
+        entries = state["items"]
+        self._seqno += len(entries)
         if entries:
             self._memtable.mput(
                 entries,
-                value_bytes=sum(payload_size(v.value) for _, v in entries),
+                value_bytes=sum(payload_size(value) for _, value in entries),
             )
             self._maybe_flush()
         self._seqno = max(self._seqno, int(state.get("seqno", 0)))

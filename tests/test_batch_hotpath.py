@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -626,6 +627,69 @@ class TestOneCall(SourceGrep):
         assert sorted(self.hits(r"\b(?:net|wan)\.call\(")) == [
             "geo/deployment.py", "storage/engine.py"
         ]
+
+
+class TestOneStoredCell(SourceGrep):
+    """A stored cell is its value: ``storage/kv.py`` defines no class
+    that wraps one, and a logged batch reaches the memtable as it came."""
+
+    @staticmethod
+    def wrappers(tree):
+        """The classes that declare fields: a tuple or ``NamedTuple``
+        base, a dataclass decorator, or class-level annotations or
+        ``__slots__``."""
+        found = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+            decorators = {ast.unparse(d).split("(")[0].rsplit(".", 1)[-1]
+                          for d in node.decorator_list}
+            fields = [
+                stmt for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                or isinstance(stmt, ast.Assign)
+                and "__slots__" in map(ast.unparse, stmt.targets)
+            ]
+            if bases & {"NamedTuple", "tuple"} or "dataclass" in decorators or fields:
+                found.append(node.name)
+        return found
+
+    @staticmethod
+    def forwards_items(func):
+        """``func`` makes one ``self._memtable.mput`` call, its first
+        argument the ``items`` parameter, never rebound."""
+        calls = [
+            node for node in ast.walk(func) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "self._memtable.mput"
+        ]
+        rebound = [
+            node for node in ast.walk(func) if isinstance(node, ast.Name)
+            and node.id == "items" and isinstance(node.ctx, ast.Store)
+        ]
+        return (len(calls) == 1 and ast.unparse(calls[0].args[0]) == "items"
+                and not rebound)
+
+    def test_the_checks_find_the_replaced_cell(self):
+        from tests.test_storage_kv import VersionedKVStore, _Versioned
+
+        assert self.wrappers(ast.parse(inspect.getsource(_Versioned))) == [
+            "_Versioned"
+        ]
+        replaced = ast.parse(
+            textwrap.dedent(inspect.getsource(VersionedKVStore._apply_mput))
+        ).body[0]
+        assert not self.forwards_items(replaced)
+
+    def test_no_class_wraps_a_stored_value(self):
+        assert self.wrappers(ast.parse(self.sources("storage")["storage/kv.py"])) == []
+
+    def test_a_logged_batch_lands_as_it_came(self):
+        (func,) = [
+            node for node in ast.walk(ast.parse(self.sources("storage")["storage/kv.py"]))
+            if isinstance(node, ast.FunctionDef) and node.name == "_apply_mput"
+        ]
+        assert self.forwards_items(func)
 
 
 class TestGatewayBatchIdentity:

@@ -181,7 +181,7 @@ class MergingMemTable:
         self.approx_bytes += value_bytes
 
     def get(self, key):
-        return self._data.get(key)
+        return self._data.get(key, kv_module._MISSING)
 
     def __len__(self):
         return len(self._data)
@@ -202,7 +202,8 @@ def merging():
 
 
 memtable_keys = st.sampled_from(["a", "b", "ab", "ba", "é", "a\\", "zz", "m"])
-memtable_values = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False),
+memtable_values = st.one_of(st.none(), st.integers(-3, 3),
+                            st.floats(allow_nan=False),
                             st.text(alphabet="xy", max_size=2))
 bounds = st.sampled_from(["", "a", "b", "m", "￿"])
 
@@ -234,6 +235,12 @@ class MemtableAgainstMerging(RuleBasedStateMachine):
     @rule(lo=bounds, hi=bounds)
     def scan(self, lo, hi):
         assert list(self.live.scan(lo, hi)) == list(self.oracle.scan(lo, hi))
+
+    @rule(key=memtable_keys)
+    def get(self, key):
+        missing = object()
+        assert self.live.get_or(key, missing) == self.oracle.get_or(key, missing)
+        assert self.live._memtable.get(key) == self.oracle._memtable.get(key)
 
     @rule(lo=bounds, hi=bounds)
     def memtable_scan(self, lo, hi):

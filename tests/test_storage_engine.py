@@ -527,8 +527,9 @@ sizing_values = st.recursive(
 
 class ResponseSizingMachine(RuleBasedStateMachine):
     """Whatever a node served, stored, dropped, demoted or promoted
-    before, the size it reports for a read is ``payload_size(result)``,
-    and it remembers nothing but keys it served and did not delete."""
+    before, the size it reports for any op's reply is
+    ``payload_size(result)``, and it remembers nothing but keys it served
+    and did not delete."""
 
     tiered = False
 
@@ -547,14 +548,24 @@ class ResponseSizingMachine(RuleBasedStateMachine):
         )
         self.served: set[str] = set()
 
-    def read(self, op, *args):
+    def call(self, op, *args):
         result = self.node.execute(op, *args)
         assert self.node.response_size(op, args, result) == payload_size(result)
         return result
 
     @rule(items=st.lists(st.tuples(sizing_keys, sizing_values), max_size=5))
     def mput(self, items):
-        self.node.execute("mput", items)
+        self.call("mput", items)
+
+    @rule(key=sizing_keys, stock=st.integers(0, 3))
+    def put_product(self, key, stock):
+        self.call("put_product", key, {"stock": stock})
+
+    @rule(key=sizing_keys)
+    def product_reads(self, key):
+        self.call("get_product", key)
+        self.call("products")
+        self.call("delete_product", key)
 
     @rule(
         key=sizing_keys,
@@ -568,13 +579,13 @@ class ResponseSizingMachine(RuleBasedStateMachine):
         distinct object of the same one)."""
         for value in values:
             self.node.execute("mput", [(key, copy.deepcopy(value))])
-            self.read("get", key)
-            self.read("scan", key, key)
+            self.call("get", key)
+            self.call("scan", key, key)
         self.served.add(key)
 
     @rule(key=sizing_keys)
     def delete(self, key):
-        self.node.execute("delete", key)
+        self.call("delete", key)
         self.served.discard(key)
 
     @rule(dt=st.sampled_from([0.5, 1.5, 3.0]))
@@ -587,18 +598,18 @@ class ResponseSizingMachine(RuleBasedStateMachine):
     @rule(key=sizing_keys)
     def get(self, key):
         try:
-            self.read("get", key)
+            self.call("get", key)
         except KeyNotFoundError:
             return
         self.served.add(key)
 
     @rule(keys=st.lists(sizing_keys, max_size=4))
     def mget(self, keys):
-        self.served.update(self.read("mget", keys))
+        self.served.update(self.call("mget", keys))
 
     @rule(lo=st.sampled_from(["", "a", "b"]), hi=st.sampled_from(["a", "z", "￿"]))
     def scan(self, lo, hi):
-        self.served.update(key for key, _ in self.read("scan", lo, hi))
+        self.served.update(key for key, _ in self.call("scan", lo, hi))
 
     @invariant()
     def remembers_only_what_it_served_and_still_holds(self):

@@ -1,15 +1,25 @@
 """Tests for the LSM-style KV store, including crash recovery and properties."""
 
 import json
+from bisect import bisect_left
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core import KeyNotFoundError, StorageError
 from repro.storage import KVStore, WriteAheadLog
+from repro.storage import kv as kv_module
+from repro.core.records import KEY_MAX
 from repro.storage.kv import _TOMBSTONE
+from tests.test_position_index import sweep_only
 
 
 class TestBasicOps:
@@ -211,74 +221,293 @@ class TestProperties:
         assert dict(recovered.scan("", "zzzz")) == entries
 
 
+class TestStoredNone:
+    """A key written with value ``None`` holds a value: every read finds
+    it, wherever its cell lives; a key never written still raises."""
+
+    @staticmethod
+    def where(state):
+        wal = WriteAheadLog()
+        kv = KVStore(wal=wal, memtable_budget_bytes=1 << 20, max_runs=2)
+        kv.mput([("a", 1), ("n", None), ("z", 2)])
+        if state == "run":
+            kv.flush()
+        elif state == "compacted":
+            kv.flush()
+            kv.put("z", 3)
+            kv.flush()
+            kv.compact()
+            assert kv.run_count == 1
+        elif state == "snapshot":
+            snapshot = json.loads(json.dumps(kv.snapshot_state()))
+            kv = KVStore()
+            kv.load_snapshot(snapshot)
+        elif state == "recovered":
+            kv = KVStore(wal=wal)
+            kv.recover()
+        return kv
+
+    @pytest.mark.parametrize(
+        "state", ["memtable", "run", "compacted", "snapshot", "recovered"]
+    )
+    def test_none_reads_back_as_a_value(self, state):
+        kv = self.where(state)
+        assert kv.get("n") is None
+        assert kv.get_or("n", "default") is None
+        assert "n" in kv
+        assert ("n", None) in list(kv.scan("", KEY_MAX))
+        assert "n" in kv.keys()
+        assert len(kv) == 3
+        assert "ghost" not in kv
+        with pytest.raises(KeyNotFoundError):
+            kv.get("ghost")
+
+    def test_a_none_shadows_an_older_value_and_a_delete_shadows_it(self):
+        kv = KVStore(memtable_budget_bytes=1 << 20)
+        kv.put("n", 1)
+        kv.flush()
+        kv.put("n", None)
+        assert kv.get("n") is None
+        kv.flush()
+        assert kv.get("n") is None
+        kv.delete("n")
+        with pytest.raises(KeyNotFoundError):
+            kv.get("n")
+        assert kv.keys() == []
+
+
+class _Versioned(NamedTuple):
+    """The replaced cell: a value with its global write sequence number."""
+
+    seqno: int
+    value: object  # _TOMBSTONE marks deletion
+
+
+class _NoneMissMemTable(kv_module.MemTable):
+    """The memtable as the versioned store read it: a miss is ``None``
+    (a stored cell was never ``None``)."""
+
+    def get(self, key):
+        return self._data.get(key)
+
+
+class _NoneMissSSTable(kv_module.SSTable):
+    def get(self, key):
+        if not self._keys or not (self.min_key <= key <= self.max_key):
+            return None
+        idx = bisect_left(self._keys, key)
+        if idx < len(self._keys) and self._keys[idx] == key:
+            return self._values[idx]
+        return None
+
+
+class VersionedKVStore(KVStore):
+    """The replaced store, as the oracle: every cell is a
+    ``_Versioned(seqno, value)``, seqnos rising in item order.  ``mput``,
+    ``delete``, ``snapshot_state`` and ``recover`` are the live store's,
+    so both log the same records."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._memtable = _NoneMissMemTable()
+
+    def _apply_mput(self, items, value_bytes):
+        base = self._seqno
+        self._seqno += len(items)
+        entries = [
+            (key, _Versioned(base + offset, value))
+            for offset, (key, value) in enumerate(items, start=1)
+        ]
+        self._memtable.mput(entries, value_bytes)
+        self._puts.inc(len(items))
+        self._maybe_flush()
+
+    def _apply_delete(self, key):
+        self._seqno += 1
+        self._memtable.mput([(key, _Versioned(self._seqno, _TOMBSTONE))], 0)
+        self._deletes.inc()
+        self._maybe_flush()
+
+    def get(self, key):
+        self._maybe_fault("kv.get", key)
+        self._gets.inc()
+        found = self._memtable.get(key)
+        if found is None:
+            for run in self._runs:
+                found = run.get(key)
+                if found is not None:
+                    break
+        if found is None or found.value is _TOMBSTONE:
+            raise KeyNotFoundError(key)
+        return found.value
+
+    def scan(self, lo, hi):
+        self._scans.inc()
+        best = self._newest(lo, hi)
+        for key in sorted(best):
+            value = best[key].value
+            if value is not _TOMBSTONE:
+                yield key, value
+
+    def _newest(self, lo, hi):
+        best = {}
+        for source in [*reversed(self._runs), self._memtable]:
+            best.update(source.scan(lo, hi))
+        return best
+
+    def keys(self):
+        return sorted(
+            key for key, found in self._newest("", KEY_MAX).items()
+            if found.value is not _TOMBSTONE
+        )
+
+    def flush(self):
+        if len(self._memtable) == 0:
+            return
+        self._runs.insert(0, _NoneMissSSTable(list(self._memtable.items())))
+        self._memtable = _NoneMissMemTable()
+        self._flushes.inc()
+        if len(self._runs) > self.max_runs:
+            self.compact()
+
+    def compact(self):
+        best = {}
+        for run in reversed(self._runs):
+            best.update(run.items())
+        live = [
+            (key, versioned)
+            for key, versioned in sorted(best.items())
+            if versioned.value is not _TOMBSTONE
+        ]
+        self._runs = [_NoneMissSSTable(live)] if live else []
+        self._compactions.inc()
+
+    def load_snapshot(self, state):
+        entries = []
+        for key, value in state["items"]:
+            self._seqno += 1
+            entries.append((key, _Versioned(self._seqno, value)))
+        if entries:
+            self._memtable.mput(
+                entries,
+                value_bytes=sum(kv_module.payload_size(v.value) for _, v in entries),
+            )
+            self._maybe_flush()
+        self._seqno = max(self._seqno, int(state.get("seqno", 0)))
+        self.metrics.counter("kv.snapshot_loads").inc()
+        return len(entries)
+
+
+_MISS = object()
+
+
 class ScanMergeMachine(RuleBasedStateMachine):
-    """``scan`` merges its sources oldest first and compares no seqno;
+    """The store of bare cells against the replaced ``_Versioned`` store
+    and a dict of the acknowledged writes and deletes: whatever order of
+    writes (``None`` values included), deletes, flushes, compactions,
+    checkpoint loads and recoveries built them, every scan, get, key
+    list, snapshot and WAL byte is equal.
+
+    Both stores merge their sources oldest first and compare no seqno;
     that is only right while runs stay newest-first under a memtable
-    newer than all of them.  Whatever order of writes, deletes, flushes,
-    compactions, checkpoint loads and recoveries built the store, a scan
-    must equal the seqno-max model over every version it holds."""
+    newer than all of them, which the oracle's seqnos check."""
 
     keys = st.text(alphabet="abc", min_size=1, max_size=2)
+    values = st.one_of(st.none(), st.integers())
+    ALL_KEYS = ["a", "b", "c", "aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc"]
 
     def __init__(self):
         super().__init__()
-        self.kv = self.fresh(WriteAheadLog())
-        self.base = None  # the checkpoint this store's WAL continues from
+        self.kv = self.fresh(KVStore, WriteAheadLog())
+        self.oracle = self.fresh(VersionedKVStore, WriteAheadLog())
+        self.model = {}
+        self.base = None  # the checkpoint these stores' WALs continue from
 
-    def fresh(self, wal):
-        return KVStore(memtable_budget_bytes=48, max_runs=2, wal=wal)
+    @staticmethod
+    def fresh(cls, wal):
+        return cls(memtable_budget_bytes=48, max_runs=2, wal=wal)
 
-    @rule(items=st.lists(st.tuples(keys, st.integers()), max_size=6))
+    def both(self, act):
+        act(self.kv)
+        act(self.oracle)
+
+    @rule(items=st.lists(st.tuples(keys, values), max_size=6))
     def mput(self, items):
-        self.kv.mput(items)
+        self.both(lambda store: store.mput(items))
+        self.model.update(items)
 
     @rule(key=keys)
     def delete(self, key):
-        self.kv.delete(key)
+        self.both(lambda store: store.delete(key))
+        self.model.pop(key, None)
 
     @rule()
     def flush(self):
-        self.kv.flush()
+        self.both(lambda store: store.flush())
 
     @rule()
     def compact(self):
-        self.kv.compact()
+        self.both(lambda store: store.compact())
 
     @rule()
     def load_snapshot(self):
         self.base = json.loads(json.dumps(self.kv.snapshot_state()))
-        self.kv = self.fresh(WriteAheadLog())
-        self.kv.load_snapshot(self.base)
+        assert json.loads(json.dumps(self.oracle.snapshot_state())) == self.base
+        self.kv = self.fresh(KVStore, WriteAheadLog())
+        self.oracle = self.fresh(VersionedKVStore, WriteAheadLog())
+        assert self.kv.load_snapshot(self.base) == self.oracle.load_snapshot(self.base)
 
     @rule()
     def recover(self):
-        recovered = self.fresh(self.kv.wal)
-        if self.base is not None:
-            recovered.load_snapshot(self.base)
-        recovered.recover()
-        assert list(recovered.scan("", "zzzz")) == list(self.kv.scan("", "zzzz"))
-        self.kv = recovered
+        stores = []
+        for cls, store in ((KVStore, self.kv), (VersionedKVStore, self.oracle)):
+            recovered = self.fresh(cls, store.wal)
+            if self.base is not None:
+                recovered.load_snapshot(self.base)
+            stores.append((recovered, recovered.recover()))
+        (self.kv, applied), (self.oracle, oracle_applied) = stores
+        assert applied == oracle_applied
 
     @rule(lo=st.sampled_from(["", "a", "b", "bb"]), hi=st.sampled_from(["a", "bz", "zzzz"]))
-    def scan_equals_the_seqno_max_model(self, lo, hi):
-        best = {}
-        for source in [self.kv._memtable, *self.kv._runs]:
-            for key, versioned in source.items():
-                if key not in best or versioned.seqno > best[key].seqno:
-                    best[key] = versioned
-        model = [
-            (key, best[key].value) for key in sorted(best)
-            if lo <= key <= hi and best[key].value is not _TOMBSTONE
+    def scan(self, lo, hi):
+        got = list(self.kv.scan(lo, hi))
+        assert got == list(self.oracle.scan(lo, hi))
+        assert got == sorted(
+            (key, value) for key, value in self.model.items() if lo <= key <= hi
+        )
+
+    @rule(key=st.sampled_from(ALL_KEYS))
+    def get(self, key):
+        got = self.kv.get_or(key, _MISS)
+        assert got == self.oracle.get_or(key, _MISS) == self.model.get(key, _MISS)
+        if got is _MISS:
+            with pytest.raises(KeyNotFoundError):
+                self.kv.get(key)
+
+    @invariant()
+    def same_state(self):
+        kv, oracle = self.kv, self.oracle
+        assert kv.keys() == oracle.keys() == sorted(self.model)
+        assert kv.snapshot_state() == oracle.snapshot_state()
+        assert bytes(kv.wal._buf) == bytes(oracle.wal._buf)
+        # Source by source, the same keys hold the same cells: a bare
+        # value where the oracle holds its ``_Versioned``.  The memtable
+        # is read without sorting it, which a read would do.
+        assert kv._memtable._data == {
+            key: versioned.value
+            for key, versioned in oracle._memtable._data.items()
+        }
+        assert [list(run.items()) for run in kv._runs] == [
+            [(key, versioned.value) for key, versioned in run.items()]
+            for run in oracle._runs
         ]
-        assert list(self.kv.scan(lo, hi)) == model
-        assert self.kv.keys() == [key for key, _ in self.kv.scan("", "￿")]
 
     @invariant()
     def sources_are_ordered_newest_first(self):
-        """The premise itself: every version in a source is newer than
-        every version in the sources behind it."""
+        """The premise itself: every version in a source of the oracle is
+        newer than every version in the sources behind it."""
         floor = None
-        for source in [self.kv._memtable, *self.kv._runs]:
+        for source in [self.oracle._memtable, *self.oracle._runs]:
             seqnos = [versioned.seqno for _, versioned in source.items()]
             if not seqnos:
                 continue
@@ -288,3 +517,13 @@ class ScanMergeMachine(RuleBasedStateMachine):
 
 
 TestScanMerge = ScanMergeMachine.TestCase
+
+
+@pytest.mark.slow
+def test_sweep_scan_merge(request):
+    """``ScanMergeMachine`` at 1,000 examples, for the nightly tier."""
+    sweep_only(request)
+    run_state_machine_as_test(
+        ScanMergeMachine,
+        settings=settings(max_examples=1000, stateful_step_count=50, deadline=None),
+    )
