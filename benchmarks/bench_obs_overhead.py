@@ -3,7 +3,7 @@
 Claim: observability must be affordable — the no-op tracer (the default
 every component constructs) adds no measurable overhead to the purchase
 pipeline, and the always-on tracing configuration (head sampling, one
-purchase trace in SAMPLE_EVERY) stays under 10%.  Full recording
+purchase trace in SAMPLE_EVERY) stays under 12%.  Full recording
 (``sample_every=1``) is also reported: it is the debugging configuration
 and pays the whole per-span recording cost on every purchase.
 
@@ -126,11 +126,12 @@ def overhead_vs(samples, name):
 
 #: What the sampled boundary may cost per purchase above the no-op
 #: boundary, in no-op boundaries.  Measured on a 2-core Intel Xeon
-#: machine under CPython 3.11: the no-op boundary costs 188-206 ns, the
-#: sampled one 0.52-0.58 of that more, and a purchase 1,454-1,593 ns
-#: under the no-op tracer.  So 0.7 no-op boundaries are 132-144 ns,
-#: under 10 % of that path, the bound the claim states.  A boundary
-#: twice as costly reads well over 1 and fails.
+#: machine under CPython 3.11: the no-op boundary costs 261-284 ns, the
+#: sampled one 0.53-0.60 of that more, and a purchase 1,603-1,773 ns
+#: under the no-op tracer, 6.0-6.7 no-op boundaries (8.0 while a call
+#: made one stock check per request).  So 0.7 no-op boundaries are
+#: 183-199 ns, under 12 % of that path, the bound the claim states.  A
+#: boundary twice as costly reads well over 1 and fails.
 BOUNDARY_BOUND = 0.7
 
 
@@ -170,7 +171,7 @@ def check_overhead_bounds(out):
 
     * enabled tracing (the always-on sampled configuration): its one
       per-purchase boundary costs under BOUNDARY_BOUND no-op boundaries
-      more than the no-op tracer's, i.e. under 10% of the flash-sale path;
+      more than the no-op tracer's, i.e. under 12% of the flash-sale path;
     * disabled tracing: a span site costs well under a microsecond, i.e.
       ~0% at the path's span density (a handful of sites per purchase).
     """
@@ -203,7 +204,7 @@ def report(file=sys.stdout):
           f"({out['noop_boundary_s'] * 1e9:.0f} ns) a purchase", file=file)
     check_overhead_bounds(out)
     print(f"bounds ok: sampled boundary < +{BOUNDARY_BOUND} no-op boundaries "
-          f"(< 10% of the path), disabled ~0%", file=file)
+          f"(< 12% of the path), disabled ~0%", file=file)
 
 
 if __name__ == "__main__":

@@ -904,7 +904,7 @@ class PlatformCluster:
 
         with self.tracer.span("cluster.process_purchases", n=len(requests)):
             merged = route_by_owner(
-                self.router.owner_of, routed, attrgetter("product_id"), run
+                self.router.owners([r.product_id for r in routed]), routed, run
             )
         if routed is not ordered:
             # Outcomes of salted requests are re-labelled with the

@@ -614,7 +614,7 @@ class GeoDeployment:
             return self._clusters[home].process_purchases(batch)
 
         merged = route_by_owner(
-            self.home_of, ordered, attrgetter("product_id"), run,
+            [self.home_of(r.product_id) for r in ordered], ordered, run,
             sorted_owners=True,
         )
         self.metrics.counter("geo.purchases").inc(len(requests))

@@ -63,24 +63,23 @@ def _group_by_column(owners: list, items: list) -> dict:
 
 
 def route_by_owner(
-    owner_of: Callable[[str], str],
+    owners: list[str],
     items: list,
-    key: Callable,
     run: Callable[[str, list], Iterable],
     sorted_owners: bool = False,
 ) -> list:
-    """Split ``items`` by owner, ``run(owner, subsequence)`` once per owner,
-    and re-merge the results into input order.
+    """Split ``items`` by owner (``owners[i]`` owns ``items[i]``),
+    ``run(owner, subsequence)`` once per owner, and re-merge the results
+    into input order.
 
     ``run`` must return one result per item of its subsequence, in order;
     each subsequence is order-preserved, so the positional merge is exact.
     Owners are visited in first-appearance order, or name order with
     ``sorted_owners`` — the visit order fixes the order of fault-injector
     draws and clock advances inside ``run``, so each caller keeps its own.
-    ``owner_of`` is asked once per item: the merge walks the owner list
-    the split made.
+    The owner column is the caller's (a router's :meth:`Placement.owners`,
+    geo's ``home_of`` per item): the split and the merge both walk it.
     """
-    owners = [owner_of(key(item)) for item in items]
     groups = _group_by_column(owners, items)
     streams = {
         owner: iter(run(owner, groups[owner]))

@@ -120,6 +120,12 @@ TXN_COST_S = 1e-4
 PURCHASE_RETRIES = 2
 
 
+def _last_sale(indices: list[int], reasons: list[str]) -> int:
+    """The request index of a product's last sale in a purchase call:
+    ``reasons[j]`` is the call's decision on request ``indices[j]``."""
+    return indices[len(reasons) - 1 - reasons[::-1].index("")]
+
+
 class MetaversePlatform:
     """The end-to-end platform facade."""
 
@@ -817,12 +823,12 @@ class MetaversePlatform:
         Requests are ordered by (priority, time): with
         ``physical_priority`` on, physical-space shoppers win ties on the
         last unit — the paper's example policy.  The call is one MVCC
-        transaction deciding every request against one snapshot; a
-        conflict at its one commit re-decides the call up to
-        :data:`PURCHASE_RETRIES` times.  ``presorted=True`` skips the
-        sort — the cluster router passes order-preserved subsequences of
-        an already globally sorted stream, so per-shard re-sorting is pure
-        overhead.
+        transaction deciding each product once, its requests in order,
+        against one snapshot; a conflict at its one commit re-decides the
+        call up to :data:`PURCHASE_RETRIES` times.  ``presorted=True``
+        skips the sort — the cluster router passes order-preserved
+        subsequences of an already globally sorted stream, so per-shard
+        re-sorting is pure overhead.
         """
         if not presorted:
             requests = sorted(
@@ -830,33 +836,49 @@ class MetaversePlatform:
                 key=lambda r: purchase_sort_key(r, self.physical_priority),
             )
         with self.tracer.span("platform.process_purchases", n=len(requests)):
-            # Hydrate first, in request order: the engine calls per-request
-            # stages made, as nothing else in a call touches the engine.
-            cached, unknown = set(), set()
-            for i, request in enumerate(requests):
-                if request.product_id not in cached:
-                    if self._product(request.product_id) is None:
-                        unknown.add(i)  # tried again at its next request
-                    else:
-                        cached.add(request.product_id)
-            executor = {
-                product_id: self.executors[self._executor_for(product_id)]
-                for product_id in {r.product_id for r in requests}
+            txn, read, groups, unknown = self._group_and_read(requests)
+            quantities = {
+                product_id: [requests[i].quantity for i in indices]
+                for product_id, indices in groups.items()
             }
-            for _ in range(PURCHASE_RETRIES + 1):
-                txn, whys = self.txn.begin(), []
+            # One TXN_COST_S charge per request per attempt, added one at a
+            # time in one run per executor: an executor's float then
+            # depends only on how many requests it was charged for.
+            charged = [0] * self.n_executors
+            for product_id, indices in groups.items():
+                charged[self._executor_for(product_id)] += len(indices)
+            for i in unknown:
+                charged[self._executor_for(requests[i].product_id)] += 1
+            sampled = self.tracer.sampled_span
+            for attempt in range(PURCHASE_RETRIES + 1):
+                if attempt:  # a conflict retry reads a fresh snapshot
+                    txn, read = self.txn.begin(), {}
+                decided: dict[str, list[str]] = {}
                 try:
-                    for i, request in enumerate(requests):
-                        executor[request.product_id].busy_time += TXN_COST_S
-                        # A sampling boundary: with sample_every=k, one
-                        # purchase in k records its sub-trace — see Tracer.
-                        with self.tracer.sampled_span("platform.purchase"):
-                            whys.append("no such product" if i in unknown else
-                                        self._decrement(txn, request.product_id,
-                                                        request.quantity))
+                    for executor, n in zip(self.executors, charged):
+                        busy = executor.busy_time
+                        for _ in range(n):
+                            busy += TXN_COST_S
+                        executor.busy_time = busy
+                    for _ in requests:
+                        # A sampling boundary per request: with
+                        # sample_every=k, one purchase in k records its
+                        # sub-trace — see Tracer.
+                        with sampled("platform.purchase"):
+                            pass
+                    for product_id, indices in groups.items():
+                        decided[product_id] = self._decrement(
+                            txn, product_id, quantities[product_id],
+                            read.get(product_id),
+                        )
                 finally:
-                    # Commit and settle what was decided, also on a raise.
+                    # Commit and settle what was decided, also on a raise,
+                    # in last-decision order: by each product's last sale.
                     if txn.writes:
+                        order = sorted(txn.writes, key=lambda p: _last_sale(
+                            groups[p], decided[p]
+                        ))
+                        txn.writes = {p: txn.writes[p] for p in order}
                         try:
                             self.txn.commit(txn)
                         except WriteConflictError:
@@ -866,15 +888,57 @@ class MetaversePlatform:
                 if txn.status != "aborted":
                     break
                 self.metrics.counter("platform.retries").inc()
+        exhausted, whys = txn.status == "aborted", [""] * len(requests)
+        for i in unknown:
+            whys[i] = "no such product"
+        for product_id, reasons in decided.items():
+            if exhausted:
+                reasons = [why or "conflict retries exhausted" for why in reasons]
             else:
-                whys = [why or "conflict retries exhausted" for why in whys]
-        for request, why in zip(requests, whys):
-            if not why:
-                executor[request.product_id].processed += 1
+                self.executors[self._executor_for(product_id)].processed += (
+                    reasons.count("")
+                )
+            for i, why in zip(groups[product_id], reasons):
+                whys[i] = why
         for why, counter in self._decided.items():
             if why in whys:
                 counter.inc(whys.count(why))
         return [PurchaseOutcome(r, not why, why) for r, why in zip(requests, whys)]
+
+    def _group_and_read(self, requests: list[PurchaseRequest]):
+        """Group a call's requests by product — request indices in order,
+        products in first-appearance order — and read each product once.
+
+        The walk runs in request order and hydrates what the MVCC cache
+        misses: the engine calls per-request stages made, as nothing else
+        in a call touches the engine.  Every product is read through one
+        snapshot, renewed only after a hydration commits behind it; the
+        last one is returned as the first attempt's transaction, with the
+        records it read.  A request whose product the tier did not return
+        is listed unknown, and the product is tried again at its next
+        request.  Returns ``(txn, {product: record}, {product: request
+        indices}, unknown indices)``.
+        """
+        groups: dict[str, list[int]] = {}
+        read: dict[str, dict] = {}
+        unknown: list[int] = []
+        txn = self.txn.begin()
+        for i, request in enumerate(requests):
+            indices = groups.get(request.product_id)
+            if indices is not None:
+                indices.append(i)
+                continue
+            product_id = request.product_id
+            product = txn.read_or(product_id)
+            if product is None:
+                product = self._hydrate_product(product_id)
+                if product is None:
+                    unknown.append(i)
+                    continue
+                txn = self.txn.begin()
+            read[product_id] = product
+            groups[product_id] = [i]
+        return txn, read, groups, unknown
 
     # -- the stock-commit core ----------------------------------------------
     #
@@ -883,22 +947,37 @@ class MetaversePlatform:
     # _decrement and settled by _settle; nothing else checks stock, and
     # nothing else writes stock through or reports it to the sink.
 
-    def _decrement(self, txn: Transaction, product_id: str, quantity: int) -> str:
-        """The one stock check: decrement ``product_id`` inside ``txn`` and
-        return ``""``, or why not (``"no such product"``, ``"sold out"``).
-        ``txn.writes`` holds the running stock, asked before the snapshot
-        and re-seated on every write, so it is in last-decision order."""
-        product = txn.writes.get(product_id) or txn.read_or(product_id)
+    def _decrement(
+        self,
+        txn: Transaction,
+        product_id: str,
+        quantities: list[int],
+        product: dict | None = None,
+    ) -> list[str]:
+        """The one stock check: decide each of ``quantities``, in order,
+        against ``product_id``'s running stock inside ``txn`` and return
+        one reason per quantity: ``""`` for a sale, or why not (``"no such
+        product"``, ``"sold out"``).  The product is read once — or not at
+        all when the caller passes the record ``txn`` reads as
+        ``product`` — and a product that sold writes its final record
+        once, re-seated at the end of ``txn.writes``."""
         if product is None:
-            return "no such product"
-        stock = product.get("stock", 0)
-        if stock < quantity:
-            return "sold out"
-        updated = dict(product)
-        updated["stock"] = stock - quantity
-        txn.writes.pop(product_id, None)
-        txn.writes[product_id] = updated
-        return ""
+            product = txn.read_or(product_id)
+        if product is None:
+            return ["no such product"] * len(quantities)
+        stock, whys, updated = product.get("stock", 0), [], None
+        for quantity in quantities:
+            if stock < quantity:
+                whys.append("sold out")
+                continue
+            if updated is None:
+                updated = dict(product)
+            updated["stock"] = stock = stock - quantity
+            whys.append("")
+        if updated is not None:
+            txn.writes.pop(product_id, None)
+            txn.writes[product_id] = updated
+        return whys
 
     def stage_basket(
         self, quantities: dict[str, int]
@@ -913,7 +992,7 @@ class MetaversePlatform:
         """
         txn = self.txn.begin()
         for product_id, quantity in quantities.items():
-            why = self._decrement(txn, product_id, quantity)
+            [why] = self._decrement(txn, product_id, [quantity])
             if why:
                 self.txn.abort(txn)
                 # An empty MVCC cache is not "no such product" until the

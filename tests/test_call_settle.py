@@ -1,23 +1,37 @@
-"""A purchase call is one transaction: the per-request path is the oracle.
+"""A purchase call is one transaction deciding each product once.
 
-:meth:`MetaversePlatform.process_purchases` hydrates in request order,
-decides every request against one MVCC snapshot through the one stock
-check, commits once and settles once — one write-through and one
-``stock`` op per product it sold, in last-decision order.  The path this
-replaced staged and committed each request on its own and settled after
-every commit; it lives on here as :class:`PerCommitPlatform` and the two
-run side by side:
+:meth:`MetaversePlatform.process_purchases` groups its requests by
+product, hydrates in request order through one snapshot, decides each
+product's requests in order in one call of the one stock check
+(``_decrement``), commits once and settles once — one write-through and
+one ``stock`` op per product it sold, in last-decision order.  Two paths
+it replaced live on here as oracles and run beside it:
 
-* **invisible to a client** — outcomes, every ``get_stock``, every engine
-  product record, every executor's ``busy_time``/``processed`` and the
-  fold of every owner's primary log are equal, on a replicated local
-  cluster and on a disaggregated one through a storage outage;
-* **the op stream per call** — each call logs exactly the oracle's ops
-  with every (shard, product) but its last dropped;
-* **the tap still is the log** — each owner's sink-recorded subsequence
-  is its primary log, op for op (``tests/test_op_tap.py``'s property);
+* **the per-request call** (:class:`PerRequestPlatform`) — one
+  ``_decrement`` per request against the running stock.  Outcomes,
+  stocks, engine records, the logged op stream, every executor's
+  ``busy_time``/``processed`` and every metric are ``==`` to it, on a
+  single platform, a replicated cluster and a disaggregated one through a
+  storage outage;
+* **the per-commit path** (:class:`PerCommitPlatform`) — each request
+  staged and committed on its own, settled after every commit:
+
+  - **invisible to a client** — outcomes, every ``get_stock``, every
+    engine product record, every executor's ``busy_time``/``processed``
+    and the fold of every owner's primary log are equal;
+  - **the op stream per call** — each call logs exactly the oracle's ops
+    with every (shard, product) but its last dropped;
+  - **the tap still is the log** — each owner's sink-recorded
+    subsequence is its primary log, op for op (``tests/test_op_tap.py``'s
+    property).
+
+And on their own:
+
 * **one commit** — a call adds one to ``mvcc.commits`` when it sells
   anything and none when it does not;
+* **one read and one check per product** — a call reads each product
+  once and decides it in one ``_decrement``; a product hydrated mid-pass
+  is read in a snapshot opened after the hydration's commit;
 * **first committer wins** — a commit behind the call's back after its
   snapshot is never overwritten: the call re-decides against it;
 * **the one flush point** — a call that raises has already committed and
@@ -29,7 +43,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, PlatformCluster
-from repro.core import ConfigurationError, KeyNotFoundError, WriteConflictError
+from repro.core import ConfigurationError, KeyNotFoundError, Space, WriteConflictError
+from repro.core.records import PurchaseRequest
 from repro.platform import MetaversePlatform
 from repro.platform.platform import (
     PURCHASE_RETRIES,
@@ -39,6 +54,7 @@ from repro.platform.platform import (
 )
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.txn.mvcc import Transaction
 from tests.test_op_tap import PRODUCTS, perform, product, quantity, record, request, stock
 from tests.test_replication import expanded
 
@@ -130,18 +146,16 @@ commerce = [
     st.tuples(st.just("drop_product"), product),
     st.tuples(st.just("tick")),
 ]
-replicated_actions = st.lists(
-    st.one_of(
-        *commerce,
-        st.tuples(st.just("salt_product"), product, st.integers(2, 3)),
-        st.tuples(st.just("unsalt_product"), product),
-    ),
-    max_size=20,
+replicated_action = st.one_of(
+    *commerce,
+    st.tuples(st.just("salt_product"), product, st.integers(2, 3)),
+    st.tuples(st.just("unsalt_product"), product),
 )
-outage_actions = st.lists(
-    st.one_of(*commerce, st.tuples(st.sampled_from(["outage", "heal"]))),
-    max_size=20,
+outage_action = st.one_of(
+    *commerce, st.tuples(st.sampled_from(["outage", "heal"]))
 )
+replicated_actions = st.lists(replicated_action, max_size=20)
+outage_actions = st.lists(outage_action, max_size=20)
 
 
 def outcome_of(cluster, action, step):
@@ -276,13 +290,13 @@ class TestOneCommitPerCall:
         decision of each of the call's first ``times`` attempts."""
         decide, attempts, inside = platform._decrement, [], []
 
-        def decrement(txn, product_id, quantity):
+        def decrement(txn, product_id, quantities, product=None):
             if not inside and txn not in attempts and len(attempts) < times:
                 attempts.append(txn)
                 inside.append(txn)
                 platform.commit_basket(platform.stage_basket({"p0": take})[0])
                 inside.pop()
-            return decide(txn, product_id, quantity)
+            return decide(txn, product_id, quantities, product)
 
         monkeypatch.setattr(platform, "_decrement", decrement)
 
@@ -381,34 +395,39 @@ class TestTheOneFlushPoint:
     def test_a_call_that_raises_has_settled_what_it_committed(self, monkeypatch):
         cluster, ops = recorded(PlatformCluster)
         del ops[:]
-        owner = cluster.router.owner_of("p0")
+        # p1 and p2 share a shard: the call decides p1, then raises at p2.
+        owner = cluster.router.owner_of("p1")
+        assert cluster.router.owner_of("p2") == owner
         shard = cluster.shards[owner]
         decide, calls = shard._decrement, []
 
-        def decide_until_the_third(txn, product_id, quantity):
+        def decide_until_the_second(txn, product_id, quantities, product=None):
             calls.append(product_id)
-            if len(calls) == 3:
-                raise RuntimeError("request 3")
-            return decide(txn, product_id, quantity)
+            if len(calls) == 2:
+                raise RuntimeError("product 2")
+            return decide(txn, product_id, quantities, product)
 
-        monkeypatch.setattr(shard, "_decrement", decide_until_the_third)
-        with pytest.raises(RuntimeError, match="request 3"):
-            shard.process_purchases(
-                [request("p0", 1, shopper=f"s{i}") for i in range(5)]
-            )
-        # Two decisions were made before the raise; both are committed
-        # and settled.
-        assert shard.get_stock("p0") == 4
-        assert shard.engine.get_product("p0")["stock"] == 4
+        monkeypatch.setattr(shard, "_decrement", decide_until_the_second)
+        with pytest.raises(RuntimeError, match="product 2"):
+            shard.process_purchases([
+                request(pid, 1, shopper=f"s{i}")
+                for i, pid in enumerate(["p1", "p2", "p1", "p2", "p2"])
+            ])
+        # p1's two sales were decided before the raise; both are
+        # committed and settled, and p2 is untouched.
+        assert calls == ["p1", "p2"]
+        assert shard.get_stock("p1") == 4
+        assert shard.engine.get_product("p1")["stock"] == 4
+        assert shard.get_stock("p2") == 6
         assert [(name, op["k"], op["stock"]) for name, op in ops] == [
-            (owner, "p0", 4)
+            (owner, "p1", 4)
         ]
-        assert cluster.failover.replica_stock(owner, "p0") == 4
+        assert cluster.failover.replica_stock(owner, "p1") == 4
         # And nothing stays open: the next basket settles at once.
         monkeypatch.setattr(shard, "_decrement", decide)
-        assert cluster.process_basket([request("p0", 2)]).committed
-        assert shard.engine.get_product("p0")["stock"] == 2
-        assert ops[-1] == (owner, {"op": "stock", "k": "p0", "stock": 2})
+        assert cluster.process_basket([request("p1", 2)]).committed
+        assert shard.engine.get_product("p1")["stock"] == 2
+        assert ops[-1] == (owner, {"op": "stock", "k": "p1", "stock": 2})
 
     def test_a_commit_outside_a_call_settles_at_once(self):
         """A single-shard basket and both participants of a 2PC basket
@@ -452,3 +471,294 @@ class TestTheOneFlushPoint:
         cluster.clock.advance(2.0)
         assert shard.flush_dirty_products() == 0
         assert tier.get_product("p0")["stock"] == 3
+
+
+class PerRequestPlatform(MetaversePlatform):
+    """The replaced call: a hydration pass asking a fresh snapshot per
+    product, then one ``_decrement`` per request in request order against
+    the running stock in ``txn.writes``, re-seated on every sale."""
+
+    def process_purchases(self, requests, presorted=False):
+        if not presorted:
+            requests = sorted(
+                requests,
+                key=lambda r: purchase_sort_key(r, self.physical_priority),
+            )
+        with self.tracer.span("platform.process_purchases", n=len(requests)):
+            cached, unknown = set(), set()
+            for i, request in enumerate(requests):
+                if request.product_id not in cached:
+                    if self._product(request.product_id) is None:
+                        unknown.add(i)
+                    else:
+                        cached.add(request.product_id)
+            executor = {
+                product_id: self.executors[self._executor_for(product_id)]
+                for product_id in {r.product_id for r in requests}
+            }
+            for _ in range(PURCHASE_RETRIES + 1):
+                txn, whys = self.txn.begin(), []
+                try:
+                    for i, request in enumerate(requests):
+                        executor[request.product_id].busy_time += TXN_COST_S
+                        with self.tracer.sampled_span("platform.purchase"):
+                            whys.append("no such product" if i in unknown else
+                                        self._decide_one(txn, request.product_id,
+                                                         request.quantity))
+                finally:
+                    if txn.writes:
+                        try:
+                            self.txn.commit(txn)
+                        except WriteConflictError:
+                            pass
+                        else:
+                            self._settle(txn.writes)
+                if txn.status != "aborted":
+                    break
+                self.metrics.counter("platform.retries").inc()
+            else:
+                whys = [why or "conflict retries exhausted" for why in whys]
+        for request, why in zip(requests, whys):
+            if not why:
+                executor[request.product_id].processed += 1
+        for why, counter in self._decided.items():
+            if why in whys:
+                counter.inc(whys.count(why))
+        return [PurchaseOutcome(r, not why, why) for r, why in zip(requests, whys)]
+
+    def _decide_one(self, txn, product_id, quantity):
+        product = txn.writes.get(product_id) or txn.read_or(product_id)
+        if product is None:
+            return "no such product"
+        stock = product.get("stock", 0)
+        if stock < quantity:
+            return "sold out"
+        updated = dict(product)
+        updated["stock"] = stock - quantity
+        txn.writes.pop(product_id, None)
+        txn.writes[product_id] = updated
+        return ""
+
+
+class PerRequestCluster(PlatformCluster):
+    def _make_shard(self, name):
+        shard = super()._make_shard(name)
+        shard.__class__ = PerRequestPlatform  # adds no state
+        return shard
+
+
+#: A call draws products the catalog never held, quantities from 0 up
+#: (a 0 sells and writes an unchanged stock), both spaces and tied
+#: arrival times, so physical priority reorders the stream.
+CALL_PRODUCTS = PRODUCTS + ["ghost"]
+purchase_call = st.tuples(
+    st.just("purchase_call"),
+    st.lists(
+        st.tuples(
+            st.sampled_from(CALL_PRODUCTS), st.integers(0, 4),
+            st.sampled_from(list(Space)), st.integers(0, 2).map(float),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+# Calls are drawn twice as often as any other action, here and below.
+single_actions = st.lists(
+    st.one_of(
+        purchase_call,
+        purchase_call,
+        st.tuples(
+            st.just("basket"),
+            st.dictionaries(st.sampled_from(CALL_PRODUCTS), quantity,
+                            min_size=1, max_size=2),
+        ),
+        st.tuples(st.just("import_product"), product, stock),
+        st.tuples(st.just("drop_product"), product),
+        # Behind the MVCC cache: the next call hydrates the product.
+        st.tuples(st.just("engine_put"), product, stock),
+        st.tuples(st.just("reset_products")),
+    ),
+    max_size=16,
+)
+cluster_call_actions = {
+    shape: st.lists(st.one_of(purchase_call, purchase_call, action), max_size=20)
+    for shape, action in (
+        ("replicated", replicated_action), ("outage", outage_action)
+    )
+}
+
+
+def call_requests(drawn):
+    return [
+        PurchaseRequest(
+            shopper_id=f"s{i}", product_id=pid, space=space, timestamp=t,
+            quantity=n,
+        )
+        for i, (pid, n, space, t) in enumerate(drawn)
+    ]
+
+
+def single_platform(platform_type):
+    platform, logged = platform_type(), []
+    platform.load_catalog(
+        [record(pid, {"name": pid, "stock": 6}) for pid in PRODUCTS]
+    )
+    platform.purchase_log = lambda *call: logged.append(call)
+    return platform, logged
+
+
+def single_step(platform, action):
+    name, *args = action
+    if name == "purchase_call":
+        return platform.process_purchases(call_requests(args[0]))
+    if name == "basket":
+        txn, why, pid = platform.stage_basket(args[0])
+        if txn is not None:
+            platform.commit_basket(txn)
+        return why, pid
+    if name == "import_product":
+        return platform.import_product(args[0], {"name": args[0], "stock": args[1]})
+    if name == "engine_put":
+        return platform.engine.put_product(
+            args[0], {"name": args[0], "stock": args[1]}
+        )
+    return getattr(platform, name)(*args)
+
+
+def executors_of(platform):
+    return [(e.processed, e.busy_time) for e in platform.executors]
+
+
+def play_single(script):
+    (called, called_log), (oracle, oracle_log) = (
+        single_platform(MetaversePlatform), single_platform(PerRequestPlatform)
+    )
+    for action in script:
+        assert single_step(called, action) == single_step(oracle, action)
+        assert called_log == oracle_log
+        assert called.engine.products() == oracle.engine.products()
+        assert executors_of(called) == executors_of(oracle)
+        assert called.metrics.snapshot() == oracle.metrics.snapshot()
+        for pid in CALL_PRODUCTS:
+            assert stock_or_missing(called, pid) == stock_or_missing(oracle, pid)
+
+
+def play_cluster(script, shape):
+    """Both clusters step by step: outcomes, stocks and each call's op
+    stream equal; executors, metrics and engine records equal at the end."""
+    called, called_ops = recorded(PlatformCluster, shape)
+    oracle, oracle_ops = recorded(PerRequestCluster, shape)
+    for step, action in enumerate(script):
+        if action[0] == "purchase_call":
+            outcomes = [
+                cluster.process_purchases(call_requests(action[1]))
+                for cluster in (called, oracle)
+            ]
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert outcome_of(called, action, step) == outcome_of(
+                oracle, action, step
+            )
+        assert called_ops == oracle_ops
+        for pid in CALL_PRODUCTS:
+            assert stock_or_missing(called, pid) == stock_or_missing(oracle, pid)
+    assert executor_stats(called) == executor_stats(oracle)
+    assert called.metrics.snapshot() == oracle.metrics.snapshot()
+    if shape == "replicated":
+        for owner in called.router.shards:
+            assert called.shards[owner].engine.products() == (
+                oracle.shards[owner].engine.products()
+            )
+    else:
+        assert tier_products(called) == tier_products(oracle)
+
+
+class TestThePerRequestCallIsTheOracle:
+    """A call deciding per product is the per-request call it replaced:
+    every figure below is ``==``, busy-time floats included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(script=single_actions)
+    def test_a_single_platform(self, script):
+        play_single(script)
+
+    @pytest.mark.parametrize("shape", ["replicated", "outage"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_a_cluster(self, shape, data):
+        play_cluster(data.draw(cluster_call_actions[shape]), shape)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("shape", ["single", "replicated", "outage"])
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_sweep_the_per_request_oracle(self, request, shape, data):
+        """The properties above at 1,000 examples, for the nightly tier."""
+        if not request.config.getoption("markexpr"):
+            pytest.skip("nightly sweep: select it with -m slow")
+        if shape == "single":
+            play_single(data.draw(single_actions))
+        else:
+            play_cluster(data.draw(cluster_call_actions[shape]), shape)
+
+
+class TestOneReadPerProduct:
+    """A call reads each product once and decides it in one
+    ``_decrement``: the hydration pass's snapshot is the first attempt's,
+    and its reads are the ones decided on."""
+
+    @pytest.mark.parametrize("cold", [False, True])
+    def test_a_call_reads_and_decides_each_product_once(self, monkeypatch, cold):
+        products = [f"p{i}" for i in range(10)]
+        platform, _ = TestOneCommitPerCall.platform(**dict.fromkeys(products, 50))
+        if cold:
+            platform.reset_products()  # every product hydrates in the pass
+        decide, decided, reads = platform._decrement, [], []
+
+        def counting_decide(txn, product_id, quantities, product=None):
+            decided.append((product_id, len(quantities)))
+            return decide(txn, product_id, quantities, product)
+
+        read = Transaction.read
+
+        def counting_read(txn, key):
+            reads.append(key)
+            return read(txn, key)
+
+        monkeypatch.setattr(platform, "_decrement", counting_decide)
+        monkeypatch.setattr(Transaction, "read", counting_read)
+        outcomes = platform.process_purchases([
+            request(products[i % 10], 1, shopper=f"s{i}") for i in range(1000)
+        ])
+        assert decided == [(pid, 100) for pid in products]
+        assert reads == products
+        assert sum(o.success for o in outcomes) == 500
+        monkeypatch.undo()
+        assert [platform.get_stock(pid) for pid in products] == [0] * 10
+
+
+class TestTheCallsSnapshot:
+    def test_a_product_hydrated_mid_pass_is_decided_against_its_record(self):
+        """The pass opens a new snapshot after it hydrates: the call's
+        commit then sees no conflict with the hydration's own commit."""
+        platform, logged = TestOneCommitPerCall.platform(p0=5)
+        platform.engine.put_product("p1", {"name": "p1", "stock": 2})
+        commits = TestOneCommitPerCall.count(platform, "mvcc.commits")
+        requests = [
+            request(pid, 1, shopper=f"s{i}")
+            for i, pid in enumerate(["p0", "p1", "p1", "p0", "p1"])
+        ]
+        outcomes = platform.process_purchases(requests)
+        assert [(o.success, o.reason) for o in outcomes] == [
+            (True, ""), (True, ""), (True, ""), (True, ""), (False, "sold out"),
+        ]
+        assert (platform.get_stock("p0"), platform.get_stock("p1")) == (3, 0)
+        assert platform.engine.get_product("p1") == {"name": "p1", "stock": 0}
+        # Settled in last-decision order: p1's last sale is request 2.
+        assert logged == [("p1", 0), ("p0", 3)]
+        # The hydration's commit and the call's, with no retry between.
+        assert TestOneCommitPerCall.count(platform, "mvcc.commits") == commits + 2
+        assert TestOneCommitPerCall.count(platform, "mvcc.conflicts") == 0
+        assert TestOneCommitPerCall.count(platform, "platform.retries") == 0
+        assert [e.busy_time for e in platform.executors] == (
+            TestOneCommitPerCall.busy(platform, requests, attempts=1)
+        )

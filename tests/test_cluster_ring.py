@@ -223,8 +223,10 @@ class TestRingSuccessors:
 
 
 class TestRouteByOwnerAsksOncePerItem:
-    """:func:`route_by_owner` merges by the owner list its split made, so
-    its ``owner_of`` runs once per item."""
+    """:func:`route_by_owner` splits and merges by the owner column its
+    caller built, so a purchase call asks each request's owner once: the
+    cluster through one :meth:`ShardRouter.owners` column, geo through
+    ``home_of`` per request."""
 
     @settings(max_examples=100, deadline=None)
     @given(keys=st.lists(st.sampled_from([f"k{i}" for i in range(12)])),
@@ -233,19 +235,16 @@ class TestRouteByOwnerAsksOncePerItem:
         self, keys, sorted_owners
     ):
         placement = make_placement(3)
-        asked = []
+        owners, visited = placement.owners(keys), []
 
-        def owner_of(key):
-            asked.append(key)
-            return placement.owner_of(key)
+        def run(owner, batch):
+            visited.append(owner)
+            return [(owner, key) for key in batch]
 
-        merged = route_by_owner(
-            owner_of, keys, lambda key: key,
-            lambda owner, batch: [(owner, key) for key in batch],
-            sorted_owners=sorted_owners,
-        )
+        merged = route_by_owner(owners, keys, run, sorted_owners=sorted_owners)
         assert merged == [(placement.owner_of(key), key) for key in keys]
-        assert asked == keys
+        first_seen = list(dict.fromkeys(owners))
+        assert visited == (sorted(first_seen) if sorted_owners else first_seen)
 
     def test_a_cluster_purchase_call_makes_one_router_lookup_per_request(self):
         cluster = PlatformCluster(ClusterConfig(n_shards=4))
