@@ -110,9 +110,14 @@ class DataPlane(Protocol):
     * :meth:`ingest`/:meth:`ingest_many`/:meth:`ingest_batch` buffer;
       nothing is visible to queries until :meth:`flush` (or :meth:`tick`);
     * :meth:`flush` returns the number of records written;
-    * buffered units (a record, or a columnar batch) land in arrival
-      order, whichever ingest call queued them: the later of two
-      buffered writes to one key is the one a read returns;
+    * buffered units land in arrival order, whichever ingest call
+      queued them: the later of two buffered writes to one key is the
+      one a read returns.  A unit is a run of records (a list) or a
+      columnar batch, each written by one ``write_record_batch`` call.
+      A cluster shard's queue joins consecutive records into one run;
+      a single node queues each record as a run of one, so its flush
+      pays one storage round trip per record (E27's per-record
+      baseline);
     * a failed flush keeps unwritten units queued: when a write raises,
       the unit it was writing and everything behind it stay buffered
       (``pending_count`` counts them) and a later :meth:`flush` lands

@@ -52,8 +52,6 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial, wraps
-from itertools import islice, takewhile
-from operator import attrgetter, itemgetter
 from typing import Callable
 
 from ..api.dataplane import ContinuousQueries, ContinuousQuery, GatherResult
@@ -72,7 +70,6 @@ from ..platform.platform import (
     MetaversePlatform,
     PurchaseOutcome,
     purchase_sort_key,
-    unit_len,
 )
 from ..query.plane import (
     QueryExecutor,
@@ -258,7 +255,7 @@ class PlatformCluster:
         )
         # Per shard, one arrival-ordered queue of write units: per-record
         # and columnar ingest interleave exactly as the caller issued them.
-        self._pending: dict[str, deque[DataRecord | RecordBatch]] = {}
+        self._pending: dict[str, deque[list[DataRecord] | RecordBatch]] = {}
         self._continuous = ContinuousQueries()
         # Query-plane executor: resolves requests to (modality, plan);
         # the cluster contributes only the scatter-gather dispatch.
@@ -395,7 +392,7 @@ class PlatformCluster:
         owner = self.router.owner_of(record.key)
         if not self._admit(owner, record.space):
             return
-        self._pending.setdefault(owner, deque()).append(record)
+        self._queue_records(owner, [record])
         self._buffered.inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
@@ -407,7 +404,9 @@ class PlatformCluster:
         """Buffer one columnar batch, split by owning shard.
 
         Fault decisions stay per row (same injector RNG sequence as the
-        per-record path); surviving rows stay columnar per shard.
+        per-record path); surviving rows stay columnar per shard.  The
+        owner column is asked once, one counted lookup per row as
+        :meth:`ingest` makes: admission reads it and the split reuses it.
         """
         if self.faults is not None:
             keep = [
@@ -422,19 +421,18 @@ class PlatformCluster:
                 if not keep:
                     return
                 batch = batch.take(keep)
+        owners = self.router.owners(batch.keys)
         if self.elasticity is not None and self.elasticity.admission is not None:
             spaces = batch.space_values()
             admitted = [
-                i
-                for i, key in enumerate(batch.keys)
-                if self._admit(self.router.owner_of(key), spaces[i])
+                i for i, owner in enumerate(owners) if self._admit(owner, spaces[i])
             ]
             if len(admitted) < len(batch):
                 if not admitted:
                     return
                 batch = batch.take(admitted)
-        owners = self.router.group(range(len(batch)), batch.keys.__getitem__)
-        for name, rows in owners.items():
+                owners = [owners[i] for i in admitted]
+        for name, rows in group_by_owner(owners, range(len(batch))).items():
             shard_batch = batch if len(rows) == len(batch) else batch.take(rows)
             self._pending.setdefault(name, deque()).append(shard_batch)
         self._buffered.inc(len(batch))
@@ -445,7 +443,18 @@ class PlatformCluster:
 
     def shard_queue_depth(self, name: str) -> int:
         """Records currently queued for ``name`` (bounded-drain mode)."""
-        return sum(unit_len(unit) for unit in self._pending.get(name, ()))
+        return sum(map(len, self._pending.get(name, ())))
+
+    def _queue_records(self, owner: str, records: list[DataRecord]) -> None:
+        """Queue ``records`` (a non-empty list the queue may keep) for
+        ``owner`` behind everything it holds: onto the queue's tail run,
+        or as a new run after a batch, so consecutive records are always
+        one write unit."""
+        queue = self._pending.setdefault(owner, deque())
+        if queue and isinstance(queue[-1], list):
+            queue[-1].extend(records)
+        else:
+            queue.append(records)
 
     def _admit(self, owner: str, space: Space) -> bool:
         if self.elasticity is None or self.elasticity.admission is None:
@@ -487,14 +496,14 @@ class PlatformCluster:
 
     def _flush_shard(self, name: str, budget: int | None) -> int:
         """Write up to ``budget`` queued records to ``name`` (None =
-        unbounded) in arrival order; leftovers stay queued.  A write unit
-        is one :class:`RecordBatch` or the run of consecutive records at
-        the queue's head, either cut at the budget: one bulk write, which
-        the shard's engine coalesces into one RPC per storage node.  A
-        unit leaves the queue only once its write returned, so a write
-        that raises keeps it and everything behind it queued; a record no
-        write can carry is dead-lettered
-        (:meth:`MetaversePlatform.write_queued`), counted in
+        unbounded) in arrival order; leftovers stay queued.  The unit at
+        the queue's head — a run of records or a :class:`RecordBatch` —
+        is cut at the budget (a slice of the run, a ``take`` of the
+        batch) and written as one bulk write, which the shard's engine
+        coalesces into one RPC per storage node.  A unit leaves the queue
+        only once its write returned, so a write that raises keeps it and
+        everything behind it queued; a record no write can carry is
+        dead-lettered (:meth:`MetaversePlatform.write_queued`), counted in
         ``cluster.write.rejected``.  Returns the records stored."""
         queue = self._pending.get(name)
         if not queue:
@@ -502,18 +511,15 @@ class PlatformCluster:
         observe = self._batch_sizes.observe
         taken = written = 0
         while queue and (budget is None or taken < budget):
+            unit = head = queue[0]
             room = None if budget is None else budget - taken
-            head = queue[0]
-            if isinstance(head, DataRecord):
-                unit = list(takewhile(
-                    lambda u: isinstance(u, DataRecord), islice(queue, room)
-                ))
-            elif room is None or len(head) <= room:
-                unit = head
-            else:
-                # The batch splits at the budget: its head flushes now,
-                # the columnar tail stays queued.
-                unit = head.take(range(room))
+            if room is not None and len(head) > room:
+                # The unit splits at the budget: its head flushes now,
+                # the tail stays queued.
+                if isinstance(head, RecordBatch):
+                    unit, rest = head.take(range(room)), head.take(range(room, len(head)))
+                else:
+                    unit, rest = head[:room], head[room:]
             stored, rejected = self.shards[name].write_queued(unit)
             self._emit_stored(name, stored)
             if rejected:
@@ -523,13 +529,10 @@ class PlatformCluster:
                 self.tracer.log(
                     "warn", "records rejected", shard=name, keys=rejected
                 )
-            if isinstance(unit, list):
-                for _ in unit:
-                    queue.popleft()
-            elif unit is head:
+            if unit is head:
                 queue.popleft()
             else:
-                queue[0] = head.take(range(room, len(head)))
+                queue[0] = rest
             observe(len(unit))
             taken += len(unit)
             written += len(stored)
@@ -665,14 +668,13 @@ class PlatformCluster:
     def write_records(self, records: list[DataRecord]) -> None:
         """Write-through now, not at the next flush: one write unit per
         owner, the owners' records each in arrival order."""
-        for owner, unit in group_by_owner(
-            self.router.owner_of, records, attrgetter("key")
-        ).items():
+        owners = [self.router.owner_of(record.key) for record in records]
+        for owner, unit in group_by_owner(owners, records).items():
             if self._is_down(owner):
                 # The owner is crashed: defer like batched ingest does
                 # rather than write into dead state; the flush after
                 # promotion lands it.
-                self._pending.setdefault(owner, deque()).extend(unit)
+                self._queue_records(owner, unit)
                 self.metrics.counter("cluster.failover.deferred_writes").inc(
                     len(unit)
                 )
@@ -682,7 +684,7 @@ class PlatformCluster:
                 # drains first and cannot overwrite these writes at the
                 # next flush.
                 self._ingested.inc(self._flush_shard(owner, None))
-            self._emit_stored(owner, self.shards[owner].write_unit(unit))
+            self._emit_stored(owner, self.shards[owner].write_record_batch(unit))
 
     def query(self, request: QueryRequest) -> GatherResult:
         """Scatter one query-plane request across the ring and merge.
@@ -818,9 +820,8 @@ class PlatformCluster:
     def import_entities(self, items: list) -> None:
         """Install stored ``(key, value)`` items on their owners: one bulk
         import per owner."""
-        for owner, batch in group_by_owner(
-            self.router.owner_of, items, itemgetter(0)
-        ).items():
+        owners = [self.router.owner_of(key) for key, _ in items]
+        for owner, batch in group_by_owner(owners, items).items():
             self.shards[owner].import_entities(batch)
             self._emit_stored(owner, batch)
 
@@ -837,9 +838,10 @@ class PlatformCluster:
         """Install ``(key, product record)`` items on their owners: one
         bulk import per owner — a product write the owner's log never saw
         is undone by the next promotion."""
-        for owner, batch in group_by_owner(
-            self.router.owner_of, items, itemgetter(0)
-        ).items():
+        # Asked per item: ``load_catalog`` imports one product a call,
+        # where a column pass (``router.owners``) costs more than it saves.
+        owners = [self.router.owner_of(key) for key, _ in items]
+        for owner, batch in group_by_owner(owners, items).items():
             self.shards[owner].import_products(batch)
             if self._op_sinks:
                 self._tap(owner, [product_op(key, value) for key, value in batch])
@@ -1199,28 +1201,27 @@ class PlatformCluster:
 
     def _requeue_pending(self) -> None:
         """Queue every pending write unit under its key's owner on the
-        current ring, batches split per owner.  A key's units all sit in
-        one queue (its owner's when they were queued), so each key keeps
-        its arrival order.  A unit whose new owner is down stays queued
-        under that owner."""
+        current ring, each unit split per owner (uncounted lookups): a
+        run's records join their owner's tail run, a batch's rows queue as
+        one batch per owner.  A key's units all sit in one queue (its
+        owner's when they were queued), so each key keeps its arrival
+        order.  A unit whose new owner is down stays queued under that
+        owner."""
         if not any(self._pending.values()):
             return
-        requeued: dict[str, deque[DataRecord | RecordBatch]] = {}
-        for queue in self._pending.values():
-            for unit in queue:
-                if isinstance(unit, DataRecord):
-                    requeued.setdefault(
-                        self._owner_of(unit.key), deque()
-                    ).append(unit)
-                    continue
-                groups = group_by_owner(
-                    self._owner_of, range(len(unit)), unit.keys.__getitem__
-                )
-                for name, rows in groups.items():
-                    requeued.setdefault(name, deque()).append(
+        units = [unit for queue in self._pending.values() for unit in queue]
+        self._pending = {}
+        for unit in units:
+            if isinstance(unit, RecordBatch):
+                owners = Placement.owners(self.router, unit.keys)
+                for name, rows in group_by_owner(owners, range(len(unit))).items():
+                    self._pending.setdefault(name, deque()).append(
                         unit if len(rows) == len(unit) else unit.take(rows)
                     )
-        self._pending = requeued
+                continue
+            owners = Placement.owners(self.router, [record.key for record in unit])
+            for name, records in group_by_owner(owners, unit).items():
+                self._queue_records(name, records)
 
     def _rebalance(self, sources: dict[str, MetaversePlatform]) -> int:
         """Export every entity and product a platform in ``sources``

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 
 from ..api.dataplane import GatherResult
 from ..cluster.cluster import PHYSICAL_PRIORITY, PlatformCluster
@@ -545,7 +544,7 @@ class GeoDeployment:
         when it lands)."""
         lsns: list[int | None] = [None] * len(records)
         by_home = group_by_owner(
-            self.home_of, range(len(records)), lambda i: records[i].key
+            [self.home_of(record.key) for record in records], range(len(records))
         )
         for home, rows in sorted(by_home.items()):
             batch = [records[i] for i in rows]
@@ -578,7 +577,7 @@ class GeoDeployment:
         return lsns
 
     def load_catalog(self, records: list[DataRecord]) -> None:
-        by_home = group_by_owner(self.home_of, records, attrgetter("key"))
+        by_home = group_by_owner([self.home_of(r.key) for r in records], records)
         for home, batch in sorted(by_home.items()):
             if home in self._down:
                 raise NetworkError(f"cannot load catalog: region {home!r} is down")

@@ -37,25 +37,11 @@ from .net.overlay import ChordRing
 _VNODE_SEP = "#"
 
 
-def group_by_owner(
-    owner_of: Callable[[str], object], items: Iterable, key: Callable | None = None
-) -> dict:
-    """Partition ``items`` by the owner of ``key(item)`` (the item itself
-    when ``key`` is None): input order kept within each owner's list,
-    owners in first-appearance order."""
-    out: dict = {}
-    if key is None:
-        for item in items:
-            out.setdefault(owner_of(item), []).append(item)
-    else:
-        for item in items:
-            out.setdefault(owner_of(key(item)), []).append(item)
-    return out
-
-
-def _group_by_column(owners: list, items: list) -> dict:
-    """:func:`group_by_owner` with the owners already asked: ``owners[i]``
-    owns ``items[i]``."""
+def group_by_owner(owners: list, items: Iterable) -> dict:
+    """Partition ``items`` by owner, ``owners[i]`` owning ``items[i]``:
+    input order kept within each owner's list, owners in first-appearance
+    order.  The owner column is the caller's (a router's
+    :meth:`Placement.owners`, geo's ``home_of`` per item)."""
     out: dict = {}
     for owner, item in zip(owners, items):
         out.setdefault(owner, []).append(item)
@@ -77,10 +63,10 @@ def route_by_owner(
     Owners are visited in first-appearance order, or name order with
     ``sorted_owners`` — the visit order fixes the order of fault-injector
     draws and clock advances inside ``run``, so each caller keeps its own.
-    The owner column is the caller's (a router's :meth:`Placement.owners`,
-    geo's ``home_of`` per item): the split and the merge both walk it.
+    The split (:func:`group_by_owner`) and the merge both walk the
+    owner column.
     """
-    groups = _group_by_column(owners, items)
+    groups = group_by_owner(owners, items)
     streams = {
         owner: iter(run(owner, groups[owner]))
         for owner in (sorted(groups) if sorted_owners else groups)
@@ -193,7 +179,7 @@ class Placement:
         asked once for the whole key column (:meth:`owners`)."""
         items = list(items)
         keys = items if key is None else list(map(key, items))
-        return _group_by_column(self.owners(keys), items)
+        return group_by_owner(self.owners(keys), items)
 
     def load_of(self, keys: Iterable[str]) -> dict[str, int]:
         """Keys per owner for balance introspection (all owners listed)."""

@@ -87,11 +87,6 @@ def stored_record_value(record: DataRecord) -> dict:
     }
 
 
-def unit_len(unit: DataRecord | RecordBatch) -> int:
-    """Records in one queued write unit: a record is 1, a batch its rows."""
-    return len(unit) if isinstance(unit, RecordBatch) else 1
-
-
 def purchase_sort_key(request: PurchaseRequest, physical_priority: bool):
     """Space-aware processing order: (priority, arrival time).
 
@@ -221,7 +216,9 @@ class MetaversePlatform:
         self.clock = faults.clock if faults is not None else SimulationClock()
         # One arrival-ordered queue of write units: per-record and
         # columnar ingest interleave exactly as the caller issued them.
-        self._pending: deque[DataRecord | RecordBatch] = deque()
+        # A unit is a run of records or a columnar batch; each record
+        # here is a run of one (see the DataPlane section).
+        self._pending: deque[list[DataRecord] | RecordBatch] = deque()
         self._continuous = ContinuousQueries()
         # Optional ``owns(key) -> bool`` hook: which of a shared engine's
         # entities this node serves.  The cluster sets it on every shard
@@ -346,31 +343,25 @@ class MetaversePlatform:
         for state in self._derived:
             state.on_write(items, payloads)
 
-    def write_unit(self, unit: DataRecord | RecordBatch | list[DataRecord]) -> list:
-        """Persist one write unit — a record, a columnar batch or a run
-        of records; returns its stored items."""
-        if isinstance(unit, DataRecord):
-            return self.write_record(unit)
-        return self.write_record_batch(unit)
-
     def write_queued(
-        self, unit: DataRecord | RecordBatch | list[DataRecord]
+        self, unit: RecordBatch | list[DataRecord]
     ) -> tuple[list, list[str]]:
-        """:meth:`write_unit` for a unit taken off an ingest queue, which
-        must not wedge the queue behind it: a record or run of records
-        whose write raises ``TypeError`` or ``ValueError`` (a payload
-        JSON cannot carry) is written again record by record, and the
-        records that still raise are dead-lettered.  Returns the stored
-        items and the rejected keys.  Any other error — a retryable fault
-        — propagates, and the caller keeps the unit queued."""
+        """:meth:`write_record_batch` for a unit taken off an ingest
+        queue — a run of records or a columnar batch — which must not
+        wedge the queue behind it: a run whose write raises ``TypeError``
+        or ``ValueError`` (a payload JSON cannot carry) is written again
+        record by record, and the records that still raise are
+        dead-lettered.  Returns the stored items and the rejected keys.
+        Any other error — a retryable fault — propagates, and the caller
+        keeps the unit queued."""
         try:
-            return self.write_unit(unit), []
+            return self.write_record_batch(unit), []
         except (TypeError, ValueError):
             if isinstance(unit, RecordBatch):
                 raise  # numeric columns always encode: a bug, not poison
         stored: list = []
         rejected: list[str] = []
-        for record in [unit] if isinstance(unit, DataRecord) else unit:
+        for record in unit:
             try:
                 stored += self.write_record(record)
             except (TypeError, ValueError):
@@ -386,9 +377,9 @@ class MetaversePlatform:
         )
 
     def write_record_batch(self, batch: RecordBatch | list[DataRecord]) -> list:
-        """Persist a columnar batch (or a run of records, which the
-        cluster's flush brings as a list): one bulk engine call for N
-        records; returns the stored (key, value) pairs.
+        """Persist a columnar batch or a run of records (a list): one
+        bulk engine call for N records; returns the stored (key, value)
+        pairs.
 
         Leaves byte-identical engine state, stale-cache contents, and
         pages to ``for r in batch.to_records(): write_record(r)`` —
@@ -472,13 +463,16 @@ class MetaversePlatform:
     # -- DataPlane: buffered ingest and tick --------------------------------
     #
     # The single-node half of the repro.api.DataPlane protocol: write
-    # units (a record or a columnar batch) queue in arrival order and
-    # become visible to queries at the next flush()/tick(), exactly the
-    # contract the cluster facade keeps.
+    # units (a run of records or a columnar batch) queue in arrival order
+    # and become visible to queries at the next flush()/tick(), exactly
+    # the contract the cluster facade keeps.  Each buffered record is a
+    # run of one, so a flush writes it alone: one storage round trip per
+    # record on a tier mount, the per-record baseline E27 measures a
+    # columnar flush (one round trip per storage node) against.
 
     def ingest(self, record: DataRecord) -> None:
         """Buffer one observation until the next :meth:`flush`."""
-        self._pending.append(record)
+        self._pending.append([record])
         self._buffered.inc()
 
     def ingest_many(self, records: list[DataRecord]) -> None:
@@ -493,7 +487,7 @@ class MetaversePlatform:
 
     @property
     def pending_count(self) -> int:
-        return sum(unit_len(unit) for unit in self._pending)
+        return sum(map(len, self._pending))
 
     def flush(self) -> int:
         """Write everything buffered, in arrival order; return the number

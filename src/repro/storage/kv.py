@@ -369,7 +369,6 @@ class KVStore:
         self.faults = faults
         self._memtable = MemTable()
         self._runs: list[SSTable] = []  # newest first
-        self._seqno = 0  # mutations applied; a checkpoint carries the count
 
     def _maybe_fault(self, site: str, key: str) -> None:
         if self.faults is not None:
@@ -418,7 +417,6 @@ class KVStore:
     def _apply_mput(self, items: list, value_bytes: int) -> None:
         """Land one logged batch in the memtable (live writes and replay);
         the WAL payload length stands in for per-value sizing."""
-        self._seqno += len(items)
         self._memtable.mput(items, value_bytes)
         self._puts.inc(len(items))
         self._maybe_flush()
@@ -431,7 +429,6 @@ class KVStore:
         self._apply_delete(key)
 
     def _apply_delete(self, key: str) -> None:
-        self._seqno += 1
         self._memtable.mput([(key, _TOMBSTONE)], 0)
         self._deletes.inc()
         self._maybe_flush()
@@ -536,13 +533,9 @@ class KVStore:
         """Full live state as a JSON-serializable checkpoint payload.
 
         Tombstones materialize as absence (a checkpoint needs no delete
-        history).  ``seqno`` is the count of mutations the store has
-        applied, loads included; no read depends on it.
+        history).
         """
-        return {
-            "seqno": self._seqno,
-            "items": [[key, value] for key, value in self.scan("", KEY_MAX)],
-        }
+        return {"items": [[key, value] for key, value in self.scan("", KEY_MAX)]}
 
     def load_snapshot(self, state: dict) -> int:
         """Install a checkpoint snapshot without WAL logging; returns the
@@ -553,14 +546,12 @@ class KVStore:
         suffix, so reads land byte-identical to a full-history replay.
         """
         entries = state["items"]
-        self._seqno += len(entries)
         if entries:
             self._memtable.mput(
                 entries,
                 value_bytes=sum(payload_size(value) for _, value in entries),
             )
             self._maybe_flush()
-        self._seqno = max(self._seqno, int(state.get("seqno", 0)))
         self.metrics.counter("kv.snapshot_loads").inc()
         return len(entries)
 

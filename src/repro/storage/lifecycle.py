@@ -98,9 +98,9 @@ class LifecyclePolicy:
 class CheckpointManager:
     """WAL checkpointing for one :class:`KVStore` into an object store.
 
-    :meth:`checkpoint` snapshots the store's live state (plus write
-    seqno) under a named, versioned object and truncates the WAL prefix
-    at the checkpoint LSN; :meth:`recover` restores a fresh store from
+    :meth:`checkpoint` snapshots the store's live state under a named,
+    versioned object and truncates the WAL prefix at the checkpoint
+    LSN; :meth:`recover` restores a fresh store from
     the latest snapshot and replays only the WAL suffix.  Recovered reads
     are byte-identical to a full-history replay (property-tested in
     ``test_storage_lifecycle.py``), while replay work is bounded by live

@@ -216,6 +216,15 @@ class TestRunOfQueuedRecords:
     def sizes(self, cluster):
         return cluster.metrics.histogram("cluster.router.batch_size").samples
 
+    def queued(self, cluster, shard="shard-0"):
+        """``shard``'s queued records in arrival order, units flattened."""
+        return [
+            record for unit in cluster._pending[shard]
+            for record in (
+                unit.to_records() if isinstance(unit, RecordBatch) else unit
+            )
+        ]
+
     def logged(self, cluster, shard="shard-0"):
         return [
             (op["k"], op["v"]["payload"]["v"])
@@ -277,7 +286,7 @@ class TestRunOfQueuedRecords:
         cluster.tick(1.0)  # credit 3: the run's first three records
         assert self.sizes(cluster) == [3.0]
         assert cluster.read("k")["payload"] == {"v": 2}
-        assert [r.payload["v"] for r in cluster._pending["shard-0"]] == [3, 4, 9]
+        assert [r.payload["v"] for r in self.queued(cluster)] == [3, 4, 9]
         cluster.tick(1.0)
         assert self.sizes(cluster) == [3.0, 3.0]
         assert cluster.pending_count == 0
@@ -309,7 +318,7 @@ class TestRunOfQueuedRecords:
             cluster.flush()
         # The run and everything behind it: nothing left, nothing landed.
         assert cluster.pending_count == 4
-        assert list(cluster._pending["shard-0"])[:3] == run
+        assert self.queued(cluster)[:3] == run
         cluster.clock.advance(1.0)  # past the fault window
         assert [k for k, _ in cluster.scan_prefix("").items] == ["early"]
         assert cluster.flush() == 4
@@ -406,7 +415,7 @@ class TestOneWritePath(SourceGrep):
     def test_one_write_call_site_per_layer(self):
         assert self.hits(r"engine\.put\(") == []
         assert self.hits(r"engine\.mput\(") == ["platform/platform.py"]
-        assert self.hits(r"\.write_unit\(") == [
+        assert self.hits(r"\.write_record_batch\(") == [
             "cluster/cluster.py", "platform/platform.py"
         ]
         assert self.hits(r"\.to_records\(", "cluster") == []

@@ -4,9 +4,10 @@ paths it replaced are the oracles.
 * **Owners.**  ``Placement.owners`` answers a key column in one pass
   over the owner memo and ``Placement.group`` groups by that column.
   The oracle is ``[owner_of(k) for k in keys]`` and the per-item
-  ``group_by_owner`` loop, on a twin placement that saw the same calls:
-  owners, group dicts in order, ``cluster.router.lookups``, the memo and
-  its cap, across joins and leaves, and the empty placement's error.
+  grouping loop (:func:`loop_group`), on a twin placement that saw the
+  same calls: owners, group dicts in order, ``cluster.router.lookups``,
+  the memo and its cap, across joins and leaves, and the empty
+  placement's error.
 * **Memtable.**  ``MemTable.mput`` notes its fresh keys and the next
   ordered read merges them in.  The oracle is the memtable that merged
   on every ``mput`` (:class:`MergingMemTable`), under a store driven

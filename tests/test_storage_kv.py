@@ -310,6 +310,7 @@ class VersionedKVStore(KVStore):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._memtable = _NoneMissMemTable()
+        self._seqno = 0  # mutations applied, loads included
 
     def _apply_mput(self, items, value_bytes):
         base = self._seqno
@@ -393,7 +394,6 @@ class VersionedKVStore(KVStore):
                 value_bytes=sum(kv_module.payload_size(v.value) for _, v in entries),
             )
             self._maybe_flush()
-        self._seqno = max(self._seqno, int(state.get("seqno", 0)))
         self.metrics.counter("kv.snapshot_loads").inc()
         return len(entries)
 
