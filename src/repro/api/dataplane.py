@@ -161,7 +161,10 @@ class DataPlane(Protocol):
 
     # -- marketplace -------------------------------------------------------
 
-    def load_catalog(self, records: "list[DataRecord]") -> None: ...
+    def load_catalog(self, records: "list[DataRecord]") -> None:
+        """Install each record's payload as its product: one bulk import
+        (one MVCC commit) per owner, a single platform being one owner; a
+        replicated cluster logs one record per owner."""
 
     def process_purchases(
         self, requests: "list[PurchaseRequest]"

@@ -70,7 +70,7 @@ from ..core.records import DataRecord, PurchaseRequest
 from ..net.simnet import CallSite, Link, Message, SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..placement import Placement, group_by_owner, route_by_owner
-from ..platform.platform import PurchaseOutcome, purchase_sort_key
+from ..platform.platform import PurchaseOutcome, order_purchases
 from ..query.plane import (
     QueryExecutor,
     QueryModality,
@@ -577,10 +577,13 @@ class GeoDeployment:
         return lsns
 
     def load_catalog(self, records: list[DataRecord]) -> None:
+        """Load each home's products with one cluster call, homes in name
+        order — or none at all while any of their homes is down."""
         by_home = group_by_owner([self.home_of(r.key) for r in records], records)
+        down = sorted(by_home.keys() & self._down)
+        if down:
+            raise NetworkError(f"cannot load catalog: region {down[0]!r} is down")
         for home, batch in sorted(by_home.items()):
-            if home in self._down:
-                raise NetworkError(f"cannot load catalog: region {home!r} is down")
             self._clusters[home].load_catalog(batch)
 
     def process_purchases(
@@ -588,7 +591,8 @@ class GeoDeployment:
     ) -> list[PurchaseOutcome]:
         """Route purchases to their products' home regions.
 
-        The stream is globally presorted with the single-node sort key and
+        The stream is globally ordered as a single node orders it
+        (:func:`~repro.platform.platform.order_purchases`) and
         re-merged positionally, so per-product decisions match a
         single-region run.  Purchases against a down home region fail fast
         (never queued): queueing would risk double-execution when the
@@ -597,9 +601,7 @@ class GeoDeployment:
         """
         if not requests:
             return []
-        ordered = sorted(
-            requests, key=lambda r: purchase_sort_key(r, PHYSICAL_PRIORITY)
-        )
+        ordered = order_purchases(requests, PHYSICAL_PRIORITY)
 
         def run(home: str, batch: list[PurchaseRequest]) -> list[PurchaseOutcome]:
             if home in self._down:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from ..api.dataplane import ContinuousQueries, ContinuousQuery, GatherResult
@@ -87,17 +88,22 @@ def stored_record_value(record: DataRecord) -> dict:
     }
 
 
-def purchase_sort_key(request: PurchaseRequest, physical_priority: bool):
-    """Space-aware processing order: (priority, arrival time).
-
-    With ``physical_priority`` on, physical-space shoppers win ties on the
-    last unit — the paper's example policy.  Shared with
-    :class:`~repro.cluster.cluster.PlatformCluster`, which must order the
-    global request stream identically before splitting it across shards so
-    that sharded and single-node runs decide every purchase the same way.
+def order_purchases(requests: list[PurchaseRequest], physical_priority: bool) -> list:
+    """Space-aware processing order: (priority, arrival time), ties in
+    input order.  With ``physical_priority`` on, physical-space shoppers go
+    first, so they win the last unit — the paper's example policy.  A
+    stable timestamp sort, then a stable partition by space: no Python key
+    call per request.  Shared with :class:`~repro.cluster.cluster.PlatformCluster`
+    and geo, which must order the global stream identically before
+    splitting it, so that every shape decides every purchase the same way.
     """
-    priority = 0 if (physical_priority and request.space is Space.PHYSICAL) else 1
-    return (priority, request.timestamp)
+    ordered = sorted(requests, key=attrgetter("timestamp"))
+    if not physical_priority:
+        return ordered
+    physical = Space.PHYSICAL  # bound once: a lookup on the enum costs ~0.2 us
+    return [r for r in ordered if r.space is physical] + [
+        r for r in ordered if r.space is not physical
+    ]
 
 
 #: Point-read pages a platform (one cluster shard) caches: every committed
@@ -825,10 +831,7 @@ class MetaversePlatform:
         re-sorting is pure overhead.
         """
         if not presorted:
-            requests = sorted(
-                requests,
-                key=lambda r: purchase_sort_key(r, self.physical_priority),
-            )
+            requests = order_purchases(requests, self.physical_priority)
         with self.tracer.span("platform.process_purchases", n=len(requests)):
             txn, read, groups, unknown = self._group_and_read(requests)
             quantities = {

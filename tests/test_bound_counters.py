@@ -587,11 +587,17 @@ class TestBoundCountersSurviveReset:
         purchase_basket_tick(cluster, first, second)
         metrics.reset()
         # Twice: a log is due again once twice its post-compaction size.
+        # A round adds four records to each of the two owners' logs (three
+        # purchase calls and the basket).  Compacted, a log keeps two: its
+        # one catalog record, live for the owner's other products, and its
+        # last stock record.  So 2 + 4 is past twice 2 in every round, and
+        # each round compacts both logs, removing four records from each
+        # of their two copies: 2 rounds x 2 owners x 2 copies x 4 = 32.
         purchase_basket_tick(cluster, first, second)
         purchase_basket_tick(cluster, first, second)
         snapshot = metrics.snapshot()
         assert snapshot["cluster.failover.replicated_ops"] == 16
-        assert snapshot["cluster.failover.log_compactions"] == 2
+        assert snapshot["cluster.failover.log_compactions"] == 4
         assert snapshot["cluster.failover.compacted_entries"] == 32
 
     def test_a_geo_deployment_counts_into_the_registry_after_reset(self):

@@ -46,16 +46,12 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import ConfigurationError, KeyNotFoundError, Space, WriteConflictError
 from repro.core.records import PurchaseRequest
 from repro.platform import MetaversePlatform
-from repro.platform.platform import (
-    PURCHASE_RETRIES,
-    TXN_COST_S,
-    PurchaseOutcome,
-    purchase_sort_key,
-)
+from repro.platform.platform import PURCHASE_RETRIES, TXN_COST_S, PurchaseOutcome
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.txn.mvcc import Transaction
 from tests.test_op_tap import PRODUCTS, perform, product, quantity, record, request, stock
+from tests.test_purchase_order import purchase_sort_key
 from tests.test_replication import expanded
 
 pytestmark = [pytest.mark.cluster, pytest.mark.failover]

@@ -181,6 +181,8 @@ def test_e31_semantic_run_is_byte_identical(tmp_path):
 # copy's records, expanded in LSN order and written one op per entry at
 # LSNs 1..n in the per-op encoding, must still be the per-op logs above
 # — same ops, same order, in every copy.
+# A catalog load logs one record per owner; ``tests/test_catalog_load.py``
+# holds what those logs fold to equal to a per-product load's.
 # (``repro`` is imported inside the functions:
 # ``benchmarks/compare_artifacts.py`` imports this module for its strip
 # helper without ``src`` on the path.)
@@ -192,19 +194,19 @@ GOLDEN_SALE_LOGS = {
     "shard-3": (19, "26f858321d415277"),
 }
 GOLDEN_GEO_LOGS = {
-    "us-east": (17, "dcc485247a3dcede"),
-    "eu-west": (27, "5e87e49eb1115aae"),
+    "us-east": (17, "4c9c50289e184312"),
+    "eu-west": (27, "4da6c20e6680e8b6"),
     "ap-south": (21, "a2a454f2ee5ba159"),
 }
 GOLDEN_SALE_RECORDS = {
-    "shard-0": (9, "8d746ff591c08391"),
-    "shard-1": (9, "7325242950d1d0c0"),
-    "shard-2": (10, "2b5398aa29912d88"),
-    "shard-3": (8, "ab009b2163e94d21"),
+    "shard-0": (8, "7c001e285f8f9da3"),
+    "shard-1": (8, "2cacd307067d6f90"),
+    "shard-2": (8, "ef720ccc546f961c"),
+    "shard-3": (6, "20613c211bf64de0"),
 }
 GOLDEN_GEO_RECORDS = {
-    "us-east": (8, "2cdbb6300e322aaf"),
-    "eu-west": (16, "88ac7c5f9da4b8b2"),
+    "us-east": (8, "1f343ca16f6e327b"),
+    "eu-west": (16, "969edc1492c45c53"),
     "ap-south": (15, "306798486ea65255"),
 }
 

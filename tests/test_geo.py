@@ -545,6 +545,20 @@ class TestRegionLifecycle:
             value = geo.read("player-0001", EVENTUAL, region=region)
             assert value["payload"] == {"x": 8.0, "y": 8.0}
 
+    def test_a_refused_catalog_load_loads_nothing(self):
+        geo = make_geo()
+        records = [record(f"p{i}", {"name": "x", "stock": i}) for i in range(40)]
+        assert {geo.home_of(r.key) for r in records} == set(REGIONS)
+        # The down home is the last in name order: every other home loads
+        # first when the check is made home by home.
+        geo.kill_region(max(REGIONS))
+        with pytest.raises(NetworkError):
+            geo.load_catalog(records)
+        for region in REGIONS:
+            cluster = geo.region(region)
+            assert all(not s.catalog_snapshot() for s in cluster.shards.values())
+            assert geo.replicator.log(region).entries(region) == []
+
     def test_reads_from_down_client_region_raise(self):
         geo = make_geo()
         geo.kill_region(REGIONS[1])

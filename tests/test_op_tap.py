@@ -11,8 +11,8 @@ the failover manager and the geo deployment are subscribers.  Held here:
   home's log is what its region's cluster emitted, minus landings;
 * **the old hand derivation is the oracle** — the op a caller used to
   build beside its write (``entity_op(key, stored_record_value(r))``,
-  ``product_op(key, payload)`` per record, in record order) equals the
-  tapped one.
+  ``product_op(key, payload)`` per record, in record order within each
+  owner) equals the tapped one.
 """
 
 import pytest
@@ -286,22 +286,34 @@ class TestTheHandDerivationIsTheOracle:
 
     RECORDS = [record(f"p{i}", {"name": f"p{i}", "stock": i}) for i in range(12)]
 
+    @staticmethod
+    def per_owner(owners, records):
+        """``(owner, product op)`` per record, owners in first-appearance
+        order, record order within an owner: one segment per owner."""
+        return [
+            (owner, product_op(r.key, r.payload))
+            for owner in dict.fromkeys(owners)
+            for r, of in zip(records, owners) if of == owner
+        ]
+
     def test_cluster_catalog_ops_are_product_ops_in_record_order(self):
+        # In record order within each owner: a load is one import, so one
+        # segment, per owner.
         cluster, ops = recorded_cluster()
         cluster.load_catalog(self.RECORDS)
-        assert len({shard for shard, _ in ops}) > 1
-        assert [op for _, op in ops] == [
-            product_op(r.key, r.payload) for r in self.RECORDS
-        ]
+        owners = [cluster.router.owner_of(r.key) for r in self.RECORDS]
+        assert len(set(owners)) > 1
+        assert ops == self.per_owner(owners, self.RECORDS)
 
     def test_geo_write_and_catalog_ops(self):
         geo = GeoDeployment(GeoConfig(regions=("east", "west", "south")))
         geo.load_catalog(self.RECORDS)
         for home in geo.config.regions:
             entries = geo.replicator.log(home).entries(home)
+            records = [r for r in self.RECORDS if geo.home_of(r.key) == home]
+            owners = [geo.region(home).router.owner_of(r.key) for r in records]
             assert expanded(entries) == [
-                product_op(r.key, r.payload)
-                for r in self.RECORDS if geo.home_of(r.key) == home
+                op for _, op in self.per_owner(owners, records)
             ]
         written = record("ent/7", {"x": 1.5, "y": -2.0}, timestamp=3.25)
         home = geo.home_of(written.key)
