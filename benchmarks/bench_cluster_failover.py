@@ -26,6 +26,7 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.cluster.failover import DOWN, RECOVERING, UP
 from repro.core import MetricsRegistry
 from repro.obs import write_snapshot
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 N_REQUESTS = 3000
@@ -91,15 +92,9 @@ def run_sale(n, kill):
             cluster.tick(TICK_S)
         assert cluster.failover.state(victim) == UP, "recovery never finished"
 
-    sold = {}
-    for outcome in outcomes:
-        if outcome.success:
-            pid = outcome.request.product_id
-            sold[pid] = sold.get(pid, 0) + 1
     stocks = {pid: cluster.get_stock(pid) for pid in pids}
-    conserved = all(
-        sold.get(pid, 0) + stocks[pid] == INITIAL_STOCK and stocks[pid] >= 0
-        for pid in pids
+    conserved = not exactly_once_violations(
+        dict.fromkeys(pids, INITIAL_STOCK), units_sold(outcomes), stocks
     )
 
     def counter(name):

@@ -23,6 +23,7 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import MetricsRegistry
 from repro.obs import write_snapshot
 from repro.platform import MetaversePlatform
+from repro.verify import exactly_once_violations, units_sold
 
 from bench_cluster_scaleout import make_requests, outcome_signature
 
@@ -112,22 +113,19 @@ def run_crash_recovery(n=N_REQUESTS):
     initial = {record.key: record.payload["stock"] for record in catalog}
     third = len(requests) // 3
 
-    sold = sum(o.success for o in cluster.process_purchases(requests[:third]))
+    outcomes = cluster.process_purchases(requests[:third])
     cluster.kill_shard(KILLED_SHARD)
     down_outcomes = cluster.process_purchases(requests[third:2 * third])
-    sold += sum(o.success for o in down_outcomes)
     failed_fast = sum(
         1 for o in down_outcomes if not o.success and o.reason == "shard down"
     )
     cluster.tick(0.1)  # recovery: re-mount, nothing replays, nothing moves
-    sold += sum(
-        o.success for o in cluster.process_purchases(requests[2 * third:])
-    )
+    outcomes += down_outcomes + cluster.process_purchases(requests[2 * third:])
 
     remaining = {pid: cluster.get_stock(pid) for pid in initial}
     # Exactly-once across the crash: every unit is either sold once or
     # still on the shelf — nothing double-sold, nothing lost.
-    conserved = sold + sum(remaining.values()) == sum(initial.values())
+    conserved = not exactly_once_violations(initial, units_sold(outcomes), remaining)
     counters = cluster.metrics.all_counters()
 
     def value(name):
@@ -135,7 +133,7 @@ def run_crash_recovery(n=N_REQUESTS):
         return counter.value if counter else 0.0
 
     return {
-        "sold": sold,
+        "sold": sum(o.success for o in outcomes),
         "failed_fast_while_down": failed_fast,
         "remounts": value("cluster.disagg.remounts"),
         "moved_keys": value("cluster.rebalance.moved_keys"),

@@ -33,6 +33,7 @@ import pytest
 from repro.cluster import ClusterConfig, ElasticityConfig, PlatformCluster
 from repro.core import DataRecord, MetricsRegistry, Space
 from repro.obs import write_snapshot
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload, PurchaseRequest
 
 pytestmark = [pytest.mark.elasticity]
@@ -244,15 +245,8 @@ def run_purchase_identity() -> dict:
     e_outcomes, e_stocks = run_sale(elastic)
     s_outcomes, s_stocks = run_sale(static)
     sold = sum(o.success for o in e_outcomes)
-    conserved = all(
-        e_stocks[pid]
-        + sum(
-            o.request.quantity
-            for o in e_outcomes
-            if o.success and o.request.product_id == pid
-        )
-        == INITIAL_STOCK
-        for pid in e_stocks
+    conserved = not exactly_once_violations(
+        dict.fromkeys(e_stocks, INITIAL_STOCK), units_sold(e_outcomes), e_stocks
     )
     return {
         "identical": int(
@@ -314,7 +308,9 @@ def run_salting() -> dict:
         "bucket_shards": float(len(bucket_shards)),
         "successes": float(sold),
         "stock_after": float(merged),
-        "conserved": int(merged + sold == 120),
+        "conserved": int(
+            not exactly_once_violations({hot: 120}, units_sold(outcomes), {hot: merged})
+        ),
     }
 
 

@@ -46,6 +46,7 @@ from repro.geo import (
     GeoSession,
 )
 from repro.obs import write_snapshot
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload, PurchaseRequest
 
 pytestmark = [pytest.mark.geo]
@@ -112,16 +113,12 @@ def modes_identical(geo: GeoDeployment, pids) -> bool:
     return True
 
 
-def run_sale(geo, workload, start, steps, sold) -> list:
-    """Drive ``steps`` half-second sale windows; accumulate sold units."""
+def run_sale(geo, workload, start, steps) -> list:
+    """Drive ``steps`` half-second sale windows; return every outcome."""
     outcomes = []
     t = start
     for _ in range(steps):
-        for outcome in geo.process_purchases(workload.requests_between(t, t + TICK_S)):
-            outcomes.append(outcome)
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold[pid] = sold.get(pid, 0) + outcome.request.quantity
+        outcomes += geo.process_purchases(workload.requests_between(t, t + TICK_S))
         t += TICK_S
         geo.tick(TICK_S)
     return outcomes
@@ -138,7 +135,7 @@ def run_consistency_surface(smoke=False) -> dict:
     workload = make_workload(n_products, initial_stock=30, n_shoppers=40)
     geo.load_catalog(workload.catalog_records())
     geo.tick(TICK_S)
-    run_sale(geo, workload, 0.0, 2, {})
+    run_sale(geo, workload, 0.0, 2)
 
     via = "eu-west"
     remote_pid = next(
@@ -215,13 +212,12 @@ def run_region_kill(smoke=False) -> dict:
     homes = {pid: geo.home_of(pid) for pid in pids}
     victim = max(REGIONS, key=lambda r: sum(h == r for h in homes.values()))
 
-    sold: dict[str, int] = {}
-    outcomes = run_sale(geo, workload, 0.0, steps_before, sold)
+    outcomes = run_sale(geo, workload, 0.0, steps_before)
     geo.kill_region(victim)
-    outcomes += run_sale(geo, workload, steps_before * TICK_S, steps_down, sold)
+    outcomes += run_sale(geo, workload, steps_before * TICK_S, steps_down)
     geo.restart_region(victim)
     outcomes += run_sale(
-        geo, workload, (steps_before + steps_down) * TICK_S, steps_after, sold
+        geo, workload, (steps_before + steps_down) * TICK_S, steps_after
     )
     for _ in range(4):
         geo.tick(TICK_S)
@@ -230,9 +226,9 @@ def run_region_kill(smoke=False) -> dict:
         1 for o in outcomes
         if not o.success and o.reason == f"region down: {victim}"
     )
-    conserved = all(
-        sold.get(pid, 0) + geo.get_stock(pid, LINEARIZABLE) == initial_stock
-        for pid in pids
+    stocks = {pid: geo.get_stock(pid, LINEARIZABLE) for pid in pids}
+    conserved = not exactly_once_violations(
+        dict.fromkeys(pids, initial_stock), units_sold(outcomes), stocks
     )
     return {
         "victim_products": float(sum(h == victim for h in homes.values())),
@@ -281,10 +277,9 @@ def run_partition_heal(smoke=False) -> dict:
     isolated = "ap-south"
     cut_pid = next(pid for pid in pids if geo.home_of(pid) == isolated)
 
-    sold: dict[str, int] = {}
-    run_sale(geo, workload, 0.0, steps[0], sold)
+    outcomes = run_sale(geo, workload, 0.0, steps[0])
     geo.partition_regions([[isolated], [r for r in REGIONS if r != isolated]])
-    run_sale(geo, workload, steps[0] * TICK_S, steps[1], sold)
+    outcomes += run_sale(geo, workload, steps[0] * TICK_S, steps[1])
 
     # Availability asymmetry, observed from a surviving region.
     eventual_reads = [
@@ -305,13 +300,13 @@ def run_partition_heal(smoke=False) -> dict:
     )
 
     geo.heal_wan()
-    run_sale(geo, workload, (steps[0] + steps[1]) * TICK_S, steps[2], sold)
+    outcomes += run_sale(geo, workload, (steps[0] + steps[1]) * TICK_S, steps[2])
     for _ in range(4):
         geo.tick(TICK_S)
 
-    conserved = all(
-        sold.get(pid, 0) + geo.get_stock(pid, LINEARIZABLE) == initial_stock
-        for pid in pids
+    stocks = {pid: geo.get_stock(pid, LINEARIZABLE) for pid in pids}
+    conserved = not exactly_once_violations(
+        dict.fromkeys(pids, initial_stock), units_sold(outcomes), stocks
     )
     return {
         "eventual_available_ok": int(eventual_available),
@@ -376,7 +371,7 @@ def run_follow_the_user(smoke=False) -> dict:
 
     # A product follows its sellers; stock moves with authority.
     pid = workload.product_id(0)
-    sold = 0
+    outcomes = []
     quantities = (2, 3, 1)
     stops = ("eu-west", "ap-south", "us-east")
     for stop, quantity in zip(stops, quantities):
@@ -384,16 +379,16 @@ def run_follow_the_user(smoke=False) -> dict:
             geo.rehome_product(pid, stop)
             for _ in range(2):
                 geo.tick(TICK_S)
-        outcome = geo.process_purchases([PurchaseRequest(
+        outcomes += geo.process_purchases([PurchaseRequest(
             shopper_id="nomad", product_id=pid, space=Space.VIRTUAL,
             timestamp=geo.clock.now, quantity=quantity,
-        )])[0]
-        sold += quantity if outcome.success else 0
+        )])
         geo.tick(TICK_S)
     for _ in range(4):
         geo.tick(TICK_S)
+    sold = units_sold(outcomes)
     conserved = all(
-        geo.get_stock(pid, mode, region=r) == 10 - sold
+        not exactly_once_violations({pid: 10}, sold, {pid: geo.get_stock(pid, mode, region=r)})
         for r in REGIONS for mode in ALL_MODES
     )
 
@@ -418,7 +413,7 @@ def run_follow_the_user(smoke=False) -> dict:
     return {
         "rehomes": geo.metrics.counter("geo.rehomes").value,
         "aborted": geo.metrics.counter("geo.rehome.aborted").value,
-        "sold": float(sold),
+        "sold": float(sold.get(pid, 0)),
         "hops_ok": int(hops_ok),
         "rehome_conserved": int(conserved),
         "abort_atomic_ok": int(abort_atomic),

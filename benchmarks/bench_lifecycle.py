@@ -41,6 +41,7 @@ from repro.storage import (
     ObjectStore,
     TieredStorageEngine,
 )
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import PurchaseRequest
 
 pytestmark = [pytest.mark.lifecycle]
@@ -248,15 +249,9 @@ def run_cluster_sale(history_rounds, compact):
         cluster.tick(TICK_S)
     assert cluster.failover.state(victim) == UP, "recovery never finished"
 
-    sold = {}
-    for outcome in outcomes:
-        if outcome.success:
-            pid = outcome.request.product_id
-            sold[pid] = sold.get(pid, 0) + 1
     stocks = {pid: cluster.get_stock(pid) for pid in pids}
-    conserved = all(
-        sold.get(pid, 0) + stocks[pid] == INITIAL_STOCK and stocks[pid] >= 0
-        for pid in pids
+    conserved = not exactly_once_violations(
+        dict.fromkeys(pids, INITIAL_STOCK), units_sold(outcomes), stocks
     )
 
     def metric(kind, name):

@@ -22,6 +22,7 @@ from repro.obs import write_snapshot
 from repro.platform import MetaversePlatform
 from repro.net import Publication
 from repro.resilience import FaultInjector, FaultPlan
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 FAULT_RATE = 0.05
@@ -78,18 +79,10 @@ def run_pipeline(workload, requests, fault_rate):
         platform.read(f"stock/{pid}")
     elapsed = time.perf_counter() - start
 
-    # Exactly-once conservation: units sold + units left == initial stock.
-    sold_by_product = {}
-    for outcome in outcomes:
-        if outcome.success:
-            pid = outcome.request.product_id
-            sold_by_product[pid] = sold_by_product.get(pid, 0) + 1
-    for i in range(workload.config.n_products):
-        pid = workload.product_id(i)
-        left = platform.get_stock(pid)
-        assert sold_by_product.get(pid, 0) + left == workload.config.initial_stock, (
-            f"inventory not conserved for {pid} under fault_rate={fault_rate}"
-        )
+    initial = {record.key: record.payload["stock"] for record in workload.catalog_records()}
+    stocks = {pid: platform.get_stock(pid) for pid in initial}
+    violations = exactly_once_violations(initial, units_sold(outcomes), stocks)
+    assert not violations, f"inventory not conserved for {violations} under fault_rate={fault_rate}"
 
     counter = platform.metrics.counter
     return {

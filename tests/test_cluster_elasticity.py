@@ -38,6 +38,7 @@ from repro.cluster import (
 from repro.core import DataRecord, Space
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultRule
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload, PurchaseRequest
 
 pytestmark = pytest.mark.elasticity
@@ -178,13 +179,13 @@ class TestSaltingConservation:
             )
             for i in range(n_shoppers)
         ])
-        sold = sum(o.success for o in outcomes)
+        sold = units_sold(outcomes)
         # Rotation skips drained buckets: while total stock remains no
         # shopper is turned away, so utilisation is exact.
-        assert sold == min(n_shoppers, stock)
-        assert cluster.get_stock(hot) == stock - sold
+        assert sum(sold.values()) == min(n_shoppers, stock)
+        assert exactly_once_violations({hot: stock}, sold, {hot: cluster.get_stock(hot)}) == []
         merged = cluster.unsalt_product(hot)
-        assert merged + sold == stock
+        assert exactly_once_violations({hot: stock}, sold, {hot: merged}) == []
         assert cluster.get_stock(hot) == merged
 
     @settings(max_examples=10, deadline=None)
@@ -212,11 +213,9 @@ class TestSaltingConservation:
             )
             for i, q in enumerate(quantities)
         ])
-        units_sold = sum(
-            o.request.quantity for o in outcomes if o.success
-        )
-        assert units_sold + cluster.get_stock(hot) == stock
-        assert cluster.get_stock(hot) >= 0
+        assert exactly_once_violations(
+            {hot: stock}, units_sold(outcomes), {hot: cluster.get_stock(hot)}
+        ) == []
 
 
 # -- admission: shedding never touches admitted work -------------------------
@@ -445,13 +444,9 @@ class TestElasticFlashSaleChaos:
 
         assert canonical(e_out) == canonical(s_out)
         assert e_stocks == s_stocks
-        sold = {}
-        for o in e_out:
-            if o.success:
-                pid = o.request.product_id
-                sold[pid] = sold.get(pid, 0) + 1
-        for pid, stock in e_stocks.items():
-            assert sold.get(pid, 0) + stock == self.INITIAL_STOCK
+        assert exactly_once_violations(
+            dict.fromkeys(e_stocks, self.INITIAL_STOCK), units_sold(e_out), e_stocks
+        ) == []
 
         # the run actually exercised what it claims to: faults fired on
         # both sides while the controller rode the full 2->8->2 range

@@ -25,8 +25,10 @@ from repro.cluster.failover import (
     ReplicaStandIn,
 )
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
+from repro.platform import PurchaseOutcome
 from repro.replication import drop_entity_op, entity_op, product_op, stock_op
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
 
@@ -491,14 +493,8 @@ class TestMarketplaceDuringFailure:
         cluster.kill_shard(victim)
         tick_until_up(cluster, victim)
         outcomes += cluster.process_purchases(workload.requests_between(2.0, 5.0))
-        sold = {}
-        for o in outcomes:
-            if o.success:
-                sold[o.request.product_id] = sold.get(o.request.product_id, 0) + 1
-        for pid in pids:
-            stock = cluster.get_stock(pid)
-            assert stock >= 0
-            assert sold.get(pid, 0) + stock == 10
+        stocks = {pid: cluster.get_stock(pid) for pid in pids}
+        assert exactly_once_violations(dict.fromkeys(pids, 10), units_sold(outcomes), stocks) == []
 
 
 class TestSaltedProductFailover:
@@ -670,8 +666,8 @@ class TestMembershipWithFailover:
 def mid_sale_kill_drill(fault_seed):
     """A 20-product flash sale on four shards under a 10 % replication
     drop plan; the hot product's owner is killed with a torn primary tail
-    before the third batch.  Returns the cluster, the product ids and
-    every outcome, after the victim is back ``UP``."""
+    before the third batch.  Returns the cluster, after the victim is
+    back ``UP``, and the products the sale did not keep exactly-once."""
     config = FlashSaleConfig(
         n_products=20, n_shoppers=100, initial_stock=10,
         burst_rate=200.0, burst_start=0.0, burst_end=5.0, zipf_skew=1.0,
@@ -704,26 +700,8 @@ def mid_sale_kill_drill(fault_seed):
             served_while_recovering = True
     tick_until_up(cluster, victim)
     assert served_while_recovering
-    return cluster, pids, outcomes
-
-
-def units_sold(outcomes):
-    sold = {}
-    for o in outcomes:
-        if o.success:
-            pid = o.request.product_id
-            sold[pid] = sold.get(pid, 0) + o.request.quantity
-    return sold
-
-
-def not_exactly_once(cluster, pids, sold, initial=10):
-    """The products oversold through the promoted replica (stock below
-    zero) or not conserved (sold + left is not the initial stock)."""
     stocks = {pid: cluster.get_stock(pid) for pid in pids}
-    return [
-        pid for pid, stock in stocks.items()
-        if stock < 0 or sold.get(pid, 0) + stock != initial
-    ]
+    return cluster, exactly_once_violations(dict.fromkeys(pids, 10), units_sold(outcomes), stocks)
 
 
 class TestChaosKillSweep:
@@ -740,8 +718,8 @@ class TestChaosKillSweep:
 
     @pytest.mark.parametrize("fault_seed", [*range(20), 23, 101])
     def test_flash_sale_exactly_once_across_mid_sale_kill(self, fault_seed):
-        cluster, pids, outcomes = mid_sale_kill_drill(fault_seed)
-        assert not_exactly_once(cluster, pids, units_sold(outcomes)) == []
+        cluster, violations = mid_sale_kill_drill(fault_seed)
+        assert violations == []
         metrics = cluster.metrics
         assert metrics.counter("cluster.failover.promotions").value >= 1
         assert metrics.counter("cluster.failover.recoveries").value >= 1
@@ -751,8 +729,7 @@ class TestChaosKillSweep:
     def test_the_kill_drill_holds_on_fault_seeds_20_to_149(self):
         failing = []
         for fault_seed in range(20, 150):
-            cluster, pids, outcomes = mid_sale_kill_drill(fault_seed)
-            if not_exactly_once(cluster, pids, units_sold(outcomes)):
+            if mid_sale_kill_drill(fault_seed)[1]:
                 failing.append(fault_seed)
         assert failing == []
 
@@ -791,48 +768,46 @@ class TestAcknowledgedMeansSettled:
         return calls
 
     @staticmethod
-    def make(cluster, call, sold):
-        """Run one call; book what it acknowledged into ``sold``."""
+    def make(cluster, call):
+        """Run one call; its outcomes (a basket's requests share its one)."""
         name, requests = call
         result = getattr(cluster, name)(requests)
         if name == "process_purchases":
-            acknowledged = [o.request for o in result if o.success]
-        else:
-            acknowledged = requests if result.committed else []
-        for request in acknowledged:
-            sold[request.product_id] = (
-                sold.get(request.product_id, 0) + request.quantity
-            )
+            return result
+        return [PurchaseOutcome(r, result.committed) for r in requests]
 
     def test_a_replica_is_never_behind_at_a_call_boundary(self):
         (cluster, pids), calls = self.sale_cluster(), self.sale_calls()
         assert {name for name, _ in calls} == {
             "process_purchases", "process_basket"
         }
-        sold = {}
+        outcomes = []
         for call in calls:
-            self.make(cluster, call, sold)
+            outcomes += self.make(cluster, call)
             for pid in pids:
                 owner = cluster.router.owner_of(pid)
                 assert cluster.failover.replica_stock(
                     owner, pid
                 ) == cluster.get_stock(pid)
-        assert sum(sold.values()) > 12  # the sale sold, and re-sold products
+        assert sum(units_sold(outcomes).values()) > 12  # the sale sold, and re-sold products
 
     def test_kill_and_promote_at_every_call_boundary_conserves_stock(self):
         calls = self.sale_calls()
         for boundary in range(len(calls) + 1):  # the last: after the sale
             cluster, pids = self.sale_cluster()
             victim = cluster.router.owner_of(pids[0])
-            sold = {}
+            outcomes = []
             for k, call in enumerate([*calls, None]):
                 if k == boundary:
                     cluster.kill_shard(victim, torn_tail_bytes=3)
                 if call is not None:
-                    self.make(cluster, call, sold)
+                    outcomes += self.make(cluster, call)
                     cluster.tick(TICK)
             tick_until_up(cluster, victim)
             assert cluster.metrics.counter(
                 "cluster.failover.promotions"
             ).value == 1
-            assert not_exactly_once(cluster, pids, sold, initial=8) == []
+            stocks = {pid: cluster.get_stock(pid) for pid in pids}
+            assert exactly_once_violations(
+                dict.fromkeys(pids, 8), units_sold(outcomes), stocks
+            ) == []

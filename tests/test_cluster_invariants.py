@@ -22,6 +22,7 @@ from repro.cluster import ClusterConfig, PlatformCluster
 from repro.core import DataKind, DataRecord, Space
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultRule
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 pytestmark = pytest.mark.cluster
@@ -100,9 +101,8 @@ class TestEntityConservation:
         outcomes = cluster.process_purchases(
             workload.requests_between(0.0, 2.0)
         )
-        sold = sum(o.success for o in outcomes)
-        left = sum(cluster.get_stock(pid) for pid in pids)
-        assert sold + left == 20 * 10
+        stocks = {pid: cluster.get_stock(pid) for pid in pids}
+        assert exactly_once_violations(dict.fromkeys(pids, 10), units_sold(outcomes), stocks) == []
 
     def test_buffered_records_survive_membership_changes(self):
         """add/remove flush the ingest buffer first, so records buffered
@@ -147,15 +147,10 @@ class TestFlashSaleChaosOnCluster:
         cluster, workload, outcomes, injector = self.run_chaotic_cluster_sale(
             fault_seed
         )
-        sold_by_product = {}
-        for outcome in outcomes:
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold_by_product[pid] = sold_by_product.get(pid, 0) + 1
-        for i in range(20):
-            pid = workload.product_id(i)
-            assert sold_by_product.get(pid, 0) + cluster.get_stock(pid) == 10
-            assert cluster.get_stock(pid) >= 0  # no double-spend / oversell
+        stocks = {pid: cluster.get_stock(pid) for pid in map(workload.product_id, range(20))}
+        assert exactly_once_violations(
+            dict.fromkeys(stocks, 10), units_sold(outcomes), stocks
+        ) == []
         assert injector.injected > 0  # the plan actually fired
 
     @pytest.mark.parametrize("fault_seed", [7, 23])
@@ -223,18 +218,13 @@ class TestFlashSaleChaosDisaggregated:
     @pytest.mark.parametrize("fault_seed", [7, 23, 101])
     def test_exactly_once_with_storage_rpc_faults(self, fault_seed):
         cluster, workload, outcomes, injector = self.run_disagg_sale(fault_seed)
-        sold_by_product = {}
-        for outcome in outcomes:
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold_by_product[pid] = sold_by_product.get(pid, 0) + 1
-        for i in range(self.N_PRODUCTS):
-            pid = workload.product_id(i)
-            assert (
-                sold_by_product.get(pid, 0) + cluster.get_stock(pid)
-                == self.INITIAL_STOCK
-            )
-            assert cluster.get_stock(pid) >= 0
+        stocks = {
+            pid: cluster.get_stock(pid)
+            for pid in map(workload.product_id, range(self.N_PRODUCTS))
+        }
+        assert exactly_once_violations(
+            dict.fromkeys(stocks, self.INITIAL_STOCK), units_sold(outcomes), stocks
+        ) == []
         assert injector.injected > 0  # the plan actually fired
         assert cluster.metrics.counter("cluster.disagg.remounts").value == 1.0
         assert cluster.metrics.counter("storage.rpc.faults").value > 0

@@ -29,6 +29,7 @@ from repro.platform import MetaversePlatform
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.spatial.geometry import BBox
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
 
@@ -315,15 +316,10 @@ class TestPurchaseRouting:
         cluster = PlatformCluster(ClusterConfig(n_shards=4))
         cluster.load_catalog(workload.catalog_records())
         outcomes = cluster.process_purchases(workload.requests_between(0.0, 5.0))
-        sold = {}
-        for outcome in outcomes:
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold[pid] = sold.get(pid, 0) + 1
-        for i in range(20):
-            pid = workload.product_id(i)
-            assert sold.get(pid, 0) + cluster.get_stock(pid) == 10
-            assert cluster.get_stock(pid) >= 0
+        stocks = {pid: cluster.get_stock(pid) for pid in map(workload.product_id, range(20))}
+        assert exactly_once_violations(
+            dict.fromkeys(stocks, 10), units_sold(outcomes), stocks
+        ) == []
 
     def test_throughput_metrics_and_gauges(self):
         workload = make_workload()
@@ -607,11 +603,7 @@ def buy(cluster, pid, n, quantity=1):
         PurchaseRequest(f"s{i}", pid, Space.VIRTUAL, float(i), quantity)
         for i in range(n)
     ]
-    return sum(
-        outcome.request.quantity
-        for outcome in cluster.process_purchases(requests)
-        if outcome.success
-    )
+    return units_sold(cluster.process_purchases(requests)).get(pid, 0)
 
 
 DOWN_OWNER_SHAPES = [

@@ -29,6 +29,7 @@ from repro.obs.tracing import Tracer
 from repro.query.plane import prefix_query
 from repro.replication import fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 from repro.workloads.marketplace import PurchaseRequest
 
@@ -68,6 +69,17 @@ def make_workload(seed=1, n_products=12, initial_stock=10):
         ),
         seed=seed,
     )
+
+
+def assert_conserved_everywhere(geo, initial, sold):
+    """The sale is exactly-once at each product's home and in every
+    region's copy (call it once the regions have reconverged)."""
+    assert exactly_once_violations(
+        initial, sold, {p: geo.get_stock(p, LINEARIZABLE) for p in initial}
+    ) == []
+    for region in geo.config.regions:
+        stocks = {p: geo.get_stock(p, EVENTUAL, region=region) for p in initial}
+        assert exactly_once_violations(initial, sold, stocks) == []
 
 
 class TestConstruction:
@@ -580,7 +592,7 @@ class TestRegionLifecycle:
         geo.tick(0.5)
         pids = [workload.product_id(i) for i in range(12)]
         initial = {p: geo.get_stock(p, LINEARIZABLE) for p in pids}
-        sold = {p: 0 for p in pids}
+        outcomes = []
         victim = "eu-west"
         t = 0.0
         for step in range(16):
@@ -588,21 +600,13 @@ class TestRegionLifecycle:
                 geo.kill_region(victim)
             if step == 11:
                 geo.restart_region(victim)
-            for outcome in geo.process_purchases(
-                workload.requests_between(t, t + 0.5)
-            ):
-                if outcome.success:
-                    sold[outcome.request.product_id] += outcome.request.quantity
+            outcomes += geo.process_purchases(workload.requests_between(t, t + 0.5))
             t += 0.5
             geo.tick(0.5)
         for _ in range(3):
             geo.tick(0.5)
         assert geo.max_replication_lag() == 0
-        for pid in pids:
-            remaining = initial[pid] - sold[pid]
-            assert geo.get_stock(pid, LINEARIZABLE) == remaining
-            for region in geo.config.regions:
-                assert geo.get_stock(pid, EVENTUAL, region=region) == remaining
+        assert_conserved_everywhere(geo, initial, units_sold(outcomes))
 
 
 class TestRehoming:
@@ -642,13 +646,12 @@ class TestRehoming:
         assert geo.home_of(pid) == new
         assert geo.get_stock(pid, LINEARIZABLE) == before
         outcomes = geo.process_purchases(workload.requests_between(0.0, 1.0))
-        sold = sum(
-            o.request.quantity for o in outcomes
-            if o.success and o.request.product_id == pid
-        )
+        sold = units_sold(o for o in outcomes if o.request.product_id == pid)
         geo.tick(0.5)
         for region in geo.config.regions:
-            assert geo.get_stock(pid, EVENTUAL, region=region) == before - sold
+            assert exactly_once_violations(
+                {pid: before}, sold, {pid: geo.get_stock(pid, EVENTUAL, region=region)}
+            ) == []
 
     def test_rehome_aborts_atomically_during_partition(self):
         geo = make_geo()
@@ -721,7 +724,7 @@ class TestGeoChaos:
         geo.tick(0.5)
         pids = [workload.product_id(i) for i in range(12)]
         initial = {p: geo.get_stock(p, LINEARIZABLE) for p in pids}
-        sold = {p: 0 for p in pids}
+        outcomes = []
         isolated = "ap-south"
         survivors = [r for r in REGIONS if r != isolated]
         t = 0.0
@@ -729,13 +732,7 @@ class TestGeoChaos:
         def run_sale(steps):
             nonlocal t
             for _ in range(steps):
-                for outcome in geo.process_purchases(
-                    workload.requests_between(t, t + 0.5)
-                ):
-                    if outcome.success:
-                        sold[outcome.request.product_id] += (
-                            outcome.request.quantity
-                        )
+                outcomes.extend(geo.process_purchases(workload.requests_between(t, t + 0.5)))
                 t += 0.5
                 geo.tick(0.5)
 
@@ -760,9 +757,5 @@ class TestGeoChaos:
         # Post-heal anti-entropy reconvergence: every copy agrees and the
         # sale conserved stock exactly-once through the chaos.
         assert geo.max_replication_lag() == 0
-        for pid in pids:
-            remaining = initial[pid] - sold[pid]
-            assert geo.get_stock(pid, LINEARIZABLE) == remaining
-            for region in REGIONS:
-                assert geo.get_stock(pid, EVENTUAL, region=region) == remaining
+        assert_conserved_everywhere(geo, initial, units_sold(outcomes))
         assert geo.metrics.counter("geo.antientropy.rounds").value > 0

@@ -10,6 +10,7 @@ from repro.core import Space
 from repro.ledger import Auditor, LedgerDB
 from repro.net import AttributePredicate, Publication, Subscription
 from repro.platform import MetaversePlatform
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 
@@ -61,14 +62,10 @@ class TestFlashSaleEndToEnd:
     def test_inventory_conservation(self):
         """Units sold + units left == initial stock for every product."""
         platform, _, _, outcomes, _, workload = run_sale()
-        sold_by_product = {}
-        for outcome in outcomes:
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold_by_product[pid] = sold_by_product.get(pid, 0) + 1
-        for i in range(20):
-            pid = workload.product_id(i)
-            assert sold_by_product.get(pid, 0) + platform.get_stock(pid) == 10
+        stocks = {pid: platform.get_stock(pid) for pid in map(workload.product_id, range(20))}
+        assert exactly_once_violations(
+            dict.fromkeys(stocks, 10), units_sold(outcomes), stocks
+        ) == []
 
     def test_no_oversell(self):
         platform, _, _, outcomes, _, workload = run_sale()

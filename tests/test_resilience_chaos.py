@@ -15,6 +15,7 @@ from repro.net import Publication, SimulatedNetwork, Subscription
 from repro.platform import DeviceGateway, MetaversePlatform
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.storage import KVStore, WriteAheadLog
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 pytestmark = pytest.mark.chaos
@@ -69,15 +70,10 @@ class TestFlashSaleUnderFaults:
         platform, _, outcomes, _, workload, injector = run_chaotic_sale(
             fault_seed=fault_seed
         )
-        sold_by_product = {}
-        for outcome in outcomes:
-            if outcome.success:
-                pid = outcome.request.product_id
-                sold_by_product[pid] = sold_by_product.get(pid, 0) + 1
-        for i in range(20):
-            pid = workload.product_id(i)
-            assert sold_by_product.get(pid, 0) + platform.get_stock(pid) == 10
-            assert platform.get_stock(pid) >= 0  # no double-spend / oversell
+        stocks = {pid: platform.get_stock(pid) for pid in map(workload.product_id, range(20))}
+        assert exactly_once_violations(
+            dict.fromkeys(stocks, 10), units_sold(outcomes), stocks
+        ) == []
 
     def test_ledger_records_every_success_exactly_once(self):
         _, ledger, outcomes, _, _, _ = run_chaotic_sale()

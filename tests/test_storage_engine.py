@@ -39,6 +39,7 @@ from repro.storage import (
     TieredStorageEngine,
 )
 from repro.storage.kv import payload_size
+from repro.verify import exactly_once_violations, units_sold
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 pytestmark = pytest.mark.disagg
@@ -435,20 +436,15 @@ class TestPlatformOnEngines:
         platform.load_catalog(workload.catalog_records())
         requests = workload.requests_between(0.0, 2.0)
         half = len(requests) // 2
-        sold = sum(
-            o.success for o in platform.process_purchases(requests[:half])
-        )
+        outcomes = platform.process_purchases(requests[:half])
         # The compute node "restarts": new platform, fresh mount, no state.
         restarted = MetaversePlatform(
             n_executors=2, engine=tier.mount("restart")
         )
-        sold += sum(
-            o.success for o in restarted.process_purchases(requests[half:])
-        )
-        remaining = sum(
-            restarted.get_stock(workload.product_id(i)) for i in range(6)
-        )
-        assert sold + remaining == 6 * 4  # exactly-once across the restart
+        outcomes += restarted.process_purchases(requests[half:])
+        stocks = {pid: restarted.get_stock(pid) for pid in map(workload.product_id, range(6))}
+        # exactly-once across the restart
+        assert exactly_once_violations(dict.fromkeys(stocks, 4), units_sold(outcomes), stocks) == []
         assert restarted.metrics.counter("platform.products_hydrated").value > 0
 
     def test_get_stock_hydrates_unknown_products(self):

@@ -48,6 +48,7 @@ from repro.geo import deployment
 from repro.platform.platform import stored_record_value
 from repro.replication import DROPPED, compact_entries, decode, fold
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.verify import units_sold
 from repro.workloads.marketplace import PurchaseRequest
 from tests.test_geo_segments import logged_in, ops_behind, reach
 from tests.test_position_index import sweep_only, split_write_cluster
@@ -356,10 +357,7 @@ class Ledger:
         value, raised = result
         if kind == "purchases":
             touched = [pid for pid, _ in args[0]]
-            sold = [] if raised else [
-                (o.request.product_id, o.request.quantity)
-                for o in value if o.success
-            ]
+            sold = [] if raised else units_sold(value).items()
         elif kind == "basket":
             touched = [pid for pid, _ in args[0]]
             sold = [] if raised or not value.committed else args[0]
