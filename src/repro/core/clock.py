@@ -10,6 +10,7 @@ need "now" take a clock (or a plain ``time_fn``) instead of calling
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sized
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -101,13 +102,20 @@ class EventScheduler:
 
     def schedule_at(self, timestamp: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated ``timestamp``."""
-        if timestamp < self.clock.now:
+        return EventHandle(self._push(timestamp, callback))
+
+    def _push(self, timestamp: float, callback: Callable[[], None]) -> list:
+        """Queue ``callback`` at ``timestamp`` and return its heap entry.
+        The one way onto the heap: :meth:`schedule_at` wraps the entry in
+        a handle, and a caller that never cancels (a network message in
+        flight) takes none."""
+        if timestamp < self.clock._now:
             raise ConfigurationError(
-                f"cannot schedule at {timestamp} before now={self.clock.now}"
+                f"cannot schedule at {timestamp} before now={self.clock._now}"
             )
         entry = [timestamp, next(self._seq), callback]
         heappush(self._heap, entry)
-        return EventHandle(entry)
+        return entry
 
     def __len__(self) -> int:
         """Number of events still queued (including cancelled ones)."""
@@ -138,6 +146,31 @@ class EventScheduler:
             dispatched += 1
         clock.advance_to(timestamp)
         return dispatched
+
+    def run_until_received(self, received: Sized, expected: int, deadline: float) -> bool:
+        """Dispatch one instant at a time — every event due at the earliest
+        queued time, then the check — until ``received`` holds
+        ``expected`` items, ``deadline`` passes, or nothing is left to run;
+        return whether the deadline cut the wait short.  A wait with
+        nothing left to run ends where it is, without a timeout; one whose
+        next event lies past ``deadline`` moves the clock to the deadline
+        and times out."""
+        heap, clock = self._heap, self.clock
+        while len(received) < expected and clock._now < deadline:
+            while heap and heap[0][2] is None:
+                heappop(heap)
+            if not heap:
+                return False
+            instant = heap[0][0]
+            if instant > deadline:
+                clock.advance_to(deadline)
+                break
+            while heap and heap[0][0] <= instant:
+                when, _, callback = heappop(heap)
+                if callback is not None:
+                    clock.advance_to(when)
+                    callback()
+        return clock._now >= deadline and len(received) < expected
 
     def run_for(self, duration: float) -> int:
         """Dispatch everything within the next ``duration`` seconds."""

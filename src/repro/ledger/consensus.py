@@ -18,6 +18,7 @@ assumed, and both expose analytic message counts for cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
@@ -71,10 +72,7 @@ class PrimaryBackup:
             self.primary.send(backup.name, "replicate", payload)
             sent += 1
         majority = self.n // 2  # acks needed beyond the primary's own vote
-        while (
-            len(self._acks) < majority and scheduler.next_event_time is not None
-        ):
-            scheduler.run_until(scheduler.next_event_time)
+        scheduler.run_until_received(self._acks, majority, math.inf)
         committed = len(self._acks) >= majority
         return ConsensusOutcome(
             committed=committed,

@@ -261,19 +261,24 @@ class SimulatedNetwork:
                 extra_delay = decision.delay_s
             elif decision.kind == "corrupt":
                 corrupted = True
-        now = self.scheduler.clock.now
+        scheduler = self.scheduler
+        now = scheduler.clock.now
         message = Message(
             src, dst, topic, payload, size_bytes, now, corrupted,
             next(_message_ids),
         )
-        link = self.link_for(src, dst)
-        self._sent.inc()
-        self._bytes_sent.inc(size_bytes)
+        links = self._links
+        link = links.get((src, dst), self.default_link) if links else self.default_link
+        self._sent.value += 1
+        self._bytes_sent.inc(size_bytes)  # a negative size raises here
         if dropped or (link.loss_rate > 0 and self._rng.random() < link.loss_rate):
             self.metrics.counter("net.messages_dropped").inc()
             return message
-        delay = link.transfer_delay(size_bytes) + extra_delay
-        self.scheduler.schedule_at(now + delay, partial(self._deliver, message))
+        # Nothing cancels a message in flight, so it takes no handle.
+        scheduler._push(
+            now + link.transfer_delay(size_bytes) + extra_delay,
+            partial(self._deliver, message),
+        )
         return message
 
     def call(self, src: str, dst: str, site: CallSite, request_bytes: int, op: str,
@@ -341,6 +346,6 @@ class SimulatedNetwork:
         node = self.nodes.get(message.dst)
         if node is None:
             return
-        self._delivered.inc()
+        self._delivered.value += 1
         self._latency.observe(self.scheduler.clock.now - message.sent_at)
         node.deliver(message)

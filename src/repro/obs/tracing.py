@@ -217,15 +217,20 @@ class Tracer:
         """
         if self._suppressing:
             return _NOOP_SPAN
-        stack = self._stack
-        if not stack and self.sample_every > 1:
+        if not self._stack and self.sample_every > 1:
             seq = self._trace_seq
             self._trace_seq = seq + 1
             if seq % self.sample_every:
                 self.sampled_out += 1
                 self._suppressing = True
                 return self._suppressed
+        return self._open(name, attributes)
+
+    def _open(self, name: str, attributes: dict[str, Any]) -> Span:
+        """Push a recorded child of the active span (the keep decision
+        is already made)."""
         # Hot path: build the span without re-entering Span.__init__.
+        stack = self._stack
         span = Span.__new__(Span)
         span.span_id = next(self._ids)
         span.parent_id = stack[-1].span_id if stack else None
@@ -257,7 +262,27 @@ class Tracer:
                 self.sampled_out += 1
                 self._suppressing = True
                 return self._suppressed
-        return self.span(name, **attributes)
+        return self._open(name, attributes)
+
+    def sampled_spans(self, name: str, n: int) -> None:
+        """``n`` empty :meth:`sampled_span` boundaries in one call: the
+        sampling decisions of ``n`` requests whose own work opens no span
+        (a purchase call's requests).  It advances the trace sequence and
+        ``sampled_out`` as those ``n`` boundaries would, and records a
+        span only for each request it keeps — one in ``sample_every``.
+        Inside a suppressed region it does nothing, as they would."""
+        if self._suppressing:
+            return
+        kept = n
+        k = self.sample_every
+        if k > 1:
+            seq = self._trace_seq
+            kept = len(range(-seq % k, n, k))  # the requests seq % k keeps
+            self._trace_seq = seq + n
+            self.sampled_out += n - kept
+        for _ in range(kept):
+            with self._open(name, {}):
+                pass
 
     @property
     def active_span(self) -> Span | None:
@@ -361,6 +386,9 @@ class NoopTracer(Tracer):
 
     def sampled_span(self, name: str, **attributes: Any) -> _NoopSpan:  # type: ignore[override]
         return _NOOP_SPAN
+
+    def sampled_spans(self, name: str, n: int) -> None:
+        return None
 
     def log(self, level: str, message: str, **fields: Any) -> None:
         return None

@@ -15,6 +15,28 @@ are local calls, so a committed round over *n* participants sends
 participant that voted no staged nothing, so it is sent none.  The ack
 after a commit stays: when :meth:`Coordinator.execute` returns a commit,
 every reachable participant has applied it.
+
+Cost model of a round at its home over *n* participants:
+
+* **Messages.**  A commit sends 4(*n*-1): a prepare, a vote, a commit
+  and an ack per remote participant.  An abort sends the prepares, the
+  votes that come back, and one abort per remote that did not vote no.
+  Each message is one :meth:`~repro.net.simnet.SimulatedNetwork.send`
+  (reachability, the fault decision, two bound counters and one heap
+  entry with no handle) and one delivery (two bound metrics and the
+  node's handler).
+* **Waits.**  The driver waits twice: for the votes (up to the
+  coordinator's timeout from the prepare) and, after a commit, for the
+  acks (up to the timeout again).  Each wait is one
+  :meth:`~repro.core.clock.EventScheduler.run_until_received` call.  An
+  abort waits for nothing: the driver runs the scheduler until each
+  abort's link delay has passed.
+* **One instant.**  A wait runs every event due at the earliest queued
+  time, then counts the replies.  So replies that arrive at the same
+  simulated time are all in before the round decides.  The clock moves
+  only to event times, or to the deadline when the next event lies past
+  it.  A wait with nothing left to run ends where it is, without a
+  timeout.
 """
 
 from __future__ import annotations
@@ -89,7 +111,8 @@ class Participant:
             return
         txn_id = message.payload["txn_id"]
         vote = self._vote(txn_id, message.payload["writes"])
-        self.node.send(
+        self.network.send(
+            self.name,
             message.src,
             "2pc.vote",
             {"txn_id": txn_id, "participant": self.name, "vote": vote},
@@ -100,7 +123,7 @@ class Participant:
             return
         txn_id = message.payload["txn_id"]
         self._decide(txn_id, True)
-        self.node.send(message.src, "2pc.ack", {"txn_id": txn_id})
+        self.network.send(self.name, message.src, "2pc.ack", {"txn_id": txn_id})
 
     def _on_abort(self, message: Message) -> None:
         if not self.crashed:
@@ -179,15 +202,9 @@ class Coordinator:
         """Run the shared scheduler one instant at a time until ``expected``
         replies are in ``received``, ``deadline`` passes or nothing is left
         to run; return whether the deadline cut the wait short."""
-        scheduler = self.network.scheduler
-        clock = scheduler.clock
-        while (
-            len(received) < expected
-            and clock.now < deadline
-            and (next_time := scheduler.next_event_time) is not None
-        ):
-            scheduler.run_until(min(deadline, next_time))
-        return clock.now >= deadline and len(received) < expected
+        return self.network.scheduler.run_until_received(
+            received, expected, deadline
+        )
 
     def execute(
         self, txn: DistributedTxn, at: Participant | None = None
@@ -212,6 +229,7 @@ class Coordinator:
         else:
             node = self._listen(at.node)
             remote = [name for name in writes if name != at.name]
+        home, send = node.name, network.send
         votes: dict[str, bool] = {}
         acks: set[str] = set()
         self._votes[txn_id] = votes
@@ -223,7 +241,8 @@ class Coordinator:
         unreachable: list[str] = []
         for participant in remote:
             try:
-                node.send(
+                send(
+                    home,
                     participant,
                     "2pc.prepare",
                     {"txn_id": txn_id, "writes": writes[participant]},
@@ -256,7 +275,7 @@ class Coordinator:
         sent: list[Message] = []
         for participant in targets:
             try:
-                sent.append(node.send(participant, topic, {"txn_id": txn_id}))
+                sent.append(send(home, participant, topic, {"txn_id": txn_id}))
             except NetworkError:
                 pass
         if at is not None and not at.crashed:

@@ -304,3 +304,82 @@ class TestPlainEntryHeapMatchesTheDataclassHeap:
         assert (dropped.time, dropped.cancelled) == (2.0, True)
         assert sched.run_all() == 1
         assert (kept.time, kept.cancelled) == (1.5, False)
+
+
+def two_call_wait(scheduler, received, expected, deadline):
+    """The oracle: a wait as a ``next_event_time`` and a ``run_until``
+    call per instant, as the 2PC driver ran it."""
+    clock = scheduler.clock
+    while (
+        len(received) < expected
+        and clock.now < deadline
+        and (next_time := scheduler.next_event_time) is not None
+    ):
+        scheduler.run_until(min(deadline, next_time))
+    return clock.now >= deadline and len(received) < expected
+
+
+_replies = st.lists(
+    st.tuples(
+        _delays,                                  # when it is due
+        st.booleans(),                            # cancelled before the wait
+        st.booleans(),                            # it is a reply
+        st.sampled_from([None, 0.0, 0.25, 1.0]),  # a follow-up it schedules
+        st.sampled_from([0.0, 0.1]),              # clock time its work takes
+    ),
+    max_size=12,
+)
+
+
+def wait_world(wait, events, expected, deadline):
+    """Queue ``events``, wait for ``expected`` replies by ``deadline``
+    with ``wait``, and return everything observable."""
+    scheduler = EventScheduler()
+    received, log = [], []
+
+    def follow_up(i):
+        log.append(("follow-up", i, scheduler.clock.now))
+        received.append(i)
+
+    def event(i, replies, later, work):
+        log.append(("ran", i, scheduler.clock.now))
+        scheduler.clock.advance(work)
+        if replies:
+            received.append(i)
+        if later is not None:
+            scheduler.schedule(later, lambda: follow_up(i))
+
+    for i, (due, cancelled, replies, later, work) in enumerate(events):
+        handle = scheduler.schedule(
+            due, lambda i=i, r=replies, l=later, w=work: event(i, r, l, w)
+        )
+        if cancelled:
+            handle.cancel()
+    timed_out = wait(scheduler, received, expected, deadline)
+    return log, received, timed_out, scheduler.clock.now, scheduler.next_event_time
+
+
+class TestRunUntilReceivedMatchesTheTwoCallWait:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=_replies,
+        expected=st.integers(0, 6),
+        deadline=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
+    )
+    def test_dispatch_replies_result_and_clock_are_equal(
+        self, events, expected, deadline
+    ):
+        assert wait_world(
+            EventScheduler.run_until_received, events, expected, deadline
+        ) == wait_world(two_call_wait, events, expected, deadline)
+
+    def test_a_wait_with_nothing_to_run_does_not_time_out(self):
+        scheduler = EventScheduler()
+        assert scheduler.run_until_received([], 1, 5.0) is False
+        assert scheduler.clock.now == 0.0
+
+    def test_a_wait_whose_next_event_is_past_the_deadline_times_out_there(self):
+        scheduler = EventScheduler()
+        scheduler.schedule(9.0, lambda: None)
+        assert scheduler.run_until_received([], 1, 5.0) is True
+        assert (scheduler.clock.now, len(scheduler)) == (5.0, 1)

@@ -1,6 +1,8 @@
 """Tests for repro.obs tracing: span nesting, propagation, end-to-end."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ConfigurationError,
@@ -164,6 +166,82 @@ class TestHeadSampling:
                 pass
         assert len(tracer.spans_named("request")) == 3
         assert tracer.sampled_out == 0
+
+
+def per_request(tracer, name, n):
+    """The oracle: one empty ``sampled_span`` boundary per request, as a
+    purchase call opened them before it decided them in one call."""
+    for _ in range(n):
+        with tracer.sampled_span(name):
+            pass
+
+
+def boundaries_at(boundaries, sample_every, start, where, n, max_spans):
+    """Run ``boundaries(tracer, n)`` after ``start`` root traces, at the
+    root, inside a recorded batch span or inside a sampled-out one, and
+    return what a tracer shows of it."""
+    tracer = Tracer(sample_every=sample_every, max_spans=max_spans)
+    for _ in range(start):
+        with tracer.span("before"):
+            pass
+    if where == "root":
+        boundaries(tracer, "request", n)
+    else:
+        # The next root is recorded exactly when its sequence number is a
+        # multiple of sample_every.
+        while (tracer._trace_seq % sample_every == 0) != (where == "kept"):
+            with tracer.span("before"):
+                pass
+        with tracer.span("batch"):
+            boundaries(tracer, "request", n)
+    return (
+        tracer._trace_seq, tracer.sampled_out, tracer.dropped_spans,
+        [(span.name, span.parent_id) for span in tracer.finished_spans()],
+    )
+
+
+class TestOneSamplingCallMatchesTheBoundaryPerRequest:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sample_every=st.sampled_from([1, 2, 64]),
+        start=st.integers(0, 200),
+        where=st.sampled_from(["root", "kept", "suppressed"]),
+        n=st.integers(0, 300),
+        max_spans=st.sampled_from([3, 10_000]),
+    )
+    def test_sequence_counts_and_spans_are_equal(
+        self, sample_every, start, where, n, max_spans
+    ):
+        assume(not (sample_every == 1 and where == "suppressed"))
+        args = (sample_every, start, where, n, max_spans)
+        assert boundaries_at(Tracer.sampled_spans, *args) == boundaries_at(
+            per_request, *args
+        )
+
+    def test_one_request_in_k_records_its_span_under_the_batch(self):
+        tracer = Tracer(sample_every=4)
+        with tracer.span("batch") as batch:  # root: trace 0, recorded
+            tracer.sampled_spans("request", 10)
+        requests = tracer.spans_named("request")
+        assert len(requests) == 2  # sequence numbers 4 and 8 of 1..10
+        assert all(span.parent_id == batch.span_id for span in requests)
+        assert (tracer._trace_seq, tracer.sampled_out) == (11, 8)
+
+    def test_a_kept_boundary_at_the_root_records(self):
+        """A boundary's keep decision is its only one: a kept root-level
+        boundary records its span instead of deciding again."""
+        tracer = Tracer(sample_every=4)
+        for _ in range(8):
+            with tracer.sampled_span("request"):
+                pass
+        assert len(tracer.spans_named("request")) == 2
+        assert (tracer._trace_seq, tracer.sampled_out) == (8, 6)
+
+    def test_the_noop_tracer_decides_nothing(self):
+        tracer = NoopTracer()
+        tracer.sampled_spans("request", 100)
+        assert tracer.finished_spans() == []
+        assert (tracer._trace_seq, tracer.sampled_out) == (0, 0)
 
 
 class TestNoopTracer:

@@ -522,6 +522,51 @@ class TestASilentHome:
         assert all(p.staged_count == 0 and p.data == {} for p in participants.values())
 
 
+class TwoCallDrive(Coordinator):
+    """The oracle: ``_drive`` as it was, a ``next_event_time`` and a
+    ``run_until`` call per instant."""
+
+    def _drive(self, received, expected, deadline):
+        scheduler = self.network.scheduler
+        clock = scheduler.clock
+        while (
+            len(received) < expected
+            and clock.now < deadline
+            and (next_time := scheduler.next_event_time) is not None
+        ):
+            scheduler.run_until(min(deadline, next_time))
+        return clock.now >= deadline and len(received) < expected
+
+
+class TestTheSchedulerWaitMatchesTheTwoCallDrive:
+    """``EventScheduler.run_until_received`` against the two-call loop it
+    replaced, over every scenario the fabric draws: loss, cuts before and
+    during a round, a busy scheduler and replies due on the deadline's
+    instant."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=scenarios())
+    @example(scenario={
+        "n": 3, "txns": [["dc-1", "dc-2"], ["dc-0", "dc-1", "dc-2"]],
+        "fail": set(), "crashed": set(), "latency": 0.005, "busy": False,
+        "cut_before": set(), "cut_mid": [("dc-1", 0.01, False)],
+        "loss": 0.0, "timeout": "round_trip",
+    })
+    def test_outcomes_counters_stages_and_clock_are_equal(self, scenario):
+        worlds = []
+        for coordinator_cls in (Coordinator, TwoCallDrive):
+            rounds, participants, coordinator = play(coordinator_cls, scenario)
+            network = coordinator.network
+            worlds.append((
+                rounds,
+                {name: (p.data, set(p._staged)) for name, p in participants.items()},
+                network.metrics.snapshot(),
+                network.scheduler.clock.now,
+                len(network.scheduler),
+            ))
+        assert worlds[0] == worlds[1]
+
+
 PRODUCTS = [f"p{i}" for i in range(10)]
 
 
